@@ -9,9 +9,9 @@
 //!   the run, so the allowlist can only shrink as code gets fixed.
 //! * `[[seam]]` — a module registered as a *parallel seam*: the one
 //!   place the concurrency rule permits `rayon`/`thread::spawn`/atomics
-//!   inside sim crates. Empty today; ROADMAP item 3's parallel cluster
-//!   phase registers its module here (with a justification) instead of
-//!   weakening the rule. A seam that covers no concurrency use is stale.
+//!   inside sim crates. One is registered: the sweep engine's job pool
+//!   (`crates/sweep/src/pool.rs`). A seam that covers no concurrency
+//!   use is stale.
 //! * `[[channel]]` — a probe channel: the `WANTS_*` const on
 //!   `csmt_trace::Probe` plus the emission methods it gates. The audit
 //!   cross-checks this registry against the trait definition in both

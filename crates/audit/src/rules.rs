@@ -421,9 +421,9 @@ fn wall_clock(path: &str, text: &str, findings: &mut Vec<Finding>) {
 // Rule: concurrency
 // ---------------------------------------------------------------------
 
-/// Rule `concurrency`: sim crates must stay single-threaded until the
-/// parallel-stepping work lands behind a registered seam — shared-state
-/// primitives anywhere else make event order schedule-dependent.
+/// Rule `concurrency`: sim crates stay single-threaded outside a
+/// registered seam — shared-state primitives anywhere else make event
+/// order schedule-dependent.
 fn concurrency(path: &str, text: &str, findings: &mut Vec<Finding>) {
     let flag = |at: usize, token: &str, findings: &mut Vec<Finding>| {
         findings.push(Finding {
@@ -434,7 +434,7 @@ fn concurrency(path: &str, text: &str, findings: &mut Vec<Finding>) {
             message: format!(
                 "`{token}` is a concurrency primitive inside a sim crate; parallel \
                  execution must go through a module registered as a [[seam]] in \
-                 csmt-audit.toml (the plug-in point for the parallel cluster phase)"
+                 csmt-audit.toml"
             ),
         });
     };

@@ -21,22 +21,11 @@
 //! either way (`tests/fastforward_equiv.rs` proves it), so the ratio is
 //! pure simulator speedup. Set `CSMT_BENCH_JSON=<path>` to dump the
 //! summary as JSON (recorded numbers live in `BENCH_machine_step.json`).
-//!
-//! A third section times the two-phase parallel cluster step (DESIGN.md
-//! §15) against the serial loop on the membound high-end machine and on
-//! `fa4_active_4chip`, an active-heavy 4-chip scenario (independent FP
-//! dependence chains, near-zero stall time) where the cluster phase is
-//! nearly all of the per-cycle work — the best case for parallel
-//! stepping. Results are bit-for-bit identical in both modes
-//! (`tests/parallel_equiv.rs` proves it), so the ratio is pure simulator
-//! speedup; the dump records the worker-thread count alongside, since
-//! the ratio is meaningless without it (a 1-CPU host records tape
-//! recording + replay overhead, not a speedup).
 
 use criterion::{criterion_group, Criterion};
 use csmt_core::{ArchKind, Machine};
 use csmt_isa::stream::VecStream;
-use csmt_isa::{ArchReg, DynInst, InstStream, OpClass, SyncOp};
+use csmt_isa::{ArchReg, DynInst, InstStream, SyncOp};
 use csmt_mem::MemConfig;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -63,38 +52,10 @@ fn serial_load_chain(tid: u64, n: u64) -> Box<dyn InstStream + Send> {
     Box::new(VecStream::new(v))
 }
 
-/// One thread's program for the active-heavy scenario: `n` FP adds
-/// spread over eight independent dependence chains (one per rotating
-/// destination register), no memory traffic at all — every cluster has
-/// work to issue every cycle, so the machine almost never stalls and
-/// the cluster phase dominates the step.
-fn compute_chain(tid: u64, n: u64) -> Box<dyn InstStream + Send> {
-    let base = tid << 24;
-    let mut v = Vec::with_capacity(n as usize + 1);
-    for i in 0..n {
-        let r = ArchReg::Fp(1 + (i % 8) as u8);
-        v.push(DynInst::alu(
-            base + i * 4,
-            OpClass::FpAdd,
-            Some(r),
-            [Some(r), None],
-        ));
-    }
-    v.push(DynInst::sync(base + n * 4, SyncOp::Exit));
-    Box::new(VecStream::new(v))
-}
-
 /// (name, architecture, chips, loads per thread).
 const SCENARIOS: [(&str, ArchKind, usize, u64); 2] = [
     ("smt2_lowend", ArchKind::Smt2, 1, 1200),
     ("fa4_highend_membound", ArchKind::Fa4, 4, 1200),
-];
-
-/// The serial-vs-parallel comparison points: (name, architecture,
-/// chips, instructions per thread, active-heavy?).
-const PARALLEL_SCENARIOS: [(&str, ArchKind, usize, u64, bool); 2] = [
-    ("fa4_membound_parallel", ArchKind::Fa4, 4, 1200, false),
-    ("fa4_active_4chip", ArchKind::Fa4, 4, 8000, true),
 ];
 
 /// Run one scenario to completion; returns machine cycles simulated.
@@ -121,24 +82,6 @@ fn run_machine_sched(
             .map(|t| serial_load_chain(t as u64, loads))
             .collect(),
     );
-    m.run(2_000_000_000).cycles
-}
-
-/// One run with the two-phase parallel step forced on or off; the
-/// worker count stays at the environment default (`CSMT_THREADS`, else
-/// host parallelism clamped to the cluster count). Fast-forward stays
-/// at its default (on) in both modes, so the ratio isolates the cluster
-/// phase.
-fn run_machine_par(kind: ArchKind, chips: usize, insts: u64, active: bool, parallel: bool) -> u64 {
-    let mut m = Machine::new(kind.chip(), chips, MemConfig::table3(), 0xC5_317);
-    m.set_parallel(parallel);
-    let threads = m.hw_thread_capacity();
-    let gen = if active {
-        compute_chain
-    } else {
-        serial_load_chain
-    };
-    m.attach_threads((0..threads).map(|t| gen(t as u64, insts)).collect());
     m.run(2_000_000_000).cycles
 }
 
@@ -217,42 +160,6 @@ fn steps_per_sec_summary(test_mode: bool) {
         report.push(format!(
             "    {{\"scenario\": \"{name}\", \"steps_per_sec\": {sps:.0}, \
              \"cycles_per_run\": {cycles}}}"
-        ));
-    }
-    // Two-phase parallel step: serial cluster loop vs the record/replay
-    // split, same machine, same workload (DESIGN.md §15). The recorded
-    // worker count qualifies the ratio: on a single-CPU host the engine
-    // records tapes inline, so the "speedup" is the tape overhead
-    // (expected ≲1×), while multi-core hosts see the cluster phase
-    // scale across workers.
-    let par_threads =
-        Machine::new(ArchKind::Fa4.chip(), 4, MemConfig::table3(), 0xC5_317).parallel_threads();
-    for (name, kind, chips, insts, active) in PARALLEL_SCENARIOS {
-        let mut by_mode = [0.0f64; 2];
-        let mut cycles = 0;
-        for (k, par) in [false, true].into_iter().enumerate() {
-            cycles = black_box(run_machine_par(kind, chips, insts, active, par));
-            let t0 = Instant::now();
-            let mut total_cycles = 0u64;
-            for _ in 0..reps {
-                cycles = black_box(run_machine_par(kind, chips, insts, active, par));
-                total_cycles += cycles;
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let sps = total_cycles as f64 / secs;
-            by_mode[k] = sps;
-            let mode = if par { "parallel" } else { "serial" };
-            println!("machine_step/{name}/{mode}: {sps:.0} cycles/sec ({cycles} cycles/run)");
-        }
-        let speedup = by_mode[1] / by_mode[0];
-        println!(
-            "machine_step/{name}: parallel speedup {speedup:.2}x ({par_threads} worker thread(s))"
-        );
-        report.push(format!(
-            "    {{\"scenario\": \"{name}\", \"serial_cycles_per_sec\": {:.0}, \
-             \"steps_per_sec\": {:.0}, \"speedup\": {speedup:.2}, \
-             \"threads\": {par_threads}, \"cycles_per_run\": {cycles}}}",
-            by_mode[0], by_mode[1]
         ));
     }
     if let Some(path) = std::env::var_os("CSMT_BENCH_JSON") {

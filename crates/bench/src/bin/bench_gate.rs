@@ -62,12 +62,11 @@ fn main() {
         std::process::exit(2);
     };
     // Every gating section present in the baseline contributes scenarios:
-    // `gate` (the original smoke-mode floors), `sched_overhead` (the
-    // scheduler-seam scenarios) and `parallel` (the two-phase parallel
-    // step's serial-vs-parallel points, gated on the parallel-mode
-    // throughput). Files predating the gate fall back to `post_refactor`.
+    // `gate` (the original smoke-mode floors) and `sched_overhead` (the
+    // scheduler-seam scenarios). Files predating the gate fall back to
+    // `post_refactor`.
     let mut base_results: Vec<&Value> = Vec::new();
-    for key in ["gate", "sched_overhead", "parallel"] {
+    for key in ["gate", "sched_overhead"] {
         if let Some(arr) = base
             .get(key)
             .and_then(|p| p.get("results"))

@@ -194,13 +194,12 @@ fn main() {
         csmt_bench::FIGURE_SEED
     );
     println!(
-        "fast-forward: {}  {}",
+        "fast-forward: {}",
         if csmt_core::Machine::fastforward_env_enabled() {
             "on"
         } else {
             "off (CSMT_FASTFORWARD=0)"
-        },
-        csmt_core::par_step::describe_env()
+        }
     );
     println!(
         "cycles {}  committed {}  ipc {:.2}  threads {}",

@@ -12,7 +12,7 @@
 //! the sweep), and `CSMT_JSON_DIR`. See the Observability section of
 //! DESIGN.md.
 //!
-//! Always writes a machine-readable summary, `BENCH_diagnose.json`, into
+//! Always writes a machine-readable summary, `diagnose.json`, into
 //! `CSMT_JSON_DIR` (or the current directory): per architecture the full
 //! serialized `RunResult` plus the derived cycles/IPC/hazard-fraction
 //! summary row.
@@ -173,7 +173,6 @@ fn main() {
     if !csmt_core::Machine::fastforward_env_enabled() {
         println!("fast-forward disabled (CSMT_FASTFORWARD=0): stepping every cycle");
     }
-    println!("{}", csmt_core::par_step::describe_env());
 
     let mut registry = StatsRegistry::new();
     registry.record("app", app.name);
@@ -217,7 +216,7 @@ fn main() {
     let out_dir = std::env::var_os("CSMT_JSON_DIR")
         .map(PathBuf::from)
         .unwrap_or_default();
-    let path = out_dir.join("BENCH_diagnose.json");
+    let path = out_dir.join("diagnose.json");
     registry
         .write_json(&path)
         .expect("summary JSON must be writable");

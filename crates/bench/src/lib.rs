@@ -18,8 +18,9 @@ pub const FIGURE_SEED: u64 = 0xC5_317;
 
 /// Every `CSMT_*` environment knob the binaries honor, in one table:
 /// `(name, which binaries, what it does)`. Printed by `--help` output
-/// (see [`render_env_knobs`]) and mirrored in README.md — keep the three
-/// in sync.
+/// (see [`render_env_knobs`]) and mirrored in README.md; the
+/// `env_knobs_match_readme_and_env_reads` test keeps table, README and
+/// the actual `env::var` reads in step.
 pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     (
         "CSMT_TRACE_OUT=<dir>",
@@ -50,16 +51,6 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
         "CSMT_FASTFORWARD=0",
         "all simulators",
         "disable the event-driven stall fast-forward (results are identical either way)",
-    ),
-    (
-        "CSMT_PARALLEL=0|1",
-        "all simulators",
-        "force the two-phase parallel cluster step off/on (default: on iff the host has >1 CPU; results are identical either way)",
-    ),
-    (
-        "CSMT_THREADS=<n>",
-        "all simulators",
-        "worker-thread count for the parallel cluster phase (default: host parallelism, clamped to the machine's cluster count)",
     ),
     (
         "CSMT_SCHED=<policy>",
@@ -469,6 +460,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The leading `CSMT_*` identifier of `s` (stops at `=`, a quote
+    /// or a backtick).
+    fn knob_name(s: &str) -> &str {
+        let end = s
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(s.len());
+        &s[..end]
+    }
+
+    /// Every `CSMT_*` string literal passed to `env::var`,
+    /// `env::var_os` or `env_flag` in the `.rs` files under `dir`.
+    fn env_reads(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).expect("source dir is readable") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                env_reads(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
+                for call in ["env::var(", "env::var_os(", "env_flag("] {
+                    for (at, _) in text.match_indices(call) {
+                        let arg = text[at + call.len()..].trim_start();
+                        if let Some(lit) = arg.strip_prefix("\"CSMT_") {
+                            out.insert(format!("CSMT_{}", knob_name(lit)));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn env_knobs_match_readme_and_env_reads() {
+        use std::collections::BTreeSet;
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let table: BTreeSet<String> = ENV_KNOBS
+            .iter()
+            .map(|(name, _, _)| knob_name(name).to_owned())
+            .collect();
+        assert_eq!(table.len(), ENV_KNOBS.len(), "duplicate ENV_KNOBS row");
+
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let documented: BTreeSet<String> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `CSMT_"))
+            .map(|rest| format!("CSMT_{}", knob_name(rest)))
+            .collect();
+        assert_eq!(table, documented, "ENV_KNOBS vs README knob table");
+
+        // Library and binary sources, plus the bench targets (the only
+        // readers of CSMT_BENCH_JSON).
+        let mut read = BTreeSet::new();
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let krate = krate.expect("dir entry").path();
+            for sub in ["src", "benches"] {
+                if krate.join(sub).is_dir() {
+                    env_reads(&krate.join(sub), &mut read);
+                }
+            }
+        }
+        assert_eq!(table, read, "ENV_KNOBS vs CSMT_* environment reads");
     }
 
     #[test]

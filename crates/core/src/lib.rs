@@ -10,9 +10,6 @@
 //!   Polaris fork-join semantics the paper's applications use);
 //! * [`machine`] — the low-end (1 chip) and high-end (4-chip DASH-like)
 //!   machines and the cycle loop;
-//! * [`par_step`] — the deterministic parallel cluster phase: the
-//!   worker pool behind the machine's two-phase (record / serial-commit)
-//!   step, the workspace's only registered concurrency seam;
 //! * [`sched`] — the thread-to-cluster scheduling seam: pluggable
 //!   [`ThreadScheduler`] policies (static round-robin, barrier rebalance,
 //!   hazard pairing) with drain-based thread migration;
@@ -48,7 +45,6 @@
 
 pub mod configs;
 pub mod machine;
-pub mod par_step;
 pub mod result;
 pub mod runtime;
 pub mod sched;

@@ -18,14 +18,13 @@
 use std::collections::BTreeMap;
 
 use crate::configs::ChipConfig;
-use crate::par_step::{ClusterCell, ParEngine};
 use crate::result::RunResult;
 use crate::runtime::{Action, Runtime, ThreadId};
 use crate::sched::{
     Migration, SchedConfigError, SchedSnapshot, StaticRoundRobin, ThreadObs, ThreadScheduler,
     Topology, MIGRATION_COST,
 };
-use csmt_cpu::{Cluster, ClusterEvent, DetachedThread, ThreadState, Wants};
+use csmt_cpu::{Cluster, ClusterEvent, DetachedThread, ThreadState};
 use csmt_isa::InstStream;
 use csmt_mem::{MemConfig, MemorySystem};
 use csmt_trace::{
@@ -80,11 +79,10 @@ struct Transit {
 pub struct Machine {
     cfg: ChipConfig,
     /// All clusters of all chips, flat in chip-major order: the cluster
-    /// at `(chip, k)` is index `chip * cfg.clusters + k`. Flat order is
-    /// both the historical serial iteration order and the parallel
-    /// step's commit order. A chip itself has no other state — its
-    /// L1/L2 live in the shared [`MemorySystem`] under its node index.
-    clusters: Vec<ClusterCell>,
+    /// at `(chip, k)` is index `chip * cfg.clusters + k`, which is also
+    /// the per-cycle iteration order. A chip itself has no other state —
+    /// its L1/L2 live in the shared [`MemorySystem`] under its node index.
+    clusters: Vec<Cluster>,
     /// Number of chips (= memory-system nodes).
     n_chips: usize,
     mem: MemorySystem,
@@ -133,8 +131,6 @@ pub struct Machine {
     migrations: u64,
     /// Σ cycles from hold to destination resume, over completed migrations.
     migration_wait: u64,
-    /// The two-phase parallel stepping engine (see [`crate::par_step`]).
-    par: ParEngine,
     /// Σ useful-issue slots over all stepped cluster-cycles, folded from
     /// each cycle's [`csmt_cpu::CycleActivity`] delta. Exact integers, so
     /// `agg_useful as f64` is bit-identical to the historical per-cycle
@@ -143,8 +139,6 @@ pub struct Machine {
     agg_useful: u64,
     /// Σ committed instructions, same delta fold as `agg_useful`.
     agg_committed: u64,
-    /// Scratch: per-node MSHR demand bound for the parallel pre-check.
-    mshr_demand_buf: Vec<usize>,
 }
 
 impl Machine {
@@ -156,10 +150,10 @@ impl Machine {
         let mut clusters = Vec::with_capacity(n_chips * cfg.clusters);
         for c in 0..n_chips {
             for k in 0..cfg.clusters {
-                clusters.push(ClusterCell::new(Cluster::new(
+                clusters.push(Cluster::new(
                     cfg.cluster,
                     rng.fork((c * 64 + k) as u64).next_u64(),
-                )));
+                ));
             }
         }
         let max_cluster_events = cfg.cluster.hw_threads;
@@ -191,16 +185,19 @@ impl Machine {
             attach_emitted: false,
             migrations: 0,
             migration_wait: 0,
-            par: ParEngine::from_env(n_clusters),
             agg_useful: 0,
             agg_committed: 0,
-            mshr_demand_buf: Vec::with_capacity(n_chips),
         }
     }
 
-    /// The cluster cell at `(chip, cluster-in-chip)`.
-    fn cluster_cell(&self, chip: usize, cluster: usize) -> &ClusterCell {
+    /// The cluster at `(chip, cluster-in-chip)`.
+    fn cluster_at(&self, chip: usize, cluster: usize) -> &Cluster {
         &self.clusters[chip * self.cfg.clusters + cluster]
+    }
+
+    /// Mutable access to the cluster at `(chip, cluster-in-chip)`.
+    fn cluster_at_mut(&mut self, chip: usize, cluster: usize) -> &mut Cluster {
+        &mut self.clusters[chip * self.cfg.clusters + cluster]
     }
 
     /// Scheduling policy selected by the `CSMT_SCHED` environment variable
@@ -289,29 +286,18 @@ impl Machine {
         self.fastforward
     }
 
-    /// Enable or disable the two-phase parallel step (overrides the
-    /// `CSMT_PARALLEL` environment default). Results are bit-for-bit
-    /// identical either way; this exists for differential testing and
-    /// for timing the serial baseline.
-    pub fn set_parallel(&mut self, on: bool) {
-        self.par.set_enabled(on);
-    }
+    // Inert shims for the removed two-phase parallel step (DESIGN §15),
+    // kept only because the frozen `benchmark/` crate still calls them
+    // (`benchmark/src/layers.rs`, `benchmark/src/main.rs`). The follow-up
+    // `benchmark` PR that drops `core.cycle_ns.active_parallel` /
+    // `core.par_over_serial`, the two env pins and `figs_pooled`'s
+    // "tapes" wording deletes these too; nothing else may call them.
+    #[doc(hidden)]
+    pub fn set_parallel(&mut self, _on: bool) {}
 
-    /// Whether the two-phase parallel step is currently enabled.
+    #[doc(hidden)]
     pub fn parallel(&self) -> bool {
-        self.par.enabled()
-    }
-
-    /// Set the parallel cluster phase's worker-thread count (overrides
-    /// the `CSMT_THREADS` environment default; clamped to the cluster
-    /// count).
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.par.set_threads(n);
-    }
-
-    /// Worker-thread count the parallel cluster phase will use.
-    pub fn parallel_threads(&self) -> usize {
-        self.par.threads()
+        false
     }
 
     /// Total hardware thread contexts in the machine — the thread count the
@@ -373,8 +359,7 @@ impl Machine {
                     && p.ctx < self.cfg.cluster.hw_threads,
                 "initial placement {p:?} out of range"
             );
-            self.cluster_cell(p.chip, p.cluster)
-                .get()
+            self.cluster_at_mut(p.chip, p.cluster)
                 .attach_thread(p.ctx, s);
             self.placements.push(p);
             let slot = self.slot(p);
@@ -398,28 +383,16 @@ impl Machine {
     /// gated on `P`'s wants-flags, so `step_probed::<NullProbe>`
     /// monomorphizes to exactly `step`.
     ///
-    /// When the parallel engine is enabled and the cycle passes the
-    /// safety pre-check, the cycle runs as a two-phase parallel step
-    /// ([`step_parallel`](Machine::step_parallel)); otherwise it runs
-    /// the historical serial step. Both produce bit-for-bit identical
-    /// machine state and probe-event streams.
+    /// Each cluster steps in flat order against the live memory system,
+    /// and its runtime events are processed before the next cluster
+    /// steps.
     pub fn step_probed<P: Probe>(&mut self, probe: &mut P) {
-        if self.par.enabled() && self.step_parallel(probe) {
-            return;
-        }
-        self.step_serial(probe);
-    }
-
-    /// The historical serial cycle: step each cluster in flat order
-    /// against the live memory system, processing its runtime events
-    /// before moving to the next cluster.
-    fn step_serial<P: Probe>(&mut self, probe: &mut P) {
         let now = self.cycle;
         for i in 0..self.clusters.len() {
             let chip_idx = i / self.cfg.clusters;
             let cluster_idx = i % self.cfg.clusters;
             self.events_buf.clear();
-            let activity = self.clusters[i].get().step_probed(
+            let activity = self.clusters[i].step_probed(
                 now,
                 &mut self.mem,
                 chip_idx,
@@ -471,9 +444,7 @@ impl Machine {
                         }
                     } else {
                         let p = self.placements[t];
-                        self.cluster_cell(p.chip, p.cluster)
-                            .get()
-                            .resume_thread(p.ctx);
+                        self.cluster_at_mut(p.chip, p.cluster).resume_thread(p.ctx);
                     }
                     if P::WANTS_INST_EVENTS {
                         probe.sync_event(SyncEvent {
@@ -485,69 +456,8 @@ impl Machine {
                 }
             }
         }
-        let running: usize = self
-            .clusters
-            .iter()
-            .map(|c| c.get().running_threads())
-            .sum();
+        let running: usize = self.clusters.iter().map(Cluster::running_threads).sum();
         self.finish_cycle(now, running, probe);
-    }
-
-    /// Attempt a two-phase parallel cycle. Returns `false` (machine
-    /// state untouched) when the cycle fails the safety pre-check and
-    /// must run serially:
-    ///
-    /// * **Events** — some context is `Draining`/`Migrating`, so commit
-    ///   could emit a runtime event this cycle, and event handling is
-    ///   interleaved per cluster in the serial order.
-    /// * **MSHR headroom** — some node's free MSHRs are below the sum of
-    ///   its clusters' demand bounds, so the serial outstanding-loads
-    ///   gate could close mid-cycle, which tape recording cannot see.
-    ///   (With demand ≤ free, every serial gate check would have seen at
-    ///   least one free MSHR, so the tape's unconditional pass is
-    ///   identical.)
-    ///
-    /// On an eligible cycle, the running-thread count is frozen at the
-    /// pre-check: the states counted by `running_threads` (`Running`,
-    /// `WrongPath`, `Draining`, `Migrating`) only lose members through
-    /// commit's event detection — excluded above — and only gain members
-    /// through resume/attach, which happen outside the step.
-    fn step_parallel<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let now = self.cycle;
-        self.mshr_demand_buf.clear();
-        self.mshr_demand_buf.resize(self.n_chips, 0);
-        let mut running = 0usize;
-        for (i, cell) in self.clusters.iter().enumerate() {
-            let cl = cell.get();
-            if cl.may_emit_events() {
-                return false;
-            }
-            self.mshr_demand_buf[i / self.cfg.clusters] += cl.mshr_demand_bound(now);
-            running += cl.running_threads();
-        }
-        for node in 0..self.n_chips {
-            if self.mem.free_mshrs(node, now) < self.mshr_demand_buf[node] {
-                return false;
-            }
-        }
-        // Phase 1: every cluster records its cycle onto its tape, in
-        // parallel — no shared mutable state.
-        self.par
-            .cluster_phase(&self.clusters, now, Wants::of::<P>());
-        // Phase 2: serial commit in flat (chip, cluster) order — memory
-        // accesses and probe events land exactly as the serial step's.
-        for i in 0..self.clusters.len() {
-            let activity = self.clusters[i].get().replay_tape(
-                now,
-                &mut self.mem,
-                i / self.cfg.clusters,
-                probe,
-            );
-            self.agg_useful += u64::from(activity.useful);
-            self.agg_committed += u64::from(activity.committed);
-        }
-        self.finish_cycle(now, running, probe);
-        true
     }
 
     /// The per-cycle epilogue shared by [`step_probed`](Machine::step_probed)
@@ -564,8 +474,7 @@ impl Machine {
             // from O(1) machine-level running aggregates.
             let phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
             let mut wasted = [0.0f64; 7];
-            for cell in &self.clusters {
-                let cl = cell.get();
+            for cl in &self.clusters {
                 for (w, c) in wasted.iter_mut().zip(&cl.stats().wasted) {
                     *w += c;
                 }
@@ -616,8 +525,8 @@ impl Machine {
     pub fn next_event_cycle(&self) -> u64 {
         let now = self.cycle;
         let mut next = u64::MAX;
-        for cell in &self.clusters {
-            let t = cell.get().next_event_cycle(now);
+        for cl in &self.clusters {
+            let t = cl.next_event_cycle(now);
             if t <= now {
                 return now;
             }
@@ -641,46 +550,20 @@ impl Machine {
     fn fast_forward_probed<P: Probe>(&mut self, target: u64, probe: &mut P) {
         self.stall_weights_buf.clear();
         let start = self.cycle;
-        // Lock every cluster once for the whole span: a span covers many
-        // cycles, and per-cycle re-locking is the only thing the flat
-        // `ClusterCell` layout would otherwise add to this hot loop. The
-        // guards borrow only the `clusters` field, so the per-cycle
-        // epilogue below works on the machine's other fields directly
-        // (calling `finish_cycle` here would re-lock and deadlock).
-        let mut guards: Vec<_> = self.clusters.iter().map(ClusterCell::get).collect();
-        for g in &guards {
-            self.stall_weights_buf.push(g.stall_weights(start));
-        }
-        let running: usize = guards.iter().map(|g| g.running_threads()).sum();
+        self.stall_weights_buf
+            .extend(self.clusters.iter().map(|cl| cl.stall_weights(start)));
+        let running: usize = self.clusters.iter().map(Cluster::running_threads).sum();
         while self.cycle < target {
             let now = self.cycle;
-            for (i, g) in guards.iter_mut().enumerate() {
-                let weights = self.stall_weights_buf[i];
-                g.stall_cycle_probed(now, &weights, probe, i as u32);
+            for (i, (cl, weights)) in self
+                .clusters
+                .iter_mut()
+                .zip(&self.stall_weights_buf)
+                .enumerate()
+            {
+                cl.stall_cycle_probed(now, weights, probe, i as u32);
             }
-            // Inlined `finish_cycle`, reading cluster stats through the
-            // held guards.
-            self.running_thread_cycles += running as u64;
-            self.cycle += 1;
-            if P::WANTS_CYCLE_STATS {
-                let phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
-                let mut wasted = [0.0f64; 7];
-                for g in &guards {
-                    for (w, c) in wasted.iter_mut().zip(&g.stats().wasted) {
-                        *w += c;
-                    }
-                }
-                let stats = self.build_cycle_stats(wasted, running);
-                if let Some(t0) = phase_t {
-                    probe.host_phase(
-                        csmt_trace::HostPhase::CycleEnd,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                probe.cycle_end(now, Some(&stats));
-            } else {
-                probe.cycle_end(now, None);
-            }
+            self.finish_cycle(now, running, probe);
         }
     }
 
@@ -721,7 +604,7 @@ impl Machine {
         let (to, held_at) = self.migrate_dest[tid]
             .take()
             .expect("drained context has no migration destination");
-        let detached = self.cluster_cell(chip, cluster).get().detach_thread(ctx);
+        let detached = self.cluster_at_mut(chip, cluster).detach_thread(ctx);
         self.depart(tid, to, held_at, ThreadState::Running, detached, now, probe);
     }
 
@@ -779,8 +662,7 @@ impl Machine {
             }
             let tr = self.transit_remove(i);
             let slot = self.slot(tr.to);
-            self.cluster_cell(tr.to.chip, tr.to.cluster)
-                .get()
+            self.cluster_at_mut(tr.to.chip, tr.to.cluster)
                 .attach_migrated(tr.to.ctx, tr.detached, tr.resume_as);
             self.placements[tr.tid] = tr.to;
             self.rev_map[slot] = Some(tr.tid);
@@ -838,8 +720,8 @@ impl Machine {
     fn snapshot(&self) -> SchedSnapshot {
         let topo = self.topology();
         let mut cluster_running = Vec::with_capacity(topo.n_clusters());
-        for cell in &self.clusters {
-            cluster_running.push(cell.get().running_threads());
+        for cl in &self.clusters {
+            cluster_running.push(cl.running_threads());
         }
         let threads = (0..self.placements.len())
             .map(|tid| {
@@ -859,7 +741,7 @@ impl Machine {
                     }
                 } else {
                     let p = self.placements[tid];
-                    let cl = self.cluster_cell(p.chip, p.cluster).get();
+                    let cl = self.cluster_at(p.chip, p.cluster);
                     ThreadObs {
                         tid,
                         placement: Some(p),
@@ -918,8 +800,7 @@ impl Machine {
                 continue;
             }
             let state = self
-                .cluster_cell(from.chip, from.cluster)
-                .get()
+                .cluster_at(from.chip, from.cluster)
                 .thread_state(from.ctx);
             if !matches!(
                 state,
@@ -955,7 +836,7 @@ impl Machine {
         for m in accepted {
             let from = self.placements[m.tid];
             let (state, drained) = {
-                let mut cl = self.cluster_cell(from.chip, from.cluster).get();
+                let cl = self.cluster_at_mut(from.chip, from.cluster);
                 let state = cl.thread_state(from.ctx);
                 if cl.hold_for_migration(from.ctx) {
                     // Already drained (parked states, or an empty
@@ -1002,7 +883,7 @@ impl Machine {
     pub fn busy(&self) -> bool {
         !self.runtime.all_done()
             || !self.in_transit.is_empty()
-            || self.clusters.iter().any(|c| c.get().busy())
+            || self.clusters.iter().any(Cluster::busy)
     }
 
     /// Run to completion (or `max_cycles`), returning the collected result.
@@ -1065,13 +946,13 @@ impl Machine {
     /// Snapshot the result so far (also valid mid-run).
     pub fn result(&self) -> RunResult {
         let mut slots = csmt_cpu::SlotStats::default();
-        for cell in &self.clusters {
-            slots.merge(cell.get().stats());
+        for cl in &self.clusters {
+            slots.merge(cl.stats());
         }
         let mut mispredicts = 0;
         let mut lookups = 0;
-        for cell in &self.clusters {
-            let (l, m) = cell.get().bpred_stats();
+        for cl in &self.clusters {
+            let (l, m) = cl.bpred_stats();
             lookups += l;
             mispredicts += m;
         }
@@ -1108,9 +989,7 @@ impl Machine {
             return ThreadState::Migrating;
         }
         let p = self.placements[tid];
-        self.cluster_cell(p.chip, p.cluster)
-            .get()
-            .thread_state(p.ctx)
+        self.cluster_at(p.chip, p.cluster).thread_state(p.ctx)
     }
 
     /// The shared memory system (for inspection in examples/tests).

@@ -18,16 +18,14 @@ use crate::fu::FuPool;
 use crate::pipeline::lsq::StoreBuffer;
 use crate::pipeline::regs::{EState, Regs, ThreadCtx};
 use crate::pipeline::rename::RenamePools;
-use crate::pipeline::sink::{IntentBuffer, MemPort, SerialSink, TapeOp, TapeSink};
 use crate::pipeline::window::Window;
 use crate::pipeline::{commit, fetch, regs};
 use crate::stats::{CycleActivity, SlotStats};
 use csmt_isa::{InstStream, SyncOp};
-use csmt_mem::{AccessKind, MemorySystem};
+use csmt_mem::MemorySystem;
 use csmt_trace::{HostPhase, NullProbe, Probe, RenamePoolEvent, WindowOccEvent};
 
 pub use crate::pipeline::regs::ThreadState;
-pub use crate::pipeline::sink::Wants;
 
 /// Events the cluster reports to the parallel runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +75,6 @@ pub struct Cluster {
     lsq: StoreBuffer,
     fu: FuPool,
     bpred: BranchPredictor,
-    /// Intent tape for the parallel cluster phase; empty outside a
-    /// `step_tape` / `replay_tape` pair.
-    tape: IntentBuffer,
 }
 
 impl Cluster {
@@ -98,7 +93,6 @@ impl Cluster {
             lsq: StoreBuffer::new(cfg.store_buffer),
             fu: FuPool::new(cfg.fu_counts),
             bpred: BranchPredictor::with_kind(cfg.predictor),
-            tape: IntentBuffer::default(),
             cfg,
         }
     }
@@ -298,42 +292,23 @@ impl Cluster {
         probe: &mut P,
         cluster_id: u32,
     ) -> CycleActivity {
-        let mut sink = SerialSink {
-            mem,
-            node,
-            inner: probe,
-        };
-        self.phases(now, &mut sink, events, cluster_id)
-    }
-
-    /// The per-cycle phase driver, generic over the memory/probe sink:
-    /// with [`SerialSink`] this is bit-for-bit the historical serial
-    /// step; with [`TapeSink`] every memory intent and probe event is
-    /// recorded instead (the parallel cluster phase).
-    fn phases<S: MemPort + Probe>(
-        &mut self,
-        now: u64,
-        sink: &mut S,
-        events: &mut Vec<ClusterEvent>,
-        cluster_id: u32,
-    ) -> CycleActivity {
         self.regs.rename_stalled = false;
         // Host self-profiling: one timestamp per phase boundary, only
         // when the probe opted in (two `Instant` reads per phase
         // otherwise eliminated statically). Memory-hierarchy time is
         // reported separately by `MemorySystem` and nests inside the
         // issue (loads) and commit (stores) phases.
-        let mut phase_t = S::WANTS_HOST_PHASES.then(std::time::Instant::now);
+        let mut phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
         self.win.complete_phase(
             &mut self.regs,
             &mut self.rename,
             &mut self.bpred,
             now,
-            sink,
+            probe,
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            sink.host_phase(HostPhase::Complete, t0.elapsed().as_nanos() as u64);
+            probe.host_phase(HostPhase::Complete, t0.elapsed().as_nanos() as u64);
             phase_t = Some(std::time::Instant::now());
         }
         let committed = commit::run(
@@ -343,24 +318,28 @@ impl Cluster {
             &mut self.rename,
             &mut self.lsq,
             now,
+            mem,
+            node,
             events,
-            sink,
+            probe,
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            sink.host_phase(HostPhase::Commit, t0.elapsed().as_nanos() as u64);
+            probe.host_phase(HostPhase::Commit, t0.elapsed().as_nanos() as u64);
             phase_t = Some(std::time::Instant::now());
         }
         let (useful, wrong) = self.win.issue_phase(
             &self.regs,
             &mut self.fu,
-            sink,
+            mem,
+            node,
             now,
             self.cfg.issue_width,
+            probe,
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            sink.host_phase(HostPhase::Issue, t0.elapsed().as_nanos() as u64);
+            probe.host_phase(HostPhase::Issue, t0.elapsed().as_nanos() as u64);
             phase_t = Some(std::time::Instant::now());
         }
         fetch::run(
@@ -370,170 +349,27 @@ impl Cluster {
             &mut self.rename,
             &mut self.bpred,
             now,
-            sink,
+            probe,
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            sink.host_phase(HostPhase::Fetch, t0.elapsed().as_nanos() as u64);
+            probe.host_phase(HostPhase::Fetch, t0.elapsed().as_nanos() as u64);
             phase_t = Some(std::time::Instant::now());
         }
         regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
         if let Some(t0) = phase_t {
-            sink.host_phase(HostPhase::Account, t0.elapsed().as_nanos() as u64);
+            probe.host_phase(HostPhase::Account, t0.elapsed().as_nanos() as u64);
         }
-        if S::WANTS_POOL_STATS {
-            self.emit_pool_stats(now, sink, cluster_id);
+        if P::WANTS_POOL_STATS {
+            self.emit_pool_stats(now, probe, cluster_id);
         }
-        if S::WANTS_OCC_STATS {
-            self.emit_occ_stats(now, sink, cluster_id);
+        if P::WANTS_OCC_STATS {
+            self.emit_occ_stats(now, probe, cluster_id);
         }
         CycleActivity {
             useful: useful as u32,
             committed,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Parallel cluster phase: tape recording + ordered replay.
-    // ------------------------------------------------------------------
-
-    /// Advance one cycle against the intent tape instead of the memory
-    /// system (the parallel cluster phase). Memory intents and probe
-    /// events are recorded in emission order; the machine replays them
-    /// in fixed (chip, cluster) order via
-    /// [`replay_tape`](Cluster::replay_tape) on the coordinating thread.
-    ///
-    /// `wants` is the real probe's cluster-side wants-mask
-    /// ([`Wants::of`]); it is runtime data (the thread-pool workers are
-    /// monomorphic), but a fully-dark mask selects an instantiation
-    /// whose event pushes compile away entirely.
-    ///
-    /// Only sound on cycles the machine pre-checked: no context in a
-    /// state that can emit runtime events, and enough MSHR headroom
-    /// that the serial outstanding-load gate would have passed for
-    /// every load that could possibly issue.
-    pub fn step_tape(&mut self, now: u64, cluster_id: u32, wants: Wants) {
-        if wants.any() {
-            self.step_tape_with::<true>(now, cluster_id, wants);
-        } else {
-            self.step_tape_with::<false>(now, cluster_id, wants);
-        }
-    }
-
-    fn step_tape_with<const OBS: bool>(&mut self, now: u64, cluster_id: u32, wants: Wants) {
-        let mut tape = std::mem::take(&mut self.tape);
-        debug_assert!(tape.ops.is_empty(), "unreplayed tape from a prior cycle");
-        {
-            let IntentBuffer {
-                ops,
-                events,
-                activity,
-            } = &mut tape;
-            let mut sink = TapeSink::<OBS> { ops, wants };
-            *activity = self.phases(now, &mut sink, events, cluster_id);
-        }
-        self.tape = tape;
-    }
-
-    /// Serial commit phase for this cluster: drain the tape recorded by
-    /// [`step_tape`](Cluster::step_tape) in emission order, performing
-    /// the deferred memory accesses against the real memory system (so
-    /// directory/MSHR/LRU/TLB state evolves in exactly the serial
-    /// order) and forwarding buffered probe events. Returns the cycle's
-    /// activity deltas.
-    pub fn replay_tape<P: Probe>(
-        &mut self,
-        now: u64,
-        mem: &mut MemorySystem,
-        node: usize,
-        probe: &mut P,
-    ) -> CycleActivity {
-        let mut tape = std::mem::take(&mut self.tape);
-        assert!(
-            tape.events.is_empty(),
-            "parallel cluster phase emitted runtime events; the machine's \
-             pre-check must route event cycles through the serial path"
-        );
-        for op in tape.ops.drain(..) {
-            match op {
-                TapeOp::Load {
-                    slot,
-                    seq,
-                    addr,
-                    lat,
-                } => {
-                    let out = mem.access_probed(node, addr, AccessKind::Read, now, probe);
-                    self.win
-                        .schedule_fill(slot, seq, out.complete_at.max(now + lat), now);
-                }
-                TapeOp::Store { addr } => {
-                    let out = mem.access_probed(node, addr, AccessKind::Write, now, probe);
-                    self.lsq.commit_pending(out.complete_at);
-                }
-                TapeOp::Fetch(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.fetch(e);
-                    }
-                }
-                TapeOp::Rename(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.rename(e);
-                    }
-                }
-                TapeOp::Issue(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.issue(e);
-                    }
-                }
-                TapeOp::Writeback(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.writeback(e);
-                    }
-                }
-                TapeOp::Commit(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.commit(e);
-                    }
-                }
-                TapeOp::Squash(e) => {
-                    if P::WANTS_INST_EVENTS {
-                        probe.squash(e);
-                    }
-                }
-                TapeOp::Pools(e) => {
-                    if P::WANTS_POOL_STATS {
-                        probe.rename_pools(e);
-                    }
-                }
-                TapeOp::Occ(e) => {
-                    if P::WANTS_OCC_STATS {
-                        probe.window_occ(e);
-                    }
-                }
-            }
-        }
-        let activity = tape.activity;
-        self.tape = tape;
-        activity
-    }
-
-    /// Whether the next step could emit a runtime event: any context is
-    /// `Draining` or `Migrating` (the only states commit's detection
-    /// loop reports on). A context entering either state does so in the
-    /// fetch phase, strictly after commit's detection — so a cycle that
-    /// starts with no such context provably emits nothing.
-    pub fn may_emit_events(&self) -> bool {
-        self.regs
-            .threads
-            .iter()
-            .any(|t| matches!(t.state, ThreadState::Draining | ThreadState::Migrating))
-    }
-
-    /// Upper bound on this cluster's MSHR allocations in the cycle about
-    /// to run — see `Window::mshr_demand_bound`.
-    pub fn mshr_demand_bound(&self, now: u64) -> usize {
-        self.win
-            .mshr_demand_bound(now, self.cfg.issue_width, self.cfg.retire_width)
     }
 
     /// Snapshot register conservation at the cycle boundary: every

@@ -54,6 +54,6 @@ pub mod pipeline;
 pub mod stats;
 
 pub use bpred::{BranchPredictor, PredictorKind};
-pub use cluster::{Cluster, ClusterEvent, DetachedThread, ThreadState, Wants};
+pub use cluster::{Cluster, ClusterEvent, DetachedThread, ThreadState};
 pub use config::{ClusterConfig, FetchPolicy};
 pub use stats::{CycleActivity, Hazard, SlotStats};

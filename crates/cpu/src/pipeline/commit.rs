@@ -4,26 +4,28 @@
 use crate::cluster::ClusterEvent;
 use crate::config::ClusterConfig;
 use csmt_isa::SyncOp;
+use csmt_mem::{AccessKind, MemorySystem};
 use csmt_trace::{Probe, StageEvent};
 
 use super::lsq::StoreBuffer;
 use super::regs::{EState, Regs, ThreadState};
 use super::rename::RenamePools;
-use super::sink::MemPort;
 use super::window::Window;
 
 /// Run the commit stage. Returns the number of instructions committed
 /// (the machine folds it into its running cycle-stats aggregate).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<S: MemPort + Probe>(
+pub(crate) fn run<P: Probe>(
     cfg: &ClusterConfig,
     regs: &mut Regs,
     win: &mut Window,
     rename: &mut RenamePools,
     lsq: &mut StoreBuffer,
     now: u64,
+    mem: &mut MemorySystem,
+    node: usize,
     events: &mut Vec<ClusterEvent>,
-    sink: &mut S,
+    probe: &mut P,
     cluster_id: u32,
 ) -> u32 {
     let mut committed = 0u32;
@@ -50,10 +52,8 @@ pub(crate) fn run<S: MemPort + Probe>(
                 if lsq.is_full() {
                     break;
                 }
-                match sink.store(addr, now) {
-                    Some(complete_at) => lsq.push(complete_at),
-                    None => lsq.note_pending(), // taped: replayed at commit phase
-                }
+                let out = mem.access_probed(node, addr, AccessKind::Write, now, probe);
+                lsq.push(out.complete_at);
             }
             if let Some(d) = dest {
                 if regs.threads[tid].map[d.flat_index()] == Some(head) {
@@ -66,8 +66,8 @@ pub(crate) fn run<S: MemPort + Probe>(
             regs.stats.committed += 1;
             committed += 1;
             budget -= 1;
-            if S::WANTS_INST_EVENTS {
-                sink.commit(StageEvent {
+            if P::WANTS_INST_EVENTS {
+                probe.commit(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: seq,

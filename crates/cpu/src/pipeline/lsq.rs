@@ -13,13 +13,6 @@ use super::regs::Entry;
 pub(crate) struct StoreBuffer {
     draining: BinaryHeap<Reverse<u64>>,
     cap: usize,
-    /// Stores committed onto the parallel-phase tape whose cache write
-    /// (and hence drain-completion cycle) is deferred to replay. They
-    /// occupy buffer slots exactly like draining entries, so the
-    /// full-buffer retirement stall is computed identically in tape
-    /// mode. Zero outside a tape/replay pair: replay converts each into
-    /// a real drain via [`commit_pending`](StoreBuffer::commit_pending).
-    pending: usize,
 }
 
 impl StoreBuffer {
@@ -27,7 +20,6 @@ impl StoreBuffer {
         StoreBuffer {
             draining: BinaryHeap::with_capacity(cap),
             cap,
-            pending: 0,
         }
     }
 
@@ -42,29 +34,13 @@ impl StoreBuffer {
     }
 
     /// A full buffer stalls the committing thread's retirement until a
-    /// drain completes (a structural hazard). Tape-deferred stores count:
-    /// their drains always complete strictly after the current cycle
-    /// (`complete_at >= now + 1`), so counting them as occupied is
-    /// bit-for-bit what the serial path would have computed.
+    /// drain completes (a structural hazard).
     pub fn is_full(&self) -> bool {
-        self.draining.len() + self.pending >= self.cap
+        self.draining.len() >= self.cap
     }
 
     /// Record a store whose cache write completes at `complete_at`.
     pub fn push(&mut self, complete_at: u64) {
-        self.draining.push(Reverse(complete_at));
-    }
-
-    /// Record a tape-deferred committed store (parallel cluster phase).
-    pub fn note_pending(&mut self) {
-        self.pending += 1;
-    }
-
-    /// Replay a tape-deferred store: its cache write has now been
-    /// performed and completes at `complete_at`.
-    pub fn commit_pending(&mut self, complete_at: u64) {
-        debug_assert!(self.pending > 0, "replayed store was never deferred");
-        self.pending -= 1;
         self.draining.push(Reverse(complete_at));
     }
 }

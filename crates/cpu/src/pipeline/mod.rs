@@ -10,8 +10,6 @@
 //!   indexed scheduling structures (completion wheel, waiter lists, ready
 //!   queue) driving complete, wakeup, squash and oldest-first select
 //! - [`lsq`] — the committed-store buffer and store-to-load forwarding
-//! - [`sink`] — the memory-access sink seam: live serial access vs the
-//!   parallel cluster phase's intent tape
 //! - [`commit`] — per-thread in-order retirement and sync-drain detection
 //! - [`regs`] — cross-stage state (window entries, thread contexts, the
 //!   dispatch sequence counter) and the §4.1 issue-slot accounting
@@ -25,5 +23,4 @@ pub(crate) mod fetch;
 pub(crate) mod lsq;
 pub(crate) mod regs;
 pub(crate) mod rename;
-pub(crate) mod sink;
 pub(crate) mod window;

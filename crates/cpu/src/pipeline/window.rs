@@ -22,13 +22,13 @@
 use crate::bpred::BranchPredictor;
 use crate::fu::FuPool;
 use csmt_isa::OpClass;
+use csmt_mem::{AccessKind, MemorySystem};
 use csmt_trace::{Probe, StageEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::lsq;
 use super::regs::{EState, Entry, Regs, SrcState, ThreadState, DEAD};
 use super::rename::{self, RenamePools};
-use super::sink::MemPort;
 
 pub(crate) struct Window {
     pub entries: Vec<Entry>,
@@ -47,9 +47,6 @@ pub(crate) struct Window {
     complete_buf: Vec<(u32, u64)>,
     /// Scratch: this cycle's issues, `(seq, slot, wheel bucket)`.
     issued_buf: Vec<(u64, u32, u64)>,
-    /// Number of valid `Done` store entries — the commit-side term of
-    /// the parallel pre-check's MSHR demand bound.
-    done_stores: usize,
 }
 
 impl Window {
@@ -63,7 +60,6 @@ impl Window {
             spare_buckets: Vec::new(),
             complete_buf: Vec::with_capacity(n),
             issued_buf: Vec::with_capacity(n),
-            done_stores: 0,
         }
     }
 
@@ -126,11 +122,6 @@ impl Window {
         }
         let seq = e.seq;
         let was_waiting = e.state == EState::Waiting;
-        if e.is_store && e.state == EState::Done {
-            // Covers both commit and the squash of a completed
-            // wrong-path store.
-            self.done_stores -= 1;
-        }
         *e = DEAD;
         self.free_slots.push(slot);
         self.waiters[slot as usize].clear();
@@ -176,9 +167,6 @@ impl Window {
         for i in 0..self.complete_buf.len() {
             let (slot, seq) = self.complete_buf[i];
             self.entries[slot as usize].state = EState::Done;
-            if self.entries[slot as usize].is_store {
-                self.done_stores += 1;
-            }
             if P::WANTS_INST_EVENTS {
                 probe.writeback(StageEvent {
                     cycle: now,
@@ -275,13 +263,16 @@ impl Window {
     // ------------------------------------------------------------------
     // issue: oldest-first over the ready queue.
     // ------------------------------------------------------------------
-    pub fn issue_phase<S: MemPort + Probe>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn issue_phase<P: Probe>(
         &mut self,
         regs: &Regs,
         fu: &mut FuPool,
-        sink: &mut S,
+        mem: &mut MemorySystem,
+        node: usize,
         now: u64,
         width: usize,
+        probe: &mut P,
         cluster_id: u32,
     ) -> (usize, usize) {
         self.issued_buf.clear();
@@ -311,18 +302,13 @@ impl Window {
                 if lsq::store_forwards(&self.entries, &regs.threads[thread].fifo, seq, addr) {
                     fu.issue(op, now)
                 } else {
-                    if !sink.can_issue_load(now) {
+                    if mem.free_mshrs(node, now) == 0 {
                         // Outstanding-load limit reached: cannot issue.
                         continue;
                     }
                     fu.issue(op, now);
-                    // A taped load has no completion yet: park the entry
-                    // at the u64::MAX sentinel (never a real completion
-                    // cycle); replay patches it via `schedule_fill`.
-                    // Nothing reads `done_at` in between — hazard
-                    // attribution matches on the `Exec` variant only.
-                    sink.load(slot, seq, addr, now, op.latency() as u64)
-                        .unwrap_or(u64::MAX)
+                    let out = mem.access_probed(node, addr, AccessKind::Read, now, probe);
+                    out.complete_at.max(now + op.latency() as u64)
                 }
             } else if is_store {
                 // Stores only compute their address/value here; the cache
@@ -335,8 +321,8 @@ impl Window {
             // The earliest complete() that can observe the instruction
             // runs next cycle, exactly as the monolith's scan did.
             self.issued_buf.push((seq, slot, done_at.max(now + 1)));
-            if S::WANTS_INST_EVENTS {
-                sink.issue(StageEvent {
+            if P::WANTS_INST_EVENTS {
+                probe.issue(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: seq,
@@ -348,15 +334,10 @@ impl Window {
                 useful += 1;
             }
         }
-        // Issued entries leave the ready queue and land on the wheel —
-        // except sentinel (taped) loads, which land on the wheel at
-        // replay once their real completion cycle is known.
+        // Issued entries leave the ready queue and land on the wheel.
         let issued = std::mem::take(&mut self.issued_buf);
         for &(seq, slot, at) in &issued {
             self.ready.remove(&(seq, slot));
-            if at == u64::MAX {
-                continue;
-            }
             let spare = &mut self.spare_buckets;
             self.wheel
                 .entry(at)
@@ -365,62 +346,5 @@ impl Window {
         }
         self.issued_buf = issued;
         (useful, wrong)
-    }
-
-    /// Replay-time completion of a taped load: patch the real `done_at`
-    /// into the entry parked at the `u64::MAX` sentinel and land it on
-    /// the completion wheel. Bucket-internal order does not matter —
-    /// `complete_phase` sorts its due set before acting on it.
-    ///
-    /// Sound because nothing can invalidate the slot between issue and
-    /// the same cycle's replay: squashes and commits both happen in
-    /// phases that precede issue within a cycle.
-    pub fn schedule_fill(&mut self, slot: u32, seq: u64, done_at: u64, now: u64) {
-        let e = &mut self.entries[slot as usize];
-        debug_assert!(
-            e.valid && e.seq == seq && e.state == EState::Exec { done_at: u64::MAX },
-            "tape replay fill hit a slot that changed since issue"
-        );
-        e.state = EState::Exec { done_at };
-        let at = done_at.max(now + 1);
-        let spare = &mut self.spare_buckets;
-        self.wheel
-            .entry(at)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push((slot, seq));
-    }
-
-    /// Upper bound on the MSHR allocations this cluster can perform in
-    /// the cycle about to run at `now` — the machine's parallel-safety
-    /// pre-check sums this per chip against `free_mshrs`.
-    ///
-    /// Phase order matters: `complete` runs first and can wake waiters
-    /// into the ready queue (and flip stores to `Done`), so the bound
-    /// folds the due wheel buckets in rather than trusting the
-    /// pre-cycle queue lengths:
-    ///
-    /// - issue side: at most `issue_width` instructions issue, drawn
-    ///   from `ready` plus everything a due completion can wake;
-    /// - commit side: at most `retire_width` stores commit, drawn from
-    ///   stores already `Done` plus stores completing this cycle.
-    ///
-    /// Both are over-approximations (loads may forward, stores may not
-    /// be at their FIFO head), which is exactly what a safety gate
-    /// needs.
-    pub fn mshr_demand_bound(&self, now: u64, issue_width: usize, retire_width: usize) -> usize {
-        let mut wake = 0usize;
-        let mut due_stores = 0usize;
-        for bucket in self.wheel.range(..=now).map(|(_, b)| b) {
-            for &(slot, seq) in bucket {
-                let e = &self.entries[slot as usize];
-                if e.valid && e.seq == seq && matches!(e.state, EState::Exec { .. }) {
-                    wake += self.waiters[slot as usize].len();
-                    if e.is_store {
-                        due_stores += 1;
-                    }
-                }
-            }
-        }
-        issue_width.min(self.ready.len() + wake) + retire_width.min(self.done_stores + due_stores)
     }
 }

@@ -65,9 +65,9 @@ impl SweepCell {
     /// depends on — the **full** `ChipConfig` (not just the arch name),
     /// machine size, the Table-3 memory configuration, the full
     /// `AppSpec`, seed, scale (as exact bits), and the scheduling
-    /// policy name. Knobs proven result-neutral (`CSMT_FASTFORWARD`,
-    /// `CSMT_PARALLEL`, `CSMT_THREADS` — see the differential tests)
-    /// are deliberately *excluded*, so they share entries.
+    /// policy name. The one knob proven result-neutral
+    /// (`CSMT_FASTFORWARD` — see `tests/fastforward_equiv.rs`) is
+    /// deliberately *excluded*, so both settings share entries.
     #[must_use]
     pub fn key(&self) -> u64 {
         self.key_with_schema(CACHE_SCHEMA)

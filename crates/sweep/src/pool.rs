@@ -3,10 +3,10 @@
 //! The figure sweeps used to fan out one OS thread per grid cell
 //! (`thread::scope` in `run_figure`), which is unbounded: a 4-seed ×
 //! 8-arch × 6-app grid would spawn 192 threads at once. This pool runs
-//! any number of jobs on a fixed worker count, like `par_step.rs`'s
-//! cluster pool (rayon is not vendored — see vendor/README.md).
+//! any number of jobs on a fixed worker count (rayon is not vendored —
+//! see vendor/README.md). It is the workspace's only thread pool.
 //!
-//! Design, mirroring the determinism rules of the parallel cluster step:
+//! Design:
 //!
 //! * every job index is pre-seeded round-robin onto one worker's deque
 //!   (`i % nworkers`), so with no stealing the assignment is static;

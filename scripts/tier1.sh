@@ -19,11 +19,8 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> machine_step bench smoke (fast-forward on/off, test mode, serial step)"
-CSMT_PARALLEL=0 cargo bench -p csmt-bench --bench machine_step -- --test
-
-echo "==> machine_step bench smoke (test mode, parallel step forced on)"
-CSMT_PARALLEL=1 cargo bench -p csmt-bench --bench machine_step -- --test
+echo "==> machine_step bench smoke (fast-forward on/off, test mode)"
+cargo bench -p csmt-bench --bench machine_step -- --test
 
 echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting)"
 cargo run -q --release -p csmt-bench --bin csmt-report -- SMT2 mgrid 0.1 1 >/dev/null

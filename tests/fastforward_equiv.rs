@@ -20,20 +20,18 @@ const SCALE: f64 = 0.05;
 const MAX_CYCLES: u64 = 2_000_000_000;
 
 /// Run `app` on (`arch` × `chips`) with the fast-forward forced to
-/// `fastforward` and the two-phase parallel step forced to `parallel`;
-/// returns (serialized RunResult, cycles, event digest, event count).
+/// `fastforward`; returns (serialized RunResult, cycles, event digest,
+/// event count).
 fn run_once(
     arch: ArchKind,
     chips: usize,
     app_name: &str,
     seed: u64,
     fastforward: bool,
-    parallel: bool,
 ) -> (String, u64, u64, u64) {
     let app = by_name(app_name).expect("paper app");
     let mut m = Machine::new(arch.chip(), chips, MemConfig::table3(), seed);
     m.set_fastforward(fastforward);
-    m.set_parallel(parallel);
     let n_threads = m.hw_thread_capacity();
     let params = AppParams::new(n_threads, chips, SCALE, seed);
     m.attach_threads(build_streams(&app, &params));
@@ -66,10 +64,8 @@ fn arb_app() -> impl Strategy<Value = &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Fast-forward × parallel stepping, all four combinations against
-    /// the plain stepped-serial baseline: identical RunResult
-    /// (bit-for-bit, via its JSON serialization), identical cycle count,
-    /// identical event stream.
+    /// Fast-forward on vs. off: identical RunResult (bit-for-bit, via its
+    /// JSON serialization), identical cycle count, identical event stream.
     #[test]
     fn fastforward_is_bit_for_bit_invisible(
         arch in arb_arch(),
@@ -77,14 +73,12 @@ proptest! {
         app in arb_app(),
         seed in 0u64..1 << 48,
     ) {
-        let baseline = run_once(arch, chips, app, seed, false, false);
-        for (ff, par) in [(true, false), (false, true), (true, true)] {
-            let other = run_once(arch, chips, app, seed, ff, par);
-            prop_assert_eq!(baseline.1, other.1, "cycle counts differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(baseline.3, other.3, "event counts differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(baseline.2, other.2, "event streams differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(&baseline.0, &other.0, "RunResults differ (ff={}, par={})", ff, par);
-        }
+        let stepped = run_once(arch, chips, app, seed, false);
+        let fastfwd = run_once(arch, chips, app, seed, true);
+        prop_assert_eq!(stepped.1, fastfwd.1, "cycle counts differ");
+        prop_assert_eq!(stepped.3, fastfwd.3, "event counts differ");
+        prop_assert_eq!(stepped.2, fastfwd.2, "event streams differ");
+        prop_assert_eq!(&stepped.0, &fastfwd.0, "RunResults differ");
     }
 }
 
@@ -100,15 +94,8 @@ fn fastforward_matches_stepped_on_golden_configs() {
         (ArchKind::Fa4, 4),
         (ArchKind::Smt4, 4),
     ] {
-        let stepped = run_once(arch, chips, "mgrid", 0xC5_317, false, false);
-        for (ff, par) in [(true, false), (false, true), (true, true)] {
-            let other = run_once(arch, chips, "mgrid", 0xC5_317, ff, par);
-            assert_eq!(
-                stepped,
-                other,
-                "{} × {chips} chips (ff={ff}, par={par})",
-                arch.name()
-            );
-        }
+        let stepped = run_once(arch, chips, "mgrid", 0xC5_317, false);
+        let fastfwd = run_once(arch, chips, "mgrid", 0xC5_317, true);
+        assert_eq!(stepped, fastfwd, "{} × {chips} chips", arch.name());
     }
 }

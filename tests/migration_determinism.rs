@@ -31,12 +31,10 @@ fn run_once(
     seed: u64,
     policy: &str,
     fastforward: bool,
-    parallel: bool,
 ) -> (String, u64, u64, u64, u64) {
     let app = app_by_name(app_name).expect("paper app");
     let mut m = Machine::new(arch.chip(), 1, MemConfig::table3(), seed);
     m.set_fastforward(fastforward);
-    m.set_parallel(parallel);
     m.set_scheduler(by_name(policy).expect("known policy"))
         .expect("dynamic-capable arch");
     let n_threads = m.hw_thread_capacity();
@@ -69,9 +67,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Same (arch × app × seed × policy) twice: identical RunResult JSON
-    /// and identical event stream — migration events included — across
-    /// the fast-forward × parallel-stepping matrix, with no divergence
-    /// between any pair of modes either.
+    /// and identical event stream — migration events included — with the
+    /// fast-forward both off and on, and no divergence between the two
+    /// fast-forward modes either.
     #[test]
     fn same_policy_same_seed_is_bit_for_bit_reproducible(
         arch in arb_arch(),
@@ -80,19 +78,17 @@ proptest! {
         policy in arb_policy(),
     ) {
         for ff in [false, true] {
-            let a = run_once(arch, app, seed, policy, ff, false);
-            let b = run_once(arch, app, seed, policy, ff, false);
+            let a = run_once(arch, app, seed, policy, ff);
+            let b = run_once(arch, app, seed, policy, ff);
             prop_assert_eq!(&a, &b, "non-deterministic run (ff={})", ff);
         }
-        let stepped = run_once(arch, app, seed, policy, false, false);
-        for (ff, par) in [(true, false), (false, true), (true, true)] {
-            let other = run_once(arch, app, seed, policy, ff, par);
-            prop_assert_eq!(stepped.1, other.1, "cycle counts differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(stepped.4, other.4, "migration counts differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(stepped.3, other.3, "event counts differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(stepped.2, other.2, "event streams differ (ff={}, par={})", ff, par);
-            prop_assert_eq!(&stepped.0, &other.0, "RunResults differ (ff={}, par={})", ff, par);
-        }
+        let stepped = run_once(arch, app, seed, policy, false);
+        let fastfwd = run_once(arch, app, seed, policy, true);
+        prop_assert_eq!(stepped.1, fastfwd.1, "cycle counts differ across ff");
+        prop_assert_eq!(stepped.4, fastfwd.4, "migration counts differ across ff");
+        prop_assert_eq!(stepped.3, fastfwd.3, "event counts differ across ff");
+        prop_assert_eq!(stepped.2, fastfwd.2, "event streams differ across ff");
+        prop_assert_eq!(&stepped.0, &fastfwd.0, "RunResults differ across ff");
     }
 }
 
@@ -103,17 +99,12 @@ proptest! {
 fn every_policy_is_reproducible_on_the_golden_config() {
     for policy in ["static", "barrier", "hazard_pairing"] {
         for ff in [false, true] {
-            let a = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff, false);
-            let b = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff, false);
+            let a = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff);
+            let b = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff);
             assert_eq!(a, b, "{policy} ff={ff}");
         }
-        let stepped = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, false, false);
-        for (ff, par) in [(true, false), (false, true), (true, true)] {
-            let other = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff, par);
-            assert_eq!(
-                stepped, other,
-                "{policy}: ff={ff}/par={par} must be invisible"
-            );
-        }
+        let stepped = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, false);
+        let fastfwd = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, true);
+        assert_eq!(stepped, fastfwd, "{policy}: fast-forward must be invisible");
     }
 }
