@@ -1,10 +1,10 @@
 //! Seeded `probe-gate` violation for the csmt-audit self-test.
 //!
-//! Scanned as `crates/core/src/fixture.rs`; `migration(…)` is gated by
-//! the `WANTS_SCHED_EVENTS` channel, but the enclosing function never
-//! checks the flag — the audit must flag line 9 and nothing else.
+//! Scanned as `crates/core/src/fixture.rs`; the simulator must deliver
+//! events through `csmt_trace::emit`, which tests `P::WANTS` — the direct
+//! `on` call below skips the gate, so the audit must flag line 9 and
+//! nothing else.
 
-/// Ungated emission: would perturb default event streams.
 pub fn emit_ungated<P: Probe>(probe: &mut P, e: MigrationEvent) {
-    probe.migration(e);
+    probe.on(&Event::Migration(e));
 }

@@ -1,6 +1,6 @@
 //! `csmt-audit.toml` — the audit's one configuration file.
 //!
-//! Three kinds of entries, all arrays of tables:
+//! Two kinds of entries, both arrays of tables:
 //!
 //! * `[[allow]]` — suppress one rule in one file. `rule` and `path` are
 //!   required, and so is a non-empty `justification`: a suppression
@@ -12,14 +12,9 @@
 //!   inside sim crates. One is registered: the sweep engine's job pool
 //!   (`crates/sweep/src/pool.rs`). A seam that covers no concurrency
 //!   use is stale.
-//! * `[[channel]]` — a probe channel: the `WANTS_*` const on
-//!   `csmt_trace::Probe` plus the emission methods it gates. The audit
-//!   cross-checks this registry against the trait definition in both
-//!   directions, so adding a channel without registering how it must be
-//!   gated is a violation.
 //!
 //! The parser is a deliberately small TOML subset (comments, `[[table]]`
-//! headers, `key = "string"` and `key = ["a", "b"]`), hand-rolled
+//! headers and `key = "string"`), hand-rolled
 //! because the vendor tree carries no TOML crate.
 
 /// One `[[allow]]` suppression.
@@ -42,18 +37,6 @@ pub struct Seam {
     pub justification: String,
 }
 
-/// One `[[channel]]` probe-channel registration.
-#[derive(Debug, Clone)]
-pub struct Channel {
-    /// The gating const on `csmt_trace::Probe` (e.g. `WANTS_SCHED_EVENTS`).
-    pub flag: String,
-    /// Emission methods the flag gates (`probe.<method>(…)` call sites
-    /// must sit in a function that checks the flag). Empty means the
-    /// channel is registered but has no per-call gating contract (e.g.
-    /// `WANTS_CYCLE_STATS`, which gates an argument, not the call).
-    pub methods: Vec<String>,
-}
-
 /// Parsed contents of `csmt-audit.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
@@ -61,8 +44,6 @@ pub struct AuditConfig {
     pub allows: Vec<Allow>,
     /// All `[[seam]]` registrations, in file order.
     pub seams: Vec<Seam>,
-    /// All `[[channel]]` registrations, in file order.
-    pub channels: Vec<Channel>,
 }
 
 /// A malformed configuration file (message includes the line number).
@@ -83,7 +64,6 @@ struct RawTable {
     kind: String,
     line: usize,
     strings: Vec<(String, String)>,
-    lists: Vec<(String, Vec<String>)>,
 }
 
 impl RawTable {
@@ -106,14 +86,6 @@ impl RawTable {
                 self.line, self.kind
             ))),
         }
-    }
-
-    fn list(&self, key: &str) -> Vec<String> {
-        self.lists
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default()
     }
 }
 
@@ -152,15 +124,12 @@ impl AuditConfig {
             };
             let key = key.trim().to_owned();
             let value = value.trim();
-            if let Some(items) = parse_list(value) {
-                table.lists.push((key, items));
-            } else if let Some(s) = parse_string(value) {
-                table.strings.push((key, s));
-            } else {
+            let Some(s) = parse_string(value) else {
                 return Err(ConfigError(format!(
-                    "line {lineno}: value for `{key}` must be a \"string\" or a [\"list\"]"
+                    "line {lineno}: value for `{key}` must be a \"string\""
                 )));
-            }
+            };
+            table.strings.push((key, s));
         }
 
         let mut cfg = AuditConfig::default();
@@ -175,13 +144,9 @@ impl AuditConfig {
                     path: t.required("path")?,
                     justification: t.required("justification")?,
                 }),
-                "channel" => cfg.channels.push(Channel {
-                    flag: t.required("flag")?,
-                    methods: t.list("methods"),
-                }),
                 other => {
                     return Err(ConfigError(format!(
-                        "line {}: unknown table [[{other}]] (expected allow, seam, or channel)",
+                        "line {}: unknown table [[{other}]] (expected allow or seam)",
                         t.line
                     )))
                 }
@@ -213,49 +178,29 @@ fn parse_string(value: &str) -> Option<String> {
         .map(str::to_owned)
 }
 
-/// Parse `["a", "b"]`.
-fn parse_list(value: &str) -> Option<Vec<String>> {
-    let inner = value.strip_prefix('[')?.strip_suffix(']')?;
-    let mut items = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        items.push(parse_string(part)?);
-    }
-    Some(items)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_all_three_table_kinds() {
+    fn parses_both_table_kinds() {
         let cfg = AuditConfig::parse(
             r#"
 # comment
 [[allow]]
 rule = "wall-clock"          # inline comment
 path = "crates/cpu/src/cluster.rs"
-justification = "gated behind WANTS_HOST_PHASES"
+justification = "gated behind Wants::HOST_PHASES"
 
 [[seam]]
 path = "crates/core/src/par.rs"
 justification = "future rayon phase"
-
-[[channel]]
-flag = "WANTS_SCHED_EVENTS"
-methods = ["migration"]
 "#,
         )
         .expect("parses");
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.allows[0].rule, "wall-clock");
         assert_eq!(cfg.seams.len(), 1);
-        assert_eq!(cfg.channels.len(), 1);
-        assert_eq!(cfg.channels[0].methods, ["migration"]);
     }
 
     #[test]
@@ -277,12 +222,5 @@ methods = ["migration"]
     fn unknown_table_is_an_error() {
         let err = AuditConfig::parse("[[nope]]\nrule = \"x\"\n").expect_err("must fail");
         assert!(err.0.contains("unknown table"), "{err:?}");
-    }
-
-    #[test]
-    fn empty_methods_list_is_accepted() {
-        let cfg = AuditConfig::parse("[[channel]]\nflag = \"WANTS_CYCLE_STATS\"\nmethods = []\n")
-            .expect("parses");
-        assert!(cfg.channels[0].methods.is_empty());
     }
 }

@@ -9,11 +9,6 @@
 //! offsets and line numbers in the output text match the original file
 //! exactly — a rule that finds a token at byte `i` reports the line the
 //! token sits on in the real source.
-//!
-//! On top of the stripped text, [`fn_spans`] builds the one structural
-//! index the rules need: the byte span of every `fn` item (signature
-//! start, body braces), so a finding can be attributed to its enclosing
-//! function (innermost wins).
 
 /// Strip comments, string/char literals, `#[cfg(test)]` items and
 /// attributes from `src`, preserving byte offsets (stripped bytes become
@@ -287,70 +282,6 @@ fn skip_ws(text: &str, from: usize) -> usize {
         .map_or(text.len(), |n| from + n)
 }
 
-/// Byte span of one `fn` item in stripped text.
-#[derive(Debug, Clone, Copy)]
-pub struct FnSpan {
-    /// Offset of the `fn` keyword.
-    pub sig_start: usize,
-    /// Offset of the body's opening `{`.
-    pub body_start: usize,
-    /// Offset one past the body's closing `}`.
-    pub body_end: usize,
-}
-
-/// All `fn` item spans in `stripped` (which must already be
-/// comment/string/attribute-free). Functions without bodies (trait
-/// method declarations) are skipped.
-#[must_use]
-pub fn fn_spans(stripped: &str) -> Vec<FnSpan> {
-    let bytes = stripped.as_bytes();
-    let mut spans = Vec::new();
-    let mut search = 0;
-    while let Some(rel) = stripped[search..].find("fn") {
-        let at = search + rel;
-        search = at + 2;
-        // Word-boundary check: `fn` must be its own token.
-        if prev_is_ident(bytes, at) || bytes.get(at + 2).copied().is_some_and(is_ident) {
-            continue;
-        }
-        // Body = first `{` after the signature at paren depth 0; a `;`
-        // first means a body-less declaration.
-        let mut paren = 0i32;
-        let mut j = at + 2;
-        let body_start = loop {
-            match bytes.get(j) {
-                None => break None,
-                Some(b'(') => paren += 1,
-                Some(b')') => paren -= 1,
-                Some(b'{') if paren == 0 => break Some(j),
-                Some(b';') if paren == 0 => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            continue;
-        };
-        let body_end = match_bracket(stripped, body_start, b'{', b'}');
-        spans.push(FnSpan {
-            sig_start: at,
-            body_start,
-            body_end,
-        });
-    }
-    spans
-}
-
-/// The innermost function span containing byte offset `at`, if any.
-#[must_use]
-pub fn enclosing_fn(spans: &[FnSpan], at: usize) -> Option<FnSpan> {
-    spans
-        .iter()
-        .filter(|s| s.sig_start <= at && at < s.body_end)
-        .min_by_key(|s| s.body_end - s.sig_start)
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,17 +334,6 @@ mod tests {
         assert!(!s.contains("derive"));
         assert!(!s.contains("inline"));
         assert!(s.contains("struct S;"));
-    }
-
-    #[test]
-    fn fn_spans_find_bodies_and_innermost() {
-        let src = "fn outer() { fn inner() { a(); } b(); }";
-        let s = strip(src);
-        let spans = fn_spans(&s);
-        assert_eq!(spans.len(), 2);
-        let at = src.find("a()").expect("present");
-        let inner = enclosing_fn(&spans, at).expect("inside inner");
-        assert_eq!(inner.sig_start, src.find("fn inner").expect("present"));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! `#[cfg(test)]` items while preserving byte offsets, and [`rules`]
 //! pattern-match project-specific properties clippy cannot express on
 //! the stripped text. See the module docs of [`rules`] for the rule
-//! catalog and [`config`] for the `csmt-audit.toml` allowlist / seam /
-//! channel registries. DESIGN.md §14 documents the workflow.
+//! catalog and [`config`] for the `csmt-audit.toml` allowlist and seam
+//! registries. DESIGN.md §14 documents the workflow.
 //!
 //! Run it as `cargo run -p csmt-audit --bin csmt-audit -- --deny-warnings`
 //! (what `scripts/tier1.sh` and the CI `audit` job do), or call
@@ -26,14 +26,10 @@ pub mod config;
 pub mod lexer;
 pub mod rules;
 
-pub use config::{Allow, AuditConfig, Channel, ConfigError, Seam};
+pub use config::{Allow, AuditConfig, ConfigError, Seam};
 pub use rules::{Finding, Severity, RULE_IDS};
 
 use std::path::{Path, PathBuf};
-
-/// Workspace-relative location of the probe trait definition, the file
-/// the channel registry is checked against.
-pub const PROBE_TRAIT_PATH: &str = "crates/trace/src/probe.rs";
 
 /// Name of the configuration file at the workspace root.
 pub const CONFIG_FILE: &str = "csmt-audit.toml";
@@ -45,9 +41,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings suppressed by `[[allow]]` entries.
     pub suppressed: Vec<Finding>,
-    /// Stale registry entries: `[[allow]]`s that suppressed nothing,
-    /// `[[seam]]`s covering no concurrency use, `[[channel]]`s naming a
-    /// flag the probe trait no longer declares. Each is a description.
+    /// Stale registry entries: `[[allow]]`s that suppressed nothing and
+    /// `[[seam]]`s covering no concurrency use. Each is a description.
     pub stale: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
@@ -151,8 +146,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Run the full audit over the workspace at `root` with configuration
 /// `cfg`: scan every first-party source, apply the allowlist (tracking
-/// which entries fire), cross-check the probe-channel registry, and
-/// detect stale suppressions.
+/// which entries fire), and detect stale suppressions.
 ///
 /// # Errors
 /// Propagates I/O errors from reading source files.
@@ -178,20 +172,7 @@ pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> std::io::Result<Report
             }
         }
 
-        let mut findings = rules::audit_stripped(&rel, &stripped, cfg);
-        if rel == PROBE_TRAIT_PATH {
-            let declared = rules::check_channel_registry(&rel, &stripped, cfg, &mut findings);
-            for ch in &cfg.channels {
-                if !declared.contains(&ch.flag) {
-                    report.stale.push(format!(
-                        "[[channel]] `{}`: no such WANTS_ const in {PROBE_TRAIT_PATH}",
-                        ch.flag
-                    ));
-                }
-            }
-        }
-
-        for f in findings {
+        for f in rules::audit_stripped(&rel, &stripped, cfg) {
             let allowed = cfg
                 .allows
                 .iter()

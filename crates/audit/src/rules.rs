@@ -13,13 +13,13 @@
 //! |               |          | host-profiling sites                               |
 //! | `concurrency` | error    | no threads/locks/atomics in sim crates outside     |
 //! |               |          | registered parallel seams                          |
-//! | `probe-gate`  | error    | gated probe emissions sit in functions that check  |
-//! |               |          | their `WANTS_*` channel; channels are registered   |
+//! | `probe-gate`  | error    | the simulator never calls `Probe::on` directly:    |
+//! |               |          | every event goes through the gating `emit`         |
 //! | `float-accum` | warning  | no order-sensitive float reduction over unordered  |
 //! |               |          | containers (heuristic)                             |
 
 use crate::config::AuditConfig;
-use crate::lexer::{enclosing_fn, fn_spans, line_of};
+use crate::lexer::line_of;
 
 /// How severe a finding is: errors always fail the run, warnings only
 /// under `--deny-warnings` (the heuristic rule reports warnings).
@@ -114,8 +114,8 @@ pub fn in_scope(rule: &str, path: &str) -> bool {
 }
 
 /// Run every in-scope rule over one stripped file. `cfg` supplies the
-/// probe-channel registry (for `probe-gate`) and the seam registry (for
-/// `concurrency`); the allowlist is applied by the caller, not here.
+/// seam registry (for `concurrency`); the allowlist is applied by the
+/// caller, not here.
 #[must_use]
 pub fn audit_stripped(path: &str, stripped: &str, cfg: &AuditConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -129,7 +129,7 @@ pub fn audit_stripped(path: &str, stripped: &str, cfg: &AuditConfig) -> Vec<Find
         concurrency(path, stripped, &mut findings);
     }
     if in_scope("probe-gate", path) {
-        probe_gate(path, stripped, cfg, &mut findings);
+        probe_gate(path, stripped, &mut findings);
     }
     if in_scope("float-accum", path) {
         float_accum(path, stripped, &mut findings);
@@ -474,80 +474,22 @@ pub fn concurrency_findings(path: &str, stripped: &str) -> Vec<Finding> {
 // Rule: probe-gate
 // ---------------------------------------------------------------------
 
-/// Rule `probe-gate`, emission half: every `probe.<method>(…)` call for
-/// a gated channel must sit in a function whose text checks the
-/// channel's `WANTS_*` const — so a default-off channel provably cannot
-/// perturb the default event stream (and the golden digests).
-fn probe_gate(path: &str, text: &str, cfg: &AuditConfig, findings: &mut Vec<Finding>) {
-    let spans = fn_spans(text);
-    let bytes = text.as_bytes();
-    for ch in &cfg.channels {
-        for method in &ch.methods {
-            for at in find_word(text, method) {
-                if at == 0 || bytes[at - 1] != b'.' {
-                    continue;
-                }
-                if bytes.get(at + method.len()) != Some(&b'(') {
-                    continue;
-                }
-                if ident_before(text, at - 1) != Some("probe") {
-                    continue;
-                }
-                let gated = enclosing_fn(&spans, at)
-                    .is_some_and(|f| text[f.sig_start..f.body_end].contains(ch.flag.as_str()));
-                if !gated {
-                    findings.push(Finding {
-                        rule: "probe-gate",
-                        file: path.to_owned(),
-                        line: line_of(text, at),
-                        severity: Severity::Error,
-                        message: format!(
-                            "`probe.{method}(…)` emits on the `{}` channel, but the \
-                             enclosing function never checks `{}` — ungated emission \
-                             would change default event streams and break the golden \
-                             digests",
-                            ch.flag, ch.flag
-                        ),
-                    });
-                }
-            }
-        }
+/// Rule `probe-gate`: `csmt_trace::emit` is the one place that tests
+/// `P::WANTS` before delivering an event, so a direct `.on(…)` call from
+/// an emitting crate is an ungated emission — it would hand a probe a
+/// channel it never asked for and change the golden digests' stream.
+fn probe_gate(path: &str, text: &str, findings: &mut Vec<Finding>) {
+    for (at, _) in text.match_indices(".on(") {
+        findings.push(Finding {
+            rule: "probe-gate",
+            file: path.to_owned(),
+            line: line_of(text, at),
+            severity: Severity::Error,
+            message: "direct `.on(…)` call bypasses the `P::WANTS` gate — emit through \
+                      `csmt_trace::emit(probe, channel, || Event::…)`"
+                .to_owned(),
+        });
     }
-}
-
-/// Rule `probe-gate`, registry half: every `WANTS_*` const declared in
-/// the probe trait file must have a `[[channel]]` entry. Returns the
-/// flags found in the file, so the caller can also detect stale
-/// `[[channel]]` entries.
-#[must_use]
-pub fn check_channel_registry(
-    probe_path: &str,
-    stripped: &str,
-    cfg: &AuditConfig,
-    findings: &mut Vec<Finding>,
-) -> Vec<String> {
-    let mut declared: Vec<(usize, String)> = Vec::new();
-    for (at, ident) in idents(stripped) {
-        if ident.starts_with("WANTS_") && !declared.iter().any(|(_, n)| n == ident) {
-            declared.push((at, ident.to_owned()));
-        }
-    }
-    for (at, flag) in &declared {
-        if !cfg.channels.iter().any(|c| &c.flag == flag) {
-            findings.push(Finding {
-                rule: "probe-gate",
-                file: probe_path.to_owned(),
-                line: line_of(stripped, *at),
-                severity: Severity::Error,
-                message: format!(
-                    "probe channel `{flag}` is not registered as a [[channel]] in \
-                     csmt-audit.toml — every channel must declare which emission \
-                     methods it gates"
-                ),
-            });
-        }
-    }
-    declared.into_iter().map(|(_, n)| n).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -605,13 +547,6 @@ fn float_accum(path: &str, text: &str, findings: &mut Vec<Finding>) {
 mod tests {
     use super::*;
     use crate::lexer::strip;
-
-    fn cfg_with_channel() -> AuditConfig {
-        AuditConfig::parse(
-            "[[channel]]\nflag = \"WANTS_SCHED_EVENTS\"\nmethods = [\"migration\"]\n",
-        )
-        .expect("valid")
-    }
 
     #[test]
     fn map_iter_fires_on_field_iteration() {
@@ -672,11 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_gate_requires_wants_check_in_enclosing_fn() {
-        let bad = "fn emit<P: Probe>(probe: &mut P) { probe.migration(e); }";
-        let good = "fn emit<P: Probe>(probe: &mut P) {\n    \
-                    if P::WANTS_SCHED_EVENTS { probe.migration(e); }\n}";
-        let cfg = cfg_with_channel();
+    fn probe_gate_bans_direct_on_calls_but_not_emit() {
+        let bad = "fn f<P: Probe>(probe: &mut P) { probe.on(&Event::Migration(e)); }";
+        let good = "fn f<P: Probe>(probe: &mut P) {\n    \
+                    emit(probe, Wants::SCHED, || Event::Migration(e));\n}";
+        let cfg = AuditConfig::default();
         let f = audit_stripped("crates/core/src/x.rs", &strip(bad), &cfg);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "probe-gate");
@@ -705,20 +640,5 @@ mod tests {
             &AuditConfig::default(),
         );
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn channel_registry_reports_unregistered_flags() {
-        let trait_src = "pub trait Probe { const WANTS_NEW_THING: bool = false; }";
-        let mut findings = Vec::new();
-        let declared = check_channel_registry(
-            "crates/trace/src/probe.rs",
-            &strip(trait_src),
-            &cfg_with_channel(),
-            &mut findings,
-        );
-        assert_eq!(declared, ["WANTS_NEW_THING"]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("not registered"));
     }
 }

@@ -5,8 +5,7 @@
 //! of one rule; the tests assert the audit reports that rule — with the
 //! exact rule id, file, and line — and nothing else. The fixtures are
 //! scanned under *virtual* workspace paths chosen so only the rule under
-//! test is in scope. All tests run against the real `csmt-audit.toml`,
-//! so the probe-channel registry exercised here is the production one.
+//! test is in scope. All tests run against the real `csmt-audit.toml`.
 
 use csmt_audit::{audit_root, audit_source, AuditConfig, Severity};
 
@@ -78,8 +77,8 @@ fn fixture_probe_gate_fires_with_exact_span() {
     assert_eq!(f.line, 9);
     assert_eq!(f.severity, Severity::Error);
     assert!(
-        f.message.contains("WANTS_SCHED_EVENTS"),
-        "message names the channel: {}",
+        f.message.contains("csmt_trace::emit"),
+        "message names the fix: {}",
         f.message
     );
 }

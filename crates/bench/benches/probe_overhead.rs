@@ -9,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csmt_core::ArchKind;
-use csmt_trace::{
-    CacheEvent, CycleStats, FetchEvent, IntervalSampler, NullProbe, Probe, StageEvent, SyncEvent,
-};
+use csmt_trace::{Event, IntervalSampler, NullProbe, Probe, Wants};
 use csmt_workloads::{by_name, simulate, simulate_probed};
 use std::hint::black_box;
 use std::time::Duration;
@@ -28,32 +26,15 @@ struct CountingProbe {
 }
 
 impl Probe for CountingProbe {
-    fn fetch(&mut self, _e: FetchEvent) {
-        self.insts += 1;
-    }
-    fn rename(&mut self, _e: StageEvent) {
-        self.insts += 1;
-    }
-    fn issue(&mut self, _e: StageEvent) {
-        self.insts += 1;
-    }
-    fn writeback(&mut self, _e: StageEvent) {
-        self.insts += 1;
-    }
-    fn commit(&mut self, _e: StageEvent) {
-        self.insts += 1;
-    }
-    fn squash(&mut self, _e: StageEvent) {
-        self.insts += 1;
-    }
-    fn cache_access(&mut self, _e: CacheEvent) {
-        self.cache += 1;
-    }
-    fn sync_event(&mut self, _e: SyncEvent) {
-        self.insts += 1;
-    }
-    fn cycle_end(&mut self, _cycle: u64, _stats: Option<&CycleStats>) {
-        self.cycles += 1;
+    const WANTS: Wants = Wants::INST.union(Wants::CACHE).union(Wants::CYCLE_STATS);
+
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match ev {
+            Event::Cache(_) => self.cache += 1,
+            Event::CycleEnd { .. } => self.cycles += 1,
+            _ => self.insts += 1,
+        }
     }
 }
 

@@ -59,10 +59,6 @@ fn sample_interval() -> u64 {
         .unwrap_or(1000)
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
-
 /// Rebuild the attribution tree by telescoping a heartbeat JSONL stream:
 /// raw slot counts across records sum to the run's final `SlotStats`
 /// (the sampler guarantees this), so the replayed tree equals the live
@@ -149,8 +145,8 @@ fn main() {
         std::process::exit(2);
     };
 
-    let self_profile = env_flag("CSMT_SELF_PROFILE");
-    let verify = env_flag("CSMT_VERIFY");
+    let self_profile = csmt_bench::env_flag("CSMT_SELF_PROFILE");
+    let verify = csmt_bench::env_flag("CSMT_VERIFY");
     let mut probe = (
         MetricsProbe::new(sample_interval()),
         (
@@ -169,20 +165,8 @@ fn main() {
     );
     let (metrics, (profiler, invariants)) = probe;
     if let Some(inv) = invariants {
-        match inv.finish() {
-            Ok(s) => println!("verify: clean ({} events)", s.events),
-            Err(violations) => {
-                eprintln!(
-                    "{}: {} invariant violation(s):",
-                    arch.name(),
-                    violations.len()
-                );
-                for v in violations.iter().take(10) {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(2);
-            }
-        }
+        let s = csmt_bench::exit_on_violations(arch, inv.finish());
+        println!("verify: clean ({} events)", s.events);
     }
     let report = metrics.finish();
 
@@ -192,14 +176,6 @@ fn main() {
         arch.name(),
         chips,
         csmt_bench::FIGURE_SEED
-    );
-    println!(
-        "fast-forward: {}",
-        if csmt_core::Machine::fastforward_env_enabled() {
-            "on"
-        } else {
-            "off (CSMT_FASTFORWARD=0)"
-        }
     );
     println!(
         "cycles {}  committed {}  ipc {:.2}  threads {}",

@@ -7,10 +7,9 @@
 //! `CSMT_*` environment knob (`csmt_bench::ENV_KNOBS` — the same table
 //! README.md documents). The knobs this binary honors: `CSMT_TRACE_OUT`
 //! (heartbeat + Konata pipeview traces per architecture),
-//! `CSMT_TRACE_INTERVAL`, `CSMT_VERIFY`, `CSMT_FASTFORWARD`,
-//! `CSMT_SELF_PROFILE` (host-phase wall-clock profile, aggregated over
-//! the sweep), and `CSMT_JSON_DIR`. See the Observability section of
-//! DESIGN.md.
+//! `CSMT_TRACE_INTERVAL`, `CSMT_VERIFY`, `CSMT_SELF_PROFILE` (host-phase
+//! wall-clock profile, aggregated over the sweep), and `CSMT_JSON_DIR`.
+//! See the Observability section of DESIGN.md.
 //!
 //! Always writes a machine-readable summary, `diagnose.json`, into
 //! `CSMT_JSON_DIR` (or the current directory): per architecture the full
@@ -43,39 +42,18 @@ fn observe_config() -> Observe {
             .and_then(|s| s.parse().ok())
             .filter(|&n| n > 0)
             .unwrap_or(1000),
-        verify: verify_enabled(),
+        verify: csmt_bench::env_flag("CSMT_VERIFY"),
     }
 }
 
-fn verify_enabled() -> bool {
-    env_flag("CSMT_VERIFY")
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Drain an [`InvariantProbe`] after a run: print the clean summary, or
-/// the first violations and exit 2 — a diagnose sweep that breaks the
-/// machine's own invariants has nothing trustworthy to report.
+/// Drain an [`InvariantProbe`] after a run and print the clean summary
+/// (violations exit 2).
 fn check_invariants(probe: InvariantProbe, arch: ArchKind) {
-    match probe.finish() {
-        Ok(s) => println!(
-            "      verify: clean ({} cycles, {} committed, {} events)",
-            s.cycles, s.committed, s.events
-        ),
-        Err(violations) => {
-            eprintln!(
-                "{}: {} invariant violation(s):",
-                arch.name(),
-                violations.len()
-            );
-            for v in violations.iter().take(10) {
-                eprintln!("  {v}");
-            }
-            std::process::exit(2);
-        }
-    }
+    let s = csmt_bench::exit_on_violations(arch, probe.finish());
+    println!(
+        "      verify: clean ({} cycles, {} committed, {} events)",
+        s.cycles, s.committed, s.events
+    );
 }
 
 /// Run one architecture, composing the requested observers. `extra` is
@@ -166,12 +144,10 @@ fn main() {
     let chips: usize = csmt_bench::arg_or(3, 1);
     let app = by_name(&app_name).expect("unknown application");
     let obs = observe_config();
-    let mut profiler = env_flag("CSMT_SELF_PROFILE").then(csmt_metrics::HostProfiler::new);
+    let mut profiler =
+        csmt_bench::env_flag("CSMT_SELF_PROFILE").then(csmt_metrics::HostProfiler::new);
     if let Some(dir) = &obs.trace_dir {
         std::fs::create_dir_all(dir).expect("CSMT_TRACE_OUT must be creatable");
-    }
-    if !csmt_core::Machine::fastforward_env_enabled() {
-        println!("fast-forward disabled (CSMT_FASTFORWARD=0): stepping every cycle");
     }
 
     let mut registry = StatsRegistry::new();

@@ -8,6 +8,7 @@
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
 use csmt_sweep::{SweepCell, SweepEngine};
+use csmt_verify::{VerifySummary, Violation};
 use csmt_workloads::AppSpec;
 use serde::Serialize;
 
@@ -46,11 +47,6 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
         "CSMT_VERIFY=1",
         "diagnose, csmt-report",
         "attach csmt-verify's InvariantProbe; exit 2 on any invariant violation",
-    ),
-    (
-        "CSMT_FASTFORWARD=0",
-        "all simulators",
-        "disable the event-driven stall fast-forward (results are identical either way)",
     ),
     (
         "CSMT_SCHED=<policy>",
@@ -99,6 +95,31 @@ pub fn validate_sched_env() {
         eprintln!("error: {e} (from CSMT_SCHED)");
         std::process::exit(2);
     }
+}
+
+/// Whether the on/off knob `name` is set (to anything but `0` or empty).
+pub fn env_flag(name: &str) -> bool {
+    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
+}
+
+/// The summary of a drained `InvariantProbe`, or — on violations — the
+/// first ten on stderr and exit 2: a run that breaks the machine's own
+/// invariants has nothing trustworthy to report.
+pub fn exit_on_violations(
+    arch: ArchKind,
+    outcome: Result<VerifySummary, Vec<Violation>>,
+) -> VerifySummary {
+    outcome.unwrap_or_else(|violations| {
+        eprintln!(
+            "{}: {} invariant violation(s):",
+            arch.name(),
+            violations.len()
+        );
+        for v in violations.iter().take(10) {
+            eprintln!("  {v}");
+        }
+        std::process::exit(2);
+    })
 }
 
 /// Parse argv[`n`] as a `T`, falling back to `default` when the argument

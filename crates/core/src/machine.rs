@@ -28,7 +28,8 @@ use csmt_cpu::{Cluster, ClusterEvent, DetachedThread, ThreadState};
 use csmt_isa::InstStream;
 use csmt_mem::{MemConfig, MemorySystem};
 use csmt_trace::{
-    CycleStats, MigrationEvent, MigrationEventKind, NullProbe, Probe, SyncEvent, SyncEventKind,
+    emit, CycleStats, Event, MigrationEvent, MigrationEventKind, NullProbe, Probe, SyncEvent,
+    SyncEventKind, Wants,
 };
 
 /// Where a software thread lives: (chip, cluster-in-chip, context-in-cluster).
@@ -97,8 +98,9 @@ pub struct Machine {
     running_thread_cycles: u64,
     events_buf: Vec<ClusterEvent>,
     actions_buf: Vec<Action>,
-    /// Event-driven stall fast-forward (on by default; `CSMT_FASTFORWARD=0`
-    /// disables it). Bit-for-bit result-preserving — see
+    /// Event-driven stall fast-forward (on unless
+    /// [`set_fastforward`](Machine::set_fastforward) turns it off).
+    /// Bit-for-bit result-preserving — see
     /// [`fast_forward_probed`](Machine::fast_forward_probed).
     fastforward: bool,
     /// Scratch: per-cluster hazard weights, frozen for a skipped span.
@@ -172,7 +174,7 @@ impl Machine {
             running_thread_cycles: 0,
             events_buf: Vec::with_capacity(max_cluster_events),
             actions_buf: Vec::new(),
-            fastforward: Self::fastforward_env_enabled(),
+            fastforward: true,
             stall_weights_buf: Vec::with_capacity(n_clusters),
             sched,
             sched_dynamic,
@@ -266,12 +268,6 @@ impl Machine {
             clusters_per_chip: self.cfg.clusters,
             ctx_per_cluster: self.cfg.cluster.hw_threads,
         }
-    }
-
-    /// Whether the `CSMT_FASTFORWARD` environment variable enables the
-    /// stall fast-forward: enabled unless the variable is set to `0`.
-    pub fn fastforward_env_enabled() -> bool {
-        std::env::var_os("CSMT_FASTFORWARD").is_none_or(|v| v != "0")
     }
 
     /// Enable or disable the event-driven stall fast-forward. Results are
@@ -380,7 +376,7 @@ impl Machine {
     /// [`step`](Machine::step) with an observability probe attached.
     /// Clusters are identified in emitted events by their machine-global
     /// index (`chip * clusters_per_chip + cluster`). All probe work is
-    /// gated on `P`'s wants-flags, so `step_probed::<NullProbe>`
+    /// gated on `P::WANTS`, so `step_probed::<NullProbe>`
     /// monomorphizes to exactly `step`.
     ///
     /// Each cluster steps in flat order against the live memory system,
@@ -422,17 +418,16 @@ impl Machine {
                     self.runtime
                         .sync_reached(tid, op.expect("sync"), &mut self.actions_buf);
                 }
-                if P::WANTS_INST_EVENTS {
-                    let kind = match op {
-                        Some(op) => SyncEventKind::Reached(op),
-                        None => SyncEventKind::Done,
-                    };
-                    probe.sync_event(SyncEvent {
+                emit(probe, Wants::INST, || {
+                    Event::Sync(SyncEvent {
                         cycle: now,
                         thread: tid as u32,
-                        kind,
-                    });
-                }
+                        kind: match op {
+                            Some(op) => SyncEventKind::Reached(op),
+                            None => SyncEventKind::Done,
+                        },
+                    })
+                });
                 for a in 0..self.actions_buf.len() {
                     let Action::Resume(t) = self.actions_buf[a];
                     if let Some(&ti) = self.in_transit_idx.get(&t) {
@@ -446,13 +441,13 @@ impl Machine {
                         let p = self.placements[t];
                         self.cluster_at_mut(p.chip, p.cluster).resume_thread(p.ctx);
                     }
-                    if P::WANTS_INST_EVENTS {
-                        probe.sync_event(SyncEvent {
+                    emit(probe, Wants::INST, || {
+                        Event::Sync(SyncEvent {
                             cycle: now,
                             thread: t as u32,
                             kind: SyncEventKind::Resumed,
-                        });
-                    }
+                        })
+                    });
                 }
             }
         }
@@ -466,13 +461,15 @@ impl Machine {
     fn finish_cycle<P: Probe>(&mut self, now: u64, running: usize, probe: &mut P) {
         self.running_thread_cycles += running as u64;
         self.cycle += 1;
-        if P::WANTS_CYCLE_STATS {
+        if P::WANTS.contains(Wants::CYCLE_STATS) {
             // Host self-profiling: the snapshot costs a wasted-slot fold
             // over every cluster, which the profiler reports as its own
             // `cycle_end` row (non-zero only when a stats-wanting probe
             // is composed in). Everything else in the snapshot comes
             // from O(1) machine-level running aggregates.
-            let phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
+            let phase_t = P::WANTS
+                .contains(Wants::HOST_PHASES)
+                .then(std::time::Instant::now);
             let mut wasted = [0.0f64; 7];
             for cl in &self.clusters {
                 for (w, c) in wasted.iter_mut().zip(&cl.stats().wasted) {
@@ -481,14 +478,15 @@ impl Machine {
             }
             let stats = self.build_cycle_stats(wasted, running);
             if let Some(t0) = phase_t {
-                probe.host_phase(
-                    csmt_trace::HostPhase::CycleEnd,
-                    t0.elapsed().as_nanos() as u64,
-                );
+                emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
+                    phase: csmt_trace::HostPhase::CycleEnd,
+                    nanos: t0.elapsed().as_nanos() as u64,
+                });
             }
-            probe.cycle_end(now, Some(&stats));
-        } else {
-            probe.cycle_end(now, None);
+            emit(probe, Wants::CYCLE_STATS, || Event::CycleEnd {
+                cycle: now,
+                stats: Some(&stats),
+            });
         }
     }
 
@@ -636,16 +634,16 @@ impl Machine {
             detached,
             resume_as,
         });
-        if P::WANTS_SCHED_EVENTS {
-            probe.migration(MigrationEvent {
+        emit(probe, Wants::SCHED, || {
+            Event::Migration(MigrationEvent {
                 cycle: now,
                 thread: tid as u32,
                 cluster: (from.chip * self.cfg.clusters + from.cluster) as u32,
                 ctx: from.ctx as u32,
                 kind: MigrationEventKind::Depart,
                 wait: 0,
-            });
-        }
+            })
+        });
     }
 
     /// Attach every in-transit thread whose transit delay has elapsed and
@@ -669,16 +667,16 @@ impl Machine {
             self.migrations += 1;
             let wait = now - tr.held_at;
             self.migration_wait += wait;
-            if P::WANTS_SCHED_EVENTS {
-                probe.migration(MigrationEvent {
+            emit(probe, Wants::SCHED, || {
+                Event::Migration(MigrationEvent {
                     cycle: now,
                     thread: tr.tid as u32,
                     cluster: (tr.to.chip * self.cfg.clusters + tr.to.cluster) as u32,
                     ctx: tr.to.ctx as u32,
                     kind: MigrationEventKind::Arrive,
                     wait,
-                });
-            }
+                })
+            });
         }
     }
 
@@ -899,20 +897,22 @@ impl Machine {
     /// this returns to flush the trailing partial interval.
     pub fn run_probed<P: Probe>(&mut self, max_cycles: u64, probe: &mut P) -> RunResult {
         assert!(!self.placements.is_empty(), "attach_threads first");
-        if P::WANTS_SCHED_EVENTS && !self.attach_emitted {
+        if P::WANTS.contains(Wants::SCHED) && !self.attach_emitted {
             // Initial placements, for probes tracking thread→context
             // ownership. Gated on the probe (not on the policy), so
             // ownership checkers work under the static policy too.
             self.attach_emitted = true;
             for tid in 0..self.placements.len() {
                 let p = self.placements[tid];
-                probe.migration(MigrationEvent {
-                    cycle: self.cycle,
-                    thread: tid as u32,
-                    cluster: (p.chip * self.cfg.clusters + p.cluster) as u32,
-                    ctx: p.ctx as u32,
-                    kind: MigrationEventKind::Attach,
-                    wait: 0,
+                emit(probe, Wants::SCHED, || {
+                    Event::Migration(MigrationEvent {
+                        cycle: self.cycle,
+                        thread: tid as u32,
+                        cluster: (p.chip * self.cfg.clusters + p.cluster) as u32,
+                        ctx: p.ctx as u32,
+                        kind: MigrationEventKind::Attach,
+                        wait: 0,
+                    })
                 });
             }
         }

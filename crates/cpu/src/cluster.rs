@@ -23,9 +23,21 @@ use crate::pipeline::{commit, fetch, regs};
 use crate::stats::{CycleActivity, SlotStats};
 use csmt_isa::{InstStream, SyncOp};
 use csmt_mem::MemorySystem;
-use csmt_trace::{HostPhase, NullProbe, Probe, RenamePoolEvent, WindowOccEvent};
+use csmt_trace::{
+    emit, Event, HostPhase, NullProbe, Probe, RenamePoolEvent, Wants, WindowOccEvent,
+};
+use std::time::Instant;
 
 pub use crate::pipeline::regs::ThreadState;
+
+/// Report the host time since `t0` as one execution of `phase`.
+#[inline]
+fn emit_host_phase<P: Probe>(probe: &mut P, phase: HostPhase, t0: Instant) {
+    emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
+        phase,
+        nanos: t0.elapsed().as_nanos() as u64,
+    });
+}
 
 /// Events the cluster reports to the parallel runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,7 +292,7 @@ impl Cluster {
 
     /// [`step`](Cluster::step) with an observability probe attached.
     /// `cluster_id` is the machine-global cluster index stamped into the
-    /// emitted events. All probe calls are gated on `P`'s wants-flags,
+    /// emitted events. Every event goes through `emit`, gated on `P::WANTS`,
     /// so `step_probed::<NullProbe>` monomorphizes to exactly `step`.
     /// Returns the cycle's activity deltas.
     pub fn step_probed<P: Probe>(
@@ -298,7 +310,7 @@ impl Cluster {
         // otherwise eliminated statically). Memory-hierarchy time is
         // reported separately by `MemorySystem` and nests inside the
         // issue (loads) and commit (stores) phases.
-        let mut phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
+        let mut phase_t = P::WANTS.contains(Wants::HOST_PHASES).then(Instant::now);
         self.win.complete_phase(
             &mut self.regs,
             &mut self.rename,
@@ -308,8 +320,8 @@ impl Cluster {
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Complete, t0.elapsed().as_nanos() as u64);
-            phase_t = Some(std::time::Instant::now());
+            emit_host_phase(probe, HostPhase::Complete, t0);
+            phase_t = Some(Instant::now());
         }
         let committed = commit::run(
             &self.cfg,
@@ -325,8 +337,8 @@ impl Cluster {
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Commit, t0.elapsed().as_nanos() as u64);
-            phase_t = Some(std::time::Instant::now());
+            emit_host_phase(probe, HostPhase::Commit, t0);
+            phase_t = Some(Instant::now());
         }
         let (useful, wrong) = self.win.issue_phase(
             &self.regs,
@@ -339,8 +351,8 @@ impl Cluster {
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Issue, t0.elapsed().as_nanos() as u64);
-            phase_t = Some(std::time::Instant::now());
+            emit_host_phase(probe, HostPhase::Issue, t0);
+            phase_t = Some(Instant::now());
         }
         fetch::run(
             &self.cfg,
@@ -353,68 +365,55 @@ impl Cluster {
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Fetch, t0.elapsed().as_nanos() as u64);
-            phase_t = Some(std::time::Instant::now());
+            emit_host_phase(probe, HostPhase::Fetch, t0);
+            phase_t = Some(Instant::now());
         }
         regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Account, t0.elapsed().as_nanos() as u64);
+            emit_host_phase(probe, HostPhase::Account, t0);
         }
-        if P::WANTS_POOL_STATS {
-            self.emit_pool_stats(now, probe, cluster_id);
-        }
-        if P::WANTS_OCC_STATS {
-            self.emit_occ_stats(now, probe, cluster_id);
-        }
+        self.emit_snapshots(now, probe, cluster_id);
         CycleActivity {
             useful: useful as u32,
             committed,
         }
     }
 
-    /// Snapshot register conservation at the cycle boundary: every
+    /// The two end-of-cycle snapshots. Register conservation: every
     /// allocated renaming register is held by exactly one valid window
     /// entry with a destination (fetch allocates before install; release
-    /// returns it on both commit and squash).
-    fn emit_pool_stats<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
-        if !P::WANTS_POOL_STATS {
-            return;
-        }
-        let (mut int_held, mut fp_held) = (0u32, 0u32);
-        for e in &self.win.entries {
-            if e.valid {
-                if let Some(d) = e.dest {
-                    if d.is_fp() {
-                        fp_held += 1;
-                    } else {
-                        int_held += 1;
+    /// returns it on both commit and squash). Window/ready-queue
+    /// occupancy feeds the `csmt-metrics` occupancy histograms.
+    fn emit_snapshots<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
+        emit(probe, Wants::POOL, || {
+            let (mut int_held, mut fp_held) = (0u32, 0u32);
+            for e in &self.win.entries {
+                if e.valid {
+                    if let Some(d) = e.dest {
+                        if d.is_fp() {
+                            fp_held += 1;
+                        } else {
+                            int_held += 1;
+                        }
                     }
                 }
             }
-        }
-        probe.rename_pools(RenamePoolEvent {
-            cycle: now,
-            cluster: cluster_id,
-            int_free: self.rename.int_free as u32,
-            fp_free: self.rename.fp_free as u32,
-            int_held,
-            fp_held,
+            Event::RenamePools(RenamePoolEvent {
+                cycle: now,
+                cluster: cluster_id,
+                int_free: self.rename.int_free as u32,
+                fp_free: self.rename.fp_free as u32,
+                int_held,
+                fp_held,
+            })
         });
-    }
-
-    /// Snapshot window/ready-queue occupancy at the cycle boundary, for
-    /// the `csmt-metrics` occupancy histograms. Reading two lengths is
-    /// cheap, but the emission is still gated (default off) so existing
-    /// probes' event streams stay bit-for-bit.
-    fn emit_occ_stats<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
-        if !P::WANTS_OCC_STATS {
-            return;
-        }
-        probe.window_occ(WindowOccEvent {
-            cycle: now,
-            cluster: cluster_id,
-            occupied: self.win.occupancy() as u32,
-            ready: self.win.ready_len() as u32,
+        emit(probe, Wants::OCC, || {
+            Event::WindowOcc(WindowOccEvent {
+                cycle: now,
+                cluster: cluster_id,
+                occupied: self.win.occupancy() as u32,
+                ready: self.win.ready_len() as u32,
+            })
         });
     }
 
@@ -516,7 +515,7 @@ impl Cluster {
         cluster_id: u32,
     ) {
         self.regs.rename_stalled = false;
-        let phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
+        let phase_t = P::WANTS.contains(Wants::HOST_PHASES).then(Instant::now);
         fetch::run(
             &self.cfg,
             &mut self.regs,
@@ -528,7 +527,7 @@ impl Cluster {
             cluster_id,
         );
         if let Some(t0) = phase_t {
-            probe.host_phase(HostPhase::Fetch, t0.elapsed().as_nanos() as u64);
+            emit_host_phase(probe, HostPhase::Fetch, t0);
         }
         debug_assert_eq!(
             *weights,
@@ -538,11 +537,6 @@ impl Cluster {
         self.regs
             .stats
             .record_cycle(self.cfg.issue_width, 0, 0, weights);
-        if P::WANTS_POOL_STATS {
-            self.emit_pool_stats(now, probe, cluster_id);
-        }
-        if P::WANTS_OCC_STATS {
-            self.emit_occ_stats(now, probe, cluster_id);
-        }
+        self.emit_snapshots(now, probe, cluster_id);
     }
 }

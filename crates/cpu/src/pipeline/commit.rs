@@ -5,7 +5,7 @@ use crate::cluster::ClusterEvent;
 use crate::config::ClusterConfig;
 use csmt_isa::SyncOp;
 use csmt_mem::{AccessKind, MemorySystem};
-use csmt_trace::{Probe, StageEvent};
+use csmt_trace::{emit, Event, Probe, StageEvent, Wants};
 
 use super::lsq::StoreBuffer;
 use super::regs::{EState, Regs, ThreadState};
@@ -66,13 +66,13 @@ pub(crate) fn run<P: Probe>(
             regs.stats.committed += 1;
             committed += 1;
             budget -= 1;
-            if P::WANTS_INST_EVENTS {
-                probe.commit(StageEvent {
+            emit(probe, Wants::INST, || {
+                Event::Commit(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: seq,
-                });
-            }
+                })
+            });
         }
     }
     // Drained sync / exit / migration detection.

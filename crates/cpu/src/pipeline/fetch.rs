@@ -6,7 +6,7 @@
 use crate::bpred::BranchPredictor;
 use crate::config::{ClusterConfig, FetchPolicy};
 use csmt_isa::{OpClass, SyncOp};
-use csmt_trace::{FetchEvent, Probe, StageEvent};
+use csmt_trace::{emit, Event, FetchEvent, Probe, StageEvent, Wants};
 
 use super::regs::{EState, Entry, Regs, SrcState, ThreadCtx, ThreadState};
 use super::rename::RenamePools;
@@ -220,8 +220,8 @@ fn fetch_from<P: Probe>(
         }
         regs.threads[tid].fifo.push_back(slot);
         fetched += 1;
-        if P::WANTS_INST_EVENTS {
-            probe.fetch(FetchEvent {
+        emit(probe, Wants::INST, || {
+            Event::Fetch(FetchEvent {
                 cycle: now,
                 cluster: cluster_id,
                 thread: tid as u32,
@@ -229,13 +229,15 @@ fn fetch_from<P: Probe>(
                 pc,
                 op,
                 wrong_path,
-            });
-            probe.rename(StageEvent {
+            })
+        });
+        emit(probe, Wants::INST, || {
+            Event::Rename(StageEvent {
                 cycle: now,
                 cluster: cluster_id,
                 uid: seq,
-            });
-        }
+            })
+        });
         if has_branch && mispredicted && !wrong_path {
             // Fetch goes down the wrong path until resolution.
             regs.threads[tid].state = ThreadState::WrongPath;

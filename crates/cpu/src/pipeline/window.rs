@@ -23,7 +23,7 @@ use crate::bpred::BranchPredictor;
 use crate::fu::FuPool;
 use csmt_isa::OpClass;
 use csmt_mem::{AccessKind, MemorySystem};
-use csmt_trace::{Probe, StageEvent};
+use csmt_trace::{emit, Event, Probe, StageEvent, Wants};
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::lsq;
@@ -167,13 +167,13 @@ impl Window {
         for i in 0..self.complete_buf.len() {
             let (slot, seq) = self.complete_buf[i];
             self.entries[slot as usize].state = EState::Done;
-            if P::WANTS_INST_EVENTS {
-                probe.writeback(StageEvent {
+            emit(probe, Wants::INST, || {
+                Event::Writeback(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: seq,
-                });
-            }
+                })
+            });
         }
         // Wake dependents, resolve branches (oldest first so squashes are
         // handled in age order).
@@ -244,13 +244,13 @@ impl Window {
             }
             regs.threads[thread].fifo.pop_back();
             self.release(back, rename);
-            if P::WANTS_INST_EVENTS {
-                probe.squash(StageEvent {
+            emit(probe, Wants::INST, || {
+                Event::Squash(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: victim_seq,
-                });
-            }
+                })
+            });
         }
         let t = &mut regs.threads[thread];
         rename::rebuild_map(t, &self.entries);
@@ -321,13 +321,13 @@ impl Window {
             // The earliest complete() that can observe the instruction
             // runs next cycle, exactly as the monolith's scan did.
             self.issued_buf.push((seq, slot, done_at.max(now + 1)));
-            if P::WANTS_INST_EVENTS {
-                probe.issue(StageEvent {
+            emit(probe, Wants::INST, || {
+                Event::Issue(StageEvent {
                     cycle: now,
                     cluster: cluster_id,
                     uid: seq,
-                });
-            }
+                })
+            });
             if wrong_path {
                 wrong += 1;
             } else {

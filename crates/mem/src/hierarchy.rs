@@ -17,6 +17,7 @@ use crate::mshr::{MshrFile, MshrOutcome};
 use crate::resource::Resource;
 use crate::stats::MemStats;
 use crate::tlb::Tlb;
+use csmt_trace::{emit, Event, Probe, Wants};
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +170,7 @@ impl MemorySystem {
     /// [`CacheEvent`](csmt_trace::CacheEvent) when the probe wants cache
     /// events. With [`NullProbe`](csmt_trace::NullProbe) this
     /// monomorphizes to exactly `access`.
-    pub fn access_probed<P: csmt_trace::Probe>(
+    pub fn access_probed<P: Probe>(
         &mut self,
         node: usize,
         addr: u64,
@@ -180,16 +181,18 @@ impl MemorySystem {
         // Host self-profiling: memory time nests inside the cluster's
         // issue (loads) / commit (stores) phases; the profiler reports
         // it as its own row so cache-model cost is visible separately.
-        let phase_t = P::WANTS_HOST_PHASES.then(std::time::Instant::now);
+        let phase_t = P::WANTS
+            .contains(Wants::HOST_PHASES)
+            .then(std::time::Instant::now);
         let out = self.access_inner(node, addr, kind, now);
         if let Some(t0) = phase_t {
-            probe.host_phase(
-                csmt_trace::HostPhase::Memory,
-                t0.elapsed().as_nanos() as u64,
-            );
+            emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
+                phase: csmt_trace::HostPhase::Memory,
+                nanos: t0.elapsed().as_nanos() as u64,
+            });
         }
-        if P::WANTS_CACHE_EVENTS {
-            probe.cache_access(csmt_trace::CacheEvent {
+        emit(probe, Wants::CACHE, || {
+            Event::Cache(csmt_trace::CacheEvent {
                 cycle: now,
                 node: node as u32,
                 addr,
@@ -197,8 +200,8 @@ impl MemorySystem {
                 level: service_level(out.serviced_by),
                 tlb_miss: out.tlb_miss,
                 complete_at: out.complete_at,
-            });
-        }
+            })
+        });
         out
     }
 

@@ -20,7 +20,7 @@
 //!   [ui.perfetto.dev](https://ui.perfetto.dev).
 //! * **[`HostProfiler`]** — a separate probe for *simulator* wall-clock
 //!   per host phase (fetch/issue/commit/memory/…), behind the gated
-//!   `WANTS_HOST_PHASES` channel.
+//!   `Wants::HOST_PHASES` channel.
 //!
 //! The `csmt-report` binary in `crates/bench` is the command-line front
 //! end; `tests/metrics_reconcile.rs` pins the reconciliation and

@@ -8,8 +8,8 @@ use std::collections::BinaryHeap;
 
 use csmt_isa::fxhash::FxHashMap;
 use csmt_trace::{
-    CacheEvent, CycleStats, FetchEvent, MigrationEvent, MigrationEventKind, Probe, ServiceLevel,
-    StageEvent, WindowOccEvent,
+    CacheEvent, CycleStats, Event, FetchEvent, MigrationEvent, MigrationEventKind, Probe,
+    ServiceLevel, StageEvent, Wants, WindowOccEvent,
 };
 
 use crate::hist::LogHistogram;
@@ -39,11 +39,11 @@ struct CtxSpan {
 }
 
 /// A probe that accumulates every observability artifact of this crate
-/// in one pass over the event stream. Enables the gated
-/// `WANTS_OCC_STATS` channel (occupancy snapshots) on top of the default
-/// instruction/cache/cycle channels; composing it with another probe via
-/// the tuple impl leaves that probe's event stream bit-for-bit unchanged
-/// (enforced by `tests/metrics_reconcile.rs`).
+/// in one pass over the event stream. Wants the `OCC` (occupancy
+/// snapshots) and `SCHED` channels on top of the instruction/cache/cycle
+/// ones; composing it with another probe via the tuple impl leaves that
+/// probe's event stream bit-for-bit unchanged (enforced by
+/// `tests/metrics_reconcile.rs`).
 ///
 /// Call [`finish`](MetricsProbe::finish) after the run to obtain the
 /// [`MetricsReport`].
@@ -231,12 +231,29 @@ impl MetricsProbe {
 }
 
 impl Probe for MetricsProbe {
-    const WANTS_INST_EVENTS: bool = true;
-    const WANTS_CACHE_EVENTS: bool = true;
-    const WANTS_CYCLE_STATS: bool = true;
-    const WANTS_OCC_STATS: bool = true;
-    const WANTS_SCHED_EVENTS: bool = true;
+    const WANTS: Wants = Wants::INST
+        .union(Wants::CACHE)
+        .union(Wants::CYCLE_STATS)
+        .union(Wants::OCC)
+        .union(Wants::SCHED);
 
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Fetch(e) => self.fetch(e),
+            Event::Commit(e) => self.retire(e, true),
+            Event::Squash(e) => self.retire(e, false),
+            Event::Cache(e) => self.cache_access(e),
+            Event::Migration(e) => self.migration(e),
+            Event::WindowOcc(e) => self.window_occ(e),
+            Event::CycleEnd { cycle, stats } => self.cycle_end(cycle, stats),
+            _ => {}
+        }
+    }
+}
+
+/// The per-event bodies behind [`Probe::on`].
+impl MetricsProbe {
     fn fetch(&mut self, e: FetchEvent) {
         self.inflight.insert(
             (e.cluster, e.uid),
@@ -254,14 +271,6 @@ impl Probe for MetricsProbe {
             span.span_start = e.cycle;
         }
         span.inflight += 1;
-    }
-
-    fn commit(&mut self, e: StageEvent) {
-        self.retire(e, true);
-    }
-
-    fn squash(&mut self, e: StageEvent) {
-        self.retire(e, false);
     }
 
     fn cache_access(&mut self, e: CacheEvent) {
@@ -368,8 +377,8 @@ mod tests {
         let mut p = MetricsProbe::new(1000);
         p.fetch(fetch(0, 1, 7, 10));
         p.fetch(fetch(0, 1, 8, 11));
-        p.commit(stage(0, 7, 25)); // lifetime 15
-        p.squash(stage(0, 8, 30)); // squashed: not in the histogram
+        p.on(&Event::Commit(stage(0, 7, 25))); // lifetime 15
+        p.on(&Event::Squash(stage(0, 8, 30))); // squashed: not in the histogram
         p.cycle_end(30, Some(&snap(31, 1)));
         let r = p.finish();
         assert_eq!(r.lifetime_by_cluster[0].count(), 1);
@@ -458,11 +467,11 @@ mod tests {
         // Two overlapping instructions on one context: one span.
         p.fetch(fetch(0, 0, 1, 5));
         p.fetch(fetch(0, 0, 2, 6));
-        p.commit(stage(0, 1, 10));
-        p.commit(stage(0, 2, 14));
+        p.on(&Event::Commit(stage(0, 1, 10)));
+        p.on(&Event::Commit(stage(0, 2, 14)));
         // A third after a gap: second span.
         p.fetch(fetch(0, 0, 3, 20));
-        p.commit(stage(0, 3, 22));
+        p.on(&Event::Commit(stage(0, 3, 22)));
         p.cycle_end(25, Some(&snap(26, 3)));
         let r = p.finish();
         let v = r.trace.to_value();

@@ -1,17 +1,17 @@
 //! Host-side self-profiling: where the *simulator* spends wall-clock
 //! time, phase by phase.
 //!
-//! [`HostProfiler`] is a probe that opts into the gated
-//! `WANTS_HOST_PHASES` channel; the simulator then wraps each pipeline
-//! phase (complete / commit / issue / fetch / account / memory /
-//! cycle-end) in scoped timers and reports the elapsed nanoseconds here.
+//! [`HostProfiler`] is a probe that wants only the `Wants::HOST_PHASES`
+//! channel; the simulator then wraps each pipeline phase (complete /
+//! commit / issue / fetch / account / memory / cycle-end) in scoped
+//! timers and reports the elapsed nanoseconds here.
 //! The numbers describe the host, not the simulated machine — they are
 //! non-deterministic across runs and exist to answer "which phase should
 //! the next performance PR attack".
 
 use std::fmt::Write as _;
 
-use csmt_trace::{HostPhase, Probe};
+use csmt_trace::{Event, HostPhase, Probe, Wants};
 
 use serde::Value;
 
@@ -107,14 +107,14 @@ impl HostProfiler {
 }
 
 impl Probe for HostProfiler {
-    const WANTS_INST_EVENTS: bool = false;
-    const WANTS_CACHE_EVENTS: bool = false;
-    const WANTS_CYCLE_STATS: bool = false;
-    const WANTS_HOST_PHASES: bool = true;
+    const WANTS: Wants = Wants::HOST_PHASES;
 
-    fn host_phase(&mut self, phase: HostPhase, nanos: u64) {
-        self.nanos[phase.index()] += nanos;
-        self.calls[phase.index()] += 1;
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        if let Event::HostPhase { phase, nanos } = *ev {
+            self.nanos[phase.index()] += nanos;
+            self.calls[phase.index()] += 1;
+        }
     }
 }
 
@@ -122,13 +122,17 @@ impl Probe for HostProfiler {
 mod tests {
     use super::*;
 
+    fn report(p: &mut HostProfiler, phase: HostPhase, nanos: u64) {
+        p.on(&Event::HostPhase { phase, nanos });
+    }
+
     #[test]
     fn accumulates_per_phase_and_excludes_nested_memory_from_total() {
         let mut p = HostProfiler::new();
-        p.host_phase(HostPhase::Issue, 100);
-        p.host_phase(HostPhase::Issue, 50);
-        p.host_phase(HostPhase::Memory, 40); // nested inside the 150
-        p.host_phase(HostPhase::Fetch, 10);
+        report(&mut p, HostPhase::Issue, 100);
+        report(&mut p, HostPhase::Issue, 50);
+        report(&mut p, HostPhase::Memory, 40); // nested inside the 150
+        report(&mut p, HostPhase::Fetch, 10);
         assert_eq!(p.nanos(HostPhase::Issue), 150);
         assert_eq!(p.calls(HostPhase::Issue), 2);
         assert_eq!(p.nanos(HostPhase::Memory), 40);
@@ -138,8 +142,8 @@ mod tests {
     #[test]
     fn render_marks_memory_as_nested() {
         let mut p = HostProfiler::new();
-        p.host_phase(HostPhase::Memory, 1_000_000);
-        p.host_phase(HostPhase::Commit, 2_000_000);
+        report(&mut p, HostPhase::Memory, 1_000_000);
+        report(&mut p, HostPhase::Commit, 2_000_000);
         let text = p.render_text();
         assert!(text.contains("(nested in issue/commit)"), "{text}");
         assert!(text.contains("commit"), "{text}");
@@ -150,7 +154,7 @@ mod tests {
     fn json_covers_every_phase() {
         let mut p = HostProfiler::new();
         for phase in HostPhase::ALL {
-            p.host_phase(phase, 7);
+            report(&mut p, phase, 7);
         }
         let v = p.to_value();
         for phase in HostPhase::ALL {
@@ -163,12 +167,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the consts ARE the contract under test
     fn only_the_host_phase_channel_is_enabled() {
-        assert!(<HostProfiler as Probe>::WANTS_HOST_PHASES);
-        assert!(!<HostProfiler as Probe>::WANTS_INST_EVENTS);
-        assert!(!<HostProfiler as Probe>::WANTS_CACHE_EVENTS);
-        assert!(!<HostProfiler as Probe>::WANTS_CYCLE_STATS);
-        assert!(!<HostProfiler as Probe>::WANTS_OCC_STATS);
+        assert_eq!(HostProfiler::WANTS, Wants::HOST_PHASES);
     }
 }

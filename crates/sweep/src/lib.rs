@@ -65,9 +65,8 @@ impl SweepCell {
     /// depends on — the **full** `ChipConfig` (not just the arch name),
     /// machine size, the Table-3 memory configuration, the full
     /// `AppSpec`, seed, scale (as exact bits), and the scheduling
-    /// policy name. The one knob proven result-neutral
-    /// (`CSMT_FASTFORWARD` — see `tests/fastforward_equiv.rs`) is
-    /// deliberately *excluded*, so both settings share entries.
+    /// policy name. The fast-forward switch, proven result-neutral by
+    /// `tests/fastforward_equiv.rs`, is deliberately *excluded*.
     #[must_use]
     pub fn key(&self) -> u64 {
         self.key_with_schema(CACHE_SCHEMA)

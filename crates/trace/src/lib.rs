@@ -1,11 +1,12 @@
 //! # csmt-trace — zero-cost simulation observability
 //!
 //! Pipeline event probes for the clustered-SMT simulator. The pipeline,
-//! machine, and memory hierarchy are generic over a [`Probe`]; every probe
-//! call sits behind an associated `const` flag, so when the simulator is
-//! instantiated with [`NullProbe`] (the default, used by every figure
-//! binary and test) the instrumented code monomorphizes to exactly the
-//! uninstrumented pipeline — zero branches, zero stores, zero allocation.
+//! machine, and memory hierarchy are generic over a [`Probe`]; every
+//! [`Event`] goes through [`emit`], which tests the probe's `const WANTS`
+//! mask, so when the simulator is instantiated with [`NullProbe`] (the
+//! default, used by every figure binary and test) the instrumented code
+//! monomorphizes to exactly the uninstrumented pipeline — zero branches,
+//! zero stores, zero allocation.
 //!
 //! Three concrete probes ship with the crate:
 //!
@@ -19,8 +20,8 @@
 //!
 //! Probes compose structurally: `(A, B)` is a probe that forwards to both,
 //! `Option<P>` forwards when `Some`, and `&mut P` forwards through the
-//! reference. Wants-flags OR together, so a disabled member of a pair
-//! still costs nothing.
+//! reference. [`Wants`] masks union, and each member of a pair sees only
+//! the channels it asked for.
 
 mod pipeview;
 mod probe;
@@ -29,9 +30,9 @@ mod sampler;
 
 pub use pipeview::PipeviewProbe;
 pub use probe::{
-    CacheEvent, CycleStats, FetchEvent, HostPhase, MigrationEvent, MigrationEventKind, NullProbe,
-    Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent, SyncEventKind, WindowOccEvent,
-    HAZARD_LABELS,
+    emit, CacheEvent, CycleStats, Event, FetchEvent, HostPhase, MigrationEvent, MigrationEventKind,
+    NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent, SyncEventKind, Wants,
+    WindowOccEvent, HAZARD_LABELS,
 };
 pub use registry::StatsRegistry;
 pub use sampler::IntervalSampler;

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use csmt_isa::OpClass;
 
-use crate::probe::{FetchEvent, Probe, StageEvent};
+use crate::probe::{Event, Probe, StageEvent, Wants};
 
 /// Simulated ticks per machine cycle in the emitted trace. gem5 runs its
 /// O3 model at 500 ticks/cycle (1 ps ticks, 2 GHz), and Konata's format
@@ -147,43 +147,39 @@ impl<W: Write> PipeviewProbe<W> {
 }
 
 impl<W: Write> Probe for PipeviewProbe<W> {
-    const WANTS_INST_EVENTS: bool = true;
-    const WANTS_CACHE_EVENTS: bool = false;
-    const WANTS_CYCLE_STATS: bool = false;
+    const WANTS: Wants = Wants::INST;
 
-    fn fetch(&mut self, e: FetchEvent) {
-        self.inflight.insert(
-            (e.cluster, e.uid),
-            Inflight {
-                fetch: e.cycle,
-                issue: None,
-                writeback: None,
-                thread: e.thread,
-                pc: e.pc,
-                op: e.op,
-                wrong_path: e.wrong_path,
-            },
-        );
-    }
-
-    fn issue(&mut self, e: StageEvent) {
-        if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
-            i.issue = Some(e.cycle);
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Fetch(e) => {
+                self.inflight.insert(
+                    (e.cluster, e.uid),
+                    Inflight {
+                        fetch: e.cycle,
+                        issue: None,
+                        writeback: None,
+                        thread: e.thread,
+                        pc: e.pc,
+                        op: e.op,
+                        wrong_path: e.wrong_path,
+                    },
+                );
+            }
+            Event::Issue(e) => {
+                if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
+                    i.issue = Some(e.cycle);
+                }
+            }
+            Event::Writeback(e) => {
+                if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
+                    i.writeback = Some(e.cycle);
+                }
+            }
+            Event::Commit(e) => self.retire(e, true),
+            Event::Squash(e) => self.retire(e, false),
+            _ => {}
         }
-    }
-
-    fn writeback(&mut self, e: StageEvent) {
-        if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
-            i.writeback = Some(e.cycle);
-        }
-    }
-
-    fn commit(&mut self, e: StageEvent) {
-        self.retire(e, true);
-    }
-
-    fn squash(&mut self, e: StageEvent) {
-        self.retire(e, false);
     }
 }
 
@@ -196,6 +192,7 @@ impl<W: Write> Drop for PipeviewProbe<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::FetchEvent;
 
     fn fetch(cluster: u32, uid: u64, cycle: u64) -> FetchEvent {
         FetchEvent {
@@ -230,10 +227,10 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut p = PipeviewProbe::new(&mut buf);
-            p.fetch(fetch(0, 7, 10));
-            p.issue(stage(0, 7, 12));
-            p.writeback(stage(0, 7, 14));
-            p.commit(stage(0, 7, 15));
+            p.on(&Event::Fetch(fetch(0, 7, 10)));
+            p.on(&Event::Issue(stage(0, 7, 12)));
+            p.on(&Event::Writeback(stage(0, 7, 14)));
+            p.on(&Event::Commit(stage(0, 7, 15)));
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         let ls = lines(buf);
@@ -250,8 +247,8 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut p = PipeviewProbe::new(&mut buf);
-            p.fetch(fetch(2, 3, 5));
-            p.squash(stage(2, 3, 6)); // never issued
+            p.on(&Event::Fetch(fetch(2, 3, 5)));
+            p.on(&Event::Squash(stage(2, 3, 6))); // never issued
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         let ls = lines(buf);
@@ -268,17 +265,17 @@ mod tests {
         {
             let mut p = PipeviewProbe::new(&mut buf);
             for uid in 0..20u64 {
-                p.fetch(fetch(0, uid, uid));
+                p.on(&Event::Fetch(fetch(0, uid, uid)));
                 if uid % 3 != 0 {
-                    p.issue(stage(0, uid, uid + 2));
+                    p.on(&Event::Issue(stage(0, uid, uid + 2)));
                 }
                 if uid % 4 != 0 {
-                    p.writeback(stage(0, uid, uid + 5));
+                    p.on(&Event::Writeback(stage(0, uid, uid + 5)));
                 }
                 if uid % 5 == 0 {
-                    p.squash(stage(0, uid, uid + 6));
+                    p.on(&Event::Squash(stage(0, uid, uid + 6)));
                 } else {
-                    p.commit(stage(0, uid, uid + 6));
+                    p.on(&Event::Commit(stage(0, uid, uid + 6)));
                 }
             }
             p.finish().expect("in-memory trace cannot hit I/O errors");
@@ -310,7 +307,7 @@ mod tests {
         {
             let mut p = PipeviewProbe::new(&mut buf);
             // Committed load on cluster 0, thread 1.
-            p.fetch(FetchEvent {
+            p.on(&Event::Fetch(FetchEvent {
                 cycle: 10,
                 cluster: 0,
                 thread: 1,
@@ -318,11 +315,11 @@ mod tests {
                 pc: 0x41c,
                 op: OpClass::Load,
                 wrong_path: true,
-            });
-            p.issue(stage(0, 7, 12));
-            p.writeback(stage(0, 7, 20));
+            }));
+            p.on(&Event::Issue(stage(0, 7, 12)));
+            p.on(&Event::Writeback(stage(0, 7, 20)));
             // Wrong-path instruction fetched and squashed before issue.
-            p.fetch(FetchEvent {
+            p.on(&Event::Fetch(FetchEvent {
                 cycle: 11,
                 cluster: 0,
                 thread: 0,
@@ -330,14 +327,14 @@ mod tests {
                 pc: 0x1000,
                 op: OpClass::Branch,
                 wrong_path: true,
-            });
-            p.squash(stage(0, 8, 13));
-            p.commit(stage(0, 7, 21));
+            }));
+            p.on(&Event::Squash(stage(0, 8, 13)));
+            p.on(&Event::Commit(stage(0, 7, 21)));
             // A second cluster exercises the sequence-number packing.
-            p.fetch(fetch(3, 2, 30));
-            p.issue(stage(3, 2, 31));
-            p.writeback(stage(3, 2, 32));
-            p.commit(stage(3, 2, 33));
+            p.on(&Event::Fetch(fetch(3, 2, 30)));
+            p.on(&Event::Issue(stage(3, 2, 31)));
+            p.on(&Event::Writeback(stage(3, 2, 32)));
+            p.on(&Event::Commit(stage(3, 2, 33)));
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         let golden = "\
@@ -371,8 +368,8 @@ O3PipeView:retire:16500:store:0\n";
         {
             let mut p = PipeviewProbe::with_limit(&mut buf, 2);
             for uid in 0..5u64 {
-                p.fetch(fetch(0, uid, uid));
-                p.commit(stage(0, uid, uid + 3));
+                p.on(&Event::Fetch(fetch(0, uid, uid)));
+                p.on(&Event::Commit(stage(0, uid, uid + 3)));
             }
             assert_eq!(p.records_written(), 2);
             assert!(p.inflight.is_empty());
@@ -386,10 +383,10 @@ O3PipeView:retire:16500:store:0\n";
         let mut buf = Vec::new();
         {
             let mut p = PipeviewProbe::new(&mut buf);
-            p.fetch(fetch(0, 9, 1));
-            p.fetch(fetch(1, 9, 2));
-            p.commit(stage(1, 9, 4));
-            p.commit(stage(0, 9, 5));
+            p.on(&Event::Fetch(fetch(0, 9, 1)));
+            p.on(&Event::Fetch(fetch(1, 9, 2)));
+            p.on(&Event::Commit(stage(1, 9, 4)));
+            p.on(&Event::Commit(stage(0, 9, 5)));
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         let ls = lines(buf);

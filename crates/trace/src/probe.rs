@@ -123,14 +123,14 @@ pub struct SyncEvent {
 }
 
 /// End-of-cycle snapshot of one cluster's renaming-register pools (Table 2
-/// budgets), emitted only when [`Probe::WANTS_POOL_STATS`] is set.
+/// budgets), emitted on the [`Wants::POOL`] channel.
 ///
 /// `free` counts registers in the free pool; `held` counts registers bound
 /// to destinations of valid instruction-window entries. Register
 /// conservation (`free + held == capacity`, per file) holds at every
 /// snapshot — `csmt-verify`'s `InvariantProbe` checks exactly that.
 /// Building the snapshot costs a pass over the window, which is why it
-/// sits behind its own wants-flag (default **off**, unlike the others).
+/// sits on its own channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamePoolEvent {
     /// Cycle the snapshot was taken (end of this cycle's pipeline phases).
@@ -148,15 +148,15 @@ pub struct RenamePoolEvent {
 }
 
 /// End-of-cycle snapshot of one cluster's instruction-window occupancy,
-/// emitted only when [`Probe::WANTS_OCC_STATS`] is set.
+/// emitted on the [`Wants::OCC`] channel.
 ///
 /// `occupied` counts valid window entries (the window doubles as the
 /// reorder buffer, so this is also ROB occupancy); `ready` counts entries
 /// with every operand available that are awaiting an issue slot. Both are
 /// instantaneous values sampled after the cycle's pipeline phases, which
 /// is what the occupancy histograms in `csmt-metrics` consume. Reading
-/// them is cheap, but the event is still gated behind its own default-off
-/// wants-flag so every existing probe keeps its event stream bit-for-bit.
+/// them is cheap, but the event still has its own channel so the golden
+/// digests' event stream does not contain it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowOccEvent {
     /// Cycle the snapshot was taken (end of this cycle's pipeline phases).
@@ -183,10 +183,9 @@ pub enum MigrationEventKind {
     Arrive,
 }
 
-/// A thread-scheduler placement event (attach or migration), emitted only
-/// when [`Probe::WANTS_SCHED_EVENTS`] is set. Default **off** so every
-/// pre-existing probe — and the golden determinism digests — keeps its
-/// event stream bit-for-bit.
+/// A thread-scheduler placement event (attach or migration), emitted on
+/// the [`Wants::SCHED`] channel — which the golden determinism digests do
+/// not want, so their event stream is migration-blind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationEvent {
     /// Cycle the event was processed by the machine loop.
@@ -207,8 +206,8 @@ pub struct MigrationEvent {
 }
 
 /// A host-side simulator phase, for self-profiling where the *simulator*
-/// (not the simulated machine) spends its wall-clock time. Reported via
-/// [`Probe::host_phase`] when [`Probe::WANTS_HOST_PHASES`] is set.
+/// (not the simulated machine) spends its wall-clock time. Reported as
+/// [`Event::HostPhase`] on the [`Wants::HOST_PHASES`] channel.
 ///
 /// `Memory` time is nested inside `Issue` (loads) and `Commit` (stores):
 /// the memory hierarchy is entered from those two pipeline phases, so a
@@ -308,351 +307,199 @@ pub struct CycleStats {
     pub tlb_misses: u64,
 }
 
-/// Observer of per-cycle pipeline events.
-///
-/// Every method has an empty default body and sits behind one of the
-/// three `WANTS_*` associated consts. Call sites in the simulator are
-/// written as
-///
-/// ```ignore
-/// if P::WANTS_INST_EVENTS {
-///     probe.commit(StageEvent { cycle, cluster, uid });
-/// }
-/// ```
-///
-/// so for [`NullProbe`] (all flags `false`) the event construction and
-/// the call are both statically eliminated. Implementors opt in by
-/// overriding the relevant flag(s) and method(s).
-pub trait Probe {
-    /// Wants per-instruction events: [`fetch`](Probe::fetch),
-    /// [`rename`](Probe::rename), [`issue`](Probe::issue),
-    /// [`writeback`](Probe::writeback), [`commit`](Probe::commit),
-    /// [`squash`](Probe::squash), and [`sync_event`](Probe::sync_event).
-    const WANTS_INST_EVENTS: bool = true;
-    /// Wants [`cache_access`](Probe::cache_access) events.
-    const WANTS_CACHE_EVENTS: bool = true;
-    /// Wants a [`CycleStats`] snapshot with each
-    /// [`cycle_end`](Probe::cycle_end). Building the snapshot costs a
-    /// pass over the clusters' stats, so it is gated separately.
-    const WANTS_CYCLE_STATS: bool = true;
-    /// Wants per-cluster [`RenamePoolEvent`] snapshots each cycle.
-    /// Defaults to `false` (unlike the other flags): the snapshot needs a
-    /// pass over the instruction window, and only invariant checkers
-    /// care. Existing probes keep their event streams bit-for-bit.
-    const WANTS_POOL_STATS: bool = false;
-    /// Wants per-cluster [`WindowOccEvent`] snapshots each cycle.
-    /// Defaults to `false` so existing probes (and the golden digests)
-    /// keep their event streams bit-for-bit; `csmt-metrics` opts in for
-    /// its occupancy histograms.
-    const WANTS_OCC_STATS: bool = false;
-    /// Wants [`host_phase`](Probe::host_phase) wall-clock reports around
-    /// the simulator's own pipeline phases. Defaults to `false`: the
-    /// timers cost two `Instant` reads per phase per cluster-cycle, which
-    /// only the host self-profiler should pay.
-    const WANTS_HOST_PHASES: bool = false;
-    /// Wants [`migration`](Probe::migration) thread-placement events
-    /// (initial attaches plus scheduler-driven migrations). Defaults to
-    /// `false` so existing probes and the golden digests keep their event
-    /// streams bit-for-bit; invariant checkers and the metrics collector
-    /// opt in.
-    const WANTS_SCHED_EVENTS: bool = false;
+/// A set of probe channels, as a bit-mask. Every [`Probe`] states the
+/// channels it wants in one `const WANTS: Wants`, every [`Event`] belongs
+/// to exactly one channel ([`Event::channel`]), and [`emit`] delivers an
+/// event only when the probe's mask contains its channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wants(u8);
 
-    /// Instruction fetched into a cluster's instruction window.
-    #[inline]
-    fn fetch(&mut self, _e: FetchEvent) {}
-    /// Instruction renamed (same cycle as fetch in this pipeline).
-    #[inline]
-    fn rename(&mut self, _e: StageEvent) {}
-    /// Instruction issued to a functional unit.
-    #[inline]
-    fn issue(&mut self, _e: StageEvent) {}
-    /// Instruction finished execution and wrote back.
-    #[inline]
-    fn writeback(&mut self, _e: StageEvent) {}
-    /// Instruction retired.
-    #[inline]
-    fn commit(&mut self, _e: StageEvent) {}
-    /// Instruction squashed by a branch misprediction.
-    #[inline]
-    fn squash(&mut self, _e: StageEvent) {}
-    /// Memory access classified by the hierarchy.
-    #[inline]
-    fn cache_access(&mut self, _e: CacheEvent) {}
-    /// Runtime synchronization event.
-    #[inline]
-    fn sync_event(&mut self, _e: SyncEvent) {}
-    /// Per-cluster rename-pool snapshot at the end of a cycle. Emitted
-    /// only when [`WANTS_POOL_STATS`](Probe::WANTS_POOL_STATS) is set.
-    #[inline]
-    fn rename_pools(&mut self, _e: RenamePoolEvent) {}
-    /// Per-cluster window-occupancy snapshot at the end of a cycle.
-    /// Emitted only when [`WANTS_OCC_STATS`](Probe::WANTS_OCC_STATS) is
-    /// set.
-    #[inline]
-    fn window_occ(&mut self, _e: WindowOccEvent) {}
-    /// `nanos` of host wall-clock spent in one execution of `phase`.
-    /// Emitted only when
-    /// [`WANTS_HOST_PHASES`](Probe::WANTS_HOST_PHASES) is set. This is
-    /// simulator self-profiling — it reports nothing about the simulated
-    /// machine and is inherently non-deterministic across runs.
-    #[inline]
-    fn host_phase(&mut self, _phase: HostPhase, _nanos: u64) {}
-    /// Thread attached to or migrated between hardware contexts. Emitted
-    /// only when [`WANTS_SCHED_EVENTS`](Probe::WANTS_SCHED_EVENTS) is set.
-    #[inline]
-    fn migration(&mut self, _e: MigrationEvent) {}
-    /// End of a machine cycle. `stats` is `Some` iff
-    /// [`WANTS_CYCLE_STATS`](Probe::WANTS_CYCLE_STATS).
-    #[inline]
-    fn cycle_end(&mut self, _cycle: u64, _stats: Option<&CycleStats>) {}
+impl Wants {
+    /// No channel: the simulator compiles to the uninstrumented pipeline.
+    pub const NONE: Wants = Wants(0);
+    /// Per-instruction stage events ([`Event::Fetch`] … [`Event::Squash`])
+    /// and runtime [`Event::Sync`] events.
+    pub const INST: Wants = Wants(1 << 0);
+    /// [`Event::Cache`] memory-hierarchy accesses.
+    pub const CACHE: Wants = Wants(1 << 1);
+    /// [`Event::CycleEnd`] with its [`CycleStats`] snapshot. Building the
+    /// snapshot costs a pass over the clusters' stats every cycle.
+    pub const CYCLE_STATS: Wants = Wants(1 << 2);
+    /// Per-cluster [`Event::RenamePools`] snapshots each cycle. The
+    /// snapshot needs a pass over the instruction window; only invariant
+    /// checkers care.
+    pub const POOL: Wants = Wants(1 << 3);
+    /// Per-cluster [`Event::WindowOcc`] snapshots each cycle (the
+    /// occupancy histograms of `csmt-metrics`).
+    pub const OCC: Wants = Wants(1 << 4);
+    /// [`Event::HostPhase`] wall-clock reports around the simulator's own
+    /// pipeline phases. The timers cost two `Instant` reads per phase per
+    /// cluster-cycle, which only the host self-profiler should pay.
+    pub const HOST_PHASES: Wants = Wants(1 << 5);
+    /// [`Event::Migration`] thread-placement events (initial attaches plus
+    /// scheduler-driven migrations).
+    pub const SCHED: Wants = Wants(1 << 6);
+
+    /// The channels in either mask.
+    #[must_use]
+    pub const fn union(self, other: Wants) -> Wants {
+        Wants(self.0 | other.0)
+    }
+
+    /// Whether every channel of `other` is in this mask.
+    #[must_use]
+    pub const fn contains(self, other: Wants) -> bool {
+        self.0 & other.0 == other.0
+    }
 }
 
-/// The probe that observes nothing. All wants-flags are `false`, so
-/// simulator code instantiated with `NullProbe` compiles to the
-/// uninstrumented pipeline (verified by the `probe_overhead` bench in
-/// `csmt-bench`).
+/// One observation from the simulator. The variants carry the payload
+/// structs above; `'a` is the borrow of the end-of-cycle snapshot.
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
+    /// Instruction fetched into a cluster's instruction window.
+    Fetch(FetchEvent),
+    /// Instruction renamed (same cycle as fetch in this pipeline).
+    Rename(StageEvent),
+    /// Instruction issued to a functional unit.
+    Issue(StageEvent),
+    /// Instruction finished execution and wrote back.
+    Writeback(StageEvent),
+    /// Instruction retired.
+    Commit(StageEvent),
+    /// Instruction squashed by a branch misprediction.
+    Squash(StageEvent),
+    /// Memory access classified by the hierarchy.
+    Cache(CacheEvent),
+    /// Runtime synchronization event.
+    Sync(SyncEvent),
+    /// Per-cluster rename-pool snapshot at the end of a cycle.
+    RenamePools(RenamePoolEvent),
+    /// Per-cluster window-occupancy snapshot at the end of a cycle.
+    WindowOcc(WindowOccEvent),
+    /// `nanos` of host wall-clock spent in one execution of `phase`. This
+    /// is simulator self-profiling — it reports nothing about the
+    /// simulated machine and is inherently non-deterministic across runs.
+    HostPhase {
+        /// The simulator phase that was timed.
+        phase: HostPhase,
+        /// Elapsed host nanoseconds.
+        nanos: u64,
+    },
+    /// Thread attached to or migrated between hardware contexts.
+    Migration(MigrationEvent),
+    /// End of a machine cycle. The simulator always sends `Some` (the
+    /// snapshot is what [`Wants::CYCLE_STATS`] asks for); `None` is for
+    /// callers that drive a probe by hand without one.
+    CycleEnd {
+        /// The cycle that just ended.
+        cycle: u64,
+        /// Cumulative machine counters at the end of `cycle`.
+        stats: Option<&'a CycleStats>,
+    },
+}
+
+impl Event<'_> {
+    /// The channel this event belongs to — the one place that ties an
+    /// event to the [`Wants`] bit gating it.
+    #[must_use]
+    pub const fn channel(&self) -> Wants {
+        match self {
+            Event::Fetch(_)
+            | Event::Rename(_)
+            | Event::Issue(_)
+            | Event::Writeback(_)
+            | Event::Commit(_)
+            | Event::Squash(_)
+            | Event::Sync(_) => Wants::INST,
+            Event::Cache(_) => Wants::CACHE,
+            Event::RenamePools(_) => Wants::POOL,
+            Event::WindowOcc(_) => Wants::OCC,
+            Event::HostPhase { .. } => Wants::HOST_PHASES,
+            Event::Migration(_) => Wants::SCHED,
+            Event::CycleEnd { .. } => Wants::CYCLE_STATS,
+        }
+    }
+}
+
+/// Observer of simulator events.
+///
+/// A probe states the channels it wants and handles events in one
+/// method, matching on the variants it cares about. The simulator never
+/// calls [`on`](Probe::on) directly; every emission site is written as
+///
+/// ```ignore
+/// emit(probe, Wants::INST, || Event::Commit(StageEvent { cycle, cluster, uid }));
+/// ```
+///
+/// so for [`NullProbe`] ([`Wants::NONE`]) the event construction and the
+/// call are both statically eliminated, and a probe only ever sees the
+/// channels in its mask.
+pub trait Probe {
+    /// The channels this probe wants delivered.
+    const WANTS: Wants;
+
+    /// Handle one event of a wanted channel.
+    fn on(&mut self, ev: &Event<'_>);
+}
+
+/// Deliver the event built by `make` to `probe` if `P` wants `channel`.
+/// The test is on an associated const, so an unwanted channel costs
+/// nothing — not even the event's construction.
+#[inline]
+pub fn emit<'a, P: Probe + ?Sized>(
+    probe: &mut P,
+    channel: Wants,
+    make: impl FnOnce() -> Event<'a>,
+) {
+    if P::WANTS.contains(channel) {
+        let ev = make();
+        debug_assert_eq!(ev.channel(), channel, "{ev:?} emitted on the wrong channel");
+        probe.on(&ev);
+    }
+}
+
+/// The probe that observes nothing, so simulator code instantiated with
+/// `NullProbe` compiles to the uninstrumented pipeline (verified by the
+/// `probe_overhead` bench in `csmt-bench`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullProbe;
 
 impl Probe for NullProbe {
-    const WANTS_INST_EVENTS: bool = false;
-    const WANTS_CACHE_EVENTS: bool = false;
-    const WANTS_CYCLE_STATS: bool = false;
-    const WANTS_POOL_STATS: bool = false;
-    const WANTS_OCC_STATS: bool = false;
-    const WANTS_HOST_PHASES: bool = false;
-    const WANTS_SCHED_EVENTS: bool = false;
+    const WANTS: Wants = Wants::NONE;
+    #[inline]
+    fn on(&mut self, _ev: &Event<'_>) {}
 }
 
 impl<P: Probe + ?Sized> Probe for &mut P {
-    const WANTS_INST_EVENTS: bool = P::WANTS_INST_EVENTS;
-    const WANTS_CACHE_EVENTS: bool = P::WANTS_CACHE_EVENTS;
-    const WANTS_CYCLE_STATS: bool = P::WANTS_CYCLE_STATS;
-    const WANTS_POOL_STATS: bool = P::WANTS_POOL_STATS;
-    const WANTS_OCC_STATS: bool = P::WANTS_OCC_STATS;
-    const WANTS_HOST_PHASES: bool = P::WANTS_HOST_PHASES;
-    const WANTS_SCHED_EVENTS: bool = P::WANTS_SCHED_EVENTS;
-
+    const WANTS: Wants = P::WANTS;
     #[inline]
-    fn fetch(&mut self, e: FetchEvent) {
-        (**self).fetch(e);
-    }
-    #[inline]
-    fn rename(&mut self, e: StageEvent) {
-        (**self).rename(e);
-    }
-    #[inline]
-    fn issue(&mut self, e: StageEvent) {
-        (**self).issue(e);
-    }
-    #[inline]
-    fn writeback(&mut self, e: StageEvent) {
-        (**self).writeback(e);
-    }
-    #[inline]
-    fn commit(&mut self, e: StageEvent) {
-        (**self).commit(e);
-    }
-    #[inline]
-    fn squash(&mut self, e: StageEvent) {
-        (**self).squash(e);
-    }
-    #[inline]
-    fn cache_access(&mut self, e: CacheEvent) {
-        (**self).cache_access(e);
-    }
-    #[inline]
-    fn sync_event(&mut self, e: SyncEvent) {
-        (**self).sync_event(e);
-    }
-    #[inline]
-    fn rename_pools(&mut self, e: RenamePoolEvent) {
-        (**self).rename_pools(e);
-    }
-    #[inline]
-    fn window_occ(&mut self, e: WindowOccEvent) {
-        (**self).window_occ(e);
-    }
-    #[inline]
-    fn host_phase(&mut self, phase: HostPhase, nanos: u64) {
-        (**self).host_phase(phase, nanos);
-    }
-    #[inline]
-    fn migration(&mut self, e: MigrationEvent) {
-        (**self).migration(e);
-    }
-    #[inline]
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        (**self).cycle_end(cycle, stats);
+    fn on(&mut self, ev: &Event<'_>) {
+        (**self).on(ev);
     }
 }
 
-/// `Option<P>` is a probe that forwards when `Some`. The wants-flags are
-/// those of `P` (statically — a `None` still pays the flag's cost in the
-/// simulator, but not the probe's own work).
+/// `Option<P>` is a probe that forwards when `Some`. The mask is that of
+/// `P` (statically — a `None` still pays the simulator's cost of building
+/// the events, but not the probe's own work).
 impl<P: Probe> Probe for Option<P> {
-    const WANTS_INST_EVENTS: bool = P::WANTS_INST_EVENTS;
-    const WANTS_CACHE_EVENTS: bool = P::WANTS_CACHE_EVENTS;
-    const WANTS_CYCLE_STATS: bool = P::WANTS_CYCLE_STATS;
-    const WANTS_POOL_STATS: bool = P::WANTS_POOL_STATS;
-    const WANTS_OCC_STATS: bool = P::WANTS_OCC_STATS;
-    const WANTS_HOST_PHASES: bool = P::WANTS_HOST_PHASES;
-    const WANTS_SCHED_EVENTS: bool = P::WANTS_SCHED_EVENTS;
-
+    const WANTS: Wants = P::WANTS;
     #[inline]
-    fn fetch(&mut self, e: FetchEvent) {
+    fn on(&mut self, ev: &Event<'_>) {
         if let Some(p) = self {
-            p.fetch(e);
-        }
-    }
-    #[inline]
-    fn rename(&mut self, e: StageEvent) {
-        if let Some(p) = self {
-            p.rename(e);
-        }
-    }
-    #[inline]
-    fn issue(&mut self, e: StageEvent) {
-        if let Some(p) = self {
-            p.issue(e);
-        }
-    }
-    #[inline]
-    fn writeback(&mut self, e: StageEvent) {
-        if let Some(p) = self {
-            p.writeback(e);
-        }
-    }
-    #[inline]
-    fn commit(&mut self, e: StageEvent) {
-        if let Some(p) = self {
-            p.commit(e);
-        }
-    }
-    #[inline]
-    fn squash(&mut self, e: StageEvent) {
-        if let Some(p) = self {
-            p.squash(e);
-        }
-    }
-    #[inline]
-    fn cache_access(&mut self, e: CacheEvent) {
-        if let Some(p) = self {
-            p.cache_access(e);
-        }
-    }
-    #[inline]
-    fn sync_event(&mut self, e: SyncEvent) {
-        if let Some(p) = self {
-            p.sync_event(e);
-        }
-    }
-    #[inline]
-    fn rename_pools(&mut self, e: RenamePoolEvent) {
-        if let Some(p) = self {
-            p.rename_pools(e);
-        }
-    }
-    #[inline]
-    fn window_occ(&mut self, e: WindowOccEvent) {
-        if let Some(p) = self {
-            p.window_occ(e);
-        }
-    }
-    #[inline]
-    fn host_phase(&mut self, phase: HostPhase, nanos: u64) {
-        if let Some(p) = self {
-            p.host_phase(phase, nanos);
-        }
-    }
-    #[inline]
-    fn migration(&mut self, e: MigrationEvent) {
-        if let Some(p) = self {
-            p.migration(e);
-        }
-    }
-    #[inline]
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        if let Some(p) = self {
-            p.cycle_end(cycle, stats);
+            p.on(ev);
         }
     }
 }
 
-/// A pair of probes forwards every event to both; wants-flags OR.
+/// A pair of probes wants the union of its members' channels and hands
+/// each member the events of the channels that member wants.
 impl<A: Probe, B: Probe> Probe for (A, B) {
-    const WANTS_INST_EVENTS: bool = A::WANTS_INST_EVENTS || B::WANTS_INST_EVENTS;
-    const WANTS_CACHE_EVENTS: bool = A::WANTS_CACHE_EVENTS || B::WANTS_CACHE_EVENTS;
-    const WANTS_CYCLE_STATS: bool = A::WANTS_CYCLE_STATS || B::WANTS_CYCLE_STATS;
-    const WANTS_POOL_STATS: bool = A::WANTS_POOL_STATS || B::WANTS_POOL_STATS;
-    const WANTS_OCC_STATS: bool = A::WANTS_OCC_STATS || B::WANTS_OCC_STATS;
-    const WANTS_HOST_PHASES: bool = A::WANTS_HOST_PHASES || B::WANTS_HOST_PHASES;
-    const WANTS_SCHED_EVENTS: bool = A::WANTS_SCHED_EVENTS || B::WANTS_SCHED_EVENTS;
-
+    const WANTS: Wants = A::WANTS.union(B::WANTS);
     #[inline]
-    fn fetch(&mut self, e: FetchEvent) {
-        self.0.fetch(e);
-        self.1.fetch(e);
-    }
-    #[inline]
-    fn rename(&mut self, e: StageEvent) {
-        self.0.rename(e);
-        self.1.rename(e);
-    }
-    #[inline]
-    fn issue(&mut self, e: StageEvent) {
-        self.0.issue(e);
-        self.1.issue(e);
-    }
-    #[inline]
-    fn writeback(&mut self, e: StageEvent) {
-        self.0.writeback(e);
-        self.1.writeback(e);
-    }
-    #[inline]
-    fn commit(&mut self, e: StageEvent) {
-        self.0.commit(e);
-        self.1.commit(e);
-    }
-    #[inline]
-    fn squash(&mut self, e: StageEvent) {
-        self.0.squash(e);
-        self.1.squash(e);
-    }
-    #[inline]
-    fn cache_access(&mut self, e: CacheEvent) {
-        self.0.cache_access(e);
-        self.1.cache_access(e);
-    }
-    #[inline]
-    fn sync_event(&mut self, e: SyncEvent) {
-        self.0.sync_event(e);
-        self.1.sync_event(e);
-    }
-    #[inline]
-    fn rename_pools(&mut self, e: RenamePoolEvent) {
-        self.0.rename_pools(e);
-        self.1.rename_pools(e);
-    }
-    #[inline]
-    fn window_occ(&mut self, e: WindowOccEvent) {
-        self.0.window_occ(e);
-        self.1.window_occ(e);
-    }
-    #[inline]
-    fn host_phase(&mut self, phase: HostPhase, nanos: u64) {
-        self.0.host_phase(phase, nanos);
-        self.1.host_phase(phase, nanos);
-    }
-    #[inline]
-    fn migration(&mut self, e: MigrationEvent) {
-        self.0.migration(e);
-        self.1.migration(e);
-    }
-    #[inline]
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        self.0.cycle_end(cycle, stats);
-        self.1.cycle_end(cycle, stats);
+    fn on(&mut self, ev: &Event<'_>) {
+        emit(&mut self.0, ev.channel(), || *ev);
+        emit(&mut self.1, ev.channel(), || *ev);
     }
 }
 
@@ -669,16 +516,37 @@ mod tests {
     }
 
     impl Probe for Counter {
-        fn fetch(&mut self, _e: FetchEvent) {
-            self.fetches += 1;
-        }
-        fn commit(&mut self, _e: StageEvent) {
-            self.commits += 1;
-        }
-        fn cycle_end(&mut self, _cycle: u64, _stats: Option<&CycleStats>) {
-            self.cycles += 1;
+        const WANTS: Wants = Wants::INST.union(Wants::CYCLE_STATS);
+        fn on(&mut self, ev: &Event<'_>) {
+            match ev {
+                Event::Fetch(_) => self.fetches += 1,
+                Event::Commit(_) => self.commits += 1,
+                Event::CycleEnd { .. } => self.cycles += 1,
+                _ => {}
+            }
         }
     }
+
+    /// Wants exactly the channels in `MASK` and counts every delivery.
+    #[derive(Default)]
+    struct Tally<const MASK: u8>(u32);
+
+    impl<const MASK: u8> Probe for Tally<MASK> {
+        const WANTS: Wants = Wants(MASK);
+        fn on(&mut self, _ev: &Event<'_>) {
+            self.0 += 1;
+        }
+    }
+
+    const CHANNELS: [Wants; 7] = [
+        Wants::INST,
+        Wants::CACHE,
+        Wants::CYCLE_STATS,
+        Wants::POOL,
+        Wants::OCC,
+        Wants::HOST_PHASES,
+        Wants::SCHED,
+    ];
 
     fn stage(cycle: u64) -> StageEvent {
         StageEvent {
@@ -688,121 +556,154 @@ mod tests {
         }
     }
 
-    /// The wants-flags of `P`, materialized as runtime values.
-    fn wants<P: Probe>() -> [bool; 3] {
+    fn fetch() -> FetchEvent {
+        FetchEvent {
+            cycle: 0,
+            cluster: 0,
+            thread: 0,
+            uid: 0,
+            pc: 0,
+            op: csmt_isa::OpClass::IntAlu,
+            wrong_path: false,
+        }
+    }
+
+    /// One event of every variant.
+    fn every_event(stats: &CycleStats) -> [Event<'_>; 13] {
         [
-            P::WANTS_INST_EVENTS,
-            P::WANTS_CACHE_EVENTS,
-            P::WANTS_CYCLE_STATS,
+            Event::Fetch(fetch()),
+            Event::Rename(stage(0)),
+            Event::Issue(stage(1)),
+            Event::Writeback(stage(2)),
+            Event::Commit(stage(3)),
+            Event::Squash(stage(3)),
+            Event::Cache(CacheEvent {
+                cycle: 1,
+                node: 0,
+                addr: 0x40,
+                write: false,
+                level: ServiceLevel::L2,
+                tlb_miss: false,
+                complete_at: 9,
+            }),
+            Event::Sync(SyncEvent {
+                cycle: 4,
+                thread: 0,
+                kind: SyncEventKind::Done,
+            }),
+            Event::RenamePools(RenamePoolEvent {
+                cycle: 1,
+                cluster: 0,
+                int_free: 10,
+                fp_free: 12,
+                int_held: 6,
+                fp_held: 4,
+            }),
+            Event::WindowOcc(WindowOccEvent {
+                cycle: 1,
+                cluster: 0,
+                occupied: 12,
+                ready: 3,
+            }),
+            Event::HostPhase {
+                phase: HostPhase::Issue,
+                nanos: 250,
+            },
+            Event::Migration(MigrationEvent {
+                cycle: 10,
+                thread: 2,
+                cluster: 1,
+                ctx: 0,
+                kind: MigrationEventKind::Arrive,
+                wait: 100,
+            }),
+            Event::CycleEnd {
+                cycle: 4,
+                stats: Some(stats),
+            },
         ]
     }
 
-    /// The pool-stats flag of `P`, materialized as a runtime value.
-    fn wants_pool<P: Probe>() -> bool {
-        P::WANTS_POOL_STATS
-    }
+    /// Every event variant, through `emit`, into a probe wanting `MASK` —
+    /// bare, behind `&mut`, in an `Option`, and on either side of a pair:
+    /// one delivery per member whose mask contains the event's channel,
+    /// none otherwise.
+    fn check_delivery<const MASK: u8>() {
+        // The other member of the mixed pair: a fixed two-channel mask.
+        const OTHER: u8 = Wants::INST.union(Wants::OCC).0;
+        assert_eq!(
+            <(Tally<MASK>, Tally<OTHER>)>::WANTS,
+            Wants(MASK).union(Wants(OTHER))
+        );
+        assert_eq!(<&mut Tally<MASK>>::WANTS, Wants(MASK));
+        assert_eq!(<Option<Tally<MASK>>>::WANTS, Wants(MASK));
 
-    #[test]
-    fn null_probe_wants_nothing() {
-        assert_eq!(wants::<NullProbe>(), [false; 3]);
-        assert!(!wants_pool::<NullProbe>());
-    }
+        let stats = CycleStats::default();
+        for ev in every_event(&stats) {
+            let ch = ev.channel();
+            let mine = u32::from(Wants(MASK).contains(ch));
+            let others = u32::from(Wants(OTHER).contains(ch));
 
-    #[test]
-    fn pool_stats_flag_defaults_off_and_propagates() {
-        // `Counter` does not override the flag, so the default (`false`)
-        // applies — existing probes keep their event streams unchanged.
-        assert!(!wants_pool::<Counter>());
-        assert!(!wants_pool::<(Counter, NullProbe)>());
+            let mut p = Tally::<MASK>::default();
+            emit(&mut p, ch, || ev);
+            assert_eq!(p.0, mine, "bare, mask {MASK:#x}: {ev:?}");
 
-        struct PoolWatcher(u32);
-        impl Probe for PoolWatcher {
-            const WANTS_POOL_STATS: bool = true;
-            fn rename_pools(&mut self, _e: RenamePoolEvent) {
-                self.0 += 1;
-            }
+            let mut p = Tally::<MASK>::default();
+            emit(&mut &mut p, ch, || ev);
+            assert_eq!(p.0, mine, "&mut, mask {MASK:#x}: {ev:?}");
+
+            let mut p = Some(Tally::<MASK>::default());
+            emit(&mut p, ch, || ev);
+            assert_eq!(
+                p.expect("still Some").0,
+                mine,
+                "Some, mask {MASK:#x}: {ev:?}"
+            );
+
+            let mut p: Option<Tally<MASK>> = None;
+            emit(&mut p, ch, || ev);
+            assert!(p.is_none());
+
+            let mut p = (Tally::<MASK>::default(), NullProbe);
+            emit(&mut p, ch, || ev);
+            assert_eq!(p.0 .0, mine, "(P, Null), mask {MASK:#x}: {ev:?}");
+
+            let mut p = (Tally::<OTHER>::default(), Tally::<MASK>::default());
+            emit(&mut p, ch, || ev);
+            assert_eq!(p.0 .0, others, "(Other, P).0, mask {MASK:#x}: {ev:?}");
+            assert_eq!(p.1 .0, mine, "(Other, P).1, mask {MASK:#x}: {ev:?}");
         }
-        assert!(wants_pool::<(NullProbe, PoolWatcher)>());
-        assert!(wants_pool::<&mut PoolWatcher>());
-        assert!(wants_pool::<Option<PoolWatcher>>());
-        let mut pair = (NullProbe, PoolWatcher(0));
-        pair.rename_pools(RenamePoolEvent {
-            cycle: 1,
-            cluster: 0,
-            int_free: 10,
-            fp_free: 12,
-            int_held: 6,
-            fp_held: 4,
-        });
-        assert_eq!(pair.1 .0, 1);
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the consts ARE the contract under test
-    fn sched_events_flag_defaults_off_and_propagates() {
-        // Probes that predate the channel never see it — the golden
-        // digests' EventDigest stays migration-blind by construction.
-        assert!(!<Counter as Probe>::WANTS_SCHED_EVENTS);
-        assert!(!<NullProbe as Probe>::WANTS_SCHED_EVENTS);
-        assert!(!<(Counter, NullProbe) as Probe>::WANTS_SCHED_EVENTS);
-
-        struct SchedWatcher(u32, u64);
-        impl Probe for SchedWatcher {
-            const WANTS_SCHED_EVENTS: bool = true;
-            fn migration(&mut self, e: MigrationEvent) {
-                self.0 += 1;
-                self.1 += e.wait;
-            }
-        }
-        assert!(<(NullProbe, SchedWatcher) as Probe>::WANTS_SCHED_EVENTS);
-        assert!(<&mut SchedWatcher as Probe>::WANTS_SCHED_EVENTS);
-        assert!(<Option<SchedWatcher> as Probe>::WANTS_SCHED_EVENTS);
-        let mut pair = (NullProbe, SchedWatcher(0, 0));
-        pair.migration(MigrationEvent {
-            cycle: 10,
-            thread: 2,
-            cluster: 1,
-            ctx: 0,
-            kind: MigrationEventKind::Arrive,
-            wait: 100,
-        });
-        assert_eq!(pair.1 .0, 1);
-        assert_eq!(pair.1 .1, 100);
+    fn events_reach_exactly_the_members_that_want_their_channel() {
+        check_delivery::<0>();
+        check_delivery::<{ Wants::INST.0 }>();
+        check_delivery::<{ Wants::CACHE.0 }>();
+        check_delivery::<{ Wants::CYCLE_STATS.0 }>();
+        check_delivery::<{ Wants::POOL.0 }>();
+        check_delivery::<{ Wants::OCC.0 }>();
+        check_delivery::<{ Wants::HOST_PHASES.0 }>();
+        check_delivery::<{ Wants::SCHED.0 }>();
+        check_delivery::<0x7f>();
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the consts ARE the contract under test
-    fn occ_and_host_phase_flags_default_off_and_propagate() {
-        // Probes that predate the channels never see them.
-        assert!(!<Counter as Probe>::WANTS_OCC_STATS);
-        assert!(!<Counter as Probe>::WANTS_HOST_PHASES);
-        assert!(!<(Counter, NullProbe) as Probe>::WANTS_OCC_STATS);
-        assert!(!<(Counter, NullProbe) as Probe>::WANTS_HOST_PHASES);
-
-        struct OccWatcher(u32, u64);
-        impl Probe for OccWatcher {
-            const WANTS_OCC_STATS: bool = true;
-            const WANTS_HOST_PHASES: bool = true;
-            fn window_occ(&mut self, e: WindowOccEvent) {
-                self.0 += e.occupied;
-            }
-            fn host_phase(&mut self, _phase: HostPhase, nanos: u64) {
-                self.1 += nanos;
-            }
+    fn channel_bits_are_distinct_and_every_one_has_an_event() {
+        assert_eq!(NullProbe::WANTS, Wants::NONE);
+        let mut all = Wants::NONE;
+        for ch in CHANNELS {
+            assert_eq!(ch.0.count_ones(), 1, "{ch:?} is one bit");
+            assert!(!all.contains(ch), "{ch:?} reuses a bit");
+            all = all.union(ch);
         }
-        assert!(<(NullProbe, OccWatcher) as Probe>::WANTS_OCC_STATS);
-        assert!(<&mut OccWatcher as Probe>::WANTS_HOST_PHASES);
-        assert!(<Option<OccWatcher> as Probe>::WANTS_OCC_STATS);
-        let mut pair = (NullProbe, OccWatcher(0, 0));
-        pair.window_occ(WindowOccEvent {
-            cycle: 1,
-            cluster: 0,
-            occupied: 12,
-            ready: 3,
-        });
-        pair.host_phase(HostPhase::Issue, 250);
-        assert_eq!(pair.1 .0, 12);
-        assert_eq!(pair.1 .1, 250);
+        let stats = CycleStats::default();
+        let mut covered = Wants::NONE;
+        for ev in every_event(&stats) {
+            assert!(CHANNELS.contains(&ev.channel()), "{ev:?}");
+            covered = covered.union(ev.channel());
+        }
+        assert_eq!(covered, all);
     }
 
     #[test]
@@ -819,18 +720,14 @@ mod tests {
     }
 
     #[test]
-    fn pair_flags_or_together() {
-        assert_eq!(wants::<(Counter, NullProbe)>(), [true; 3]);
-        assert_eq!(wants::<(NullProbe, NullProbe)>(), [false; 3]);
-        assert_eq!(wants::<(NullProbe, Counter)>(), [true; 3]);
-    }
-
-    #[test]
     fn pair_forwards_to_both_members() {
         let mut pair = (Counter::default(), Counter::default());
-        pair.commit(stage(3));
-        pair.commit(stage(4));
-        pair.cycle_end(4, None);
+        pair.on(&Event::Commit(stage(3)));
+        pair.on(&Event::Commit(stage(4)));
+        pair.on(&Event::CycleEnd {
+            cycle: 4,
+            stats: None,
+        });
         assert_eq!(pair.0.commits, 2);
         assert_eq!(pair.1.commits, 2);
         assert_eq!(pair.0.cycles, 1);
@@ -839,29 +736,18 @@ mod tests {
     #[test]
     fn option_forwards_only_when_some() {
         let mut none: Option<Counter> = None;
-        none.commit(stage(0));
+        none.on(&Event::Commit(stage(0)));
         let mut some = Some(Counter::default());
-        some.commit(stage(0));
+        some.on(&Event::Commit(stage(0)));
         assert_eq!(some.unwrap().commits, 1);
     }
 
     #[test]
     fn mut_ref_forwards() {
         let mut c = Counter::default();
-        {
-            let r = &mut c;
-            r.fetch(FetchEvent {
-                cycle: 0,
-                cluster: 0,
-                thread: 0,
-                uid: 0,
-                pc: 0,
-                op: csmt_isa::OpClass::IntAlu,
-                wrong_path: false,
-            });
-        }
+        <&mut Counter as Probe>::on(&mut &mut c, &Event::Fetch(fetch()));
         assert_eq!(c.fetches, 1);
-        assert_eq!(wants::<&mut Counter>(), [true; 3]);
+        assert_eq!(<&mut Counter>::WANTS, Counter::WANTS);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use serde::Value;
 
-use crate::probe::{CycleStats, Probe, HAZARD_LABELS};
+use crate::probe::{CycleStats, Event, Probe, Wants, HAZARD_LABELS};
 
 /// Emits a machine heartbeat as one JSON object per line, every
 /// `interval` cycles, by differencing consecutive [`CycleStats`]
@@ -101,12 +101,17 @@ impl<W: Write> IntervalSampler<W> {
 }
 
 impl<W: Write> Probe for IntervalSampler<W> {
-    const WANTS_INST_EVENTS: bool = false;
-    const WANTS_CACHE_EVENTS: bool = false;
-    const WANTS_CYCLE_STATS: bool = true;
+    const WANTS: Wants = Wants::CYCLE_STATS;
 
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        let Some(stats) = stats else { return };
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        let Event::CycleEnd {
+            cycle,
+            stats: Some(stats),
+        } = *ev
+        else {
+            return;
+        };
         self.last = *stats;
         self.last_cycle = cycle;
         self.pending = true;
@@ -222,7 +227,10 @@ mod tests {
             let mut s = IntervalSampler::new(&mut buf, interval);
             for c in 0..total_cycles {
                 let st = snap(c + 1);
-                s.cycle_end(c, Some(&st));
+                s.on(&Event::CycleEnd {
+                    cycle: c,
+                    stats: Some(&st),
+                });
             }
             s.finish().expect("in-memory sampler cannot hit I/O errors");
         }
@@ -299,7 +307,10 @@ mod tests {
         let mut s = IntervalSampler::new(FailWriter, 10);
         for c in 0..10 {
             let st = snap(c + 1);
-            s.cycle_end(c, Some(&st));
+            s.on(&Event::CycleEnd {
+                cycle: c,
+                stats: Some(&st),
+            });
         }
         let err = s.finish().expect_err("failed write must surface");
         assert_eq!(err.to_string(), "disk full");
@@ -313,7 +324,10 @@ mod tests {
             // One snapshot short of a boundary: the record is pending
             // and only the drop-path flush can emit (and fail) it.
             let st = snap(1);
-            s.cycle_end(0, Some(&st));
+            s.on(&Event::CycleEnd {
+                cycle: 0,
+                stats: Some(&st),
+            });
         });
         let payload = result.expect_err("drop must panic when the final flush fails");
         let msg = payload

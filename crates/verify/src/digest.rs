@@ -13,15 +13,13 @@
 //!
 //! The construction is pinned by the golden digest constants; changing
 //! the absorb format or the tag set is a behavior change that re-captures
-//! every golden value. [`EventDigest`] observes the default channels
-//! (exactly what the golden digests cover); [`SchedEventDigest`] also
-//! opts into `WANTS_SCHED_EVENTS` and absorbs `migration` events with
-//! tag `G`, so a non-deterministic placement decision changes the hash
+//! every golden value. [`EventDigest`] observes the `INST`, `CACHE` and
+//! `CYCLE_STATS` channels (exactly what the golden digests cover);
+//! [`SchedEventDigest`] also wants `SCHED` and absorbs migration events
+//! with tag `G`, so a non-deterministic placement decision changes the hash
 //! even when the pipeline events happen to agree.
 
-use csmt_trace::{
-    CacheEvent, CycleStats, FetchEvent, MigrationEvent, Probe, StageEvent, SyncEvent,
-};
+use csmt_trace::{Event, Probe, Wants};
 use std::fmt::Write as _;
 
 /// FNV-1a over bytes; stable across platforms and rustc versions.
@@ -106,37 +104,29 @@ impl Default for EventDigest {
 }
 
 impl Probe for EventDigest {
-    fn fetch(&mut self, e: FetchEvent) {
-        self.absorb("F", format_args!("{e:?}"));
-    }
-    fn rename(&mut self, e: StageEvent) {
-        self.absorb("R", format_args!("{e:?}"));
-    }
-    fn issue(&mut self, e: StageEvent) {
-        self.absorb("I", format_args!("{e:?}"));
-    }
-    fn writeback(&mut self, e: StageEvent) {
-        self.absorb("W", format_args!("{e:?}"));
-    }
-    fn commit(&mut self, e: StageEvent) {
-        self.absorb("C", format_args!("{e:?}"));
-    }
-    fn squash(&mut self, e: StageEvent) {
-        self.absorb("Q", format_args!("{e:?}"));
-    }
-    fn cache_access(&mut self, e: CacheEvent) {
-        self.absorb("M", format_args!("{e:?}"));
-    }
-    fn sync_event(&mut self, e: SyncEvent) {
-        self.absorb("S", format_args!("{e:?}"));
-    }
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        self.absorb("E", format_args!("{cycle}:{stats:?}"));
+    const WANTS: Wants = Wants::INST.union(Wants::CACHE).union(Wants::CYCLE_STATS);
+
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match ev {
+            Event::Fetch(e) => self.absorb("F", format_args!("{e:?}")),
+            Event::Rename(e) => self.absorb("R", format_args!("{e:?}")),
+            Event::Issue(e) => self.absorb("I", format_args!("{e:?}")),
+            Event::Writeback(e) => self.absorb("W", format_args!("{e:?}")),
+            Event::Commit(e) => self.absorb("C", format_args!("{e:?}")),
+            Event::Squash(e) => self.absorb("Q", format_args!("{e:?}")),
+            Event::Cache(e) => self.absorb("M", format_args!("{e:?}")),
+            Event::Sync(e) => self.absorb("S", format_args!("{e:?}")),
+            Event::CycleEnd { cycle, stats } => {
+                self.absorb("E", format_args!("{cycle}:{stats:?}"));
+            }
+            _ => {}
+        }
     }
 }
 
 /// [`EventDigest`] plus the scheduler's migration channel
-/// (`WANTS_SCHED_EVENTS`, tag `G`). On a run with no migrations this
+/// (`Wants::SCHED`, tag `G`). On a run with no migrations this
 /// hashes identically to [`EventDigest`].
 #[derive(Debug)]
 pub struct SchedEventDigest {
@@ -180,38 +170,17 @@ impl Default for SchedEventDigest {
 }
 
 impl Probe for SchedEventDigest {
-    const WANTS_SCHED_EVENTS: bool = true;
+    const WANTS: Wants = EventDigest::WANTS.union(Wants::SCHED);
 
-    fn fetch(&mut self, e: FetchEvent) {
-        self.inner.fetch(e);
-    }
-    fn rename(&mut self, e: StageEvent) {
-        self.inner.rename(e);
-    }
-    fn issue(&mut self, e: StageEvent) {
-        self.inner.issue(e);
-    }
-    fn writeback(&mut self, e: StageEvent) {
-        self.inner.writeback(e);
-    }
-    fn commit(&mut self, e: StageEvent) {
-        self.inner.commit(e);
-    }
-    fn squash(&mut self, e: StageEvent) {
-        self.inner.squash(e);
-    }
-    fn cache_access(&mut self, e: CacheEvent) {
-        self.inner.cache_access(e);
-    }
-    fn sync_event(&mut self, e: SyncEvent) {
-        self.inner.sync_event(e);
-    }
-    fn migration(&mut self, e: MigrationEvent) {
-        self.migrations += 1;
-        self.inner.absorb("G", format_args!("{e:?}"));
-    }
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
-        self.inner.cycle_end(cycle, stats);
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match ev {
+            Event::Migration(e) => {
+                self.migrations += 1;
+                self.inner.absorb("G", format_args!("{e:?}"));
+            }
+            _ => self.inner.on(ev),
+        }
     }
 }
 
@@ -248,8 +217,8 @@ mod tests {
         let mut a = EventDigest::new();
         let mut b = SchedEventDigest::new();
         for cycle in 0..4 {
-            a.cycle_end(cycle, None);
-            b.cycle_end(cycle, None);
+            a.on(&Event::CycleEnd { cycle, stats: None });
+            b.on(&Event::CycleEnd { cycle, stats: None });
         }
         assert_eq!(a.hash(), b.hash());
         assert_eq!(b.migrations(), 0);

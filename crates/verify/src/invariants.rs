@@ -18,7 +18,7 @@
 //!   the cluster's issue width.
 //! * **Rename conservation** — per cluster and register file,
 //!   `free + held == pool` at every end-of-cycle snapshot
-//!   ([`RenamePoolEvent`], emitted when `WANTS_POOL_STATS`).
+//!   ([`RenamePoolEvent`], the `Wants::POOL` channel).
 //! * **Store-buffer bound** — committed stores still in flight per node
 //!   never exceed `clusters/chip × store_buffer`.
 //! * **Slot conservation** — `useful + Σ wasted == slots` in every
@@ -37,8 +37,8 @@
 
 use csmt_core::ChipConfig;
 use csmt_trace::{
-    CacheEvent, CycleStats, FetchEvent, MigrationEvent, MigrationEventKind, Probe, RenamePoolEvent,
-    StageEvent,
+    CacheEvent, CycleStats, Event, FetchEvent, MigrationEvent, MigrationEventKind, Probe,
+    RenamePoolEvent, StageEvent, Wants,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -427,12 +427,33 @@ impl InvariantProbe {
 }
 
 impl Probe for InvariantProbe {
-    const WANTS_INST_EVENTS: bool = true;
-    const WANTS_CACHE_EVENTS: bool = true;
-    const WANTS_CYCLE_STATS: bool = true;
-    const WANTS_POOL_STATS: bool = true;
-    const WANTS_SCHED_EVENTS: bool = true;
+    const WANTS: Wants = Wants::INST
+        .union(Wants::CACHE)
+        .union(Wants::CYCLE_STATS)
+        .union(Wants::POOL)
+        .union(Wants::SCHED);
 
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Fetch(e) => self.fetch(e),
+            Event::Rename(e) => self.rename(e),
+            Event::Issue(e) => self.issue(e),
+            Event::Writeback(e) => self.writeback(e),
+            Event::Commit(e) => self.commit(e),
+            Event::Squash(e) => self.squash(e),
+            Event::Cache(e) => self.cache_access(e),
+            Event::Sync(e) => self.sync_event(e),
+            Event::RenamePools(e) => self.rename_pools(e),
+            Event::Migration(e) => self.migration(e),
+            Event::CycleEnd { cycle, stats } => self.cycle_end(cycle, stats),
+            _ => {}
+        }
+    }
+}
+
+/// The per-event checks behind [`Probe::on`].
+impl InvariantProbe {
     fn fetch(&mut self, e: FetchEvent) {
         self.events += 1;
         let Some(ci) = self.cluster_checked(e.cycle, e.cluster, Some(e.uid)) else {

@@ -15,8 +15,8 @@
 use csmt_core::{ArchKind, ChipConfig};
 use csmt_mem::MemConfig;
 use csmt_trace::{
-    CacheEvent, CycleStats, FetchEvent, MigrationEvent, MigrationEventKind, Probe, RenamePoolEvent,
-    StageEvent,
+    CacheEvent, CycleStats, Event, FetchEvent, MigrationEvent, MigrationEventKind, Probe,
+    RenamePoolEvent, StageEvent, Wants,
 };
 use csmt_verify::{InvariantProbe, VerifySummary, Violation, ViolationKind};
 use csmt_workloads::{by_name, simulate_probed};
@@ -99,7 +99,7 @@ impl FaultInjector {
     /// inner checker's drain.
     fn finish(mut self) -> Result<VerifySummary, Vec<Violation>> {
         if let Some(h) = self.held_commit.take() {
-            self.inner.commit(h);
+            self.inner.on(&Event::Commit(h));
         }
         assert!(
             !self.armed,
@@ -111,24 +111,37 @@ impl FaultInjector {
 }
 
 impl Probe for FaultInjector {
-    const WANTS_INST_EVENTS: bool = true;
-    const WANTS_CACHE_EVENTS: bool = true;
-    const WANTS_CYCLE_STATS: bool = true;
-    const WANTS_POOL_STATS: bool = true;
-    const WANTS_SCHED_EVENTS: bool = true;
+    const WANTS: Wants = InvariantProbe::WANTS;
 
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Fetch(e) => self.fetch(e),
+            Event::Issue(e) => self.issue(e),
+            Event::Commit(e) => self.commit(e),
+            Event::Cache(e) => self.cache_access(e),
+            Event::Migration(e) => self.migration(e),
+            Event::RenamePools(e) => self.rename_pools(e),
+            Event::CycleEnd { cycle, stats } => self.cycle_end(cycle, stats),
+            _ => self.inner.on(ev),
+        }
+    }
+}
+
+/// The events a fault can fire on; everything else forwards untouched.
+impl FaultInjector {
     fn fetch(&mut self, e: FetchEvent) {
         if e.cluster == 0 {
             self.threads.insert(e.uid, e.thread);
         }
-        self.inner.fetch(e);
+        self.inner.on(&Event::Fetch(e));
         if self.armed && self.fault == Fault::PhantomFetchBurst && e.cluster == 0 {
             self.armed = false;
             for i in 0..=self.window_cap as u64 {
-                self.inner.fetch(FetchEvent {
+                self.inner.on(&Event::Fetch(FetchEvent {
                     uid: 1_000_000 + i,
                     ..e
-                });
+                }));
             }
         }
         if self.armed && self.fault == Fault::ThreadTeleport && e.cluster == 0 {
@@ -136,46 +149,38 @@ impl Probe for FaultInjector {
             // depart right now is a migration that skipped the drain.
             if let Some(&tid) = self.slot_tid.get(&(e.cluster, e.thread)) {
                 self.armed = false;
-                self.inner.migration(MigrationEvent {
+                self.inner.on(&Event::Migration(MigrationEvent {
                     cycle: e.cycle,
                     thread: tid,
                     cluster: e.cluster,
                     ctx: e.thread,
                     kind: MigrationEventKind::Depart,
                     wait: 0,
-                });
+                }));
             }
         }
     }
 
-    fn rename(&mut self, e: StageEvent) {
-        self.inner.rename(e);
-    }
-
     fn issue(&mut self, e: StageEvent) {
-        self.inner.issue(e);
+        self.inner.on(&Event::Issue(e));
         if self.armed {
             match self.fault {
                 Fault::ClusterRelabel => {
                     self.armed = false;
-                    self.inner.issue(StageEvent {
+                    self.inner.on(&Event::Issue(StageEvent {
                         cluster: self.n_clusters,
                         ..e
-                    });
+                    }));
                 }
                 Fault::IssueBurst if e.cluster == 0 => {
                     self.armed = false;
                     for _ in 0..self.issue_width {
-                        self.inner.issue(e);
+                        self.inner.on(&Event::Issue(e));
                     }
                 }
                 _ => {}
             }
         }
-    }
-
-    fn writeback(&mut self, e: StageEvent) {
-        self.inner.writeback(e);
     }
 
     fn commit(&mut self, e: StageEvent) {
@@ -187,8 +192,8 @@ impl Probe for FaultInjector {
                 }
                 Fault::DoubleCommit => {
                     self.armed = false;
-                    self.inner.commit(e);
-                    self.inner.commit(e);
+                    self.inner.on(&Event::Commit(e));
+                    self.inner.on(&Event::Commit(e));
                     return;
                 }
                 Fault::CommitSwap => {
@@ -201,57 +206,49 @@ impl Probe for FaultInjector {
                         // then the held (earlier) one — out of order.
                         self.armed = false;
                         self.held_commit = None;
-                        self.inner.commit(e);
-                        self.inner.commit(held);
+                        self.inner.on(&Event::Commit(e));
+                        self.inner.on(&Event::Commit(held));
                     } else {
-                        self.inner.commit(e);
+                        self.inner.on(&Event::Commit(e));
                     }
                     return;
                 }
                 _ => {}
             }
         }
-        self.inner.commit(e);
-    }
-
-    fn squash(&mut self, e: StageEvent) {
-        self.inner.squash(e);
+        self.inner.on(&Event::Commit(e));
     }
 
     fn cache_access(&mut self, e: CacheEvent) {
-        self.inner.cache_access(e);
+        self.inner.on(&Event::Cache(e));
         if self.armed && self.fault == Fault::StoreFlood && e.write {
             self.armed = false;
             for _ in 0..self.store_cap {
-                self.inner.cache_access(CacheEvent {
+                self.inner.on(&Event::Cache(CacheEvent {
                     complete_at: e.cycle + 100_000,
                     ..e
-                });
+                }));
             }
         }
-    }
-
-    fn sync_event(&mut self, e: csmt_trace::SyncEvent) {
-        self.inner.sync_event(e);
     }
 
     fn migration(&mut self, e: MigrationEvent) {
         if e.kind == MigrationEventKind::Attach {
             self.slot_tid.insert((e.cluster, e.ctx), e.thread);
         }
-        self.inner.migration(e);
+        self.inner.on(&Event::Migration(e));
     }
 
     fn rename_pools(&mut self, e: RenamePoolEvent) {
         if self.armed && self.fault == Fault::RenamePoolSkew {
             self.armed = false;
-            self.inner.rename_pools(RenamePoolEvent {
+            self.inner.on(&Event::RenamePools(RenamePoolEvent {
                 int_free: e.int_free + 1,
                 ..e
-            });
+            }));
             return;
         }
-        self.inner.rename_pools(e);
+        self.inner.on(&Event::RenamePools(e));
     }
 
     fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
@@ -262,21 +259,27 @@ impl Probe for FaultInjector {
                         self.armed = false;
                         let mut skimmed = *s;
                         skimmed.wasted[0] += 1.0;
-                        self.inner.cycle_end(cycle, Some(&skimmed));
+                        self.inner.on(&Event::CycleEnd {
+                            cycle,
+                            stats: Some(&skimmed),
+                        });
                         return;
                     }
                     Fault::StatsRewind if s.committed > 0 => {
                         self.armed = false;
                         let mut rewound = *s;
                         rewound.committed -= 1;
-                        self.inner.cycle_end(cycle, Some(&rewound));
+                        self.inner.on(&Event::CycleEnd {
+                            cycle,
+                            stats: Some(&rewound),
+                        });
                         return;
                     }
                     _ => {}
                 }
             }
         }
-        self.inner.cycle_end(cycle, stats);
+        self.inner.on(&Event::CycleEnd { cycle, stats });
     }
 }
 

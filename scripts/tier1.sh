@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> frozen benchmark/ crate still builds against this API"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test (root package: tier-1)"
 cargo test -q
 

@@ -18,7 +18,7 @@
 use csmt_core::ArchKind;
 use csmt_cpu::Hazard;
 use csmt_metrics::{validate_trace, MetricsProbe};
-use csmt_trace::{CycleStats, Probe};
+use csmt_trace::{CycleStats, Event, Probe, Wants};
 use csmt_verify::EventDigest;
 use csmt_workloads::{by_name, simulate_probed};
 
@@ -142,8 +142,12 @@ fn metrics_probe_is_digest_neutral_and_reconciles_exactly() {
 struct LastSnapshot(Option<CycleStats>);
 
 impl Probe for LastSnapshot {
-    fn cycle_end(&mut self, _cycle: u64, stats: Option<&CycleStats>) {
-        self.0 = stats.copied();
+    const WANTS: Wants = Wants::CYCLE_STATS;
+    #[inline]
+    fn on(&mut self, ev: &Event<'_>) {
+        if let Event::CycleEnd { stats, .. } = ev {
+            self.0 = stats.copied();
+        }
     }
 }
 
