@@ -97,10 +97,10 @@ impl Cluster {
         Cluster {
             regs: Regs::new(
                 (0..cfg.hw_threads)
-                    .map(|i| ThreadCtx::new(rng.fork(i as u64).next_u64()))
+                    .map(|i| ThreadCtx::new(rng.fork(i as u64).next_u64(), cfg.window_entries))
                     .collect(),
             ),
-            win: Window::new(cfg.window_entries),
+            win: Window::new(cfg.window_entries, cfg.hw_threads),
             rename: RenamePools::new(cfg.rename_int, cfg.rename_fp),
             lsq: StoreBuffer::new(cfg.store_buffer),
             fu: FuPool::new(cfg.fu_counts),
@@ -178,6 +178,7 @@ impl Cluster {
             "detach requires a context held for migration"
         );
         assert!(t.fifo.is_empty(), "detach before in-flight drain");
+        assert!(t.stores.is_empty(), "store list outlived the drain");
         assert!(
             t.pending_sync.is_none(),
             "detach with an unreported sync operation"

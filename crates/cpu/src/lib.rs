@@ -21,8 +21,9 @@
 //! 4. **fetch/dispatch** — one thread per cycle (round-robin, §3.2) fetches
 //!    up to the issue width, renaming through the int/fp rename pools into
 //!    the window;
-//! 5. **account** — wasted issue slots are attributed to hazard classes by
-//!    scanning the window, per the paper's §4.1 methodology.
+//! 5. **account** — wasted issue slots are attributed to hazard classes per
+//!    the paper's §4.1 methodology: what its every-cycle window scan would
+//!    record, read from per-thread class counts kept as instructions move.
 
 //! ```
 //! use csmt_cpu::{Cluster, ClusterConfig};

@@ -61,6 +61,10 @@ pub(crate) fn run<P: Probe>(
                 }
             }
             regs.threads[tid].fifo.pop_front();
+            if is_store {
+                let popped = regs.threads[tid].stores.pop_front();
+                debug_assert_eq!(popped, Some(head));
+            }
             win.release(head, rename);
             regs.threads[tid].committed += 1;
             regs.stats.committed += 1;

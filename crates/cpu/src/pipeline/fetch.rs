@@ -8,7 +8,7 @@ use crate::config::{ClusterConfig, FetchPolicy};
 use csmt_isa::{OpClass, SyncOp};
 use csmt_trace::{emit, Event, FetchEvent, Probe, StageEvent, Wants};
 
-use super::regs::{EState, Entry, Regs, SrcState, ThreadCtx, ThreadState};
+use super::regs::{EState, Entry, HazardClass, Regs, SrcState, ThreadCtx, ThreadState};
 use super::rename::RenamePools;
 use super::window::Window;
 
@@ -184,6 +184,7 @@ fn fetch_from<P: Probe>(
             op: inst.op,
             pc: inst.pc,
             state: EState::Waiting,
+            class: HazardClass::None, // set by `Window::install`
             srcs,
             dest: inst.real_dest(),
             mem_addr: inst.mem.map_or(0, |m| m.addr),
@@ -207,18 +208,22 @@ fn fetch_from<P: Probe>(
             }
         }
         // Install.
-        let (has_branch, mispredicted, dest, pc, op) = (
+        let (has_branch, mispredicted, dest, pc, op, is_store) = (
             entry.has_branch,
             entry.mispredicted,
             entry.dest,
             entry.pc,
             entry.op,
+            entry.is_store,
         );
         let slot = win.install(entry);
         if let Some(d) = dest {
             regs.threads[tid].map[d.flat_index()] = Some(slot);
         }
         regs.threads[tid].fifo.push_back(slot);
+        if is_store {
+            regs.threads[tid].stores.push_back(slot);
+        }
         fetched += 1;
         emit(probe, Wants::INST, || {
             Event::Fetch(FetchEvent {

@@ -46,9 +46,15 @@ impl StoreBuffer {
 }
 
 /// Whether a load at (`seq`, `addr`) forwards from an older in-flight
-/// store of the same thread.
-pub(crate) fn store_forwards(entries: &[Entry], fifo: &VecDeque<u32>, seq: u64, addr: u64) -> bool {
-    fifo.iter().any(|&s| {
+/// store of the same thread. `stores` is that thread's store list
+/// ([`ThreadCtx::stores`](super::regs::ThreadCtx)).
+pub(crate) fn store_forwards(
+    entries: &[Entry],
+    stores: &VecDeque<u32>,
+    seq: u64,
+    addr: u64,
+) -> bool {
+    stores.iter().any(|&s| {
         let w = &entries[s as usize];
         w.is_store && w.seq < seq && w.mem_addr == addr
     })

@@ -1,7 +1,14 @@
 //! Cross-stage state shared by every pipeline stage: the instruction-window
 //! entry record, per-context thread state (map table, in-flight FIFO,
-//! wrong-path generator), and the §4.1 issue-slot accounting that scans it
-//! all at the end of each cycle.
+//! in-flight store list, wrong-path generator), and the §4.1 issue-slot
+//! accounting.
+//!
+//! The paper's method scans the whole window every cycle; here each entry
+//! caches its hazard class and [`Window`] keeps per-thread class counts,
+//! updated at the four events that can change a class (dispatch, issue,
+//! completion/wakeup, release), so [`hazard_weights`] reads five integers
+//! per thread. The literal scan survives as [`hazard_weights_scan`], a
+//! test/debug-build oracle the counts are asserted against every cycle.
 
 use crate::config::ClusterConfig;
 use crate::stats::{Hazard, SlotStats};
@@ -50,6 +57,26 @@ pub(crate) enum SrcState {
     Wait(u32),
 }
 
+/// The §4.1 class of one in-flight entry: the hazard an un-issued (or
+/// memory-bound) instruction charges this cycle, or `None` for entries
+/// that charge nothing (executing non-loads, completed work).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HazardClass {
+    None,
+    /// Ready but not issued: lack of FU or of issue bandwidth.
+    Structural,
+    /// Waiting on an executing load, or itself a load in the memory system.
+    Memory,
+    /// Waiting on a register data dependence.
+    Data,
+    /// Un-issued wrong-path work.
+    Control,
+}
+
+impl HazardClass {
+    pub const COUNT: usize = 5;
+}
+
 /// One instruction window / reorder buffer entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
@@ -60,6 +87,9 @@ pub(crate) struct Entry {
     pub op: OpClass,
     pub pc: u64,
     pub state: EState,
+    /// Cached §4.1 class, owned by [`Window`] (install / reclassify /
+    /// release keep it and the per-thread counts in step).
+    pub class: HazardClass,
     pub srcs: [SrcState; 2],
     pub dest: Option<ArchReg>,
     pub mem_addr: u64,
@@ -78,6 +108,7 @@ pub(crate) const DEAD: Entry = Entry {
     op: OpClass::Nop,
     pc: 0,
     state: EState::Waiting,
+    class: HazardClass::None,
     srcs: [SrcState::Ready, SrcState::Ready],
     dest: None,
     mem_addr: 0,
@@ -97,6 +128,9 @@ pub(crate) struct ThreadCtx {
     pub pending_sync: Option<SyncOp>,
     pub map: [Option<u32>; ArchReg::COUNT],
     pub fifo: VecDeque<u32>,
+    /// Window slots of this thread's in-flight stores, oldest first — the
+    /// subsequence of `fifo` store-to-load forwarding has to look at.
+    pub stores: VecDeque<u32>,
     pub wp_gen: WrongPathGen,
     pub wp_pc: u64,
     /// Cycle until which an empty window counts as a control (redirect)
@@ -106,14 +140,17 @@ pub(crate) struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub fn new(seed: u64) -> Self {
+    /// `window_entries` bounds both queues: a context can never hold more
+    /// in-flight instructions than its cluster's window has slots.
+    pub fn new(seed: u64, window_entries: usize) -> Self {
         ThreadCtx {
             state: ThreadState::Idle,
             stream: None,
             pending: None,
             pending_sync: None,
             map: [None; ArchReg::COUNT],
-            fifo: VecDeque::with_capacity(128),
+            fifo: VecDeque::with_capacity(window_entries),
+            stores: VecDeque::with_capacity(window_entries),
             wp_gen: WrongPathGen::new(seed),
             wp_pc: 0,
             redirect_until: 0,
@@ -164,7 +201,67 @@ pub(crate) fn account(
 /// The §4.1 per-thread hazard attribution for one cycle, factored out of
 /// [`account`] so the stall fast-forward can compute a stalled cycle's
 /// weights once and replay them bit-for-bit over the whole skipped span.
+///
+/// Reads the window's per-thread class counts. Every weight is a count of
+/// entries, so `f64::from(count)` is exactly the sum of that many `1.0`s
+/// the scan accumulates.
 pub(crate) fn hazard_weights(
+    rename_stalled: bool,
+    threads: &[ThreadCtx],
+    win: &Window,
+    now: u64,
+) -> [f64; 7] {
+    let mut n = [0u32; 7];
+    n[Hazard::Other.index()] = u32::from(rename_stalled);
+    for (t, c) in threads.iter().zip(win.class_counts()) {
+        match t.state {
+            ThreadState::Idle
+            | ThreadState::Done
+            | ThreadState::Draining
+            | ThreadState::WaitingSync
+            | ThreadState::Migrating => {
+                // Parked threads waste their share of the cluster:
+                // spinning at barriers/locks, gone, or draining toward a
+                // migration (the migration cost shows up as sync slots,
+                // keeping §4.1 conservation intact).
+                n[Hazard::Sync.index()] += 1;
+            }
+            ThreadState::Running | ThreadState::WrongPath => {
+                if t.fifo.is_empty() {
+                    if now < t.redirect_until {
+                        n[Hazard::Control.index()] += 1;
+                    } else {
+                        n[Hazard::Fetch.index()] += 1;
+                    }
+                    continue;
+                }
+                let [_, structural, memory, data, control] = *c;
+                n[Hazard::Memory.index()] += memory;
+                n[Hazard::Data.index()] += data;
+                n[Hazard::Control.index()] += control;
+                // A window full of completed work awaiting retirement
+                // charges nothing by class: the structural limit is then
+                // the window/retire bandwidth itself.
+                let blocked = structural + memory + data + control == 0;
+                n[Hazard::Structural.index()] += structural + u32::from(blocked);
+            }
+        }
+    }
+    let w = n.map(f64::from);
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(
+        w,
+        hazard_weights_scan(rename_stalled, threads, win, now),
+        "incremental §4.1 class counts diverged from the window scan at cycle {now}"
+    );
+    w
+}
+
+/// The paper's §4.1 method, literally: "scan the entire instruction window
+/// every cycle and record the type of hazard faced by each instruction
+/// that is unable to issue". Kept as the oracle for [`hazard_weights`].
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn hazard_weights_scan(
     rename_stalled: bool,
     threads: &[ThreadCtx],
     win: &Window,
@@ -180,13 +277,7 @@ pub(crate) fn hazard_weights(
             | ThreadState::Done
             | ThreadState::Draining
             | ThreadState::WaitingSync
-            | ThreadState::Migrating => {
-                // Parked threads waste their share of the cluster:
-                // spinning at barriers/locks, gone, or draining toward a
-                // migration (the migration cost shows up as sync slots,
-                // keeping §4.1 conservation intact).
-                w[Hazard::Sync.index()] += 1.0;
-            }
+            | ThreadState::Migrating => w[Hazard::Sync.index()] += 1.0,
             ThreadState::Running | ThreadState::WrongPath => {
                 if t.fifo.is_empty() {
                     if now < t.redirect_until {
@@ -198,56 +289,17 @@ pub(crate) fn hazard_weights(
                 }
                 let mut any_weight = false;
                 for &s in &t.fifo {
-                    let e = &win.entries[s as usize];
-                    match e.state {
-                        EState::Waiting => {
-                            any_weight = true;
-                            if e.wrong_path {
-                                w[Hazard::Control.index()] += 1.0;
-                                continue;
-                            }
-                            let mut waiting_mem = false;
-                            let mut waiting_data = false;
-                            for src in &e.srcs {
-                                if let SrcState::Wait(p) = src {
-                                    let prod = &win.entries[*p as usize];
-                                    if prod.op == OpClass::Load
-                                        && matches!(prod.state, EState::Exec { .. })
-                                    {
-                                        waiting_mem = true;
-                                    } else {
-                                        waiting_data = true;
-                                    }
-                                }
-                            }
-                            if waiting_mem {
-                                w[Hazard::Memory.index()] += 1.0;
-                            } else if waiting_data {
-                                w[Hazard::Data.index()] += 1.0;
-                            } else {
-                                // Ready but not issued: lack of FU or of
-                                // issue bandwidth.
-                                w[Hazard::Structural.index()] += 1.0;
-                            }
-                        }
-                        EState::Exec { .. } => {
-                            // An issued load still waiting on the memory
-                            // system keeps its slice of the machine busy:
-                            // charge it as a memory hazard, as the
-                            // paper's window scan does for instructions
-                            // held up by memory accesses.
-                            if e.op == OpClass::Load {
-                                w[Hazard::Memory.index()] += 1.0;
-                                any_weight = true;
-                            }
-                        }
-                        EState::Done => {}
-                    }
+                    let h = match win.classify(&win.entries[s as usize]) {
+                        HazardClass::None => continue,
+                        HazardClass::Structural => Hazard::Structural,
+                        HazardClass::Memory => Hazard::Memory,
+                        HazardClass::Data => Hazard::Data,
+                        HazardClass::Control => Hazard::Control,
+                    };
+                    any_weight = true;
+                    w[h.index()] += 1.0;
                 }
                 if !any_weight {
-                    // Window full of completed work awaiting retirement:
-                    // the structural limit is the window/retire
-                    // bandwidth itself.
                     w[Hazard::Structural.index()] += 1.0;
                 }
             }

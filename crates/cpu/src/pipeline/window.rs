@@ -1,19 +1,35 @@
 //! The shared instruction window / reorder buffer and its scheduling
 //! machinery: completion, wakeup, and oldest-first select.
 //!
-//! Where the monolithic cluster rescanned the whole window every cycle,
-//! this module keeps three indexed structures, all behavior-preserving:
+//! One cycle costs O(instructions that moved this cycle), not O(window):
+//! nothing here walks the window, and every structure is flat.
 //!
-//! - a **completion wheel** (`wheel`): at issue, an instruction lands in
-//!   the bucket for the first cycle `complete` can observe it; `complete`
-//!   pops due buckets instead of scanning the window for finished
-//!   executions;
+//! - a **completion wheel** ([`CompletionWheel`]): at issue, an instruction
+//!   lands in the bucket for the first cycle `complete` can observe it. The
+//!   wheel is a 64-bucket ring indexed by `cycle & 63` (the buckets are
+//!   lists in one shared node pool) with an occupancy bit per bucket,
+//!   covering the next 64 cycles — Table 3's L1, L2,
+//!   local- and remote-memory round trips (1/10/40/60) all fit — so push,
+//!   drain and "next completion" are a rotate and a mask; what lands
+//!   further out (a 75-cycle remote-L2 transfer, a miss behind a TLB
+//!   refill or a queue) waits in a small min-heap. `complete` drains every
+//!   bucket since its last call, not just the one for `now`: the stall
+//!   fast-forward and direct `Cluster::step` callers may skip cycles;
 //! - **per-producer waiter lists** (`waiters`): consumers register at
 //!   dispatch; a completing result wakes only its actual consumers
 //!   instead of broadcasting a tag match over every window entry;
-//! - a **ready queue** (`ready`, ordered `(seq, slot)`): entries enter
-//!   when their last operand arrives, so oldest-first select walks only
-//!   ready instructions instead of rescanning non-ready entries.
+//! - a **ready queue** (`ready`, a `Vec` sorted by `(seq, slot)`): entries
+//!   enter when their last operand arrives, so oldest-first select walks
+//!   only ready instructions. Dispatch carries the largest `seq` yet and
+//!   appends; a wakeup binary-search inserts; the instructions one cycle
+//!   issues are an in-order subsequence and leave in one pass;
+//! - **§4.1 class counts** (`class_counts`): each entry caches its hazard
+//!   class and each thread the number of its entries per class. A class is
+//!   a function of the entry's own state and operands and of whether a
+//!   producing load is executing, so it is recomputed
+//!   ([`Window::reclassify`]) exactly where one of those changes: install,
+//!   issue (the entry, and a load's waiters: `data` becomes `memory`),
+//!   completion (the entry, and each woken waiter), and release.
 //!
 //! Stale references (a squash freed — and possibly refilled — a slot
 //! after it was indexed) are filtered by re-checking the entry's `seq`:
@@ -24,11 +40,127 @@ use crate::fu::FuPool;
 use csmt_isa::OpClass;
 use csmt_mem::{AccessKind, MemorySystem};
 use csmt_trace::{emit, Event, Probe, StageEvent, Wants};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use super::lsq;
-use super::regs::{EState, Entry, Regs, SrcState, ThreadState, DEAD};
+use super::regs::{EState, Entry, HazardClass, Regs, SrcState, ThreadState, DEAD};
 use super::rename::{self, RenamePools};
+
+/// Cycles the completion ring covers ahead of its drain cursor.
+const RING: u64 = 64;
+
+/// One ring-bucket list node.
+struct WheelNode {
+    slot: u32,
+    next: u32,
+    seq: u64,
+}
+
+/// End of a node list.
+const NIL: u32 = u32::MAX;
+
+/// Pending completions keyed by the cycle `complete` first observes them:
+/// a ring for the next [`RING`] cycles plus a min-heap for the rest.
+struct CompletionWheel {
+    /// Bucket `at & 63` heads the list of completions at cycle `at`, for
+    /// `at` in `(drained, drained + RING]` — one cycle per bucket.
+    heads: [u32; RING as usize],
+    /// The buckets' list nodes and, threaded through `free`, the spare
+    /// ones. One pool for all buckets: together they hold at most a
+    /// window's worth of issues (plus squashed leftovers), so the pool
+    /// stays window-sized where 64 vectors grown apart would not.
+    nodes: Vec<WheelNode>,
+    free: u32,
+    /// Bit `i` set iff bucket `i` is non-empty.
+    occupied: u64,
+    /// Every ring bucket for a cycle `<= drained` is empty.
+    drained: u64,
+    /// Completions pushed more than [`RING`] cycles ahead: `(at, slot, seq)`.
+    far: BinaryHeap<Reverse<(u64, u32, u64)>>,
+}
+
+impl CompletionWheel {
+    fn new() -> Self {
+        CompletionWheel {
+            heads: [NIL; RING as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            occupied: 0,
+            drained: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, at: u64, slot: u32, seq: u64) {
+        if at > self.drained && at - self.drained <= RING {
+            let i = (at % RING) as usize;
+            let next = self.heads[i];
+            let node = WheelNode { slot, next, seq };
+            let n = self.free;
+            if n == NIL {
+                self.heads[i] = self.nodes.len() as u32;
+                self.nodes.push(node);
+            } else {
+                self.free = self.nodes[n as usize].next;
+                self.nodes[n as usize] = node;
+                self.heads[i] = n;
+            }
+            self.occupied |= 1 << i;
+        } else {
+            self.far.push(Reverse((at, slot, seq)));
+        }
+    }
+
+    /// `occupied` rotated so bit `k` stands for cycle `drained + 1 + k`.
+    fn upcoming(&self) -> u64 {
+        self.occupied
+            .rotate_right(((self.drained + 1) % RING) as u32)
+    }
+
+    /// Move every completion due by `now` into `out` (unordered).
+    fn drain_due(&mut self, now: u64, out: &mut Vec<(u32, u64)>) {
+        let span = now.saturating_sub(self.drained);
+        if span > 0 && self.occupied != 0 {
+            let mut due = self.upcoming();
+            if span < RING {
+                due &= (1 << span) - 1;
+            }
+            let first = self.drained + 1;
+            self.occupied &= !due.rotate_left((first % RING) as u32);
+            while due != 0 {
+                let at = first + u64::from(due.trailing_zeros());
+                due &= due - 1;
+                let mut n = std::mem::replace(&mut self.heads[(at % RING) as usize], NIL);
+                while n != NIL {
+                    let node = &mut self.nodes[n as usize];
+                    out.push((node.slot, node.seq));
+                    // Unlink onto the free list.
+                    let next = node.next;
+                    node.next = self.free;
+                    self.free = n;
+                    n = next;
+                }
+            }
+        }
+        self.drained = self.drained.max(now);
+        while let Some(&Reverse((at, slot, seq))) = self.far.peek() {
+            if at > now {
+                break;
+            }
+            self.far.pop();
+            out.push((slot, seq));
+        }
+    }
+
+    /// The earliest cycle holding a completion, if any.
+    fn next(&self) -> Option<u64> {
+        let near = (self.occupied != 0)
+            .then(|| self.drained + 1 + u64::from(self.upcoming().trailing_zeros()));
+        let far = self.far.peek().map(|&Reverse((at, ..))| at);
+        near.into_iter().chain(far).min()
+    }
+}
 
 pub(crate) struct Window {
     pub entries: Vec<Entry>,
@@ -36,13 +168,13 @@ pub(crate) struct Window {
     /// Consumers of each producer slot's result: `(slot, seq)` of the
     /// waiting entry, registered at dispatch, drained at completion.
     waiters: Vec<Vec<(u32, u64)>>,
-    /// Entries with every operand ready, awaiting issue. Ordered
+    /// Entries with every operand ready, awaiting issue. Sorted by
     /// `(seq, slot)`, so iteration is the oldest-first select order.
-    ready: BTreeSet<(u64, u32)>,
-    /// Completion wheel: finish cycle → instructions finishing then.
-    wheel: BTreeMap<u64, Vec<(u32, u64)>>,
-    /// Recycled wheel buckets (no steady-state allocation).
-    spare_buckets: Vec<Vec<(u32, u64)>>,
+    ready: Vec<(u64, u32)>,
+    wheel: CompletionWheel,
+    /// Per hardware context: its live entries by cached
+    /// [`HazardClass`] (indexed `class as usize`).
+    class_counts: Vec<[u32; HazardClass::COUNT]>,
     /// Scratch: this cycle's completions, `(slot, seq)`.
     complete_buf: Vec<(u32, u64)>,
     /// Scratch: this cycle's issues, `(seq, slot, wheel bucket)`.
@@ -50,14 +182,14 @@ pub(crate) struct Window {
 }
 
 impl Window {
-    pub fn new(n: usize) -> Self {
+    pub fn new(n: usize, hw_threads: usize) -> Self {
         Window {
             entries: vec![DEAD; n],
             free_slots: (0..n as u32).rev().collect(),
             waiters: (0..n).map(|_| Vec::new()).collect(),
-            ready: BTreeSet::new(),
-            wheel: BTreeMap::new(),
-            spare_buckets: Vec::new(),
+            ready: Vec::with_capacity(n),
+            wheel: CompletionWheel::new(),
+            class_counts: vec![[0; HazardClass::COUNT]; hw_threads],
             complete_buf: Vec::with_capacity(n),
             issued_buf: Vec::with_capacity(n),
         }
@@ -83,20 +215,65 @@ impl Window {
         self.ready.len()
     }
 
-    /// Earliest completion-wheel bucket, if any instruction is in flight.
+    /// Earliest pending completion cycle, if any instruction is in flight.
     ///
-    /// The wheel retains stale (squashed) references until their bucket is
-    /// popped, so this is a conservative lower bound: the returned cycle
+    /// The wheel retains stale (squashed) references until their cycle is
+    /// drained, so this is a conservative lower bound: the returned cycle
     /// may complete nothing, but nothing completes before it. That is
     /// exactly what the stall fast-forward needs.
     pub fn next_completion_cycle(&self) -> Option<u64> {
-        self.wheel.keys().next().copied()
+        self.wheel.next()
+    }
+
+    /// Per hardware context, its live entries by §4.1 class.
+    pub fn class_counts(&self) -> &[[u32; HazardClass::COUNT]] {
+        &self.class_counts
+    }
+
+    /// The §4.1 class of `e` as the window stands: what the paper's scan
+    /// records for one instruction.
+    pub fn classify(&self, e: &Entry) -> HazardClass {
+        match e.state {
+            EState::Waiting if e.wrong_path => HazardClass::Control,
+            EState::Waiting => {
+                let mut class = HazardClass::Structural;
+                for src in &e.srcs {
+                    if let SrcState::Wait(p) = src {
+                        let prod = &self.entries[*p as usize];
+                        if prod.op == OpClass::Load && matches!(prod.state, EState::Exec { .. }) {
+                            return HazardClass::Memory;
+                        }
+                        class = HazardClass::Data;
+                    }
+                }
+                class
+            }
+            // An issued load still waiting on the memory system keeps its
+            // slice of the machine busy: charge it as a memory hazard, as
+            // the paper's window scan does for instructions held up by
+            // memory accesses.
+            EState::Exec { .. } if e.op == OpClass::Load => HazardClass::Memory,
+            EState::Exec { .. } | EState::Done => HazardClass::None,
+        }
+    }
+
+    /// Recompute `slot`'s cached class after one of its inputs changed and
+    /// move its thread's counts accordingly.
+    fn reclassify(&mut self, slot: u32) {
+        let e = &self.entries[slot as usize];
+        let class = self.classify(e);
+        if class != e.class {
+            let counts = &mut self.class_counts[e.thread as usize];
+            counts[e.class as usize] -= 1;
+            counts[class as usize] += 1;
+            self.entries[slot as usize].class = class;
+        }
     }
 
     /// Install a dispatched entry, registering it with its producers'
     /// waiter lists (or the ready queue when every operand is already
     /// there). Caller has checked [`has_free`](Window::has_free).
-    pub fn install(&mut self, e: Entry) -> u32 {
+    pub fn install(&mut self, mut e: Entry) -> u32 {
         let slot = self.free_slots.pop().expect("checked non-empty");
         let mut all_ready = true;
         for s in e.srcs {
@@ -106,8 +283,12 @@ impl Window {
             }
         }
         if all_ready {
-            self.ready.insert((e.seq, slot));
+            // Dispatch order is seq order: the newest entry sorts last.
+            debug_assert!(self.ready.last().is_none_or(|&(seq, _)| seq < e.seq));
+            self.ready.push((e.seq, slot));
         }
+        e.class = self.classify(&e);
+        self.class_counts[e.thread as usize][e.class as usize] += 1;
         self.entries[slot as usize] = e;
         slot
     }
@@ -122,13 +303,16 @@ impl Window {
         }
         let seq = e.seq;
         let was_waiting = e.state == EState::Waiting;
+        self.class_counts[e.thread as usize][e.class as usize] -= 1;
         *e = DEAD;
         self.free_slots.push(slot);
         self.waiters[slot as usize].clear();
         if was_waiting {
             // Only un-issued entries can sit in the ready queue; wheel
             // entries are filtered lazily by their seq check instead.
-            self.ready.remove(&(seq, slot));
+            if let Ok(i) = self.ready.binary_search(&(seq, slot)) {
+                self.ready.remove(i);
+            }
         }
     }
 
@@ -144,18 +328,11 @@ impl Window {
         probe: &mut P,
         cluster_id: u32,
     ) {
-        // Pop every due wheel bucket (normally exactly one) and filter
+        // Drain every due wheel bucket (normally exactly one) and filter
         // out stale references — squashed since issue, slot possibly
         // reissued under a newer seq.
         self.complete_buf.clear();
-        while let Some((&at, _)) = self.wheel.iter().next() {
-            if at > now {
-                break;
-            }
-            let mut bucket = self.wheel.remove(&at).expect("key just seen");
-            self.complete_buf.append(&mut bucket);
-            self.spare_buckets.push(bucket);
-        }
+        self.wheel.drain_due(now, &mut self.complete_buf);
         let entries = &self.entries;
         self.complete_buf.retain(|&(slot, seq)| {
             let e = &entries[slot as usize];
@@ -167,6 +344,7 @@ impl Window {
         for i in 0..self.complete_buf.len() {
             let (slot, seq) = self.complete_buf[i];
             self.entries[slot as usize].state = EState::Done;
+            self.reclassify(slot);
             emit(probe, Wants::INST, || {
                 Event::Writeback(StageEvent {
                     cycle: now,
@@ -209,8 +387,13 @@ impl Window {
                     }
                 }
                 if all_ready && w.state == EState::Waiting {
-                    self.ready.insert((wseq, wslot));
+                    // `Ok`: both operands named this producer, so the
+                    // waiter is listed twice and was queued a moment ago.
+                    if let Err(i) = self.ready.binary_search(&(wseq, wslot)) {
+                        self.ready.insert(i, (wseq, wslot));
+                    }
                 }
+                self.reclassify(wslot);
             }
             waiters.clear();
             self.waiters[slot as usize] = waiters; // keep the capacity
@@ -242,7 +425,12 @@ impl Window {
             if victim_seq <= seq {
                 break;
             }
-            regs.threads[thread].fifo.pop_back();
+            let t = &mut regs.threads[thread];
+            t.fifo.pop_back();
+            if self.entries[back as usize].is_store {
+                let popped = t.stores.pop_back();
+                debug_assert_eq!(popped, Some(back));
+            }
             self.release(back, rename);
             emit(probe, Wants::INST, || {
                 Event::Squash(StageEvent {
@@ -299,7 +487,7 @@ impl Window {
             let done_at = if op == OpClass::Load {
                 // Store-to-load forwarding within the thread's in-flight
                 // stores (full load bypassing, §3.1).
-                if lsq::store_forwards(&self.entries, &regs.threads[thread].fifo, seq, addr) {
+                if lsq::store_forwards(&self.entries, &regs.threads[thread].stores, seq, addr) {
                     fu.issue(op, now)
                 } else {
                     if mem.free_mshrs(node, now) == 0 {
@@ -334,17 +522,242 @@ impl Window {
                 useful += 1;
             }
         }
-        // Issued entries leave the ready queue and land on the wheel.
+        // Issued entries leave the ready queue — they are an in-order
+        // subsequence of it — and land on the wheel.
         let issued = std::mem::take(&mut self.issued_buf);
+        if !issued.is_empty() {
+            let mut next = issued.iter().map(|&(seq, ..)| seq).peekable();
+            self.ready
+                .retain(|&(seq, _)| next.next_if_eq(&seq).is_none());
+        }
         for &(seq, slot, at) in &issued {
-            self.ready.remove(&(seq, slot));
-            let spare = &mut self.spare_buckets;
-            self.wheel
-                .entry(at)
-                .or_insert_with(|| spare.pop().unwrap_or_default())
-                .push((slot, seq));
+            self.wheel.push(at, slot, seq);
+            self.reclassify(slot);
+            if self.entries[slot as usize].op == OpClass::Load {
+                // A consumer of an executing load waits on memory, not data.
+                for i in 0..self.waiters[slot as usize].len() {
+                    let (wslot, wseq) = self.waiters[slot as usize][i];
+                    let w = &self.entries[wslot as usize];
+                    if w.valid && w.seq == wseq {
+                        self.reclassify(wslot);
+                    }
+                }
+            }
         }
         self.issued_buf = issued;
         (useful, wrong)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+    use crate::pipeline::regs::ThreadCtx;
+    use csmt_isa::SplitMix64;
+    use csmt_mem::MemConfig;
+    use csmt_trace::NullProbe;
+
+    /// A window plus everything its phases borrow, for one 4-issue context.
+    struct Rig {
+        win: Window,
+        regs: Regs,
+        rename: RenamePools,
+        bpred: BranchPredictor,
+        fu: FuPool,
+        mem: MemorySystem,
+        seq: u64,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let cfg = ClusterConfig::for_width(4, 1);
+            Rig {
+                win: Window::new(cfg.window_entries, 1),
+                regs: Regs::new(vec![ThreadCtx::new(1, cfg.window_entries)]),
+                rename: RenamePools::new(cfg.rename_int, cfg.rename_fp),
+                bpred: BranchPredictor::with_kind(cfg.predictor),
+                fu: FuPool::new(cfg.fu_counts),
+                mem: MemorySystem::new(MemConfig::table3(), 1, 7),
+                seq: 0,
+            }
+        }
+
+        /// Dispatch an integer op waiting on the given producer slots.
+        fn dispatch(&mut self, producers: &[u32]) -> u32 {
+            self.seq += 1;
+            let mut srcs = [SrcState::Ready; 2];
+            for (s, &p) in srcs.iter_mut().zip(producers) {
+                *s = SrcState::Wait(p);
+            }
+            self.win.install(Entry {
+                valid: true,
+                seq: self.seq,
+                op: OpClass::IntAlu,
+                srcs,
+                ..DEAD
+            })
+        }
+
+        fn issue(&mut self, now: u64, width: usize) -> usize {
+            let (useful, wrong) = self.win.issue_phase(
+                &self.regs,
+                &mut self.fu,
+                &mut self.mem,
+                0,
+                now,
+                width,
+                &mut NullProbe,
+                0,
+            );
+            useful + wrong
+        }
+
+        fn complete(&mut self, now: u64) {
+            self.win.complete_phase(
+                &mut self.regs,
+                &mut self.rename,
+                &mut self.bpred,
+                now,
+                &mut NullProbe,
+                0,
+            );
+        }
+
+        fn ready_seqs(&self) -> Vec<u64> {
+            self.win.ready.iter().map(|&(seq, _)| seq).collect()
+        }
+    }
+
+    #[test]
+    fn ready_queue_stays_in_seq_order() {
+        let mut r = Rig::new();
+        let a = r.dispatch(&[]); // seq 1
+        r.dispatch(&[a]); // 2
+        let c = r.dispatch(&[]); // 3
+        r.dispatch(&[a, a]); // 4
+        r.dispatch(&[]); // 5
+        assert_eq!(r.ready_seqs(), [1, 3, 5]);
+        // Partial issue: width 1 takes the oldest only.
+        r.complete(0);
+        assert_eq!(r.issue(0, 1), 1);
+        assert_eq!(r.ready_seqs(), [3, 5]);
+        // A's completion wakes 2 and 4 into the middle of the queue.
+        r.complete(1);
+        assert_eq!(r.ready_seqs(), [2, 3, 4, 5]);
+        // A release from the middle, then a dispatch at the tail.
+        r.win.release(c, &mut r.rename);
+        r.dispatch(&[]); // 6
+        assert_eq!(r.ready_seqs(), [2, 4, 5, 6]);
+        // A multi-issue takes an in-order prefix.
+        assert_eq!(r.issue(1, 3), 3);
+        assert_eq!(r.ready_seqs(), [6]);
+    }
+
+    #[test]
+    fn class_counts_follow_dispatch_issue_wakeup_release() {
+        let mut r = Rig::new();
+        let counts = |r: &Rig| r.win.class_counts()[0];
+        let a = r.dispatch(&[]);
+        let b = r.dispatch(&[a]);
+        // [none, structural, memory, data, control]
+        assert_eq!(counts(&r), [0, 1, 0, 1, 0]);
+        r.complete(0);
+        r.issue(0, 4);
+        assert_eq!(counts(&r), [1, 0, 0, 1, 0]); // a executing, b on data
+        r.complete(1);
+        assert_eq!(counts(&r), [1, 1, 0, 0, 0]); // a done, b ready
+        r.win.release(a, &mut r.rename);
+        r.win.release(b, &mut r.rename);
+        assert_eq!(counts(&r), [0; 5]);
+    }
+
+    #[test]
+    fn squashed_reference_completes_nothing() {
+        let mut r = Rig::new();
+        let a = r.dispatch(&[]);
+        r.complete(0);
+        r.issue(0, 4);
+        // Squash `a` and refill its slot under a newer seq before its
+        // wheel reference comes due.
+        r.win.release(a, &mut r.rename);
+        let blocker = r.dispatch(&[]);
+        let b = r.dispatch(&[blocker]);
+        assert_eq!(
+            (blocker, r.win.entries[b as usize].state),
+            (a, EState::Waiting)
+        );
+        assert_eq!(r.win.next_completion_cycle(), Some(1)); // stale, conservative
+        r.complete(1);
+        assert_eq!(r.win.entries[a as usize].state, EState::Waiting);
+        assert_eq!(r.win.entries[b as usize].srcs[0], SrcState::Wait(blocker));
+        assert_eq!(r.win.next_completion_cycle(), None);
+    }
+
+    #[test]
+    fn far_completion_waits_in_the_heap_and_pops_on_time() {
+        let mut w = CompletionWheel::new();
+        let mut out = Vec::new();
+        w.drain_due(10, &mut out);
+        w.push(10 + RING, 1, 100); // last ring cycle
+        w.push(10 + RING + 1, 2, 200); // first far cycle
+        assert_eq!((w.occupied.count_ones(), w.far.len()), (1, 1));
+        assert_eq!(w.next(), Some(10 + RING));
+        w.drain_due(10 + RING, &mut out);
+        assert_eq!(out, [(1, 100)]);
+        assert_eq!(w.next(), Some(10 + RING + 1));
+        out.clear();
+        w.drain_due(10 + RING + 1, &mut out);
+        assert_eq!(out, [(2, 200)]);
+        assert_eq!(w.next(), None);
+    }
+
+    #[test]
+    fn a_jump_past_the_ring_drains_everything_due() {
+        let mut w = CompletionWheel::new();
+        for (i, at) in [1, 30, RING, RING + 6, 200, 1001].into_iter().enumerate() {
+            w.push(at, i as u32, at);
+        }
+        let mut out = Vec::new();
+        w.drain_due(1000, &mut out);
+        out.sort_unstable();
+        assert_eq!(out, [(0, 1), (1, 30), (2, RING), (3, RING + 6), (4, 200)]);
+        assert_eq!((w.occupied, w.next()), (0, Some(1001)));
+    }
+
+    /// Random pushes and time jumps against a plain list: every drain
+    /// returns exactly what is due, and `next` is the true next completion
+    /// (so in particular never later than it).
+    #[test]
+    fn wheel_matches_a_flat_list_model() {
+        let mut rng = SplitMix64::new(0xC0FFEE);
+        let mut w = CompletionWheel::new();
+        let mut model: Vec<(u64, u32)> = Vec::new();
+        let (mut now, mut id) = (0u64, 0u32);
+        let mut out = Vec::new();
+        for _ in 0..4000 {
+            // Mostly single steps, sometimes a fast-forward jump.
+            now += if rng.chance(0.9) {
+                1
+            } else {
+                1 + rng.below(150)
+            };
+            out.clear();
+            w.drain_due(now, &mut out);
+            let mut got: Vec<u32> = out.iter().map(|&(slot, _)| slot).collect();
+            got.sort_unstable();
+            let mut due: Vec<u32> = model.iter().filter(|m| m.0 <= now).map(|m| m.1).collect();
+            due.sort_unstable();
+            assert_eq!(got, due, "cycle {now}");
+            model.retain(|m| m.0 > now);
+            for _ in 0..rng.below(4) {
+                let horizon = if rng.chance(0.8) { 8 } else { 200 };
+                let at = now + 1 + rng.below(horizon);
+                w.push(at, id, u64::from(id));
+                model.push((at, id));
+                id += 1;
+            }
+            assert_eq!(w.next(), model.iter().map(|m| m.0).min(), "cycle {now}");
+        }
     }
 }

@@ -6,6 +6,11 @@
 //! the end, the wasted slots are divided proportionally among the different
 //! types of hazards."
 //!
+//! The scan is the definition, not the implementation: each window entry
+//! caches its class and the per-thread class counts are maintained as
+//! instructions move (see `pipeline::window`), which yields the weights the
+//! scan would; test and debug builds run the scan too and assert equality.
+//!
 //! The eight categories are exactly the paper's: `useful` plus the seven
 //! hazard classes of its stacked bars.
 
@@ -130,8 +135,13 @@ impl SlotStats {
         }
         let total: f64 = weights.iter().sum();
         if total > 0.0 {
-            for (acc, w) in self.wasted.iter_mut().zip(weights) {
-                *acc += wasted * w / total;
+            // Most cycles blame two or three hazards: a zero weight adds
+            // `+0.0`, which leaves the (never negative) accumulator's bits
+            // alone, so skipping it saves the divide and changes nothing.
+            for (acc, &w) in self.wasted.iter_mut().zip(weights) {
+                if w != 0.0 {
+                    *acc += wasted * w / total;
+                }
             }
         } else {
             self.wasted[Hazard::Fetch.index()] += wasted;

@@ -111,6 +111,36 @@ proptest! {
         prop_assert_eq!(merged.cycles, a.len().max(b.len()) as u64);
     }
 
+    /// `record_cycle` skips zero weights; that must be bit-for-bit the
+    /// division written out in full, `acc += wasted * w / total` for all
+    /// seven hazards, over any sequence of cycles.
+    #[test]
+    fn skipping_zero_weights_is_bit_exact(
+        cycles in prop::collection::vec(arb_cycle(), 1..200),
+    ) {
+        let s = record_all(&cycles);
+        let mut useful = 0.0f64;
+        let mut wasted = [0.0f64; 7];
+        for c in &cycles {
+            useful += c.useful as f64;
+            wasted[Hazard::Other.index()] += c.other as f64;
+            let left = (c.width - c.useful - c.other) as f64;
+            let total: f64 = c.weights.iter().sum();
+            if left <= 0.0 {
+                continue;
+            }
+            if total > 0.0 {
+                for (acc, w) in wasted.iter_mut().zip(&c.weights) {
+                    *acc += left * w / total;
+                }
+            } else {
+                wasted[Hazard::Fetch.index()] += left;
+            }
+        }
+        prop_assert_eq!(s.useful.to_bits(), useful.to_bits());
+        prop_assert_eq!(s.wasted.map(f64::to_bits), wasted.map(f64::to_bits));
+    }
+
     /// An unissued slot lands on exactly the hazards with nonzero weight,
     /// proportionally — never on a zero-weight hazard (except the fetch
     /// fallback when *all* weights are zero).

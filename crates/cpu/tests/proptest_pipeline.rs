@@ -3,7 +3,7 @@
 //! correct-path instructions, never deadlock, conserve issue slots, and be
 //! deterministic.
 
-use csmt_cpu::{Cluster, ClusterConfig, ClusterEvent};
+use csmt_cpu::{Cluster, ClusterConfig, ClusterEvent, ThreadState};
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, OpClass, SplitMix64};
 use csmt_mem::{MemConfig, MemorySystem};
@@ -85,11 +85,20 @@ fn build(ops: &[Op]) -> Vec<DynInst> {
         .collect()
 }
 
-fn run_cluster(
+/// Run `programs` (context `t` runs `programs[t]`) to completion; returns
+/// cycles, per-program commit counts and the slot statistics.
+///
+/// With `migrate_at`, context 0 is held for migration as soon as its state
+/// allows from that cycle on, drains (squashing any wrong path under way)
+/// while the other threads keep issuing, and moves to the spare context
+/// `programs.len()` — so `hw_threads` must leave one. Every cycle runs
+/// under the §4.1 count-vs-scan assert that test builds compile in.
+fn run_cluster_with(
     width: usize,
     hw_threads: usize,
     programs: &[Vec<DynInst>],
     seed: u64,
+    migrate_at: Option<u64>,
 ) -> (u64, Vec<u64>, csmt_cpu::SlotStats) {
     let mut c = Cluster::new(ClusterConfig::for_width(width, hw_threads), seed);
     let mut mem = MemorySystem::new(MemConfig::table3(), 1, seed ^ 0xA5);
@@ -100,13 +109,47 @@ fn run_cluster(
     let mut now = 0u64;
     // Generous bound: every instruction could serialize behind a cold miss.
     let bound = 5_000 + programs.iter().map(|p| p.len() as u64).sum::<u64>() * 200;
+    let spare = programs.len();
+    // Some(state to resume in) while context 0 is held.
+    let mut held: Option<ThreadState> = None;
+    let mut home = 0; // where program 0 runs
     while c.busy() {
         assert!(now < bound, "pipeline deadlock after {now} cycles");
-        c.step(now, &mut mem, 0, &mut events);
-        now += 1;
+        let mut drained = false;
+        if home == 0 && held.is_none() && migrate_at.is_some_and(|at| now >= at) {
+            held = match c.thread_state(0) {
+                ThreadState::Running | ThreadState::WrongPath => Some(ThreadState::Running),
+                ThreadState::Done => Some(ThreadState::Done),
+                _ => None, // Draining toward its exit: hold once it is Done
+            };
+            drained = held.is_some() && c.hold_for_migration(0);
+        }
+        if !drained {
+            c.step(now, &mut mem, 0, &mut events);
+            now += 1;
+            drained = events
+                .drain(..)
+                .any(|e| e == ClusterEvent::MigrationDrained { thread: 0 });
+        }
+        if drained {
+            let d = c.detach_thread(0);
+            c.attach_migrated(spare, d, held.take().expect("drained while held"));
+            home = spare;
+        }
     }
-    let committed = (0..programs.len()).map(|t| c.thread_committed(t)).collect();
+    let committed = (0..programs.len())
+        .map(|t| c.thread_committed(if t == 0 { home } else { t }))
+        .collect();
     (now, committed, c.stats().clone())
+}
+
+fn run_cluster(
+    width: usize,
+    hw_threads: usize,
+    programs: &[Vec<DynInst>],
+    seed: u64,
+) -> (u64, Vec<u64>, csmt_cpu::SlotStats) {
+    run_cluster_with(width, hw_threads, programs, seed, None)
 }
 
 fn arb_width() -> impl Strategy<Value = usize> {
@@ -154,6 +197,27 @@ proptest! {
         for (t, p) in programs.iter().enumerate() {
             prop_assert_eq!(committed[t], p.len() as u64, "thread {}", t);
         }
+    }
+
+    /// SMT with a migration mid-run: a context held while it and its
+    /// neighbours have instructions in flight (possibly down a wrong path)
+    /// drains, moves, and still every thread commits its whole program and
+    /// every slot is accounted.
+    #[test]
+    fn migration_mid_run_commits_everything(
+        progs in prop::collection::vec(prop::collection::vec(arb_op(), 1..120), 2..4),
+        width in prop_oneof![Just(2usize), Just(4), Just(8)],
+        hold_at in 0u64..150,
+    ) {
+        let programs: Vec<Vec<DynInst>> = progs.iter().map(|p| build(p)).collect();
+        let (_, committed, stats) =
+            run_cluster_with(width, programs.len() + 1, &programs, 3, Some(hold_at));
+        for (t, p) in programs.iter().enumerate() {
+            prop_assert_eq!(committed[t], p.len() as u64, "thread {}", t);
+        }
+        let accounted = stats.useful + stats.wasted.iter().sum::<f64>();
+        prop_assert!((accounted - stats.slots as f64).abs() < 1e-6,
+            "accounted {} vs slots {}", accounted, stats.slots);
     }
 
     /// Determinism: identical inputs produce identical cycle counts & stats.

@@ -25,6 +25,9 @@ cargo test -q --workspace
 echo "==> machine_step bench smoke (fast-forward on/off, test mode)"
 cargo bench -p csmt-bench --bench machine_step -- --test
 
+echo "==> cluster_step bench smoke (Cluster::step driven directly: no Machine, no fast-forward)"
+cargo bench -p csmt-bench --bench cluster_step -- --test
+
 echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting)"
 cargo run -q --release -p csmt-bench --bin csmt-report -- SMT2 mgrid 0.1 1 >/dev/null
 cargo run -q --release -p csmt-bench --bin csmt-report -- FA4 mgrid 0.1 4 >/dev/null
