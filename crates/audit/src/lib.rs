@@ -1,8 +1,8 @@
 //! # csmt-audit — workspace-wide determinism & hot-path static analysis
 //!
 //! Every number this reproduction publishes rests on bit-for-bit
-//! determinism: the golden Table-2 digests, the fastforward and
-//! migration differential proptests, and the Fig 9 comparisons are all
+//! determinism: the golden Table-2 digests, the migration
+//! reproducibility proptest, and the Fig 9 comparisons are all
 //! FNV digests over exact event order. This crate makes the project's
 //! determinism contracts *machine-checked* instead of conventions in doc
 //! comments, so a future PR cannot iterate a hash map, read the wall

@@ -1,6 +1,5 @@
 //! End-to-end `Machine` throughput (machine cycles simulated per second)
-//! with the event-driven stall fast-forward on vs. off — the number the
-//! fast-forward must improve.
+//! on the cycle kernel's worst case for useful work per host second.
 //!
 //! Two scenarios run whole machines on a memory-bound workload: per-thread
 //! *serial* chains of address-dependent loads (each load's address depends
@@ -8,7 +7,7 @@
 //! multi-megabyte private footprint. Every load TLB-misses and walks deep
 //! into the hierarchy, so the pipeline spends almost all of its time with
 //! nothing to issue, fetch blocked on a full window, and nothing to retire
-//! — exactly the all-stalled state the fast-forward skips:
+//! — almost every `Machine::step` is a stalled cycle on every cluster:
 //!
 //! - `smt2_lowend`: the paper's headline low-end machine (1 chip, SMT2,
 //!   8 threads).
@@ -16,11 +15,9 @@
 //!   communication-heavy (4 chips, FA4, 16 threads), where remote misses
 //!   stretch each stall by hundreds of network cycles.
 //!
-//! Both configurations are timed with the fast-forward disabled (the
-//! cycle-by-cycle baseline) and enabled; results are bit-for-bit identical
-//! either way (`tests/fastforward_equiv.rs` proves it), so the ratio is
-//! pure simulator speedup. Set `CSMT_BENCH_JSON=<path>` to dump the
-//! summary as JSON (recorded numbers live in `BENCH_machine_step.json`).
+//! Two more run `smt2_lowend` through an explicit scheduling policy (the
+//! `sched_overhead` gate). Set `CSMT_BENCH_JSON=<path>` to dump the
+//! summary as JSON (recorded floors live in `BENCH_machine_step.json`).
 
 use criterion::{criterion_group, Criterion};
 use csmt_core::{ArchKind, Machine};
@@ -52,34 +49,34 @@ fn serial_load_chain(tid: u64, n: u64) -> Box<dyn InstStream + Send> {
     Box::new(VecStream::new(v))
 }
 
-/// (name, architecture, chips, loads per thread).
-const SCENARIOS: [(&str, ArchKind, usize, u64); 2] = [
-    ("smt2_lowend", ArchKind::Smt2, 1, 1200),
-    ("fa4_highend_membound", ArchKind::Fa4, 4, 1200),
+/// Loads per thread in every scenario.
+const LOADS: u64 = 1200;
+
+/// (name, architecture, chips, scheduling policy).
+///
+/// The last two are the scheduler-seam cost: the `smt2_lowend` workload
+/// again under a named policy. `smt2_sched_static` must match
+/// `smt2_lowend` bit-for-bit and within noise of its throughput (the seam
+/// is one branch per loop iteration); `smt2_sched_hazard` additionally
+/// pays the epoch snapshot/rebalance every quantum, and its migrations
+/// desynchronize the identical chains' miss convoy, so its
+/// `cycles_per_run` is legitimately lower.
+const SCENARIOS: [(&str, ArchKind, usize, &str); 4] = [
+    ("smt2_lowend", ArchKind::Smt2, 1, "static"),
+    ("fa4_highend_membound", ArchKind::Fa4, 4, "static"),
+    ("smt2_sched_static", ArchKind::Smt2, 1, "static"),
+    ("smt2_sched_hazard", ArchKind::Smt2, 1, "hazard_pairing"),
 ];
 
 /// Run one scenario to completion; returns machine cycles simulated.
-fn run_machine(kind: ArchKind, chips: usize, loads: u64, fastforward: bool) -> u64 {
-    run_machine_sched(kind, chips, loads, fastforward, "static")
-}
-
-/// [`run_machine`] through an explicit thread-to-cluster scheduling policy
-/// (the `sched_overhead` gate scenarios).
-fn run_machine_sched(
-    kind: ArchKind,
-    chips: usize,
-    loads: u64,
-    fastforward: bool,
-    policy: &str,
-) -> u64 {
+fn run_machine(kind: ArchKind, chips: usize, policy: &str) -> u64 {
     let mut m = Machine::new(kind.chip(), chips, MemConfig::table3(), 0xC5_317);
     m.set_scheduler(csmt_core::sched::by_name(policy).expect("known policy"))
         .expect("policy valid for this arch");
-    m.set_fastforward(fastforward);
     let threads = m.hw_thread_capacity();
     m.attach_threads(
         (0..threads)
-            .map(|t| serial_load_chain(t as u64, loads))
+            .map(|t| serial_load_chain(t as u64, LOADS))
             .collect(),
     );
     m.run(2_000_000_000).cycles
@@ -90,12 +87,10 @@ fn bench_machine_step(c: &mut Criterion) {
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    for (name, kind, chips, loads) in SCENARIOS {
-        for (mode, ff) in [("stepped", false), ("fastforward", true)] {
-            g.bench_function(format!("{name}/{mode}"), |b| {
-                b.iter(|| black_box(run_machine(kind, chips, loads, ff)));
-            });
-        }
+    for (name, kind, chips, policy) in SCENARIOS {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(run_machine(kind, chips, policy)));
+        });
     }
     g.finish();
 }
@@ -103,55 +98,17 @@ fn bench_machine_step(c: &mut Criterion) {
 criterion_group!(benches, bench_machine_step);
 
 /// Direct cycles/sec measurement (aggregate over several full runs),
-/// printed per scenario and mode, and optionally dumped as JSON.
+/// printed per scenario and optionally dumped as JSON.
 fn steps_per_sec_summary(test_mode: bool) {
     let reps = if test_mode { 1 } else { 5 };
     let mut report = Vec::new();
-    for (name, kind, chips, loads) in SCENARIOS {
-        let mut by_mode = [0.0f64; 2];
-        let mut cycles = 0;
-        for (k, (mode, ff)) in [("stepped", false), ("fastforward", true)]
-            .into_iter()
-            .enumerate()
-        {
-            // Warm-up run, then timed repetitions.
-            cycles = black_box(run_machine(kind, chips, loads, ff));
-            let t0 = Instant::now();
-            let mut total_cycles = 0u64;
-            for _ in 0..reps {
-                cycles = black_box(run_machine(kind, chips, loads, ff));
-                total_cycles += cycles;
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let sps = total_cycles as f64 / secs;
-            by_mode[k] = sps;
-            println!("machine_step/{name}/{mode}: {sps:.0} cycles/sec ({cycles} cycles/run)");
-        }
-        let speedup = by_mode[1] / by_mode[0];
-        println!("machine_step/{name}: fastforward speedup {speedup:.2}x");
-        report.push(format!(
-            "    {{\"scenario\": \"{name}\", \"stepped_cycles_per_sec\": {:.0}, \
-             \"fastforward_cycles_per_sec\": {:.0}, \"speedup\": {speedup:.2}, \
-             \"cycles_per_run\": {cycles}}}",
-            by_mode[0], by_mode[1]
-        ));
-    }
-    // Scheduler-seam cost: the smt2_lowend workload again, through the
-    // pluggable scheduler. `static` must match smt2_lowend/fastforward
-    // bit-for-bit and within noise of its throughput (the seam is one
-    // branch per loop iteration); `hazard_pairing` additionally pays the
-    // epoch snapshot/rebalance every quantum (no migrations fire — the
-    // threads are identical — so cycles stay bit-for-bit too).
-    for (name, policy) in [
-        ("smt2_sched_static", "static"),
-        ("smt2_sched_hazard", "hazard_pairing"),
-    ] {
-        let (kind, chips, loads) = (ArchKind::Smt2, 1, 1200);
-        let mut cycles = black_box(run_machine_sched(kind, chips, loads, true, policy));
+    for (name, kind, chips, policy) in SCENARIOS {
+        // Warm-up run, then timed repetitions.
+        let mut cycles = black_box(run_machine(kind, chips, policy));
         let t0 = Instant::now();
         let mut total_cycles = 0u64;
         for _ in 0..reps {
-            cycles = black_box(run_machine_sched(kind, chips, loads, true, policy));
+            cycles = black_box(run_machine(kind, chips, policy));
             total_cycles += cycles;
         }
         let secs = t0.elapsed().as_secs_f64();

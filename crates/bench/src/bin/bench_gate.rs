@@ -8,8 +8,7 @@
 //! ```
 //!
 //! For every scenario in the baseline's `gate.results` (the smoke-mode
-//! floor recorded for this purpose; falls back to
-//! `post_refactor.results` for baseline files that predate the gate),
+//! floor recorded for this purpose) and `sched_overhead.results`,
 //! the fresh throughput must be at least `(1 - tolerance)` of the
 //! recorded figure (default tolerance 0.25 — generous because smoke
 //! mode is noisy and CI machines are slower than the recording machine
@@ -22,14 +21,12 @@
 
 use serde::Value;
 
-/// The throughput field of one fresh result: `steps_per_sec`
-/// (cluster_step) or `fastforward_cycles_per_sec` (machine_step's
-/// default-configuration number, which is what the baselines record as
-/// `steps_per_sec`).
-fn throughput(rec: &Value) -> Option<f64> {
+/// The throughput field of one result, fresh or recorded (0 if absent,
+/// which fails the gate).
+fn throughput(rec: &Value) -> f64 {
     rec.get("steps_per_sec")
-        .or_else(|| rec.get("fastforward_cycles_per_sec"))
         .and_then(Value::as_f64)
+        .unwrap_or(0.0)
 }
 
 fn scenario(rec: &Value) -> &str {
@@ -63,8 +60,7 @@ fn main() {
     };
     // Every gating section present in the baseline contributes scenarios:
     // `gate` (the original smoke-mode floors) and `sched_overhead` (the
-    // scheduler-seam scenarios). Files predating the gate fall back to
-    // `post_refactor`.
+    // scheduler-seam scenarios).
     let mut base_results: Vec<&Value> = Vec::new();
     for key in ["gate", "sched_overhead"] {
         if let Some(arr) = base
@@ -76,16 +72,7 @@ fn main() {
         }
     }
     if base_results.is_empty() {
-        if let Some(arr) = base
-            .get("post_refactor")
-            .and_then(|p| p.get("results"))
-            .and_then(Value::as_array)
-        {
-            base_results.extend(arr);
-        }
-    }
-    if base_results.is_empty() {
-        eprintln!("bench_gate: {base_path} has neither gate.results nor post_refactor.results");
+        eprintln!("bench_gate: {base_path} has no gate.results");
         std::process::exit(2);
     }
 
@@ -97,11 +84,8 @@ fn main() {
             failures += 1;
             continue;
         };
-        let base_tp = b
-            .get("steps_per_sec")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let fresh_tp = throughput(f).unwrap_or(0.0);
+        let base_tp = throughput(b);
+        let fresh_tp = throughput(f);
         let floor = base_tp * (1.0 - tolerance);
         let ratio = if base_tp > 0.0 {
             fresh_tp / base_tp

@@ -98,13 +98,6 @@ pub struct Machine {
     running_thread_cycles: u64,
     events_buf: Vec<ClusterEvent>,
     actions_buf: Vec<Action>,
-    /// Event-driven stall fast-forward (on unless
-    /// [`set_fastforward`](Machine::set_fastforward) turns it off).
-    /// Bit-for-bit result-preserving — see
-    /// [`fast_forward_probed`](Machine::fast_forward_probed).
-    fastforward: bool,
-    /// Scratch: per-cluster hazard weights, frozen for a skipped span.
-    stall_weights_buf: Vec<[f64; 7]>,
     /// The thread-to-cluster allocation policy (see [`crate::sched`]).
     sched: Box<dyn ThreadScheduler + Send>,
     /// Cached `sched.is_dynamic()`: when false, the run loop skips all
@@ -174,8 +167,6 @@ impl Machine {
             running_thread_cycles: 0,
             events_buf: Vec::with_capacity(max_cluster_events),
             actions_buf: Vec::new(),
-            fastforward: true,
-            stall_weights_buf: Vec::with_capacity(n_clusters),
             sched,
             sched_dynamic,
             in_transit: Vec::new(),
@@ -270,24 +261,17 @@ impl Machine {
         }
     }
 
-    /// Enable or disable the event-driven stall fast-forward. Results are
-    /// bit-for-bit identical either way; this exists for differential
-    /// testing and for timing the cycle-by-cycle baseline.
-    pub fn set_fastforward(&mut self, on: bool) {
-        self.fastforward = on;
-    }
-
-    /// Whether the stall fast-forward is currently enabled.
-    pub fn fastforward(&self) -> bool {
-        self.fastforward
-    }
-
-    // Inert shims for the removed two-phase parallel step (DESIGN §15),
-    // kept only because the frozen `benchmark/` crate still calls them
-    // (`benchmark/src/layers.rs`, `benchmark/src/main.rs`). The follow-up
-    // `benchmark` PR that drops `core.cycle_ns.active_parallel` /
-    // `core.par_over_serial`, the two env pins and `figs_pooled`'s
-    // "tapes" wording deletes these too; nothing else may call them.
+    // Inert shims for the removed two-phase parallel step (DESIGN §15)
+    // and the removed stall fast-forward (DESIGN §11), kept only because
+    // the frozen `benchmark/` crate still calls them
+    // (`benchmark/src/layers.rs`, `benchmark/src/main.rs`). The ROADMAP
+    // item 2 `benchmark` PR deletes all three together with
+    // `core.cycle_ns.active_parallel` / `core.par_over_serial`,
+    // `core.cycle_ns.membound_ff` / `core.ff_over_stepped` (which read
+    // ≈ `membound_stepped` / ≈ 1.0 in traced runs until then — per-layer,
+    // not gated), the two env pins, `figs_pooled`'s "tapes" wording and
+    // the "long stalls fast-forwarded" wording in `kernel_highend`'s
+    // `why`; nothing inside the workspace may call them.
     #[doc(hidden)]
     pub fn set_parallel(&mut self, _on: bool) {}
 
@@ -295,6 +279,9 @@ impl Machine {
     pub fn parallel(&self) -> bool {
         false
     }
+
+    #[doc(hidden)]
+    pub fn set_fastforward(&mut self, _on: bool) {}
 
     /// Total hardware thread contexts in the machine — the thread count the
     /// paper creates for each configuration ("we generate as many threads as
@@ -451,14 +438,9 @@ impl Machine {
                 }
             }
         }
+        // Per-cycle epilogue: running-thread accounting, the cycle
+        // counter, and the end-of-cycle probe callback.
         let running: usize = self.clusters.iter().map(Cluster::running_threads).sum();
-        self.finish_cycle(now, running, probe);
-    }
-
-    /// The per-cycle epilogue shared by [`step_probed`](Machine::step_probed)
-    /// and the fast-forward path: running-thread accounting, the cycle
-    /// counter, and the end-of-cycle probe callback.
-    fn finish_cycle<P: Probe>(&mut self, now: u64, running: usize, probe: &mut P) {
         self.running_thread_cycles += running as u64;
         self.cycle += 1;
         if P::WANTS.contains(Wants::CYCLE_STATS) {
@@ -498,7 +480,7 @@ impl Machine {
     /// reproduces the old `f64` sum of exact integers), the wasted fold
     /// keeps the old cluster-major `f64` summation order, and
     /// `slots`/`cycles` are closed-form — every cluster records every
-    /// machine cycle at the shared issue width, stepping or stalled.
+    /// machine cycle at the shared issue width.
     fn build_cycle_stats(&self, wasted: [f64; 7], running: usize) -> CycleStats {
         let (accesses, l1_hits, l2_hits, tlb_misses) = self.mem.cycle_counters();
         CycleStats {
@@ -512,56 +494,6 @@ impl Machine {
             l1_hits,
             l2_hits,
             tlb_misses,
-        }
-    }
-
-    /// Earliest cycle ≥ the current one at which any cluster could do more
-    /// than stalled-cycle accounting, folding in the memory system's next
-    /// MSHR fill. Returns the current cycle when the machine is not in an
-    /// all-stalled state (the common case exits on the first non-skippable
-    /// cluster).
-    pub fn next_event_cycle(&self) -> u64 {
-        let now = self.cycle;
-        let mut next = u64::MAX;
-        for cl in &self.clusters {
-            let t = cl.next_event_cycle(now);
-            if t <= now {
-                return now;
-            }
-            next = next.min(t);
-        }
-        next.min(self.mem.next_event_cycle(now))
-    }
-
-    /// Advance the machine from the current cycle up to (not including)
-    /// `target`, where every intervening cycle is a pure stall for every
-    /// cluster (caller established this via
-    /// [`next_event_cycle`](Machine::next_event_cycle)).
-    ///
-    /// Bit-for-bit equivalence with stepping each cycle: hazard weights are
-    /// frozen per cluster (nothing a stalled cycle does can change them —
-    /// asserted per cycle under `debug_assertions`), the running-thread
-    /// count is frozen (thread states only change on non-stall activity),
-    /// and each skipped cycle still runs the real fetch stage, records its
-    /// slot statistics through the same `f64` accumulation sequence, and
-    /// fires the same per-cycle probe callbacks in the same order.
-    fn fast_forward_probed<P: Probe>(&mut self, target: u64, probe: &mut P) {
-        self.stall_weights_buf.clear();
-        let start = self.cycle;
-        self.stall_weights_buf
-            .extend(self.clusters.iter().map(|cl| cl.stall_weights(start)));
-        let running: usize = self.clusters.iter().map(Cluster::running_threads).sum();
-        while self.cycle < target {
-            let now = self.cycle;
-            for (i, (cl, weights)) in self
-                .clusters
-                .iter_mut()
-                .zip(&self.stall_weights_buf)
-                .enumerate()
-            {
-                cl.stall_cycle_probed(now, weights, probe, i as u32);
-            }
-            self.finish_cycle(now, running, probe);
         }
     }
 
@@ -858,25 +790,6 @@ impl Machine {
         }
     }
 
-    /// Upper bound on a fast-forward span imposed by the scheduler: the
-    /// next quantum epoch and the next transit arrival are simulated-time
-    /// events the span must not skip. Arrivals already due (waiting on an
-    /// occupied destination) don't cap the span — the occupant's drain is
-    /// a cluster event the span horizon already accounts for.
-    fn next_sched_cap(&self) -> u64 {
-        let now = self.cycle;
-        let mut cap = u64::MAX;
-        if let Some(q) = self.sched.quantum() {
-            cap = cap.min(self.last_epoch + q);
-        }
-        for t in &self.in_transit {
-            if t.ready_at > now {
-                cap = cap.min(t.ready_at);
-            }
-        }
-        cap
-    }
-
     /// True while any thread still has work.
     pub fn busy(&self) -> bool {
         !self.runtime.all_done()
@@ -924,19 +837,6 @@ impl Machine {
             if self.sched_dynamic {
                 self.process_arrivals(probe);
                 self.maybe_epoch(probe);
-            }
-            if self.fastforward {
-                // Capping the jump at `max_cycles` preserves the deadlock
-                // panic above: a machine stalled forever walks up to the
-                // limit and trips the assert exactly as stepping would.
-                let mut target = self.next_event_cycle().min(max_cycles);
-                if self.sched_dynamic {
-                    target = target.min(self.next_sched_cap());
-                }
-                if target > self.cycle {
-                    self.fast_forward_probed(target, probe);
-                    continue;
-                }
             }
             self.step_probed(probe);
         }
@@ -1272,28 +1172,22 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_policy_is_fastforward_equivalent_and_conserves_work() {
-        // The memory-bound bench workload under hazard pairing: the
-        // fast-forward must not change either the cycle count or the work,
-        // and migrations must not create or destroy instructions.
-        let run = |policy: Option<u64>, ff: bool| {
+    fn migration_conserves_committed_work() {
+        // The memory-bound bench workload under hazard pairing:
+        // migrations must not create or destroy instructions.
+        let run = |policy: Option<u64>| {
             let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 0xC5_317);
             if let Some(q) = policy {
                 m.set_scheduler(Box::new(crate::sched::HazardPairing::with_quantum(q)))
                     .unwrap();
             }
-            m.set_fastforward(ff);
             m.attach_threads((0..8).map(|t| serial_chain(t, 120)).collect());
             m.run(10_000_000)
         };
-        let stat = run(None, true);
-        let dyn_ff = run(Some(2048), true);
-        let dyn_step = run(Some(2048), false);
-        assert_eq!(dyn_ff.cycles, dyn_step.cycles, "fastforward must be inert");
-        assert_eq!(dyn_ff.slots.committed, dyn_step.slots.committed);
-        assert_eq!(dyn_ff.migrations, dyn_step.migrations);
+        let stat = run(None);
+        let dynamic = run(Some(2048));
         assert_eq!(
-            stat.slots.committed, dyn_ff.slots.committed,
+            stat.slots.committed, dynamic.slots.committed,
             "migrations must conserve committed work"
         );
     }

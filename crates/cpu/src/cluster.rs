@@ -417,127 +417,4 @@ impl Cluster {
             })
         });
     }
-
-    // ------------------------------------------------------------------
-    // Event-driven stall fast-forward.
-    // ------------------------------------------------------------------
-
-    /// The earliest future cycle at which a [`step`](Cluster::step) of this
-    /// cluster could do anything beyond stalled-cycle accounting, or `now`
-    /// if the next step is not a pure stall, or `u64::MAX` if no internal
-    /// event is pending (the cluster is waiting on the memory system or is
-    /// idle).
-    ///
-    /// A step is a pure stall — every phase provably a no-op except fetch's
-    /// round-robin/rename-retry bookkeeping and the §4.1 slot accounting —
-    /// exactly when all of the following hold:
-    ///
-    /// - the ready queue is empty (issue has nothing to select);
-    /// - no completion-wheel bucket is due (complete pops nothing);
-    /// - no thread's FIFO head is `Done` (commit retires nothing — the head
-    ///   check spans *all* threads because commit retires a `Done` head
-    ///   regardless of thread state);
-    /// - no `Draining` or `Migrating` thread has an empty FIFO (the drain
-    ///   would be reported this cycle);
-    /// - fetch cannot install anything: no fetchable thread, or the window
-    ///   is full, or **every** fetchable thread is `Running` with a pending
-    ///   instruction whose destination register class has an empty rename
-    ///   pool (rename-starved; `WrongPath` threads never qualify since the
-    ///   wrong-path generator mutates on every fetch attempt).
-    ///
-    /// In that state nothing changes until the earliest of: the next
-    /// completion-wheel bucket, a stalled thread's `redirect_until`, or a
-    /// memory-system event (the caller folds that in).
-    pub fn next_event_cycle(&self, now: u64) -> u64 {
-        if !self.win.ready_is_empty() {
-            return now;
-        }
-        let mut next = u64::MAX;
-        let mut starved_fetch = true;
-        let mut any_fetchable = false;
-        for t in &self.regs.threads {
-            if let Some(&head) = t.fifo.front() {
-                if self.win.entries[head as usize].state == EState::Done {
-                    return now;
-                }
-            }
-            match t.state {
-                ThreadState::Draining | ThreadState::Migrating if t.fifo.is_empty() => return now,
-                ThreadState::Running | ThreadState::WrongPath => {
-                    any_fetchable = true;
-                    if t.fifo.is_empty() && t.redirect_until > now {
-                        next = next.min(t.redirect_until);
-                    }
-                    starved_fetch &= t.state == ThreadState::Running
-                        && t.pending.as_ref().is_some_and(|i| {
-                            i.real_dest().is_some_and(|d| !self.rename.can_alloc(d))
-                        });
-                }
-                _ => {}
-            }
-        }
-        if any_fetchable && self.win.has_free() && !starved_fetch {
-            return now;
-        }
-        if let Some(at) = self.win.next_completion_cycle() {
-            next = next.min(at);
-        }
-        next
-    }
-
-    /// Hazard weights a stalled cycle will record, computed once per
-    /// skipped span. `rename_stalled` is reconstructed hypothetically: in
-    /// the skippable state fetch sets it exactly when the window has free
-    /// slots and a fetchable thread exists (the rename-starved case — the
-    /// only skippable state where fetch runs at all).
-    pub fn stall_weights(&self, now: u64) -> [f64; 7] {
-        let any_fetchable = self
-            .regs
-            .threads
-            .iter()
-            .any(|t| matches!(t.state, ThreadState::Running | ThreadState::WrongPath));
-        let rename_stalled = self.win.has_free() && any_fetchable;
-        regs::hazard_weights(rename_stalled, &self.regs.threads, &self.win, now)
-    }
-
-    /// Advance one *stalled* cycle: the bit-for-bit equivalent of
-    /// [`step_probed`](Cluster::step_probed) in a state where
-    /// [`next_event_cycle`](Cluster::next_event_cycle) returned a future
-    /// cycle. Complete, commit and issue are skipped (proven no-ops);
-    /// fetch runs for real (it owns the round-robin pointer advance and
-    /// the pending-take/rename-fail/restore dance that sets
-    /// `rename_stalled`); accounting replays the span's precomputed
-    /// `weights`.
-    pub fn stall_cycle_probed<P: Probe>(
-        &mut self,
-        now: u64,
-        weights: &[f64; 7],
-        probe: &mut P,
-        cluster_id: u32,
-    ) {
-        self.regs.rename_stalled = false;
-        let phase_t = P::WANTS.contains(Wants::HOST_PHASES).then(Instant::now);
-        fetch::run(
-            &self.cfg,
-            &mut self.regs,
-            &mut self.win,
-            &mut self.rename,
-            &mut self.bpred,
-            now,
-            probe,
-            cluster_id,
-        );
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Fetch, t0);
-        }
-        debug_assert_eq!(
-            *weights,
-            regs::hazard_weights(self.regs.rename_stalled, &self.regs.threads, &self.win, now),
-            "hazard weights drifted across a skipped span at cycle {now}"
-        );
-        self.regs
-            .stats
-            .record_cycle(self.cfg.issue_width, 0, 0, weights);
-        self.emit_snapshots(now, probe, cluster_id);
-    }
 }

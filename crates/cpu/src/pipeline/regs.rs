@@ -198,9 +198,7 @@ pub(crate) fn account(
     regs.stats.record_cycle(cfg.issue_width, useful, wrong, &w);
 }
 
-/// The §4.1 per-thread hazard attribution for one cycle, factored out of
-/// [`account`] so the stall fast-forward can compute a stalled cycle's
-/// weights once and replay them bit-for-bit over the whole skipped span.
+/// The §4.1 per-thread hazard attribution for one cycle.
 ///
 /// Reads the window's per-thread class counts. Every weight is a count of
 /// entries, so `f64::from(count)` is exactly the sum of that many `1.0`s

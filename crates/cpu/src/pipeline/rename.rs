@@ -32,17 +32,6 @@ impl RenamePools {
         true
     }
 
-    /// True if an allocation of `dest`'s kind would succeed (no state
-    /// change). Used by the stall fast-forward to recognise rename-starved
-    /// fetch as skippable.
-    pub fn can_alloc(&self, dest: ArchReg) -> bool {
-        if dest.is_fp() {
-            self.fp_free > 0
-        } else {
-            self.int_free > 0
-        }
-    }
-
     /// Return `dest`'s register to its pool.
     pub fn release(&mut self, dest: ArchReg) {
         if dest.is_fp() {

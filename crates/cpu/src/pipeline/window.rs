@@ -9,12 +9,12 @@
 //!   wheel is a 64-bucket ring indexed by `cycle & 63` (the buckets are
 //!   lists in one shared node pool) with an occupancy bit per bucket,
 //!   covering the next 64 cycles — Table 3's L1, L2,
-//!   local- and remote-memory round trips (1/10/40/60) all fit — so push,
-//!   drain and "next completion" are a rotate and a mask; what lands
-//!   further out (a 75-cycle remote-L2 transfer, a miss behind a TLB
-//!   refill or a queue) waits in a small min-heap. `complete` drains every
-//!   bucket since its last call, not just the one for `now`: the stall
-//!   fast-forward and direct `Cluster::step` callers may skip cycles;
+//!   local- and remote-memory round trips (1/10/40/60) all fit — so push
+//!   and drain are a rotate and a mask; what lands further out (a
+//!   75-cycle remote-L2 transfer, a miss behind a TLB refill or a
+//!   queue) waits in a small min-heap. `complete` drains every
+//!   bucket since its last call, not just the one for `now`: direct
+//!   `Cluster::step` callers may skip cycles;
 //! - **per-producer waiter lists** (`waiters`): consumers register at
 //!   dispatch; a completing result wakes only its actual consumers
 //!   instead of broadcasting a tag match over every window entry;
@@ -152,14 +152,6 @@ impl CompletionWheel {
             out.push((slot, seq));
         }
     }
-
-    /// The earliest cycle holding a completion, if any.
-    fn next(&self) -> Option<u64> {
-        let near = (self.occupied != 0)
-            .then(|| self.drained + 1 + u64::from(self.upcoming().trailing_zeros()));
-        let far = self.far.peek().map(|&Reverse((at, ..))| at);
-        near.into_iter().chain(far).min()
-    }
 }
 
 pub(crate) struct Window {
@@ -200,11 +192,6 @@ impl Window {
         !self.free_slots.is_empty()
     }
 
-    /// True if no installed entry is ready to issue.
-    pub fn ready_is_empty(&self) -> bool {
-        self.ready.is_empty()
-    }
-
     /// Valid (installed) entries — window/ROB occupancy right now.
     pub fn occupancy(&self) -> usize {
         self.entries.len() - self.free_slots.len()
@@ -213,16 +200,6 @@ impl Window {
     /// Entries with every operand available, awaiting an issue slot.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
-    }
-
-    /// Earliest pending completion cycle, if any instruction is in flight.
-    ///
-    /// The wheel retains stale (squashed) references until their cycle is
-    /// drained, so this is a conservative lower bound: the returned cycle
-    /// may complete nothing, but nothing completes before it. That is
-    /// exactly what the stall fast-forward needs.
-    pub fn next_completion_cycle(&self) -> Option<u64> {
-        self.wheel.next()
     }
 
     /// Per hardware context, its live entries by §4.1 class.
@@ -687,11 +664,9 @@ mod tests {
             (blocker, r.win.entries[b as usize].state),
             (a, EState::Waiting)
         );
-        assert_eq!(r.win.next_completion_cycle(), Some(1)); // stale, conservative
         r.complete(1);
         assert_eq!(r.win.entries[a as usize].state, EState::Waiting);
         assert_eq!(r.win.entries[b as usize].srcs[0], SrcState::Wait(blocker));
-        assert_eq!(r.win.next_completion_cycle(), None);
     }
 
     #[test]
@@ -702,14 +677,14 @@ mod tests {
         w.push(10 + RING, 1, 100); // last ring cycle
         w.push(10 + RING + 1, 2, 200); // first far cycle
         assert_eq!((w.occupied.count_ones(), w.far.len()), (1, 1));
-        assert_eq!(w.next(), Some(10 + RING));
+        w.drain_due(10 + RING - 1, &mut out);
+        assert_eq!(out, []);
         w.drain_due(10 + RING, &mut out);
         assert_eq!(out, [(1, 100)]);
-        assert_eq!(w.next(), Some(10 + RING + 1));
         out.clear();
         w.drain_due(10 + RING + 1, &mut out);
         assert_eq!(out, [(2, 200)]);
-        assert_eq!(w.next(), None);
+        assert_eq!((w.occupied, w.far.len()), (0, 0));
     }
 
     #[test]
@@ -722,12 +697,11 @@ mod tests {
         w.drain_due(1000, &mut out);
         out.sort_unstable();
         assert_eq!(out, [(0, 1), (1, 30), (2, RING), (3, RING + 6), (4, 200)]);
-        assert_eq!((w.occupied, w.next()), (0, Some(1001)));
+        assert_eq!((w.occupied, w.far.len()), (0, 1));
     }
 
     /// Random pushes and time jumps against a plain list: every drain
-    /// returns exactly what is due, and `next` is the true next completion
-    /// (so in particular never later than it).
+    /// returns exactly what is due.
     #[test]
     fn wheel_matches_a_flat_list_model() {
         let mut rng = SplitMix64::new(0xC0FFEE);
@@ -736,7 +710,7 @@ mod tests {
         let (mut now, mut id) = (0u64, 0u32);
         let mut out = Vec::new();
         for _ in 0..4000 {
-            // Mostly single steps, sometimes a fast-forward jump.
+            // Mostly single steps, sometimes a multi-cycle jump.
             now += if rng.chance(0.9) {
                 1
             } else {
@@ -757,7 +731,6 @@ mod tests {
                 model.push((at, id));
                 id += 1;
             }
-            assert_eq!(w.next(), model.iter().map(|m| m.0).min(), "cycle {now}");
         }
     }
 }

@@ -142,24 +142,6 @@ impl MemorySystem {
         cap - self.nodes[node].mshr.outstanding(now).min(cap)
     }
 
-    /// Earliest future cycle (strictly after `now`) at which the memory
-    /// system completes an outstanding miss, or `u64::MAX` when nothing
-    /// is in flight.
-    ///
-    /// Only MSHR fills matter here: every other timing structure — bank,
-    /// link and memory-channel reservation timelines, directory state,
-    /// TLB contents — is evaluated lazily against the requesting access's
-    /// own timestamp and never acts spontaneously. The machine's
-    /// event-driven fast-forward takes the min of this and every
-    /// cluster's `next_event_cycle` to bound a stall skip.
-    pub fn next_event_cycle(&self, now: u64) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.mshr.next_completion(now))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
     /// Perform a data access from `node` at cycle `now`.
     pub fn access(&mut self, node: usize, addr: u64, kind: AccessKind, now: u64) -> AccessOutcome {
         self.access_probed(node, addr, kind, now, &mut csmt_trace::NullProbe)

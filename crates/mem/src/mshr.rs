@@ -115,21 +115,6 @@ impl MshrFile {
             .map(|e| e.complete_at)
     }
 
-    /// Earliest completion time strictly after `now` among outstanding
-    /// misses, or `u64::MAX` when nothing is in flight.
-    ///
-    /// Takes `&self`: expired entries are filtered out rather than
-    /// dropped, so expiry stays lazy on the access path. Used by the
-    /// machine's event-driven fast-forward to bound a stall skip.
-    pub fn next_completion(&self, now: u64) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| e.complete_at)
-            .filter(|&c| c > now)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
     /// Outstanding misses at `now`.
     pub fn outstanding(&mut self, now: u64) -> usize {
         self.expire(now);

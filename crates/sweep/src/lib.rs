@@ -65,8 +65,7 @@ impl SweepCell {
     /// depends on — the **full** `ChipConfig` (not just the arch name),
     /// machine size, the Table-3 memory configuration, the full
     /// `AppSpec`, seed, scale (as exact bits), and the scheduling
-    /// policy name. The fast-forward switch, proven result-neutral by
-    /// `tests/fastforward_equiv.rs`, is deliberately *excluded*.
+    /// policy name.
     #[must_use]
     pub fn key(&self) -> u64 {
         self.key_with_schema(CACHE_SCHEMA)

@@ -3,7 +3,7 @@
 //!
 //! This is THE digest construction behind every bit-for-bit claim the
 //! repo makes — the golden Table-2 digests (`tests/golden_determinism.rs`),
-//! the fast-forward and migration differential proptests, and the
+//! the migration reproducibility proptest, and the
 //! metrics digest-neutrality test all absorb events in exactly this
 //! format, so equal streams hash equal across all of them:
 //!

@@ -22,10 +22,10 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> machine_step bench smoke (fast-forward on/off, test mode)"
+echo "==> machine_step bench smoke (whole Machine on a memory-bound load chain, test mode)"
 cargo bench -p csmt-bench --bench machine_step -- --test
 
-echo "==> cluster_step bench smoke (Cluster::step driven directly: no Machine, no fast-forward)"
+echo "==> cluster_step bench smoke (Cluster::step driven directly: no Machine)"
 cargo bench -p csmt-bench --bench cluster_step -- --test
 
 echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting)"

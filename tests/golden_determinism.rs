@@ -87,9 +87,8 @@ fn per_architecture_digests_are_bit_for_bit_stable() {
 }
 
 /// (cycles, committed, run-result digest, event-stream digest) for the
-/// high-end 4-chip FA4 machine — the configuration where the stall
-/// fast-forward skips the most (remote misses stretch every stall), so
-/// any drift in the skip path shows up here first.
+/// high-end 4-chip FA4 machine — the configuration with the longest
+/// stalls (remote misses stretch every one).
 const EXPECTED_FA4_4CHIP: (u64, u64, u64, u64) =
     (3293, 22160, 0xe72e0421d0136629, 0xa67e4cf7854176b1);
 

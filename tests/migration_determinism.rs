@@ -1,12 +1,14 @@
 //! Differential proof that dynamic thread scheduling is deterministic:
-//! for random (architecture × application × seed × policy) points, two
-//! runs of the same configuration must produce the *identical* serialized
-//! `RunResult` (including the migration counters) and the identical full
-//! probe-event stream — here extended with the scheduler's own
-//! attach/depart/arrive events, which the golden digests deliberately
-//! ignore — and the fast-forward must stay bit-for-bit invisible under
-//! every policy, exactly as `tests/fastforward_equiv.rs` proves for the
-//! static machine.
+//! for random (architecture × chips × application × seed × policy)
+//! points, two runs of the same configuration must produce the
+//! *identical* serialized `RunResult` (including the migration counters)
+//! and the identical full probe-event stream — here extended with the
+//! scheduler's own attach/depart/arrive events, which the golden digests
+//! deliberately ignore.
+//!
+//! Runs under `profile.test` with `debug_assertions` on, so every
+//! simulated cycle of these random multi-chip points also checks the
+//! incremental §4.1 class counts against the full window scan.
 //!
 //! Only the three dynamic-capable architectures appear in the sweep:
 //! SMT4, SMT2 and SMT1 are the Table 2 configurations with more than one
@@ -23,22 +25,21 @@ use proptest::prelude::*;
 const SCALE: f64 = 0.05;
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// One run of `app` on single-chip `arch` under `policy`; returns
+/// One run of `app` on (`arch` × `chips`) under `policy`; returns
 /// (serialized RunResult, cycles, event digest, event count, migrations).
 fn run_once(
     arch: ArchKind,
+    chips: usize,
     app_name: &str,
     seed: u64,
     policy: &str,
-    fastforward: bool,
 ) -> (String, u64, u64, u64, u64) {
     let app = app_by_name(app_name).expect("paper app");
-    let mut m = Machine::new(arch.chip(), 1, MemConfig::table3(), seed);
-    m.set_fastforward(fastforward);
+    let mut m = Machine::new(arch.chip(), chips, MemConfig::table3(), seed);
     m.set_scheduler(by_name(policy).expect("known policy"))
         .expect("dynamic-capable arch");
     let n_threads = m.hw_thread_capacity();
-    let params = AppParams::new(n_threads, 1, SCALE, seed);
+    let params = AppParams::new(n_threads, chips, SCALE, seed);
     m.attach_threads(build_streams(&app, &params));
     let mut probe = SchedEventDigest::new();
     let r = m.run_probed(MAX_CYCLES, &mut probe);
@@ -66,29 +67,20 @@ fn arb_policy() -> impl Strategy<Value = &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Same (arch × app × seed × policy) twice: identical RunResult JSON
-    /// and identical event stream — migration events included — with the
-    /// fast-forward both off and on, and no divergence between the two
-    /// fast-forward modes either.
+    /// Same (arch × chips × app × seed × policy) twice: identical
+    /// RunResult JSON and identical event stream — migration events
+    /// included.
     #[test]
     fn same_policy_same_seed_is_bit_for_bit_reproducible(
         arch in arb_arch(),
+        chips in prop_oneof![Just(1usize), Just(2), Just(4)],
         app in arb_app(),
         seed in 0u64..1 << 48,
         policy in arb_policy(),
     ) {
-        for ff in [false, true] {
-            let a = run_once(arch, app, seed, policy, ff);
-            let b = run_once(arch, app, seed, policy, ff);
-            prop_assert_eq!(&a, &b, "non-deterministic run (ff={})", ff);
-        }
-        let stepped = run_once(arch, app, seed, policy, false);
-        let fastfwd = run_once(arch, app, seed, policy, true);
-        prop_assert_eq!(stepped.1, fastfwd.1, "cycle counts differ across ff");
-        prop_assert_eq!(stepped.4, fastfwd.4, "migration counts differ across ff");
-        prop_assert_eq!(stepped.3, fastfwd.3, "event counts differ across ff");
-        prop_assert_eq!(stepped.2, fastfwd.2, "event streams differ across ff");
-        prop_assert_eq!(&stepped.0, &fastfwd.0, "RunResults differ across ff");
+        let a = run_once(arch, chips, app, seed, policy);
+        let b = run_once(arch, chips, app, seed, policy);
+        prop_assert_eq!(&a, &b, "non-deterministic run");
     }
 }
 
@@ -98,13 +90,8 @@ proptest! {
 #[test]
 fn every_policy_is_reproducible_on_the_golden_config() {
     for policy in ["static", "barrier", "hazard_pairing"] {
-        for ff in [false, true] {
-            let a = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff);
-            let b = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, ff);
-            assert_eq!(a, b, "{policy} ff={ff}");
-        }
-        let stepped = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, false);
-        let fastfwd = run_once(ArchKind::Smt2, "mgrid", 0xC5_317, policy, true);
-        assert_eq!(stepped, fastfwd, "{policy}: fast-forward must be invisible");
+        let a = run_once(ArchKind::Smt2, 1, "mgrid", 0xC5_317, policy);
+        let b = run_once(ArchKind::Smt2, 1, "mgrid", 0xC5_317, policy);
+        assert_eq!(a, b, "{policy}");
     }
 }
