@@ -20,10 +20,11 @@ fn usage() -> &'static str {
     "usage: csmt-audit [--root <path>] [--deny-warnings] [--list-rules]\n\
      \n\
      Scans all first-party crates for determinism violations: hash-map\n\
-     iteration in the sim core, wall-clock/entropy reads, unregistered\n\
-     concurrency, ungated probe emissions, order-sensitive float\n\
-     accumulation. Suppressions live in csmt-audit.toml and each needs a\n\
-     written justification; unused entries fail the run.\n\
+     iteration in the sim core, wall-clock/entropy reads, environment\n\
+     reads below the binaries, unregistered concurrency, ungated probe\n\
+     emissions, order-sensitive float accumulation. Suppressions live\n\
+     in csmt-audit.toml and each needs a written justification; unused\n\
+     entries fail the run.\n\
      \n\
      Exit: 0 clean; 2 violations/stale (or warnings with --deny-warnings);\n\
      1 usage/IO error.\n"

@@ -6,8 +6,8 @@
 //! FNV digests over exact event order. This crate makes the project's
 //! determinism contracts *machine-checked* instead of conventions in doc
 //! comments, so a future PR cannot iterate a hash map, read the wall
-//! clock, or spawn a thread in a sim crate without the tier-1 gate
-//! noticing at lint time — not as a flaky digest weeks later.
+//! clock or the environment, or spawn a thread in a sim crate without the
+//! tier-1 gate noticing at lint time — not as a flaky digest weeks later.
 //!
 //! The analyzer is deliberately `syn`-free (the vendor tree carries no
 //! parser): a [`lexer`] strips comments, strings, attributes and

@@ -1,4 +1,4 @@
-//! The five audit rules.
+//! The six audit rules.
 //!
 //! Everything here operates on [`lexer::strip`](crate::lexer::strip)ped
 //! text, so comments, strings and test-only code can never trigger (or
@@ -11,6 +11,8 @@
 //! |               |          | determinism core (`core`/`cpu`/`mem`/`isa`)        |
 //! | `wall-clock`  | error    | no wall-clock/entropy reads outside allowlisted    |
 //! |               |          | host-profiling sites                               |
+//! | `env-read`    | error    | no environment reads in library crates: knobs are  |
+//! |               |          | resolved at the binary edge and passed down        |
 //! | `concurrency` | error    | no threads/locks/atomics in sim crates outside     |
 //! |               |          | registered parallel seams                          |
 //! | `probe-gate`  | error    | the simulator never calls `Probe::on` directly:    |
@@ -57,9 +59,10 @@ impl std::fmt::Display for Finding {
 }
 
 /// Every rule id, in reporting order.
-pub const RULE_IDS: [&str; 5] = [
+pub const RULE_IDS: [&str; 6] = [
     "map-iter",
     "wall-clock",
+    "env-read",
     "concurrency",
     "probe-gate",
     "float-accum",
@@ -73,6 +76,10 @@ pub const RULE_IDS: [&str; 5] = [
 ///   covers `workloads`, whose generators seed those runs).
 /// * `wall-clock` — every first-party crate except `csmt-bench`, whose
 ///   entire job is measuring host wall-clock.
+/// * `env-read` — every library crate below the binaries (the sim
+///   crates, the observers and the sweep engine), excluding their
+///   `src/bin/` mains: `csmt-bench` and the bins are the binary edge
+///   where `CSMT_*` knobs are resolved.
 /// * `concurrency` — the six sim crates plus the sweep engine (whose
 ///   work-stealing pool is a registered seam); observer crates
 ///   (`trace`, `metrics`, `verify`) and the bench harness run
@@ -91,6 +98,21 @@ pub fn in_scope(rule: &str, path: &str) -> bool {
         "wall-clock" => {
             (path.starts_with("crates/") || path.starts_with("src/"))
                 && !path.starts_with("crates/bench/")
+        }
+        "env-read" => {
+            !path.contains("/src/bin/")
+                && under(&[
+                    "crates/core/src/",
+                    "crates/cpu/src/",
+                    "crates/mem/src/",
+                    "crates/isa/src/",
+                    "crates/workloads/src/",
+                    "crates/model/src/",
+                    "crates/trace/src/",
+                    "crates/metrics/src/",
+                    "crates/verify/src/",
+                    "crates/sweep/src/",
+                ])
         }
         "concurrency" => under(&[
             "crates/core/src/",
@@ -124,6 +146,9 @@ pub fn audit_stripped(path: &str, stripped: &str, cfg: &AuditConfig) -> Vec<Find
     }
     if in_scope("wall-clock", path) {
         wall_clock(path, stripped, &mut findings);
+    }
+    if in_scope("env-read", path) {
+        env_read(path, stripped, &mut findings);
     }
     if in_scope("concurrency", path) && !cfg.seams.iter().any(|s| path.starts_with(&s.path)) {
         concurrency(path, stripped, &mut findings);
@@ -418,6 +443,33 @@ fn wall_clock(path: &str, text: &str, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
+// Rule: env-read
+// ---------------------------------------------------------------------
+
+/// Rule `env-read`: an environment read below the binaries is a hidden
+/// input — a variable left in a shell silently changes what every test,
+/// bench and figure measures. Binaries resolve `CSMT_*` knobs once and
+/// pass them down as arguments (`RunSpec::sched`, `SweepEngine::new`).
+fn env_read(path: &str, text: &str, findings: &mut Vec<Finding>) {
+    for token in ["env::var", "env::var_os", "env::vars", "env::vars_os"] {
+        for at in find_word(text, token) {
+            findings.push(Finding {
+                rule: "env-read",
+                file: path.to_owned(),
+                line: line_of(text, at),
+                severity: Severity::Error,
+                message: format!(
+                    "`{token}` reads the process environment inside a library crate: \
+                     simulation results must be a pure function of (config, workload, \
+                     seed) — read the knob in the binary's `main` and pass it down as \
+                     an argument"
+                ),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Rule: concurrency
 // ---------------------------------------------------------------------
 
@@ -590,6 +642,23 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "wall-clock");
         assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn env_read_fires_in_libraries_but_not_in_their_bins() {
+        let src = "fn f() -> bool { std::env::var_os(\"CSMT_SCHED\").is_some() }\n\
+                   fn g() -> Vec<String> { std::env::args().collect() }";
+        let cfg = AuditConfig::default();
+        let f = audit_stripped("crates/core/src/sched.rs", &strip(src), &cfg);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "env-read");
+        assert_eq!(f[0].line, 1);
+        for edge in [
+            "crates/sweep/src/bin/csmt_sweep.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert!(audit_stripped(edge, &strip(src), &cfg).is_empty(), "{edge}");
+        }
     }
 
     #[test]

@@ -55,6 +55,18 @@ fn fixture_wall_clock_fires_with_exact_span() {
 }
 
 #[test]
+fn fixture_env_read_fires_with_exact_span() {
+    let f = single_finding(
+        "crates/workloads/src/fixture.rs",
+        include_str!("../fixtures/env_read.rs"),
+    );
+    assert_eq!(f.rule, "env-read");
+    assert_eq!(f.file, "crates/workloads/src/fixture.rs");
+    assert_eq!(f.line, 8);
+    assert_eq!(f.severity, Severity::Error);
+}
+
+#[test]
 fn fixture_concurrency_fires_with_exact_span() {
     let f = single_finding(
         "crates/core/src/fixture.rs",
@@ -102,6 +114,7 @@ fn fixtures_stay_quiet_out_of_scope() {
     for src in [
         include_str!("../fixtures/map_iter.rs"),
         include_str!("../fixtures/wall_clock.rs"),
+        include_str!("../fixtures/env_read.rs"),
         include_str!("../fixtures/concurrency.rs"),
         include_str!("../fixtures/probe_gate.rs"),
         include_str!("../fixtures/float_accum.rs"),

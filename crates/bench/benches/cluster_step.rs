@@ -10,18 +10,17 @@
 //! - `smt2_cluster`: one 4-issue/4-thread cluster of the paper's headline
 //!   SMT2 with the same mix — the shape every figure spends its time on.
 //!
-//! Besides the criterion timings, the bench measures aggregate steps/sec
-//! directly and prints one summary line per scenario; set
+//! The bench measures aggregate steps/sec over several full runs and
+//! prints one summary line per scenario (`--test` = one repetition); set
 //! `CSMT_BENCH_JSON=<path>` to also write them as JSON (the recorded
 //! pre/post-refactor numbers live in `BENCH_cluster_step.json`).
 
-use criterion::{criterion_group, Criterion};
 use csmt_cpu::{Cluster, ClusterConfig};
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, OpClass};
 use csmt_mem::{MemConfig, MemorySystem};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-thread instruction mix: a load feeding an FP chain, an independent
 /// FP chain, independent integer work, and a well-predicted branch every
@@ -94,21 +93,6 @@ const SCENARIOS: [(&str, usize, usize, u64); 2] = [
     ("smt2_cluster", 4, 4, 1500),
 ];
 
-fn bench_cluster_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cluster_step");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for (name, width, threads, n) in SCENARIOS {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(run_cluster(width, threads, n)));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_cluster_step);
-
 /// Direct steps/sec measurement (aggregate over several full runs),
 /// printed per scenario and optionally dumped as JSON.
 fn steps_per_sec_summary(test_mode: bool) {
@@ -138,7 +122,6 @@ fn steps_per_sec_summary(test_mode: bool) {
 }
 
 fn main() {
-    benches();
     let test_mode = std::env::args().any(|a| a == "--test");
     steps_per_sec_summary(test_mode);
 }

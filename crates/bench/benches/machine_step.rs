@@ -19,13 +19,12 @@
 //! `sched_overhead` gate). Set `CSMT_BENCH_JSON=<path>` to dump the
 //! summary as JSON (recorded floors live in `BENCH_machine_step.json`).
 
-use criterion::{criterion_group, Criterion};
 use csmt_core::{ArchKind, Machine};
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, InstStream, SyncOp};
 use csmt_mem::MemConfig;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Stride between consecutive loads: one page plus one line, so every
 /// access touches a new page (TLB miss) and a new set (cache miss).
@@ -82,21 +81,6 @@ fn run_machine(kind: ArchKind, chips: usize, policy: &str) -> u64 {
     m.run(2_000_000_000).cycles
 }
 
-fn bench_machine_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("machine_step");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for (name, kind, chips, policy) in SCENARIOS {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(run_machine(kind, chips, policy)));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_machine_step);
-
 /// Direct cycles/sec measurement (aggregate over several full runs),
 /// printed per scenario and optionally dumped as JSON.
 fn steps_per_sec_summary(test_mode: bool) {
@@ -127,7 +111,6 @@ fn steps_per_sec_summary(test_mode: bool) {
 }
 
 fn main() {
-    benches();
     let test_mode = std::env::args().any(|a| a == "--test");
     steps_per_sec_summary(test_mode);
 }

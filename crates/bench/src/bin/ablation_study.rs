@@ -12,7 +12,7 @@
 
 use csmt_core::ArchKind;
 use csmt_mem::MemConfig;
-use csmt_workloads::{all_apps, runner::simulate_with_mem};
+use csmt_workloads::{all_apps, RunSpec};
 
 fn main() {
     let scale = csmt_bench::scale_from_args_or(0.5);
@@ -88,9 +88,16 @@ fn main() {
             let mut fa2 = 0u64;
             let mut smt2 = 0u64;
             for app in all_apps() {
-                fa2 += simulate_with_mem(&app, ArchKind::Fa2, chips, scale, 7, cfg.clone()).cycles;
-                smt2 +=
-                    simulate_with_mem(&app, ArchKind::Smt2, chips, scale, 7, cfg.clone()).cycles;
+                let cycles = |arch| {
+                    RunSpec {
+                        mem: cfg.clone(),
+                        ..RunSpec::new(&app, arch, chips, scale, 7)
+                    }
+                    .run()
+                    .cycles
+                };
+                fa2 += cycles(ArchKind::Fa2);
+                smt2 += cycles(ArchKind::Smt2);
             }
             println!(
                 "{:<20} {:>10} {:>10} {:>11.2}x",

@@ -25,7 +25,7 @@ use csmt_core::ArchKind;
 use csmt_metrics::{AttributionTree, HostProfiler, MetricsProbe, MetricsReport};
 use csmt_trace::HAZARD_LABELS;
 use csmt_verify::InvariantProbe;
-use csmt_workloads::{by_name, simulate_probed};
+use csmt_workloads::{by_name, RunSpec};
 use serde::Value;
 
 fn usage() -> String {
@@ -131,7 +131,7 @@ fn main() {
         return;
     }
 
-    csmt_bench::validate_sched_env();
+    let sched = csmt_bench::sched_from_env();
     let arch_name: String = csmt_bench::arg_or(1, "SMT2".into());
     let app_name: String = csmt_bench::arg_or(2, "mgrid".into());
     let scale: f64 = csmt_bench::arg_or(3, 0.2);
@@ -154,15 +154,11 @@ fn main() {
             verify.then(|| InvariantProbe::new(&arch.chip(), chips)),
         ),
     );
-    let r = simulate_probed(
-        &app,
-        arch.chip(),
-        chips,
-        scale,
-        csmt_bench::FIGURE_SEED,
-        csmt_mem::MemConfig::table3(),
-        &mut probe,
-    );
+    let r = RunSpec {
+        sched,
+        ..RunSpec::new(&app, arch, chips, scale, csmt_bench::FIGURE_SEED)
+    }
+    .run_probed(&mut probe);
     let (metrics, (profiler, invariants)) = probe;
     if let Some(inv) = invariants {
         let s = csmt_bench::exit_on_violations(arch, inv.finish());

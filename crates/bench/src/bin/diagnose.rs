@@ -8,7 +8,9 @@
 //! README.md documents). The knobs this binary honors: `CSMT_TRACE_OUT`
 //! (heartbeat + Konata pipeview traces per architecture),
 //! `CSMT_TRACE_INTERVAL`, `CSMT_VERIFY`, `CSMT_SELF_PROFILE` (host-phase
-//! wall-clock profile, aggregated over the sweep), and `CSMT_JSON_DIR`.
+//! wall-clock profile, aggregated over the sweep), `CSMT_SCHED` (passed to
+//! every run as `RunSpec::sched`, so a policy composes with the probes)
+//! and `CSMT_JSON_DIR`.
 //! See the Observability section of DESIGN.md.
 //!
 //! Always writes a machine-readable summary, `diagnose.json`, into
@@ -21,7 +23,7 @@ use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
 use csmt_trace::{IntervalSampler, PipeviewProbe, StatsRegistry};
 use csmt_verify::InvariantProbe;
-use csmt_workloads::{by_name, simulate_probed, AppSpec};
+use csmt_workloads::{by_name, RunSpec};
 use serde::Value;
 
 /// Keeps O3PipeView output bounded (~200 bytes/record).
@@ -56,24 +58,23 @@ fn check_invariants(probe: InvariantProbe, arch: ArchKind) {
     );
 }
 
-/// Run one architecture, composing the requested observers. `extra` is
-/// an additional probe threaded into every path (the host self-profiler,
-/// or `NullProbe` — callers pick the monomorphization, so the plain
-/// no-observer path still compiles to the uninstrumented pipeline).
+/// Run `spec` (one architecture), composing the requested observers.
+/// `extra` is an additional probe threaded into every path (the host
+/// self-profiler, or `NullProbe` — callers pick the monomorphization, so
+/// the plain no-observer path still compiles to the uninstrumented
+/// pipeline).
 fn run_one<P: csmt_trace::Probe>(
-    app: &AppSpec,
+    spec: RunSpec,
     arch: ArchKind,
-    chips: usize,
-    scale: f64,
     obs: &Observe,
     extra: &mut P,
 ) -> RunResult {
-    let mem = csmt_mem::MemConfig::table3();
+    let invariants = || InvariantProbe::new(&spec.chip, spec.n_chips);
     match (obs.trace_dir.as_ref(), obs.verify) {
-        (None, false) => simulate_probed(app, arch.chip(), chips, scale, 1, mem, extra),
+        (None, false) => spec.run_probed(extra),
         (None, true) => {
-            let mut probe = (InvariantProbe::new(&arch.chip(), chips), extra);
-            let r = simulate_probed(app, arch.chip(), chips, scale, 1, mem, &mut probe);
+            let mut probe = (invariants(), extra);
+            let r = spec.run_probed(&mut probe);
             check_invariants(probe.0, arch);
             r
         }
@@ -96,11 +97,11 @@ fn run_one<P: csmt_trace::Probe>(
                             PIPEVIEW_MAX_RECORDS,
                         ),
                     ),
-                    verify.then(|| InvariantProbe::new(&arch.chip(), chips)),
+                    verify.then(invariants),
                 ),
                 extra,
             );
-            let r = simulate_probed(app, arch.chip(), chips, scale, 1, mem, &mut probe);
+            let r = spec.run_probed(&mut probe);
             probe.0 .0 .0.finish().expect("heartbeat flush");
             probe.0 .0 .1.finish().expect("pipeview flush");
             if let Some(inv) = probe.0 .1 {
@@ -138,7 +139,7 @@ fn main() {
         );
         return;
     }
-    csmt_bench::validate_sched_env();
+    let sched = csmt_bench::sched_from_env();
     let app_name: String = csmt_bench::arg_or(1, "vpenta".into());
     let scale: f64 = csmt_bench::arg_or(2, 0.3);
     let chips: usize = csmt_bench::arg_or(3, 1);
@@ -164,10 +165,14 @@ fn main() {
     ] {
         // The profiler accumulates across the whole sweep; without it the
         // `NullProbe` monomorphization keeps the timers compiled out.
+        let spec = RunSpec {
+            sched,
+            ..RunSpec::new(&app, arch, chips, scale, 1)
+        };
         let r = if let Some(p) = profiler.as_mut() {
-            run_one(&app, arch, chips, scale, &obs, p)
+            run_one(spec, arch, &obs, p)
         } else {
-            run_one(&app, arch, chips, scale, &obs, &mut csmt_trace::NullProbe)
+            run_one(spec, arch, &obs, &mut csmt_trace::NullProbe)
         };
         let b = r.breakdown();
         println!(

@@ -22,10 +22,10 @@
 //! dynamic policies run (the SMT2/static baseline always runs).
 
 use csmt_bench::{render_env_knobs, FIGURE_SCALE, FIGURE_SEED};
-use csmt_core::sched::{by_name, POLICY_NAMES};
+use csmt_core::sched::POLICY_NAMES;
 use csmt_core::ArchKind;
 use csmt_workloads::{
-    all_apps, simulate_job_batches, simulate_multiprogram_with_sched, simulate_with_sched, AppSpec,
+    all_apps, simulate, simulate_job_batches, simulate_multiprogram, AppSpec, RunSpec,
 };
 use serde::Serialize;
 
@@ -64,26 +64,20 @@ impl Workload {
     /// `policy` is `None`.
     fn run(&self, policy: Option<&str>, scale: f64) -> (u64, f64, u64, u64) {
         match (self, policy) {
-            (Workload::App(app), Some(p)) => {
-                let sched = by_name(p).expect("known policy");
-                let r = simulate_with_sched(app, ArchKind::Smt2, 1, scale, FIGURE_SEED, sched);
+            (Workload::App(app), Some(sched)) => {
+                let r = RunSpec {
+                    sched,
+                    ..RunSpec::new(app, ArchKind::Smt2, 1, scale, FIGURE_SEED)
+                }
+                .run();
                 (r.cycles, r.ipc(), r.migrations, r.migration_wait_cycles)
             }
             (Workload::App(app), None) => {
-                let sched = by_name("static").expect("static policy");
-                let r = simulate_with_sched(app, ArchKind::Fa4, 1, scale, FIGURE_SEED, sched);
+                let r = simulate(app, ArchKind::Fa4, 1, scale, FIGURE_SEED);
                 (r.cycles, r.ipc(), 0, 0)
             }
-            (Workload::Mix(_, mix), Some(p)) => {
-                let sched = by_name(p).expect("known policy");
-                let r = simulate_multiprogram_with_sched(
-                    mix,
-                    ArchKind::Smt2,
-                    1,
-                    scale,
-                    FIGURE_SEED,
-                    sched,
-                );
+            (Workload::Mix(_, mix), Some(sched)) => {
+                let r = simulate_multiprogram(mix, ArchKind::Smt2, 1, scale, FIGURE_SEED, sched);
                 (r.cycles, r.ipc(), r.migrations, r.migration_wait_cycles)
             }
             (Workload::Mix(_, mix), None) => {
@@ -147,7 +141,6 @@ fn main() {
         }
     }
     let scale = scale.unwrap_or(if smoke { SMOKE_SCALE } else { FIGURE_SCALE });
-    csmt_bench::validate_sched_env();
 
     let apps = all_apps();
     let mix: Vec<AppSpec> = vec![

@@ -8,8 +8,7 @@
 
 use csmt_core::ArchKind;
 use csmt_cpu::PredictorKind;
-use csmt_mem::MemConfig;
-use csmt_workloads::{all_apps, runner::simulate_with_chip};
+use csmt_workloads::{all_apps, RunSpec};
 
 fn main() {
     let scale = csmt_bench::scale_from_args_or(0.5);
@@ -34,7 +33,11 @@ fn main() {
             let mut lookups = 0u64;
             let mut wrong = 0u64;
             for app in all_apps() {
-                let r = simulate_with_chip(&app, chip, 1, scale, 7, MemConfig::table3());
+                let r = RunSpec {
+                    chip,
+                    ..RunSpec::new(&app, arch, 1, scale, 7)
+                }
+                .run();
                 cycles += r.cycles;
                 lookups += r.branch_lookups;
                 wrong += r.branch_mispredicts;

@@ -1,9 +1,10 @@
 //! # csmt-bench — figure/table regeneration harness
 //!
-//! Shared plumbing for the `fig*` binaries and criterion benches: running
-//! one figure's sweep (architectures × applications), normalizing to the
-//! paper's baseline, rendering the stacked-bar breakdowns as text tables,
-//! and applying the §5.2 clock-frequency adjustment.
+//! Shared plumbing for the figure/study binaries and the gated
+//! microbenches: running one figure's sweep (architectures ×
+//! applications), normalizing to the paper's baseline, rendering the
+//! stacked-bar breakdowns as text tables, and applying the §5.2
+//! clock-frequency adjustment.
 
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
@@ -50,7 +51,7 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     ),
     (
         "CSMT_SCHED=<policy>",
-        "all simulators",
+        "figures, cycle_time_adjusted, calibrate, csmt-sweep, diagnose, csmt-report (fig9_dynamic_alloc has --sched)",
         "thread-to-cluster allocation policy: static (default), barrier, hazard_pairing; dynamic policies fall back to static on fixed-assignment archs; an unknown name exits 2 with the valid names",
     ),
     (
@@ -85,16 +86,26 @@ pub fn render_env_knobs() -> String {
     out
 }
 
-/// Validate the `CSMT_SCHED` selection before a sweep starts: on an
-/// unknown policy name, print the valid names and exit 2 (the
-/// `CSMT_VERIFY` convention) instead of panicking mid-run from inside
-/// machine construction. Call this early in every binary `main` that
-/// simulates.
-pub fn validate_sched_env() {
-    if let Err(e) = csmt_core::sched::policy_from_env() {
-        eprintln!("error: {e} (from CSMT_SCHED)");
-        std::process::exit(2);
-    }
+/// The scheduling policy `CSMT_SCHED` selects (`"static"` when unset) —
+/// the binary-edge read of that knob: a `main` resolves it once and
+/// passes the name down (`RunSpec::sched`, `SweepCell::sched`); nothing
+/// below the binaries reads the environment for it. On an unknown name,
+/// prints the valid names and exits 2 (the `CSMT_VERIFY` convention).
+pub fn sched_from_env() -> &'static str {
+    let Some(name) = std::env::var_os("CSMT_SCHED") else {
+        return "static";
+    };
+    let name = name.to_string_lossy();
+    csmt_core::sched::POLICY_NAMES
+        .into_iter()
+        .find(|p| *p == name)
+        .unwrap_or_else(|| {
+            let e = csmt_core::sched::UnknownPolicy {
+                name: name.into_owned(),
+            };
+            eprintln!("error: {e} (from CSMT_SCHED)");
+            std::process::exit(2);
+        })
 }
 
 /// Whether the on/off knob `name` is set (to anything but `0` or empty).
@@ -185,13 +196,15 @@ impl AppRow {
 /// Run one figure: `archs` × `apps` on `n_chips` chips, normalizing each
 /// application to `baseline` (FA8 for Figs 4/5, SMT8 for Figs 7/8).
 ///
-/// The grid runs through the environment-configured [`SweepEngine`]
-/// (bounded work-stealing pool, `CSMT_SWEEP_THREADS` workers, optional
-/// `CSMT_SWEEP_CACHE` result cache) — a slow cell (e.g. ocean on FA1)
-/// overlaps other cells without the old one-OS-thread-per-cell fan-out,
-/// and a repeat run with a cache attached is ~pure file reads. Results
-/// come back in (apps, archs) order, byte-identical to a sequential
-/// sweep at any worker count, cached or not.
+/// This is the figure binaries' environment edge: the grid runs under the
+/// [`sched_from_env`] policy through the environment-configured
+/// [`SweepEngine`] (bounded work-stealing pool, `CSMT_SWEEP_THREADS`
+/// workers, optional `CSMT_SWEEP_CACHE` result cache) — a slow cell (e.g.
+/// ocean on FA1) overlaps other cells without the old
+/// one-OS-thread-per-cell fan-out, and a repeat run with a cache attached
+/// is ~pure file reads. Results come back in (apps, archs) order,
+/// byte-identical to a sequential sweep at any worker count, cached or
+/// not.
 pub fn run_figure(
     archs: &[ArchKind],
     apps: &[AppSpec],
@@ -206,11 +219,13 @@ pub fn run_figure(
         n_chips,
         baseline,
         scale,
+        sched_from_env(),
     )
 }
 
-/// [`run_figure`] on an explicit engine (tests pin the worker count and
-/// cache instead of inheriting the environment's).
+/// [`run_figure`] on an explicit engine and scheduling policy (tests pin
+/// the worker count, cache and policy instead of inheriting the
+/// environment's).
 pub fn run_figure_with_engine(
     engine: &SweepEngine,
     archs: &[ArchKind],
@@ -218,9 +233,8 @@ pub fn run_figure_with_engine(
     n_chips: usize,
     baseline: ArchKind,
     scale: f64,
+    sched: &str,
 ) -> Vec<AppRow> {
-    let sched = csmt_core::sched::policy_name_from_env()
-        .unwrap_or_else(|e| panic!("{e} (from CSMT_SCHED)"));
     let cells: Vec<SweepCell> = apps
         .iter()
         .flat_map(|app| {
@@ -384,10 +398,23 @@ mod tests {
     use super::*;
     use csmt_workloads::by_name;
 
+    /// [`run_figure`] pinned to one inline worker, no cache and the static
+    /// policy: unit tests must not inherit the caller's shell.
+    fn figure(
+        archs: &[ArchKind],
+        apps: &[AppSpec],
+        n_chips: usize,
+        baseline: ArchKind,
+        scale: f64,
+    ) -> Vec<AppRow> {
+        let engine = SweepEngine::new(1, None);
+        run_figure_with_engine(&engine, archs, apps, n_chips, baseline, scale, "static")
+    }
+
     #[test]
     fn run_figure_normalizes_baseline_to_100() {
         let apps = vec![by_name("vpenta").unwrap()];
-        let rows = run_figure(
+        let rows = figure(
             &[ArchKind::Fa8, ArchKind::Smt2],
             &apps,
             1,
@@ -409,7 +436,7 @@ mod tests {
     #[test]
     fn write_json_respects_env_and_roundtrips() {
         let apps = vec![by_name("vpenta").unwrap()];
-        let rows = run_figure(&[ArchKind::Fa8], &apps, 1, ArchKind::Fa8, 0.02);
+        let rows = figure(&[ArchKind::Fa8], &apps, 1, ArchKind::Fa8, 0.02);
         // Without the env var: no write.
         std::env::remove_var("CSMT_JSON_DIR");
         assert!(write_json(&rows, "test_fig").is_none());
@@ -427,12 +454,12 @@ mod tests {
 
     #[test]
     fn run_figure_matches_direct_simulation_bit_for_bit() {
-        // The sweep-engine path (explicit "static" policy via
-        // simulate_with_sched_name) must be indistinguishable from the
-        // plain `simulate` the figures used before the engine existed.
+        // The sweep-engine path (`SweepCell::simulate` under "static")
+        // must be indistinguishable from the plain `simulate` the figures
+        // used before the engine existed.
         let apps = vec![by_name("vpenta").unwrap(), by_name("fmm").unwrap()];
         let archs = [ArchKind::Fa8, ArchKind::Smt2];
-        let rows = run_figure(&archs, &apps, 1, ArchKind::Fa8, 0.02);
+        let rows = figure(&archs, &apps, 1, ArchKind::Fa8, 0.02);
         for (row, app) in rows.iter().zip(&apps) {
             for cell in &row.cells {
                 let direct = csmt_workloads::simulate(app, cell.arch, 1, 0.02, FIGURE_SEED);
@@ -461,6 +488,7 @@ mod tests {
             1,
             ArchKind::Fa8,
             0.02,
+            "static",
         );
         let pooled = run_figure_with_engine(
             &csmt_sweep::SweepEngine::new(4, None),
@@ -469,6 +497,7 @@ mod tests {
             1,
             ArchKind::Fa8,
             0.02,
+            "static",
         );
         for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(a.app, b.app);
@@ -548,7 +577,7 @@ mod tests {
     #[test]
     fn render_produces_a_row_per_arch() {
         let apps = vec![by_name("mgrid").unwrap()];
-        let rows = run_figure(
+        let rows = figure(
             &[ArchKind::Fa8, ArchKind::Fa4],
             &apps,
             1,

@@ -138,7 +138,9 @@ pub struct Machine {
 
 impl Machine {
     /// Build a machine of `n_chips` chips of configuration `cfg` with the
-    /// given memory hierarchy. `seed` controls all stochastic state.
+    /// given memory hierarchy. `seed` controls all stochastic state. The
+    /// machine starts with the paper's [`StaticRoundRobin`] placement;
+    /// nothing here reads the process environment.
     pub fn new(cfg: ChipConfig, n_chips: usize, mem_cfg: MemConfig, seed: u64) -> Self {
         assert!(n_chips >= 1);
         let mut rng = csmt_isa::SplitMix64::new(seed);
@@ -153,8 +155,6 @@ impl Machine {
         }
         let max_cluster_events = cfg.cluster.hw_threads;
         let n_clusters = n_chips * cfg.clusters;
-        let sched = Self::sched_from_env(&cfg);
-        let sched_dynamic = sched.is_dynamic();
         Machine {
             cfg,
             clusters,
@@ -167,8 +167,8 @@ impl Machine {
             running_thread_cycles: 0,
             events_buf: Vec::with_capacity(max_cluster_events),
             actions_buf: Vec::new(),
-            sched,
-            sched_dynamic,
+            sched: Box::new(StaticRoundRobin),
+            sched_dynamic: false,
             in_transit: Vec::new(),
             in_transit_idx: BTreeMap::new(),
             migrate_dest: Vec::new(),
@@ -193,36 +193,19 @@ impl Machine {
         &mut self.clusters[chip * self.cfg.clusters + cluster]
     }
 
-    /// Scheduling policy selected by the `CSMT_SCHED` environment variable
-    /// (default `static`). A dynamic policy requested on a fixed-assignment
-    /// architecture silently degrades to static — FA machines pin thread
-    /// assignment by construction, and figure sweeps set one `CSMT_SCHED`
-    /// for every architecture. Unknown names panic here as a backstop (a
-    /// typo must not silently change the experiment) — binaries validate
-    /// first via [`crate::sched::policy_from_env`] and exit 2 cleanly.
-    fn sched_from_env(cfg: &ChipConfig) -> Box<dyn ThreadScheduler + Send> {
-        let sched = match crate::sched::policy_from_env() {
-            Ok(None) => return Box::new(StaticRoundRobin),
-            Ok(Some(sched)) => sched,
-            Err(e) => panic!("{e} (from CSMT_SCHED)"),
-        };
-        if sched.is_dynamic() && Self::fixed_assignment(cfg) {
-            return Box::new(StaticRoundRobin);
-        }
-        sched
-    }
-
     /// Whether `cfg` is a fixed-assignment (FA) architecture: one hardware
     /// context per cluster, so thread-to-cluster assignment is pinned by
     /// construction and migration is meaningless.
-    fn fixed_assignment(cfg: &ChipConfig) -> bool {
+    pub(crate) fn fixed_assignment(cfg: &ChipConfig) -> bool {
         cfg.cluster.hw_threads == 1
     }
 
-    /// Install a scheduling policy, overriding the `CSMT_SCHED` default.
-    /// Must be called before [`attach_threads`](Machine::attach_threads).
-    /// Rejects configurations the machine refuses to run (a dynamic policy
-    /// on a fixed-assignment architecture, a zero rebalance quantum).
+    /// Install a scheduling policy in place of the [`StaticRoundRobin`]
+    /// every new machine starts with ([`crate::sched::for_chip`] resolves
+    /// a policy *name* to one this accepts). Must be called before
+    /// [`attach_threads`](Machine::attach_threads). Rejects configurations
+    /// the machine refuses to run (a dynamic policy on a fixed-assignment
+    /// architecture, a zero rebalance quantum).
     pub fn set_scheduler(
         &mut self,
         sched: Box<dyn ThreadScheduler + Send>,

@@ -25,7 +25,8 @@
 //! states), lets in-flight work drain through commit, detaches the
 //! architectural state, and re-attaches it [`MIGRATION_COST`] cycles later.
 
-use crate::machine::{round_robin_placement, Placement};
+use crate::configs::ChipConfig;
+use crate::machine::{round_robin_placement, Machine, Placement};
 use crate::runtime::ThreadId;
 use csmt_cpu::ThreadState;
 
@@ -167,7 +168,7 @@ impl std::error::Error for SchedConfigError {}
 /// or wants [`barrier epochs`](ThreadScheduler::wants_barrier_epochs); a
 /// static policy costs the machine loop nothing after attach.
 pub trait ThreadScheduler {
-    /// Short policy name (the `CSMT_SCHED` / `--sched` spelling).
+    /// Short policy name (the `--sched` spelling, accepted by [`by_name`]).
     fn name(&self) -> &'static str;
 
     /// Initial placement of `n_threads` software threads. Must return one
@@ -208,7 +209,7 @@ pub trait ThreadScheduler {
     }
 }
 
-/// Look up a policy by its `CSMT_SCHED` / `--sched` name.
+/// Look up a policy by name (the `--sched` spelling).
 pub fn by_name(name: &str) -> Option<Box<dyn ThreadScheduler + Send>> {
     match name {
         "static" => Some(Box::new(StaticRoundRobin)),
@@ -221,7 +222,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn ThreadScheduler + Send>> {
 /// Names accepted by [`by_name`], for help/usage text.
 pub const POLICY_NAMES: [&str; 3] = ["static", "barrier", "hazard_pairing"];
 
-/// A `CSMT_SCHED` / `--sched` name [`by_name`] does not recognize.
+/// A policy name [`by_name`] does not recognize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownPolicy {
     /// The spelling that failed to resolve.
@@ -241,35 +242,27 @@ impl std::fmt::Display for UnknownPolicy {
 
 impl std::error::Error for UnknownPolicy {}
 
-/// Resolve the `CSMT_SCHED` environment selection without building a
-/// machine: `Ok(None)` when the variable is unset, `Ok(Some(policy))`
-/// for a valid name, `Err` for a typo. Binaries call this before
-/// starting a sweep so a misspelled policy produces a clean message and
-/// exit code 2 (the `CSMT_VERIFY` convention) instead of a panic
-/// mid-run.
+/// The policy `name` selects on a chip of configuration `chip` — the one
+/// place that decides what a policy name means on a machine. A dynamic
+/// policy requested on a fixed-assignment chip degrades to
+/// [`StaticRoundRobin`] (FA machines pin thread assignment by
+/// construction), so one name can sweep all seven architectures; the
+/// result is always accepted by [`Machine::set_scheduler`].
 ///
 /// # Errors
-/// [`UnknownPolicy`] when `CSMT_SCHED` is set to a name outside
-/// [`POLICY_NAMES`].
-pub fn policy_from_env() -> Result<Option<Box<dyn ThreadScheduler + Send>>, UnknownPolicy> {
-    let Some(name) = std::env::var_os("CSMT_SCHED") else {
-        return Ok(None);
-    };
-    let name = name.to_string_lossy().into_owned();
-    by_name(&name).map(Some).ok_or(UnknownPolicy { name })
-}
-
-/// The canonical name of the policy `CSMT_SCHED` selects: `"static"`
-/// when the variable is unset, otherwise the policy's own
-/// [`name`](ThreadScheduler::name). The sweep engine keys its result
-/// cache on this, so two processes with the same environment agree on
-/// the key without constructing a machine.
-///
-/// # Errors
-/// [`UnknownPolicy`] when `CSMT_SCHED` is set to a name outside
-/// [`POLICY_NAMES`].
-pub fn policy_name_from_env() -> Result<&'static str, UnknownPolicy> {
-    Ok(policy_from_env()?.map_or("static", |p| p.name()))
+/// [`UnknownPolicy`] when `name` is outside [`POLICY_NAMES`] — a typo must
+/// never silently change the experiment.
+pub fn for_chip(
+    name: &str,
+    chip: &ChipConfig,
+) -> Result<Box<dyn ThreadScheduler + Send>, UnknownPolicy> {
+    let policy = by_name(name).ok_or_else(|| UnknownPolicy {
+        name: name.to_owned(),
+    })?;
+    if policy.is_dynamic() && Machine::fixed_assignment(chip) {
+        return Ok(Box::new(StaticRoundRobin));
+    }
+    Ok(policy)
 }
 
 /// The paper's static policy: round-robin placement at attach, no
@@ -589,6 +582,21 @@ mod tests {
         assert!(!by_name("static").unwrap().is_dynamic());
         assert!(by_name("barrier").unwrap().is_dynamic());
         assert!(by_name("hazard_pairing").unwrap().is_dynamic());
+    }
+
+    #[test]
+    fn for_chip_degrades_on_fixed_assignment_and_rejects_typos() {
+        use crate::configs::ArchKind;
+        for name in POLICY_NAMES {
+            let on_smt = for_chip(name, &ArchKind::Smt2.chip()).expect("registered policy");
+            assert_eq!(on_smt.name(), name);
+            let on_fa = for_chip(name, &ArchKind::Fa4.chip()).expect("registered policy");
+            assert_eq!(on_fa.name(), "static", "{name} on FA4");
+        }
+        let err = for_chip("hazard", &ArchKind::Smt2.chip())
+            .err()
+            .expect("typo");
+        assert_eq!(err.name, "hazard");
     }
 
     #[test]

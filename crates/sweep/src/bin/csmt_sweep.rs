@@ -104,10 +104,9 @@ fn parse_args() -> Options {
         chips: vec![1],
         seeds: vec![DEFAULT_SEED],
         scales: vec![DEFAULT_SCALE],
-        sched: match csmt_core::sched::policy_name_from_env() {
-            Ok(name) => name.to_string(),
-            Err(e) => fail(&format!("{e} (from CSMT_SCHED)")),
-        },
+        // CSMT_SCHED is only the default of --sched: validated below
+        // like the flag's own value.
+        sched: std::env::var("CSMT_SCHED").unwrap_or_else(|_| "static".to_string()),
         threads: None,
         cache: None,
         out: None,
@@ -137,15 +136,7 @@ fn parse_args() -> Options {
             "--chips" => opt.chips = parse_list(&value, "chip count", |s| s.parse().ok()),
             "--seeds" => opt.seeds = parse_list(&value, "seed", |s| s.parse().ok()),
             "--scales" => opt.scales = parse_list(&value, "scale", |s| s.parse().ok()),
-            "--sched" => {
-                if !POLICY_NAMES.contains(&value.as_str()) {
-                    fail(&format!(
-                        "unknown policy {value:?}; valid names: {}",
-                        POLICY_NAMES.join(", ")
-                    ));
-                }
-                opt.sched = value;
-            }
+            "--sched" => opt.sched = value,
             "--threads" => {
                 opt.threads = Some(value.parse().unwrap_or_else(|_| fail("bad --threads")));
             }
@@ -155,6 +146,13 @@ fn parse_args() -> Options {
             _ => fail(&format!("unknown flag {flag:?} (see --help)")),
         }
         i += 2;
+    }
+    if !POLICY_NAMES.contains(&opt.sched.as_str()) {
+        fail(&format!(
+            "unknown policy {:?}; valid names: {}",
+            opt.sched,
+            POLICY_NAMES.join(", ")
+        ));
     }
     opt
 }

@@ -38,7 +38,7 @@ pub use cache::{ResultCache, CACHE_SCHEMA};
 use csmt_core::{ArchKind, RunResult};
 use csmt_mem::MemConfig;
 use csmt_verify::digest::Fnv64;
-use csmt_workloads::{simulate_with_sched_name, AppSpec};
+use csmt_workloads::{AppSpec, RunSpec};
 
 /// One sweep grid cell: everything that determines one simulation's
 /// result, and therefore everything the cache key digests.
@@ -94,16 +94,17 @@ impl SweepCell {
     }
 
     /// Simulate the cell (ignoring any cache).
+    ///
+    /// # Panics
+    /// On a `sched` name outside `POLICY_NAMES` — a typo is an error, never
+    /// a result cached under the typo's key.
     #[must_use]
     pub fn simulate(&self) -> RunResult {
-        simulate_with_sched_name(
-            &self.app,
-            self.arch,
-            self.n_chips,
-            self.scale,
-            self.seed,
-            &self.sched,
-        )
+        RunSpec {
+            sched: &self.sched,
+            ..RunSpec::new(&self.app, self.arch, self.n_chips, self.scale, self.seed)
+        }
+        .run()
     }
 }
 
@@ -315,5 +316,21 @@ mod tests {
         let a = stat.simulate();
         let b = dyn_cell.simulate();
         assert_eq!(a.slots.committed, b.slots.committed);
+        // A typo'd name is an error before anything is simulated or
+        // stored — never the static result cached under the typo's key.
+        let typo = SweepCell {
+            sched: "hazard".to_string(),
+            ..stat
+        };
+        let cache = tmp_cache("typo");
+        let engine = SweepEngine::new(1, Some(cache.clone()));
+        let err = std::panic::catch_unwind(|| engine.run(std::slice::from_ref(&typo)))
+            .expect_err("unknown policy must not simulate");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("unknown scheduling policy \"hazard\" (valid policies: static, barrier, hazard_pairing)")
+        );
+        assert!(cache.load(typo.key()).is_none());
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

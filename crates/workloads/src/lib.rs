@@ -40,11 +40,7 @@ pub mod tls;
 
 pub use apps::{all_apps, build_streams, by_name, AppParams, AppSpec};
 pub use multiprogram::{
-    multiprogram_streams, simulate_job_batches, simulate_multiprogram,
-    simulate_multiprogram_with_sched, BatchResult,
+    multiprogram_streams, simulate_job_batches, simulate_multiprogram, BatchResult,
 };
-pub use runner::{
-    simulate, simulate_probed, simulate_with_chip, simulate_with_mem, simulate_with_sched,
-    simulate_with_sched_name,
-};
+pub use runner::{simulate, simulate_probed, RunSpec};
 pub use tls::{simulate_tls, tls_streams, TlsLoop, TlsResult};

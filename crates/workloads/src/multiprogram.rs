@@ -13,7 +13,7 @@
 //! whichever narrow cluster its program happens to stall on.
 
 use crate::apps::{build_streams, AppParams, AppSpec};
-use csmt_core::{ArchKind, ChipConfig, Machine, RunResult, ThreadScheduler};
+use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
 use csmt_isa::InstStream;
 use csmt_mem::MemConfig;
 
@@ -47,47 +47,23 @@ pub fn multiprogram_streams(
 
 /// Simulate a multiprogrammed mix of `apps` on `arch`: every hardware
 /// context runs one sequential job (mixes shorter than the context count
-/// are repeated round-robin).
+/// are repeated round-robin) under the scheduling policy named `sched`
+/// (resolved by [`csmt_core::sched::for_chip`]). Multiprogrammed mixes
+/// never hit a barrier, so quantum-driven policies (hazard pairing) are the
+/// interesting dynamic ones here.
+///
+/// # Panics
+/// On a `sched` name outside `csmt_core::sched::POLICY_NAMES`.
 pub fn simulate_multiprogram(
     apps: &[AppSpec],
     arch: ArchKind,
     n_chips: usize,
     scale: f64,
     seed: u64,
+    sched: &str,
 ) -> RunResult {
-    simulate_multiprogram_with_chip(apps, arch.chip(), n_chips, scale, seed)
-}
-
-/// [`simulate_multiprogram`] with a custom chip configuration.
-pub fn simulate_multiprogram_with_chip(
-    apps: &[AppSpec],
-    chip: ChipConfig,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-) -> RunResult {
-    let mut machine = Machine::new(chip, n_chips, MemConfig::table3(), seed);
-    let n = machine.hw_thread_capacity();
-    machine.attach_threads_grouped(multiprogram_streams(apps, n, scale, seed));
-    machine.run(MAX_CYCLES)
-}
-
-/// [`simulate_multiprogram`] with an explicit thread-to-cluster scheduling
-/// policy. Multiprogrammed mixes never hit a barrier, so quantum-driven
-/// policies (hazard pairing) are the interesting ones here. Panics on an
-/// invalid policy × architecture combination.
-pub fn simulate_multiprogram_with_sched(
-    apps: &[AppSpec],
-    arch: ArchKind,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-    sched: Box<dyn ThreadScheduler + Send>,
-) -> RunResult {
-    let mut machine = Machine::new(arch.chip(), n_chips, MemConfig::table3(), seed);
-    machine
-        .set_scheduler(sched)
-        .unwrap_or_else(|e| panic!("invalid scheduler for {}: {e}", arch.name()));
+    let mut machine =
+        crate::runner::machine_with_policy(arch.chip(), n_chips, MemConfig::table3(), seed, sched);
     let n = machine.hw_thread_capacity();
     machine.attach_threads_grouped(multiprogram_streams(apps, n, scale, seed));
     machine.run(MAX_CYCLES)
@@ -180,7 +156,7 @@ mod tests {
     fn mix_completes_on_smt_and_fa() {
         let mix = [apps::swim(), apps::vpenta(), apps::mgrid(), apps::ocean()];
         for arch in [ArchKind::Smt2, ArchKind::Fa8, ArchKind::Fa2] {
-            let r = simulate_multiprogram(&mix, arch, 1, 0.02, 7);
+            let r = simulate_multiprogram(&mix, arch, 1, 0.02, 7, "static");
             assert!(r.cycles > 0, "{}", arch.name());
             assert!(r.slots.committed > 0);
         }
@@ -225,24 +201,9 @@ mod tests {
 
     #[test]
     fn hazard_pairing_mix_conserves_committed_work() {
-        use csmt_core::{HazardPairing, StaticRoundRobin};
         let mix = [apps::swim(), apps::ocean()];
-        let stat = simulate_multiprogram_with_sched(
-            &mix,
-            ArchKind::Smt2,
-            1,
-            0.02,
-            7,
-            Box::new(StaticRoundRobin),
-        );
-        let paired = simulate_multiprogram_with_sched(
-            &mix,
-            ArchKind::Smt2,
-            1,
-            0.02,
-            7,
-            Box::new(HazardPairing::default()),
-        );
+        let stat = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.02, 7, "static");
+        let paired = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.02, 7, "hazard_pairing");
         assert_eq!(stat.slots.committed, paired.slots.committed);
     }
 
@@ -252,8 +213,8 @@ mod tests {
         // the SMT chips outperform the same-width FA chips because idle
         // slots flow between programs.
         let mix = [apps::swim(), apps::vpenta(), apps::tomcatv(), apps::ocean()];
-        let smt2 = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.05, 7);
-        let fa8 = simulate_multiprogram(&mix, ArchKind::Fa8, 1, 0.05, 7);
+        let smt2 = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.05, 7, "static");
+        let fa8 = simulate_multiprogram(&mix, ArchKind::Fa8, 1, 0.05, 7, "static");
         assert!(
             smt2.cycles < fa8.cycles,
             "SMT2 {} vs FA8 {}",

@@ -1,125 +1,131 @@
 //! One-call simulation of (application × architecture × machine size).
 //!
-//! This is the function every figure reduces to: build the machine, create
-//! "as many threads as are required by the processor" (§4), run to
-//! completion, return the statistics.
+//! [`RunSpec::run_probed`] is the function every figure reduces to: build
+//! the machine, install the scheduling policy, create "as many threads as
+//! are required by the processor" (§4), run to completion, return the
+//! statistics. [`simulate`] and [`simulate_probed`] are its positional
+//! shorthands for the paper's static placement.
 
 use crate::apps::{build_streams, AppParams, AppSpec};
-use csmt_core::{ArchKind, Machine, RunResult, ThreadScheduler};
+use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
 use csmt_mem::MemConfig;
 
 /// Ceiling on simulated cycles; hitting it means a deadlock (a bug).
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// Simulate `app` on `arch` with `n_chips` chips at work scale `scale`.
-///
-/// Thread count = the machine's hardware contexts (Table 2 × chips), e.g.
-/// SMT2 × 4 chips = 32 threads, FA1 × 4 chips = 4 threads.
-pub fn simulate(app: &AppSpec, arch: ArchKind, n_chips: usize, scale: f64, seed: u64) -> RunResult {
-    simulate_with_mem(app, arch, n_chips, scale, seed, MemConfig::table3())
+/// Everything that determines one run of an application — the simulator
+/// is a pure function of these seven fields, never of the environment.
+/// Start from [`RunSpec::new`] and override what the experiment varies:
+/// `RunSpec { mem, ..RunSpec::new(&app, arch, 1, scale, seed) }.run()`.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// Application to run.
+    pub app: &'a AppSpec,
+    /// Chip configuration (any shape, not only Table 2's).
+    pub chip: ChipConfig,
+    /// Machine size in chips.
+    pub n_chips: usize,
+    /// Work scale (1.0 = full figure quality).
+    pub scale: f64,
+    /// Seed of all stochastic state.
+    pub seed: u64,
+    /// Memory hierarchy configuration.
+    pub mem: MemConfig,
+    /// Thread-to-cluster scheduling policy name
+    /// (`csmt_core::sched::POLICY_NAMES`), resolved for `chip` by
+    /// [`csmt_core::sched::for_chip`].
+    pub sched: &'a str,
 }
 
-/// [`simulate`] with a custom memory configuration (ablation benches).
-pub fn simulate_with_mem(
-    app: &AppSpec,
-    arch: ArchKind,
+impl<'a> RunSpec<'a> {
+    /// The paper's configuration of `app` on `arch`: the Table-2 chip,
+    /// the Table-3 memory hierarchy and the static thread placement.
+    pub fn new(app: &'a AppSpec, arch: ArchKind, n_chips: usize, scale: f64, seed: u64) -> Self {
+        RunSpec {
+            app,
+            chip: arch.chip(),
+            n_chips,
+            scale,
+            seed,
+            mem: MemConfig::table3(),
+            sched: "static",
+        }
+    }
+
+    /// Simulate to completion with no observer attached.
+    pub fn run(self) -> RunResult {
+        self.run_probed(&mut csmt_trace::NullProbe)
+    }
+
+    /// Simulate to completion with an observability probe attached to
+    /// every cycle (heartbeat samplers, pipeline trace writers — see
+    /// `csmt-trace`); with [`csmt_trace::NullProbe`] this is exactly
+    /// [`run`](RunSpec::run). Probes with buffered output should have
+    /// their `finish()` called after this returns.
+    ///
+    /// Thread count = the machine's hardware contexts (Table 2 × chips),
+    /// e.g. SMT2 × 4 chips = 32 threads, FA1 × 4 chips = 4 threads.
+    ///
+    /// # Panics
+    /// On a `sched` name outside `POLICY_NAMES`, with the
+    /// [`UnknownPolicy`](csmt_core::sched::UnknownPolicy) message — a typo
+    /// must never silently change the experiment (binaries validate
+    /// first).
+    pub fn run_probed<P: csmt_trace::Probe>(self, probe: &mut P) -> RunResult {
+        let mut machine =
+            machine_with_policy(self.chip, self.n_chips, self.mem, self.seed, self.sched);
+        let n_threads = machine.hw_thread_capacity();
+        let params = AppParams::new(n_threads, self.n_chips, self.scale, self.seed);
+        machine.attach_threads(build_streams(self.app, &params));
+        machine.run_probed(MAX_CYCLES, probe)
+    }
+}
+
+/// A machine with the scheduling policy named `sched` installed, as
+/// [`csmt_core::sched::for_chip`] resolves it for `chip`; panics with the
+/// `UnknownPolicy` message on an unknown name.
+pub(crate) fn machine_with_policy(
+    chip: ChipConfig,
     n_chips: usize,
-    scale: f64,
-    seed: u64,
     mem: MemConfig,
-) -> RunResult {
-    simulate_with_chip(app, arch.chip(), n_chips, scale, seed, mem)
-}
-
-/// Fully custom simulation: any chip configuration (e.g. a non-Table-2
-/// shape or a different fetch policy) on any machine size.
-pub fn simulate_with_chip(
-    app: &AppSpec,
-    chip: csmt_core::ChipConfig,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-    mem: MemConfig,
-) -> RunResult {
-    simulate_probed(
-        app,
-        chip,
-        n_chips,
-        scale,
-        seed,
-        mem,
-        &mut csmt_trace::NullProbe,
-    )
-}
-
-/// [`simulate`] with an explicit thread-to-cluster scheduling policy
-/// (overriding the `CSMT_SCHED` environment default). Panics if the policy
-/// is invalid for the architecture — dynamic policies on fixed-assignment
-/// chips, zero rebalance quantum — callers wanting a soft failure should
-/// pre-validate with [`Machine::set_scheduler`] themselves.
-pub fn simulate_with_sched(
-    app: &AppSpec,
-    arch: ArchKind,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-    sched: Box<dyn ThreadScheduler + Send>,
-) -> RunResult {
-    let mut machine = Machine::new(arch.chip(), n_chips, MemConfig::table3(), seed);
-    machine
-        .set_scheduler(sched)
-        .unwrap_or_else(|e| panic!("invalid scheduler for {}: {e}", arch.name()));
-    let n_threads = machine.hw_thread_capacity();
-    let params = AppParams::new(n_threads, n_chips, scale, seed);
-    machine.attach_threads(build_streams(app, &params));
-    machine.run(MAX_CYCLES)
-}
-
-/// [`simulate_with_sched`] by policy *name*, degrading exactly like the
-/// `CSMT_SCHED` environment path instead of panicking: a dynamic policy
-/// requested on a fixed-assignment architecture falls back to static
-/// (FA machines pin thread assignment by construction), and an unknown
-/// name keeps the machine's environment-selected default. This is the
-/// cell-execution function of the sweep engine, where one policy name is
-/// applied across a whole (arch × app) grid.
-pub fn simulate_with_sched_name(
-    app: &AppSpec,
-    arch: ArchKind,
-    n_chips: usize,
-    scale: f64,
     seed: u64,
     sched: &str,
-) -> RunResult {
-    let mut machine = Machine::new(arch.chip(), n_chips, MemConfig::table3(), seed);
-    if let Some(policy) = csmt_core::sched::by_name(sched) {
-        // Err == dynamic-on-FA: keep the static default, like the env path.
-        let _ = machine.set_scheduler(policy);
-    }
-    let n_threads = machine.hw_thread_capacity();
-    let params = AppParams::new(n_threads, n_chips, scale, seed);
-    machine.attach_threads(build_streams(app, &params));
-    machine.run(MAX_CYCLES)
+) -> Machine {
+    let policy = csmt_core::sched::for_chip(sched, &chip).unwrap_or_else(|e| panic!("{e}"));
+    let mut machine = Machine::new(chip, n_chips, mem, seed);
+    machine
+        .set_scheduler(policy)
+        .expect("for_chip resolves to a policy the chip accepts");
+    machine
 }
 
-/// [`simulate_with_chip`] with an observability probe attached to every
-/// cycle (heartbeat samplers, pipeline trace writers — see `csmt-trace`).
-/// With [`csmt_trace::NullProbe`] this is exactly `simulate_with_chip`.
-/// Probes with buffered output should have their `finish()` called after
-/// this returns.
+/// Simulate `app` on `arch` with `n_chips` chips at work scale `scale` in
+/// the paper's configuration ([`RunSpec::new`]).
+pub fn simulate(app: &AppSpec, arch: ArchKind, n_chips: usize, scale: f64, seed: u64) -> RunResult {
+    RunSpec::new(app, arch, n_chips, scale, seed).run()
+}
+
+/// Positional form of [`RunSpec::run_probed`] under the static policy: any
+/// chip and memory configuration, with `probe` attached.
 pub fn simulate_probed<P: csmt_trace::Probe>(
     app: &AppSpec,
-    chip: csmt_core::ChipConfig,
+    chip: ChipConfig,
     n_chips: usize,
     scale: f64,
     seed: u64,
     mem: MemConfig,
     probe: &mut P,
 ) -> RunResult {
-    let mut machine = Machine::new(chip, n_chips, mem, seed);
-    let n_threads = machine.hw_thread_capacity();
-    let params = AppParams::new(n_threads, n_chips, scale, seed);
-    machine.attach_threads(build_streams(app, &params));
-    machine.run_probed(MAX_CYCLES, probe)
+    let spec = RunSpec {
+        app,
+        chip,
+        n_chips,
+        scale,
+        seed,
+        mem,
+        sched: "static",
+    };
+    spec.run_probed(probe)
 }
 
 #[cfg(test)]
@@ -193,24 +199,13 @@ mod tests {
 
     #[test]
     fn dynamic_policy_conserves_committed_work() {
-        use csmt_core::{BarrierRebalance, StaticRoundRobin};
         let app = apps::mgrid();
-        let stat = simulate_with_sched(
-            &app,
-            ArchKind::Smt2,
-            1,
-            SCALE,
-            42,
-            Box::new(StaticRoundRobin),
-        );
-        let dynamic = simulate_with_sched(
-            &app,
-            ArchKind::Smt2,
-            1,
-            SCALE,
-            42,
-            Box::new(BarrierRebalance::default()),
-        );
+        let stat = simulate(&app, ArchKind::Smt2, 1, SCALE, 42);
+        let dynamic = RunSpec {
+            sched: "barrier",
+            ..RunSpec::new(&app, ArchKind::Smt2, 1, SCALE, 42)
+        }
+        .run();
         assert_eq!(stat.slots.committed, dynamic.slots.committed);
         assert_eq!(stat.migrations, 0);
     }

@@ -38,11 +38,11 @@ cargo run -q --release -p csmt-audit --bin csmt-audit -- --deny-warnings
 echo "==> csmt-lint (Table 2 configs + workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint
 
-echo "==> invariant golden run (all architectures under InvariantProbe)"
+echo "==> invariant golden run (all architectures x all scheduling policies under InvariantProbe)"
 cargo test -q -p csmt-verify --test golden_invariants
 
-echo "==> invariant golden run under CSMT_SCHED=hazard_pairing (dynamic migration path)"
-CSMT_SCHED=hazard_pairing cargo test -q -p csmt-verify --test golden_invariants
+echo "==> figures smoke (every row of the Fig 4/5/7/8 table)"
+cargo run -q --release -p csmt-bench --bin figures -- all 0.02 >/dev/null
 
 echo "==> fig9 dynamic-allocation smoke (all policies vs SMT2/FA4)"
 cargo run -q --release -p csmt-bench --bin fig9_dynamic_alloc -- --smoke >/dev/null

@@ -64,6 +64,6 @@ pub mod prelude {
     pub use csmt_verify::{InvariantProbe, Violation, ViolationKind};
     pub use csmt_workloads::{
         all_apps, by_name, simulate, simulate_job_batches, simulate_multiprogram, simulate_probed,
-        simulate_tls, AppParams, AppSpec, TlsLoop,
+        simulate_tls, AppParams, AppSpec, RunSpec, TlsLoop,
     };
 }

@@ -5,7 +5,6 @@
 use clustered_smt::prelude::*;
 use csmt_core::ArchKind;
 use csmt_cpu::{FetchPolicy, PredictorKind};
-use csmt_workloads::runner::{simulate_with_chip, simulate_with_mem};
 use csmt_workloads::simulate_job_batches;
 
 const SCALE: f64 = 0.15;
@@ -14,24 +13,15 @@ const SCALE: f64 = 0.15;
 fn icount_never_catastrophically_loses_to_round_robin() {
     for app in ["swim", "ocean"] {
         let app = by_name(app).unwrap();
-        let rr = simulate_with_chip(
-            &app,
-            ArchKind::Smt2
-                .chip()
-                .with_fetch_policy(FetchPolicy::RoundRobin),
-            1,
-            SCALE,
-            7,
-            MemConfig::table3(),
-        );
-        let ic = simulate_with_chip(
-            &app,
-            ArchKind::Smt2.chip().with_fetch_policy(FetchPolicy::ICount),
-            1,
-            SCALE,
-            7,
-            MemConfig::table3(),
-        );
+        let with_policy = |policy| {
+            RunSpec {
+                chip: ArchKind::Smt2.chip().with_fetch_policy(policy),
+                ..RunSpec::new(&app, ArchKind::Smt2, 1, SCALE, 7)
+            }
+            .run()
+        };
+        let rr = with_policy(FetchPolicy::RoundRobin);
+        let ic = with_policy(FetchPolicy::ICount);
         assert!(
             (ic.cycles as f64) < rr.cycles as f64 * 1.05,
             "{}: ICOUNT {} vs RR {}",
@@ -49,17 +39,14 @@ fn icount_never_catastrophically_loses_to_round_robin() {
 #[test]
 fn static_taken_prediction_costs_cycles() {
     let app = by_name("fmm").unwrap(); // branch-noisy
-    let bimodal = simulate_with_chip(&app, ArchKind::Fa1.chip(), 1, SCALE, 7, MemConfig::table3());
-    let static_taken = simulate_with_chip(
-        &app,
-        ArchKind::Fa1
+    let bimodal = simulate(&app, ArchKind::Fa1, 1, SCALE, 7);
+    let static_taken = RunSpec {
+        chip: ArchKind::Fa1
             .chip()
             .with_predictor(PredictorKind::StaticTaken),
-        1,
-        SCALE,
-        7,
-        MemConfig::table3(),
-    );
+        ..RunSpec::new(&app, ArchKind::Fa1, 1, SCALE, 7)
+    }
+    .run();
     assert!(
         static_taken.cycles > bimodal.cycles,
         "prediction must matter: {} vs {}",
@@ -76,22 +63,15 @@ fn gshare_history_pollution_on_smt() {
     // single-threaded FA1 by a wide margin.
     let app = by_name("mgrid").unwrap();
     let gshare = PredictorKind::GShare { history_bits: 8 };
-    let fa1 = simulate_with_chip(
-        &app,
-        ArchKind::Fa1.chip().with_predictor(gshare),
-        1,
-        SCALE,
-        7,
-        MemConfig::table3(),
-    );
-    let smt1 = simulate_with_chip(
-        &app,
-        ArchKind::Smt1.chip().with_predictor(gshare),
-        1,
-        SCALE,
-        7,
-        MemConfig::table3(),
-    );
+    let with_gshare = |arch: ArchKind| {
+        RunSpec {
+            chip: arch.chip().with_predictor(gshare),
+            ..RunSpec::new(&app, arch, 1, SCALE, 7)
+        }
+        .run()
+    };
+    let fa1 = with_gshare(ArchKind::Fa1);
+    let smt1 = with_gshare(ArchKind::Smt1);
     assert!(
         smt1.mispredict_rate() > fa1.mispredict_rate() * 2.0,
         "SMT sharing should pollute gshare history: {:.3} vs {:.3}",
@@ -127,18 +107,15 @@ fn replacement_policy_changes_are_bounded() {
     // LRU vs random: measurable but not catastrophic on these workloads
     // (sanity that the policy plumbing affects only victim choice).
     let app = by_name("mgrid").unwrap();
-    let lru = simulate_with_mem(&app, ArchKind::Smt2, 1, SCALE, 7, MemConfig::table3());
-    let rnd = simulate_with_mem(
-        &app,
-        ArchKind::Smt2,
-        1,
-        SCALE,
-        7,
-        MemConfig {
+    let lru = simulate(&app, ArchKind::Smt2, 1, SCALE, 7);
+    let rnd = RunSpec {
+        mem: MemConfig {
             replacement: csmt_mem::Replacement::Random,
             ..MemConfig::table3()
         },
-    );
+        ..RunSpec::new(&app, ArchKind::Smt2, 1, SCALE, 7)
+    }
+    .run();
     assert_eq!(lru.slots.committed, rnd.slots.committed);
     let ratio = rnd.cycles as f64 / lru.cycles as f64;
     assert!((0.8..1.3).contains(&ratio), "ratio {ratio}");
@@ -147,17 +124,14 @@ fn replacement_policy_changes_are_bounded() {
 #[test]
 fn store_buffer_backpressure_visible_only_when_tiny() {
     let app = by_name("swim").unwrap();
-    let roomy = simulate_with_chip(&app, ArchKind::Fa2.chip(), 1, SCALE, 7, MemConfig::table3());
-    let tiny = simulate_with_chip(
-        &app,
-        ArchKind::Fa2
+    let roomy = simulate(&app, ArchKind::Fa2, 1, SCALE, 7);
+    let tiny = RunSpec {
+        chip: ArchKind::Fa2
             .chip()
             .with_cluster(|c| c.with_store_buffer(1)),
-        1,
-        SCALE,
-        7,
-        MemConfig::table3(),
-    );
+        ..RunSpec::new(&app, ArchKind::Fa2, 1, SCALE, 7)
+    }
+    .run();
     assert!(
         tiny.cycles >= roomy.cycles,
         "{} vs {}",

@@ -46,6 +46,11 @@ const EXPECTED: [(&str, u64, u64, u64, u64); 7] = [
 
 #[test]
 fn per_architecture_digests_are_bit_for_bit_stable() {
+    // One more input the digests must not depend on: a scheduling knob
+    // left in the caller's shell. `CSMT_SCHED` is a binary-edge knob;
+    // nothing `simulate_probed` reaches may read it (SMT2 would take 4891
+    // cycles instead of 4875 if anything did).
+    std::env::set_var("CSMT_SCHED", "hazard_pairing");
     let app = by_name(APP).expect("paper app");
     let mem = csmt_mem::MemConfig::table3;
     let capture = std::env::var_os("GOLDEN_PRINT").is_some();
@@ -128,7 +133,7 @@ fn high_end_four_chip_digest_is_bit_for_bit_stable() {
 }
 
 /// Explicitly installing the default scheduling policy
-/// (`StaticRoundRobin`, what `CSMT_SCHED=static` selects) must reproduce
+/// (`StaticRoundRobin`, what the name `"static"` selects) must reproduce
 /// every golden digest bit for bit: the scheduler seam with the static
 /// policy is pure plumbing, invisible to cycles, statistics, and the
 /// event stream alike.
