@@ -7,8 +7,7 @@
 //!   cache (4);
 //! * **remote latency** — doubling Table 3's remote latencies (a larger or
 //!   slower interconnect than the paper's 4-node machine);
-//! * **fill occupancy** — disabling the 8-cycle fill reservation;
-//! * **replacement policy** — LRU (default) vs FIFO vs random.
+//! * **fill occupancy** — disabling the 8-cycle fill reservation.
 
 use csmt_core::ArchKind;
 use csmt_mem::MemConfig;
@@ -53,20 +52,6 @@ fn main() {
             "no fill occupancy",
             MemConfig {
                 fill_time: 0,
-                ..MemConfig::table3()
-            },
-        ),
-        (
-            "FIFO replacement",
-            MemConfig {
-                replacement: csmt_mem::Replacement::Fifo,
-                ..MemConfig::table3()
-            },
-        ),
-        (
-            "random replacement",
-            MemConfig {
-                replacement: csmt_mem::Replacement::Random,
                 ..MemConfig::table3()
             },
         ),

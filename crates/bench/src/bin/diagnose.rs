@@ -21,10 +21,10 @@ use std::path::PathBuf;
 
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
-use csmt_trace::{IntervalSampler, PipeviewProbe, StatsRegistry};
+use csmt_trace::{IntervalSampler, PipeviewProbe};
 use csmt_verify::InvariantProbe;
 use csmt_workloads::{by_name, RunSpec};
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// Keeps O3PipeView output bounded (~200 bytes/record).
 const PIPEVIEW_MAX_RECORDS: u64 = 200_000;
@@ -151,10 +151,11 @@ fn main() {
         std::fs::create_dir_all(dir).expect("CSMT_TRACE_OUT must be creatable");
     }
 
-    let mut registry = StatsRegistry::new();
-    registry.record("app", app.name);
-    registry.record("scale", &scale);
-    registry.record("chips", &(chips as u64));
+    let mut report = vec![
+        ("app".to_string(), Value::Str(app.name.into())),
+        ("scale".to_string(), Value::F64(scale)),
+        ("chips".to_string(), Value::U64(chips as u64)),
+    ];
     let mut summaries = Vec::new();
     for arch in [
         ArchKind::Fa8,
@@ -186,21 +187,21 @@ fn main() {
             m.contention_wait, m.contention_wait as f64 / m.accesses.max(1) as f64
         );
         summaries.push(summary_row(&r));
-        registry.record(&format!("result_{}", arch.name()), &r);
+        report.push((format!("result_{}", arch.name()), r.to_value()));
     }
-    registry.record_value("summary", Value::Array(summaries));
+    report.push(("summary".to_string(), Value::Array(summaries)));
     if let Some(p) = &profiler {
         print!("{}", p.render_text());
-        registry.record_value("host_profile", p.to_value());
+        report.push(("host_profile".to_string(), p.to_value()));
     }
 
     let out_dir = std::env::var_os("CSMT_JSON_DIR")
         .map(PathBuf::from)
         .unwrap_or_default();
     let path = out_dir.join("diagnose.json");
-    registry
-        .write_json(&path)
-        .expect("summary JSON must be writable");
+    let body =
+        serde_json::to_string_pretty(&Value::Object(report)).expect("a Value always renders");
+    std::fs::write(&path, body + "\n").expect("summary JSON must be writable");
     println!("wrote {}", path.display());
     if let Some(dir) = &obs.trace_dir {
         println!(

@@ -51,7 +51,7 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     ),
     (
         "CSMT_SCHED=<policy>",
-        "figures, cycle_time_adjusted, calibrate, csmt-sweep, diagnose, csmt-report (fig9_dynamic_alloc has --sched)",
+        "figures, cycle_time_adjusted, csmt-sweep, diagnose, csmt-report (fig9_dynamic_alloc has --sched)",
         "thread-to-cluster allocation policy: static (default), barrier, hazard_pairing; dynamic policies fall back to static on fixed-assignment archs; an unknown name exits 2 with the valid names",
     ),
     (
@@ -133,14 +133,36 @@ pub fn exit_on_violations(
     })
 }
 
-/// Parse argv[`n`] as a `T`, falling back to `default` when the argument
-/// is absent or unparsable (the argv convention shared by every bench
-/// binary).
+/// `text` (argument `n`, if given) as a `T`: absent means `default`; a
+/// value that does not parse is an error naming it, never the default —
+/// `fetch_policies O.1` must not quietly run at scale 0.5.
+///
+/// # Errors
+/// The diagnosis [`arg_or`] prints, when `text` is not a valid `T`.
+pub fn parse_arg_or<T: std::str::FromStr>(
+    n: usize,
+    text: Option<&str>,
+    default: T,
+) -> Result<T, String> {
+    text.map_or(Ok(default), |s| {
+        s.parse().map_err(|_| {
+            format!(
+                "argument {n} {s:?} is not a valid {}",
+                std::any::type_name::<T>()
+            )
+        })
+    })
+}
+
+/// argv[`n`] as a `T`, or `default` when the argument is absent (the argv
+/// convention shared by every bench binary). An unparsable value prints
+/// [`parse_arg_or`]'s diagnosis and exits 2 (the `CSMT_SCHED` convention).
 pub fn arg_or<T: std::str::FromStr>(n: usize, default: T) -> T {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let text = std::env::args().nth(n);
+    parse_arg_or(n, text.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Work scale from the binary's first CLI argument, defaulting to
@@ -348,10 +370,16 @@ pub struct FlatCell {
 }
 
 /// If the `CSMT_JSON_DIR` environment variable is set, write the figure's
-/// cells as `<dir>/<name>.json` for external plotting. Returns the path
-/// written, if any.
+/// cells as `<dir>/<name>.json` for external plotting (the binary-edge
+/// read of that knob around [`write_json_to`]). Returns the path written,
+/// if any.
 pub fn write_json(rows: &[AppRow], name: &str) -> Option<std::path::PathBuf> {
     let dir = std::env::var_os("CSMT_JSON_DIR")?;
+    Some(write_json_to(std::path::Path::new(&dir), rows, name))
+}
+
+/// Write the figure's cells as `<dir>/<name>.json`; returns the path.
+pub fn write_json_to(dir: &std::path::Path, rows: &[AppRow], name: &str) -> std::path::PathBuf {
     let flat: Vec<FlatCell> = rows
         .iter()
         .flat_map(|row| {
@@ -367,10 +395,10 @@ pub fn write_json(rows: &[AppRow], name: &str) -> Option<std::path::PathBuf> {
             })
         })
         .collect();
-    let path = std::path::Path::new(&dir).join(format!("{name}.json"));
+    let path = dir.join(format!("{name}.json"));
     let body = serde_json::to_string_pretty(&flat).expect("serializable");
     std::fs::write(&path, body).expect("CSMT_JSON_DIR must be writable");
-    Some(path)
+    path
 }
 
 /// Average, over applications, of a per-row metric.
@@ -426,6 +454,21 @@ mod tests {
     }
 
     #[test]
+    fn unparsable_argument_is_an_error_not_the_default() {
+        assert_eq!(parse_arg_or(1, None, 0.5), Ok(0.5));
+        assert_eq!(parse_arg_or(1, Some("0.1"), 0.5), Ok(0.1));
+        assert_eq!(
+            parse_arg_or(1, Some("O.1"), 0.5),
+            Err("argument 1 \"O.1\" is not a valid f64".to_string())
+        );
+        assert!(parse_arg_or(3, Some("-1"), 1usize).is_err());
+        assert_eq!(
+            parse_arg_or(1, Some("vpenta"), String::new()),
+            Ok("vpenta".into())
+        );
+    }
+
+    #[test]
     fn cycle_time_factors_follow_palacharla_jouppi() {
         assert_eq!(cycle_time_factor(ArchKind::Fa1), 2.0);
         assert_eq!(cycle_time_factor(ArchKind::Smt1), 2.0);
@@ -434,19 +477,15 @@ mod tests {
     }
 
     #[test]
-    fn write_json_respects_env_and_roundtrips() {
+    fn write_json_to_roundtrips() {
         let apps = vec![by_name("vpenta").unwrap()];
         let rows = figure(&[ArchKind::Fa8], &apps, 1, ArchKind::Fa8, 0.02);
-        // Without the env var: no write.
-        std::env::remove_var("CSMT_JSON_DIR");
-        assert!(write_json(&rows, "test_fig").is_none());
-        // With it: file appears and parses.
-        let dir = std::env::temp_dir().join("csmt_json_test");
+        let dir = std::env::temp_dir().join(format!("csmt_json_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("CSMT_JSON_DIR", &dir);
-        let path = write_json(&rows, "test_fig").expect("written");
-        std::env::remove_var("CSMT_JSON_DIR");
+        let path = write_json_to(&dir, &rows, "test_fig");
+        assert_eq!(path, dir.join("test_fig.json"));
         let body = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&body).unwrap();
         assert_eq!(parsed.as_array().unwrap().len(), 1);
         assert_eq!(parsed[0]["arch"], "FA8");

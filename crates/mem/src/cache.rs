@@ -8,23 +8,6 @@
 //! in DESIGN.md).
 
 use crate::config::MemConfig;
-use csmt_isa::SplitMix64;
-
-/// Within-set replacement policy.
-///
-/// The paper does not name one; LRU is the conventional 1998 choice and the
-/// default. FIFO and random are provided for the replacement ablation
-/// (`cargo run --release --bin ablation_study`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Evict the least-recently-used way (default).
-    #[default]
-    Lru,
-    /// Evict the oldest-filled way (no use-recency update on hits).
-    Fifo,
-    /// Evict a uniformly random way (deterministic PRNG).
-    Random,
-}
 
 /// Result of a lookup-with-fill operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +54,6 @@ pub struct Cache {
     sets: usize,
     assoc: usize,
     banks: usize,
-    policy: Replacement,
-    rng: SplitMix64,
     lru_clock: u32,
     hits: u64,
     misses: u64,
@@ -82,17 +63,6 @@ impl Cache {
     /// Build a cache with `sets` sets of `assoc` ways across `banks` banks
     /// and LRU replacement.
     pub fn new(sets: usize, assoc: usize, banks: usize) -> Self {
-        Self::with_policy(sets, assoc, banks, Replacement::Lru, 0x5EED)
-    }
-
-    /// Build with an explicit replacement policy.
-    pub fn with_policy(
-        sets: usize,
-        assoc: usize,
-        banks: usize,
-        policy: Replacement,
-        seed: u64,
-    ) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(assoc >= 1 && banks >= 1);
         Cache {
@@ -100,8 +70,6 @@ impl Cache {
             sets,
             assoc,
             banks,
-            policy,
-            rng: SplitMix64::new(seed),
             lru_clock: 0,
             hits: 0,
             misses: 0,
@@ -110,24 +78,12 @@ impl Cache {
 
     /// L1 cache per Table 3 dimensions.
     pub fn l1(cfg: &MemConfig) -> Self {
-        Self::with_policy(
-            cfg.l1_sets(),
-            cfg.l1_assoc,
-            cfg.l1_banks,
-            cfg.replacement,
-            0x5EED,
-        )
+        Self::new(cfg.l1_sets(), cfg.l1_assoc, cfg.l1_banks)
     }
 
     /// L2 cache per Table 3 dimensions.
     pub fn l2(cfg: &MemConfig) -> Self {
-        Self::with_policy(
-            cfg.l2_sets(),
-            cfg.l2_assoc,
-            cfg.l2_banks,
-            cfg.replacement,
-            0x5EED ^ 1,
-        )
+        Self::new(cfg.l2_sets(), cfg.l2_assoc, cfg.l2_banks)
     }
 
     /// Set index with XOR-folded hashing. Plain modulo indexing makes every
@@ -188,8 +144,8 @@ impl Cache {
         let tag = line;
         self.lru_clock = self.lru_clock.wrapping_add(1);
         // One fused pass over the set: hit check, first-invalid victim
-        // candidate and the lowest-stamp (LRU/FIFO) candidate together,
-        // where separate scans would walk the ways up to three times.
+        // candidate and the lowest-stamp (LRU) candidate together, where
+        // separate scans would walk the ways up to three times.
         let base = self.slot(set, 0);
         let mut invalid_way = usize::MAX;
         let mut stamp_way = 0;
@@ -198,9 +154,7 @@ impl Cache {
             let way = self.ways[base + w];
             if way.valid {
                 if way.tag == tag {
-                    if self.policy == Replacement::Lru {
-                        self.ways[base + w].lru = self.lru_clock;
-                    }
+                    self.ways[base + w].lru = self.lru_clock;
                     self.ways[base + w].dirty |= write;
                     self.hits += 1;
                     return LookupResult::Hit;
@@ -214,17 +168,13 @@ impl Cache {
             }
         }
         self.misses += 1;
-        // Victim: first invalid way, else per policy. (When no way is
-        // invalid every way was valid, so `stamp_way` covered the full
-        // set; LRU and FIFO both evict the lowest stamp and differ only
-        // in whether hits refresh it — see the hit path above.)
+        // Victim: first invalid way, else the least recently used. (When
+        // no way is invalid every way was valid, so `stamp_way` covered
+        // the full set.)
         let victim_way = if invalid_way != usize::MAX {
             invalid_way
         } else {
-            match self.policy {
-                Replacement::Lru | Replacement::Fifo => stamp_way,
-                Replacement::Random => self.rng.below_usize(self.assoc),
-            }
+            stamp_way
         };
         let idx = base + victim_way;
         let evicted = if self.ways[idx].valid {
@@ -404,51 +354,6 @@ mod tests {
         let sets: std::collections::HashSet<usize> =
             (0..16u64).map(|t| c.set_of(t << 20)).collect();
         assert!(sets.len() >= 12, "only {} distinct sets", sets.len());
-    }
-
-    #[test]
-    fn fifo_does_not_refresh_on_hits() {
-        // 2 ways: fill A, B; hit A repeatedly; fill C must evict A (oldest
-        // fill) under FIFO, but B (least recently used) under LRU.
-        let run = |policy: Replacement| {
-            let mut c = Cache::with_policy(4, 2, 7, policy, 1);
-            let ls = {
-                let target = c.set_of(0);
-                (0u64..10_000)
-                    .filter(|&l| c.set_of(l) == target)
-                    .take(3)
-                    .collect::<Vec<_>>()
-            };
-            c.access(ls[0], false);
-            c.access(ls[1], false);
-            for _ in 0..5 {
-                c.access(ls[0], false);
-            }
-            match c.access(ls[2], false) {
-                LookupResult::Miss { evicted: Some(v) } => (v.line, ls.clone()),
-                other => panic!("{other:?}"),
-            }
-        };
-        let (fifo_victim, ls) = run(Replacement::Fifo);
-        assert_eq!(fifo_victim, ls[0], "FIFO evicts the oldest fill");
-        let (lru_victim, ls) = run(Replacement::Lru);
-        assert_eq!(lru_victim, ls[1], "LRU keeps the hot line");
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic_and_valid() {
-        let run = |seed: u64| {
-            let mut c = Cache::with_policy(4, 2, 7, Replacement::Random, seed);
-            let mut victims = Vec::new();
-            for line in 0..100u64 {
-                if let LookupResult::Miss { evicted: Some(v) } = c.access(line, false) {
-                    victims.push(v.line);
-                }
-            }
-            victims
-        };
-        assert_eq!(run(7), run(7), "same seed, same victims");
-        assert!(!run(7).is_empty());
     }
 
     #[test]

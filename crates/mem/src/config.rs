@@ -56,9 +56,6 @@ pub struct MemConfig {
     pub link_occupancy: u64,
     /// Per-access occupancy of a memory channel / directory controller.
     pub memory_occupancy: u64,
-    /// Cache replacement policy for both levels (default LRU; the paper
-    /// does not specify one).
-    pub replacement: crate::cache::Replacement,
 }
 
 impl MemConfig {
@@ -86,7 +83,6 @@ impl MemConfig {
             invalidation_penalty: 30,
             link_occupancy: 1,
             memory_occupancy: 1,
-            replacement: crate::cache::Replacement::Lru,
         }
     }
 

@@ -41,7 +41,6 @@ pub mod resource;
 pub mod stats;
 pub mod tlb;
 
-pub use cache::Replacement;
 pub use config::MemConfig;
 pub use hierarchy::{AccessKind, AccessOutcome, MemorySystem, ServicedBy};
 pub use stats::MemStats;

@@ -15,8 +15,8 @@
 
 use csmt_core::{sched::POLICY_NAMES, ArchKind};
 use csmt_sweep::{ResultCache, SweepCell, SweepEngine, CACHE_SCHEMA};
-use csmt_trace::StatsRegistry;
 use csmt_workloads::{all_apps, by_name, AppSpec};
+use serde::{Serialize, Value};
 use std::io::Write as _;
 
 /// Default seed: the figure seed used by every `fig*` binary.
@@ -182,41 +182,38 @@ fn build_cells(opt: &Options) -> Vec<SweepCell> {
 
 /// One deterministic JSONL line for a completed cell.
 fn jsonl_line(cell: &SweepCell, result: &csmt_core::RunResult) -> String {
-    let mut line = StatsRegistry::new();
-    line.record("app", cell.app.name);
-    line.record("arch", cell.arch.name());
-    line.record("chips", &cell.n_chips);
-    line.record("seed", &cell.seed);
-    line.record("scale", &cell.scale);
-    line.record("sched", cell.sched.as_str());
-    line.record("key", &format!("{:016x}", cell.key()));
-    line.record("result", result);
-    line.to_json()
+    Value::Object(vec![
+        ("app".into(), cell.app.name.to_value()),
+        ("arch".into(), cell.arch.name().to_value()),
+        ("chips".into(), cell.n_chips.to_value()),
+        ("seed".into(), cell.seed.to_value()),
+        ("scale".into(), cell.scale.to_value()),
+        ("sched".into(), cell.sched.to_value()),
+        ("key".into(), format!("{:016x}", cell.key()).to_value()),
+        ("result".into(), result.to_value()),
+    ])
+    .to_string()
 }
 
 /// The deterministic aggregate summary (no hit/miss/timing — those are
 /// run-specific and go to stdout only).
-fn summary(opt: &Options, cells: &[SweepCell], results: &[csmt_core::RunResult]) -> StatsRegistry {
-    let mut reg = StatsRegistry::new();
-    reg.record("schema", CACHE_SCHEMA);
-    reg.record("cells", &cells.len());
+fn summary(opt: &Options, cells: &[SweepCell], results: &[csmt_core::RunResult]) -> Value {
     let arch_names: Vec<&str> = opt.archs.iter().map(|a| a.name()).collect();
     let app_names: Vec<&str> = opt.apps.iter().map(|a| a.name).collect();
-    reg.record("archs", &arch_names[..]);
-    reg.record("apps", &app_names[..]);
-    reg.record("chips", &opt.chips[..]);
-    reg.record("seeds", &opt.seeds[..]);
-    reg.record("scales", &opt.scales[..]);
-    reg.record("sched", opt.sched.as_str());
-    reg.record(
-        "total_cycles",
-        &results.iter().map(|r| r.cycles).sum::<u64>(),
-    );
-    reg.record(
-        "total_committed",
-        &results.iter().map(|r| r.slots.committed).sum::<u64>(),
-    );
-    reg
+    let total_cycles: u64 = results.iter().map(|r| r.cycles).sum();
+    let total_committed: u64 = results.iter().map(|r| r.slots.committed).sum();
+    Value::Object(vec![
+        ("schema".into(), CACHE_SCHEMA.to_value()),
+        ("cells".into(), cells.len().to_value()),
+        ("archs".into(), arch_names.to_value()),
+        ("apps".into(), app_names.to_value()),
+        ("chips".into(), opt.chips.to_value()),
+        ("seeds".into(), opt.seeds.to_value()),
+        ("scales".into(), opt.scales.to_value()),
+        ("sched".into(), opt.sched.to_value()),
+        ("total_cycles".into(), total_cycles.to_value()),
+        ("total_committed".into(), total_committed.to_value()),
+    ])
 }
 
 fn main() {
@@ -268,8 +265,9 @@ fn main() {
     }
 
     if let Some(path) = &opt.summary {
-        summary(&opt, &cells, &outcome.results)
-            .write_json(path)
+        let body = serde_json::to_string_pretty(&summary(&opt, &cells, &outcome.results))
+            .expect("a Value always renders");
+        std::fs::write(path, body + "\n")
             .unwrap_or_else(|e| fail(&format!("cannot write {path:?}: {e}")));
     }
 

@@ -16,7 +16,6 @@
 use csmt_core::RunResult;
 use csmt_cpu::SlotStats;
 use csmt_mem::MemStats;
-use csmt_trace::StatsRegistry;
 use csmt_verify::digest::Fnv64;
 use serde::{Serialize, Value};
 use std::io;
@@ -107,12 +106,14 @@ impl ResultCache {
 
     fn try_store(&self, key: u64, result: &RunResult) -> io::Result<()> {
         let value = result.to_value();
-        let mut entry = StatsRegistry::new();
-        entry.record("schema", CACHE_SCHEMA);
-        entry.record("key", &format!("{key:016x}"));
-        entry.record("payload_digest", &payload_digest(&value));
-        entry.record_value("result", value);
-        let mut body = entry.to_json();
+        let entry = Value::Object(vec![
+            ("schema".into(), CACHE_SCHEMA.to_value()),
+            ("key".into(), format!("{key:016x}").to_value()),
+            ("payload_digest".into(), payload_digest(&value).to_value()),
+            ("result".into(), value),
+        ]);
+        let mut body = String::new();
+        entry.render(&mut body);
         body.push('\n');
         let tmp = self
             .dir

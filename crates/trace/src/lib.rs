@@ -8,15 +8,13 @@
 //! monomorphizes to exactly the uninstrumented pipeline — zero branches,
 //! zero stores, zero allocation.
 //!
-//! Three concrete probes ship with the crate:
+//! Two concrete probes ship with the crate:
 //!
 //! * [`IntervalSampler`] — JSONL heartbeats every N cycles: interval IPC,
 //!   the §4.1 wasted-slot breakdown as fractions (legend order), cache
 //!   miss rates, and running-thread count. One JSON object per line.
 //! * [`PipeviewProbe`] — per-instruction pipeline traces in gem5's
 //!   O3PipeView format, viewable in [Konata](https://github.com/shioyadan/Konata).
-//! * [`StatsRegistry`] — not a probe but a sink: named, serializable
-//!   stat sections assembled into one machine-readable JSON document.
 //!
 //! Probes compose structurally: `(A, B)` is a probe that forwards to both,
 //! `Option<P>` forwards when `Some`, and `&mut P` forwards through the
@@ -25,7 +23,6 @@
 
 mod pipeview;
 mod probe;
-mod registry;
 mod sampler;
 
 pub use pipeview::PipeviewProbe;
@@ -34,5 +31,4 @@ pub use probe::{
     NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent, SyncEventKind, Wants,
     WindowOccEvent, HAZARD_LABELS,
 };
-pub use registry::StatsRegistry;
 pub use sampler::IntervalSampler;

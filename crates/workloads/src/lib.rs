@@ -16,10 +16,7 @@
 //! * [`runner`] — one-call simulation of (application × architecture ×
 //!   machine), the entry point used by examples and the bench harness;
 //! * [`multiprogram`] — multiprogrammed mixes of independent sequential
-//!   jobs (the evaluation mode of the SMT papers the paper builds on);
-//! * [`tls`] — a first-order thread-level-speculation mode (the authors'
-//!   companion work [7]): sequential loops run speculatively with
-//!   violation replay and ordered commit.
+//!   jobs (the evaluation mode of the SMT papers the paper builds on).
 
 //! ```
 //! use csmt_core::ArchKind;
@@ -36,11 +33,9 @@ pub mod kernel;
 pub mod multiprogram;
 pub mod program;
 pub mod runner;
-pub mod tls;
 
 pub use apps::{all_apps, build_streams, by_name, AppParams, AppSpec};
 pub use multiprogram::{
     multiprogram_streams, simulate_job_batches, simulate_multiprogram, BatchResult,
 };
 pub use runner::{simulate, simulate_probed, RunSpec};
-pub use tls::{simulate_tls, tls_streams, TlsLoop, TlsResult};

@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# EXPERIMENTS.md drift gate: every
+#
+#   `cargo run --release [-p <pkg>] --bin <bin> [args]`
+#
+# line in EXPERIMENTS.md that is followed (within its section) by a
+# ```text block is run as written (plus -q --offline), and every
+# non-empty line of the block must appear in the binary's stdout, in
+# order and byte-for-byte. A block may quote only part of the output;
+# it may not quote a number the binary no longer prints.
+#
+# Exit: 0 all blocks reproduce, 1 naming the section and the first
+# missing line.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+# A typo'd argument is an error, not a different experiment (0.5 was meant).
+echo "==> fetch_policies O.1 must exit 2"
+status=0
+cargo run -q --release --offline -p csmt-bench --bin fetch_policies -- O.1 \
+  >/dev/null 2>"$TMP/typo.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'argument 1 "O.1" is not a valid' "$TMP/typo.err"; then
+  echo "check_experiments: fetch_policies O.1 exited $status, want 2 and a diagnosis:" >&2
+  cat "$TMP/typo.err" >&2
+  exit 1
+fi
+
+# One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
+check_block() {
+  local section="$1" cmd="$2"
+  echo "==> $cmd"
+  # shellcheck disable=SC2086  # the documented command line is split on purpose
+  cargo run -q --offline ${cmd#cargo run } >"$TMP/got"
+  awk -v section="$section" -v cmd="$cmd" -v wantfile="$TMP/want" '
+    BEGIN {
+      while ((getline l < wantfile) > 0) if (l != "") want[++n] = l
+      i = 1
+    }
+    i <= n && $0 == want[i] { i++ }
+    END {
+      if (i <= n) {
+        printf "check_experiments: %s\n  `%s` does not print, after the lines before it:\n  %s\n", \
+          section, cmd, want[i] > "/dev/stderr"
+        exit 1
+      }
+    }' "$TMP/got"
+}
+
+section="" cmd="" in_block=0 checked=0
+while IFS= read -r line; do
+  if [ "$in_block" -eq 1 ]; then
+    if [ "$line" = '```' ]; then
+      in_block=0
+      check_block "$section" "$cmd"
+      checked=$((checked + 1))
+      cmd=""
+    else
+      printf '%s\n' "$line" >>"$TMP/want"
+    fi
+  elif [[ "$line" == '#'* ]]; then
+    section="$line" cmd=""
+  elif [[ "$line" =~ ^\`(cargo\ run\ --release\ (-p\ [a-z-]+\ )?--bin\ [^\`]+)\`$ ]]; then
+    cmd="${BASH_REMATCH[1]}"
+  elif [ "$line" = '```text' ] && [ -n "$cmd" ]; then
+    in_block=1
+    : >"$TMP/want"
+  fi
+done <EXPERIMENTS.md
+
+echo "check_experiments: $checked blocks reproduce"

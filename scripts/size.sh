@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# The "least code" trajectory as one JSON object on stdout: Rust lines
+# (every line of every *.rs file) per crate and for the top-level trees,
+# plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
+# knobs, run entry points, config fields, audit exceptions.
+#
+#   scripts/size.sh                 (run at the parent and at the change;
+#                                    CHANGES.md records both)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Lines of all *.rs files under the directories given (0 if none exist;
+# a crate's "tests" count includes its fixtures/).
+rs_lines() {
+  local total=0 d
+  for d in "$@"; do
+    [ -d "$d" ] || continue
+    total=$((total + $(find "$d" -name '*.rs' -exec cat {} + | wc -l)))
+  done
+  echo "$total"
+}
+
+# `pub <name>:` fields inside `pub struct $1 { ... }` in file $2.
+struct_fields() {
+  awk -v open="pub struct $1 {" '
+    $0 == open { inside = 1; next }
+    inside && /^}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }' "$2"
+}
+
+# Lines in the files given that match the extended regex $1.
+count() {
+  local re="$1"
+  shift
+  cat "$@" | grep -cE "$re" || true
+}
+
+crates="" bins=""
+total_bins=0 crates_total=0
+for dir in crates/*; do
+  name="$(basename "$dir")"
+  src=$(rs_lines "$dir/src")
+  tests=$(rs_lines "$dir/tests" "$dir/fixtures")
+  benches=$(rs_lines "$dir/benches")
+  crates_total=$((crates_total + src + tests + benches))
+  crates+="${crates:+, }\"$name\": {\"src\": $src, \"tests\": $tests, \"benches\": $benches}"
+  if [ -d "$dir/src/bin" ]; then
+    n=$(find "$dir/src/bin" -name '*.rs' | wc -l)
+    bins+="${bins:+, }\"$name\": $n"
+    total_bins=$((total_bins + n))
+  fi
+done
+
+cat <<EOF
+{
+  "rust_lines": {
+    "crates": {$crates},
+    "crates_total": $crates_total,
+    "tests": $(rs_lines tests),
+    "src": $(rs_lines src),
+    "examples": $(rs_lines examples),
+    "vendor": $(rs_lines vendor),
+    "benchmark_src": $(rs_lines benchmark/src)
+  },
+  "bins": {"total": $total_bins, $bins},
+  "bench_targets": $(find crates/*/benches -name '*.rs' | wc -l),
+  "env_knobs": $(count '^        "CSMT_[A-Z_]+=' crates/bench/src/lib.rs),
+  "run_entry_points": $(count '^ *pub fn ' crates/workloads/src/runner.rs crates/workloads/src/multiprogram.rs),
+  "config_fields": {
+    "ClusterConfig": $(struct_fields ClusterConfig crates/cpu/src/config.rs),
+    "MemConfig": $(struct_fields MemConfig crates/mem/src/config.rs)
+  },
+  "audit": {
+    "allow": $(count '^\[\[allow\]\]' csmt-audit.toml),
+    "seam": $(count '^\[\[seam\]\]' csmt-audit.toml)
+  }
+}
+EOF

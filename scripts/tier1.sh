@@ -47,6 +47,9 @@ cargo run -q --release -p csmt-bench --bin figures -- all 0.02 >/dev/null
 echo "==> fig9 dynamic-allocation smoke (all policies vs SMT2/FA4)"
 cargo run -q --release -p csmt-bench --bin fig9_dynamic_alloc -- --smoke >/dev/null
 
+echo "==> EXPERIMENTS.md tables reproduce from their binaries"
+scripts/check_experiments.sh
+
 echo "==> csmt-sweep smoke (tiny grid, cold then warm: cache hits + identical output)"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT

@@ -60,10 +60,10 @@ pub mod prelude {
     };
     pub use csmt_model::{AppPoint, ArchModel, Region};
     pub use csmt_sweep::{ResultCache, SweepCell, SweepEngine};
-    pub use csmt_trace::{IntervalSampler, NullProbe, PipeviewProbe, Probe, StatsRegistry};
+    pub use csmt_trace::{IntervalSampler, NullProbe, PipeviewProbe, Probe};
     pub use csmt_verify::{InvariantProbe, Violation, ViolationKind};
     pub use csmt_workloads::{
         all_apps, by_name, simulate, simulate_job_batches, simulate_multiprogram, simulate_probed,
-        simulate_tls, AppParams, AppSpec, RunSpec, TlsLoop,
+        AppParams, AppSpec, RunSpec,
     };
 }

@@ -1,6 +1,16 @@
-//! Integration tests for the features built beyond the paper's baseline:
-//! fetch policies, branch predictors, multiprogrammed mixes, store-buffer
-//! backpressure — all exercised end to end through the public API.
+//! Integration tests for the features built beyond the paper's nine
+//! systems. DESIGN.md §7 keeps an extension only while a test here pins
+//! the sentence EXPERIMENTS.md writes with it:
+//!
+//! * fetch policies — ICOUNT costs nothing where it cannot help, and the
+//!   §5.2 susceptibility ordering (partitioned fetch helps SMT1, hurts
+//!   SMT4; ICOUNT lowers the fetch hazard on both);
+//! * `StaticTaken` — wide speculative machines lose without prediction;
+//! * gshare — cross-thread pollution of the shared history on SMT;
+//! * multiprogrammed mixes — same work, SMT2 at least ties the best FA;
+//! * the memory ablations — SMT2's margin over FA2 is memory-level
+//!   parallelism (banks, MSHRs);
+//! * the store buffer — backpressure only when the buffer is tiny.
 
 use clustered_smt::prelude::*;
 use csmt_core::ArchKind;
@@ -34,6 +44,75 @@ fn icount_never_catastrophically_loses_to_round_robin() {
             "same work either way"
         );
     }
+}
+
+/// Total cycles and mean fetch-hazard fraction of the six applications on
+/// the low-end machine — the quantities `fetch_policies` and
+/// `ablation_study` tabulate.
+fn six_app_total(arch: ArchKind, chip: ChipConfig, mem: &MemConfig) -> (u64, f64) {
+    let apps = all_apps();
+    let (mut cycles, mut fetch) = (0, 0.0);
+    for app in &apps {
+        let r = RunSpec {
+            chip,
+            mem: mem.clone(),
+            ..RunSpec::new(app, arch, 1, SCALE, 7)
+        }
+        .run();
+        cycles += r.cycles;
+        fetch += r.hazard_fraction(Hazard::Fetch);
+    }
+    (cycles, fetch / apps.len() as f64)
+}
+
+#[test]
+fn fetch_policy_susceptibility_follows_section_5_2() {
+    // EXPERIMENTS.md, "Fetch policies": partitioned fetch helps the
+    // centralized SMT1 and hurts the narrow-cluster SMT4; ICOUNT lowers
+    // the fetch-hazard fraction on both.
+    let table3 = MemConfig::table3();
+    let with_policy =
+        |arch: ArchKind, p| six_app_total(arch, arch.chip().with_fetch_policy(p), &table3);
+    for (arch, partitioned_wins) in [(ArchKind::Smt1, true), (ArchKind::Smt4, false)] {
+        let (rr, rr_fetch) = with_policy(arch, FetchPolicy::RoundRobin);
+        let (part, _) = with_policy(arch, FetchPolicy::Partitioned2);
+        let (_, ic_fetch) = with_policy(arch, FetchPolicy::ICount);
+        assert_eq!(
+            part < rr,
+            partitioned_wins,
+            "{}: partitioned-2 {part} vs round-robin {rr}",
+            arch.name()
+        );
+        assert!(
+            ic_fetch < rr_fetch,
+            "{}: ICOUNT fetch hazard {ic_fetch:.4} vs round-robin {rr_fetch:.4}",
+            arch.name()
+        );
+    }
+}
+
+#[test]
+fn smt2_advantage_over_fa2_is_memory_level_parallelism() {
+    // EXPERIMENTS.md, "Memory-system ablations": SMT2's ~1.4x over FA2
+    // shrinks to under 1.2x with one bank per level or with 4 MSHRs.
+    let speedup = |mem: MemConfig| {
+        let (fa2, _) = six_app_total(ArchKind::Fa2, ArchKind::Fa2.chip(), &mem);
+        let (smt2, _) = six_app_total(ArchKind::Smt2, ArchKind::Smt2.chip(), &mem);
+        fa2 as f64 / smt2 as f64
+    };
+    let baseline = speedup(MemConfig::table3());
+    assert!(baseline > 1.3, "baseline SMT2 speedup {baseline:.2}");
+    let one_bank = speedup(MemConfig {
+        l1_banks: 1,
+        l2_banks: 1,
+        ..MemConfig::table3()
+    });
+    let four_mshrs = speedup(MemConfig {
+        max_outstanding_loads: 4,
+        ..MemConfig::table3()
+    });
+    assert!(one_bank < 1.2, "1 bank/level: {one_bank:.2}");
+    assert!(four_mshrs < 1.2, "4 MSHRs: {four_mshrs:.2}");
 }
 
 #[test]
@@ -100,25 +179,6 @@ fn multiprogram_batches_preserve_work_and_order_smt_first() {
         fa2.total_cycles,
         fa8.total_cycles
     );
-}
-
-#[test]
-fn replacement_policy_changes_are_bounded() {
-    // LRU vs random: measurable but not catastrophic on these workloads
-    // (sanity that the policy plumbing affects only victim choice).
-    let app = by_name("mgrid").unwrap();
-    let lru = simulate(&app, ArchKind::Smt2, 1, SCALE, 7);
-    let rnd = RunSpec {
-        mem: MemConfig {
-            replacement: csmt_mem::Replacement::Random,
-            ..MemConfig::table3()
-        },
-        ..RunSpec::new(&app, ArchKind::Smt2, 1, SCALE, 7)
-    }
-    .run();
-    assert_eq!(lru.slots.committed, rnd.slots.committed);
-    let ratio = rnd.cycles as f64 / lru.cycles as f64;
-    assert!((0.8..1.3).contains(&ratio), "ratio {ratio}");
 }
 
 #[test]
