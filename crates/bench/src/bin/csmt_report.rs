@@ -51,14 +51,6 @@ fn arch_by_name(name: &str) -> Option<ArchKind> {
         .find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
-fn sample_interval() -> u64 {
-    std::env::var("CSMT_TRACE_INTERVAL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1000)
-}
-
 /// Rebuild the attribution tree by telescoping a heartbeat JSONL stream:
 /// raw slot counts across records sum to the run's final `SlotStats`
 /// (the sampler guarantees this), so the replayed tree equals the live
@@ -148,7 +140,7 @@ fn main() {
     let self_profile = csmt_bench::env_flag("CSMT_SELF_PROFILE");
     let verify = csmt_bench::env_flag("CSMT_VERIFY");
     let mut probe = (
-        MetricsProbe::new(sample_interval()),
+        MetricsProbe::new(csmt_bench::trace_interval_from_env()),
         (
             self_profile.then(HostProfiler::new),
             verify.then(|| InvariantProbe::new(&arch.chip(), chips)),

@@ -39,11 +39,7 @@ struct Observe {
 fn observe_config() -> Observe {
     Observe {
         trace_dir: std::env::var_os("CSMT_TRACE_OUT").map(PathBuf::from),
-        interval: std::env::var("CSMT_TRACE_INTERVAL")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1000),
+        interval: csmt_bench::trace_interval_from_env(),
         verify: csmt_bench::env_flag("CSMT_VERIFY"),
     }
 }

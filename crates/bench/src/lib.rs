@@ -32,7 +32,7 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     (
         "CSMT_TRACE_INTERVAL=<n>",
         "diagnose, csmt-report",
-        "heartbeat/counter sampling interval in cycles (default 1000)",
+        "heartbeat/counter sampling interval in cycles (default 1000; anything but a positive integer exits 2)",
     ),
     (
         "CSMT_METRICS_OUT=<dir>",
@@ -106,6 +106,29 @@ pub fn sched_from_env() -> &'static str {
             eprintln!("error: {e} (from CSMT_SCHED)");
             std::process::exit(2);
         })
+}
+
+/// `CSMT_TRACE_INTERVAL`'s text as a sampling interval in cycles: unset
+/// means 1000; anything but a positive integer is an error naming it,
+/// never the default — a typo must not quietly sample every 1000 cycles.
+fn parse_trace_interval(text: Option<&str>) -> Result<u64, String> {
+    let Some(s) = text else { return Ok(1000) };
+    s.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("CSMT_TRACE_INTERVAL {s:?} is not a positive integer"))
+}
+
+/// The heartbeat / counter sampling interval `CSMT_TRACE_INTERVAL`
+/// selects (1000 cycles when unset). A bad value prints
+/// `parse_trace_interval`'s diagnosis and exits 2 (the `CSMT_SCHED`
+/// convention).
+pub fn trace_interval_from_env() -> u64 {
+    let text = std::env::var_os("CSMT_TRACE_INTERVAL").map(|v| v.to_string_lossy().into_owned());
+    parse_trace_interval(text.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Whether the on/off knob `name` is set (to anything but `0` or empty).
@@ -401,24 +424,9 @@ pub fn write_json_to(dir: &std::path::Path, rows: &[AppRow], name: &str) -> std:
     path
 }
 
-/// Average, over applications, of a per-row metric.
-pub fn mean_over_rows(rows: &[AppRow], f: impl Fn(&AppRow) -> f64) -> f64 {
-    rows.iter().map(f).sum::<f64>() / rows.len() as f64
-}
-
-/// The sync-hazard fraction of one cell (used by trend assertions).
-pub fn sync_fraction(c: &Cell) -> f64 {
-    c.result.hazard_fraction(Hazard::Sync)
-}
-
 /// The fetch-hazard fraction of one cell.
 pub fn fetch_fraction(c: &Cell) -> f64 {
     c.result.hazard_fraction(Hazard::Fetch)
-}
-
-/// Data+memory hazard fraction of one cell.
-pub fn data_mem_fraction(c: &Cell) -> f64 {
-    c.result.hazard_fraction(Hazard::Data) + c.result.hazard_fraction(Hazard::Memory)
 }
 
 #[cfg(test)]
@@ -466,6 +474,20 @@ mod tests {
             parse_arg_or(1, Some("vpenta"), String::new()),
             Ok("vpenta".into())
         );
+    }
+
+    #[test]
+    fn bad_trace_interval_is_an_error_not_the_default() {
+        assert_eq!(parse_trace_interval(None), Ok(1000));
+        assert_eq!(parse_trace_interval(Some("250")), Ok(250));
+        for bad in ["0", "1OOO", "-5", ""] {
+            assert_eq!(
+                parse_trace_interval(Some(bad)),
+                Err(format!(
+                    "CSMT_TRACE_INTERVAL {bad:?} is not a positive integer"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ use csmt_cpu::{Cluster, ClusterEvent, DetachedThread, ThreadState};
 use csmt_isa::InstStream;
 use csmt_mem::{MemConfig, MemorySystem};
 use csmt_trace::{
-    emit, CycleStats, Event, MigrationEvent, MigrationEventKind, NullProbe, Probe, SyncEvent,
-    SyncEventKind, Wants,
+    emit, CycleStats, Event, HostPhase, HostStopwatch, MigrationEvent, MigrationEventKind,
+    NullProbe, Probe, SyncEvent, SyncEventKind, Wants,
 };
 
 /// Where a software thread lives: (chip, cluster-in-chip, context-in-cluster).
@@ -432,9 +432,7 @@ impl Machine {
             // `cycle_end` row (non-zero only when a stats-wanting probe
             // is composed in). Everything else in the snapshot comes
             // from O(1) machine-level running aggregates.
-            let phase_t = P::WANTS
-                .contains(Wants::HOST_PHASES)
-                .then(std::time::Instant::now);
+            let mut host = HostStopwatch::start::<P>();
             let mut wasted = [0.0f64; 7];
             for cl in &self.clusters {
                 for (w, c) in wasted.iter_mut().zip(&cl.stats().wasted) {
@@ -442,12 +440,7 @@ impl Machine {
                 }
             }
             let stats = self.build_cycle_stats(wasted, running);
-            if let Some(t0) = phase_t {
-                emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
-                    phase: csmt_trace::HostPhase::CycleEnd,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                });
-            }
+            host.lap(probe, HostPhase::CycleEnd);
             emit(probe, Wants::CYCLE_STATS, || Event::CycleEnd {
                 cycle: now,
                 stats: Some(&stats),

@@ -46,8 +46,8 @@ pub struct Runtime {
     live_per_group: Vec<usize>,
     // Ordered maps: `thread_done` iterates `barriers` to find ones a
     // shrinking group completes, and the order of the resulting
-    // `Action::Resume` pushes is digest-visible. (csmt-audit's map-iter
-    // rule caught the original `HashMap` here.)
+    // `Action::Resume` pushes is digest-visible. (A `HashMap` here could
+    // not be iterated: crates/clippy.toml bans it, DESIGN.md §14.)
     barriers: BTreeMap<(usize, u32), Barrier>,
     locks: BTreeMap<(usize, u32), Lock>,
     done: Vec<bool>,

@@ -24,20 +24,10 @@ use crate::stats::{CycleActivity, SlotStats};
 use csmt_isa::{InstStream, SyncOp};
 use csmt_mem::MemorySystem;
 use csmt_trace::{
-    emit, Event, HostPhase, NullProbe, Probe, RenamePoolEvent, Wants, WindowOccEvent,
+    emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants, WindowOccEvent,
 };
-use std::time::Instant;
 
 pub use crate::pipeline::regs::ThreadState;
-
-/// Report the host time since `t0` as one execution of `phase`.
-#[inline]
-fn emit_host_phase<P: Probe>(probe: &mut P, phase: HostPhase, t0: Instant) {
-    emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
-        phase,
-        nanos: t0.elapsed().as_nanos() as u64,
-    });
-}
 
 /// Events the cluster reports to the parallel runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,12 +296,11 @@ impl Cluster {
         cluster_id: u32,
     ) -> CycleActivity {
         self.regs.rename_stalled = false;
-        // Host self-profiling: one timestamp per phase boundary, only
-        // when the probe opted in (two `Instant` reads per phase
-        // otherwise eliminated statically). Memory-hierarchy time is
-        // reported separately by `MemorySystem` and nests inside the
-        // issue (loads) and commit (stores) phases.
-        let mut phase_t = P::WANTS.contains(Wants::HOST_PHASES).then(Instant::now);
+        // Host self-profiling: one lap per phase boundary, only when
+        // the probe opted in (otherwise eliminated statically).
+        // Memory-hierarchy time is reported separately by `MemorySystem`
+        // and nests inside the issue (loads) and commit (stores) phases.
+        let mut host = HostStopwatch::start::<P>();
         self.win.complete_phase(
             &mut self.regs,
             &mut self.rename,
@@ -320,10 +309,7 @@ impl Cluster {
             probe,
             cluster_id,
         );
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Complete, t0);
-            phase_t = Some(Instant::now());
-        }
+        host.lap(probe, HostPhase::Complete);
         let committed = commit::run(
             &self.cfg,
             &mut self.regs,
@@ -337,10 +323,7 @@ impl Cluster {
             probe,
             cluster_id,
         );
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Commit, t0);
-            phase_t = Some(Instant::now());
-        }
+        host.lap(probe, HostPhase::Commit);
         let (useful, wrong) = self.win.issue_phase(
             &self.regs,
             &mut self.fu,
@@ -351,10 +334,7 @@ impl Cluster {
             probe,
             cluster_id,
         );
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Issue, t0);
-            phase_t = Some(Instant::now());
-        }
+        host.lap(probe, HostPhase::Issue);
         fetch::run(
             &self.cfg,
             &mut self.regs,
@@ -365,14 +345,9 @@ impl Cluster {
             probe,
             cluster_id,
         );
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Fetch, t0);
-            phase_t = Some(Instant::now());
-        }
+        host.lap(probe, HostPhase::Fetch);
         regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
-        if let Some(t0) = phase_t {
-            emit_host_phase(probe, HostPhase::Account, t0);
-        }
+        host.lap(probe, HostPhase::Account);
         self.emit_snapshots(now, probe, cluster_id);
         CycleActivity {
             useful: useful as u32,

@@ -144,20 +144,6 @@ impl OpClass {
     pub fn is_branch(self) -> bool {
         matches!(self, OpClass::Branch)
     }
-
-    /// True if the destination register (when present) lives in the FP file.
-    /// Used by rename to pick the register pool.
-    #[inline]
-    pub fn writes_fp(self) -> bool {
-        matches!(
-            self,
-            OpClass::FpAdd
-                | OpClass::FpMul
-                | OpClass::FpDivSingle
-                | OpClass::FpDivDouble
-                | OpClass::Load // FP loads also exist; pool choice comes from dest reg, see rename
-        )
-    }
 }
 
 #[cfg(test)]

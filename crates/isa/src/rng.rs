@@ -33,12 +33,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit value (upper half of the 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
     ///
     /// Uses the widening-multiply technique (Lemire); bias is negligible for

@@ -86,20 +86,6 @@ impl MemConfig {
         }
     }
 
-    /// A tiny configuration for unit tests: 4 lines of L1, 16 of L2, small
-    /// TLB — so capacity and conflict behaviour is exercised with short
-    /// traces. Latencies stay at Table 3 values.
-    pub fn tiny_for_tests() -> Self {
-        MemConfig {
-            l1_size: 4 * 64,
-            l2_size: 16 * 64,
-            l1_assoc: 2,
-            l2_assoc: 4,
-            tlb_entries: 4,
-            ..Self::table3()
-        }
-    }
-
     /// Number of L1 sets.
     pub fn l1_sets(&self) -> usize {
         self.l1_size / self.line_size / self.l1_assoc

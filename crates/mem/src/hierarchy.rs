@@ -17,7 +17,7 @@ use crate::mshr::{MshrFile, MshrOutcome};
 use crate::resource::Resource;
 use crate::stats::MemStats;
 use crate::tlb::Tlb;
-use csmt_trace::{emit, Event, Probe, Wants};
+use csmt_trace::{emit, Event, HostPhase, HostStopwatch, Probe, Wants};
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +130,6 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Free MSHR slots at `node` at time `now` — the LSQ consults this to
     /// respect the 32-outstanding-loads limit without issuing.
     pub fn free_mshrs(&mut self, node: usize, now: u64) -> usize {
@@ -163,16 +158,9 @@ impl MemorySystem {
         // Host self-profiling: memory time nests inside the cluster's
         // issue (loads) / commit (stores) phases; the profiler reports
         // it as its own row so cache-model cost is visible separately.
-        let phase_t = P::WANTS
-            .contains(Wants::HOST_PHASES)
-            .then(std::time::Instant::now);
+        let mut host = HostStopwatch::start::<P>();
         let out = self.access_inner(node, addr, kind, now);
-        if let Some(t0) = phase_t {
-            emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
-                phase: csmt_trace::HostPhase::Memory,
-                nanos: t0.elapsed().as_nanos() as u64,
-            });
-        }
+        host.lap(probe, HostPhase::Memory);
         emit(probe, Wants::CACHE, || {
             Event::Cache(csmt_trace::CacheEvent {
                 cycle: now,

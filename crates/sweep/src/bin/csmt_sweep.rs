@@ -106,6 +106,10 @@ fn parse_args() -> Options {
         scales: vec![DEFAULT_SCALE],
         // CSMT_SCHED is only the default of --sched: validated below
         // like the flag's own value.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "binary edge: main-side knob read, passed down as SweepCell::sched"
+        )]
         sched: std::env::var("CSMT_SCHED").unwrap_or_else(|_| "static".to_string()),
         threads: None,
         cache: None,
@@ -253,6 +257,10 @@ fn main() {
         )
     });
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cells/s status line on stdout only; the JSONL stream and summary carry no timing"
+    )]
     let start = std::time::Instant::now();
     let outcome = engine.run_streaming(&cells, |i, result| {
         if let Some(w) = &mut out {

@@ -144,6 +144,10 @@ impl SweepEngine {
     /// workers (default: host parallelism) and the `CSMT_SWEEP_CACHE`
     /// directory (default: no cache).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "frozen benchmark/ calls SweepEngine::from_env(); ROADMAP item 1 deletes the function and this expect together"
+    )]
     pub fn from_env() -> Self {
         let threads = std::env::var("CSMT_SWEEP_THREADS")
             .ok()

@@ -20,8 +20,15 @@
 //!
 //! Job *completion order* is scheduling-dependent; everything observable
 //! (the returned `Vec`, the sink call order) is not. This file is the
-//! crate's registered concurrency seam (csmt-audit.toml `[[seam]]`): all
-//! `Mutex`/`thread::scope` use in csmt-sweep lives here.
+//! one concurrency seam of the strict lint tier (`crates/clippy.toml`,
+//! DESIGN.md §14): all `Mutex`/`thread::scope` use in csmt-sweep lives
+//! here, under the module-level `#![expect]` below.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the one parallel seam: results drain through a locked cursor strictly in job order, so output is byte-identical at any worker count"
+)]
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

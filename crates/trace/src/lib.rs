@@ -27,8 +27,8 @@ mod sampler;
 
 pub use pipeview::PipeviewProbe;
 pub use probe::{
-    emit, CacheEvent, CycleStats, Event, FetchEvent, HostPhase, MigrationEvent, MigrationEventKind,
-    NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent, SyncEventKind, Wants,
-    WindowOccEvent, HAZARD_LABELS,
+    emit, CacheEvent, CycleStats, Event, FetchEvent, HostPhase, HostStopwatch, MigrationEvent,
+    MigrationEventKind, NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent,
+    SyncEventKind, Wants, WindowOccEvent, HAZARD_LABELS,
 };
 pub use sampler::IntervalSampler;

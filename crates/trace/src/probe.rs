@@ -1,6 +1,7 @@
 //! The [`Probe`] trait, its event payloads, and structural composition.
 
 use csmt_isa::{OpClass, SyncOp};
+use std::time::Instant;
 
 /// Hazard labels in the paper's legend order (§4.1), matching
 /// `csmt_cpu::Hazard::ALL` / `Hazard::index()`. Kept here (rather than
@@ -333,8 +334,8 @@ impl Wants {
     /// occupancy histograms of `csmt-metrics`).
     pub const OCC: Wants = Wants(1 << 4);
     /// [`Event::HostPhase`] wall-clock reports around the simulator's own
-    /// pipeline phases. The timers cost two `Instant` reads per phase per
-    /// cluster-cycle, which only the host self-profiler should pay.
+    /// pipeline phases. [`HostStopwatch`] costs one clock read per phase
+    /// boundary, which only the host self-profiler should pay.
     pub const HOST_PHASES: Wants = Wants(1 << 5);
     /// [`Event::Migration`] thread-placement events (initial attaches plus
     /// scheduler-driven migrations).
@@ -456,6 +457,41 @@ pub fn emit<'a, P: Probe + ?Sized>(
         let ev = make();
         debug_assert_eq!(ev.channel(), channel, "{ev:?} emitted on the wrong channel");
         probe.on(&ev);
+    }
+}
+
+/// Host self-profiling stopwatch: the simulator's only wall-clock read.
+/// It runs only for a probe that wants [`Wants::HOST_PHASES`] and its
+/// readings leave only as [`Event::HostPhase`], so host time cannot
+/// reach simulated state; for every other probe `start` is `None` and
+/// each `lap` folds to nothing.
+#[derive(Debug)]
+pub struct HostStopwatch(Option<Instant>);
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host self-profiling: gated on HOST_PHASES, readings feed Event::HostPhase only"
+)]
+impl HostStopwatch {
+    /// Start timing if `P` wants host phases.
+    #[inline]
+    #[must_use]
+    pub fn start<P: Probe + ?Sized>() -> Self {
+        HostStopwatch(P::WANTS.contains(Wants::HOST_PHASES).then(Instant::now))
+    }
+
+    /// Report the host time since `start` (or the previous lap) as one
+    /// execution of `phase`, and restart for the next phase.
+    #[inline]
+    pub fn lap<P: Probe + ?Sized>(&mut self, probe: &mut P, phase: HostPhase) {
+        if let Some(t0) = self.0 {
+            let now = Instant::now();
+            emit(probe, Wants::HOST_PHASES, || Event::HostPhase {
+                phase,
+                nanos: now.duration_since(t0).as_nanos() as u64,
+            });
+            self.0 = Some(now);
+        }
     }
 }
 
@@ -704,6 +740,32 @@ mod tests {
             covered = covered.union(ev.channel());
         }
         assert_eq!(covered, all);
+    }
+
+    #[test]
+    fn host_stopwatch_laps_only_for_probes_that_want_host_phases() {
+        #[derive(Default)]
+        struct Phases(Vec<HostPhase>);
+        impl Probe for Phases {
+            const WANTS: Wants = Wants::HOST_PHASES;
+            fn on(&mut self, ev: &Event<'_>) {
+                if let Event::HostPhase { phase, .. } = ev {
+                    self.0.push(*phase);
+                }
+            }
+        }
+        let mut on = Phases::default();
+        let mut sw = HostStopwatch::start::<Phases>();
+        sw.lap(&mut on, HostPhase::Complete);
+        sw.lap(&mut on, HostPhase::Commit);
+        assert_eq!(on.0, [HostPhase::Complete, HostPhase::Commit]);
+
+        // Every channel but HOST_PHASES: never started, nothing delivered.
+        let mut off = Tally::<{ !Wants::HOST_PHASES.0 }>::default();
+        let mut sw = HostStopwatch::start::<Tally<{ !Wants::HOST_PHASES.0 }>>();
+        assert!(sw.0.is_none());
+        sw.lap(&mut off, HostPhase::Complete);
+        assert_eq!(off.0, 0);
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! Validates all seven Table 2 chip configurations (plus the SMT8 alias)
 //! with `ChipConfig::validate`, checks the scheduler-policy × architecture
 //! matrix (dynamic policies must be rejected on fixed-assignment archs, a
-//! zero rebalance quantum must be rejected everywhere), materializes and
-//! lints every application's instruction streams (register ranges,
-//! dataflow live-ins, branch-target spans, sync balance), and runs the
-//! `csmt-audit` determinism/hot-path source scan, folding its summary
-//! into the final line.
+//! zero rebalance quantum must be rejected everywhere), and materializes
+//! and lints every application's instruction streams (register ranges,
+//! dataflow live-ins, branch-target spans, sync balance).
 //!
 //! ```text
 //! cargo run --release --bin csmt-lint [scale] [n_threads]
@@ -112,25 +110,6 @@ fn main() {
         }
         errors += errs.len();
         warnings += warns.len();
-    }
-
-    println!("== source audit (csmt-audit) ==");
-    match csmt_audit::audit_root(&csmt_audit::default_root()) {
-        Ok(report) => {
-            for f in &report.findings {
-                println!("  {f}");
-            }
-            for s in &report.stale {
-                println!("  stale: {s}");
-            }
-            println!("  {}", report.summary());
-            errors += report.errors() + report.stale.len();
-            warnings += report.warnings();
-        }
-        Err(e) => {
-            println!("  error: {e}");
-            errors += 1;
-        }
     }
 
     println!("csmt-lint: {errors} error(s), {warnings} warning(s)");

@@ -2,7 +2,7 @@
 # The "least code" trajectory as one JSON object on stdout: Rust lines
 # (every line of every *.rs file) per crate and for the top-level trees,
 # plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
-# knobs, run entry points, config fields, audit exceptions.
+# knobs, run entry points, config fields, determinism-lint exceptions.
 #
 #   scripts/size.sh                 (run at the parent and at the change;
 #                                    CHANGES.md records both)
@@ -36,9 +36,20 @@ count() {
   cat "$@" | grep -cE "$re" || true
 }
 
+# `#[expect(…)]` / `#![expect(…)]` attributes under crates/*/src that name a
+# `clippy::disallowed_*` lint: the determinism contract's exception sites
+# (DESIGN.md §14; the self-test fixture lives under tests/ and is not counted).
+lint_exceptions() {
+  find crates/*/src -name '*.rs' -exec cat {} + | awk '
+    /#!?\[expect\(/ { inside = 1; hit = 0 }
+    inside && /clippy::disallowed_/ { hit = 1 }
+    inside && /\)\]/ { n += hit; inside = 0 }
+    END { print n + 0 }'
+}
+
 crates="" bins=""
 total_bins=0 crates_total=0
-for dir in crates/*; do
+for dir in crates/*/; do
   name="$(basename "$dir")"
   src=$(rs_lines "$dir/src")
   tests=$(rs_lines "$dir/tests" "$dir/fixtures")
@@ -71,9 +82,6 @@ cat <<EOF
     "ClusterConfig": $(struct_fields ClusterConfig crates/cpu/src/config.rs),
     "MemConfig": $(struct_fields MemConfig crates/mem/src/config.rs)
   },
-  "audit": {
-    "allow": $(count '^\[\[allow\]\]' csmt-audit.toml),
-    "seam": $(count '^\[\[seam\]\]' csmt-audit.toml)
-  }
+  "lint_exceptions": $(lint_exceptions)
 }
 EOF

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (carries the determinism bans: crates/**/clippy.toml, DESIGN.md §14)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
@@ -18,6 +18,9 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test (root package: tier-1)"
 cargo test -q
+
+echo "==> golden digests with a scheduling knob left in the shell (nothing below the binaries reads it)"
+CSMT_SCHED=hazard_pairing cargo test -q --test golden_determinism
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace
@@ -31,9 +34,6 @@ cargo bench -p csmt-bench --bench cluster_step -- --test
 echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting)"
 cargo run -q --release -p csmt-bench --bin csmt-report -- SMT2 mgrid 0.1 1 >/dev/null
 cargo run -q --release -p csmt-bench --bin csmt-report -- FA4 mgrid 0.1 4 >/dev/null
-
-echo "==> csmt-audit (determinism & hot-path static analysis, warnings denied)"
-cargo run -q --release -p csmt-audit --bin csmt-audit -- --deny-warnings
 
 echo "==> csmt-lint (Table 2 configs + workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint

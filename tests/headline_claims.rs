@@ -14,37 +14,36 @@ use std::sync::OnceLock;
 const SCALE: f64 = 0.25;
 const SEED: u64 = 0xC5_317;
 
-/// All (app, arch, chips) results, computed once and shared across tests.
+/// All (app, arch, chips) results, computed once on the bounded sweep
+/// pool and shared across tests.
 fn results() -> &'static HashMap<(String, ArchKind, usize), RunResult> {
     static CELL: OnceLock<HashMap<(String, ArchKind, usize), RunResult>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let mut out = HashMap::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = all_apps()
+        let mut cells = Vec::new();
+        for app in all_apps() {
+            for arch in ArchKind::FA_FIGURES
                 .into_iter()
-                .flat_map(|app| {
-                    let mut v = Vec::new();
-                    for arch in ArchKind::FA_FIGURES
-                        .into_iter()
-                        .chain([ArchKind::Smt4, ArchKind::Smt1])
-                    {
-                        for chips in [1usize, 4] {
-                            let app = app.clone();
-                            v.push(s.spawn(move || {
-                                let r = simulate(&app, arch, chips, SCALE, SEED);
-                                ((app.name.to_string(), arch, chips), r)
-                            }));
-                        }
-                    }
-                    v
-                })
-                .collect();
-            for h in handles {
-                let (k, v) = h.join().expect("sim thread");
-                out.insert(k, v);
+                .chain([ArchKind::Smt4, ArchKind::Smt1])
+            {
+                for n_chips in [1usize, 4] {
+                    cells.push(SweepCell {
+                        app: app.clone(),
+                        arch,
+                        n_chips,
+                        seed: SEED,
+                        scale: SCALE,
+                        sched: "static".to_string(),
+                    });
+                }
             }
-        });
-        out
+        }
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let results = SweepEngine::new(threads, None).run(&cells).results;
+        cells
+            .iter()
+            .map(|c| (c.app.name.to_string(), c.arch, c.n_chips))
+            .zip(results)
+            .collect()
     })
 }
 
