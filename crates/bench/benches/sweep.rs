@@ -11,8 +11,8 @@
 //! warm ≥ 10× cold. Set `CSMT_BENCH_JSON=<path>` to dump the summary.
 
 use csmt_core::ArchKind;
-use csmt_sweep::{ResultCache, SweepCell, SweepEngine};
-use csmt_workloads::all_apps;
+use csmt_sweep::{ResultCache, SweepEngine};
+use csmt_workloads::{all_apps, AppSpec, RunSpec};
 use std::time::Instant;
 
 /// Work scale of the grid: figure-shaped but affordable in smoke mode.
@@ -21,27 +21,21 @@ const SCALE: f64 = 0.05;
 const SEED: u64 = 0xC5_317;
 
 /// The benchmark grid: FA figure set × all six applications.
-fn grid() -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for app in all_apps() {
-        for arch in ArchKind::FA_FIGURES {
-            cells.push(SweepCell {
-                app: app.clone(),
-                arch,
-                n_chips: 1,
-                seed: SEED,
-                scale: SCALE,
-                sched: "static".to_string(),
-            });
-        }
-    }
-    cells
+fn grid(apps: &[AppSpec]) -> Vec<RunSpec<'_>> {
+    apps.iter()
+        .flat_map(|app| {
+            ArchKind::FA_FIGURES
+                .into_iter()
+                .map(move |arch| RunSpec::new(app, arch, 1, SCALE, SEED))
+        })
+        .collect()
 }
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let warm_reps = if test_mode { 1 } else { 3 };
-    let cells = grid();
+    let apps = all_apps();
+    let cells = grid(&apps);
 
     let dir = std::env::temp_dir().join(format!("csmt_sweep_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -50,7 +44,7 @@ fn main() {
 
     // Cold: every cell simulates and stores.
     let t0 = Instant::now();
-    let cold = engine.run(&cells);
+    let cold = engine.run_specs(&cells);
     let cold_secs = t0.elapsed().as_secs_f64();
     assert_eq!(cold.misses, cells.len(), "cold run must start empty");
     let total_cycles: u64 = cold.results.iter().map(|r| r.cycles).sum();
@@ -64,7 +58,7 @@ fn main() {
     let t0 = Instant::now();
     let mut warm_cycles = 0;
     for _ in 0..warm_reps {
-        let warm = engine.run(&cells);
+        let warm = engine.run_specs(&cells);
         assert_eq!(warm.hits, cells.len(), "warm run must be pure hits");
         warm_cycles = warm.results.iter().map(|r| r.cycles).sum();
     }

@@ -56,34 +56,34 @@ fn main() {
             },
         ),
     ];
-    for chips in [1usize, 4] {
-        println!(
-            "== {} machine ==",
-            if chips == 1 {
-                "low-end"
-            } else {
-                "high-end (4-chip)"
+    // One grid, in print order: machine x variant x {FA2, SMT2}, each over
+    // the six applications.
+    let apps = all_apps();
+    let mut groups = Vec::new();
+    const MACHINES: [(usize, &str); 2] = [(1, "low-end"), (4, "high-end (4-chip)")];
+    for (chips, _) in MACHINES {
+        for (_, cfg) in &variants {
+            for arch in [ArchKind::Fa2, ArchKind::Smt2] {
+                let over_apps = apps.iter().map(|app| RunSpec {
+                    mem: cfg.clone(),
+                    ..RunSpec::new(app, arch, chips, scale, 7)
+                });
+                groups.push(over_apps.collect());
             }
-        );
+        }
+    }
+    let mut totals = csmt_bench::run_groups(groups)
+        .into_iter()
+        .map(|runs| runs.iter().map(|r| r.cycles).sum::<u64>());
+    for (_, machine) in MACHINES {
+        println!("== {machine} machine ==");
         println!(
             "{:<20} {:>10} {:>10} {:>12}",
             "variant", "FA2 (cyc)", "SMT2 (cyc)", "SMT2 speedup"
         );
-        for (name, cfg) in &variants {
-            let mut fa2 = 0u64;
-            let mut smt2 = 0u64;
-            for app in all_apps() {
-                let cycles = |arch| {
-                    RunSpec {
-                        mem: cfg.clone(),
-                        ..RunSpec::new(&app, arch, chips, scale, 7)
-                    }
-                    .run()
-                    .cycles
-                };
-                fa2 += cycles(ArchKind::Fa2);
-                smt2 += cycles(ArchKind::Smt2);
-            }
+        for (name, _) in &variants {
+            let fa2 = totals.next().expect("one group per printed number");
+            let smt2 = totals.next().expect("one group per printed number");
             println!(
                 "{:<20} {:>10} {:>10} {:>11.2}x",
                 name,

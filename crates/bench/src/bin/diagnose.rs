@@ -23,7 +23,7 @@ use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
 use csmt_trace::{IntervalSampler, PipeviewProbe};
 use csmt_verify::InvariantProbe;
-use csmt_workloads::{by_name, RunSpec};
+use csmt_workloads::{all_apps, by_name, RunSpec};
 use serde::{Serialize, Value};
 
 /// Keeps O3PipeView output bounded (~200 bytes/record).
@@ -139,7 +139,14 @@ fn main() {
     let app_name: String = csmt_bench::arg_or(1, "vpenta".into());
     let scale: f64 = csmt_bench::arg_or(2, 0.3);
     let chips: usize = csmt_bench::arg_or(3, 1);
-    let app = by_name(&app_name).expect("unknown application");
+    let Some(app) = by_name(&app_name) else {
+        let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
+        eprintln!(
+            "error: unknown application {app_name:?} (valid applications: {})",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    };
     let obs = observe_config();
     let mut profiler =
         csmt_bench::env_flag("CSMT_SELF_PROFILE").then(csmt_metrics::HostProfiler::new);

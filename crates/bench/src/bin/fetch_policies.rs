@@ -21,25 +21,34 @@ fn main() {
         ("icount", FetchPolicy::ICount),
         ("partitioned-2", FetchPolicy::Partitioned2),
     ];
+    // One grid, in print order: arch x policy, each over the six
+    // applications.
+    const ARCHS: [ArchKind; 3] = [ArchKind::Smt4, ArchKind::Smt2, ArchKind::Smt1];
+    let apps = all_apps();
+    let mut groups = Vec::new();
+    for arch in ARCHS {
+        for (_, policy) in policies {
+            let over_apps = apps.iter().map(|app| RunSpec {
+                chip: arch.chip().with_fetch_policy(policy),
+                ..RunSpec::new(app, arch, 1, scale, 7)
+            });
+            groups.push(over_apps.collect());
+        }
+    }
+    let mut per_app = csmt_bench::run_groups(groups).into_iter();
     println!(
         "{:<6} {:<14} {:>14} {:>10} {:>10}",
         "arch", "fetch policy", "total cycles", "vs RR", "fetch-haz"
     );
-    for arch in [ArchKind::Smt4, ArchKind::Smt2, ArchKind::Smt1] {
+    for arch in ARCHS {
         let mut baseline = 0u64;
         for (name, policy) in policies {
-            let chip = arch.chip().with_fetch_policy(policy);
-            let mut cycles = 0u64;
-            let mut fetch_haz = 0.0;
-            for app in all_apps() {
-                let r = RunSpec {
-                    chip,
-                    ..RunSpec::new(&app, arch, 1, scale, 7)
-                }
-                .run();
-                cycles += r.cycles;
-                fetch_haz += r.hazard_fraction(csmt_cpu::Hazard::Fetch);
-            }
+            let runs = per_app.next().expect("one group per printed row");
+            let cycles: u64 = runs.iter().map(|r| r.cycles).sum();
+            let fetch_haz: f64 = runs
+                .iter()
+                .map(|r| r.hazard_fraction(csmt_cpu::Hazard::Fetch))
+                .sum();
             if policy == FetchPolicy::RoundRobin {
                 baseline = cycles;
             }

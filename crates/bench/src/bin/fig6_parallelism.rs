@@ -8,19 +8,22 @@
 //! architecture the model predicts best, versus which the simulator found
 //! best, closing the loop of the paper's §5.1.1.
 
-use csmt_bench::FIGURE_SEED;
 use csmt_core::ArchKind;
 use csmt_model::{AppPoint, ArchModel};
-use csmt_workloads::{all_apps, simulate};
+use csmt_workloads::all_apps;
+
+/// The FA columns of Figs 4/5 (the same cells: a cache `figures` filled
+/// serves them).
+const FAS: [ArchKind; 4] = [ArchKind::Fa8, ArchKind::Fa4, ArchKind::Fa2, ArchKind::Fa1];
 
 fn measure(n_chips: usize, scale: f64) {
     println!(
         "{:<8} {:>8} {:>8}   {:>12} {:>12}",
         "app", "threads", "ilp", "model best", "sim best FA"
     );
-    for app in all_apps() {
-        let fa8 = simulate(&app, ArchKind::Fa8, n_chips, scale, FIGURE_SEED);
-        let fa1 = simulate(&app, ArchKind::Fa1, n_chips, scale, FIGURE_SEED);
+    for row in &csmt_bench::run_figure(&FAS, &all_apps(), n_chips, ArchKind::Fa8, scale) {
+        let fa8 = &row.cell(ArchKind::Fa8).result;
+        let fa1 = &row.cell(ArchKind::Fa1).result;
         // Per-chip averages, as the paper plots single-processor charts.
         let threads = (fa8.avg_running_threads / n_chips as f64).max(0.05);
         let ilp = (fa1.ipc() / n_chips as f64).max(0.05);
@@ -32,21 +35,13 @@ fn measure(n_chips: usize, scale: f64) {
             ArchModel::Fa { clusters: 1 },
         ];
         let model_best = csmt_model::ranking(&fas, point)[0].0.name();
-        // Simulated best FA.
-        let mut best = (ArchKind::Fa8, u64::MAX);
-        for arch in [ArchKind::Fa8, ArchKind::Fa4, ArchKind::Fa2, ArchKind::Fa1] {
-            let r = simulate(&app, arch, n_chips, scale, FIGURE_SEED);
-            if r.cycles < best.1 {
-                best = (arch, r.cycles);
-            }
-        }
         println!(
             "{:<8} {:>8.2} {:>8.2}   {:>12} {:>12}",
-            app.name,
+            row.app,
             threads,
             ilp,
             model_best,
-            best.0.name()
+            row.best().arch.name()
         );
     }
 }

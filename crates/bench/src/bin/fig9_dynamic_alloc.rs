@@ -24,9 +24,7 @@
 use csmt_bench::{render_env_knobs, FIGURE_SCALE, FIGURE_SEED};
 use csmt_core::sched::POLICY_NAMES;
 use csmt_core::ArchKind;
-use csmt_workloads::{
-    all_apps, simulate, simulate_job_batches, simulate_multiprogram, AppSpec, RunSpec,
-};
+use csmt_workloads::{all_apps, by_name, AppSpec, BatchResult, RunSpec};
 use serde::Serialize;
 
 /// Scale used by `--smoke` (CI gate).
@@ -46,53 +44,25 @@ struct Fig9Cell {
     migration_wait_cycles: u64,
 }
 
-/// A workload row: either one parallel application or the job mix.
-enum Workload {
-    App(AppSpec),
-    Mix(&'static str, Vec<AppSpec>),
-}
-
-impl Workload {
-    fn name(&self) -> &str {
-        match self {
-            Workload::App(a) => a.name,
-            Workload::Mix(n, _) => n,
-        }
-    }
-
-    /// Run this workload on SMT2 under `policy`, or on FA4/static when
-    /// `policy` is `None`.
-    fn run(&self, policy: Option<&str>, scale: f64) -> (u64, f64, u64, u64) {
-        match (self, policy) {
-            (Workload::App(app), Some(sched)) => {
-                let r = RunSpec {
-                    sched,
-                    ..RunSpec::new(app, ArchKind::Smt2, 1, scale, FIGURE_SEED)
-                }
-                .run();
-                (r.cycles, r.ipc(), r.migrations, r.migration_wait_cycles)
-            }
-            (Workload::App(app), None) => {
-                let r = simulate(app, ArchKind::Fa4, 1, scale, FIGURE_SEED);
-                (r.cycles, r.ipc(), 0, 0)
-            }
-            (Workload::Mix(_, mix), Some(sched)) => {
-                let r = simulate_multiprogram(mix, ArchKind::Smt2, 1, scale, FIGURE_SEED, sched);
-                (r.cycles, r.ipc(), r.migrations, r.migration_wait_cycles)
-            }
-            (Workload::Mix(_, mix), None) => {
-                // FA4 has 4 contexts: the 8-job set runs as 2 batches with
-                // the same per-job streams SMT2 sees, so work is identical.
-                let r = simulate_job_batches(
-                    mix,
-                    MIX_JOBS,
-                    ArchKind::Fa4.chip(),
-                    1,
-                    scale,
-                    FIGURE_SEED,
-                );
-                (r.total_cycles, r.throughput(), 0, 0)
-            }
+/// The runs that execute a workload row — one parallel application, or
+/// (`None`) the job `mix` — on `arch` under `sched`: one for an
+/// application; for the mix, as many capacity-sized batches as the chip
+/// needs (FA4 has 4 contexts: the 8-job set runs as 2 batches with the
+/// same per-job streams SMT2 sees, so work is identical).
+fn specs_of<'a>(
+    app: Option<&'a AppSpec>,
+    mix: &'a [AppSpec],
+    arch: ArchKind,
+    sched: &'a str,
+    scale: f64,
+) -> Vec<RunSpec<'a>> {
+    match app {
+        Some(app) => vec![RunSpec {
+            sched,
+            ..RunSpec::new(app, arch, 1, scale, FIGURE_SEED)
+        }],
+        None => {
+            RunSpec::job_batches(mix, MIX_JOBS, arch.chip(), 1, scale, FIGURE_SEED, sched).collect()
         }
     }
 }
@@ -115,12 +85,12 @@ fn main() {
     let mut scale: Option<f64> = None;
     let mut smoke = false;
     let mut only: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut args = std::env::args().enumerate().skip(1);
+    while let Some((n, a)) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--sched" => {
-                let Some(p) = args.next() else {
+                let Some((_, p)) = args.next() else {
                     eprintln!("--sched needs a policy name\n\n{}", usage());
                     std::process::exit(2);
                 };
@@ -137,58 +107,53 @@ fn main() {
                 print!("{}", usage());
                 return;
             }
-            s => scale = Some(s.parse().expect("scale must be a float")),
+            // A typo'd scale is an error naming argv[n], never a default.
+            _ => scale = Some(csmt_bench::arg_or(n, FIGURE_SCALE)),
         }
     }
     let scale = scale.unwrap_or(if smoke { SMOKE_SCALE } else { FIGURE_SCALE });
 
     let apps = all_apps();
-    let mix: Vec<AppSpec> = vec![
-        apps[0].clone(), // swim
-        apps[3].clone(), // vpenta
-        apps[1].clone(), // tomcatv
-        apps[5].clone(), // ocean
-    ];
-    let mut workloads: Vec<Workload> = apps.into_iter().map(Workload::App).collect();
-    workloads.push(Workload::Mix("mix4x2", mix));
+    let mix = &["swim", "vpenta", "tomcatv", "ocean"].map(|n| by_name(n).expect("a paper app"));
+    let mut workloads: Vec<(&str, Option<&AppSpec>)> =
+        apps.iter().map(|a| (a.name, Some(a))).collect();
+    workloads.push(("mix4x2", None));
 
     // Column order: SMT2 under each policy, then the FA4 reference.
-    let mut variants: Vec<(String, Option<String>)> =
-        vec![("SMT2/static".into(), Some("static".into()))];
+    let mut variants: Vec<(String, ArchKind, &str)> =
+        vec![("SMT2/static".into(), ArchKind::Smt2, "static")];
     for p in POLICY_NAMES {
-        if p == "static" {
-            continue;
-        }
-        if only.as_deref().is_none_or(|o| o == p) {
-            variants.push((format!("SMT2/{p}"), Some(p.to_string())));
+        if p != "static" && only.as_deref().is_none_or(|o| o == p) {
+            variants.push((format!("SMT2/{p}"), ArchKind::Smt2, p));
         }
     }
-    variants.push(("FA4/static".into(), None));
+    variants.push(("FA4/static".into(), ArchKind::Fa4, "static"));
 
-    // Every cell is an independent deterministic simulation: run the
-    // flattened grid through the bounded work-stealing sweep pool
-    // (CSMT_SWEEP_THREADS workers) and reassemble rows in order.
+    // One grid, in print order: workload x variant, each the runs of
+    // one figure cell.
     let ncols = variants.len();
-    let flat = csmt_sweep::pool::run_jobs(
-        workloads.len() * ncols,
-        csmt_sweep::SweepEngine::from_env().threads(),
-        |i| workloads[i / ncols].run(variants[i % ncols].1.as_deref(), scale),
-        |_, _| {},
-    );
-    let grid: Vec<Vec<(u64, f64, u64, u64)>> = flat.chunks(ncols).map(<[_]>::to_vec).collect();
-
+    let groups = workloads
+        .iter()
+        .flat_map(|&(_, row)| {
+            variants
+                .iter()
+                .map(move |&(_, arch, sched)| specs_of(row, mix, arch, sched, scale))
+        })
+        .collect();
+    let results = csmt_bench::run_groups(groups);
     let mut cells: Vec<Fig9Cell> = Vec::new();
-    for (w, row) in workloads.iter().zip(&grid) {
-        let base = row[0].0;
-        for ((variant, _), &(cycles, ipc, migrations, wait)) in variants.iter().zip(row) {
+    for ((workload, _), row) in workloads.iter().zip(results.chunks(ncols)) {
+        let totals: Vec<BatchResult> = row.iter().map(|runs| runs.iter().collect()).collect();
+        for (((variant, ..), runs), total) in variants.iter().zip(row).zip(&totals) {
             cells.push(Fig9Cell {
-                workload: w.name().to_string(),
+                workload: workload.to_string(),
                 variant: variant.clone(),
-                cycles,
-                normalized: 100.0 * cycles as f64 / base as f64,
-                ipc,
-                migrations,
-                migration_wait_cycles: wait,
+                cycles: total.total_cycles,
+                // A row's first cell is its SMT2/static baseline.
+                normalized: 100.0 * total.total_cycles as f64 / totals[0].total_cycles as f64,
+                ipc: total.throughput(),
+                migrations: runs.iter().map(|r| r.migrations).sum(),
+                migration_wait_cycles: runs.iter().map(|r| r.migration_wait_cycles).sum(),
             });
         }
     }
@@ -202,7 +167,7 @@ fn main() {
         "workload", "variant", "cycles", "norm", "ipc", "migr", "wait/migr"
     );
     for (i, c) in cells.iter().enumerate() {
-        if i > 0 && i % variants.len() == 0 {
+        if i > 0 && i % ncols == 0 {
             println!();
         }
         let per = if c.migrations == 0 {
@@ -221,21 +186,19 @@ fn main() {
 
     // Per-workload verdict: did any dynamic policy beat the static seam?
     println!();
-    for (w, row) in workloads.iter().zip(&grid) {
-        let base = row[0].0;
+    for row in cells.chunks(ncols) {
+        let base = row[0].cycles;
         let best_dyn = variants
             .iter()
             .zip(row)
             .skip(1)
-            .filter(|((_, p), _)| p.is_some())
-            .min_by_key(|(_, r)| r.0);
-        if let Some(((name, _), r)) = best_dyn {
-            let delta = 100.0 * (r.0 as f64 - base as f64) / base as f64;
+            .filter(|((_, arch, _), _)| *arch == ArchKind::Smt2)
+            .min_by_key(|(_, c)| c.cycles);
+        if let Some((_, c)) = best_dyn {
+            let delta = 100.0 * (c.cycles as f64 - base as f64) / base as f64;
             println!(
-                "{:<8} best dynamic: {name} at {:+.2}% vs SMT2/static ({} migrations)",
-                w.name(),
-                delta,
-                r.2
+                "{:<8} best dynamic: {} at {:+.2}% vs SMT2/static ({} migrations)",
+                c.workload, c.variant, delta, c.migrations
             );
         }
     }

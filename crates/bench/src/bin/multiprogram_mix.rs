@@ -9,7 +9,7 @@
 //! of whichever cluster's job stalls, SMT chips let any job absorb them.
 
 use csmt_core::ArchKind;
-use csmt_workloads::{all_apps, simulate_job_batches};
+use csmt_workloads::{all_apps, AppSpec, BatchResult, RunSpec};
 
 /// The studied architectures, in display order (FA8 is the baseline).
 const ARCHS: [ArchKind; 7] = [
@@ -25,39 +25,35 @@ const ARCHS: [ArchKind; 7] = [
 fn main() {
     let scale = csmt_bench::scale_from_args_or(0.3);
     let apps = all_apps();
-    let mixes: Vec<(&str, Vec<usize>)> = vec![
-        ("8 jobs of swim+vpenta", vec![0, 3]),
-        ("8 jobs of swim+vpenta+tomcatv+ocean", vec![0, 3, 1, 5]),
-        ("8 jobs over all six applications", vec![0, 1, 2, 3, 4, 5]),
+    let mix =
+        |apps_of: &[usize]| -> Vec<AppSpec> { apps_of.iter().map(|&i| apps[i].clone()).collect() };
+    let mixes = [
+        ("8 jobs of swim+vpenta", mix(&[0, 3])),
+        ("8 jobs of swim+vpenta+tomcatv+ocean", mix(&[0, 3, 1, 5])),
+        ("8 jobs over all six applications", mix(&[0, 1, 2, 3, 4, 5])),
     ];
     const JOBS: usize = 8;
-    // The full (mix × arch) grid through the bounded work-stealing sweep
-    // pool; results come back in grid order, so output is byte-identical
-    // to the old serial loop.
-    let grids: Vec<Vec<_>> = {
-        let mix_specs: Vec<Vec<_>> = mixes
-            .iter()
-            .map(|(_, idxs)| idxs.iter().map(|&i| apps[i].clone()).collect())
-            .collect();
-        let flat = csmt_sweep::pool::run_jobs(
-            mix_specs.len() * ARCHS.len(),
-            csmt_sweep::SweepEngine::from_env().threads(),
-            |i| {
-                let arch = ARCHS[i % ARCHS.len()];
-                simulate_job_batches(&mix_specs[i / ARCHS.len()], JOBS, arch.chip(), 1, scale, 7)
-            },
-            |_, _| {},
-        );
-        flat.chunks(ARCHS.len()).map(<[_]>::to_vec).collect()
-    };
-    for ((name, _), row) in mixes.iter().zip(&grids) {
+    // One grid, in print order: mix x arch, each the batches of its job set.
+    let groups = mixes
+        .iter()
+        .flat_map(|(_, mix)| {
+            ARCHS.map(|arch| {
+                RunSpec::job_batches(mix, JOBS, arch.chip(), 1, scale, 7, "static").collect()
+            })
+        })
+        .collect();
+    let mut rows = csmt_bench::run_groups(groups)
+        .into_iter()
+        .map(|batches| batches.iter().collect::<BatchResult>());
+    for (name, _) in &mixes {
+        let row: Vec<BatchResult> = rows.by_ref().take(ARCHS.len()).collect();
         println!("== {name} ==");
         println!(
             "{:<6} {:>8} {:>12} {:>12} {:>8}",
             "arch", "batches", "total cyc", "throughput", "vs FA8"
         );
         let base = row[0].total_cycles;
-        for (arch, r) in ARCHS.iter().zip(row) {
+        for (arch, r) in ARCHS.iter().zip(&row) {
             println!(
                 "{:<6} {:>8} {:>12} {:>11.2} {:>7.0}%",
                 arch.name(),

@@ -17,45 +17,50 @@ fn main() {
         ("bimodal-2bit", PredictorKind::Bimodal),
         ("gshare-8", PredictorKind::GShare { history_bits: 8 }),
     ];
+    // One grid, in print order: arch x predictor, each over the six
+    // applications.
+    const ARCHS: [ArchKind; 4] = [ArchKind::Fa8, ArchKind::Fa1, ArchKind::Smt2, ArchKind::Smt1];
+    let apps = all_apps();
+    let mut groups = Vec::new();
+    for arch in ARCHS {
+        for (_, kind) in predictors {
+            let over_apps = apps.iter().map(|app| RunSpec {
+                chip: arch.chip().with_predictor(kind),
+                ..RunSpec::new(app, arch, 1, scale, 7)
+            });
+            groups.push(over_apps.collect());
+        }
+    }
+    // (cycles, lookups, mispredicts) over the six applications, per group.
+    let totals: Vec<(u64, u64, u64)> = csmt_bench::run_groups(groups)
+        .iter()
+        .map(|runs| {
+            runs.iter().fold((0, 0, 0), |t, r| {
+                (
+                    t.0 + r.cycles,
+                    t.1 + r.branch_lookups,
+                    t.2 + r.branch_mispredicts,
+                )
+            })
+        })
+        .collect();
     println!(
         "{:<6} {:<14} {:>14} {:>10} {:>12}",
         "arch", "predictor", "total cycles", "vs bimod", "mispred rate"
     );
-    for arch in [ArchKind::Fa8, ArchKind::Fa1, ArchKind::Smt2, ArchKind::Smt1] {
-        let mut baseline = 0u64;
-        // Bimodal first to establish the baseline.
-        let order = [1usize, 0, 2];
-        let mut rows = Vec::new();
-        for &i in &order {
-            let (name, kind) = predictors[i];
-            let chip = arch.chip().with_predictor(kind);
-            let mut cycles = 0u64;
-            let mut lookups = 0u64;
-            let mut wrong = 0u64;
-            for app in all_apps() {
-                let r = RunSpec {
-                    chip,
-                    ..RunSpec::new(&app, arch, 1, scale, 7)
-                }
-                .run();
-                cycles += r.cycles;
-                lookups += r.branch_lookups;
-                wrong += r.branch_mispredicts;
-            }
-            if kind == PredictorKind::Bimodal {
-                baseline = cycles;
-            }
-            rows.push((i, name, cycles, wrong as f64 / lookups.max(1) as f64));
-        }
-        rows.sort_by_key(|r| r.0);
-        for (_, name, cycles, rate) in rows {
+    let bimodal = predictors
+        .iter()
+        .position(|(_, kind)| *kind == PredictorKind::Bimodal)
+        .expect("the paper's predictor is the baseline");
+    for (arch, totals) in ARCHS.iter().zip(totals.chunks(predictors.len())) {
+        for ((name, _), (cycles, lookups, wrong)) in predictors.iter().zip(totals) {
             println!(
                 "{:<6} {:<14} {:>14} {:>9.1}% {:>11.2}%",
                 arch.name(),
                 name,
                 cycles,
-                100.0 * cycles as f64 / baseline as f64 - 100.0,
-                rate * 100.0
+                100.0 * *cycles as f64 / totals[bimodal].0 as f64 - 100.0,
+                *wrong as f64 / (*lookups).max(1) as f64 * 100.0
             );
         }
         println!();

@@ -8,9 +8,9 @@
 
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
-use csmt_sweep::{SweepCell, SweepEngine};
+use csmt_sweep::SweepEngine;
 use csmt_verify::{VerifySummary, Violation};
-use csmt_workloads::AppSpec;
+use csmt_workloads::{AppSpec, RunSpec};
 use serde::Serialize;
 
 /// Work scale used by the figure binaries (full figure quality).
@@ -51,18 +51,18 @@ pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
     ),
     (
         "CSMT_SCHED=<policy>",
-        "figures, cycle_time_adjusted, csmt-sweep, diagnose, csmt-report (fig9_dynamic_alloc has --sched)",
+        "figures, cycle_time_adjusted, fig6_parallelism, csmt-sweep, diagnose, csmt-report (fig9_dynamic_alloc has --sched)",
         "thread-to-cluster allocation policy: static (default), barrier, hazard_pairing; dynamic policies fall back to static on fixed-assignment archs; an unknown name exits 2 with the valid names",
     ),
     (
         "CSMT_SWEEP_CACHE=<dir>",
-        "fig*, csmt-sweep",
+        "figures, cycle_time_adjusted, fig6_parallelism, fig9_dynamic_alloc, multiprogram_mix, ablation_study, fetch_policies, predictor_study, csmt-sweep",
         "content-addressed result cache: previously computed sweep cells are file reads (results are identical either way)",
     ),
     (
         "CSMT_SWEEP_THREADS=<n>",
-        "fig*, csmt-sweep",
-        "worker count of the sweep engine's work-stealing pool (default: host parallelism; results are identical at any count)",
+        "figures, cycle_time_adjusted, fig6_parallelism, fig9_dynamic_alloc, multiprogram_mix, ablation_study, fetch_policies, predictor_study, csmt-sweep",
+        "worker count of the sweep engine's job pool (default: host parallelism; results are identical at any count)",
     ),
     (
         "CSMT_JSON_DIR=<dir>",
@@ -88,7 +88,7 @@ pub fn render_env_knobs() -> String {
 
 /// The scheduling policy `CSMT_SCHED` selects (`"static"` when unset) —
 /// the binary-edge read of that knob: a `main` resolves it once and
-/// passes the name down (`RunSpec::sched`, `SweepCell::sched`); nothing
+/// passes the name down (`RunSpec::sched`); nothing
 /// below the binaries reads the environment for it. On an unknown name,
 /// prints the valid names and exits 2 (the `CSMT_VERIFY` convention).
 pub fn sched_from_env() -> &'static str {
@@ -238,18 +238,31 @@ impl AppRow {
     }
 }
 
+/// How the study binaries run a grid: the `groups` of runs (one group per
+/// printed number, e.g. a configuration over the six applications or the
+/// batches of a job set) go through [`SweepEngine::from_env`] as one
+/// flat grid and come back group by group.
+pub fn run_groups(groups: Vec<Vec<RunSpec<'_>>>) -> Vec<Vec<RunResult>> {
+    let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+    let specs: Vec<RunSpec> = groups.into_iter().flatten().collect();
+    let mut results = SweepEngine::from_env()
+        .run_specs(&specs)
+        .results
+        .into_iter();
+    sizes
+        .into_iter()
+        .map(|n| results.by_ref().take(n).collect())
+        .collect()
+}
+
 /// Run one figure: `archs` × `apps` on `n_chips` chips, normalizing each
 /// application to `baseline` (FA8 for Figs 4/5, SMT8 for Figs 7/8).
 ///
 /// This is the figure binaries' environment edge: the grid runs under the
-/// [`sched_from_env`] policy through the environment-configured
-/// [`SweepEngine`] (bounded work-stealing pool, `CSMT_SWEEP_THREADS`
-/// workers, optional `CSMT_SWEEP_CACHE` result cache) — a slow cell (e.g.
-/// ocean on FA1) overlaps other cells without the old
-/// one-OS-thread-per-cell fan-out, and a repeat run with a cache attached
-/// is ~pure file reads. Results come back in (apps, archs) order,
-/// byte-identical to a sequential sweep at any worker count, cached or
-/// not.
+/// [`sched_from_env`] policy through [`SweepEngine::from_env`]
+/// (`CSMT_SWEEP_THREADS` workers, optional `CSMT_SWEEP_CACHE`). Results
+/// come back in (apps, archs) order, byte-identical to a sequential sweep
+/// at any worker count, cached or not.
 pub fn run_figure(
     archs: &[ArchKind],
     apps: &[AppSpec],
@@ -280,20 +293,16 @@ pub fn run_figure_with_engine(
     scale: f64,
     sched: &str,
 ) -> Vec<AppRow> {
-    let cells: Vec<SweepCell> = apps
+    let cells: Vec<RunSpec> = apps
         .iter()
         .flat_map(|app| {
-            archs.iter().map(|&arch| SweepCell {
-                app: app.clone(),
-                arch,
-                n_chips,
-                seed: FIGURE_SEED,
-                scale,
-                sched: sched.to_string(),
+            archs.iter().map(move |&arch| RunSpec {
+                sched,
+                ..RunSpec::new(app, arch, n_chips, scale, FIGURE_SEED)
             })
         })
         .collect();
-    let results = engine.run(&cells).results;
+    let results = engine.run_specs(&cells).results;
     apps.iter()
         .zip(results.chunks(archs.len().max(1)))
         .map(|(app, chunk)| {
@@ -515,7 +524,7 @@ mod tests {
 
     #[test]
     fn run_figure_matches_direct_simulation_bit_for_bit() {
-        // The sweep-engine path (`SweepCell::simulate` under "static")
+        // The sweep-engine path (`RunSpec::run` under "static")
         // must be indistinguishable from the plain `simulate` the figures
         // used before the engine existed.
         let apps = vec![by_name("vpenta").unwrap(), by_name("fmm").unwrap()];

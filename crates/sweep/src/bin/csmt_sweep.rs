@@ -14,8 +14,8 @@
 //! rewritten in full, byte-identical to an uninterrupted run.
 
 use csmt_core::{sched::POLICY_NAMES, ArchKind};
-use csmt_sweep::{ResultCache, SweepCell, SweepEngine, CACHE_SCHEMA};
-use csmt_workloads::{all_apps, by_name, AppSpec};
+use csmt_sweep::{key, ResultCache, SweepEngine, CACHE_SCHEMA};
+use csmt_workloads::{all_apps, by_name, AppSpec, RunSpec};
 use serde::{Serialize, Value};
 use std::io::Write as _;
 
@@ -108,7 +108,7 @@ fn parse_args() -> Options {
         // like the flag's own value.
         #[expect(
             clippy::disallowed_methods,
-            reason = "binary edge: main-side knob read, passed down as SweepCell::sched"
+            reason = "binary edge: main-side knob read, passed down as RunSpec::sched"
         )]
         sched: std::env::var("CSMT_SCHED").unwrap_or_else(|_| "static".to_string()),
         threads: None,
@@ -161,20 +161,16 @@ fn parse_args() -> Options {
     opt
 }
 
-fn build_cells(opt: &Options) -> Vec<SweepCell> {
+fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
     let mut cells = Vec::new();
     for &scale in &opt.scales {
         for &seed in &opt.seeds {
             for &n_chips in &opt.chips {
                 for app in &opt.apps {
                     for &arch in &opt.archs {
-                        cells.push(SweepCell {
-                            app: app.clone(),
-                            arch,
-                            n_chips,
-                            seed,
-                            scale,
-                            sched: opt.sched.clone(),
+                        cells.push(RunSpec {
+                            sched: &opt.sched,
+                            ..RunSpec::new(app, arch, n_chips, scale, seed)
                         });
                     }
                 }
@@ -185,15 +181,15 @@ fn build_cells(opt: &Options) -> Vec<SweepCell> {
 }
 
 /// One deterministic JSONL line for a completed cell.
-fn jsonl_line(cell: &SweepCell, result: &csmt_core::RunResult) -> String {
+fn jsonl_line(cell: &RunSpec, result: &csmt_core::RunResult) -> String {
     Value::Object(vec![
-        ("app".into(), cell.app.name.to_value()),
-        ("arch".into(), cell.arch.name().to_value()),
+        ("app".into(), cell.workload.to_string().to_value()),
+        ("arch".into(), cell.chip.kind.name().to_value()),
         ("chips".into(), cell.n_chips.to_value()),
         ("seed".into(), cell.seed.to_value()),
         ("scale".into(), cell.scale.to_value()),
         ("sched".into(), cell.sched.to_value()),
-        ("key".into(), format!("{:016x}", cell.key()).to_value()),
+        ("key".into(), format!("{:016x}", key(cell)).to_value()),
         ("result".into(), result.to_value()),
     ])
     .to_string()
@@ -201,7 +197,7 @@ fn jsonl_line(cell: &SweepCell, result: &csmt_core::RunResult) -> String {
 
 /// The deterministic aggregate summary (no hit/miss/timing — those are
 /// run-specific and go to stdout only).
-fn summary(opt: &Options, cells: &[SweepCell], results: &[csmt_core::RunResult]) -> Value {
+fn summary(opt: &Options, cells: &[RunSpec], results: &[csmt_core::RunResult]) -> Value {
     let arch_names: Vec<&str> = opt.archs.iter().map(|a| a.name()).collect();
     let app_names: Vec<&str> = opt.apps.iter().map(|a| a.name).collect();
     let total_cycles: u64 = results.iter().map(|r| r.cycles).sum();
@@ -227,9 +223,9 @@ fn main() {
         for cell in &cells {
             println!(
                 "{:016x} {} {} chips={} seed={} scale={:?} sched={}",
-                cell.key(),
-                cell.app.name,
-                cell.arch.name(),
+                key(cell),
+                cell.workload,
+                cell.chip.kind.name(),
                 cell.n_chips,
                 cell.seed,
                 cell.scale,

@@ -1,7 +1,7 @@
 //! Content-addressed on-disk result cache.
 //!
 //! Every sweep cell's [`RunResult`] is stored as one JSON file named by
-//! the cell's content digest (see [`crate::SweepCell::key`]): a cell
+//! the cell's content digest (see [`crate::key`]): a cell
 //! that was ever computed — by any process, any sweep shape, any worker
 //! count — is a file read forever after. Entries self-verify: the file
 //! carries a schema tag, its own key, and an FNV-1a digest of the result
@@ -23,9 +23,13 @@ use std::path::PathBuf;
 
 /// Cache schema version tag, part of every cache key **and** stored in
 /// every entry. Bump it whenever the simulator's observable behavior
-/// changes (anything that would re-capture the golden Table-2 digests)
-/// or the entry format changes: old entries then simply stop matching —
-/// stale results can never be served.
+/// changes or the entry format changes: old entries then simply stop
+/// matching — stale results can never be served. [`crate::key`] also
+/// absorbs the golden digests, but only as a backstop: they pin mgrid on
+/// the Table-2 chips under Table 3 and the static policy, so a change
+/// confined to any other cacheable path (another application, a fetch
+/// policy, predictor or memory variant, a dynamic policy, a job mix)
+/// re-captures nothing and is invalidated by the bump alone.
 pub const CACHE_SCHEMA: &str = "csmt-sweep-v1";
 
 /// Directory of content-addressed `RunResult` entries, one JSON file per

@@ -4,28 +4,23 @@
 //! as cheap, cacheable queries. The engine has three parts (DESIGN.md
 //! §16):
 //!
-//! * [`pool`] — a bounded work-stealing job pool with in-order result
-//!   streaming (the crate's registered concurrency seam);
+//! * [`pool`] — a bounded job pool with in-order result streaming (the
+//!   crate's registered concurrency seam);
 //! * [`cache`] — a content-addressed on-disk [`RunResult`] cache keyed
-//!   by an FNV-1a digest of everything that determines a cell's result,
-//!   doubling as the resume checkpoint;
-//! * [`SweepEngine`] — runs a grid of [`SweepCell`]s through both: each
+//!   by [`key`], an FNV-1a digest of everything that determines a run's
+//!   result, doubling as the resume checkpoint;
+//! * [`SweepEngine`] — runs a grid of [`RunSpec`]s through both: each
 //!   cell is a cache hit (file read) or a simulation-plus-store, and the
 //!   assembled output is byte-identical either way, at any worker count.
 //!
 //! ```
 //! use csmt_core::ArchKind;
-//! use csmt_sweep::{SweepCell, SweepEngine};
+//! use csmt_sweep::SweepEngine;
+//! use csmt_workloads::RunSpec;
 //!
-//! let cells = vec![SweepCell {
-//!     app: csmt_workloads::by_name("mgrid").unwrap(),
-//!     arch: ArchKind::Smt2,
-//!     n_chips: 1,
-//!     seed: 42,
-//!     scale: 0.02,
-//!     sched: "static".to_string(),
-//! }];
-//! let out = SweepEngine::new(1, None).run(&cells);
+//! let app = csmt_workloads::by_name("mgrid").unwrap();
+//! let cells = [RunSpec::new(&app, ArchKind::Smt2, 1, 0.02, 42)];
+//! let out = SweepEngine::new(1, None).run_specs(&cells);
 //! assert_eq!(out.results.len(), 1);
 //! assert_eq!(out.hits, 0);
 //! ```
@@ -36,12 +31,52 @@ pub mod pool;
 pub use cache::{ResultCache, CACHE_SCHEMA};
 
 use csmt_core::{ArchKind, RunResult};
-use csmt_mem::MemConfig;
 use csmt_verify::digest::Fnv64;
+use csmt_verify::golden::{EXPECTED, EXPECTED_FA4_4CHIP};
 use csmt_workloads::{AppSpec, RunSpec};
+use std::fmt::Write as _;
 
-/// One sweep grid cell: everything that determines one simulation's
-/// result, and therefore everything the cache key digests.
+/// The content-addressed cache key of a run: an FNV-1a digest over the
+/// [`CACHE_SCHEMA`] tag, the pinned golden digests (a backstop to the
+/// schema bump: re-capturing one changes every key) and the `Debug` form
+/// of the [`RunSpec`] that is simulated — by construction every field of
+/// it: the **full** `ChipConfig` (not just the arch name), machine size,
+/// the full `MemConfig`, the workload (full `AppSpec`s; for a job set
+/// also its order, batch index and batch size), seed, scale (`{:?}` of an
+/// `f64` round-trips, so distinct bits print distinctly) and the
+/// scheduling policy name.
+#[must_use]
+pub fn key(spec: &RunSpec<'_>) -> u64 {
+    key_under(spec, CACHE_SCHEMA, &EXPECTED, EXPECTED_FA4_4CHIP)
+}
+
+/// [`key`] under an explicit schema tag and golden tables (the
+/// sensitivity tests perturb them).
+fn key_under(
+    spec: &RunSpec<'_>,
+    schema: &str,
+    table2: &[(&str, u64, u64, u64, u64)],
+    (c, i, r, e): (u64, u64, u64, u64),
+) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(schema.as_bytes());
+    for (arch, cycles, committed, result, events) in
+        table2.iter().copied().chain([("FA4x4", c, i, r, e)])
+    {
+        h.update(arch.as_bytes());
+        for v in [cycles, committed, result, events] {
+            h.update(&v.to_le_bytes());
+        }
+    }
+    let _ = write!(h, "{spec:?}");
+    h.finish()
+}
+
+/// The positional Table-2 × Table-3 × one-application subset of
+/// [`RunSpec`], kept only because the frozen `benchmark/` crate
+/// literal-constructs it; it goes with ROADMAP item 1. Everything it does
+/// is [`spec`](SweepCell::spec) plus the `RunSpec` function of the same
+/// name.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Application to run.
@@ -60,51 +95,25 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// The cell's content-addressed cache key: an FNV-1a digest over
-    /// the [`CACHE_SCHEMA`] tag and every input the simulation result
-    /// depends on — the **full** `ChipConfig` (not just the arch name),
-    /// machine size, the Table-3 memory configuration, the full
-    /// `AppSpec`, seed, scale (as exact bits), and the scheduling
-    /// policy name.
+    /// The run this cell describes (borrows `app` and `sched`).
     #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key_with_schema(CACHE_SCHEMA)
-    }
-
-    /// [`key`](SweepCell::key) under an explicit schema tag (exposed so
-    /// the sensitivity tests can prove a schema bump invalidates
-    /// everything).
-    #[must_use]
-    pub fn key_with_schema(&self, schema: &str) -> u64 {
-        let mut h = Fnv64::new();
-        for part in [
-            schema.to_string(),
-            format!("{:?}", self.arch.chip()),
-            self.n_chips.to_string(),
-            format!("{:?}", MemConfig::table3()),
-            format!("{:?}", self.app),
-            self.seed.to_string(),
-            self.scale.to_bits().to_string(),
-            self.sched.clone(),
-        ] {
-            h.update(part.as_bytes());
-            h.update(b";");
-        }
-        h.finish()
-    }
-
-    /// Simulate the cell (ignoring any cache).
-    ///
-    /// # Panics
-    /// On a `sched` name outside `POLICY_NAMES` — a typo is an error, never
-    /// a result cached under the typo's key.
-    #[must_use]
-    pub fn simulate(&self) -> RunResult {
+    pub fn spec(&self) -> RunSpec<'_> {
         RunSpec {
             sched: &self.sched,
             ..RunSpec::new(&self.app, self.arch, self.n_chips, self.scale, self.seed)
         }
-        .run()
+    }
+
+    /// [`key`] of [`spec`](SweepCell::spec).
+    #[must_use]
+    pub fn key(&self) -> u64 {
+        key(&self.spec())
+    }
+
+    /// [`RunSpec::run`] of [`spec`](SweepCell::spec) (ignoring any cache).
+    #[must_use]
+    pub fn simulate(&self) -> RunResult {
+        self.spec().run()
     }
 }
 
@@ -170,29 +179,34 @@ impl SweepEngine {
         self.cache.as_ref()
     }
 
-    /// Run every cell, streaming `sink(i, &result)` in ascending cell
-    /// order as results complete (see [`pool::run_jobs`]). The stream
-    /// and the returned results are byte-identical whatever the worker
-    /// count and whichever cells were cache hits.
-    pub fn run_streaming<S>(&self, cells: &[SweepCell], mut sink: S) -> SweepOutcome
+    /// Run every spec, streaming `sink(i, &result)` in ascending grid
+    /// order as results complete (see [`pool::run_jobs`]): each is loaded
+    /// by its [`key`] or simulated and stored. The stream and the returned
+    /// results are byte-identical whatever the worker count and whichever
+    /// cells were cache hits.
+    ///
+    /// # Panics
+    /// On a `sched` name outside `POLICY_NAMES` — a typo is an error, never
+    /// a result cached under the typo's key.
+    pub fn run_streaming<S>(&self, specs: &[RunSpec<'_>], mut sink: S) -> SweepOutcome
     where
         S: FnMut(usize, &RunResult) + Send,
     {
         let job = |i: usize| {
-            let cell = &cells[i];
-            if let Some(cache) = &self.cache {
-                let key = cell.key();
-                if let Some(r) = cache.load(key) {
-                    return (r, true);
-                }
-                let r = cell.simulate();
-                cache.store(key, &r);
-                return (r, false);
+            let spec = &specs[i];
+            let Some(cache) = &self.cache else {
+                return (spec.run(), false);
+            };
+            let key = key(spec);
+            if let Some(r) = cache.load(key) {
+                return (r, true);
             }
-            (cell.simulate(), false)
+            let r = spec.run();
+            cache.store(key, &r);
+            (r, false)
         };
         let pairs = pool::run_jobs(
-            cells.len(),
+            specs.len(),
             self.threads,
             job,
             |i, pair: &(RunResult, bool)| {
@@ -208,25 +222,24 @@ impl SweepEngine {
     }
 
     /// [`run_streaming`](SweepEngine::run_streaming) without a sink.
+    pub fn run_specs(&self, specs: &[RunSpec<'_>]) -> SweepOutcome {
+        self.run_streaming(specs, |_, _| {})
+    }
+
+    /// [`run_specs`](SweepEngine::run_specs) over [`SweepCell::spec`]s.
     pub fn run(&self, cells: &[SweepCell]) -> SweepOutcome {
-        self.run_streaming(cells, |_, _| {})
+        self.run_specs(&cells.iter().map(SweepCell::spec).collect::<Vec<_>>())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csmt_mem::MemConfig;
     use csmt_workloads::by_name;
 
-    fn cell(app: &str, arch: ArchKind, seed: u64) -> SweepCell {
-        SweepCell {
-            app: by_name(app).unwrap(),
-            arch,
-            n_chips: 1,
-            seed,
-            scale: 0.02,
-            sched: "static".to_string(),
-        }
+    fn spec(app: &AppSpec, arch: ArchKind, seed: u64) -> RunSpec<'_> {
+        RunSpec::new(app, arch, 1, 0.02, seed)
     }
 
     fn tmp_cache(tag: &str) -> ResultCache {
@@ -236,44 +249,96 @@ mod tests {
         ResultCache::new(dir).unwrap()
     }
 
+    fn json(r: &RunResult) -> String {
+        serde_json::to_string(r).unwrap()
+    }
+
     #[test]
     fn uncached_engine_matches_direct_simulation() {
-        let c = cell("vpenta", ArchKind::Smt2, 42);
-        let direct = c.simulate();
-        let out = SweepEngine::new(1, None).run(std::slice::from_ref(&c));
-        assert_eq!(out.hits, 0);
-        assert_eq!(out.misses, 1);
-        assert_eq!(
-            serde_json::to_string(&out.results[0]).unwrap(),
-            serde_json::to_string(&direct).unwrap()
+        let app = by_name("vpenta").unwrap();
+        let c = spec(&app, ArchKind::Smt2, 42);
+        let out = SweepEngine::new(1, None).run_specs(std::slice::from_ref(&c));
+        assert_eq!((out.hits, out.misses), (0, 1));
+        assert_eq!(json(&out.results[0]), json(&c.run()));
+    }
+
+    #[test]
+    fn a_cell_is_its_spec() {
+        // The frozen positional struct adds nothing to its lowering: same
+        // key, same result, same engine output, bit for bit.
+        let cell = SweepCell {
+            app: by_name("vpenta").unwrap(),
+            arch: ArchKind::Smt2,
+            n_chips: 1,
+            seed: 42,
+            scale: 0.02,
+            sched: "barrier".to_string(),
+        };
+        assert_eq!(cell.key(), key(&cell.spec()));
+        let engine = SweepEngine::new(1, None);
+        let by_spec = json(&engine.run_specs(&[cell.spec()]).results[0]);
+        assert_eq!(json(&cell.simulate()), by_spec);
+        assert_eq!(json(&engine.run(&[cell]).results[0]), by_spec);
+    }
+
+    #[test]
+    fn schema_tag_and_every_golden_bit_reach_the_key() {
+        let app = by_name("mgrid").unwrap();
+        let c = spec(&app, ArchKind::Smt2, 42);
+        let (table2, fa4) = (EXPECTED, EXPECTED_FA4_4CHIP);
+        assert_eq!(key(&c), key_under(&c, CACHE_SCHEMA, &table2, fa4));
+        assert_ne!(key(&c), key_under(&c, "csmt-sweep-v0-test", &table2, fa4));
+        // Re-capturing any golden — here one bit of SMT1's event digest,
+        // then one cycle of the 4-chip run — changes every key.
+        let mut recaptured = table2;
+        recaptured[6].4 ^= 1;
+        assert_ne!(key(&c), key_under(&c, CACHE_SCHEMA, &recaptured, fa4));
+        let fa4_recaptured = (fa4.0 + 1, fa4.1, fa4.2, fa4.3);
+        assert_ne!(
+            key(&c),
+            key_under(&c, CACHE_SCHEMA, &table2, fa4_recaptured)
         );
     }
 
     #[test]
     fn warm_run_is_all_hits_and_byte_identical() {
-        let cells: Vec<SweepCell> = [ArchKind::Fa2, ArchKind::Smt2]
-            .into_iter()
-            .map(|a| cell("mgrid", a, 7))
-            .collect();
+        // Beyond the Table-2 x Table-3 x one-app cells the figures use: a
+        // memory-ablation cell and a two-batch job set are keyed, stored
+        // and served like any other — and every f64 field (useful, wasted,
+        // avg_running_threads) survives the JSON round trip exactly.
+        let app = by_name("mgrid").unwrap();
+        let mix = [by_name("vpenta").unwrap(), by_name("swim").unwrap()];
+        let mut cells = vec![
+            spec(&app, ArchKind::Fa2, 7),
+            RunSpec {
+                mem: MemConfig {
+                    l1_banks: 1,
+                    ..MemConfig::table3()
+                },
+                ..spec(&app, ArchKind::Smt2, 7)
+            },
+        ];
+        let fa2 = ArchKind::Fa2.chip();
+        cells.extend(RunSpec::job_batches(&mix, 4, fa2, 1, 0.02, 7, "static"));
+        assert_eq!(cells.len(), 4);
         let cache = tmp_cache("warm");
-        let cold = SweepEngine::new(1, Some(cache.clone())).run(&cells);
-        assert_eq!((cold.hits, cold.misses), (0, 2));
-        let warm = SweepEngine::new(1, Some(cache.clone())).run(&cells);
-        assert_eq!((warm.hits, warm.misses), (2, 0));
-        for (a, b) in cold.results.iter().zip(&warm.results) {
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(b).unwrap()
-            );
+        let cold = SweepEngine::new(1, Some(cache.clone())).run_specs(&cells);
+        assert_eq!((cold.hits, cold.misses), (0, 4));
+        let warm = SweepEngine::new(1, Some(cache.clone())).run_specs(&cells);
+        assert_eq!((warm.hits, warm.misses), (4, 0));
+        for ((cell, a), b) in cells.iter().zip(&cold.results).zip(&warm.results) {
+            assert_eq!(json(a), json(b));
+            assert_eq!(json(b), json(&cell.run()));
         }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn pooled_run_matches_serial_run_including_stream_order() {
-        let cells: Vec<SweepCell> = [ArchKind::Fa8, ArchKind::Fa1, ArchKind::Smt2, ArchKind::Smt1]
+        let app = by_name("swim").unwrap();
+        let cells: Vec<RunSpec> = [ArchKind::Fa8, ArchKind::Fa1, ArchKind::Smt2, ArchKind::Smt1]
             .into_iter()
-            .map(|a| cell("swim", a, 3))
+            .map(|a| spec(&app, a, 3))
             .collect();
         let mut serial_stream = Vec::new();
         let serial = SweepEngine::new(1, None)
@@ -284,10 +349,7 @@ mod tests {
             .run_streaming(&cells, |i, r| pooled_stream.push((i, r.cycles)));
         assert_eq!(serial_stream, pooled_stream);
         for (a, b) in serial.results.iter().zip(&pooled.results) {
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(b).unwrap()
-            );
+            assert_eq!(json(a), json(b));
         }
     }
 
@@ -295,46 +357,41 @@ mod tests {
     fn cached_results_round_trip_bit_for_bit() {
         // f64 fields (useful, wasted, avg_running_threads) survive the
         // JSON round trip exactly: compare full serializations.
-        let c = cell("fmm", ArchKind::Smt4, 9);
+        let app = by_name("fmm").unwrap();
+        let c = spec(&app, ArchKind::Smt4, 9);
         let cache = tmp_cache("roundtrip");
-        let fresh = c.simulate();
-        cache.store(c.key(), &fresh);
-        let loaded = cache.load(c.key()).expect("hit");
-        assert_eq!(
-            serde_json::to_string(&fresh).unwrap(),
-            serde_json::to_string(&loaded).unwrap()
-        );
+        let fresh = c.run();
+        cache.store(key(&c), &fresh);
+        let loaded = cache.load(key(&c)).expect("hit");
+        assert_eq!(json(&fresh), json(&loaded));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn dynamic_policy_results_cache_under_their_own_key() {
-        let stat = cell("ocean", ArchKind::Smt2, 5);
-        let dyn_cell = SweepCell {
-            sched: "barrier".to_string(),
+        let app = by_name("ocean").unwrap();
+        let stat = spec(&app, ArchKind::Smt2, 5);
+        let with_sched = |sched| RunSpec {
+            sched,
             ..stat.clone()
         };
-        assert_ne!(stat.key(), dyn_cell.key());
+        let dynamic = with_sched("barrier");
+        assert_ne!(key(&stat), key(&dynamic));
         // And the sched name reaches the simulation: committed work is
         // conserved but the policies are distinguishable in the key.
-        let a = stat.simulate();
-        let b = dyn_cell.simulate();
-        assert_eq!(a.slots.committed, b.slots.committed);
+        assert_eq!(stat.run().slots.committed, dynamic.run().slots.committed);
         // A typo'd name is an error before anything is simulated or
         // stored — never the static result cached under the typo's key.
-        let typo = SweepCell {
-            sched: "hazard".to_string(),
-            ..stat
-        };
+        let typo = with_sched("hazard");
         let cache = tmp_cache("typo");
         let engine = SweepEngine::new(1, Some(cache.clone()));
-        let err = std::panic::catch_unwind(|| engine.run(std::slice::from_ref(&typo)))
+        let err = std::panic::catch_unwind(|| engine.run_specs(std::slice::from_ref(&typo)))
             .expect_err("unknown policy must not simulate");
         assert_eq!(
             err.downcast_ref::<String>().map(String::as_str),
             Some("unknown scheduling policy \"hazard\" (valid policies: static, barrier, hazard_pairing)")
         );
-        assert!(cache.load(typo.key()).is_none());
+        assert!(cache.load(key(&typo)).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

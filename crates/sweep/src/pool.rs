@@ -1,22 +1,19 @@
-//! Bounded work-stealing job pool with in-order streaming emission.
+//! Bounded job pool with in-order streaming emission.
 //!
-//! The figure sweeps used to fan out one OS thread per grid cell
-//! (`thread::scope` in `run_figure`), which is unbounded: a 4-seed ×
-//! 8-arch × 6-app grid would spawn 192 threads at once. This pool runs
-//! any number of jobs on a fixed worker count (rayon is not vendored —
-//! see vendor/README.md). It is the workspace's only thread pool.
+//! Runs any number of jobs on a fixed worker count (rayon is not
+//! vendored — see vendor/README.md), where one OS thread per grid cell
+//! would be unbounded. It is the workspace's only thread pool.
 //!
 //! Design:
 //!
-//! * every job index is pre-seeded round-robin onto one worker's deque
-//!   (`i % nworkers`), so with no stealing the assignment is static;
-//! * an idle worker pops its own deque from the *front* and steals from
-//!   siblings' *backs*, so stealing grabs the work farthest from where
-//!   the owner is currently working;
-//! * results land in a slot array indexed by job, and a single shared
+//! * one shared cursor holds the next unclaimed job index; an idle
+//!   worker claims it and advances it, so jobs start in ascending order
+//!   and a slow cell never strands work behind it (grids are at most a
+//!   few hundred cells of 1–100 ms each: one lock per claim is noise);
+//! * results land in a slot array indexed by job, and a second shared
 //!   cursor drains completed results **in job order** through the
 //!   caller's sink — so streaming output is byte-identical regardless
-//!   of worker count or steal interleaving.
+//!   of worker count or claim interleaving.
 //!
 //! Job *completion order* is scheduling-dependent; everything observable
 //! (the returned `Vec`, the sink call order) is not. This file is the
@@ -30,7 +27,6 @@
     reason = "the one parallel seam: results drain through a locked cursor strictly in job order, so output is byte-identical at any worker count"
 )]
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Shared emission state: the result slots plus the in-order cursor.
@@ -64,20 +60,18 @@ where
             })
             .collect();
     }
-    let nworkers = threads.min(n_jobs);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..nworkers)
-        .map(|w| Mutex::new((0..n_jobs).filter(|i| i % nworkers == w).collect()))
-        .collect();
+    let unclaimed = Mutex::new(0..n_jobs);
+    // A function, so the cursor's guard is dropped before the job runs.
+    let claim = || unclaimed.lock().expect("claim lock").next();
     let emit = Mutex::new(Emit {
         results: (0..n_jobs).map(|_| None).collect(),
         next: 0,
         sink,
     });
     std::thread::scope(|s| {
-        for w in 0..nworkers {
-            let (queues, emit, job) = (&queues, &emit, &job);
-            s.spawn(move || {
-                while let Some(i) = next_job(queues, w) {
+        for _ in 0..threads.min(n_jobs) {
+            s.spawn(|| {
+                while let Some(i) = claim() {
                     let r = job(i);
                     let mut e = emit.lock().expect("emit lock");
                     let Emit {
@@ -101,21 +95,6 @@ where
         .into_iter()
         .map(|r| r.expect("every job ran"))
         .collect()
-}
-
-/// Claim the next job for worker `w`: own deque front first, then a
-/// steal from a sibling's back. `None` means the whole grid is claimed
-/// (jobs are only seeded up front, so the worker can retire).
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = queues[w].lock().expect("queue lock").pop_front() {
-        return Some(i);
-    }
-    for q in queues.iter().cycle().skip(w + 1).take(queues.len() - 1) {
-        if let Some(i) = q.lock().expect("queue lock").pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -7,19 +7,14 @@
 //! foreign schemas are misses, never trusted data.
 
 use csmt_core::ArchKind;
-use csmt_sweep::{cache::payload_digest, ResultCache, SweepCell, SweepEngine, CACHE_SCHEMA};
-use csmt_workloads::by_name;
+use csmt_cpu::{FetchPolicy, PredictorKind};
+use csmt_mem::MemConfig;
+use csmt_sweep::{cache::payload_digest, key, ResultCache, SweepEngine, CACHE_SCHEMA};
+use csmt_workloads::{by_name, AppSpec, RunSpec};
 use std::process::Command;
 
-fn base_cell() -> SweepCell {
-    SweepCell {
-        app: by_name("mgrid").unwrap(),
-        arch: ArchKind::Smt2,
-        n_chips: 1,
-        seed: 42,
-        scale: 0.02,
-        sched: "static".to_string(),
-    }
+fn base_cell(app: &AppSpec) -> RunSpec<'_> {
+    RunSpec::new(app, ArchKind::Smt2, 1, 0.02, 42)
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -65,73 +60,89 @@ fn keys_are_stable_across_two_processes() {
     assert!(!first.is_empty());
     assert_eq!(first, second, "cache keys must not depend on process state");
     // And the in-process computation agrees with the binary's.
-    let cell = SweepCell {
-        arch: ArchKind::Fa2,
-        ..base_cell()
-    };
+    let app = by_name("mgrid").unwrap();
+    let cell = RunSpec::new(&app, ArchKind::Fa2, 1, 0.02, 42);
     assert!(
-        first.starts_with(&format!("{:016x} ", cell.key())),
+        first.starts_with(&format!("{:016x} ", key(&cell))),
         "binary key disagrees with library key:\n{first}"
     );
 }
 
 #[test]
 fn every_knob_changes_the_key() {
-    let base = base_cell();
+    let (mgrid, ocean) = (by_name("mgrid").unwrap(), by_name("ocean").unwrap());
+    let smt2 = ArchKind::Smt2.chip();
+    let cell = |arch, n_chips, scale, seed| RunSpec::new(&mgrid, arch, n_chips, scale, seed);
+    let base = base_cell(&mgrid);
+    let with_mem = |mem| RunSpec {
+        mem,
+        ..base.clone()
+    };
+    let with_chip = |chip| RunSpec {
+        chip,
+        ..base.clone()
+    };
+    // Job sets: `jobs(mix, batch)` is batch `batch` of 16 jobs on SMT2.
+    let (mix, reordered, smaller) = (
+        [mgrid.clone(), ocean.clone()],
+        [ocean.clone(), mgrid.clone()],
+        [mgrid.clone()],
+    );
+    let jobs = |mix, batch| {
+        RunSpec::job_batches(mix, 16, smt2, 1, 0.02, 42, "static")
+            .nth(batch)
+            .expect("16 jobs are two batches of 8")
+    };
+    let l1_banks = MemConfig {
+        l1_banks: 1,
+        ..MemConfig::table3()
+    };
+    let mshrs = MemConfig {
+        max_outstanding_loads: 4,
+        ..MemConfig::table3()
+    };
     let variants = [
-        (
-            "arch",
-            SweepCell {
-                arch: ArchKind::Fa4,
-                ..base.clone()
-            },
-        ),
-        (
-            "chips",
-            SweepCell {
-                n_chips: 4,
-                ..base.clone()
-            },
-        ),
-        (
-            "app",
-            SweepCell {
-                app: by_name("ocean").unwrap(),
-                ..base.clone()
-            },
-        ),
-        (
-            "seed",
-            SweepCell {
-                seed: 43,
-                ..base.clone()
-            },
-        ),
-        (
-            "scale",
-            SweepCell {
-                scale: 0.021,
-                ..base.clone()
-            },
-        ),
+        ("base", base.clone()),
+        ("arch", cell(ArchKind::Fa4, 1, 0.02, 42)),
+        ("chips", cell(ArchKind::Smt2, 4, 0.02, 42)),
+        ("app", base_cell(&ocean)),
+        ("seed", cell(ArchKind::Smt2, 1, 0.02, 43)),
+        ("scale", cell(ArchKind::Smt2, 1, 0.021, 42)),
         (
             "sched",
-            SweepCell {
-                sched: "barrier".to_string(),
+            RunSpec {
+                sched: "barrier",
                 ..base.clone()
             },
         ),
+        ("mem.l1_banks", with_mem(l1_banks)),
+        ("mem.max_outstanding_loads", with_mem(mshrs)),
+        (
+            "chip.cluster.fetch_policy",
+            with_chip(smt2.with_fetch_policy(FetchPolicy::ICount)),
+        ),
+        (
+            "chip.cluster.predictor",
+            with_chip(smt2.with_predictor(PredictorKind::StaticTaken)),
+        ),
+        (
+            "chip.cluster.store_buffer",
+            with_chip(smt2.with_cluster(|c| c.with_store_buffer(1))),
+        ),
+        ("job set", jobs(&mix, 0)),
+        ("batch index", jobs(&mix, 1)),
+        ("mix order", jobs(&reordered, 0)),
+        ("mix membership", jobs(&smaller, 0)),
     ];
-    let mut keys = vec![("base", base.key())];
-    for (knob, cell) in &variants {
-        keys.push((knob, cell.key()));
-    }
-    keys.push(("schema", base.key_with_schema("csmt-sweep-v0-test")));
-    for (i, (name_a, key_a)) in keys.iter().enumerate() {
-        for (name_b, key_b) in &keys[i + 1..] {
-            assert_ne!(key_a, key_b, "{name_a} vs {name_b} collide");
+    for (i, (name_a, a)) in variants.iter().enumerate() {
+        for (name_b, b) in &variants[i + 1..] {
+            assert_ne!(key(a), key(b), "{name_a} vs {name_b} collide");
         }
     }
+    // What the run does not use is not keyed: batch 0 of an 8-job set is
+    // the same simulation as batch 0 of the 16-job set above.
+    let of_8 = RunSpec::job_batches(&mix, 8, smt2, 1, 0.02, 42, "static").next();
+    assert_eq!(key(&of_8.unwrap()), key(&jobs(&mix, 0)));
 }
 
 #[test]
@@ -139,24 +150,20 @@ fn same_shape_different_kind_still_gets_distinct_keys() {
     // FA8 and SMT8 share the hardware shape (8 clusters × width 1), but
     // `ChipConfig.kind` is part of the digested configuration, so the
     // two Table-2 rows never share cache entries.
-    let fa8 = SweepCell {
-        arch: ArchKind::Fa8,
-        ..base_cell()
-    };
-    let smt8 = SweepCell {
-        arch: ArchKind::Smt8,
-        ..base_cell()
-    };
-    assert_ne!(fa8.key(), smt8.key());
+    let app = by_name("mgrid").unwrap();
+    let fa8 = RunSpec::new(&app, ArchKind::Fa8, 1, 0.02, 42);
+    let smt8 = RunSpec::new(&app, ArchKind::Smt8, 1, 0.02, 42);
+    assert_ne!(key(&fa8), key(&smt8));
 }
 
 #[test]
 fn corrupt_truncated_and_foreign_entries_are_recomputed() {
-    let cell = base_cell();
+    let app = by_name("mgrid").unwrap();
+    let cell = base_cell(&app);
     let dir = tmp_dir("corrupt");
     let cache = ResultCache::new(&dir).unwrap();
-    let key = cell.key();
-    let fresh = cell.simulate();
+    let key = key(&cell);
+    let fresh = cell.run();
     cache.store(key, &fresh);
     let path = cache.entry_path(key);
     let good = std::fs::read_to_string(&path).unwrap();
@@ -180,7 +187,7 @@ fn corrupt_truncated_and_foreign_entries_are_recomputed() {
 
     // The engine recomputes through the bad entry and heals the cache.
     std::fs::write(&path, &corrupted).unwrap();
-    let out = SweepEngine::new(1, Some(cache.clone())).run(std::slice::from_ref(&cell));
+    let out = SweepEngine::new(1, Some(cache.clone())).run_specs(std::slice::from_ref(&cell));
     assert_eq!((out.hits, out.misses), (0, 1));
     assert_eq!(
         serde_json::to_string(&out.results[0]).unwrap(),
@@ -196,11 +203,12 @@ fn corrupt_truncated_and_foreign_entries_are_recomputed() {
 
 #[test]
 fn entry_carries_its_own_payload_digest() {
-    let cell = base_cell();
+    let app = by_name("mgrid").unwrap();
+    let cell = base_cell(&app);
     let dir = tmp_dir("digest");
     let cache = ResultCache::new(&dir).unwrap();
-    cache.store(cell.key(), &cell.simulate());
-    let text = std::fs::read_to_string(cache.entry_path(cell.key())).unwrap();
+    cache.store(key(&cell), &cell.run());
+    let text = std::fs::read_to_string(cache.entry_path(key(&cell))).unwrap();
     let entry: serde::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(entry.get("schema").unwrap().as_str(), Some(CACHE_SCHEMA));
     let stored = entry.get("payload_digest").unwrap().as_str().unwrap();

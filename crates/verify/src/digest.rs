@@ -54,6 +54,14 @@ impl Default for Fnv64 {
     }
 }
 
+/// `write!(fnv, ..)` absorbs the rendering without building a `String`.
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Hashes every probe event on the default channels, in order, via its
 /// `Debug` rendering (all event payloads derive `Debug`, and the
 /// rendering covers every field). The end-of-cycle snapshot is hashed

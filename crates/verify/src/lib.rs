@@ -20,7 +20,8 @@
 //!   driven by the `csmt-lint` binary.
 //! * [`digest`] — the canonical FNV-1a event-stream digest behind every
 //!   bit-for-bit claim: [`EventDigest`] (what the golden digests pin)
-//!   and [`SchedEventDigest`] (plus the migration channel).
+//!   and [`SchedEventDigest`] (plus the migration channel);
+//! * [`golden`] — the pinned values of those digests.
 //!
 //! The checker rides the zero-cost probe layer: a `NullProbe` build
 //! contains none of it, and the golden-determinism digests are unchanged
@@ -41,6 +42,7 @@
 //! ```
 
 pub mod digest;
+pub mod golden;
 pub mod invariants;
 pub mod lint;
 

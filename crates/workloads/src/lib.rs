@@ -35,7 +35,5 @@ pub mod program;
 pub mod runner;
 
 pub use apps::{all_apps, build_streams, by_name, AppParams, AppSpec};
-pub use multiprogram::{
-    multiprogram_streams, simulate_job_batches, simulate_multiprogram, BatchResult,
-};
-pub use runner::{simulate, simulate_probed, RunSpec};
+pub use multiprogram::{simulate_job_batches, BatchResult};
+pub use runner::{simulate, simulate_probed, RunSpec, Workload};

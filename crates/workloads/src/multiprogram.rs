@@ -5,7 +5,10 @@
 //! the chip — alongside parallel ones. This module provides that mode as an
 //! extension: each application of a mix runs **sequentially** (its
 //! single-thread version, exactly what FA1 executes in Figure 4) in its own
-//! runtime group, so programs never synchronize with each other.
+//! runtime group, so programs never synchronize with each other. A job
+//! set is a workload of [`RunSpec`] like any other
+//! ([`Workload::Jobs`](crate::runner::Workload)): one run is one
+//! capacity-sized batch of it.
 //!
 //! This is the workload class where SMT shines brightest: with no barriers
 //! coupling the contexts, any spare issue slot of one program is
@@ -13,64 +16,35 @@
 //! whichever narrow cluster its program happens to stall on.
 
 use crate::apps::{build_streams, AppParams, AppSpec};
-use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
+use crate::runner::RunSpec;
+use csmt_core::{ChipConfig, RunResult};
 use csmt_isa::InstStream;
-use csmt_mem::MemConfig;
 
-/// Ceiling on simulated cycles; hitting it means a deadlock (a bug).
-const MAX_CYCLES: u64 = 2_000_000_000;
-
-/// Build the grouped streams of a multiprogrammed mix: program `k` of
-/// `apps` becomes one sequential thread in group `k`. Programs are cloned
-/// round-robin until `n_contexts` hardware contexts are filled (the usual
-/// "one job per context" loading of the SMT literature).
-pub fn multiprogram_streams(
-    apps: &[AppSpec],
-    n_contexts: usize,
+/// The grouped streams of jobs `jobs` of a multiprogrammed job set: job
+/// `j` is the sequential version of `mix[j % mix.len()]` (the usual "one
+/// job per context" loading of the SMT literature cycles the mix
+/// round-robin), in the runtime group of its position within `jobs`.
+pub(crate) fn job_streams(
+    mix: &[AppSpec],
+    jobs: std::ops::Range<usize>,
     scale: f64,
     seed: u64,
 ) -> Vec<(Box<dyn InstStream + Send>, usize)> {
-    assert!(!apps.is_empty());
-    assert!(n_contexts >= 1);
-    (0..n_contexts)
-        .map(|k| {
-            let app = &apps[k % apps.len()];
-            // Each job is the app's sequential version with its own seed so
-            // two copies of the same program are not in lockstep.
-            let params = AppParams::new(1, 1, scale, seed ^ ((k as u64) << 24));
-            let mut streams = build_streams(app, &params);
+    jobs.enumerate()
+        .map(|(group, job)| {
+            // Each job has its own seed so two copies of the same program
+            // are not in lockstep.
+            let params = AppParams::new(1, 1, scale, seed ^ ((job as u64) << 24));
+            let mut streams = build_streams(&mix[job % mix.len()], &params);
             debug_assert_eq!(streams.len(), 1);
-            (streams.pop().expect("one sequential stream"), k)
+            (streams.pop().expect("one sequential stream"), group)
         })
         .collect()
 }
 
-/// Simulate a multiprogrammed mix of `apps` on `arch`: every hardware
-/// context runs one sequential job (mixes shorter than the context count
-/// are repeated round-robin) under the scheduling policy named `sched`
-/// (resolved by [`csmt_core::sched::for_chip`]). Multiprogrammed mixes
-/// never hit a barrier, so quantum-driven policies (hazard pairing) are the
-/// interesting dynamic ones here.
-///
-/// # Panics
-/// On a `sched` name outside `csmt_core::sched::POLICY_NAMES`.
-pub fn simulate_multiprogram(
-    apps: &[AppSpec],
-    arch: ArchKind,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-    sched: &str,
-) -> RunResult {
-    let mut machine =
-        crate::runner::machine_with_policy(arch.chip(), n_chips, MemConfig::table3(), seed, sched);
-    let n = machine.hw_thread_capacity();
-    machine.attach_threads_grouped(multiprogram_streams(apps, n, scale, seed));
-    machine.run(MAX_CYCLES)
-}
-
-/// Outcome of running a fixed job set through capacity-sized batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of running a fixed job set through capacity-sized batches:
+/// collect it from the batches' [`RunResult`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchResult {
     /// Total cycles summed over the sequential batches.
     pub total_cycles: u64,
@@ -93,10 +67,24 @@ impl BatchResult {
     }
 }
 
+impl<R: std::borrow::Borrow<RunResult>> FromIterator<R> for BatchResult {
+    fn from_iter<I: IntoIterator<Item = R>>(batches: I) -> Self {
+        let mut total = BatchResult::default();
+        for r in batches {
+            let r = r.borrow();
+            total.total_cycles += r.cycles;
+            total.committed += r.slots.committed;
+            total.jobs += r.threads;
+            total.batches += 1;
+        }
+        total
+    }
+}
+
 /// Run exactly `n_jobs` sequential jobs (apps cycled round-robin) on the
-/// chip, batching when the job count exceeds the hardware contexts — the
-/// fair fixed-work comparison across architectures with different context
-/// counts (an FA2 chip runs 8 jobs as 4 batches of 2).
+/// chip, batching when the job count exceeds the hardware contexts: the
+/// [`RunSpec::job_batches`] runs under the static placement, one after
+/// another, summed.
 pub fn simulate_job_batches(
     apps: &[AppSpec],
     n_jobs: usize,
@@ -105,68 +93,61 @@ pub fn simulate_job_batches(
     scale: f64,
     seed: u64,
 ) -> BatchResult {
-    assert!(n_jobs >= 1);
-    let mut total_cycles = 0u64;
-    let mut committed = 0u64;
-    let mut batches = 0usize;
-    let mut job = 0usize;
-    while job < n_jobs {
-        let mut machine = Machine::new(chip, n_chips, MemConfig::table3(), seed ^ (batches as u64));
-        let cap = machine.hw_thread_capacity();
-        let batch_jobs = cap.min(n_jobs - job);
-        let streams: Vec<(Box<dyn InstStream + Send>, usize)> = (0..batch_jobs)
-            .map(|k| {
-                let idx = job + k;
-                let app = &apps[idx % apps.len()];
-                let params = AppParams::new(1, 1, scale, seed ^ ((idx as u64) << 24));
-                let mut s = build_streams(app, &params);
-                (s.pop().expect("one stream"), k)
-            })
-            .collect();
-        machine.attach_threads_grouped(streams);
-        let r = machine.run(MAX_CYCLES);
-        total_cycles += r.cycles;
-        committed += r.slots.committed;
-        batches += 1;
-        job += batch_jobs;
-    }
-    BatchResult {
-        total_cycles,
-        committed,
-        jobs: n_jobs,
-        batches,
-    }
+    RunSpec::job_batches(apps, n_jobs, chip, n_chips, scale, seed, "static")
+        .map(|batch| batch.run())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps;
+    use csmt_core::ArchKind;
 
     #[test]
     fn streams_fill_all_contexts_round_robin() {
         let mix = [apps::swim(), apps::vpenta()];
-        let streams = multiprogram_streams(&mix, 8, 0.02, 7);
-        assert_eq!(streams.len(), 8);
-        let groups: Vec<usize> = streams.iter().map(|(_, g)| *g).collect();
-        assert_eq!(groups, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        let groups = |jobs| -> Vec<usize> {
+            job_streams(&mix, jobs, 0.02, 7)
+                .iter()
+                .map(|(_, g)| *g)
+                .collect()
+        };
+        assert_eq!(groups(0..8), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(groups(8..11), vec![0, 1, 2]);
     }
 
     #[test]
     fn mix_completes_on_smt_and_fa() {
         let mix = [apps::swim(), apps::vpenta(), apps::mgrid(), apps::ocean()];
         for arch in [ArchKind::Smt2, ArchKind::Fa8, ArchKind::Fa2] {
-            let r = simulate_multiprogram(&mix, arch, 1, 0.02, 7, "static");
-            assert!(r.cycles > 0, "{}", arch.name());
-            assert!(r.slots.committed > 0);
+            let r = simulate_job_batches(&mix, 8, arch.chip(), 1, 0.02, 7);
+            assert!(r.total_cycles > 0, "{}", arch.name());
+            assert!(r.committed > 0);
         }
+    }
+
+    #[test]
+    fn one_batch_job_set_reproduces_the_pinned_mix_run() {
+        // Captured from the stand-alone mix run body (mix4x2 on SMT2, one
+        // chip, scale 0.05, seed 0xC5317, "static": Fig 9's mix row at
+        // --smoke scale) before it was folded into `RunSpec::run_probed`.
+        let mix = [apps::swim(), apps::vpenta(), apps::tomcatv(), apps::ocean()];
+        let r = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.05, 0xC5_317);
+        let pinned = BatchResult {
+            total_cycles: 11229,
+            committed: 75360,
+            jobs: 8,
+            batches: 1,
+        };
+        assert_eq!(r, pinned);
     }
 
     #[test]
     fn copies_of_the_same_program_are_not_in_lockstep() {
         // Two copies of swim must have different dynamic behaviour (seeds
         // differ), otherwise they would thrash the same cache sets in sync.
-        let streams = multiprogram_streams(&[apps::fmm()], 2, 0.02, 7);
+        let streams = job_streams(&[apps::fmm()], 0..2, 0.02, 7);
         let drain = |mut s: Box<dyn InstStream + Send>| {
             let mut v = Vec::new();
             while let Some(i) = s.next_inst() {
@@ -202,9 +183,12 @@ mod tests {
     #[test]
     fn hazard_pairing_mix_conserves_committed_work() {
         let mix = [apps::swim(), apps::ocean()];
-        let stat = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.02, 7, "static");
-        let paired = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.02, 7, "hazard_pairing");
-        assert_eq!(stat.slots.committed, paired.slots.committed);
+        let [stat, paired] = ["static", "hazard_pairing"].map(|sched| {
+            RunSpec::job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.02, 7, sched)
+                .map(|batch| batch.run())
+                .collect::<BatchResult>()
+        });
+        assert_eq!(stat.committed, paired.committed);
     }
 
     #[test]
@@ -213,13 +197,14 @@ mod tests {
         // the SMT chips outperform the same-width FA chips because idle
         // slots flow between programs.
         let mix = [apps::swim(), apps::vpenta(), apps::tomcatv(), apps::ocean()];
-        let smt2 = simulate_multiprogram(&mix, ArchKind::Smt2, 1, 0.05, 7, "static");
-        let fa8 = simulate_multiprogram(&mix, ArchKind::Fa8, 1, 0.05, 7, "static");
+        let smt2 = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.05, 7);
+        let fa8 = simulate_job_batches(&mix, 8, ArchKind::Fa8.chip(), 1, 0.05, 7);
+        assert_eq!((smt2.batches, fa8.batches), (1, 1));
         assert!(
-            smt2.cycles < fa8.cycles,
+            smt2.total_cycles < fa8.total_cycles,
             "SMT2 {} vs FA8 {}",
-            smt2.cycles,
-            fa8.cycles
+            smt2.total_cycles,
+            fa8.total_cycles
         );
     }
 }

@@ -1,26 +1,64 @@
-//! One-call simulation of (application × architecture × machine size).
+//! One-call simulation of (workload × architecture × machine size).
 //!
 //! [`RunSpec::run_probed`] is the function every figure reduces to: build
 //! the machine, install the scheduling policy, create "as many threads as
-//! are required by the processor" (§4), run to completion, return the
+//! are required by the processor" (§4) — or one sequential job per
+//! context, for a multiprogrammed batch — run to completion, return the
 //! statistics. [`simulate`] and [`simulate_probed`] are its positional
 //! shorthands for the paper's static placement.
 
 use crate::apps::{build_streams, AppParams, AppSpec};
+use crate::multiprogram::job_streams;
 use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
 use csmt_mem::MemConfig;
 
 /// Ceiling on simulated cycles; hitting it means a deadlock (a bug).
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// Everything that determines one run of an application — the simulator
-/// is a pure function of these seven fields, never of the environment.
-/// Start from [`RunSpec::new`] and override what the experiment varies:
+/// What one machine runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload<'a> {
+    /// One parallel application, forked into one thread per hardware
+    /// context (Table 2 × chips): SMT2 × 4 chips = 32 threads, FA1 × 4
+    /// chips = 4 threads.
+    App(&'a AppSpec),
+    /// One capacity-sized batch of independent sequential jobs
+    /// ([`multiprogram`](crate::multiprogram)): with `contexts` hardware
+    /// contexts, jobs `batch × contexts ..` of a job set that cycles `mix`,
+    /// one per context. The size of the whole set is not part of the run
+    /// (see [`RunSpec::job_batches`]).
+    Jobs {
+        /// The programs the job set cycles through.
+        mix: &'a [AppSpec],
+        /// Which capacity-sized batch of the job set this run is.
+        batch: usize,
+        /// Jobs in it (at most one per hardware context).
+        count: usize,
+    },
+}
+
+impl std::fmt::Display for Workload<'_> {
+    /// The application's name; for a job set, its mix joined by `+`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Workload::App(app) => f.write_str(app.name),
+            Workload::Jobs { mix, .. } => {
+                let names: Vec<&str> = mix.iter().map(|a| a.name).collect();
+                f.write_str(&names.join("+"))
+            }
+        }
+    }
+}
+
+/// Everything that determines one run — the simulator is a pure function
+/// of these seven fields, never of the environment, and the sweep cache
+/// keys a run by exactly them. Start from [`RunSpec::new`] and override
+/// what the experiment varies:
 /// `RunSpec { mem, ..RunSpec::new(&app, arch, 1, scale, seed) }.run()`.
 #[derive(Debug, Clone)]
 pub struct RunSpec<'a> {
-    /// Application to run.
-    pub app: &'a AppSpec,
+    /// What to run.
+    pub workload: Workload<'a>,
     /// Chip configuration (any shape, not only Table 2's).
     pub chip: ChipConfig,
     /// Machine size in chips.
@@ -42,7 +80,7 @@ impl<'a> RunSpec<'a> {
     /// the Table-3 memory hierarchy and the static thread placement.
     pub fn new(app: &'a AppSpec, arch: ArchKind, n_chips: usize, scale: f64, seed: u64) -> Self {
         RunSpec {
-            app,
+            workload: Workload::App(app),
             chip: arch.chip(),
             n_chips,
             scale,
@@ -52,8 +90,39 @@ impl<'a> RunSpec<'a> {
         }
     }
 
+    /// The capacity-sized batches that run `n_jobs` sequential jobs of
+    /// `mix` on `n_chips` × `chip`, in order, under Table 3 and `sched` —
+    /// the fair fixed-work comparison across architectures with different
+    /// context counts (an FA2 chip runs 8 jobs as 4 batches of 2, SMT2 as
+    /// one batch of 8).
+    pub fn job_batches(
+        mix: &'a [AppSpec],
+        n_jobs: usize,
+        chip: ChipConfig,
+        n_chips: usize,
+        scale: f64,
+        seed: u64,
+        sched: &'a str,
+    ) -> impl Iterator<Item = RunSpec<'a>> {
+        assert!(n_jobs >= 1 && !mix.is_empty());
+        let contexts = n_chips * chip.threads_per_chip();
+        (0..n_jobs.div_ceil(contexts)).map(move |batch| RunSpec {
+            workload: Workload::Jobs {
+                mix,
+                batch,
+                count: contexts.min(n_jobs - batch * contexts),
+            },
+            chip,
+            n_chips,
+            scale,
+            seed,
+            mem: MemConfig::table3(),
+            sched,
+        })
+    }
+
     /// Simulate to completion with no observer attached.
-    pub fn run(self) -> RunResult {
+    pub fn run(&self) -> RunResult {
         self.run_probed(&mut csmt_trace::NullProbe)
     }
 
@@ -63,40 +132,37 @@ impl<'a> RunSpec<'a> {
     /// [`run`](RunSpec::run). Probes with buffered output should have
     /// their `finish()` called after this returns.
     ///
-    /// Thread count = the machine's hardware contexts (Table 2 × chips),
-    /// e.g. SMT2 × 4 chips = 32 threads, FA1 × 4 chips = 4 threads.
-    ///
     /// # Panics
     /// On a `sched` name outside `POLICY_NAMES`, with the
     /// [`UnknownPolicy`](csmt_core::sched::UnknownPolicy) message — a typo
     /// must never silently change the experiment (binaries validate
     /// first).
-    pub fn run_probed<P: csmt_trace::Probe>(self, probe: &mut P) -> RunResult {
-        let mut machine =
-            machine_with_policy(self.chip, self.n_chips, self.mem, self.seed, self.sched);
-        let n_threads = machine.hw_thread_capacity();
-        let params = AppParams::new(n_threads, self.n_chips, self.scale, self.seed);
-        machine.attach_threads(build_streams(self.app, &params));
+    pub fn run_probed<P: csmt_trace::Probe>(&self, probe: &mut P) -> RunResult {
+        let policy =
+            csmt_core::sched::for_chip(self.sched, &self.chip).unwrap_or_else(|e| panic!("{e}"));
+        // Batches of one job set must not share machine-level randomness.
+        let machine_seed = match self.workload {
+            Workload::App(_) => self.seed,
+            Workload::Jobs { batch, .. } => self.seed ^ batch as u64,
+        };
+        let mut machine = Machine::new(self.chip, self.n_chips, self.mem.clone(), machine_seed);
+        machine
+            .set_scheduler(policy)
+            .expect("for_chip resolves to a policy the chip accepts");
+        let contexts = machine.hw_thread_capacity();
+        match self.workload {
+            Workload::App(app) => {
+                let params = AppParams::new(contexts, self.n_chips, self.scale, self.seed);
+                machine.attach_threads(build_streams(app, &params));
+            }
+            Workload::Jobs { mix, batch, count } => {
+                let first = batch * contexts;
+                let jobs = first..first + count;
+                machine.attach_threads_grouped(job_streams(mix, jobs, self.scale, self.seed));
+            }
+        }
         machine.run_probed(MAX_CYCLES, probe)
     }
-}
-
-/// A machine with the scheduling policy named `sched` installed, as
-/// [`csmt_core::sched::for_chip`] resolves it for `chip`; panics with the
-/// `UnknownPolicy` message on an unknown name.
-pub(crate) fn machine_with_policy(
-    chip: ChipConfig,
-    n_chips: usize,
-    mem: MemConfig,
-    seed: u64,
-    sched: &str,
-) -> Machine {
-    let policy = csmt_core::sched::for_chip(sched, &chip).unwrap_or_else(|e| panic!("{e}"));
-    let mut machine = Machine::new(chip, n_chips, mem, seed);
-    machine
-        .set_scheduler(policy)
-        .expect("for_chip resolves to a policy the chip accepts");
-    machine
 }
 
 /// Simulate `app` on `arch` with `n_chips` chips at work scale `scale` in
@@ -116,16 +182,12 @@ pub fn simulate_probed<P: csmt_trace::Probe>(
     mem: MemConfig,
     probe: &mut P,
 ) -> RunResult {
-    let spec = RunSpec {
-        app,
+    RunSpec {
         chip,
-        n_chips,
-        scale,
-        seed,
         mem,
-        sched: "static",
-    };
-    spec.run_probed(probe)
+        ..RunSpec::new(app, chip.kind, n_chips, scale, seed)
+    }
+    .run_probed(probe)
 }
 
 #[cfg(test)]

@@ -17,16 +17,23 @@ cd "$(dirname "$0")/.."
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# A typo'd argument is an error, not a different experiment (0.5 was meant).
-echo "==> fetch_policies O.1 must exit 2"
-status=0
-cargo run -q --release --offline -p csmt-bench --bin fetch_policies -- O.1 \
-  >/dev/null 2>"$TMP/typo.err" || status=$?
-if [ "$status" -ne 2 ] || ! grep -q 'argument 1 "O.1" is not a valid' "$TMP/typo.err"; then
-  echo "check_experiments: fetch_policies O.1 exited $status, want 2 and a diagnosis:" >&2
-  cat "$TMP/typo.err" >&2
-  exit 1
-fi
+# A typo'd argument is an error, not a different experiment (0.5 was
+# meant) and not a panic: exit 2 with a diagnosis on stderr.
+must_exit_2() {
+  local want="$1" status=0
+  shift
+  echo "==> $* must exit 2"
+  cargo run -q --release --offline -p csmt-bench --bin "$@" \
+    >/dev/null 2>"$TMP/typo.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "$want" "$TMP/typo.err"; then
+    echo "check_experiments: $* exited $status, want 2 and a diagnosis:" >&2
+    cat "$TMP/typo.err" >&2
+    exit 1
+  fi
+}
+must_exit_2 'argument 1 "O.1" is not a valid' fetch_policies -- O.1
+must_exit_2 'argument 1 "O.1" is not a valid' fig9_dynamic_alloc -- O.1
+must_exit_2 'unknown application "nosuchapp" (valid applications: swim,' diagnose -- nosuchapp
 
 # One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
 check_block() {

@@ -65,6 +65,19 @@ grep -q " 4 hits, 0 misses" "$SWEEP_TMP/warm.log"
 cmp "$SWEEP_TMP/cold.jsonl" "$SWEEP_TMP/warm.jsonl"
 cmp "$SWEEP_TMP/cold.json" "$SWEEP_TMP/warm.json"
 
+echo "==> study + mix cells are sweep cells (ablation_study, fig9 cold then warm under one cache: same stdout, no new entries)"
+export CSMT_SWEEP_CACHE="$SWEEP_TMP/study-cache"
+for run in cold warm; do
+  cargo run -q --release -p csmt-bench --bin ablation_study -- 0.02 >"$SWEEP_TMP/ablation.$run"
+  cargo run -q --release -p csmt-bench --bin fig9_dynamic_alloc -- --smoke >"$SWEEP_TMP/fig9.$run"
+  find "$CSMT_SWEEP_CACHE" -name '*.json' | wc -l >"$SWEEP_TMP/entries.$run"
+done
+unset CSMT_SWEEP_CACHE
+cmp "$SWEEP_TMP/ablation.cold" "$SWEEP_TMP/ablation.warm"
+cmp "$SWEEP_TMP/fig9.cold" "$SWEEP_TMP/fig9.warm"
+cmp "$SWEEP_TMP/entries.cold" "$SWEEP_TMP/entries.warm"
+[ "$(cat "$SWEEP_TMP/entries.cold")" -gt 0 ]
+
 # Miri needs a nightly toolchain with the miri component; run it when
 # available (CI installs it), skip gracefully on stable-only setups.
 if cargo miri --version >/dev/null 2>&1; then

@@ -21,7 +21,7 @@
 //! | [`trace`] | observability: pipeline probes, heartbeats, O3PipeView |
 //! | [`metrics`] | top-down cycle accounting, histograms, Perfetto export |
 //! | [`verify`] | invariant checker, Table 2 config validation, stream linter |
-//! | [`sweep`] | design-space sweep engine: work-stealing pool + result cache |
+//! | [`sweep`] | design-space sweep engine: job pool + result cache |
 //!
 //! ## Quickstart
 //!
@@ -59,11 +59,11 @@ pub mod prelude {
         AttributionTree, HostProfiler, LogHistogram, MetricsProbe, MetricsReport, PerfettoTrace,
     };
     pub use csmt_model::{AppPoint, ArchModel, Region};
-    pub use csmt_sweep::{ResultCache, SweepCell, SweepEngine};
+    pub use csmt_sweep::{ResultCache, SweepEngine};
     pub use csmt_trace::{IntervalSampler, NullProbe, PipeviewProbe, Probe};
     pub use csmt_verify::{InvariantProbe, Violation, ViolationKind};
     pub use csmt_workloads::{
-        all_apps, by_name, simulate, simulate_job_batches, simulate_multiprogram, simulate_probed,
-        AppParams, AppSpec, RunSpec,
+        all_apps, by_name, simulate, simulate_job_batches, simulate_probed, AppParams, AppSpec,
+        RunSpec, Workload,
     };
 }

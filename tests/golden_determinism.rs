@@ -7,7 +7,8 @@
 //! Any behavioral drift in the cluster pipeline (however subtle) changes
 //! at least one digest and fails this test loudly.
 //!
-//! The expected values below were captured on the pre-refactor monolithic
+//! The expected values (`csmt_verify::golden`, where the sweep cache key
+//! absorbs them too) were captured on the pre-refactor monolithic
 //! `cluster.rs` (PR 1 tree); the staged-pipeline refactor must reproduce
 //! them bit for bit.
 //!
@@ -15,6 +16,7 @@
 //! `GOLDEN_PRINT=1 cargo test -q --test golden_determinism -- --nocapture`
 
 use csmt_core::ArchKind;
+use csmt_verify::golden::{EXPECTED, EXPECTED_FA4_4CHIP};
 use csmt_verify::{EventDigest, Fnv64};
 use csmt_workloads::{by_name, simulate_probed};
 
@@ -31,17 +33,6 @@ const ARCHS: [ArchKind; 7] = [
     ArchKind::Smt4,
     ArchKind::Smt2,
     ArchKind::Smt1,
-];
-
-/// (arch name, cycles, committed, run-result digest, event-stream digest).
-const EXPECTED: [(&str, u64, u64, u64, u64); 7] = [
-    ("FA8", 6058, 22160, 0x0d891347a8914ae8, 0x656c89d5235c2afd),
-    ("FA4", 5340, 22160, 0xa6c7284c45fae13a, 0x120697d0b4231f2e),
-    ("FA2", 6149, 22160, 0x4c99a2de9ddf9f43, 0xf2ebe0834ebe552f),
-    ("FA1", 8665, 22160, 0x144a8c1fa702cfc3, 0xf8f180d6999a2e17),
-    ("SMT4", 4888, 22160, 0x825206c50b75ecef, 0xd366a456ae9b3b7e),
-    ("SMT2", 4875, 22160, 0xc6eb617c0c8ad226, 0x6eb0a38eb0955692),
-    ("SMT1", 5195, 22160, 0xd9530d8cd531ffe1, 0xa912b83cb94c7ebf),
 ];
 
 #[test]
@@ -92,12 +83,6 @@ fn per_architecture_digests_are_bit_for_bit_stable() {
         failures.join("\n")
     );
 }
-
-/// (cycles, committed, run-result digest, event-stream digest) for the
-/// high-end 4-chip FA4 machine — the configuration with the longest
-/// stalls (remote misses stretch every one).
-const EXPECTED_FA4_4CHIP: (u64, u64, u64, u64) =
-    (3293, 22160, 0xe72e0421d0136629, 0xa67e4cf7854176b1);
 
 /// Pins the high-end (4-chip, CC-NUMA) machine, complementing the
 /// single-chip sweep above: remote L2/memory latencies, directory

@@ -19,31 +19,23 @@ const SEED: u64 = 0xC5_317;
 fn results() -> &'static HashMap<(String, ArchKind, usize), RunResult> {
     static CELL: OnceLock<HashMap<(String, ArchKind, usize), RunResult>> = OnceLock::new();
     CELL.get_or_init(|| {
+        let apps = all_apps();
+        let mut names = Vec::new();
         let mut cells = Vec::new();
-        for app in all_apps() {
+        for app in &apps {
             for arch in ArchKind::FA_FIGURES
                 .into_iter()
                 .chain([ArchKind::Smt4, ArchKind::Smt1])
             {
                 for n_chips in [1usize, 4] {
-                    cells.push(SweepCell {
-                        app: app.clone(),
-                        arch,
-                        n_chips,
-                        seed: SEED,
-                        scale: SCALE,
-                        sched: "static".to_string(),
-                    });
+                    names.push((app.name.to_string(), arch, n_chips));
+                    cells.push(RunSpec::new(app, arch, n_chips, SCALE, SEED));
                 }
             }
         }
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let results = SweepEngine::new(threads, None).run(&cells).results;
-        cells
-            .iter()
-            .map(|c| (c.app.name.to_string(), c.arch, c.n_chips))
-            .zip(results)
-            .collect()
+        let results = SweepEngine::new(threads, None).run_specs(&cells).results;
+        names.into_iter().zip(results).collect()
     })
 }
 
