@@ -16,13 +16,19 @@
 //!   stretch each stall by hundreds of network cycles.
 //!
 //! Two more run `smt2_lowend` through an explicit scheduling policy (the
-//! `sched_overhead` gate). Set `CSMT_BENCH_JSON=<path>` to dump the
-//! summary as JSON (recorded floors live in `BENCH_machine_step.json`).
+//! `sched_overhead` gate), and four run a compute-bound calibrated app
+//! under each per-instruction probe (the `probe_overhead` gate; see
+//! [`probe_scenarios`]). Set `CSMT_BENCH_JSON=<path>` to dump the summary
+//! as JSON (recorded floors live in `BENCH_machine_step.json`).
 
 use csmt_core::{ArchKind, Machine};
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, InstStream, SyncOp};
 use csmt_mem::MemConfig;
+use csmt_metrics::MetricsProbe;
+use csmt_trace::{NullProbe, PipeviewProbe, Probe};
+use csmt_verify::InvariantProbe;
+use csmt_workloads::{by_name, RunSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -81,27 +87,89 @@ fn run_machine(kind: ArchKind, chips: usize, policy: &str) -> u64 {
     m.run(2_000_000_000).cycles
 }
 
+/// The probe-consumer cost: `mgrid` on the low-end SMT2 machine under
+/// [`NullProbe`] and under each probe that mirrors every instruction from
+/// fetch to retirement, `finish` included. The serial-load chain above
+/// issues too few instructions to exercise a per-instruction probe; a
+/// calibrated app keeps the window full. A probe only observes, so all
+/// four must simulate the same number of cycles (asserted by the caller).
+fn run_probed(probe: &mut impl Probe) -> u64 {
+    let app = by_name("mgrid").expect("mgrid is a registered app");
+    RunSpec::new(&app, ArchKind::Smt2, 1, 0.25, 0xC5_317)
+        .run_probed(probe)
+        .cycles
+}
+
+/// A probed run is ~6k machine cycles (a few host milliseconds), so each
+/// timed repetition is this many runs: the smoke-mode gate still times
+/// tens of milliseconds per scenario.
+const PROBED_RUNS_PER_REP: u32 = 20;
+
+/// A `probe_overhead` scenario: its name and one full run, probe
+/// construction and `finish` included, returning machine cycles.
+type ProbedScenario = (&'static str, fn() -> u64);
+
+fn probe_scenarios() -> [ProbedScenario; 4] {
+    [
+        ("smt2_probed_null", || run_probed(&mut NullProbe)),
+        ("smt2_probed_invariant", || {
+            let mut p = InvariantProbe::new(&ArchKind::Smt2.chip(), 1);
+            let cycles = run_probed(&mut p);
+            p.finish().expect("mgrid on SMT2 verifies clean");
+            cycles
+        }),
+        ("smt2_probed_metrics", || {
+            let mut p = MetricsProbe::new(1000);
+            let cycles = run_probed(&mut p);
+            black_box(p.finish());
+            cycles
+        }),
+        ("smt2_probed_pipeview", || {
+            let mut p = PipeviewProbe::new(std::io::sink());
+            let cycles = run_probed(&mut p);
+            p.finish().expect("a sink cannot fail");
+            cycles
+        }),
+    ]
+}
+
+/// Time `reps` runs of one scenario after a warm-up run; prints the
+/// throughput and returns (cycles per run, JSON record).
+fn measure(name: &str, reps: u32, run: impl Fn() -> u64) -> (u64, String) {
+    let mut cycles = black_box(run());
+    let t0 = Instant::now();
+    let mut total_cycles = 0u64;
+    for _ in 0..reps {
+        cycles = black_box(run());
+        total_cycles += cycles;
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    let sps = total_cycles as f64 / secs;
+    println!("machine_step/{name}: {sps:.0} cycles/sec ({cycles} cycles/run)");
+    let record = format!(
+        "    {{\"scenario\": \"{name}\", \"steps_per_sec\": {sps:.0}, \
+         \"cycles_per_run\": {cycles}}}"
+    );
+    (cycles, record)
+}
+
 /// Direct cycles/sec measurement (aggregate over several full runs),
 /// printed per scenario and optionally dumped as JSON.
 fn steps_per_sec_summary(test_mode: bool) {
     let reps = if test_mode { 1 } else { 5 };
     let mut report = Vec::new();
     for (name, kind, chips, policy) in SCENARIOS {
-        // Warm-up run, then timed repetitions.
-        let mut cycles = black_box(run_machine(kind, chips, policy));
-        let t0 = Instant::now();
-        let mut total_cycles = 0u64;
-        for _ in 0..reps {
-            cycles = black_box(run_machine(kind, chips, policy));
-            total_cycles += cycles;
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let sps = total_cycles as f64 / secs;
-        println!("machine_step/{name}: {sps:.0} cycles/sec ({cycles} cycles/run)");
-        report.push(format!(
-            "    {{\"scenario\": \"{name}\", \"steps_per_sec\": {sps:.0}, \
-             \"cycles_per_run\": {cycles}}}"
-        ));
+        report.push(measure(name, reps, || run_machine(kind, chips, policy)).1);
+    }
+    let mut unprobed_cycles = None;
+    for (name, run) in probe_scenarios() {
+        let (cycles, record) = measure(name, reps * PROBED_RUNS_PER_REP, run);
+        assert_eq!(
+            *unprobed_cycles.get_or_insert(cycles),
+            cycles,
+            "{name}: an attached probe changed the simulated cycle count"
+        );
+        report.push(record);
     }
     if let Some(path) = std::env::var_os("CSMT_BENCH_JSON") {
         let body = format!("[\n{}\n]\n", report.join(",\n"));

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! For every scenario in the baseline's `gate.results` (the smoke-mode
-//! floor recorded for this purpose) and `sched_overhead.results`,
-//! the fresh throughput must be at least `(1 - tolerance)` of the
-//! recorded figure (default tolerance 0.25 — generous because smoke
+//! floor recorded for this purpose), `sched_overhead.results` and
+//! `probe_overhead.results`, the fresh throughput must be at least
+//! `(1 - tolerance)` of the recorded figure (default tolerance 0.25 — generous because smoke
 //! mode is noisy and CI machines are slower than the recording machine
 //! — so only real structural regressions trip it, not scheduler
 //! jitter), and `cycles_per_run` must match *exactly*: a drifted cycle
@@ -59,10 +59,11 @@ fn main() {
         std::process::exit(2);
     };
     // Every gating section present in the baseline contributes scenarios:
-    // `gate` (the original smoke-mode floors) and `sched_overhead` (the
-    // scheduler-seam scenarios).
+    // `gate` (the original smoke-mode floors), `sched_overhead` (the
+    // scheduler-seam scenarios) and `probe_overhead` (a compute-bound app
+    // under each per-instruction probe).
     let mut base_results: Vec<&Value> = Vec::new();
-    for key in ["gate", "sched_overhead"] {
+    for key in ["gate", "sched_overhead", "probe_overhead"] {
         if let Some(arr) = base
             .get(key)
             .and_then(|p| p.get("results"))

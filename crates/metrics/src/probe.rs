@@ -6,10 +6,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use csmt_isa::fxhash::FxHashMap;
 use csmt_trace::{
-    CacheEvent, CycleStats, Event, FetchEvent, MigrationEvent, MigrationEventKind, Probe,
-    ServiceLevel, StageEvent, Wants, WindowOccEvent,
+    CacheEvent, CycleStats, Event, FetchEvent, InflightRing, MigrationEvent, MigrationEventKind,
+    Probe, ServiceLevel, StageEvent, Wants, WindowOccEvent,
 };
 
 use crate::hist::LogHistogram;
@@ -29,13 +28,24 @@ struct InFlight {
     thread: u32,
 }
 
-/// Per-(cluster, hw context) pipeline-occupancy state for the Perfetto
-/// track: how many instructions are in flight, and the open span.
-#[derive(Clone, Copy, Default)]
-struct CtxSpan {
+/// Everything kept per hardware context: the pipeline-occupancy state
+/// for the Perfetto track (how many instructions are in flight, and the
+/// open span) and the committed-instruction totals.
+#[derive(Default)]
+struct CtxState {
     inflight: u32,
     span_start: u64,
     named: bool,
+    lifetime: LogHistogram,
+    committed: u64,
+}
+
+/// One cluster's in-flight instructions and its contexts, both grown on
+/// first use (the probe is built without a machine description).
+#[derive(Default)]
+struct ClusterState {
+    inflight: InflightRing<InFlight>,
+    ctxs: Vec<CtxState>,
 }
 
 /// A probe that accumulates every observability artifact of this crate
@@ -49,11 +59,8 @@ struct CtxSpan {
 /// [`MetricsReport`].
 pub struct MetricsProbe {
     interval: u64,
-    inflight: FxHashMap<(u32, u64), InFlight>,
-    spans: FxHashMap<(u32, u32), CtxSpan>,
+    clusters: Vec<ClusterState>,
     lifetime_by_cluster: Vec<LogHistogram>,
-    lifetime_by_thread: FxHashMap<(u32, u32), LogHistogram>,
-    committed_by_thread: FxHashMap<(u32, u32), u64>,
     load_use: LogHistogram,
     load_use_by_node: Vec<LogHistogram>,
     mshr_residency: LogHistogram,
@@ -73,10 +80,10 @@ pub struct MetricsProbe {
     migration_wait: u64,
 }
 
-/// Grow a per-cluster vector of histograms up to `idx`.
-fn at_mut(v: &mut Vec<LogHistogram>, idx: usize) -> &mut LogHistogram {
+/// Grow a per-cluster (or per-context) vector up to `idx`.
+fn at_mut<T: Default>(v: &mut Vec<T>, idx: usize) -> &mut T {
     if v.len() <= idx {
-        v.resize_with(idx + 1, LogHistogram::new);
+        v.resize_with(idx + 1, T::default);
     }
     &mut v[idx]
 }
@@ -88,11 +95,8 @@ impl MetricsProbe {
         assert!(interval > 0, "metrics interval must be non-zero");
         MetricsProbe {
             interval,
-            inflight: FxHashMap::default(),
-            spans: FxHashMap::default(),
+            clusters: Vec::new(),
             lifetime_by_cluster: Vec::new(),
-            lifetime_by_thread: FxHashMap::default(),
-            committed_by_thread: FxHashMap::default(),
             load_use: LogHistogram::new(),
             load_use_by_node: Vec::new(),
             mshr_residency: LogHistogram::new(),
@@ -112,13 +116,9 @@ impl MetricsProbe {
         }
     }
 
-    /// Close one context's open occupancy span at `end` (exclusive).
-    fn close_span(&mut self, cluster: u32, ctx: u32, end: u64) {
-        let Some(s) = self.spans.get_mut(&(cluster, ctx)) else {
-            return;
-        };
+    /// Emit one context's occupancy span `[start, end)`.
+    fn close_span(&mut self, cluster: u32, ctx: u32, start: u64, end: u64) {
         if self.slices_emitted < SLICE_CAP {
-            let start = s.span_start;
             self.trace
                 .occupancy_slice(cluster, ctx, start, end.saturating_sub(start));
             self.slices_emitted += 1;
@@ -127,31 +127,30 @@ impl MetricsProbe {
         }
     }
 
-    /// Retire one instruction from the in-flight map; records the
-    /// lifetime histogram only for committed (not squashed) instructions.
+    /// Retire one instruction from its cluster's in-flight ring; records
+    /// the lifetime histograms only for committed (not squashed)
+    /// instructions.
     fn retire(&mut self, e: StageEvent, committed: bool) {
-        let Some(fl) = self.inflight.remove(&(e.cluster, e.uid)) else {
+        let Some(cluster) = self.clusters.get_mut(e.cluster as usize) else {
             return;
         };
+        let Some(fl) = cluster.inflight.remove(e.uid) else {
+            return;
+        };
+        // The fetch that inserted `fl` also grew `ctxs` to its thread.
+        let ctx = &mut cluster.ctxs[fl.thread as usize];
         if committed {
-            at_mut(&mut self.lifetime_by_cluster, e.cluster as usize)
-                .record(e.cycle - fl.fetch_cycle);
-            self.lifetime_by_thread
-                .entry((e.cluster, fl.thread))
-                .or_default()
-                .record(e.cycle - fl.fetch_cycle);
-            *self
-                .committed_by_thread
-                .entry((e.cluster, fl.thread))
-                .or_insert(0) += 1;
+            let lifetime = e.cycle - fl.fetch_cycle;
+            at_mut(&mut self.lifetime_by_cluster, e.cluster as usize).record(lifetime);
+            ctx.lifetime.record(lifetime);
+            ctx.committed += 1;
         }
-        let key = (e.cluster, fl.thread);
-        let span = self.spans.entry(key).or_default();
-        span.inflight = span.inflight.saturating_sub(1);
-        if span.inflight == 0 {
+        ctx.inflight = ctx.inflight.saturating_sub(1);
+        if ctx.inflight == 0 {
             // Slice covers [span_start, e.cycle]: the instruction was
             // still in flight this cycle.
-            self.close_span(e.cluster, fl.thread, e.cycle + 1);
+            let start = ctx.span_start;
+            self.close_span(e.cluster, fl.thread, start, e.cycle + 1);
         }
     }
 
@@ -159,16 +158,22 @@ impl MetricsProbe {
     /// build the report. `MetricsProbe` is consumed — the report owns the
     /// Perfetto trace.
     pub fn finish(mut self) -> MetricsReport {
-        // Close any spans still open at the end of the run.
-        let mut open: Vec<(u32, u32)> = self
-            .spans
-            .iter()
-            .filter(|(_, s)| s.inflight > 0)
-            .map(|(&k, _)| k)
-            .collect();
-        open.sort_unstable();
-        for (cluster, ctx) in open {
-            self.close_span(cluster, ctx, self.final_cycle + 1);
+        // Close any spans still open at the end of the run, and lift the
+        // per-context totals of every context that committed anything —
+        // both in ascending (cluster, context) order.
+        let clusters = std::mem::take(&mut self.clusters);
+        let mut lifetime_by_thread = Vec::new();
+        let mut committed_by_thread = Vec::new();
+        for (cluster, state) in (0u32..).zip(clusters) {
+            for (ctx, c) in (0u32..).zip(state.ctxs) {
+                if c.inflight > 0 {
+                    self.close_span(cluster, ctx, c.span_start, self.final_cycle + 1);
+                }
+                if c.committed > 0 {
+                    lifetime_by_thread.push(((cluster, ctx), c.lifetime));
+                    committed_by_thread.push(((cluster, ctx), c.committed));
+                }
+            }
         }
         // Trailing partial interval for the IPC timeline.
         if self.final_snap.cycles > self.prev_snap.cycles {
@@ -178,22 +183,10 @@ impl MetricsProbe {
         let s = &self.final_snap;
         let topdown =
             AttributionTree::from_slots(s.useful, &s.wasted, s.slots, s.cycles, s.committed);
-        let mut by_thread: Vec<((u32, u32), LogHistogram)> = self
-            .lifetime_by_thread
-            .iter()
-            .map(|(&k, h)| (k, h.clone()))
-            .collect();
-        by_thread.sort_unstable_by_key(|(k, _)| *k);
-        let mut committed_by_thread: Vec<((u32, u32), u64)> = self
-            .committed_by_thread
-            .iter()
-            .map(|(&k, &n)| (k, n))
-            .collect();
-        committed_by_thread.sort_unstable_by_key(|(k, _)| *k);
         MetricsReport {
             topdown,
             lifetime_by_cluster: self.lifetime_by_cluster,
-            lifetime_by_thread: by_thread,
+            lifetime_by_thread,
             committed_by_thread,
             load_use: self.load_use,
             load_use_by_node: self.load_use_by_node,
@@ -255,22 +248,23 @@ impl Probe for MetricsProbe {
 /// The per-event bodies behind [`Probe::on`].
 impl MetricsProbe {
     fn fetch(&mut self, e: FetchEvent) {
-        self.inflight.insert(
-            (e.cluster, e.uid),
+        let cluster = at_mut(&mut self.clusters, e.cluster as usize);
+        cluster.inflight.insert(
+            e.uid,
             InFlight {
                 fetch_cycle: e.cycle,
                 thread: e.thread,
             },
         );
-        let span = self.spans.entry((e.cluster, e.thread)).or_default();
-        if !span.named {
-            span.named = true;
+        let ctx = at_mut(&mut cluster.ctxs, e.thread as usize);
+        if !ctx.named {
+            ctx.named = true;
             self.trace.thread_track(e.cluster, e.thread);
         }
-        if span.inflight == 0 {
-            span.span_start = e.cycle;
+        if ctx.inflight == 0 {
+            ctx.span_start = e.cycle;
         }
-        span.inflight += 1;
+        ctx.inflight += 1;
     }
 
     fn cache_access(&mut self, e: CacheEvent) {

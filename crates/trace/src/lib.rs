@@ -16,6 +16,10 @@
 //! * [`PipeviewProbe`] — per-instruction pipeline traces in gem5's
 //!   O3PipeView format, viewable in [Konata](https://github.com/shioyadan/Konata).
 //!
+//! Probes that mirror per-instruction state between fetch and retirement
+//! keep it in an [`InflightRing`] per cluster, indexed by the cluster's
+//! dense instruction uids.
+//!
 //! Probes compose structurally: `(A, B)` is a probe that forwards to both,
 //! `Option<P>` forwards when `Some`, and `&mut P` forwards through the
 //! reference. [`Wants`] masks union, and each member of a pair sees only
@@ -23,6 +27,7 @@
 
 mod pipeview;
 mod probe;
+mod ring;
 mod sampler;
 
 pub use pipeview::PipeviewProbe;
@@ -31,4 +36,5 @@ pub use probe::{
     MigrationEventKind, NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent,
     SyncEventKind, Wants, WindowOccEvent, HAZARD_LABELS,
 };
+pub use ring::InflightRing;
 pub use sampler::IntervalSampler;

@@ -1,13 +1,13 @@
 //! Per-instruction pipeline traces in gem5's O3PipeView format.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use csmt_isa::OpClass;
 
-use crate::probe::{Event, Probe, StageEvent, Wants};
+use crate::probe::{Event, FetchEvent, Probe, StageEvent, Wants};
+use crate::ring::InflightRing;
 
 /// Simulated ticks per machine cycle in the emitted trace. gem5 runs its
 /// O3 model at 500 ticks/cycle (1 ps ticks, 2 GHz), and Konata's format
@@ -52,7 +52,8 @@ struct Inflight {
 /// instruction, so an uncapped billion-instruction run is a 200 GB file.
 pub struct PipeviewProbe<W: Write = BufWriter<File>> {
     out: W,
-    inflight: HashMap<(u32, u64), Inflight>,
+    /// Per cluster, uid → the instruction's stage cycles so far.
+    inflight: Vec<InflightRing<Inflight>>,
     written: u64,
     max_records: u64,
     error: Option<io::Error>,
@@ -84,7 +85,7 @@ impl<W: Write> PipeviewProbe<W> {
     pub fn with_limit(out: W, max_records: u64) -> Self {
         PipeviewProbe {
             out,
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
             written: 0,
             max_records,
             error: None,
@@ -104,8 +105,35 @@ impl<W: Write> PipeviewProbe<W> {
         self.out.flush()
     }
 
+    fn in_flight(&mut self, e: StageEvent) -> Option<&mut Inflight> {
+        self.inflight.get_mut(e.cluster as usize)?.get_mut(e.uid)
+    }
+
+    fn fetch(&mut self, e: FetchEvent) {
+        let cluster = e.cluster as usize;
+        if self.inflight.len() <= cluster {
+            self.inflight.resize_with(cluster + 1, InflightRing::new);
+        }
+        self.inflight[cluster].insert(
+            e.uid,
+            Inflight {
+                fetch: e.cycle,
+                issue: None,
+                writeback: None,
+                thread: e.thread,
+                pc: e.pc,
+                op: e.op,
+                wrong_path: e.wrong_path,
+            },
+        );
+    }
+
     fn retire(&mut self, e: StageEvent, committed: bool) {
-        let Some(inst) = self.inflight.remove(&(e.cluster, e.uid)) else {
+        let Some(inst) = self
+            .inflight
+            .get_mut(e.cluster as usize)
+            .and_then(|ring| ring.remove(e.uid))
+        else {
             return;
         };
         if self.written >= self.max_records || self.error.is_some() {
@@ -123,7 +151,8 @@ impl<W: Write> PipeviewProbe<W> {
         // bits, cluster-local uid in the low 40.
         let sn = (u64::from(e.cluster) << 40) | (e.uid & ((1 << 40) - 1));
         let wp = if inst.wrong_path { " WP" } else { "" };
-        let line = format!(
+        let written = write!(
+            self.out,
             "O3PipeView:fetch:{ft}:{pc:#010x}:0:{sn}:{op:?} t{tid} c{cl}{wp}\n\
              O3PipeView:decode:{ft}\n\
              O3PipeView:rename:{ft}\n\
@@ -140,7 +169,7 @@ impl<W: Write> PipeviewProbe<W> {
             ct = complete_c * t,
             rt = if committed { retire_c * t } else { 0 },
         );
-        if let Err(err) = self.out.write_all(line.as_bytes()) {
+        if let Err(err) = written {
             self.error = Some(err);
         }
     }
@@ -152,27 +181,14 @@ impl<W: Write> Probe for PipeviewProbe<W> {
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
         match *ev {
-            Event::Fetch(e) => {
-                self.inflight.insert(
-                    (e.cluster, e.uid),
-                    Inflight {
-                        fetch: e.cycle,
-                        issue: None,
-                        writeback: None,
-                        thread: e.thread,
-                        pc: e.pc,
-                        op: e.op,
-                        wrong_path: e.wrong_path,
-                    },
-                );
-            }
+            Event::Fetch(e) => self.fetch(e),
             Event::Issue(e) => {
-                if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
+                if let Some(i) = self.in_flight(e) {
                     i.issue = Some(e.cycle);
                 }
             }
             Event::Writeback(e) => {
-                if let Some(i) = self.inflight.get_mut(&(e.cluster, e.uid)) {
+                if let Some(i) = self.in_flight(e) {
                     i.writeback = Some(e.cycle);
                 }
             }
@@ -192,7 +208,6 @@ impl<W: Write> Drop for PipeviewProbe<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::FetchEvent;
 
     fn fetch(cluster: u32, uid: u64, cycle: u64) -> FetchEvent {
         FetchEvent {
@@ -372,7 +387,7 @@ O3PipeView:retire:16500:store:0\n";
                 p.on(&Event::Commit(stage(0, uid, uid + 3)));
             }
             assert_eq!(p.records_written(), 2);
-            assert!(p.inflight.is_empty());
+            assert!(p.inflight.iter().all(InflightRing::is_empty));
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         assert_eq!(lines(buf).len(), 14);

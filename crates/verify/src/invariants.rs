@@ -37,10 +37,9 @@
 
 use csmt_core::ChipConfig;
 use csmt_trace::{
-    CacheEvent, CycleStats, Event, FetchEvent, MigrationEvent, MigrationEventKind, Probe,
-    RenamePoolEvent, StageEvent, Wants,
+    CacheEvent, CycleStats, Event, FetchEvent, InflightRing, MigrationEvent, MigrationEventKind,
+    Probe, RenamePoolEvent, StageEvent, Wants,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// What the checker does when an invariant breaks.
@@ -178,7 +177,9 @@ struct ClusterState {
     rename_fp: u64,
     hw_threads: u32,
     /// uid → (stage, hardware thread).
-    inflight: HashMap<u64, (Stage, u32)>,
+    inflight: InflightRing<(Stage, u32)>,
+    /// Context → owning software thread, tracked once sched-aware.
+    owner: Vec<Option<u32>>,
     /// Highest uid fetched so far (uids are dense and start at 1).
     last_fetch_uid: u64,
     /// Last committed uid per hardware thread (0 = none yet).
@@ -189,6 +190,15 @@ struct ClusterState {
     fetched: u64,
     committed: u64,
     squashed: u64,
+}
+
+impl ClusterState {
+    /// Move an in-flight instruction to its next lifecycle stage.
+    fn advance(&mut self, uid: u64, to: Stage) {
+        if let Some(slot) = self.inflight.get_mut(uid) {
+            slot.0 = to;
+        }
+    }
 }
 
 /// Mirror of one node's store buffer: completed-store drain times.
@@ -218,8 +228,6 @@ pub struct InvariantProbe {
     /// Latched on the first migration event: from then on context
     /// ownership is tracked and fetch on an unowned context is flagged.
     sched_aware: bool,
-    /// (machine-global cluster, context) → owning software thread.
-    slot_owner: HashMap<(u32, u32), u32>,
     /// Software threads currently between contexts (departed, not yet
     /// arrived).
     in_transit: Vec<u32>,
@@ -242,7 +250,8 @@ impl InvariantProbe {
                 rename_int: c.rename_int as u64,
                 rename_fp: c.rename_fp as u64,
                 hw_threads: c.hw_threads as u32,
-                inflight: HashMap::new(),
+                inflight: InflightRing::new(),
+                owner: vec![None; c.hw_threads],
                 last_fetch_uid: 0,
                 last_commit: vec![0; c.hw_threads],
                 issue_cycle: u64::MAX,
@@ -272,7 +281,6 @@ impl InvariantProbe {
             violations: Vec::new(),
             dropped: 0,
             sched_aware: false,
-            slot_owner: HashMap::new(),
             in_transit: Vec::new(),
         }
     }
@@ -312,9 +320,7 @@ impl InvariantProbe {
         }
         for (i, c) in self.clusters.iter().enumerate() {
             if !c.inflight.is_empty() {
-                let mut uids: Vec<u64> = c.inflight.keys().copied().collect();
-                uids.sort_unstable();
-                uids.truncate(4);
+                let uids: Vec<u64> = c.inflight.iter().map(|(uid, _)| uid).take(4).collect();
                 let v = Violation {
                     kind: ViolationKind::LeakedInstruction,
                     cycle: last,
@@ -395,7 +401,7 @@ impl InvariantProbe {
     fn stage_state(&mut self, stage: &'static str, e: StageEvent) -> Option<(usize, Stage, u32)> {
         let ci = self.cluster_checked(e.cycle, e.cluster, Some(e.uid))?;
         let c = &self.clusters[ci];
-        if let Some(&(stage_now, thread)) = c.inflight.get(&e.uid) {
+        if let Some(&(stage_now, thread)) = c.inflight.get(e.uid) {
             return Some((ci, stage_now, thread));
         }
         let v = if e.uid > c.last_fetch_uid || e.uid == 0 {
@@ -471,7 +477,7 @@ impl InvariantProbe {
             });
             return;
         }
-        if self.sched_aware && !self.slot_owner.contains_key(&(e.cluster, e.thread)) {
+        if self.sched_aware && self.clusters[ci].owner[e.thread as usize].is_none() {
             self.record(Violation {
                 kind: ViolationKind::PlacementConflict,
                 cycle: e.cycle,
@@ -516,9 +522,7 @@ impl InvariantProbe {
             return;
         };
         if stage == Stage::Fetched {
-            self.clusters[ci]
-                .inflight
-                .insert(e.uid, (Stage::Renamed, thread));
+            self.clusters[ci].advance(e.uid, Stage::Renamed);
         } else {
             self.record(Violation {
                 kind: ViolationKind::LifecycleOrder,
@@ -554,9 +558,7 @@ impl InvariantProbe {
             });
         }
         if stage == Stage::Renamed {
-            self.clusters[ci]
-                .inflight
-                .insert(e.uid, (Stage::Issued, thread));
+            self.clusters[ci].advance(e.uid, Stage::Issued);
         } else {
             self.record(Violation {
                 kind: ViolationKind::LifecycleOrder,
@@ -575,9 +577,7 @@ impl InvariantProbe {
             return;
         };
         if stage == Stage::Issued {
-            self.clusters[ci]
-                .inflight
-                .insert(e.uid, (Stage::Done, thread));
+            self.clusters[ci].advance(e.uid, Stage::Done);
         } else {
             self.record(Violation {
                 kind: ViolationKind::LifecycleOrder,
@@ -607,7 +607,7 @@ impl InvariantProbe {
             });
         }
         let c = &mut self.clusters[ci];
-        c.inflight.remove(&e.uid);
+        c.inflight.remove(e.uid);
         c.committed += 1;
         let last = c.last_commit[thread as usize];
         if e.uid <= last {
@@ -630,7 +630,7 @@ impl InvariantProbe {
             return;
         };
         let c = &mut self.clusters[ci];
-        c.inflight.remove(&e.uid);
+        c.inflight.remove(e.uid);
         c.squashed += 1;
     }
 
@@ -656,10 +656,10 @@ impl InvariantProbe {
             });
             return;
         }
-        let key = (e.cluster, e.ctx);
+        let ctx = e.ctx as usize;
         match e.kind {
             MigrationEventKind::Attach => {
-                if let Some(&owner) = self.slot_owner.get(&key) {
+                if let Some(owner) = self.clusters[ci].owner[ctx] {
                     self.record(Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
@@ -669,14 +669,12 @@ impl InvariantProbe {
                         detail: format!("attach to a context already owned by thread {owner}"),
                     });
                 }
-                self.slot_owner.insert(key, e.thread);
+                self.clusters[ci].owner[ctx] = Some(e.thread);
             }
             MigrationEventKind::Depart => {
-                match self.slot_owner.get(&key) {
-                    Some(&owner) if owner == e.thread => {
-                        self.slot_owner.remove(&key);
-                    }
-                    Some(&owner) => self.record(Violation {
+                match self.clusters[ci].owner[ctx] {
+                    Some(owner) if owner == e.thread => self.clusters[ci].owner[ctx] = None,
+                    Some(owner) => self.record(Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -693,15 +691,14 @@ impl InvariantProbe {
                         detail: "depart from a context no thread owns".to_string(),
                     }),
                 }
-                let mut inflight: Vec<u64> = self.clusters[ci]
+                let inflight: Vec<u64> = self.clusters[ci]
                     .inflight
                     .iter()
                     .filter(|&(_, &(_, t))| t == e.ctx)
-                    .map(|(&uid, _)| uid)
+                    .map(|(uid, _)| uid)
+                    .take(4)
                     .collect();
                 if !inflight.is_empty() {
-                    inflight.sort_unstable();
-                    inflight.truncate(4);
                     self.record(Violation {
                         kind: ViolationKind::MigrationWithoutDrain,
                         cycle: e.cycle,
@@ -739,7 +736,7 @@ impl InvariantProbe {
                         detail: "arrival without a matching depart (teleport)".to_string(),
                     });
                 }
-                if let Some(&owner) = self.slot_owner.get(&key) {
+                if let Some(owner) = self.clusters[ci].owner[ctx] {
                     self.record(Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
@@ -749,7 +746,7 @@ impl InvariantProbe {
                         detail: format!("arrival at a context owned by thread {owner}"),
                     });
                 }
-                self.slot_owner.insert(key, e.thread);
+                self.clusters[ci].owner[ctx] = Some(e.thread);
             }
         }
     }
@@ -1007,6 +1004,39 @@ mod tests {
         let mut p = probe();
         p.issue(stage(1, 0, 99));
         assert_eq!(p.violations()[0].kind, ViolationKind::CrossCluster);
+    }
+
+    /// The in-flight ring answers "absent" three ways — below its base,
+    /// in a retired slot inside its span, past its end — and the fetch
+    /// horizon, not the ring, decides which verdict each gets.
+    #[test]
+    fn stage_events_at_the_ring_edges_keep_their_verdicts() {
+        let mut p = probe();
+        retire(&mut p, 1, 1);
+        p.fetch(fetch(2, 0, 0, 2));
+        p.fetch(fetch(2, 0, 1, 3));
+        p.fetch(fetch(2, 0, 0, 4));
+        p.rename(stage(2, 0, 3));
+        p.squash(stage(3, 0, 3)); // uid 3 retires between live 2 and 4
+        assert!(p.is_clean(), "{:?}", p.violations());
+        p.issue(stage(4, 0, 1)); // below the ring's base
+        p.issue(stage(4, 0, 3)); // a retired slot inside the span
+        p.issue(stage(4, 0, 5)); // one past the newest fetch
+        p.issue(stage(4, 0, 0)); // uids start at 1
+        let got: Vec<(ViolationKind, Option<u64>)> =
+            p.violations().iter().map(|v| (v.kind, v.uid)).collect();
+        assert_eq!(
+            got,
+            [
+                (ViolationKind::LifecycleOrder, Some(1)),
+                (ViolationKind::LifecycleOrder, Some(3)),
+                (ViolationKind::CrossCluster, Some(5)),
+                (ViolationKind::CrossCluster, Some(0)),
+            ]
+        );
+        assert!(p.violations()[..2]
+            .iter()
+            .all(|v| v.detail.contains("already-retired")));
     }
 
     #[test]

@@ -5,15 +5,57 @@
 //! on paper, this proves the pipeline honors them cycle by cycle, with
 //! and without threads migrating (the fixed-assignment rows exercise the
 //! dynamic-policy → static degrade rule).
+//!
+//! A clean verdict alone would also be what a checker that stopped
+//! looking reports, so each run's full [`VerifySummary`] is pinned too:
+//! the same checker must count the same events, fetches, commits and
+//! squashes over the same cycles.
 
 use csmt_core::sched::POLICY_NAMES;
 use csmt_core::ArchKind;
-use csmt_verify::InvariantProbe;
+use csmt_verify::{InvariantProbe, VerifySummary};
 use csmt_workloads::{by_name, RunSpec};
 
 /// Same seed as the figure binaries and the golden determinism digests.
 const SEED: u64 = 0xC5_317;
 const SCALE: f64 = 0.2;
+
+const fn pin(cycles: u64, fetched: u64, squashed: u64, events: u64) -> VerifySummary {
+    VerifySummary {
+        cycles,
+        fetched,
+        committed: 22_160,
+        squashed,
+        events,
+    }
+}
+
+/// Every run's summary, captured with the hash-map checker that preceded
+/// the in-flight ring. Only hazard_pairing on SMT2 migrates a thread at
+/// this scale; every other (policy, architecture) pair matches its static
+/// row.
+const PINNED: [(&str, VerifySummary); 8] = [
+    ("FA8", pin(6058, 22_426, 266, 171_688)),
+    ("FA4", pin(5340, 22_788, 628, 144_973)),
+    ("FA2", pin(6149, 23_005, 845, 137_353)),
+    ("FA1", pin(8665, 22_981, 821, 136_366)),
+    ("SMT8", pin(6058, 22_426, 266, 171_688)),
+    ("SMT4", pin(4888, 22_467, 307, 141_800)),
+    ("SMT2", pin(4875, 22_491, 331, 132_221)),
+    ("SMT1", pin(5195, 22_518, 358, 128_099)),
+];
+const SMT2_HAZARD_PAIRING: VerifySummary = pin(4891, 22_518, 358, 132_383);
+
+fn pinned(sched: &str, arch: &str) -> VerifySummary {
+    if (sched, arch) == ("hazard_pairing", "SMT2") {
+        return SMT2_HAZARD_PAIRING;
+    }
+    let (_, summary) = PINNED
+        .iter()
+        .find(|(name, _)| *name == arch)
+        .expect("every Table 2 architecture is pinned");
+    *summary
+}
 
 #[test]
 fn all_architectures_run_clean_under_invariant_probe() {
@@ -32,11 +74,11 @@ fn all_architectures_run_clean_under_invariant_probe() {
             .run_probed(&mut probe);
             match probe.finish() {
                 Ok(summary) => {
-                    assert!(summary.committed > 0, "{what}: nothing committed");
                     assert_eq!(
                         summary.cycles, result.cycles,
                         "{what}: probe cycle count diverged from the run result"
                     );
+                    assert_eq!(summary, pinned(sched, kind.name()), "{what}");
                 }
                 Err(violations) => {
                     let shown: Vec<String> = violations

@@ -54,6 +54,12 @@ enum Fault {
     /// Synthesize a `Depart` for a thread whose context still has an
     /// instruction in flight — a migration that skipped the drain.
     ThreadTeleport,
+    /// Swallow one of the initial `Attach` events: that context then
+    /// fetches with no owner on record.
+    AttachDrop,
+    /// Deliver one initial `Attach` twice: the second lands on a context
+    /// that already has an owner.
+    AttachDup,
 }
 
 /// Probe wrapper that forwards to an [`InvariantProbe`], firing `fault`
@@ -235,6 +241,19 @@ impl FaultInjector {
     fn migration(&mut self, e: MigrationEvent) {
         if e.kind == MigrationEventKind::Attach {
             self.slot_tid.insert((e.cluster, e.ctx), e.thread);
+            if self.armed {
+                match self.fault {
+                    Fault::AttachDrop => {
+                        self.armed = false;
+                        return;
+                    }
+                    Fault::AttachDup => {
+                        self.armed = false;
+                        self.inner.on(&Event::Migration(e));
+                    }
+                    _ => {}
+                }
+            }
         }
         self.inner.on(&Event::Migration(e));
     }
@@ -367,4 +386,14 @@ fn stats_rewind_trips_stats_regression() {
 #[test]
 fn thread_teleport_trips_migration_without_drain() {
     caught(Fault::ThreadTeleport, ViolationKind::MigrationWithoutDrain);
+}
+
+#[test]
+fn attach_drop_trips_placement_conflict() {
+    caught(Fault::AttachDrop, ViolationKind::PlacementConflict);
+}
+
+#[test]
+fn attach_dup_trips_placement_conflict() {
+    caught(Fault::AttachDup, ViolationKind::PlacementConflict);
 }

@@ -25,7 +25,7 @@ CSMT_SCHED=hazard_pairing cargo test -q --test golden_determinism
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> machine_step bench smoke (whole Machine on a memory-bound load chain, test mode)"
+echo "==> machine_step bench smoke (whole Machine on a memory-bound load chain, then mgrid under each per-instruction probe; test mode)"
 cargo bench -p csmt-bench --bench machine_step -- --test
 
 echo "==> cluster_step bench smoke (Cluster::step driven directly: no Machine)"

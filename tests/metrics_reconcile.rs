@@ -37,6 +37,28 @@ const ARCHS: [ArchKind; 7] = [
     ArchKind::Smt1,
 ];
 
+/// `MetricsReport::committed_by_thread` per architecture, in [`ARCHS`]
+/// order: `((cluster, context), committed)` ascending, one entry per
+/// context that committed anything. Captured with the hash-map-and-sort
+/// `MetricsProbe` that preceded the per-context table, so key order and
+/// counts are pinned rather than inferred; `lifetime_by_thread` carries
+/// the same keys with one lifetime sample per commit.
+type ByThread = &'static [((u32, u32), u64)];
+#[rustfmt::skip]
+const COMMITTED_BY_THREAD: [ByThread; 7] = [
+    &[((0, 0), 4724), ((1, 0), 2564), ((2, 0), 2564), ((3, 0), 2564),
+      ((4, 0), 2436), ((5, 0), 2436), ((6, 0), 2436), ((7, 0), 2436)],
+    &[((0, 0), 7160), ((1, 0), 5000), ((2, 0), 5000), ((3, 0), 5000)],
+    &[((0, 0), 12160), ((1, 0), 10000)],
+    &[((0, 0), 22160)],
+    &[((0, 0), 4724), ((0, 1), 2436), ((1, 0), 2564), ((1, 1), 2436),
+      ((2, 0), 2564), ((2, 1), 2436), ((3, 0), 2564), ((3, 1), 2436)],
+    &[((0, 0), 4724), ((0, 1), 2564), ((0, 2), 2436), ((0, 3), 2436),
+      ((1, 0), 2564), ((1, 1), 2564), ((1, 2), 2436), ((1, 3), 2436)],
+    &[((0, 0), 4724), ((0, 1), 2564), ((0, 2), 2564), ((0, 3), 2564),
+      ((0, 4), 2436), ((0, 5), 2436), ((0, 6), 2436), ((0, 7), 2436)],
+];
+
 /// One pass over every Table 2 architecture proving guarantees 1 and 2
 /// together: the digest next to a `MetricsProbe` equals the digest
 /// alone, and the metrics distilled from that very same paired run
@@ -44,7 +66,7 @@ const ARCHS: [ArchKind; 7] = [
 #[test]
 fn metrics_probe_is_digest_neutral_and_reconciles_exactly() {
     let app = by_name(APP).expect("paper app");
-    for arch in ARCHS {
+    for (arch, by_thread) in ARCHS.into_iter().zip(COMMITTED_BY_THREAD) {
         // Reference: digest alone (what the golden test pins).
         let mut solo = EventDigest::new();
         let r_solo = simulate_probed(
@@ -134,6 +156,13 @@ fn metrics_probe_is_digest_neutral_and_reconciles_exactly() {
         assert_eq!(lifetimes, r.slots.committed, "{}", arch.name());
         let per_thread: u64 = report.committed_by_thread.iter().map(|(_, n)| n).sum();
         assert_eq!(per_thread, r.slots.committed, "{}", arch.name());
+        assert_eq!(report.committed_by_thread, by_thread, "{}", arch.name());
+        let lifetime_samples: Vec<((u32, u32), u64)> = report
+            .lifetime_by_thread
+            .iter()
+            .map(|(key, h)| (*key, h.count()))
+            .collect();
+        assert_eq!(lifetime_samples, by_thread, "{}", arch.name());
     }
 }
 
