@@ -1,72 +1,91 @@
-//! `csmt-report` — run one Table-2 arch × app cell with the
-//! `csmt-metrics` collector attached and print the top-down bottleneck
-//! breakdown, or replay a saved heartbeat JSONL stream.
-//!
-//! Usage:
+//! `csmt-report` — the probed-cell command: run one application on one
+//! or more Table-2 architectures with the `csmt-metrics` collector
+//! attached and print, per architecture, the cycle and memory-system
+//! summary plus the top-down bottleneck breakdown; or replay a saved
+//! heartbeat JSONL stream.
 //!
 //! ```text
-//! csmt-report [arch] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)
-//! csmt-report --from <heartbeat.jsonl>       (attribution from a stream)
-//! csmt-report --help
+//! csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)
+//!             [--verify] [--profile] [--out <dir>] [--sched <policy>]
+//! csmt-report --from <heartbeat.jsonl>
 //! ```
 //!
-//! Live runs print the stall-attribution tree, the latency/occupancy
-//! histograms, and the IPC-timeline envelope. With `CSMT_METRICS_OUT`
-//! set, the full JSON report and the Perfetto trace land in that
-//! directory (drag the `perfetto_*.json` file into ui.perfetto.dev).
-//! `--from` mode reconstructs the attribution tree and IPC timeline from
-//! a heartbeat stream recorded earlier via `CSMT_TRACE_OUT` (histograms
-//! need the live event stream, so the replay omits them). `--help`
-//! doubles as the one-stop table of every `CSMT_*` environment knob.
+//! `--verify` attaches csmt-verify's `InvariantProbe` (exit 2 on any
+//! violation); `--profile` times the simulator's own phases over the whole
+//! run; `--out <dir>` writes every artifact into `<dir>`: per
+//! architecture `metrics_<arch>_<app>.json` + `perfetto_<arch>_<app>.json`
+//! (drag into ui.perfetto.dev), `heartbeat_<arch>.jsonl` +
+//! `pipeview_<arch>.trace` (Konata), and `report.json` (every
+//! architecture's full `RunResult` and summary row). `--from` rebuilds the
+//! attribution tree from a heartbeat stream written by `--out` (histograms
+//! need the live event stream, so the replay omits them) and takes no
+//! other argument. Input from outside the program — a bad or surplus
+//! argument, an unreadable stream, an unwritable `--out` — exits 2 with a
+//! diagnosis.
 
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::BufWriter;
+use std::path::{Path, PathBuf};
 
-use csmt_core::ArchKind;
-use csmt_metrics::{AttributionTree, HostProfiler, MetricsProbe, MetricsReport};
-use csmt_trace::HAZARD_LABELS;
+use csmt_bench::FIGURE_SEED;
+use csmt_core::{ArchKind, RunResult};
+use csmt_cpu::Hazard;
+use csmt_metrics::{AttributionTree, HostProfiler, MetricsProbe};
+use csmt_sweep::{arch_by_name, fail, Cli};
+use csmt_trace::{IntervalSampler, PipeviewProbe, HAZARD_LABELS};
 use csmt_verify::InvariantProbe;
-use csmt_workloads::{by_name, RunSpec};
-use serde::Value;
+use csmt_workloads::{all_apps, by_name, RunSpec};
+use serde::{Serialize, Value};
+
+/// Heartbeat / counter sampling interval in cycles.
+const TRACE_INTERVAL: u64 = 1000;
+/// Keeps O3PipeView output bounded (~200 bytes/record).
+const PIPEVIEW_MAX_RECORDS: u64 = 200_000;
 
 fn usage() -> String {
     format!(
-        "csmt-report: top-down bottleneck analysis for one arch x app cell\n\
+        "csmt-report: top-down bottleneck analysis of one app on one or more archs\n\
          \n\
          usage:\n\
-         \x20 csmt-report [arch] [app] [scale] [chips]   run one cell (defaults: SMT2 mgrid 0.2 1)\n\
-         \x20 csmt-report --from <heartbeat.jsonl>       attribution from a saved heartbeat stream\n\
-         \x20 csmt-report --help                         this text\n\
+         \x20 csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)\n\
+         \x20             [--verify] [--profile] [--out <dir>] [--sched <policy>]\n\
+         \x20 csmt-report --from <heartbeat.jsonl>   attribution from a saved heartbeat stream\n\
          \n\
-         archs: {}\n\
+         \x20 --verify          attach the invariant checker; exit 2 on any violation\n\
+         \x20 --profile         print where the simulator's own host time went\n\
+         \x20 --out <dir>       write metrics + Perfetto JSON, heartbeat + pipeview\n\
+         \x20                   traces per arch, and report.json, into <dir>\n\
+         \x20 --sched <policy>  thread-to-cluster policy (default: static; {})\n\
          \n\
-         {}",
+         archs: {}\n",
+        csmt_core::sched::POLICY_NAMES.join(", "),
         ArchKind::ALL.map(ArchKind::name).join(" "),
-        csmt_bench::render_env_knobs()
     )
 }
 
-fn arch_by_name(name: &str) -> Option<ArchKind> {
-    ArchKind::ALL
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
+/// `<path>: <error>` and exit 2.
+fn fail_at(path: &Path, e: impl std::fmt::Display) -> ! {
+    fail(&format!("{}: {e}", path.display()))
 }
 
 /// Rebuild the attribution tree by telescoping a heartbeat JSONL stream:
 /// raw slot counts across records sum to the run's final `SlotStats`
 /// (the sampler guarantees this), so the replayed tree equals the live
-/// one. Also returns the per-record `(cycle, ipc)` timeline.
-fn replay_heartbeat(path: &str) -> (AttributionTree, Vec<(u64, f64)>) {
-    let body = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading heartbeat stream {path}: {e}"));
+/// one. Also returns the number of records.
+///
+/// # Errors
+/// `path: …` when the stream cannot be read, `path:line: …` on a line
+/// that is not JSON.
+fn replay_heartbeat(path: &str) -> Result<(AttributionTree, usize), String> {
+    let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let (mut useful, mut wasted) = (0.0f64, [0.0f64; 7]);
-    let (mut slots, mut cycles, mut committed) = (0u64, 0u64, 0u64);
-    let mut timeline = Vec::new();
+    let (mut slots, mut cycles, mut committed, mut records) = (0u64, 0u64, 0u64, 0);
     for (n, line) in body.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let rec: Value = serde_json::from_str(line)
-            .unwrap_or_else(|e| panic!("{path}:{}: bad heartbeat JSON: {e}", n + 1));
+            .map_err(|e| format!("{path}:{}: bad heartbeat JSON: {e}", n + 1))?;
         let f = |key: &str| rec.get(key).and_then(Value::as_f64).unwrap_or(0.0);
         let u = |key: &str| rec.get(key).and_then(Value::as_u64).unwrap_or(0);
         useful += f("useful_slots");
@@ -78,106 +97,197 @@ fn replay_heartbeat(path: &str) -> (AttributionTree, Vec<(u64, f64)>) {
                 wasted[i] += w.get(label).and_then(Value::as_f64).unwrap_or(0.0);
             }
         }
-        timeline.push((u("cycle"), f("ipc")));
+        records += 1;
     }
-    (
-        AttributionTree::from_slots(useful, &wasted, slots, cycles, committed),
-        timeline,
-    )
+    let tree = AttributionTree::from_slots(useful, &wasted, slots, cycles, committed);
+    Ok((tree, records))
 }
 
-/// Write the JSON report and Perfetto trace into `$CSMT_METRICS_OUT`
-/// (if set), returning the paths for the closing summary line.
-fn export(report: &MetricsReport, arch: ArchKind, app: &str) -> Option<(PathBuf, PathBuf)> {
-    let dir = PathBuf::from(std::env::var_os("CSMT_METRICS_OUT")?);
-    std::fs::create_dir_all(&dir).expect("CSMT_METRICS_OUT must be creatable");
-    let json = dir.join(format!("metrics_{}_{app}.json", arch.name()));
-    let trace = dir.join(format!("perfetto_{}_{app}.json", arch.name()));
-    report
-        .write_json(&json)
-        .expect("metrics JSON must be writable");
-    report
-        .write_perfetto(&trace)
-        .expect("perfetto trace must be writable");
-    Some((json, trace))
+/// The summary row of one architecture: cycles, IPC, hazard fractions,
+/// and the full result.
+fn summary_row(r: &RunResult) -> Value {
+    let b = r.breakdown();
+    let mut hazards = vec![("useful".to_string(), Value::F64(b[0]))];
+    for h in Hazard::ALL {
+        hazards.push((h.label().to_string(), Value::F64(b[1 + h.index()])));
+    }
+    Value::Object(vec![
+        ("arch".into(), Value::Str(r.arch.clone())),
+        ("cycles".into(), Value::U64(r.cycles)),
+        ("ipc".into(), Value::F64(r.ipc())),
+        ("fractions".into(), Value::Object(hazards)),
+        ("result".into(), r.to_value()),
+    ])
+}
+
+/// The heartbeat sampler and pipeview writer of one architecture's run
+/// under `--out <dir>`.
+fn traces(dir: &Path, arch: ArchKind) -> (IntervalSampler, PipeviewProbe<BufWriter<File>>) {
+    let heartbeat = dir.join(format!("heartbeat_{}.jsonl", arch.name()));
+    let pipeview = dir.join(format!("pipeview_{}.trace", arch.name()));
+    let sampler = IntervalSampler::create(&heartbeat, TRACE_INTERVAL)
+        .unwrap_or_else(|e| fail(&e.to_string()));
+    let file = File::create(&pipeview).unwrap_or_else(|e| fail_at(&pipeview, e));
+    let pipeview = PipeviewProbe::with_limit(BufWriter::new(file), PIPEVIEW_MAX_RECORDS);
+    (sampler, pipeview)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
-    if args.get(1).is_some_and(|a| a == "--from") {
-        let path = args.get(2).unwrap_or_else(|| {
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        });
-        let (tree, timeline) = replay_heartbeat(path);
+    let cli = Cli::parse(
+        &[
+            ("--from", true),
+            ("--verify", false),
+            ("--profile", false),
+            ("--out", true),
+            ("--sched", true),
+        ],
+        4,
+        &usage(),
+    );
+    if let Some(path) = cli.value("--from") {
+        cli.alone("--from");
+        let (tree, records) = replay_heartbeat(path).unwrap_or_else(|e| fail(&e));
         println!("== csmt-report: replay of {path} ==");
         print!("{}", tree.render_text());
-        println!(
-            "ipc timeline: {} heartbeat records (histograms need a live run)",
-            timeline.len()
-        );
+        println!("ipc timeline: {records} heartbeat records (histograms need a live run)");
         return;
     }
 
-    let sched = csmt_bench::sched_from_env();
-    let arch_name: String = csmt_bench::arg_or(1, "SMT2".into());
-    let app_name: String = csmt_bench::arg_or(2, "mgrid".into());
-    let scale: f64 = csmt_bench::arg_or(3, 0.2);
-    let chips: usize = csmt_bench::arg_or(4, 1);
-    let Some(arch) = arch_by_name(&arch_name) else {
-        eprintln!("unknown arch {arch_name:?}\n\n{}", usage());
-        std::process::exit(2);
-    };
+    let arch_list: String = cli.arg(0, "SMT2".into());
+    let archs: Vec<ArchKind> = arch_list
+        .split(',')
+        .map(|name| {
+            arch_by_name(name).unwrap_or_else(|| {
+                let names = ArchKind::ALL.map(ArchKind::name).join(", ");
+                fail(&format!(
+                    "unknown architecture {name:?} (valid architectures: {names})"
+                ))
+            })
+        })
+        .collect();
+    let app_name: String = cli.arg(1, "mgrid".into());
+    let scale: f64 = cli.arg(2, 0.2);
+    let chips: usize = cli.arg(3, 1);
     let Some(app) = by_name(&app_name) else {
-        eprintln!("unknown application {app_name:?}\n\n{}", usage());
-        std::process::exit(2);
+        let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
+        fail(&format!(
+            "unknown application {app_name:?} (valid applications: {})",
+            names.join(", ")
+        ));
     };
+    let sched = cli.sched();
+    let verify = cli.has("--verify");
+    let out: Option<PathBuf> = cli.value("--out").map(|dir| {
+        let dir = PathBuf::from(dir);
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail_at(&dir, e));
+        dir
+    });
+    // One profiler over every architecture's run.
+    let mut profiler = cli.has("--profile").then(HostProfiler::new);
 
-    let self_profile = csmt_bench::env_flag("CSMT_SELF_PROFILE");
-    let verify = csmt_bench::env_flag("CSMT_VERIFY");
-    let mut probe = (
-        MetricsProbe::new(csmt_bench::trace_interval_from_env()),
-        (
-            self_profile.then(HostProfiler::new),
-            verify.then(|| InvariantProbe::new(&arch.chip(), chips)),
-        ),
-    );
-    let r = RunSpec {
-        sched,
-        ..RunSpec::new(&app, arch, chips, scale, csmt_bench::FIGURE_SEED)
-    }
-    .run_probed(&mut probe);
-    let (metrics, (profiler, invariants)) = probe;
-    if let Some(inv) = invariants {
-        let s = csmt_bench::exit_on_violations(arch, inv.finish());
-        println!("verify: clean ({} events)", s.events);
-    }
-    let report = metrics.finish();
+    let mut summaries = Vec::new();
+    let mut written = Vec::new();
+    for (i, &arch) in archs.iter().enumerate() {
+        let spec = RunSpec {
+            sched,
+            ..RunSpec::new(&app, arch, chips, scale, FIGURE_SEED)
+        };
+        let mut probe = (
+            MetricsProbe::new(TRACE_INTERVAL),
+            (
+                profiler.as_mut(),
+                (
+                    verify.then(|| InvariantProbe::new(&spec.chip, chips)),
+                    out.as_deref().map(|dir| traces(dir, arch)),
+                ),
+            ),
+        );
+        let r = spec.run_probed(&mut probe);
+        let (metrics, (_, (invariants, traces))) = probe;
+        let report = metrics.finish();
 
-    println!(
-        "== csmt-report: {} on {} ({} chip(s), scale {scale}, seed {:#x}) ==",
-        app.name,
-        arch.name(),
-        chips,
-        csmt_bench::FIGURE_SEED
-    );
-    println!(
-        "cycles {}  committed {}  ipc {:.2}  threads {}",
-        r.cycles,
-        r.slots.committed,
-        r.ipc(),
-        r.threads
-    );
-    print!("{}", report.render_text());
+        if i > 0 {
+            println!();
+        }
+        println!(
+            "== csmt-report: {} on {} ({chips} chip(s), scale {scale}, seed {FIGURE_SEED:#x}) ==",
+            app.name,
+            arch.name(),
+        );
+        println!(
+            "cycles {}  committed {}  ipc {:.2}  threads {}",
+            r.cycles,
+            r.slots.committed,
+            r.ipc(),
+            r.threads
+        );
+        let m = &r.mem;
+        println!(
+            "memory: acc={} l1={} l2={} locmem={} merges={} tlb={} wb={} contention={} (per-acc {:.1})",
+            m.accesses, m.l1_hits, m.l2_hits, m.local_mem, m.mshr_merges, m.tlb_misses, m.writebacks,
+            m.contention_wait, m.contention_wait as f64 / m.accesses.max(1) as f64
+        );
+        // A run that breaks the machine's own invariants has nothing
+        // trustworthy to report: the first ten violations, then exit 2.
+        match invariants.map(InvariantProbe::finish) {
+            None => {}
+            Some(Ok(s)) => println!("verify: clean ({} events)", s.events),
+            Some(Err(violations)) => {
+                eprintln!(
+                    "{}: {} invariant violation(s):",
+                    arch.name(),
+                    violations.len()
+                );
+                for v in violations.iter().take(10) {
+                    eprintln!("  {v}");
+                }
+                std::process::exit(2);
+            }
+        }
+        print!("{}", report.render_text());
+
+        if let Some(dir) = &out {
+            let (mut heartbeat, mut pipeview) = traces.expect("--out attaches the traces");
+            heartbeat.finish().unwrap_or_else(|e| fail_at(dir, e));
+            pipeview.finish().unwrap_or_else(|e| fail_at(dir, e));
+            let json = dir.join(format!("metrics_{}_{}.json", arch.name(), app.name));
+            let trace = dir.join(format!("perfetto_{}_{}.json", arch.name(), app.name));
+            report
+                .write_json(&json)
+                .unwrap_or_else(|e| fail_at(&json, e));
+            report
+                .write_perfetto(&trace)
+                .unwrap_or_else(|e| fail_at(&trace, e));
+            written.extend([json, trace]);
+            summaries.push(summary_row(&r));
+        }
+    }
     if let Some(p) = &profiler {
         print!("{}", p.render_text());
     }
-    if let Some((json, trace)) = export(&report, arch, app.name) {
-        println!("wrote {}", json.display());
-        println!("wrote {} (drag into ui.perfetto.dev)", trace.display());
+    if let Some(dir) = &out {
+        let mut report = vec![
+            ("app".to_string(), app.name.to_value()),
+            ("scale".to_string(), scale.to_value()),
+            ("chips".to_string(), chips.to_value()),
+            ("seed".to_string(), FIGURE_SEED.to_value()),
+            ("sched".to_string(), sched.to_value()),
+            ("archs".to_string(), Value::Array(summaries)),
+        ];
+        if let Some(p) = &profiler {
+            report.push(("host_profile".to_string(), p.to_value()));
+        }
+        let path = dir.join("report.json");
+        let body =
+            serde_json::to_string_pretty(&Value::Object(report)).expect("a Value always renders");
+        std::fs::write(&path, body + "\n").unwrap_or_else(|e| fail_at(&path, e));
+        written.push(path);
+        for path in written {
+            println!("wrote {}", path.display());
+        }
+        println!(
+            "traces in {} (heartbeat_*.jsonl, pipeview_*.trace)",
+            dir.display()
+        );
     }
 }

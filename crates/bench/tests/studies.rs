@@ -1,0 +1,132 @@
+//! The study table is the same experiments the retired per-study binaries
+//! ran, and it is the one index of them: every study's grid is its
+//! parent-commit grid cell for cell, replays from the cache, and is named
+//! alike in DESIGN.md §4, README.md and EXPERIMENTS.md.
+
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use csmt_bench::studies::{Setting, STUDIES};
+use csmt_sweep::{key, ResultCache, SweepEngine};
+use csmt_verify::digest::Fnv64;
+
+/// Per study at scale 0.02 and its default seed: the number of distinct
+/// cache keys of its grid and an FNV-64 over them in ascending order
+/// (each little-endian). Captured at the parent commit from the entries
+/// each retired binary left in a fresh `CSMT_SWEEP_CACHE` (`figures fig4
+/// 0.02`, …, `fig6_parallelism 0.02`, `fig9_dynamic_alloc 0.02`).
+const PINS: [(&str, usize, u64); 12] = [
+    ("fig1", 0, 0xcbf2_9ce4_8422_2325),
+    ("fig4", 30, 0x470b_91ac_9189_4b50),
+    ("fig5", 30, 0x464c_06eb_dc3e_df01),
+    ("fig6", 48, 0x9906_27c1_d6eb_f738),
+    ("fig7", 24, 0x68ba_a3c3_5c6c_8992),
+    ("fig8", 24, 0x8930_ea23_8c9f_7146),
+    ("cycle_time_adjusted", 42, 0x2f9c_3650_53c6_d2c7),
+    ("fetch_policies", 54, 0x9af1_1a6e_e48d_6c0c),
+    ("predictor_study", 72, 0xc97e_a70c_edf7_a401),
+    ("multiprogram_mix", 54, 0xb010_9037_8fbd_4aa9),
+    ("ablation_study", 144, 0x3a2c_f4fa_9799_569e),
+    ("fig9", 29, 0x848f_915e_9150_b4a8),
+];
+
+#[test]
+fn every_study_is_its_parent_grid_and_replays_from_the_cache() {
+    let names: Vec<&str> = STUDIES.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names,
+        PINS.map(|p| p.0),
+        "one pin per study, in table order"
+    );
+
+    let dir = std::env::temp_dir().join(format!("csmt_studies_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = SweepEngine::new(2, Some(ResultCache::new(&dir).unwrap()));
+    for (study, (name, cells, digest)) in STUDIES.iter().zip(PINS) {
+        let setting = Setting {
+            scale: 0.02,
+            seed: study.default_seed,
+            sched: "static",
+        };
+        let mut keys = BTreeSet::new();
+        let cold = (study.run)(
+            &mut |specs| {
+                keys.extend(specs.iter().map(key));
+                engine.run_specs(specs).results
+            },
+            setting,
+        );
+        let mut h = Fnv64::new();
+        for k in &keys {
+            h.update(&k.to_le_bytes());
+        }
+        assert_eq!((keys.len(), h.finish()), (cells, digest), "{name}'s grid");
+
+        let mut misses = 0;
+        let warm = (study.run)(
+            &mut |specs| {
+                let outcome = engine.run_specs(specs);
+                misses += outcome.misses;
+                outcome.results
+            },
+            setting,
+        );
+        assert_eq!(cold, warm, "{name}: warm text differs");
+        assert_eq!(misses, 0, "{name}: the warm pass simulated");
+        assert!(!cold.is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The study names following `--bin csmt-study ` in `text`.
+fn studies_named(text: &str) -> BTreeSet<&str> {
+    const CMD: &str = "--bin csmt-study ";
+    text.match_indices(CMD)
+        .map(|(at, _)| {
+            let rest = &text[at + CMD.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .collect()
+}
+
+/// The part of `doc` from the line starting `start` to the next line
+/// starting with `end`.
+fn section<'a>(doc: &'a str, start: &str, end: &str) -> &'a str {
+    let from = doc
+        .find(&format!("\n{start}"))
+        .unwrap_or_else(|| panic!("no {start:?} section"));
+    let len = doc[from + 1..]
+        .find(&format!("\n{end}"))
+        .map_or(doc.len() - from, |n| n + 1);
+    &doc[from..from + len]
+}
+
+#[test]
+fn the_study_index_cannot_drift() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).expect(name);
+    let table: BTreeSet<&str> = STUDIES.iter().map(|s| s.name).collect();
+    assert_eq!(table.len(), STUDIES.len(), "duplicate study name");
+
+    let design = read("DESIGN.md");
+    let readme = read("README.md");
+    let experiments = read("EXPERIMENTS.md");
+    let cargo_runs: String = experiments
+        .lines()
+        .filter(|l| l.starts_with("`cargo run "))
+        .collect::<Vec<_>>()
+        .join("\n");
+    for (doc, named) in [
+        ("DESIGN.md §4", section(&design, "## 4.", "## ")),
+        (
+            "README.md's run list",
+            section(&readme, "## Regenerating the paper", "### "),
+        ),
+        ("EXPERIMENTS.md's `cargo run` lines", cargo_runs.as_str()),
+    ] {
+        assert_eq!(studies_named(named), table, "STUDIES vs {doc}");
+    }
+}

@@ -14,7 +14,9 @@
 //! rewritten in full, byte-identical to an uninterrupted run.
 
 use csmt_core::{sched::POLICY_NAMES, ArchKind};
-use csmt_sweep::{key, ResultCache, SweepEngine, CACHE_SCHEMA};
+use csmt_sweep::{
+    arch_by_name, fail, jsonl_line, key, Cli, ResultCache, SweepEngine, CACHE_SCHEMA,
+};
 use csmt_workloads::{all_apps, by_name, AppSpec, RunSpec};
 use serde::{Serialize, Value};
 use std::io::Write as _;
@@ -38,7 +40,7 @@ fn usage() -> String {
          \x20 --seeds <list>    RNG seeds (default: {seed} — the figure seed)\n\
          \x20 --scales <list>   work scales (default: {scale})\n\
          \x20 --sched <name>    scheduling policy for every cell\n\
-         \x20                   (default: CSMT_SCHED or static; {pol})\n\
+         \x20                   (default: static; {pol})\n\
          \n\
          engine options:\n\
          \x20 --threads <n>     worker count (default: CSMT_SWEEP_THREADS\n\
@@ -60,11 +62,6 @@ fn usage() -> String {
     )
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
-
 fn parse_list<T, F: Fn(&str) -> Option<T>>(raw: &str, what: &str, parse: F) -> Vec<T> {
     let items: Vec<T> = raw
         .split(',')
@@ -77,19 +74,13 @@ fn parse_list<T, F: Fn(&str) -> Option<T>>(raw: &str, what: &str, parse: F) -> V
     items
 }
 
-fn arch_by_name(name: &str) -> Option<ArchKind> {
-    ArchKind::ALL
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-}
-
 struct Options {
     archs: Vec<ArchKind>,
     apps: Vec<AppSpec>,
     chips: Vec<usize>,
     seeds: Vec<u64>,
     scales: Vec<f64>,
-    sched: String,
+    sched: &'static str,
     threads: Option<usize>,
     cache: Option<String>,
     out: Option<String>,
@@ -98,67 +89,52 @@ struct Options {
 }
 
 fn parse_args() -> Options {
-    let mut opt = Options {
-        archs: ArchKind::ALL.to_vec(),
-        apps: all_apps(),
-        chips: vec![1],
-        seeds: vec![DEFAULT_SEED],
-        scales: vec![DEFAULT_SCALE],
-        // CSMT_SCHED is only the default of --sched: validated below
-        // like the flag's own value.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "binary edge: main-side knob read, passed down as RunSpec::sched"
-        )]
-        sched: std::env::var("CSMT_SCHED").unwrap_or_else(|_| "static".to_string()),
-        threads: None,
-        cache: None,
-        out: None,
-        summary: None,
-        print_keys: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" {
-            print!("{}", usage());
-            std::process::exit(0);
-        }
-        if flag == "--print-keys" {
-            opt.print_keys = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-            .clone();
-        match flag {
-            "--archs" => opt.archs = parse_list(&value, "arch", arch_by_name),
-            "--apps" => opt.apps = parse_list(&value, "app", by_name),
-            "--chips" => opt.chips = parse_list(&value, "chip count", |s| s.parse().ok()),
-            "--seeds" => opt.seeds = parse_list(&value, "seed", |s| s.parse().ok()),
-            "--scales" => opt.scales = parse_list(&value, "scale", |s| s.parse().ok()),
-            "--sched" => opt.sched = value,
-            "--threads" => {
-                opt.threads = Some(value.parse().unwrap_or_else(|_| fail("bad --threads")));
-            }
-            "--cache" => opt.cache = Some(value),
-            "--out" => opt.out = Some(value),
-            "--summary" => opt.summary = Some(value),
-            _ => fail(&format!("unknown flag {flag:?} (see --help)")),
-        }
-        i += 2;
+    let cli = Cli::parse(
+        &[
+            ("--archs", true),
+            ("--apps", true),
+            ("--chips", true),
+            ("--seeds", true),
+            ("--scales", true),
+            ("--sched", true),
+            ("--threads", true),
+            ("--cache", true),
+            ("--out", true),
+            ("--summary", true),
+            ("--print-keys", false),
+        ],
+        0,
+        &usage(),
+    );
+    Options {
+        archs: cli.value("--archs").map_or_else(
+            || ArchKind::ALL.to_vec(),
+            |v| parse_list(v, "arch", arch_by_name),
+        ),
+        apps: cli
+            .value("--apps")
+            .map_or_else(all_apps, |v| parse_list(v, "app", by_name)),
+        chips: cli.value("--chips").map_or_else(
+            || vec![1],
+            |v| parse_list(v, "chip count", |s| s.parse().ok()),
+        ),
+        seeds: cli.value("--seeds").map_or_else(
+            || vec![DEFAULT_SEED],
+            |v| parse_list(v, "seed", |s| s.parse().ok()),
+        ),
+        scales: cli.value("--scales").map_or_else(
+            || vec![DEFAULT_SCALE],
+            |v| parse_list(v, "scale", |s| s.parse().ok()),
+        ),
+        sched: cli.sched(),
+        threads: cli
+            .value("--threads")
+            .map(|v| v.parse().unwrap_or_else(|_| fail("bad --threads"))),
+        cache: cli.value("--cache").map(String::from),
+        out: cli.value("--out").map(String::from),
+        summary: cli.value("--summary").map(String::from),
+        print_keys: cli.has("--print-keys"),
     }
-    if !POLICY_NAMES.contains(&opt.sched.as_str()) {
-        fail(&format!(
-            "unknown policy {:?}; valid names: {}",
-            opt.sched,
-            POLICY_NAMES.join(", ")
-        ));
-    }
-    opt
 }
 
 fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
@@ -169,7 +145,7 @@ fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
                 for app in &opt.apps {
                     for &arch in &opt.archs {
                         cells.push(RunSpec {
-                            sched: &opt.sched,
+                            sched: opt.sched,
                             ..RunSpec::new(app, arch, n_chips, scale, seed)
                         });
                     }
@@ -178,21 +154,6 @@ fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
         }
     }
     cells
-}
-
-/// One deterministic JSONL line for a completed cell.
-fn jsonl_line(cell: &RunSpec, result: &csmt_core::RunResult) -> String {
-    Value::Object(vec![
-        ("app".into(), cell.workload.to_string().to_value()),
-        ("arch".into(), cell.chip.kind.name().to_value()),
-        ("chips".into(), cell.n_chips.to_value()),
-        ("seed".into(), cell.seed.to_value()),
-        ("scale".into(), cell.scale.to_value()),
-        ("sched".into(), cell.sched.to_value()),
-        ("key".into(), format!("{:016x}", key(cell)).to_value()),
-        ("result".into(), result.to_value()),
-    ])
-    .to_string()
 }
 
 /// The deterministic aggregate summary (no hit/miss/timing — those are

@@ -13,6 +13,9 @@
 //!   cell is a cache hit (file read) or a simulation-plus-store, and the
 //!   assembled output is byte-identical either way, at any worker count.
 //!
+//! It also holds what the front doors above it share: [`cli`], the one
+//! argv parser, and [`jsonl_line`], the one per-cell export line.
+//!
 //! ```
 //! use csmt_core::ArchKind;
 //! use csmt_sweep::SweepEngine;
@@ -26,15 +29,35 @@
 //! ```
 
 pub mod cache;
+pub mod cli;
 pub mod pool;
 
 pub use cache::{ResultCache, CACHE_SCHEMA};
+pub use cli::{arch_by_name, fail, sched_flag, Cli};
 
 use csmt_core::{ArchKind, RunResult};
 use csmt_verify::digest::Fnv64;
 use csmt_verify::golden::{EXPECTED, EXPECTED_FA4_4CHIP};
 use csmt_workloads::{AppSpec, RunSpec};
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
+
+/// The deterministic JSONL line of one completed cell (`csmt-sweep --out`,
+/// `csmt-study --out`): what ran, its [`key`], and the full result.
+#[must_use]
+pub fn jsonl_line(spec: &RunSpec<'_>, result: &RunResult) -> String {
+    Value::Object(vec![
+        ("app".into(), spec.workload.to_string().to_value()),
+        ("arch".into(), spec.chip.kind.name().to_value()),
+        ("chips".into(), spec.n_chips.to_value()),
+        ("seed".into(), spec.seed.to_value()),
+        ("scale".into(), spec.scale.to_value()),
+        ("sched".into(), spec.sched.to_value()),
+        ("key".into(), format!("{:016x}", key(spec)).to_value()),
+        ("result".into(), result.to_value()),
+    ])
+    .to_string()
+}
 
 /// The content-addressed cache key of a run: an FNV-1a digest over the
 /// [`CACHE_SCHEMA`] tag, the pinned golden digests (a backstop to the

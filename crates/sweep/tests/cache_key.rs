@@ -40,7 +40,6 @@ fn keys_from_fresh_process() -> String {
             "static",
             "--print-keys",
         ])
-        .env_remove("CSMT_SCHED")
         .env_remove("CSMT_SWEEP_CACHE")
         .env_remove("CSMT_SWEEP_THREADS")
         .output()

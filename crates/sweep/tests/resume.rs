@@ -37,7 +37,6 @@ fn sweep(cache: Option<&Path>, out: &Path, summary: &Path) -> String {
     .arg(out)
     .arg("--summary")
     .arg(summary)
-    .env_remove("CSMT_SCHED")
     .env_remove("CSMT_SWEEP_CACHE")
     .env_remove("CSMT_SWEEP_THREADS");
     if let Some(dir) = cache {

@@ -37,13 +37,11 @@ const ARCHS: [ArchKind; 7] = [
 
 #[test]
 fn per_architecture_digests_are_bit_for_bit_stable() {
-    // One more input the digests must not depend on: a scheduling knob
-    // left in the caller's shell. `CSMT_SCHED` is a binary-edge knob;
-    // nothing `simulate_probed` reaches may read it (SMT2 would take 4891
-    // cycles instead of 4875 if anything did). Checked statically by the
-    // env-read ban in `crates/clippy.toml` and dynamically by tier-1's
-    // `CSMT_SCHED=hazard_pairing cargo test --test golden_determinism`,
-    // where the variable is fixed before this multi-threaded process starts.
+    // One more input the digests must not depend on: the environment.
+    // The scheduling policy is a `RunSpec` field and a `--sched` flag;
+    // nothing `simulate_probed` reaches may read a variable (SMT2 under
+    // hazard_pairing takes 4891 cycles instead of 4875). Checked
+    // statically by the env-read ban in `crates/clippy.toml`.
     let app = by_name(APP).expect("paper app");
     let mem = csmt_mem::MemConfig::table3;
     let capture = std::env::var_os("GOLDEN_PRINT").is_some();
