@@ -12,12 +12,13 @@ use csmt_trace::{
 };
 
 use crate::hist::LogHistogram;
-use crate::perfetto::PerfettoTrace;
+use crate::perfetto::{Counter, PerfettoTrace};
 use crate::report::MetricsReport;
 use crate::topdown::AttributionTree;
 
 /// Upper bound on Perfetto occupancy slices, so a long run cannot
-/// balloon the trace file; further spans are counted but not emitted.
+/// balloon the trace buffer (one small record per slice) or the file;
+/// further spans are counted but not emitted.
 const SLICE_CAP: usize = 100_000;
 
 /// What we remember about an in-flight instruction between its fetch and
@@ -212,12 +213,12 @@ impl MetricsProbe {
             0.0
         };
         self.ipc_timeline.push((cycle, ipc));
-        self.trace.counter("ipc", cycle, ipc);
+        self.trace.counter(Counter::Ipc, cycle, ipc);
         self.trace
-            .counter("inflight_misses", cycle, self.miss_heap.len() as f64);
-        for (cluster, &(occ, _ready)) in self.last_occ.iter().enumerate() {
+            .counter(Counter::InflightMisses, cycle, self.miss_heap.len() as f64);
+        for (cluster, &(occ, _ready)) in (0u32..).zip(&self.last_occ) {
             self.trace
-                .counter(&format!("window_occ/{cluster}"), cycle, f64::from(occ));
+                .counter(Counter::WindowOcc(cluster), cycle, f64::from(occ));
         }
         self.prev_snap = self.final_snap;
     }
@@ -283,24 +284,11 @@ impl MetricsProbe {
     }
 
     fn migration(&mut self, e: MigrationEvent) {
-        match e.kind {
-            MigrationEventKind::Attach => self.trace.sched_instant(
-                &format!("attach t{} c{}/x{}", e.thread, e.cluster, e.ctx),
-                e.cycle,
-            ),
-            MigrationEventKind::Depart => self.trace.sched_instant(
-                &format!("depart t{} c{}/x{}", e.thread, e.cluster, e.ctx),
-                e.cycle,
-            ),
-            MigrationEventKind::Arrive => {
-                self.migrations += 1;
-                self.migration_wait += e.wait;
-                self.trace.sched_instant(
-                    &format!("arrive t{} c{}/x{} +{}", e.thread, e.cluster, e.ctx, e.wait),
-                    e.cycle,
-                );
-            }
+        if e.kind == MigrationEventKind::Arrive {
+            self.migrations += 1;
+            self.migration_wait += e.wait;
         }
+        self.trace.sched_instant(e);
     }
 
     fn window_occ(&mut self, e: WindowOccEvent) {
@@ -333,6 +321,7 @@ impl MetricsProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perfetto::{validate_trace, Record};
     use csmt_isa::OpClass;
 
     fn fetch(cluster: u32, thread: u32, uid: u64, cycle: u64) -> FetchEvent {
@@ -468,12 +457,9 @@ mod tests {
         p.on(&Event::Commit(stage(0, 3, 22)));
         p.cycle_end(25, Some(&snap(26, 3)));
         let r = p.finish();
-        let v = r.trace.to_value();
-        let slices: Vec<_> = v
-            .get("traceEvents")
-            .and_then(serde::Value::as_array)
-            .unwrap()
-            .iter()
+        let slices: Vec<_> = r
+            .trace
+            .events()
             .filter(|e| e.get("ph").and_then(serde::Value::as_str) == Some("X"))
             .collect();
         assert_eq!(slices.len(), 2);
@@ -484,5 +470,33 @@ mod tests {
         );
         assert_eq!(slices[1].get("ts").and_then(serde::Value::as_u64), Some(20));
         assert_eq!(r.slices_dropped, 0);
+    }
+
+    #[test]
+    fn slice_cap_bounds_the_trace_and_counts_the_overflow() {
+        // A slice is its numbers, not a JSON tree: the cap then bounds
+        // the buffer at a few MB.
+        assert!(std::mem::size_of::<Record>() <= 40);
+        const OVERFLOW: u64 = 7;
+        let spans = SLICE_CAP as u64 + OVERFLOW;
+        let mut p = MetricsProbe::new(1000);
+        for uid in 0..spans {
+            // Alone in flight: one span opens at the fetch, closes at
+            // the commit.
+            p.fetch(fetch(0, 0, uid, 2 * uid));
+            p.on(&Event::Commit(stage(0, uid, 2 * uid)));
+        }
+        let last = 2 * spans;
+        p.cycle_end(last, Some(&snap(last + 1, spans)));
+        let r = p.finish();
+        assert_eq!(r.slices_dropped, OVERFLOW);
+        // Three process names, one thread track, the kept slices, and the
+        // trailing `ipc` + `inflight_misses` samples.
+        assert_eq!(r.trace.len(), 3 + 1 + SLICE_CAP + 2);
+        let doc = serde::Value::Object(vec![(
+            "traceEvents".into(),
+            serde::Value::Array(r.trace.events().collect()),
+        )]);
+        assert_eq!(validate_trace(&doc), Ok(r.trace.len()));
     }
 }

@@ -17,10 +17,10 @@
 
 use csmt_core::ArchKind;
 use csmt_cpu::Hazard;
-use csmt_metrics::{validate_trace, MetricsProbe};
+use csmt_metrics::{validate_trace, MetricsProbe, MetricsReport};
 use csmt_trace::{CycleStats, Event, Probe, Wants};
-use csmt_verify::EventDigest;
-use csmt_workloads::{by_name, simulate_probed};
+use csmt_verify::{EventDigest, Fnv64};
+use csmt_workloads::{by_name, simulate_probed, RunSpec};
 
 const SCALE: f64 = 0.2;
 const SEED: u64 = 0xC5_317;
@@ -278,6 +278,58 @@ fn perfetto_export_from_a_real_run_loads_cleanly() {
         .count();
     assert_eq!(thread_names, 8);
     assert!(r.cycles > 0);
+}
+
+/// `app` on `arch` × `chips` under the `sched` policy at the golden seed,
+/// with a `MetricsProbe` sampling every 500 cycles.
+fn probed(arch: ArchKind, app: &str, chips: usize, scale: f64, sched: &str) -> MetricsReport {
+    let app = by_name(app).expect("paper app");
+    let mut probe = MetricsProbe::new(500);
+    RunSpec {
+        sched,
+        ..RunSpec::new(&app, arch, chips, scale, SEED)
+    }
+    .run_probed(&mut probe);
+    probe.finish()
+}
+
+/// FNV-64 of `text`'s UTF-8 bytes.
+fn fnv(text: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(text.as_bytes());
+    h.finish()
+}
+
+/// One exported cell: `(arch, app, chips, scale, sched)`, then the
+/// FNV-64 of its Perfetto document and of its pretty-printed report.
+type ExportPin = (ArchKind, &'static str, usize, f64, &'static str, u64, u64);
+
+/// Export digests captured from the trace that kept every event as a
+/// `serde::Value` tree, so the typed records must render the same bytes:
+/// a slice-heavy 4-chip cell, a cell whose policy migrates threads (sched
+/// instants of all three kinds; a dynamic policy degrades to static on
+/// FA chips, so this is SMT2), and the cell of
+/// `perfetto_export_from_a_real_run_loads_cleanly`.
+#[rustfmt::skip]
+const EXPORT_PINS: [ExportPin; 3] = [
+    (ArchKind::Smt2, "swim", 4, 0.1, "static", 0xb5e4_3015_47ab_ba07, 0xe1a2_e0a9_094a_d47c),
+    (ArchKind::Smt2, APP, 1, SCALE, "hazard_pairing", 0xc4e3_3754_3e19_a34a, 0xe060_5ee4_975a_86f3),
+    (ArchKind::Smt2, APP, 1, SCALE, "static", 0x93b6_2ddc_a96c_6da3, 0x4bc0_6031_0754_1ba2),
+];
+
+#[test]
+fn exports_are_byte_identical_to_the_pinned_digests() {
+    for (arch, app, chips, scale, sched, trace_pin, report_pin) in EXPORT_PINS {
+        let report = probed(arch, app, chips, scale, sched);
+        let cell = format!("{}×{chips} {app} {scale} {sched}", arch.name());
+        if sched != "static" {
+            assert!(report.migrations > 0, "{cell}: no arrive instant");
+        }
+        let mut pretty = String::new();
+        report.to_value().render_pretty(&mut pretty);
+        assert_eq!(fnv(&report.trace.to_json()), trace_pin, "{cell}: trace");
+        assert_eq!(fnv(&pretty), report_pin, "{cell}: report");
+    }
 }
 
 /// The histograms of a real run carry plausible pipeline numbers — a
