@@ -14,6 +14,9 @@
 //! - `fa4_highend_membound`: the high-end machine at its most
 //!   communication-heavy (4 chips, FA4, 16 threads), where remote misses
 //!   stretch each stall by hundreds of network cycles.
+//! - `fa4_highend_parked`: the same machine with only thread 0 running the
+//!   chain and the other 15 exiting at once — 15 of 16 clusters are
+//!   parked for the whole run.
 //!
 //! Two more run `smt2_lowend` through an explicit scheduling policy (the
 //! `sched_overhead` gate), and four run a compute-bound calibrated app
@@ -57,7 +60,13 @@ fn serial_load_chain(tid: u64, n: u64) -> Box<dyn InstStream + Send> {
 /// Loads per thread in every scenario.
 const LOADS: u64 = 1200;
 
-/// (name, architecture, chips, scheduling policy).
+/// (name, architecture, chips, scheduling policy, parked). In a parked
+/// scenario only thread 0 runs the chain; every other thread exits at once.
+///
+/// `fa4_highend_parked` is the parked-cluster layer: 15 of its 16
+/// clusters have nothing in flight and no context that can run for the
+/// whole run, so it prices the steps a per-cluster skip of such cycles
+/// would remove (DESIGN §11).
 ///
 /// The last two are the scheduler-seam cost: the `smt2_lowend` workload
 /// again under a named policy. `smt2_sched_static` must match
@@ -66,22 +75,35 @@ const LOADS: u64 = 1200;
 /// pays the epoch snapshot/rebalance every quantum, and its migrations
 /// desynchronize the identical chains' miss convoy, so its
 /// `cycles_per_run` is legitimately lower.
-const SCENARIOS: [(&str, ArchKind, usize, &str); 4] = [
-    ("smt2_lowend", ArchKind::Smt2, 1, "static"),
-    ("fa4_highend_membound", ArchKind::Fa4, 4, "static"),
-    ("smt2_sched_static", ArchKind::Smt2, 1, "static"),
-    ("smt2_sched_hazard", ArchKind::Smt2, 1, "hazard_pairing"),
+const SCENARIOS: [(&str, ArchKind, usize, &str, bool); 5] = [
+    ("smt2_lowend", ArchKind::Smt2, 1, "static", false),
+    ("fa4_highend_membound", ArchKind::Fa4, 4, "static", false),
+    ("fa4_highend_parked", ArchKind::Fa4, 4, "static", true),
+    ("smt2_sched_static", ArchKind::Smt2, 1, "static", false),
+    (
+        "smt2_sched_hazard",
+        ArchKind::Smt2,
+        1,
+        "hazard_pairing",
+        false,
+    ),
 ];
 
 /// Run one scenario to completion; returns machine cycles simulated.
-fn run_machine(kind: ArchKind, chips: usize, policy: &str) -> u64 {
+fn run_machine(kind: ArchKind, chips: usize, policy: &str, parked: bool) -> u64 {
     let mut m = Machine::new(kind.chip(), chips, MemConfig::table3(), 0xC5_317);
     m.set_scheduler(csmt_core::sched::by_name(policy).expect("known policy"))
         .expect("policy valid for this arch");
     let threads = m.hw_thread_capacity();
     m.attach_threads(
-        (0..threads)
-            .map(|t| serial_load_chain(t as u64, LOADS))
+        (0..threads as u64)
+            .map(|t| {
+                if parked && t > 0 {
+                    Box::new(VecStream::new(vec![DynInst::sync(0, SyncOp::Exit)]))
+                } else {
+                    serial_load_chain(t, LOADS)
+                }
+            })
             .collect(),
     );
     m.run(2_000_000_000).cycles
@@ -158,8 +180,8 @@ fn measure(name: &str, reps: u32, run: impl Fn() -> u64) -> (u64, String) {
 fn steps_per_sec_summary(test_mode: bool) {
     let reps = if test_mode { 1 } else { 5 };
     let mut report = Vec::new();
-    for (name, kind, chips, policy) in SCENARIOS {
-        report.push(measure(name, reps, || run_machine(kind, chips, policy)).1);
+    for (name, kind, chips, policy, parked) in SCENARIOS {
+        report.push(measure(name, reps, || run_machine(kind, chips, policy, parked)).1);
     }
     let mut unprobed_cycles = None;
     for (name, run) in probe_scenarios() {

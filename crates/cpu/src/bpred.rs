@@ -19,7 +19,7 @@ const STRONG_T: u8 = 3;
 ///
 /// The paper's core uses the 2-bit bimodal table quoted above; `GShare`
 /// (global history XOR PC) and `StaticTaken` are provided for the
-/// predictor ablation (`cargo run --release --bin predictor_study`) —
+/// predictor ablation (`csmt-study predictor_study`) —
 /// gshare is the natural mid-1990s upgrade, static-taken the lower bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictorKind {

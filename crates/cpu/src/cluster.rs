@@ -21,7 +21,7 @@ use crate::pipeline::rename::RenamePools;
 use crate::pipeline::window::Window;
 use crate::pipeline::{commit, fetch, regs};
 use crate::stats::{CycleActivity, SlotStats};
-use csmt_isa::{InstStream, SyncOp};
+use csmt_isa::{ArchReg, InstStream, SyncOp};
 use csmt_mem::MemorySystem;
 use csmt_trace::{
     emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants, WindowOccEvent,
@@ -356,23 +356,21 @@ impl Cluster {
     }
 
     /// The two end-of-cycle snapshots. Register conservation: every
-    /// allocated renaming register is held by exactly one valid window
-    /// entry with a destination (fetch allocates before install; release
-    /// returns it on both commit and squash). Window/ready-queue
-    /// occupancy feeds the `csmt-metrics` occupancy histograms.
+    /// allocated renaming register is held by exactly one window slot
+    /// (fetch allocates before install; release returns it on both commit
+    /// and squash). `held` is counted by scanning the window's per-slot
+    /// `dest` array — 2 bytes a slot, written only by install and
+    /// release — so it stays evidence independent of the free counters
+    /// (DESIGN §9). Window/ready-queue occupancy feeds the `csmt-metrics`
+    /// occupancy histograms.
     fn emit_snapshots<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
         emit(probe, Wants::POOL, || {
             let (mut int_held, mut fp_held) = (0u32, 0u32);
-            for e in &self.win.entries {
-                if e.valid {
-                    if let Some(d) = e.dest {
-                        if d.is_fp() {
-                            fp_held += 1;
-                        } else {
-                            int_held += 1;
-                        }
-                    }
-                }
+            // Branch-free: the slot-by-slot pattern of empty / int / fp
+            // is unpredictable, and a branchy count paid for it.
+            for d in &self.win.dest {
+                int_held += u32::from(matches!(d, Some(ArchReg::Int(_))));
+                fp_held += u32::from(matches!(d, Some(ArchReg::Fp(_))));
             }
             Event::RenamePools(RenamePoolEvent {
                 cycle: now,

@@ -13,7 +13,7 @@
 /// order (§3.2); its §5.2 discussion of the fetch bottleneck cites Tullsen
 /// et al.'s alternatives — "partitioning the fetch unit or using
 /// instruction count feedback techniques" — which are provided here for the
-/// corresponding ablation (`cargo run --release --bin fetch_policies`).
+/// corresponding ablation (`csmt-study fetch_policies`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchPolicy {
     /// One thread per cycle, strict round-robin — the paper's baseline.

@@ -43,7 +43,7 @@ pub(crate) fn run<P: Probe>(
                 break;
             }
             debug_assert!(!e.wrong_path, "wrong-path entry survived to commit");
-            let (is_store, addr, dest, seq) = (e.is_store, e.mem_addr, e.dest, e.seq);
+            let (is_store, addr, seq) = (e.is_store, e.mem_addr, e.seq);
             if is_store {
                 // Stores perform their cache access at commit; the store
                 // buffer absorbs the latency, but a full buffer stalls
@@ -55,7 +55,7 @@ pub(crate) fn run<P: Probe>(
                 let out = mem.access_probed(node, addr, AccessKind::Write, now, probe);
                 lsq.push(out.complete_at);
             }
-            if let Some(d) = dest {
+            if let Some(d) = win.dest[head as usize] {
                 if regs.threads[tid].map[d.flat_index()] == Some(head) {
                     regs.threads[tid].map[d.flat_index()] = None;
                 }

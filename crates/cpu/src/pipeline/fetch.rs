@@ -151,7 +151,8 @@ fn fetch_from<P: Probe>(
             _ => break,
         };
         // Rename: need a free register of the destination's kind.
-        if let Some(d) = inst.real_dest() {
+        let dest = inst.real_dest();
+        if let Some(d) = dest {
             if !rename.try_alloc(d) {
                 regs.rename_stalled = true;
                 if state == ThreadState::Running {
@@ -186,7 +187,6 @@ fn fetch_from<P: Probe>(
             state: EState::Waiting,
             class: HazardClass::None, // set by `Window::install`
             srcs,
-            dest: inst.real_dest(),
             mem_addr: inst.mem.map_or(0, |m| m.addr),
             is_store: inst.op == OpClass::Store,
             br_taken: false,
@@ -208,15 +208,14 @@ fn fetch_from<P: Probe>(
             }
         }
         // Install.
-        let (has_branch, mispredicted, dest, pc, op, is_store) = (
+        let (has_branch, mispredicted, pc, op, is_store) = (
             entry.has_branch,
             entry.mispredicted,
-            entry.dest,
             entry.pc,
             entry.op,
             entry.is_store,
         );
-        let slot = win.install(entry);
+        let slot = win.install(entry, dest);
         if let Some(d) = dest {
             regs.threads[tid].map[d.flat_index()] = Some(slot);
         }

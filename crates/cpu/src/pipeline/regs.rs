@@ -77,7 +77,8 @@ impl HazardClass {
     pub const COUNT: usize = 5;
 }
 
-/// One instruction window / reorder buffer entry.
+/// One instruction window / reorder buffer entry. The renaming register
+/// it holds lives beside it, in [`Window::dest`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     pub valid: bool,
@@ -91,7 +92,6 @@ pub(crate) struct Entry {
     /// release keep it and the per-thread counts in step).
     pub class: HazardClass,
     pub srcs: [SrcState; 2],
-    pub dest: Option<ArchReg>,
     pub mem_addr: u64,
     pub is_store: bool,
     pub br_taken: bool,
@@ -110,7 +110,6 @@ pub(crate) const DEAD: Entry = Entry {
     state: EState::Waiting,
     class: HazardClass::None,
     srcs: [SrcState::Ready, SrcState::Ready],
-    dest: None,
     mem_addr: 0,
     is_store: false,
     br_taken: false,

@@ -4,7 +4,7 @@
 
 use csmt_isa::ArchReg;
 
-use super::regs::{Entry, ThreadCtx};
+use super::regs::ThreadCtx;
 
 /// The two renaming-register free pools (Table 2 budgets).
 pub(crate) struct RenamePools {
@@ -43,11 +43,12 @@ impl RenamePools {
 }
 
 /// Rebuild a thread's map table from its surviving in-flight producers
-/// (after wrong-path instructions were squashed).
-pub(crate) fn rebuild_map(t: &mut ThreadCtx, entries: &[Entry]) {
+/// (after wrong-path instructions were squashed); `dest` is the window's
+/// per-slot destination register.
+pub(crate) fn rebuild_map(t: &mut ThreadCtx, dest: &[Option<ArchReg>]) {
     t.map = [None; ArchReg::COUNT];
     for &s in &t.fifo {
-        if let Some(d) = entries[s as usize].dest {
+        if let Some(d) = dest[s as usize] {
             t.map[d.flat_index()] = Some(s);
         }
     }

@@ -37,7 +37,7 @@
 
 use crate::bpred::BranchPredictor;
 use crate::fu::FuPool;
-use csmt_isa::OpClass;
+use csmt_isa::{ArchReg, OpClass};
 use csmt_mem::{AccessKind, MemorySystem};
 use csmt_trace::{emit, Event, Probe, StageEvent, Wants};
 use std::cmp::Reverse;
@@ -156,6 +156,11 @@ impl CompletionWheel {
 
 pub(crate) struct Window {
     pub entries: Vec<Entry>,
+    /// Per slot, the renaming register its entry holds: `Some` from
+    /// install to release (commit or squash), the only record of it. Kept
+    /// apart from `entries` so the per-cycle `Wants::POOL` count reads 2
+    /// bytes a slot, not a whole entry.
+    pub dest: Vec<Option<ArchReg>>,
     pub free_slots: Vec<u32>,
     /// Consumers of each producer slot's result: `(slot, seq)` of the
     /// waiting entry, registered at dispatch, drained at completion.
@@ -177,6 +182,7 @@ impl Window {
     pub fn new(n: usize, hw_threads: usize) -> Self {
         Window {
             entries: vec![DEAD; n],
+            dest: vec![None; n],
             free_slots: (0..n as u32).rev().collect(),
             waiters: (0..n).map(|_| Vec::new()).collect(),
             ready: Vec::with_capacity(n),
@@ -247,11 +253,13 @@ impl Window {
         }
     }
 
-    /// Install a dispatched entry, registering it with its producers'
-    /// waiter lists (or the ready queue when every operand is already
-    /// there). Caller has checked [`has_free`](Window::has_free).
-    pub fn install(&mut self, mut e: Entry) -> u32 {
+    /// Install a dispatched entry holding the renaming register allocated
+    /// for `dest`, registering it with its producers' waiter lists (or the
+    /// ready queue when every operand is already there). Caller has
+    /// checked [`has_free`](Window::has_free).
+    pub fn install(&mut self, mut e: Entry, dest: Option<ArchReg>) -> u32 {
         let slot = self.free_slots.pop().expect("checked non-empty");
+        self.dest[slot as usize] = dest;
         let mut all_ready = true;
         for s in e.srcs {
             if let SrcState::Wait(p) = s {
@@ -273,11 +281,11 @@ impl Window {
     /// Free `slot` (commit or squash): return its rename register, clear
     /// its indexed state, and put the slot back on the free list.
     pub fn release(&mut self, slot: u32, rename: &mut RenamePools) {
-        let e = &mut self.entries[slot as usize];
-        debug_assert!(e.valid);
-        if let Some(d) = e.dest {
+        if let Some(d) = self.dest[slot as usize].take() {
             rename.release(d);
         }
+        let e = &mut self.entries[slot as usize];
+        debug_assert!(e.valid);
         let seq = e.seq;
         let was_waiting = e.state == EState::Waiting;
         self.class_counts[e.thread as usize][e.class as usize] -= 1;
@@ -418,7 +426,7 @@ impl Window {
             });
         }
         let t = &mut regs.threads[thread];
-        rename::rebuild_map(t, &self.entries);
+        rename::rebuild_map(t, &self.dest);
         if t.state == ThreadState::WrongPath {
             t.state = ThreadState::Running;
         }
@@ -567,13 +575,16 @@ mod tests {
             for (s, &p) in srcs.iter_mut().zip(producers) {
                 *s = SrcState::Wait(p);
             }
-            self.win.install(Entry {
-                valid: true,
-                seq: self.seq,
-                op: OpClass::IntAlu,
-                srcs,
-                ..DEAD
-            })
+            self.win.install(
+                Entry {
+                    valid: true,
+                    seq: self.seq,
+                    op: OpClass::IntAlu,
+                    srcs,
+                    ..DEAD
+                },
+                None,
+            )
         }
 
         fn issue(&mut self, now: u64, width: usize) -> usize {
@@ -667,6 +678,26 @@ mod tests {
         r.complete(1);
         assert_eq!(r.win.entries[a as usize].state, EState::Waiting);
         assert_eq!(r.win.entries[b as usize].srcs[0], SrcState::Wait(blocker));
+    }
+
+    /// The `Wants::POOL` scan reads `dest`, not `entries`: 2 bytes a slot
+    /// against a whole entry.
+    #[test]
+    fn the_pool_scan_reads_two_bytes_a_slot() {
+        assert_eq!(std::mem::size_of::<Option<ArchReg>>(), 2);
+        // Install records the register, release returns it exactly once.
+        let mut r = Rig::new();
+        let fp_free = r.rename.fp_free;
+        assert!(r.rename.try_alloc(ArchReg::Fp(3)));
+        let e = Entry {
+            valid: true,
+            seq: 1,
+            ..DEAD
+        };
+        let a = r.win.install(e, Some(ArchReg::Fp(3)));
+        assert_eq!(r.win.dest[a as usize], Some(ArchReg::Fp(3)));
+        r.win.release(a, &mut r.rename);
+        assert_eq!((r.win.dest[a as usize], r.rename.fp_free), (None, fp_free));
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! public [`Cluster`] API (they predate the pipeline-module split and
 //! pin the same behavior across it).
 
-use csmt_cpu::{Cluster, ClusterConfig, ClusterEvent, FetchPolicy, Hazard, ThreadState};
+use csmt_cpu::{
+    Cluster, ClusterConfig, ClusterEvent, CycleActivity, FetchPolicy, Hazard, SlotStats,
+    ThreadState,
+};
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, OpClass, SyncOp};
 use csmt_mem::{MemConfig, MemorySystem};
+use csmt_trace::{Event, Probe, Wants};
 
 fn mem1() -> MemorySystem {
     MemorySystem::new(MemConfig::table3(), 1, 7)
@@ -432,6 +436,187 @@ fn tiny_store_buffer_throttles_store_bursts() {
         "1-entry buffer must serialize misses: {tight} vs {roomy}"
     );
     // Everything still commits.
+}
+
+/// Every simulated-machine channel (not the host stopwatch's), each event
+/// reduced to a label: the two snapshots by kind, anything else by its
+/// full rendering.
+#[derive(Default)]
+struct Recorder(Vec<String>);
+
+impl Probe for Recorder {
+    const WANTS: Wants = Wants::INST
+        .union(Wants::CACHE)
+        .union(Wants::CYCLE_STATS)
+        .union(Wants::POOL)
+        .union(Wants::OCC)
+        .union(Wants::SCHED);
+
+    fn on(&mut self, ev: &Event<'_>) {
+        self.0.push(match ev {
+            Event::RenamePools(_) => "pool".into(),
+            Event::WindowOcc(_) => "occ".into(),
+            other => format!("{other:?}"),
+        });
+    }
+}
+
+/// The bits of every accumulator, so equality is bit for bit.
+fn stat_bits(s: &SlotStats) -> (u64, [u64; 7], u64, u64, u64) {
+    (
+        s.useful.to_bits(),
+        s.wasted.map(f64::to_bits),
+        s.cycles,
+        s.slots,
+        s.committed,
+    )
+}
+
+/// Step once under a [`Recorder`]; returns the activity, the runtime
+/// events and the probe labels.
+fn step_recorded(
+    c: &mut Cluster,
+    mem: &mut MemorySystem,
+    now: u64,
+) -> (CycleActivity, Vec<ClusterEvent>, Vec<String>) {
+    let (mut events, mut probe) = (Vec::new(), Recorder::default());
+    let act = c.step_probed(now, mem, 0, &mut events, &mut probe, 0);
+    (act, events, probe.0)
+}
+
+/// A two-context cluster whose contexts park — context 0 at a barrier
+/// after some work and a mispredict-prone branch run, context 1 by
+/// exiting — then steps `k` cycles with nothing in flight and nothing
+/// runnable: each must be exactly one sync-only `record_cycle`, report no
+/// activity, and emit only the two snapshots. This is what any per-cluster
+/// skip of such cycles must reproduce (DESIGN §11). Resumed after more
+/// than the completion ring's span, the context then finishes normally.
+#[test]
+fn a_parked_cluster_cycle_is_exactly_a_sync_only_record_cycle() {
+    let mut c = Cluster::new(ClusterConfig::for_width(4, 2), 1);
+    let mut mem = mem1();
+    let mut work = Vec::new();
+    for i in 0..40u64 {
+        work.push(DynInst::load(
+            i * 16,
+            ArchReg::Int(1),
+            i * 4160,
+            [None, None],
+        ));
+        work.push(DynInst::branch(
+            i * 16 + 4,
+            i % 3 == 0,
+            0,
+            [Some(ArchReg::Int(1)), None],
+        ));
+    }
+    work.push(DynInst::sync(0x1000, SyncOp::Barrier(1)));
+    work.extend((0..20).map(|i| alu(0x2000 + i * 4, 2, 2)));
+    c.attach_thread(0, Box::new(VecStream::new(work)));
+    c.attach_thread(1, Box::new(VecStream::new(vec![alu(0, 1, 1)])));
+    let mut now = 0;
+    while c.thread_state(0) != ThreadState::WaitingSync || c.thread_state(1) != ThreadState::Done {
+        step_recorded(&mut c, &mut mem, now);
+        now += 1;
+        assert!(now < 50_000, "contexts never parked");
+    }
+    assert_eq!((c.inflight(0), c.inflight(1)), (0, 0));
+
+    let k = 100; // longer than the completion ring's 64-cycle span
+    let mut want = c.stats().clone();
+    let mut sync_only = [0.0; 7];
+    sync_only[Hazard::Sync.index()] = 2.0;
+    for _ in 0..k {
+        want.record_cycle(4, 0, 0, &sync_only);
+        let (act, events, labels) = step_recorded(&mut c, &mut mem, now);
+        assert_eq!(act, CycleActivity::default(), "cycle {now}");
+        assert!(events.is_empty(), "cycle {now}: {events:?}");
+        assert_eq!(labels, ["pool", "occ"], "cycle {now}");
+        now += 1;
+    }
+    assert_eq!(stat_bits(c.stats()), stat_bits(&want));
+
+    c.resume_thread(0);
+    let committed = c.thread_committed(0);
+    loop {
+        let (_, events, _) = step_recorded(&mut c, &mut mem, now);
+        now += 1;
+        if events.contains(&ClusterEvent::ThreadDone { thread: 0 }) {
+            break;
+        }
+        assert!(now < 100_000, "resumed context never finished");
+    }
+    assert_eq!(c.thread_committed(0), committed + 20);
+}
+
+/// A context that fetched a sync marker into an empty window is
+/// `Draining`: nothing is in flight, but it is not parked, and the very
+/// next step reports it.
+#[test]
+fn a_draining_context_with_an_empty_window_still_reports() {
+    let cases = [
+        (
+            vec![DynInst::sync(0, SyncOp::Barrier(7))],
+            ClusterEvent::SyncReached {
+                thread: 0,
+                op: SyncOp::Barrier(7),
+            },
+            ThreadState::WaitingSync,
+        ),
+        (
+            Vec::new(),
+            ClusterEvent::ThreadDone { thread: 0 },
+            ThreadState::Done,
+        ),
+    ];
+    for (stream, report, parked) in cases {
+        let mut c = Cluster::new(ClusterConfig::for_width(4, 1), 1);
+        let mut mem = mem1();
+        c.attach_thread(0, Box::new(VecStream::new(stream)));
+        let (_, events, _) = step_recorded(&mut c, &mut mem, 0);
+        assert!(events.is_empty());
+        assert_eq!(
+            (c.thread_state(0), c.inflight(0)),
+            (ThreadState::Draining, 0)
+        );
+        let (_, events, _) = step_recorded(&mut c, &mut mem, 1);
+        assert_eq!(events, [report]);
+        assert_eq!(c.thread_state(0), parked);
+    }
+}
+
+/// A parked or finished context held for migration has nothing in flight
+/// but is `Migrating`, no longer parked: the next step reports it drained.
+#[test]
+fn a_held_context_with_an_empty_window_still_reports_drained() {
+    for (stream, parked) in [
+        (
+            vec![DynInst::sync(0, SyncOp::Barrier(2))],
+            ThreadState::WaitingSync,
+        ),
+        (vec![alu(0, 1, 1)], ThreadState::Done),
+    ] {
+        let mut c = Cluster::new(ClusterConfig::for_width(4, 1), 1);
+        let mut mem = mem1();
+        c.attach_thread(0, Box::new(VecStream::new(stream)));
+        let mut now = 0;
+        while c.thread_state(0) != parked {
+            step_recorded(&mut c, &mut mem, now);
+            now += 1;
+            assert!(now < 1_000, "context never parked");
+        }
+        // A few parked cycles first.
+        for _ in 0..5 {
+            step_recorded(&mut c, &mut mem, now);
+            now += 1;
+        }
+        assert!(
+            c.hold_for_migration(0),
+            "a parked context is already drained"
+        );
+        let (_, events, _) = step_recorded(&mut c, &mut mem, now);
+        assert_eq!(events, [ClusterEvent::MigrationDrained { thread: 0 }]);
+    }
 }
 
 #[test]

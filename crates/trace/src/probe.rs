@@ -130,8 +130,10 @@ pub struct SyncEvent {
 /// to destinations of valid instruction-window entries. Register
 /// conservation (`free + held == capacity`, per file) holds at every
 /// snapshot — `csmt-verify`'s `InvariantProbe` checks exactly that.
-/// Building the snapshot costs a pass over the window, which is why it
-/// sits on its own channel.
+/// `held` is counted by a scan of the window's per-slot destination
+/// registers (2 bytes a slot), not kept as a counter, so it stays evidence
+/// independent of the free counts; that per-cycle scan is why the
+/// snapshot sits on its own channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamePoolEvent {
     /// Cycle the snapshot was taken (end of this cycle's pipeline phases).
@@ -327,8 +329,8 @@ impl Wants {
     /// snapshot costs a pass over the clusters' stats every cycle.
     pub const CYCLE_STATS: Wants = Wants(1 << 2);
     /// Per-cluster [`Event::RenamePools`] snapshots each cycle. The
-    /// snapshot needs a pass over the instruction window; only invariant
-    /// checkers care.
+    /// snapshot scans the window's per-slot destination registers (2 bytes
+    /// a slot); only invariant checkers care.
     pub const POOL: Wants = Wants(1 << 3);
     /// Per-cluster [`Event::WindowOcc`] snapshots each cycle (the
     /// occupancy histograms of `csmt-metrics`).

@@ -156,6 +156,63 @@ fn static_round_robin_reproduces_every_golden_digest() {
     }
 }
 
+/// Folds every end-of-cycle snapshot — `RenamePools` and `WindowOcc`, the
+/// two channels the golden event digests do not want — into one digest.
+struct SnapshotDigest {
+    fnv: Fnv64,
+    events: u64,
+}
+
+impl csmt_trace::Probe for SnapshotDigest {
+    const WANTS: csmt_trace::Wants = csmt_trace::Wants::POOL.union(csmt_trace::Wants::OCC);
+
+    fn on(&mut self, ev: &csmt_trace::Event<'_>) {
+        use std::fmt::Write as _;
+        let _ = write!(self.fnv, "{ev:?};");
+        self.events += 1;
+    }
+}
+
+/// Pins the snapshot channels bit for bit, so a kernel change that keeps
+/// the golden digests cannot quietly move what the rename-conservation
+/// check and the occupancy histograms read. The three cells are a mostly
+/// quiet machine (FA4 ×4 swim), a 4-chip SMT2 and eight contexts on one
+/// cluster (SMT1).
+#[test]
+fn snapshot_channels_are_bit_for_bit_stable() {
+    const CELLS: [(&str, ArchKind, usize, u64, u64); 3] = [
+        ("swim", ArchKind::Fa4, 4, 0x88bd_216e_105d_432f, 107_872),
+        ("mgrid", ArchKind::Smt2, 4, 0x7d76_1b13_45fd_9a96, 24_144),
+        ("tomcatv", ArchKind::Smt1, 1, 0xbbd5_c5c6_5a4a_4540, 9_492),
+    ];
+    let capture = std::env::var_os("GOLDEN_PRINT").is_some();
+    for (app, arch, chips, want_hash, want_events) in CELLS {
+        let spec = by_name(app).expect("paper app");
+        let mut probe = SnapshotDigest {
+            fnv: Fnv64::new(),
+            events: 0,
+        };
+        let mem = csmt_mem::MemConfig::table3();
+        simulate_probed(&spec, arch.chip(), chips, 0.1, SEED, mem, &mut probe);
+        let got = (probe.fnv.finish(), probe.events);
+        if capture {
+            println!(
+                "    {app} {}x{chips}: (0x{:016x}, {}),",
+                arch.name(),
+                got.0,
+                got.1
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            (want_hash, want_events),
+            "{app} on {} x{chips}: snapshot stream drifted",
+            arch.name()
+        );
+    }
+}
+
 /// The digests must not depend on whether a probe observes the run: the
 /// unprobed path (`NullProbe` monomorphization) must produce the same
 /// statistics as the probed one.
