@@ -94,7 +94,7 @@ impl AppRow {
 /// and narrower clusters cycle alike. Returns the relative cycle-time factor
 /// (1.0 = fast clock).
 pub fn cycle_time_factor(arch: ArchKind) -> f64 {
-    match arch.chip().cluster.issue_width {
+    match arch.chip().cluster().issue_width {
         8 => 2.0,
         _ => 1.0,
     }

@@ -625,16 +625,14 @@ fn ablation_study(run: &mut Runner<'_>, s: Setting<'_>) -> String {
         (
             "1 bank/level",
             MemConfig {
-                l1_banks: 1,
-                l2_banks: 1,
+                banks: 1,
                 ..table3()
             },
         ),
         (
             "16 banks/level",
             MemConfig {
-                l1_banks: 16,
-                l2_banks: 16,
+                banks: 16,
                 ..table3()
             },
         ),
@@ -852,7 +850,7 @@ mod tests {
         ];
         let mut seen = Vec::new();
         let mut run = |specs: &[RunSpec<'_>]| {
-            seen.extend(specs.iter().map(|sp| sp.chip.kind));
+            seen.extend(specs.iter().map(|sp| sp.chip.kind()));
             specs.iter().map(RunSpec::run).collect()
         };
         let out = run_groups(&mut run, &groups);

@@ -80,70 +80,69 @@ impl ArchKind {
         }
     }
 
-    /// The chip configuration for this architecture.
-    pub fn chip(self) -> ChipConfig {
+    /// Clusters on the chip: Table 2's "Clusters" column.
+    pub fn clusters(self) -> usize {
         match self {
-            ArchKind::Fa8 => ChipConfig::fixed_assignment(self, 8),
-            ArchKind::Fa4 => ChipConfig::fixed_assignment(self, 4),
-            ArchKind::Fa2 => ChipConfig::fixed_assignment(self, 2),
-            ArchKind::Fa1 => ChipConfig::fixed_assignment(self, 1),
-            ArchKind::Smt8 => ChipConfig::clustered_smt(self, 8),
-            ArchKind::Smt4 => ChipConfig::clustered_smt(self, 4),
-            ArchKind::Smt2 => ChipConfig::clustered_smt(self, 2),
-            ArchKind::Smt1 => ChipConfig::clustered_smt(self, 1),
+            ArchKind::Fa8 | ArchKind::Smt8 => 8,
+            ArchKind::Fa4 | ArchKind::Smt4 => 4,
+            ArchKind::Fa2 | ArchKind::Smt2 => 2,
+            ArchKind::Fa1 | ArchKind::Smt1 => 1,
+        }
+    }
+
+    /// The chip configuration for this architecture: [`clusters`]
+    /// clusters of width `8 / clusters`, each with one context (fixed
+    /// assignment) or `width` contexts (clustered SMT, 8 per chip). SMT8's
+    /// single-context 1-wide clusters satisfy both readings: it *is* FA8
+    /// (§5.2).
+    ///
+    /// [`clusters`]: ArchKind::clusters
+    pub fn chip(self) -> ChipConfig {
+        let width = CHIP_ISSUE_WIDTH / self.clusters();
+        let contexts = match self {
+            ArchKind::Fa8 | ArchKind::Fa4 | ArchKind::Fa2 | ArchKind::Fa1 => 1,
+            _ => width,
+        };
+        ChipConfig {
+            kind: self,
+            cluster: ClusterConfig::for_width(width, contexts),
         }
     }
 }
 
-/// A chip: `clusters` identical SMT clusters sharing the chip's L1/L2
-/// through the memory system, nothing else (§3.3).
+/// A chip: identical SMT clusters sharing the chip's L1/L2 through the
+/// memory system, nothing else (§3.3). Only [`ArchKind::chip`] builds one,
+/// so its shape is always a Table 2 row; the modifiers change policies,
+/// never budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipConfig {
-    /// Which Table 2 row this is.
-    pub kind: ArchKind,
-    /// Number of clusters on the chip.
-    pub clusters: usize,
-    /// Per-cluster budget.
-    pub cluster: ClusterConfig,
+    kind: ArchKind,
+    cluster: ClusterConfig,
 }
 
 /// Total chip issue width in every Table 2 configuration.
 pub const CHIP_ISSUE_WIDTH: usize = 8;
 
 impl ChipConfig {
-    /// A fixed-assignment chip: `n` clusters of width `8/n`, one thread per
-    /// cluster.
-    pub fn fixed_assignment(kind: ArchKind, n: usize) -> Self {
-        assert!(CHIP_ISSUE_WIDTH.is_multiple_of(n));
-        let width = CHIP_ISSUE_WIDTH / n;
-        ChipConfig {
-            kind,
-            clusters: n,
-            cluster: ClusterConfig::for_width(width, 1),
-        }
+    /// Which Table 2 row this is.
+    pub fn kind(&self) -> ArchKind {
+        self.kind
     }
 
-    /// A clustered SMT chip: `n` clusters of width `8/n`, each supporting
-    /// `8/n` threads, for 8 threads per chip.
-    pub fn clustered_smt(kind: ArchKind, n: usize) -> Self {
-        assert!(CHIP_ISSUE_WIDTH.is_multiple_of(n));
-        let width = CHIP_ISSUE_WIDTH / n;
-        ChipConfig {
-            kind,
-            clusters: n,
-            cluster: ClusterConfig::for_width(width, width),
-        }
+    /// Number of clusters on the chip.
+    pub fn clusters(&self) -> usize {
+        self.kind.clusters()
+    }
+
+    /// Per-cluster budget.
+    pub fn cluster(&self) -> ClusterConfig {
+        self.cluster
     }
 
     /// Hardware thread contexts on the whole chip (Table 2's bracketed
     /// "[chip]" column).
     pub fn threads_per_chip(&self) -> usize {
-        self.clusters * self.cluster.hw_threads
-    }
-
-    /// Issue slots per cycle across the chip.
-    pub fn chip_issue_width(&self) -> usize {
-        self.clusters * self.cluster.issue_width
+        self.clusters() * self.cluster.hw_threads
     }
 
     /// The same chip with a different per-cluster fetch policy (for the
@@ -159,266 +158,56 @@ impl ChipConfig {
         self
     }
 
-    /// The same chip with an arbitrary per-cluster tweak.
-    pub fn with_cluster(mut self, f: impl FnOnce(ClusterConfig) -> ClusterConfig) -> Self {
-        self.cluster = f(self.cluster);
+    /// The same chip with a different per-cluster store-buffer capacity
+    /// (backpressure ablation).
+    pub fn with_store_buffer(mut self, store_buffer: usize) -> Self {
+        self.cluster = self.cluster.with_store_buffer(store_buffer);
         self
     }
-
-    /// Check this chip against the Table 2 partitioning rules: the
-    /// cluster count matches the kind, issue slots sum to
-    /// [`CHIP_ISSUE_WIDTH`], window/ROB entries and both renaming pools
-    /// partition the chip-wide 128 exactly, the FU mix matches the row
-    /// (6/4/4 for the 8-issue cluster, `w/w/w` otherwise), retirement
-    /// bandwidth equals issue width (§3.1), and the thread assignment is
-    /// total and disjoint (FA: exactly one context per cluster; SMT:
-    /// `width` contexts per cluster so the chip totals 8).
-    ///
-    /// Policy knobs (`fetch_policy`, `predictor`, `store_buffer`) are
-    /// deliberately unconstrained beyond non-emptiness — the ablation
-    /// binaries vary them without leaving Table 2.
-    ///
-    /// Returns every violation found, not just the first.
-    pub fn validate(&self) -> Result<(), Vec<ConfigError>> {
-        let mut errs = Vec::new();
-        let expected_clusters = match self.kind {
-            ArchKind::Fa8 | ArchKind::Smt8 => 8,
-            ArchKind::Fa4 | ArchKind::Smt4 => 4,
-            ArchKind::Fa2 | ArchKind::Smt2 => 2,
-            ArchKind::Fa1 | ArchKind::Smt1 => 1,
-        };
-        if self.clusters != expected_clusters {
-            errs.push(ConfigError::ClusterCount {
-                kind: self.kind,
-                expected: expected_clusters,
-                got: self.clusters,
-            });
-        }
-        let c = &self.cluster;
-        for (what, v) in [
-            ("issue_width", c.issue_width),
-            ("hw_threads", c.hw_threads),
-            ("window_entries", c.window_entries),
-            ("rename_int", c.rename_int),
-            ("rename_fp", c.rename_fp),
-            ("retire_width", c.retire_width),
-            ("store_buffer", c.store_buffer),
-        ] {
-            if v == 0 {
-                errs.push(ConfigError::ZeroResource { what });
-            }
-        }
-        if self.chip_issue_width() != CHIP_ISSUE_WIDTH {
-            errs.push(ConfigError::IssueSum {
-                got: self.chip_issue_width(),
-            });
-        }
-        let chip_window = CHIP_ISSUE_WIDTH * 16;
-        if self.clusters * c.window_entries != chip_window {
-            errs.push(ConfigError::WindowSum {
-                expected: chip_window,
-                got: self.clusters * c.window_entries,
-            });
-        }
-        for (pool, per_cluster) in [("int", c.rename_int), ("fp", c.rename_fp)] {
-            if self.clusters * per_cluster != chip_window {
-                errs.push(ConfigError::RenameSum {
-                    pool,
-                    expected: chip_window,
-                    got: self.clusters * per_cluster,
-                });
-            }
-        }
-        let expected_fus = if c.issue_width == 8 {
-            [6, 4, 4]
-        } else {
-            [c.issue_width; 3]
-        };
-        if c.fu_counts != expected_fus {
-            errs.push(ConfigError::FuCounts {
-                expected: expected_fus,
-                got: c.fu_counts,
-            });
-        }
-        if c.retire_width != c.issue_width {
-            errs.push(ConfigError::RetireWidth {
-                expected: c.issue_width,
-                got: c.retire_width,
-            });
-        }
-        // Thread assignment: FA runs each software thread on its own
-        // cluster (one context per cluster — more would overlap threads
-        // on a partitioned budget); clustered SMT gives each cluster
-        // `width` contexts so the chip totals 8. SMT8's single-context
-        // 1-wide clusters satisfy both readings (it *is* FA8, §5.2).
-        let expected_threads = match self.kind {
-            ArchKind::Fa8 | ArchKind::Fa4 | ArchKind::Fa2 | ArchKind::Fa1 => 1,
-            _ => c.issue_width,
-        };
-        if c.hw_threads != expected_threads {
-            errs.push(ConfigError::ThreadAssignment {
-                kind: self.kind,
-                expected: expected_threads,
-                got: c.hw_threads,
-            });
-        }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
-    }
 }
-
-/// One way a [`ChipConfig`] departs from the Table 2 partitioning,
-/// reported by [`ChipConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The cluster count is not the one Table 2 gives for this kind.
-    ClusterCount {
-        /// Which row was claimed.
-        kind: ArchKind,
-        /// Table 2's cluster count for that row.
-        expected: usize,
-        /// The configured count.
-        got: usize,
-    },
-    /// Chip issue slots don't sum to [`CHIP_ISSUE_WIDTH`].
-    IssueSum {
-        /// The configured `clusters × issue_width`.
-        got: usize,
-    },
-    /// Window/ROB entries don't partition the chip-wide budget exactly.
-    WindowSum {
-        /// The chip-wide budget (128).
-        expected: usize,
-        /// The configured `clusters × window_entries`.
-        got: usize,
-    },
-    /// A renaming pool doesn't partition the chip-wide budget exactly.
-    RenameSum {
-        /// Which pool (`"int"` or `"fp"`).
-        pool: &'static str,
-        /// The chip-wide budget (128).
-        expected: usize,
-        /// The configured `clusters × rename_*`.
-        got: usize,
-    },
-    /// A per-cluster resource is zero-sized (the cluster could never
-    /// dispatch or retire anything).
-    ZeroResource {
-        /// Which field.
-        what: &'static str,
-    },
-    /// The FU mix differs from the Table 2 row for this issue width.
-    FuCounts {
-        /// Table 2's `[int, ld/st, fp]` unit counts.
-        expected: [usize; 3],
-        /// The configured counts.
-        got: [usize; 3],
-    },
-    /// Retirement bandwidth must equal issue width (§3.1).
-    RetireWidth {
-        /// The cluster's issue width.
-        expected: usize,
-        /// The configured retire width.
-        got: usize,
-    },
-    /// The thread assignment is not total and disjoint for this kind.
-    ThreadAssignment {
-        /// Which row was claimed.
-        kind: ArchKind,
-        /// Contexts per cluster that row requires.
-        expected: usize,
-        /// The configured contexts per cluster.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ClusterCount {
-                kind,
-                expected,
-                got,
-            } => write!(
-                f,
-                "{} requires {expected} clusters, config has {got}",
-                kind.name()
-            ),
-            ConfigError::IssueSum { got } => write!(
-                f,
-                "chip issue slots must sum to {CHIP_ISSUE_WIDTH}, config sums to {got}"
-            ),
-            ConfigError::WindowSum { expected, got } => write!(
-                f,
-                "window/ROB entries must partition the chip's {expected}, config sums to {got}"
-            ),
-            ConfigError::RenameSum {
-                pool,
-                expected,
-                got,
-            } => write!(
-                f,
-                "{pool} renaming registers must partition the chip's {expected}, config sums to {got}"
-            ),
-            ConfigError::ZeroResource { what } => {
-                write!(f, "per-cluster {what} is zero")
-            }
-            ConfigError::FuCounts { expected, got } => write!(
-                f,
-                "FU mix must be {expected:?} for this width, config has {got:?}"
-            ),
-            ConfigError::RetireWidth { expected, got } => write!(
-                f,
-                "retire width must equal issue width {expected}, config has {got}"
-            ),
-            ConfigError::ThreadAssignment {
-                kind,
-                expected,
-                got,
-            } => write!(
-                f,
-                "{} requires {expected} context(s) per cluster (total, disjoint), config has {got}",
-                kind.name()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csmt_cpu::{FetchPolicy, PredictorKind};
 
     /// One Table 2 row: (kind, clusters, ipc/cluster, threads/chip,
     /// FUs/cluster, IQ+ROB/cluster, rename regs/cluster).
     type Table2Row = (ArchKind, usize, usize, usize, [usize; 3], usize, usize);
 
-    /// Table 2, every row and column.
+    /// Table 2, every row and column — as built, and after every policy
+    /// modifier (an ablation never leaves its row).
     #[test]
     fn table2_chip_rows() {
-        let rows: [Table2Row; 7] = [
+        let rows: [Table2Row; 8] = [
             // kind, clusters, ipc/cluster, threads/chip, FUs/cluster, IQ+ROB/cluster, rename/cluster
             (ArchKind::Fa8, 8, 1, 8, [1, 1, 1], 16, 16),
             (ArchKind::Fa4, 4, 2, 4, [2, 2, 2], 32, 32),
             (ArchKind::Fa2, 2, 4, 2, [4, 4, 4], 64, 64),
             (ArchKind::Fa1, 1, 8, 1, [6, 4, 4], 128, 128),
+            (ArchKind::Smt8, 8, 1, 8, [1, 1, 1], 16, 16),
             (ArchKind::Smt4, 4, 2, 8, [2, 2, 2], 32, 32),
             (ArchKind::Smt2, 2, 4, 8, [4, 4, 4], 64, 64),
             (ArchKind::Smt1, 1, 8, 8, [6, 4, 4], 128, 128),
         ];
         for (kind, clusters, ipc, threads, fus, iq, ren) in rows {
-            let c = kind.chip();
-            assert_eq!(c.clusters, clusters, "{kind:?}");
-            assert_eq!(c.cluster.issue_width, ipc, "{kind:?}");
-            assert_eq!(c.threads_per_chip(), threads, "{kind:?}");
-            assert_eq!(c.cluster.fu_counts, fus, "{kind:?}");
-            assert_eq!(c.cluster.window_entries, iq, "{kind:?}");
-            assert_eq!(c.cluster.rename_int, ren, "{kind:?}");
-            assert_eq!(c.cluster.rename_fp, ren, "{kind:?}");
+            let ablated = kind
+                .chip()
+                .with_fetch_policy(FetchPolicy::ICount)
+                .with_predictor(PredictorKind::StaticTaken)
+                .with_store_buffer(1);
+            assert_eq!(ablated.cluster().store_buffer, 1, "{kind:?}");
+            for c in [kind.chip(), ablated] {
+                let cl = c.cluster();
+                assert_eq!(c.kind(), kind);
+                assert_eq!(c.clusters(), clusters, "{kind:?}");
+                assert_eq!(cl.issue_width, ipc, "{kind:?}");
+                assert_eq!(c.clusters() * cl.issue_width, CHIP_ISSUE_WIDTH, "{kind:?}");
+                assert_eq!(c.threads_per_chip(), threads, "{kind:?}");
+                assert_eq!(cl.fu_counts(), fus, "{kind:?}");
+                assert_eq!(cl.window_entries(), iq, "{kind:?}");
+                assert_eq!(cl.rename_regs(), ren, "{kind:?}");
+            }
         }
     }
 
@@ -426,23 +215,8 @@ mod tests {
     fn smt8_is_fa8_in_hardware() {
         let a = ArchKind::Smt8.chip();
         let b = ArchKind::Fa8.chip();
-        assert_eq!(a.clusters, b.clusters);
-        assert_eq!(a.cluster, b.cluster);
-    }
-
-    #[test]
-    fn every_chip_issues_eight_wide() {
-        for kind in ArchKind::ALL {
-            assert_eq!(kind.chip().chip_issue_width(), 8, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn chip_window_totals_128_everywhere() {
-        for kind in ArchKind::ALL {
-            let c = kind.chip();
-            assert_eq!(c.clusters * c.cluster.window_entries, 128, "{kind:?}");
-        }
+        assert_eq!(a.clusters(), b.clusters());
+        assert_eq!(a.cluster(), b.cluster());
     }
 
     #[test]
@@ -450,131 +224,5 @@ mod tests {
         for k in ArchKind::FA_FIGURES.iter().chain(&ArchKind::SMT_FIGURES) {
             assert!(ArchKind::ALL.contains(k));
         }
-    }
-
-    #[test]
-    fn validate_accepts_every_table2_constructor() {
-        for kind in ArchKind::ALL {
-            assert_eq!(kind.chip().validate(), Ok(()), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn validate_accepts_policy_ablations() {
-        let c = ArchKind::Smt2
-            .chip()
-            .with_fetch_policy(csmt_cpu::FetchPolicy::ICount)
-            .with_cluster(|c| c.with_store_buffer(1));
-        assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_overlapping_fa_thread_assignment() {
-        // Two contexts on an FA cluster would put two software threads on
-        // one partitioned budget — the assignment is no longer disjoint.
-        let bad = ArchKind::Fa4.chip().with_cluster(|mut c| {
-            c.hw_threads = 2;
-            c
-        });
-        let errs = bad.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ConfigError::ThreadAssignment {
-                kind: ArchKind::Fa4,
-                expected: 1,
-                got: 2,
-            }
-        )));
-    }
-
-    #[test]
-    fn validate_rejects_budget_sums_off_the_8_wide_totals() {
-        // Halve the per-cluster window: the chip no longer partitions 128.
-        let bad = ArchKind::Smt2.chip().with_cluster(|mut c| {
-            c.window_entries = 32;
-            c
-        });
-        let errs = bad.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ConfigError::WindowSum { got: 64, .. })));
-
-        // Wrong cluster count for the kind: both the count and the issue
-        // sum are off.
-        let bad = ChipConfig {
-            kind: ArchKind::Smt2,
-            clusters: 3,
-            cluster: ClusterConfig::for_width(4, 4),
-        };
-        let errs = bad.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ConfigError::ClusterCount {
-                expected: 2,
-                got: 3,
-                ..
-            }
-        )));
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ConfigError::IssueSum { got: 12 })));
-    }
-
-    #[test]
-    fn validate_rejects_zero_size_rename_pools() {
-        let bad = ArchKind::Fa2.chip().with_cluster(|mut c| {
-            c.rename_fp = 0;
-            c
-        });
-        let errs = bad.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ConfigError::ZeroResource { what: "rename_fp" })));
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ConfigError::RenameSum {
-                pool: "fp",
-                got: 0,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn validate_rejects_wrong_fu_mix_and_retire_width() {
-        let bad = ArchKind::Smt1.chip().with_cluster(|mut c| {
-            c.fu_counts = [8, 8, 8];
-            c.retire_width = 4;
-            c
-        });
-        let errs = bad.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ConfigError::FuCounts {
-                expected: [6, 4, 4],
-                got: [8, 8, 8],
-            }
-        )));
-        assert!(errs.iter().any(|e| matches!(
-            e,
-            ConfigError::RetireWidth {
-                expected: 8,
-                got: 4,
-            }
-        )));
-    }
-
-    #[test]
-    fn config_errors_render_readably() {
-        let bad = ArchKind::Fa8.chip().with_cluster(|mut c| {
-            c.rename_int = 0;
-            c
-        });
-        let errs = bad.validate().unwrap_err();
-        let text: Vec<String> = errs.iter().map(ToString::to_string).collect();
-        assert!(
-            text.iter().any(|s| s.contains("rename_int is zero")),
-            "{text:?}"
-        );
     }
 }

@@ -49,7 +49,7 @@ pub mod result;
 pub mod runtime;
 pub mod sched;
 
-pub use configs::{ArchKind, ChipConfig, ConfigError, CHIP_ISSUE_WIDTH};
+pub use configs::{ArchKind, ChipConfig, CHIP_ISSUE_WIDTH};
 pub use machine::{Machine, Placement};
 pub use result::RunResult;
 pub use runtime::{Action, Runtime, ThreadId};

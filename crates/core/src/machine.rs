@@ -80,7 +80,7 @@ struct Transit {
 pub struct Machine {
     cfg: ChipConfig,
     /// All clusters of all chips, flat in chip-major order: the cluster
-    /// at `(chip, k)` is index `chip * cfg.clusters + k`, which is also
+    /// at `(chip, k)` is index `chip * cfg.clusters() + k`, which is also
     /// the per-cycle iteration order. A chip itself has no other state —
     /// its L1/L2 live in the shared [`MemorySystem`] under its node index.
     clusters: Vec<Cluster>,
@@ -144,17 +144,17 @@ impl Machine {
     pub fn new(cfg: ChipConfig, n_chips: usize, mem_cfg: MemConfig, seed: u64) -> Self {
         assert!(n_chips >= 1);
         let mut rng = csmt_isa::SplitMix64::new(seed);
-        let mut clusters = Vec::with_capacity(n_chips * cfg.clusters);
+        let mut clusters = Vec::with_capacity(n_chips * cfg.clusters());
         for c in 0..n_chips {
-            for k in 0..cfg.clusters {
+            for k in 0..cfg.clusters() {
                 clusters.push(Cluster::new(
-                    cfg.cluster,
+                    cfg.cluster(),
                     rng.fork((c * 64 + k) as u64).next_u64(),
                 ));
             }
         }
-        let max_cluster_events = cfg.cluster.hw_threads;
-        let n_clusters = n_chips * cfg.clusters;
+        let max_cluster_events = cfg.cluster().hw_threads;
+        let n_clusters = n_chips * cfg.clusters();
         Machine {
             cfg,
             clusters,
@@ -162,7 +162,7 @@ impl Machine {
             mem: MemorySystem::new(mem_cfg, n_chips, rng.fork(u64::MAX).next_u64()),
             runtime: Runtime::new(0),
             placements: Vec::new(),
-            rev_map: vec![None; n_clusters * cfg.cluster.hw_threads],
+            rev_map: vec![None; n_clusters * cfg.cluster().hw_threads],
             cycle: 0,
             running_thread_cycles: 0,
             events_buf: Vec::with_capacity(max_cluster_events),
@@ -185,19 +185,19 @@ impl Machine {
 
     /// The cluster at `(chip, cluster-in-chip)`.
     fn cluster_at(&self, chip: usize, cluster: usize) -> &Cluster {
-        &self.clusters[chip * self.cfg.clusters + cluster]
+        &self.clusters[chip * self.cfg.clusters() + cluster]
     }
 
     /// Mutable access to the cluster at `(chip, cluster-in-chip)`.
     fn cluster_at_mut(&mut self, chip: usize, cluster: usize) -> &mut Cluster {
-        &mut self.clusters[chip * self.cfg.clusters + cluster]
+        &mut self.clusters[chip * self.cfg.clusters() + cluster]
     }
 
     /// Whether `cfg` is a fixed-assignment (FA) architecture: one hardware
     /// context per cluster, so thread-to-cluster assignment is pinned by
     /// construction and migration is meaningless.
     pub(crate) fn fixed_assignment(cfg: &ChipConfig) -> bool {
-        cfg.cluster.hw_threads == 1
+        cfg.cluster().hw_threads == 1
     }
 
     /// Install a scheduling policy in place of the [`StaticRoundRobin`]
@@ -239,8 +239,8 @@ impl Machine {
     pub fn topology(&self) -> Topology {
         Topology {
             chips: self.n_chips,
-            clusters_per_chip: self.cfg.clusters,
-            ctx_per_cluster: self.cfg.cluster.hw_threads,
+            clusters_per_chip: self.cfg.clusters(),
+            ctx_per_cluster: self.cfg.cluster().hw_threads,
         }
     }
 
@@ -283,7 +283,7 @@ impl Machine {
 
     /// Machine-global context-slot index of a placement (the `rev_map` key).
     fn slot(&self, p: Placement) -> usize {
-        (p.chip * self.cfg.clusters + p.cluster) * self.cfg.cluster.hw_threads + p.ctx
+        (p.chip * self.cfg.clusters() + p.cluster) * self.cfg.cluster().hw_threads + p.ctx
     }
 
     /// Attach the application's software threads (one stream per thread).
@@ -321,8 +321,8 @@ impl Machine {
             let p = placements[tid];
             assert!(
                 p.chip < self.n_chips
-                    && p.cluster < self.cfg.clusters
-                    && p.ctx < self.cfg.cluster.hw_threads,
+                    && p.cluster < self.cfg.clusters()
+                    && p.ctx < self.cfg.cluster().hw_threads,
                 "initial placement {p:?} out of range"
             );
             self.cluster_at_mut(p.chip, p.cluster)
@@ -354,9 +354,10 @@ impl Machine {
     /// steps.
     pub fn step_probed<P: Probe>(&mut self, probe: &mut P) {
         let now = self.cycle;
+        let per_chip = self.cfg.clusters();
         for i in 0..self.clusters.len() {
-            let chip_idx = i / self.cfg.clusters;
-            let cluster_idx = i % self.cfg.clusters;
+            let chip_idx = i / per_chip;
+            let cluster_idx = i % per_chip;
             self.events_buf.clear();
             let activity = self.clusters[i].step_probed(
                 now,
@@ -462,7 +463,7 @@ impl Machine {
         CycleStats {
             useful: self.agg_useful as f64,
             wasted,
-            slots: (self.clusters.len() * self.cfg.cluster.issue_width) as u64 * self.cycle,
+            slots: (self.clusters.len() * self.cfg.cluster().issue_width) as u64 * self.cycle,
             cycles: self.cycle,
             committed: self.agg_committed,
             running_threads: running as u32,
@@ -546,7 +547,7 @@ impl Machine {
             Event::Migration(MigrationEvent {
                 cycle: now,
                 thread: tid as u32,
-                cluster: (from.chip * self.cfg.clusters + from.cluster) as u32,
+                cluster: (from.chip * self.cfg.clusters() + from.cluster) as u32,
                 ctx: from.ctx as u32,
                 kind: MigrationEventKind::Depart,
                 wait: 0,
@@ -579,7 +580,7 @@ impl Machine {
                 Event::Migration(MigrationEvent {
                     cycle: now,
                     thread: tr.tid as u32,
-                    cluster: (tr.to.chip * self.cfg.clusters + tr.to.cluster) as u32,
+                    cluster: (tr.to.chip * self.cfg.clusters() + tr.to.cluster) as u32,
                     ctx: tr.to.ctx as u32,
                     kind: MigrationEventKind::Arrive,
                     wait,
@@ -693,8 +694,8 @@ impl Machine {
             if m.tid >= n
                 || in_batch[m.tid]
                 || m.to.chip >= self.n_chips
-                || m.to.cluster >= self.cfg.clusters
-                || m.to.ctx >= self.cfg.cluster.hw_threads
+                || m.to.cluster >= self.cfg.clusters()
+                || m.to.ctx >= self.cfg.cluster().hw_threads
             {
                 continue;
             }
@@ -797,7 +798,7 @@ impl Machine {
                     Event::Migration(MigrationEvent {
                         cycle: self.cycle,
                         thread: tid as u32,
-                        cluster: (p.chip * self.cfg.clusters + p.cluster) as u32,
+                        cluster: (p.chip * self.cfg.clusters() + p.cluster) as u32,
                         ctx: p.ctx as u32,
                         kind: MigrationEventKind::Attach,
                         wait: 0,
@@ -834,7 +835,7 @@ impl Machine {
         }
         let (barriers, lock_acqs) = self.runtime.stats();
         RunResult {
-            arch: self.cfg.kind.name().to_string(),
+            arch: self.cfg.kind().name().to_string(),
             chips: self.n_chips,
             threads: self.placements.len(),
             cycles: self.cycle,
@@ -912,7 +913,7 @@ mod tests {
     #[test]
     fn placement_round_robins_across_clusters() {
         let cfg = ArchKind::Smt2.chip();
-        let place = |tid| round_robin_placement(tid, cfg.clusters, cfg.threads_per_chip());
+        let place = |tid| round_robin_placement(tid, cfg.clusters(), cfg.threads_per_chip());
         assert_eq!(
             place(0),
             Placement {
@@ -952,7 +953,7 @@ mod tests {
         let m = Machine::new(ArchKind::Fa2.chip(), 4, MemConfig::table3(), 1);
         assert_eq!(m.hw_thread_capacity(), 8);
         let cfg = ArchKind::Fa2.chip();
-        let place = |tid| round_robin_placement(tid, cfg.clusters, cfg.threads_per_chip());
+        let place = |tid| round_robin_placement(tid, cfg.clusters(), cfg.threads_per_chip());
         assert_eq!(
             place(2),
             Placement {
@@ -977,7 +978,7 @@ mod tests {
         m.attach_threads((0..6).map(|i| simple_thread(2, false, i << 14)).collect());
         let cfg = ArchKind::Smt4.chip();
         for tid in 0..6 {
-            let p = round_robin_placement(tid, cfg.clusters, cfg.threads_per_chip());
+            let p = round_robin_placement(tid, cfg.clusters(), cfg.threads_per_chip());
             assert_eq!(m.placement_of(tid), p);
             assert_eq!(m.tid_at(p.chip, p.cluster, p.ctx), Some(tid));
         }

@@ -87,21 +87,16 @@ impl Cluster {
         Cluster {
             regs: Regs::new(
                 (0..cfg.hw_threads)
-                    .map(|i| ThreadCtx::new(rng.fork(i as u64).next_u64(), cfg.window_entries))
+                    .map(|i| ThreadCtx::new(rng.fork(i as u64).next_u64(), cfg.window_entries()))
                     .collect(),
             ),
-            win: Window::new(cfg.window_entries, cfg.hw_threads),
-            rename: RenamePools::new(cfg.rename_int, cfg.rename_fp),
+            win: Window::new(cfg.window_entries(), cfg.hw_threads),
+            rename: RenamePools::new(cfg.rename_regs(), cfg.rename_regs()),
             lsq: StoreBuffer::new(cfg.store_buffer),
-            fu: FuPool::new(cfg.fu_counts),
+            fu: FuPool::new(cfg.fu_counts()),
             bpred: BranchPredictor::with_kind(cfg.predictor),
             cfg,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     /// Attach a software thread's instruction stream to context `ctx`.

@@ -5,7 +5,8 @@
 //! whole chip always sums to (about) the same hardware: 8 issue slots, 128
 //! window/ROB entries, 128+128 renaming registers, 8/8/8 functional units —
 //! except FA1/SMT1, whose single 8-issue cluster has 6/4/4 units, exactly as
-//! the paper specifies for the conventional superscalar.
+//! the paper specifies for the conventional superscalar. Every budget is
+//! therefore a function of the issue width, and only the width is stored.
 
 /// How the cluster's fetch unit chooses threads each cycle.
 ///
@@ -26,27 +27,18 @@ pub enum FetchPolicy {
     Partitioned2,
 }
 
-/// Resource budget of one cluster.
+/// Resource budget of one cluster: the Table 2 width and contexts, plus the
+/// policies the ablations vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Maximum instructions issued per cycle (also the per-thread fetch
     /// width: "each cluster has its own fetch unit, with a thread capable of
-    /// fetching up to <issue width> instructions/cycle", §3.3).
+    /// fetching up to <issue width> instructions/cycle", §3.3, and the
+    /// retire width: "fetch and retire up to n instructions each cycle",
+    /// §3.1).
     pub issue_width: usize,
     /// Hardware thread contexts in this cluster (1 for FA clusters).
     pub hw_threads: usize,
-    /// Functional units: `[integer, load/store, floating point]`.
-    pub fu_counts: [usize; 3],
-    /// Entries in the shared instruction window / reorder buffer (Table 2
-    /// lists a single figure for both).
-    pub window_entries: usize,
-    /// Integer renaming registers.
-    pub rename_int: usize,
-    /// FP renaming registers.
-    pub rename_fp: usize,
-    /// Instructions retired per cycle (= issue width; §3.1 "fetch and retire
-    /// up to n instructions each cycle").
-    pub retire_width: usize,
     /// Fetch-unit thread-selection policy (paper baseline: round-robin).
     pub fetch_policy: FetchPolicy,
     /// Branch-direction predictor (paper baseline: 2-bit bimodal).
@@ -59,32 +51,42 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster of the given issue width with Table 2's proportional
-    /// budgets: `width × 16` window entries and rename registers of each
-    /// kind, `width` FUs of each kind (capped per the 8-issue special case).
+    /// A cluster of the given issue width with the paper's policies and
+    /// Table 2's proportional budgets (see the budget methods below).
     pub fn for_width(issue_width: usize, hw_threads: usize) -> Self {
         assert!(
             matches!(issue_width, 1 | 2 | 4 | 8),
             "paper uses widths 1/2/4/8"
         );
         assert!(hw_threads >= 1);
-        let fu_counts = if issue_width == 8 {
-            // Table 2: the 8-issue cluster (FA1 / SMT1) has 6/4/4 units.
-            [6, 4, 4]
-        } else {
-            [issue_width, issue_width, issue_width]
-        };
         ClusterConfig {
             issue_width,
             hw_threads,
-            fu_counts,
-            window_entries: issue_width * 16,
-            rename_int: issue_width * 16,
-            rename_fp: issue_width * 16,
-            retire_width: issue_width,
             fetch_policy: FetchPolicy::RoundRobin,
             predictor: crate::bpred::PredictorKind::Bimodal,
             store_buffer: 16,
+        }
+    }
+
+    /// Entries in the shared instruction window / reorder buffer: `width ×
+    /// 16` (Table 2 lists a single figure for both).
+    pub fn window_entries(&self) -> usize {
+        self.issue_width * 16
+    }
+
+    /// Renaming registers in each of the integer and FP pools: `width × 16`
+    /// (Table 2 gives both pools the same size in every row).
+    pub fn rename_regs(&self) -> usize {
+        self.issue_width * 16
+    }
+
+    /// Functional units `[integer, load/store, floating point]`: `width` of
+    /// each, except Table 2's 8-issue cluster (FA1 / SMT1) with 6/4/4.
+    pub fn fu_counts(&self) -> [usize; 3] {
+        if self.issue_width == 8 {
+            [6, 4, 4]
+        } else {
+            [self.issue_width; 3]
         }
     }
 
@@ -109,48 +111,25 @@ impl ClusterConfig {
             ..self
         }
     }
-
-    /// Total issue slots per cycle (for slot accounting).
-    pub fn slots_per_cycle(&self) -> usize {
-        self.issue_width
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Table 2's per-cluster rows.
+    /// Table 2's per-cluster rows: (width, FUs, IQ+ROB, rename regs).
     #[test]
     fn table2_cluster_budgets() {
-        // FA8 / (SMT8): 1-issue clusters.
-        let c1 = ClusterConfig::for_width(1, 1);
-        assert_eq!(c1.fu_counts, [1, 1, 1]);
-        assert_eq!(c1.window_entries, 16);
-        assert_eq!((c1.rename_int, c1.rename_fp), (16, 16));
-        // FA4 / SMT4: 2-issue clusters.
-        let c2 = ClusterConfig::for_width(2, 2);
-        assert_eq!(c2.fu_counts, [2, 2, 2]);
-        assert_eq!(c2.window_entries, 32);
-        assert_eq!((c2.rename_int, c2.rename_fp), (32, 32));
-        // FA2 / SMT2: 4-issue clusters.
-        let c4 = ClusterConfig::for_width(4, 4);
-        assert_eq!(c4.fu_counts, [4, 4, 4]);
-        assert_eq!(c4.window_entries, 64);
-        assert_eq!((c4.rename_int, c4.rename_fp), (64, 64));
-        // FA1 / SMT1: one 8-issue cluster with 6/4/4 units.
-        let c8 = ClusterConfig::for_width(8, 8);
-        assert_eq!(c8.fu_counts, [6, 4, 4]);
-        assert_eq!(c8.window_entries, 128);
-        assert_eq!((c8.rename_int, c8.rename_fp), (128, 128));
-    }
-
-    #[test]
-    fn retire_width_tracks_issue_width() {
-        for w in [1, 2, 4, 8] {
-            let c = ClusterConfig::for_width(w, 1);
-            assert_eq!(c.retire_width, w);
-            assert_eq!(c.slots_per_cycle(), w);
+        for (width, fus, window, rename) in [
+            (1, [1, 1, 1], 16, 16),   // FA8 / (SMT8): 1-issue clusters
+            (2, [2, 2, 2], 32, 32),   // FA4 / SMT4: 2-issue clusters
+            (4, [4, 4, 4], 64, 64),   // FA2 / SMT2: 4-issue clusters
+            (8, [6, 4, 4], 128, 128), // FA1 / SMT1: one 8-issue cluster
+        ] {
+            let c = ClusterConfig::for_width(width, 1);
+            assert_eq!(c.fu_counts(), fus, "width {width}");
+            assert_eq!(c.window_entries(), window, "width {width}");
+            assert_eq!(c.rename_regs(), rename, "width {width}");
         }
     }
 

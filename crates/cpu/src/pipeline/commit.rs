@@ -29,7 +29,7 @@ pub(crate) fn run<P: Probe>(
     cluster_id: u32,
 ) -> u32 {
     let mut committed = 0u32;
-    let mut budget = cfg.retire_width;
+    let mut budget = cfg.issue_width; // §3.1: retire up to n per cycle
     let n_threads = regs.threads.len();
     // Round-robin start keeps retirement fair across contexts.
     for off in 0..n_threads {

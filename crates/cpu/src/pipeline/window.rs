@@ -558,11 +558,11 @@ mod tests {
         fn new() -> Self {
             let cfg = ClusterConfig::for_width(4, 1);
             Rig {
-                win: Window::new(cfg.window_entries, 1),
-                regs: Regs::new(vec![ThreadCtx::new(1, cfg.window_entries)]),
-                rename: RenamePools::new(cfg.rename_int, cfg.rename_fp),
+                win: Window::new(cfg.window_entries(), 1),
+                regs: Regs::new(vec![ThreadCtx::new(1, cfg.window_entries())]),
+                rename: RenamePools::new(cfg.rename_regs(), cfg.rename_regs()),
                 bpred: BranchPredictor::with_kind(cfg.predictor),
-                fu: FuPool::new(cfg.fu_counts),
+                fu: FuPool::new(cfg.fu_counts()),
                 mem: MemorySystem::new(MemConfig::table3(), 1, 7),
                 seq: 0,
             }

@@ -139,12 +139,6 @@ impl DynInst {
         }
     }
 
-    /// Iterate over real (non-zero-register) sources.
-    #[inline]
-    pub fn real_srcs(&self) -> impl Iterator<Item = ArchReg> + '_ {
-        self.srcs.iter().filter_map(|s| *s).filter(|r| !r.is_zero())
-    }
-
     /// Destination register if it is a real renamed register.
     #[inline]
     pub fn real_dest(&self) -> Option<ArchReg> {
@@ -181,7 +175,6 @@ mod tests {
             Some(ArchReg::Int(0)),
             [Some(ArchReg::Int(0)), Some(ArchReg::Int(5))],
         );
-        assert_eq!(i.real_srcs().collect::<Vec<_>>(), vec![ArchReg::Int(5)]);
         assert_eq!(i.real_dest(), None);
     }
 

@@ -7,7 +7,7 @@
 //! and fill time but not the policy, so we use the standard one and note it
 //! in DESIGN.md).
 
-use crate::config::MemConfig;
+use crate::config::{MemConfig, L1_ASSOC, L1_SETS, L2_ASSOC, L2_SETS};
 
 /// Result of a lookup-with-fill operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,12 +78,12 @@ impl Cache {
 
     /// L1 cache per Table 3 dimensions.
     pub fn l1(cfg: &MemConfig) -> Self {
-        Self::new(cfg.l1_sets(), cfg.l1_assoc, cfg.l1_banks)
+        Self::new(L1_SETS, L1_ASSOC, cfg.banks)
     }
 
     /// L2 cache per Table 3 dimensions.
     pub fn l2(cfg: &MemConfig) -> Self {
-        Self::new(cfg.l2_sets(), cfg.l2_assoc, cfg.l2_banks)
+        Self::new(L2_SETS, L2_ASSOC, cfg.banks)
     }
 
     /// Set index with XOR-folded hashing. Plain modulo indexing makes every
@@ -232,6 +232,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{L1_SIZE, L2_SIZE, LINE_SIZE};
 
     fn small() -> Cache {
         // 4 sets, 2-way: 8 lines total.
@@ -361,7 +362,7 @@ mod tests {
         let cfg = MemConfig::table3();
         let l1 = Cache::l1(&cfg);
         let l2 = Cache::l2(&cfg);
-        assert_eq!(l1.sets * l1.assoc * cfg.line_size, cfg.l1_size);
-        assert_eq!(l2.sets * l2.assoc * cfg.line_size, cfg.l2_size);
+        assert_eq!(l1.sets * l1.assoc * LINE_SIZE, L1_SIZE);
+        assert_eq!(l2.sets * l2.assoc * LINE_SIZE, L2_SIZE);
     }
 }

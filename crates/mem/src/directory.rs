@@ -15,7 +15,7 @@
 //! * line modified in another node's L2 ⇒ cache-to-cache transfer
 //!   (remote L2, 75 cycles);
 //! * a write touching a line shared by other nodes invalidates them
-//!   (penalty charged to the writer, see `MemConfig::invalidation_penalty`).
+//!   (penalty charged to the writer, see `config::INVALIDATION_PENALTY`).
 
 use csmt_isa::FxHashMap;
 

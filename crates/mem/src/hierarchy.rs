@@ -11,7 +11,10 @@
 //! banks, MSHRs, links, directory and memory channels).
 
 use crate::cache::{Cache, LookupResult};
-use crate::config::MemConfig;
+use crate::config::{
+    MemConfig, BANK_OCCUPANCY, INVALIDATION_PENALTY, L1_LATENCY, L2_LATENCY, LINE_SIZE,
+    LINK_OCCUPANCY, LOCAL_MEM_LATENCY, MEMORY_OCCUPANCY, TLB_ENTRIES, TLB_MISS_PENALTY,
+};
 use crate::directory::{Directory, Service};
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::resource::Resource;
@@ -90,10 +93,10 @@ impl NodeMem {
         NodeMem {
             l1: Cache::l1(cfg),
             l2: Cache::l2(cfg),
-            l1_banks: (0..cfg.l1_banks).map(|_| Resource::new()).collect(),
-            l2_banks: (0..cfg.l2_banks).map(|_| Resource::new()).collect(),
+            l1_banks: (0..cfg.banks).map(|_| Resource::new()).collect(),
+            l2_banks: (0..cfg.banks).map(|_| Resource::new()).collect(),
             mshr: MshrFile::new(cfg.max_outstanding_loads),
-            tlb: Tlb::new(cfg.tlb_entries, seed),
+            tlb: Tlb::new(TLB_ENTRIES, seed),
             mem_channel: Resource::new(),
             link: Resource::new(),
             stats: MemStats::default(),
@@ -114,7 +117,7 @@ impl MemorySystem {
     /// the paper's high-end machine uses 4.
     pub fn new(cfg: MemConfig, nodes: usize, seed: u64) -> Self {
         assert!(nodes >= 1);
-        let lines_per_page = cfg.page_size / cfg.line_size as u64;
+        let lines_per_page = cfg.page_size / LINE_SIZE as u64;
         let mut rng = csmt_isa::SplitMix64::new(seed);
         MemorySystem {
             nodes: (0..nodes)
@@ -123,11 +126,6 @@ impl MemorySystem {
             dir: Directory::new(nodes, lines_per_page),
             cfg,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     /// Free MSHR slots at `node` at time `now` — the LSQ consults this to
@@ -186,7 +184,6 @@ impl MemorySystem {
         let line = self.cfg.line_of(addr);
         let page = self.cfg.page_of(addr);
         let is_write = kind == AccessKind::Write;
-        let occupancy = self.cfg.bank_occupancy;
 
         let mut t = now;
         let mut tlb_miss = false;
@@ -200,7 +197,7 @@ impl MemorySystem {
             if !n.tlb.access(page) {
                 tlb_miss = true;
                 n.stats.tlb_misses += 1;
-                t += self.cfg.tlb_miss_penalty;
+                t += TLB_MISS_PENALTY;
             }
         }
 
@@ -217,7 +214,7 @@ impl MemorySystem {
                 n.l1.access(line, true);
             }
             return AccessOutcome {
-                complete_at: c.max(t + self.cfg.l1_latency),
+                complete_at: c.max(t + L1_LATENCY),
                 serviced_by: ServicedBy::L2,
                 tlb_miss,
             };
@@ -234,7 +231,7 @@ impl MemorySystem {
         let l1_result = {
             let n = &mut self.nodes[node];
             let bank = n.l1.bank_of(line);
-            let start = n.l1_banks[bank].reserve(t, occupancy);
+            let start = n.l1_banks[bank].reserve(t, BANK_OCCUPANCY);
             n.stats.contention_wait += start - t;
             t = start;
             n.l1.access(line, is_write)
@@ -244,7 +241,7 @@ impl MemorySystem {
             if !needs_upgrade {
                 self.nodes[node].stats.l1_hits += 1;
                 return AccessOutcome {
-                    complete_at: t + self.cfg.l1_latency,
+                    complete_at: t + L1_LATENCY,
                     serviced_by: ServicedBy::L1,
                     tlb_miss,
                 };
@@ -270,7 +267,7 @@ impl MemorySystem {
                 self.nodes[node].stats.l1_hits += 1;
             }
             return AccessOutcome {
-                complete_at: t + self.cfg.l1_latency + lat,
+                complete_at: t + L1_LATENCY + lat,
                 serviced_by: serviced,
                 tlb_miss,
             };
@@ -283,7 +280,7 @@ impl MemorySystem {
                 let n = &mut self.nodes[node];
                 n.stats.writebacks += 1;
                 let bank = n.l2.bank_of(v.line);
-                n.l2_banks[bank].reserve(t, occupancy);
+                n.l2_banks[bank].reserve(t, BANK_OCCUPANCY);
                 // The L2 is inclusive of dirty L1 victims; allocate there.
                 n.l2.access(v.line, true);
             }
@@ -295,7 +292,7 @@ impl MemorySystem {
                 self.nodes[node].stats.mshr_merges += 1;
                 self.nodes[node].stats.l2_hits += 1; // serviced by in-flight fill
                 return AccessOutcome {
-                    complete_at: complete_at.max(t + self.cfg.l1_latency),
+                    complete_at: complete_at.max(t + L1_LATENCY),
                     serviced_by: ServicedBy::L2,
                     tlb_miss,
                 };
@@ -310,7 +307,7 @@ impl MemorySystem {
         let l2_result = {
             let n = &mut self.nodes[node];
             let bank = n.l2.bank_of(line);
-            let start = n.l2_banks[bank].reserve(t, occupancy);
+            let start = n.l2_banks[bank].reserve(t, BANK_OCCUPANCY);
             n.stats.contention_wait += start - t;
             t = start;
             n.l2.access(line, is_write)
@@ -349,7 +346,7 @@ impl MemorySystem {
                 if svc == ServicedBy::L2 {
                     self.nodes[node].stats.l2_hits += 1;
                 }
-                (t + self.cfg.l2_latency + extra, svc)
+                (t + L2_LATENCY + extra, svc)
             }
             LookupResult::Miss { evicted } => {
                 // L2 victim: the L2 is inclusive, so the victim must leave
@@ -361,8 +358,7 @@ impl MemorySystem {
                     if v.dirty || l1_dirty {
                         self.nodes[node].stats.writebacks += 1;
                         let home = self.dir.home_of(v.line);
-                        let occ = self.cfg.memory_occupancy;
-                        self.nodes[home].mem_channel.reserve(t, occ);
+                        self.nodes[home].mem_channel.reserve(t, MEMORY_OCCUPANCY);
                     }
                 }
                 // Directory transaction at the home node.
@@ -432,32 +428,30 @@ impl MemorySystem {
         let home = self.dir.home_of(line);
         let base = match service {
             Service::None => return 0,
-            Service::LocalMem => self.cfg.local_mem_latency,
+            Service::LocalMem => LOCAL_MEM_LATENCY,
             Service::RemoteMem => self.cfg.remote_mem_latency,
             Service::RemoteL2 { .. } => self.cfg.remote_l2_latency,
         };
         // Off-chip messages traverse the requester's network interface.
         if home != node || matches!(service, Service::RemoteL2 { .. }) {
-            let start = self.nodes[node].link.reserve(*t, self.cfg.link_occupancy);
+            let start = self.nodes[node].link.reserve(*t, LINK_OCCUPANCY);
             self.nodes[node].stats.contention_wait += start - *t;
             *t = start;
         }
         // Home memory channel / directory controller.
         {
-            let start = self.nodes[home]
-                .mem_channel
-                .reserve(*t, self.cfg.memory_occupancy);
+            let start = self.nodes[home].mem_channel.reserve(*t, MEMORY_OCCUPANCY);
             self.nodes[node].stats.contention_wait += start - *t;
             *t = start;
         }
         // Owner's link for cache-to-cache transfers.
         if let Service::RemoteL2 { owner } = service {
-            let start = self.nodes[owner].link.reserve(*t, self.cfg.link_occupancy);
+            let start = self.nodes[owner].link.reserve(*t, LINK_OCCUPANCY);
             self.nodes[node].stats.contention_wait += start - *t;
             *t = start;
         }
         let inval = if invalidations > 0 {
-            self.cfg.invalidation_penalty
+            INVALIDATION_PENALTY
         } else {
             0
         };
@@ -481,7 +475,7 @@ impl MemorySystem {
                     let n = &mut self.nodes[victim];
                     n.l1.invalidate(line);
                     n.l2.invalidate(line);
-                    n.link.reserve(now, self.cfg.link_occupancy);
+                    n.link.reserve(now, LINK_OCCUPANCY);
                 }
             }
         }

@@ -186,7 +186,7 @@ fn main() {
                 "{:016x} {} {} chips={} seed={} scale={:?} sched={}",
                 key(cell),
                 cell.workload,
-                cell.chip.kind.name(),
+                cell.chip.kind().name(),
                 cell.n_chips,
                 cell.seed,
                 cell.scale,

@@ -48,7 +48,7 @@ use std::fmt::Write as _;
 pub fn jsonl_line(spec: &RunSpec<'_>, result: &RunResult) -> String {
     Value::Object(vec![
         ("app".into(), spec.workload.to_string().to_value()),
-        ("arch".into(), spec.chip.kind.name().to_value()),
+        ("arch".into(), spec.chip.kind().name().to_value()),
         ("chips".into(), spec.n_chips.to_value()),
         ("seed".into(), spec.seed.to_value()),
         ("scale".into(), spec.scale.to_value()),
@@ -335,7 +335,7 @@ mod tests {
             spec(&app, ArchKind::Fa2, 7),
             RunSpec {
                 mem: MemConfig {
-                    l1_banks: 1,
+                    banks: 1,
                     ..MemConfig::table3()
                 },
                 ..spec(&app, ArchKind::Smt2, 7)

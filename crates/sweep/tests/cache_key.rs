@@ -92,14 +92,7 @@ fn every_knob_changes_the_key() {
             .nth(batch)
             .expect("16 jobs are two batches of 8")
     };
-    let l1_banks = MemConfig {
-        l1_banks: 1,
-        ..MemConfig::table3()
-    };
-    let mshrs = MemConfig {
-        max_outstanding_loads: 4,
-        ..MemConfig::table3()
-    };
+    let table3 = MemConfig::table3;
     let variants = [
         ("base", base.clone()),
         ("arch", cell(ArchKind::Fa4, 1, 0.02, 42)),
@@ -114,8 +107,48 @@ fn every_knob_changes_the_key() {
                 ..base.clone()
             },
         ),
-        ("mem.l1_banks", with_mem(l1_banks)),
-        ("mem.max_outstanding_loads", with_mem(mshrs)),
+        (
+            "mem.banks",
+            with_mem(MemConfig {
+                banks: 1,
+                ..table3()
+            }),
+        ),
+        (
+            "mem.fill_time",
+            with_mem(MemConfig {
+                fill_time: 0,
+                ..table3()
+            }),
+        ),
+        (
+            "mem.max_outstanding_loads",
+            with_mem(MemConfig {
+                max_outstanding_loads: 4,
+                ..table3()
+            }),
+        ),
+        (
+            "mem.remote_mem_latency",
+            with_mem(MemConfig {
+                remote_mem_latency: 120,
+                ..table3()
+            }),
+        ),
+        (
+            "mem.remote_l2_latency",
+            with_mem(MemConfig {
+                remote_l2_latency: 150,
+                ..table3()
+            }),
+        ),
+        (
+            "mem.page_size",
+            with_mem(MemConfig {
+                page_size: 8192,
+                ..table3()
+            }),
+        ),
         (
             "chip.cluster.fetch_policy",
             with_chip(smt2.with_fetch_policy(FetchPolicy::ICount)),
@@ -126,7 +159,7 @@ fn every_knob_changes_the_key() {
         ),
         (
             "chip.cluster.store_buffer",
-            with_chip(smt2.with_cluster(|c| c.with_store_buffer(1))),
+            with_chip(smt2.with_store_buffer(1)),
         ),
         ("job set", jobs(&mix, 0)),
         ("batch index", jobs(&mix, 1)),
@@ -147,7 +180,7 @@ fn every_knob_changes_the_key() {
 #[test]
 fn same_shape_different_kind_still_gets_distinct_keys() {
     // FA8 and SMT8 share the hardware shape (8 clusters × width 1), but
-    // `ChipConfig.kind` is part of the digested configuration, so the
+    // the chip's kind is part of the digested configuration, so the
     // two Table-2 rows never share cache entries.
     let app = by_name("mgrid").unwrap();
     let fa8 = RunSpec::new(&app, ArchKind::Fa8, 1, 0.02, 42);

@@ -2,7 +2,6 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 use csmt_isa::OpClass;
 
@@ -57,20 +56,6 @@ pub struct PipeviewProbe<W: Write = BufWriter<File>> {
     written: u64,
     max_records: u64,
     error: Option<io::Error>,
-}
-
-impl PipeviewProbe<BufWriter<File>> {
-    /// Create a probe writing to the file at `path`, unlimited records.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref();
-        let file = File::create(path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("creating pipeview trace {}: {e}", path.display()),
-            )
-        })?;
-        Ok(Self::new(BufWriter::new(file)))
-    }
 }
 
 impl<W: Write> PipeviewProbe<W> {

@@ -35,25 +35,12 @@
 //!   only after a full drain, arrives only at a free context and only
 //!   after a matching depart, and no context fetches without an owner.
 
-use csmt_core::ChipConfig;
+use csmt_core::{ChipConfig, CHIP_ISSUE_WIDTH};
 use csmt_trace::{
     CacheEvent, CycleStats, Event, FetchEvent, InflightRing, MigrationEvent, MigrationEventKind,
     Probe, RenamePoolEvent, StageEvent, Wants,
 };
 use std::fmt;
-
-/// What the checker does when an invariant breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Record every violation (up to a cap) and keep simulating; the
-    /// caller inspects [`InvariantProbe::finish`].
-    #[default]
-    CollectAll,
-    /// Panic on the first violation with its full report — the simulation
-    /// stops at the offending cycle, which is the cheapest way to land a
-    /// debugger there.
-    FailFast,
-}
 
 /// The class of invariant a [`Violation`] broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,8 +160,8 @@ impl Stage {
 struct ClusterState {
     window_cap: usize,
     issue_width: usize,
-    rename_int: u64,
-    rename_fp: u64,
+    /// Size of each renaming pool (int and FP are equal, Table 2).
+    rename_regs: u64,
     hw_threads: u32,
     /// uid → (stage, hardware thread).
     inflight: InflightRing<(Stage, u32)>,
@@ -211,7 +198,6 @@ struct NodeState {
 /// `*_probed` entry point, run the simulation, then call
 /// [`finish`](InvariantProbe::finish).
 pub struct InvariantProbe {
-    mode: Mode,
     clusters: Vec<ClusterState>,
     nodes: Vec<NodeState>,
     /// Issue slots the whole machine offers per cycle.
@@ -233,22 +219,21 @@ pub struct InvariantProbe {
     in_transit: Vec<u32>,
 }
 
-/// Cap on stored violations in [`Mode::CollectAll`]; a genuinely broken
-/// pipeline violates invariants every cycle, and the first few are the
-/// informative ones.
+/// Cap on stored violations: a genuinely broken pipeline violates
+/// invariants every cycle, and the first few are the informative ones.
 const MAX_STORED: usize = 1024;
 
 impl InvariantProbe {
-    /// A checker for `n_chips` chips of configuration `chip`, in
-    /// [`Mode::CollectAll`].
+    /// A checker for `n_chips` chips of configuration `chip`. It records
+    /// every violation (up to a cap) and keeps simulating; the caller
+    /// inspects [`finish`](InvariantProbe::finish).
     pub fn new(chip: &ChipConfig, n_chips: usize) -> Self {
-        let c = &chip.cluster;
-        let clusters = (0..chip.clusters * n_chips)
+        let c = chip.cluster();
+        let clusters = (0..chip.clusters() * n_chips)
             .map(|_| ClusterState {
-                window_cap: c.window_entries,
+                window_cap: c.window_entries(),
                 issue_width: c.issue_width,
-                rename_int: c.rename_int as u64,
-                rename_fp: c.rename_fp as u64,
+                rename_regs: c.rename_regs() as u64,
                 hw_threads: c.hw_threads as u32,
                 inflight: InflightRing::new(),
                 owner: vec![None; c.hw_threads],
@@ -263,15 +248,14 @@ impl InvariantProbe {
             .collect();
         let nodes = (0..n_chips)
             .map(|_| NodeState {
-                cap: chip.clusters * c.store_buffer,
+                cap: chip.clusters() * c.store_buffer,
                 pending: Vec::new(),
             })
             .collect();
         InvariantProbe {
-            mode: Mode::CollectAll,
             clusters,
             nodes,
-            machine_slots: (chip.chip_issue_width() * n_chips) as u64,
+            machine_slots: (CHIP_ISSUE_WIDTH * n_chips) as u64,
             thread_capacity: (chip.threads_per_chip() * n_chips) as u32,
             prev_stats: None,
             commit_events: 0,
@@ -283,13 +267,6 @@ impl InvariantProbe {
             sched_aware: false,
             in_transit: Vec::new(),
         }
-    }
-
-    /// The same checker in [`Mode::FailFast`]: panic at the first
-    /// violation instead of collecting.
-    pub fn fail_fast(mut self) -> Self {
-        self.mode = Mode::FailFast;
-        self
     }
 
     /// Violations recorded so far (empty on a clean run).
@@ -363,15 +340,10 @@ impl InvariantProbe {
     }
 
     fn record(&mut self, v: Violation) {
-        match self.mode {
-            Mode::FailFast => panic!("invariant violation: {v}"),
-            Mode::CollectAll => {
-                if self.violations.len() < MAX_STORED {
-                    self.violations.push(v);
-                } else {
-                    self.dropped += 1;
-                }
-            }
+        if self.violations.len() < MAX_STORED {
+            self.violations.push(v);
+        } else {
+            self.dropped += 1;
         }
     }
 
@@ -824,8 +796,8 @@ impl InvariantProbe {
         };
         let c = &self.clusters[ci];
         for (file, free, held, pool) in [
-            ("int", e.int_free, e.int_held, c.rename_int),
-            ("fp", e.fp_free, e.fp_held, c.rename_fp),
+            ("int", e.int_free, e.int_held, c.rename_regs),
+            ("fp", e.fp_free, e.fp_held, c.rename_regs),
         ] {
             if u64::from(free) + u64::from(held) != pool {
                 self.record(Violation {
@@ -1073,13 +1045,6 @@ mod tests {
         let v = &p.violations()[0];
         assert_eq!(v.kind, ViolationKind::RenameConservation);
         assert!(v.detail.contains("fp"), "{v}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant violation")]
-    fn fail_fast_panics_on_first_violation() {
-        let mut p = probe().fail_fast();
-        p.commit(stage(1, 0, 7));
     }
 
     fn mig(

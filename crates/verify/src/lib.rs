@@ -10,11 +10,8 @@
 //!   the Table 2 budgets, rename-register conservation, per-cycle issue ≤
 //!   cluster width, `fetched == committed + squashed` at drain, §4.1
 //!   hazard-slot conservation, and cluster confinement (no wakeup crosses
-//!   a cluster boundary). Fail-fast or collect-all, with structured
-//!   [`Violation`] reports.
-//! * `ChipConfig::validate` (in `csmt-core`) — the static counterpart:
-//!   budgets partition exactly per Table 2, FA thread assignment is total
-//!   and disjoint, SMT/FA width sums equal 8.
+//!   a cluster boundary). Every violation is collected as a structured
+//!   [`Violation`] report.
 //! * [`lint`] — stream-level static analysis of the synthetic workloads
 //!   (dangling sources, out-of-span branch targets, unbalanced sync),
 //!   driven by the `csmt-lint` binary.
@@ -47,7 +44,7 @@ pub mod invariants;
 pub mod lint;
 
 pub use digest::{EventDigest, Fnv64, SchedEventDigest};
-pub use invariants::{InvariantProbe, Mode, VerifySummary, Violation, ViolationKind};
+pub use invariants::{InvariantProbe, VerifySummary, Violation, ViolationKind};
 pub use lint::{
     lint_app, lint_stream, lint_threads, materialize, LintIssue, LintKind, LintSeverity,
 };

@@ -1,10 +1,9 @@
 //! Golden invariant run: every Table 2 architecture simulates `mgrid`
 //! under the full [`InvariantProbe`], once per scheduling policy, and must
-//! finish with zero violations. This is the dynamic half of the
-//! static-analysis gate — the config linter proves the budgets are right
-//! on paper, this proves the pipeline honors them cycle by cycle, with
-//! and without threads migrating (the fixed-assignment rows exercise the
-//! dynamic-policy → static degrade rule).
+//! finish with zero violations. The budgets are Table 2 by construction
+//! (`ArchKind::chip`); this proves the pipeline honors them cycle by
+//! cycle, with and without threads migrating (the fixed-assignment rows
+//! exercise the dynamic-policy → static degrade rule).
 //!
 //! A clean verdict alone would also be what a checker that stopped
 //! looking reports, so each run's full [`VerifySummary`] is pinned too:
@@ -63,10 +62,7 @@ fn all_architectures_run_clean_under_invariant_probe() {
     for sched in POLICY_NAMES {
         for kind in ArchKind::ALL {
             let what = format!("{} under {sched}", kind.name());
-            let chip = kind.chip();
-            chip.validate()
-                .unwrap_or_else(|e| panic!("{what}: config invalid: {e:?}"));
-            let mut probe = InvariantProbe::new(&chip, 1);
+            let mut probe = InvariantProbe::new(&kind.chip(), 1);
             let result = RunSpec {
                 sched,
                 ..RunSpec::new(&app, kind, 1, SCALE, SEED)

@@ -91,10 +91,10 @@ impl FaultInjector {
             inner: InvariantProbe::new(chip, n_chips),
             fault,
             armed: fault != Fault::None,
-            window_cap: chip.cluster.window_entries,
-            issue_width: chip.cluster.issue_width,
-            store_cap: chip.clusters * chip.cluster.store_buffer,
-            n_clusters: (chip.clusters * n_chips) as u32,
+            window_cap: chip.cluster().window_entries(),
+            issue_width: chip.cluster().issue_width,
+            store_cap: chip.clusters() * chip.cluster().store_buffer,
+            n_clusters: (chip.clusters() * n_chips) as u32,
             threads: HashMap::new(),
             slot_tid: HashMap::new(),
             held_commit: None,

@@ -59,7 +59,8 @@ impl std::fmt::Display for Workload<'_> {
 pub struct RunSpec<'a> {
     /// What to run.
     pub workload: Workload<'a>,
-    /// Chip configuration (any shape, not only Table 2's).
+    /// Chip configuration: a Table 2 row ([`ArchKind::chip`]), possibly
+    /// with an ablated fetch policy, predictor or store buffer.
     pub chip: ChipConfig,
     /// Machine size in chips.
     pub n_chips: usize,
@@ -185,7 +186,7 @@ pub fn simulate_probed<P: csmt_trace::Probe>(
     RunSpec {
         chip,
         mem,
-        ..RunSpec::new(app, chip.kind, n_chips, scale, seed)
+        ..RunSpec::new(app, chip.kind(), n_chips, scale, seed)
     }
     .run_probed(probe)
 }

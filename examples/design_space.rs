@@ -37,7 +37,7 @@ fn main() {
     for arch in archs {
         let r = simulate(&app, arch, 1, scale, 42);
         // §5.2: 8-issue clusters pay a 2× cycle-time penalty.
-        let clock = if arch.chip().cluster.issue_width == 8 {
+        let clock = if arch.chip().cluster().issue_width == 8 {
             2.0
         } else {
             1.0

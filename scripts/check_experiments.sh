@@ -21,10 +21,10 @@ trap 'rm -rf "$TMP"' EXIT
 # different experiment (0.5 was meant) and not a panic: exit 2 with a
 # diagnosis on stderr.
 must_exit_2() {
-  local want="$1" status=0
-  shift
+  local want="$1" pkg="$2" status=0
+  shift 2
   echo "==> $* must exit 2"
-  cargo run -q --release --offline -p csmt-bench --bin "$@" \
+  cargo run -q --release --offline -p "$pkg" --bin "$@" \
     >/dev/null 2>"$TMP/typo.err" || status=$?
   if [ "$status" -ne 2 ] || ! grep -qF -- "$want" "$TMP/typo.err"; then
     echo "check_experiments: $* exited $status, want 2 and a diagnosis:" >&2
@@ -32,18 +32,20 @@ must_exit_2() {
     exit 1
   fi
 }
-must_exit_2 'argument 2 "O.1" is not a valid' csmt-study -- fetch_policies O.1
-must_exit_2 'argument 2 "O.1" is not a valid' csmt-study -- fig9 O.1
-must_exit_2 'unknown study "nosuchstudy" (valid studies: fig1, fig4,' csmt-study -- nosuchstudy
-must_exit_2 '--sched does not apply to fig9 (it applies to fig4,' csmt-study -- fig9 --sched barrier
-must_exit_2 'unexpected argument 3 "7" (see --help)' csmt-study -- fetch_policies 0.5 7
-must_exit_2 '--from takes no other argument, got --verify' csmt-report -- --from /nonexistent --verify
-must_exit_2 'unknown application "nosuchapp" (valid applications: swim,' csmt-report -- SMT2 nosuchapp
-must_exit_2 '/nonexistent: No such file or directory' csmt-report -- --from /nonexistent
+must_exit_2 'argument 2 "O.1" is not a valid' csmt-bench csmt-study -- fetch_policies O.1
+must_exit_2 'argument 2 "O.1" is not a valid' csmt-bench csmt-study -- fig9 O.1
+must_exit_2 'unknown study "nosuchstudy" (valid studies: fig1, fig4,' csmt-bench csmt-study -- nosuchstudy
+must_exit_2 '--sched does not apply to fig9 (it applies to fig4,' csmt-bench csmt-study -- fig9 --sched barrier
+must_exit_2 'unexpected argument 3 "7" (see --help)' csmt-bench csmt-study -- fetch_policies 0.5 7
+must_exit_2 '--from takes no other argument, got --verify' csmt-bench csmt-report -- --from /nonexistent --verify
+must_exit_2 'unknown application "nosuchapp" (valid applications: swim,' csmt-bench csmt-report -- SMT2 nosuchapp
+must_exit_2 '/nonexistent: No such file or directory' csmt-bench csmt-report -- --from /nonexistent
 printf '{"cycle": 1000}\nnot json\n' >"$TMP/bad.jsonl"
-must_exit_2 'bad.jsonl:2: bad heartbeat JSON' csmt-report -- --from "$TMP/bad.jsonl"
-must_exit_2 '/dev/null/out: Not a directory' csmt-report -- SMT2 mgrid 0.02 1 --out /dev/null/out
-must_exit_2 '/dev/null/out.jsonl: Not a directory' csmt-study -- fig4 0.02 --out /dev/null/out.jsonl
+must_exit_2 'bad.jsonl:2: bad heartbeat JSON' csmt-bench csmt-report -- --from "$TMP/bad.jsonl"
+must_exit_2 '/dev/null/out: Not a directory' csmt-bench csmt-report -- SMT2 mgrid 0.02 1 --out /dev/null/out
+must_exit_2 '/dev/null/out.jsonl: Not a directory' csmt-bench csmt-study -- fig4 0.02 --out /dev/null/out.jsonl
+must_exit_2 'argument 1 "abc" is not a valid f64' csmt-verify csmt-lint -- abc
+must_exit_2 'unexpected argument 3 "7"' csmt-verify csmt-lint -- 0.02 8 7
 
 # One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
 check_block() {

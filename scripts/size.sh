@@ -20,12 +20,12 @@ rs_lines() {
   echo "$total"
 }
 
-# `pub <name>:` fields inside `pub struct $1 { ... }` in file $2.
+# Fields (public or private) inside `pub struct $1 { ... }` in file $2.
 struct_fields() {
   awk -v open="pub struct $1 {" '
     $0 == open { inside = 1; next }
     inside && /^}/ { inside = 0 }
-    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    inside && /^    (pub(\([a-z]+\))? )?[a-z_0-9]+:/ { n++ }
     END { print n + 0 }' "$2"
 }
 
@@ -80,6 +80,7 @@ cat <<EOF
   "run_entry_points": $(count '^ *pub fn ' crates/workloads/src/runner.rs crates/workloads/src/multiprogram.rs),
   "config_fields": {
     "ClusterConfig": $(struct_fields ClusterConfig crates/cpu/src/config.rs),
+    "ChipConfig": $(struct_fields ChipConfig crates/core/src/configs.rs),
     "MemConfig": $(struct_fields MemConfig crates/mem/src/config.rs)
   },
   "lint_exceptions": $(lint_exceptions)

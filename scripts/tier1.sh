@@ -40,7 +40,7 @@ for f in report.json heartbeat_SMT2.jsonl pipeview_SMT2.trace metrics_SMT2_mgrid
 done
 cargo run -q --release -p csmt-bench --bin csmt-report -- --from "$SWEEP_TMP/report/heartbeat_SMT2.jsonl" >/dev/null
 
-echo "==> csmt-lint (Table 2 configs + workload streams)"
+echo "==> csmt-lint (scheduler policies x Table 2 archs + workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint
 
 echo "==> invariant golden run (all architectures x all scheduling policies under InvariantProbe)"

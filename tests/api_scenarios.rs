@@ -1,10 +1,10 @@
 //! Cross-crate scenarios driving the public API with hand-built workloads:
 //! lock mutual exclusion through the full pipeline, coherence visibility
-//! across chips, custom architectures outside Table 2, and mid-run
-//! inspection.
+//! across chips, a policy-ablated Table 2 chip, and mid-run inspection.
 
 use clustered_smt::prelude::*;
-use csmt_core::{ArchKind, ChipConfig, Machine};
+use csmt_core::{ArchKind, Machine};
+use csmt_cpu::{FetchPolicy, PredictorKind};
 use csmt_isa::stream::VecStream;
 use csmt_isa::ArchReg;
 
@@ -133,16 +133,16 @@ fn cross_chip_sharing_costs_coherence_traffic() {
 }
 
 #[test]
-fn custom_architecture_outside_table2() {
-    // A hypothetical 2-cluster chip of 2-issue SMT clusters (a "SMT4-lite"
-    // with only 4 contexts): the API supports arbitrary shapes.
-    let cfg = ChipConfig {
-        kind: ArchKind::Smt4, // closest label, used for reporting only
-        clusters: 2,
-        cluster: ClusterConfig::for_width(2, 2),
-    };
+fn custom_policies_on_a_table2_chip() {
+    // Every policy the ablations vary at once, on SMT4's Table 2 shape,
+    // filled to half its 8 contexts.
+    let cfg = ArchKind::Smt4
+        .chip()
+        .with_fetch_policy(FetchPolicy::ICount)
+        .with_predictor(PredictorKind::StaticTaken)
+        .with_store_buffer(1);
     let mut m = Machine::new(cfg, 1, MemConfig::table3(), 5);
-    assert_eq!(m.hw_thread_capacity(), 4);
+    assert_eq!(m.hw_thread_capacity(), 8);
     m.attach_threads(
         (0..4)
             .map(|t| -> Box<dyn InstStream + Send> {

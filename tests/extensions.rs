@@ -103,8 +103,7 @@ fn smt2_advantage_over_fa2_is_memory_level_parallelism() {
     let baseline = speedup(MemConfig::table3());
     assert!(baseline > 1.3, "baseline SMT2 speedup {baseline:.2}");
     let one_bank = speedup(MemConfig {
-        l1_banks: 1,
-        l2_banks: 1,
+        banks: 1,
         ..MemConfig::table3()
     });
     let four_mshrs = speedup(MemConfig {
@@ -186,9 +185,7 @@ fn store_buffer_backpressure_visible_only_when_tiny() {
     let app = by_name("swim").unwrap();
     let roomy = simulate(&app, ArchKind::Fa2, 1, SCALE, 7);
     let tiny = RunSpec {
-        chip: ArchKind::Fa2
-            .chip()
-            .with_cluster(|c| c.with_store_buffer(1)),
+        chip: ArchKind::Fa2.chip().with_store_buffer(1),
         ..RunSpec::new(&app, ArchKind::Fa2, 1, SCALE, 7)
     }
     .run();

@@ -159,7 +159,7 @@ fn smt2_close_to_centralized_smt1() {
 #[test]
 fn clock_adjusted_smt2_wins_everywhere() {
     let adjusted = |app: &str, arch: ArchKind| {
-        let clock = if arch.chip().cluster.issue_width == 8 {
+        let clock = if arch.chip().cluster().issue_width == 8 {
             2.0
         } else {
             1.0

@@ -360,7 +360,7 @@ fn histograms_carry_pipeline_shaped_values() {
     assert!(report.mshr_residency.min() >= 1);
     // Occupancy snapshots: one per cluster per cycle, bounded by the
     // window size.
-    let window = ArchKind::Fa4.chip().cluster.window_entries as u64;
+    let window = ArchKind::Fa4.chip().cluster().window_entries() as u64;
     for (c, h) in report.window_occ.iter().enumerate() {
         assert_eq!(h.count(), r.cycles, "cluster {c} occupancy samples");
         assert!(h.max() <= window, "cluster {c}: occupancy above window");
