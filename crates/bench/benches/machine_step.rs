@@ -141,7 +141,7 @@ fn probe_scenarios() -> [ProbedScenario; 4] {
             cycles
         }),
         ("smt2_probed_metrics", || {
-            let mut p = MetricsProbe::new(1000);
+            let mut p = MetricsProbe::default();
             let cycles = run_probed(&mut p);
             black_box(p.finish());
             cycles

@@ -1,27 +1,21 @@
 //! `csmt-report` — the probed-cell command: run one application on one
 //! or more Table-2 architectures with the `csmt-metrics` collector
 //! attached and print, per architecture, the cycle and memory-system
-//! summary plus the top-down bottleneck breakdown; or replay a saved
-//! heartbeat JSONL stream.
+//! summary plus the top-down bottleneck breakdown.
 //!
 //! ```text
 //! csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)
 //!             [--verify] [--profile] [--out <dir>] [--sched <policy>]
-//! csmt-report --from <heartbeat.jsonl>
 //! ```
 //!
 //! `--verify` attaches csmt-verify's `InvariantProbe` (exit 2 on any
 //! violation); `--profile` times the simulator's own phases over the whole
 //! run; `--out <dir>` writes every artifact into `<dir>`: per
-//! architecture `metrics_<arch>_<app>.json` + `perfetto_<arch>_<app>.json`
-//! (drag into ui.perfetto.dev), `heartbeat_<arch>.jsonl` +
-//! `pipeview_<arch>.trace` (Konata), and `report.json` (every
-//! architecture's full `RunResult` and summary row). `--from` rebuilds the
-//! attribution tree from a heartbeat stream written by `--out` (histograms
-//! need the live event stream, so the replay omits them) and takes no
-//! other argument. Input from outside the program — a bad or surplus
-//! argument, an unreadable stream, an unwritable `--out` — exits 2 with a
-//! diagnosis.
+//! architecture `metrics_<arch>_<app>.json` (the attribution tree),
+//! `heartbeat_<arch>.jsonl` + `pipeview_<arch>.trace` (Konata), and
+//! `report.json` (every architecture's full `RunResult` and summary row).
+//! Input from outside the program — a bad or surplus argument, an
+//! unwritable `--out` — exits 2 with a diagnosis.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -30,14 +24,14 @@ use std::path::{Path, PathBuf};
 use csmt_bench::FIGURE_SEED;
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
-use csmt_metrics::{AttributionTree, HostProfiler, MetricsProbe};
+use csmt_metrics::{HostProfiler, MetricsProbe};
 use csmt_sweep::{arch_by_name, fail, Cli};
-use csmt_trace::{IntervalSampler, PipeviewProbe, HAZARD_LABELS};
+use csmt_trace::{IntervalSampler, PipeviewProbe};
 use csmt_verify::InvariantProbe;
 use csmt_workloads::{all_apps, by_name, RunSpec};
 use serde::{Serialize, Value};
 
-/// Heartbeat / counter sampling interval in cycles.
+/// Heartbeat interval in cycles.
 const TRACE_INTERVAL: u64 = 1000;
 /// Keeps O3PipeView output bounded (~200 bytes/record).
 const PIPEVIEW_MAX_RECORDS: u64 = 200_000;
@@ -49,12 +43,11 @@ fn usage() -> String {
          usage:\n\
          \x20 csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)\n\
          \x20             [--verify] [--profile] [--out <dir>] [--sched <policy>]\n\
-         \x20 csmt-report --from <heartbeat.jsonl>   attribution from a saved heartbeat stream\n\
          \n\
          \x20 --verify          attach the invariant checker; exit 2 on any violation\n\
          \x20 --profile         print where the simulator's own host time went\n\
-         \x20 --out <dir>       write metrics + Perfetto JSON, heartbeat + pipeview\n\
-         \x20                   traces per arch, and report.json, into <dir>\n\
+         \x20 --out <dir>       write metrics JSON, heartbeat + pipeview traces per\n\
+         \x20                   arch, and report.json, into <dir>\n\
          \x20 --sched <policy>  thread-to-cluster policy (default: static; {})\n\
          \n\
          archs: {}\n",
@@ -66,41 +59,6 @@ fn usage() -> String {
 /// `<path>: <error>` and exit 2.
 fn fail_at(path: &Path, e: impl std::fmt::Display) -> ! {
     fail(&format!("{}: {e}", path.display()))
-}
-
-/// Rebuild the attribution tree by telescoping a heartbeat JSONL stream:
-/// raw slot counts across records sum to the run's final `SlotStats`
-/// (the sampler guarantees this), so the replayed tree equals the live
-/// one. Also returns the number of records.
-///
-/// # Errors
-/// `path: …` when the stream cannot be read, `path:line: …` on a line
-/// that is not JSON.
-fn replay_heartbeat(path: &str) -> Result<(AttributionTree, usize), String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (mut useful, mut wasted) = (0.0f64, [0.0f64; 7]);
-    let (mut slots, mut cycles, mut committed, mut records) = (0u64, 0u64, 0u64, 0);
-    for (n, line) in body.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: Value = serde_json::from_str(line)
-            .map_err(|e| format!("{path}:{}: bad heartbeat JSON: {e}", n + 1))?;
-        let f = |key: &str| rec.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        let u = |key: &str| rec.get(key).and_then(Value::as_u64).unwrap_or(0);
-        useful += f("useful_slots");
-        slots += u("slots");
-        cycles += u("cycles");
-        committed += u("committed");
-        if let Some(w) = rec.get("wasted_slots") {
-            for (i, label) in HAZARD_LABELS.iter().enumerate() {
-                wasted[i] += w.get(label).and_then(Value::as_f64).unwrap_or(0.0);
-            }
-        }
-        records += 1;
-    }
-    let tree = AttributionTree::from_slots(useful, &wasted, slots, cycles, committed);
-    Ok((tree, records))
 }
 
 /// The summary row of one architecture: cycles, IPC, hazard fractions,
@@ -135,7 +93,6 @@ fn traces(dir: &Path, arch: ArchKind) -> (IntervalSampler, PipeviewProbe<BufWrit
 fn main() {
     let cli = Cli::parse(
         &[
-            ("--from", true),
             ("--verify", false),
             ("--profile", false),
             ("--out", true),
@@ -144,15 +101,6 @@ fn main() {
         4,
         &usage(),
     );
-    if let Some(path) = cli.value("--from") {
-        cli.alone("--from");
-        let (tree, records) = replay_heartbeat(path).unwrap_or_else(|e| fail(&e));
-        println!("== csmt-report: replay of {path} ==");
-        print!("{}", tree.render_text());
-        println!("ipc timeline: {records} heartbeat records (histograms need a live run)");
-        return;
-    }
-
     let arch_list: String = cli.arg(0, "SMT2".into());
     let archs: Vec<ArchKind> = arch_list
         .split(',')
@@ -193,7 +141,7 @@ fn main() {
             ..RunSpec::new(&app, arch, chips, scale, FIGURE_SEED)
         };
         let mut probe = (
-            MetricsProbe::new(TRACE_INTERVAL),
+            MetricsProbe::default(),
             (
                 profiler.as_mut(),
                 (
@@ -251,14 +199,10 @@ fn main() {
             heartbeat.finish().unwrap_or_else(|e| fail_at(dir, e));
             pipeview.finish().unwrap_or_else(|e| fail_at(dir, e));
             let json = dir.join(format!("metrics_{}_{}.json", arch.name(), app.name));
-            let trace = dir.join(format!("perfetto_{}_{}.json", arch.name(), app.name));
             report
                 .write_json(&json)
                 .unwrap_or_else(|e| fail_at(&json, e));
-            report
-                .write_perfetto(&trace)
-                .unwrap_or_else(|e| fail_at(&trace, e));
-            written.extend([json, trace]);
+            written.push(json);
             summaries.push(summary_row(&r));
         }
     }

@@ -23,9 +23,7 @@ use crate::pipeline::{commit, fetch, regs};
 use crate::stats::{CycleActivity, SlotStats};
 use csmt_isa::{ArchReg, InstStream, SyncOp};
 use csmt_mem::MemorySystem;
-use csmt_trace::{
-    emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants, WindowOccEvent,
-};
+use csmt_trace::{emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants};
 
 pub use crate::pipeline::regs::ThreadState;
 
@@ -343,22 +341,21 @@ impl Cluster {
         host.lap(probe, HostPhase::Fetch);
         regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
         host.lap(probe, HostPhase::Account);
-        self.emit_snapshots(now, probe, cluster_id);
+        self.emit_snapshot(now, probe, cluster_id);
         CycleActivity {
             useful: useful as u32,
             committed,
         }
     }
 
-    /// The two end-of-cycle snapshots. Register conservation: every
+    /// The end-of-cycle rename-pool snapshot. Register conservation: every
     /// allocated renaming register is held by exactly one window slot
     /// (fetch allocates before install; release returns it on both commit
     /// and squash). `held` is counted by scanning the window's per-slot
     /// `dest` array — 2 bytes a slot, written only by install and
     /// release — so it stays evidence independent of the free counters
-    /// (DESIGN §9). Window/ready-queue occupancy feeds the `csmt-metrics`
-    /// occupancy histograms.
-    fn emit_snapshots<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
+    /// (DESIGN §9).
+    fn emit_snapshot<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
         emit(probe, Wants::POOL, || {
             let (mut int_held, mut fp_held) = (0u32, 0u32);
             // Branch-free: the slot-by-slot pattern of empty / int / fp
@@ -374,14 +371,6 @@ impl Cluster {
                 fp_free: self.rename.fp_free as u32,
                 int_held,
                 fp_held,
-            })
-        });
-        emit(probe, Wants::OCC, || {
-            Event::WindowOcc(WindowOccEvent {
-                cycle: now,
-                cluster: cluster_id,
-                occupied: self.win.occupancy() as u32,
-                ready: self.win.ready_len() as u32,
             })
         });
     }

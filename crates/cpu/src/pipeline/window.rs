@@ -198,16 +198,6 @@ impl Window {
         !self.free_slots.is_empty()
     }
 
-    /// Valid (installed) entries — window/ROB occupancy right now.
-    pub fn occupancy(&self) -> usize {
-        self.entries.len() - self.free_slots.len()
-    }
-
-    /// Entries with every operand available, awaiting an issue slot.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Per hardware context, its live entries by §4.1 class.
     pub fn class_counts(&self) -> &[[u32; HazardClass::COUNT]] {
         &self.class_counts

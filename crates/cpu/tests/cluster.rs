@@ -439,8 +439,8 @@ fn tiny_store_buffer_throttles_store_bursts() {
 }
 
 /// Every simulated-machine channel (not the host stopwatch's), each event
-/// reduced to a label: the two snapshots by kind, anything else by its
-/// full rendering.
+/// reduced to a label: the rename-pool snapshot by kind, anything else by
+/// its full rendering.
 #[derive(Default)]
 struct Recorder(Vec<String>);
 
@@ -449,13 +449,11 @@ impl Probe for Recorder {
         .union(Wants::CACHE)
         .union(Wants::CYCLE_STATS)
         .union(Wants::POOL)
-        .union(Wants::OCC)
         .union(Wants::SCHED);
 
     fn on(&mut self, ev: &Event<'_>) {
         self.0.push(match ev {
             Event::RenamePools(_) => "pool".into(),
-            Event::WindowOcc(_) => "occ".into(),
             other => format!("{other:?}"),
         });
     }
@@ -488,7 +486,7 @@ fn step_recorded(
 /// after some work and a mispredict-prone branch run, context 1 by
 /// exiting — then steps `k` cycles with nothing in flight and nothing
 /// runnable: each must be exactly one sync-only `record_cycle`, report no
-/// activity, and emit only the two snapshots. This is what any per-cluster
+/// activity, and emit only the rename-pool snapshot. This is what any per-cluster
 /// skip of such cycles must reproduce (DESIGN §11). Resumed after more
 /// than the completion ring's span, the context then finishes normally.
 #[test]
@@ -531,7 +529,7 @@ fn a_parked_cluster_cycle_is_exactly_a_sync_only_record_cycle() {
         let (act, events, labels) = step_recorded(&mut c, &mut mem, now);
         assert_eq!(act, CycleActivity::default(), "cycle {now}");
         assert!(events.is_empty(), "cycle {now}: {events:?}");
-        assert_eq!(labels, ["pool", "occ"], "cycle {now}");
+        assert_eq!(labels, ["pool"], "cycle {now}");
         now += 1;
     }
     assert_eq!(stat_bits(c.stats()), stat_bits(&want));

@@ -1,6 +1,6 @@
-//! [`MetricsReport`]: the finished artifact a [`MetricsProbe`] run
-//! produces — attribution tree, histograms, timelines, and the Perfetto
-//! trace — with text and JSON renderers.
+//! [`MetricsReport`]: what a [`MetricsProbe`] run produces — the
+//! attribution tree and the migration totals — with text and JSON
+//! renderers.
 //!
 //! [`MetricsProbe`]: crate::MetricsProbe
 
@@ -10,40 +10,14 @@ use std::path::Path;
 
 use serde::Value;
 
-use crate::hist::LogHistogram;
-use crate::perfetto::PerfettoTrace;
 use crate::topdown::AttributionTree;
 
 /// Everything [`MetricsProbe::finish`](crate::MetricsProbe::finish)
-/// distills from one run. Per-thread keys are `(cluster, hw context)`
-/// pairs, sorted; per-cluster vectors are indexed by machine-global
-/// cluster id.
+/// distills from one run.
 #[derive(Debug)]
 pub struct MetricsReport {
     /// Top-down stall-attribution tree over the final slot accounting.
     pub topdown: AttributionTree,
-    /// Fetch→commit lifetime of committed instructions, per cluster.
-    pub lifetime_by_cluster: Vec<LogHistogram>,
-    /// Fetch→commit lifetime per (cluster, hw context).
-    pub lifetime_by_thread: Vec<((u32, u32), LogHistogram)>,
-    /// Committed instructions per (cluster, hw context).
-    pub committed_by_thread: Vec<((u32, u32), u64)>,
-    /// Load-to-use latency (load issue → data available), machine-wide.
-    pub load_use: LogHistogram,
-    /// Load-to-use latency per NUMA node (chip).
-    pub load_use_by_node: Vec<LogHistogram>,
-    /// MSHR residency: fill latency of every access past the L1.
-    pub mshr_residency: LogHistogram,
-    /// Instruction-window (= ROB) occupancy snapshots, per cluster.
-    pub window_occ: Vec<LogHistogram>,
-    /// Ready-but-unissued entry counts, per cluster.
-    pub ready_occ: Vec<LogHistogram>,
-    /// `(cycle, interval IPC)` samples at each interval boundary.
-    pub ipc_timeline: Vec<(u64, f64)>,
-    /// The Perfetto/Chrome trace-event document for this run.
-    pub trace: PerfettoTrace,
-    /// Occupancy slices beyond the cap that were counted but not kept.
-    pub slices_dropped: u64,
     /// Thread migrations completed by the scheduling policy (0 under the
     /// static policy).
     pub migrations: u64,
@@ -52,55 +26,11 @@ pub struct MetricsReport {
     pub migration_wait_cycles: u64,
 }
 
-/// One `name  summary` line, indented two spaces per `depth`.
-fn hist_line(out: &mut String, depth: usize, name: &str, h: &LogHistogram) {
-    let _ = writeln!(
-        out,
-        "{:indent$}{name:<24} {}",
-        "",
-        h.summary(),
-        indent = depth * 2
-    );
-}
-
 impl MetricsReport {
-    /// The human-readable report: attribution tree, histogram table,
-    /// and the IPC-timeline envelope.
+    /// The human-readable report: the attribution tree, then the
+    /// migrations when there were any.
     pub fn render_text(&self) -> String {
         let mut out = self.topdown.render_text();
-        out.push_str("\nhistograms (cycles unless noted):\n");
-        for (c, h) in self.lifetime_by_cluster.iter().enumerate() {
-            hist_line(&mut out, 1, &format!("fetch_to_commit/c{c}"), h);
-        }
-        for ((c, t), h) in &self.lifetime_by_thread {
-            hist_line(&mut out, 2, &format!("thread c{c}/t{t}"), h);
-        }
-        hist_line(&mut out, 1, "load_to_use", &self.load_use);
-        for (n, h) in self.load_use_by_node.iter().enumerate() {
-            if h.count() > 0 && self.load_use_by_node.len() > 1 {
-                hist_line(&mut out, 2, &format!("node {n}"), h);
-            }
-        }
-        hist_line(&mut out, 1, "mshr_residency", &self.mshr_residency);
-        out.push_str("occupancy (window entries):\n");
-        for (c, h) in self.window_occ.iter().enumerate() {
-            hist_line(&mut out, 1, &format!("window/c{c}"), h);
-        }
-        for (c, h) in self.ready_occ.iter().enumerate() {
-            hist_line(&mut out, 1, &format!("ready/c{c}"), h);
-        }
-        if !self.ipc_timeline.is_empty() {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &(_, ipc) in &self.ipc_timeline {
-                lo = lo.min(ipc);
-                hi = hi.max(ipc);
-            }
-            let _ = writeln!(
-                out,
-                "ipc timeline: {} samples, min {lo:.2}, max {hi:.2}",
-                self.ipc_timeline.len()
-            );
-        }
         if self.migrations > 0 {
             let _ = writeln!(
                 out,
@@ -109,78 +39,13 @@ impl MetricsReport {
                 self.migration_wait_cycles as f64 / self.migrations as f64
             );
         }
-        if self.slices_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} perfetto occupancy slices beyond the cap were dropped",
-                self.slices_dropped
-            );
-        }
         out
     }
 
-    /// The report as one JSON object (Perfetto trace *not* inlined —
-    /// export it separately with
-    /// [`write_perfetto`](MetricsReport::write_perfetto)).
+    /// The report as one JSON object.
     pub fn to_value(&self) -> Value {
-        let hist_vec =
-            |v: &[LogHistogram]| Value::Array(v.iter().map(LogHistogram::to_value).collect());
-        let keyed = |v: &[((u32, u32), LogHistogram)]| {
-            Value::Object(
-                v.iter()
-                    .map(|((c, t), h)| (format!("c{c}/t{t}"), h.to_value()))
-                    .collect(),
-            )
-        };
         Value::Object(vec![
             ("topdown".into(), self.topdown.to_value()),
-            (
-                "histograms".into(),
-                Value::Object(vec![
-                    (
-                        "fetch_to_commit_by_cluster".into(),
-                        hist_vec(&self.lifetime_by_cluster),
-                    ),
-                    (
-                        "fetch_to_commit_by_thread".into(),
-                        keyed(&self.lifetime_by_thread),
-                    ),
-                    ("load_to_use".into(), self.load_use.to_value()),
-                    (
-                        "load_to_use_by_node".into(),
-                        hist_vec(&self.load_use_by_node),
-                    ),
-                    ("mshr_residency".into(), self.mshr_residency.to_value()),
-                    ("window_occ_by_cluster".into(), hist_vec(&self.window_occ)),
-                    ("ready_occ_by_cluster".into(), hist_vec(&self.ready_occ)),
-                ]),
-            ),
-            (
-                "committed_by_thread".into(),
-                Value::Object(
-                    self.committed_by_thread
-                        .iter()
-                        .map(|((c, t), n)| (format!("c{c}/t{t}"), Value::U64(*n)))
-                        .collect(),
-                ),
-            ),
-            (
-                "ipc_timeline".into(),
-                Value::Array(
-                    self.ipc_timeline
-                        .iter()
-                        .map(|&(cycle, ipc)| Value::Array(vec![Value::U64(cycle), Value::F64(ipc)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "perfetto_events".into(),
-                Value::U64(self.trace.len() as u64),
-            ),
-            (
-                "perfetto_slices_dropped".into(),
-                Value::U64(self.slices_dropped),
-            ),
             ("migrations".into(), Value::U64(self.migrations)),
             (
                 "migration_wait_cycles".into(),
@@ -202,24 +67,13 @@ impl MetricsReport {
             )
         })
     }
-
-    /// Write the Perfetto trace-event JSON to `path`.
-    pub fn write_perfetto(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.trace.write(path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topdown::AttributionTree;
 
     fn sample() -> MetricsReport {
-        let mut lifetime = LogHistogram::new();
-        lifetime.record(12);
-        lifetime.record(40);
-        let mut loads = LogHistogram::new();
-        loads.record(2);
         MetricsReport {
             topdown: AttributionTree::from_slots(
                 10.0,
@@ -228,42 +82,17 @@ mod tests {
                 5,
                 10,
             ),
-            lifetime_by_cluster: vec![lifetime.clone()],
-            lifetime_by_thread: vec![((0, 0), lifetime)],
-            committed_by_thread: vec![((0, 0), 2)],
-            load_use: loads.clone(),
-            load_use_by_node: vec![loads],
-            mshr_residency: LogHistogram::new(),
-            window_occ: vec![LogHistogram::new()],
-            ready_occ: vec![LogHistogram::new()],
-            ipc_timeline: vec![(99, 2.0), (199, 1.5)],
-            trace: PerfettoTrace::new(),
-            slices_dropped: 0,
             migrations: 0,
             migration_wait_cycles: 0,
         }
     }
 
     #[test]
-    fn text_report_names_every_section() {
-        let text = sample().render_text();
-        for needle in [
-            "top-down slot accounting",
-            "fetch_to_commit/c0",
-            "thread c0/t0",
-            "load_to_use",
-            "mshr_residency",
-            "window/c0",
-            "ipc timeline: 2 samples",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-    }
-
-    #[test]
     fn migrations_line_appears_only_when_nonzero() {
         let mut r = sample();
-        assert!(!r.render_text().contains("thread migrations"));
+        let text = r.render_text();
+        assert!(text.contains("top-down slot accounting"), "{text}");
+        assert!(!text.contains("thread migrations"));
         r.migrations = 4;
         r.migration_wait_cycles = 500;
         let text = r.render_text();
@@ -280,36 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn json_report_parses_back_and_keeps_structure() {
-        let mut out = String::new();
-        sample().to_value().render_pretty(&mut out);
-        let v: Value = serde_json::from_str(&out).expect("valid JSON");
-        assert!(v.get("topdown").is_some());
-        let hists = v.get("histograms").unwrap();
-        assert_eq!(
-            hists
-                .get("load_to_use")
-                .and_then(|h| h.get("count"))
-                .and_then(Value::as_u64),
-            Some(1)
-        );
-        let ipc = v.get("ipc_timeline").and_then(Value::as_array).unwrap();
-        assert_eq!(ipc.len(), 2);
-    }
-
-    #[test]
-    fn report_files_land_on_disk() {
+    fn json_report_lands_on_disk_and_parses_back() {
         let dir = std::env::temp_dir().join("csmt_metrics_report_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let r = sample();
         let json = dir.join("report.json");
-        let trace = dir.join("trace.json");
-        r.write_json(&json).unwrap();
-        r.write_perfetto(&trace).unwrap();
-        let parsed: Value =
-            serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        crate::perfetto::validate_trace(&parsed).unwrap();
-        assert!(std::fs::read_to_string(&json).unwrap().contains("topdown"));
+        sample().write_json(&json).unwrap();
+        let v: Value = serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        assert!(v.get("topdown").is_some());
+        assert_eq!(v.get("migrations").and_then(Value::as_u64), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

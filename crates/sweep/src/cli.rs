@@ -140,27 +140,6 @@ impl Cli {
             sched_flag(name).unwrap_or_else(|e| fail(&e))
         })
     }
-
-    /// [`fail`] unless `flag` is all that was given: it selects a mode
-    /// that takes no other argument.
-    pub fn alone(&self, flag: &str) {
-        if let Some(other) = self.other_than(flag) {
-            fail(&format!("{flag} takes no other argument, got {other}"));
-        }
-    }
-
-    /// The first thing given besides `flag`, if any.
-    fn other_than(&self, flag: &str) -> Option<String> {
-        self.positional
-            .first()
-            .map(|(n, text)| format!("argument {n} {text:?}"))
-            .or_else(|| {
-                self.flags
-                    .iter()
-                    .find(|(f, _)| f != flag)
-                    .map(|(f, _)| f.clone())
-            })
-    }
 }
 
 /// `text` (argument `n`, if given) as a `T`: absent means `default`; a
@@ -219,20 +198,6 @@ mod tests {
             cli(&["a", "b", "--verify", "c", "d", "e"]).unwrap_err(),
             "unexpected argument 6 \"e\" (see --help)",
             "a surplus argument is refused, not ignored"
-        );
-    }
-
-    #[test]
-    fn a_mode_flag_alone_sees_everything_else() {
-        let other = |args: &[&str]| cli(args).unwrap().unwrap().other_than("--out");
-        assert_eq!(other(&["--out", "x"]), None);
-        assert_eq!(
-            other(&["--out", "x", "SMT2"]).as_deref(),
-            Some("argument 3 \"SMT2\"")
-        );
-        assert_eq!(
-            other(&["--verify", "--out", "x"]).as_deref(),
-            Some("--verify")
         );
     }
 

@@ -5,24 +5,49 @@ use std::io::{self, BufWriter, Write};
 
 use csmt_isa::OpClass;
 
+use crate::mirror::{Inst, InstMirror, InstRecord, Stage};
 use crate::probe::{Event, FetchEvent, Probe, StageEvent, Wants};
-use crate::ring::InflightRing;
 
 /// Simulated ticks per machine cycle in the emitted trace. gem5 runs its
 /// O3 model at 500 ticks/cycle (1 ps ticks, 2 GHz), and Konata's format
 /// detection is happiest with the same granularity.
 pub const TICKS_PER_CYCLE: u64 = 500;
 
-/// An instruction in flight between fetch and commit/squash.
+/// What a trace record needs beyond stage and context. A stage not
+/// reached yet reads as the last one that was: `issue` is the fetch cycle
+/// until the instruction issues, and `writeback` is `issue` until it
+/// writes back.
 #[derive(Debug, Clone, Copy)]
-struct Inflight {
+struct Lifetime {
     fetch: u64,
-    issue: Option<u64>,
-    writeback: Option<u64>,
-    thread: u32,
+    issue: u64,
+    writeback: u64,
     pc: u64,
     op: OpClass,
     wrong_path: bool,
+}
+
+impl InstRecord for Lifetime {
+    #[inline]
+    fn fetched(e: &FetchEvent) -> Self {
+        Lifetime {
+            fetch: e.cycle,
+            issue: e.cycle,
+            writeback: e.cycle,
+            pc: e.pc,
+            op: e.op,
+            wrong_path: e.wrong_path,
+        }
+    }
+
+    #[inline]
+    fn reached(&mut self, stage: Stage, cycle: u64) {
+        match stage {
+            Stage::Issued => (self.issue, self.writeback) = (cycle, cycle),
+            Stage::Done => self.writeback = cycle,
+            Stage::Fetched | Stage::Renamed => {}
+        }
+    }
 }
 
 /// Streams instruction lifetimes in gem5's `O3PipeView` trace format,
@@ -51,8 +76,8 @@ struct Inflight {
 /// instruction, so an uncapped billion-instruction run is a 200 GB file.
 pub struct PipeviewProbe<W: Write = BufWriter<File>> {
     out: W,
-    /// Per cluster, uid → the instruction's stage cycles so far.
-    inflight: Vec<InflightRing<Inflight>>,
+    /// Each in-flight instruction's stage cycles so far.
+    mirror: InstMirror<Lifetime>,
     written: u64,
     max_records: u64,
     error: Option<io::Error>,
@@ -70,16 +95,11 @@ impl<W: Write> PipeviewProbe<W> {
     pub fn with_limit(out: W, max_records: u64) -> Self {
         PipeviewProbe {
             out,
-            inflight: Vec::new(),
+            mirror: InstMirror::new(),
             written: 0,
             max_records,
             error: None,
         }
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
     }
 
     /// Flush buffered output, returning the first I/O error seen.
@@ -90,52 +110,24 @@ impl<W: Write> PipeviewProbe<W> {
         self.out.flush()
     }
 
-    fn in_flight(&mut self, e: StageEvent) -> Option<&mut Inflight> {
-        self.inflight.get_mut(e.cluster as usize)?.get_mut(e.uid)
-    }
-
-    fn fetch(&mut self, e: FetchEvent) {
-        let cluster = e.cluster as usize;
-        if self.inflight.len() <= cluster {
-            self.inflight.resize_with(cluster + 1, InflightRing::new);
-        }
-        self.inflight[cluster].insert(
-            e.uid,
-            Inflight {
-                fetch: e.cycle,
-                issue: None,
-                writeback: None,
-                thread: e.thread,
-                pc: e.pc,
-                op: e.op,
-                wrong_path: e.wrong_path,
-            },
-        );
-    }
-
-    fn retire(&mut self, e: StageEvent, committed: bool) {
-        let Some(inst) = self
-            .inflight
-            .get_mut(e.cluster as usize)
-            .and_then(|ring| ring.remove(e.uid))
-        else {
-            return;
-        };
+    fn retire(&mut self, e: StageEvent, inst: Inst<Lifetime>, committed: bool) {
         if self.written >= self.max_records || self.error.is_some() {
             return;
         }
         self.written += 1;
 
-        // Clamp missing/out-of-order stages so ticks never decrease.
-        let issue_c = inst.issue.unwrap_or(inst.fetch).max(inst.fetch);
-        let complete_c = inst.writeback.unwrap_or(issue_c).max(issue_c);
+        // The clamps keep ticks non-decreasing whatever cycles the events
+        // carried.
+        let life = inst.record;
+        let issue_c = life.issue.max(life.fetch);
+        let complete_c = life.writeback.max(issue_c);
         let retire_c = e.cycle.max(complete_c);
 
         let t = TICKS_PER_CYCLE;
         // A machine-unique display sequence number: cluster in the high
         // bits, cluster-local uid in the low 40.
         let sn = (u64::from(e.cluster) << 40) | (e.uid & ((1 << 40) - 1));
-        let wp = if inst.wrong_path { " WP" } else { "" };
+        let wp = if life.wrong_path { " WP" } else { "" };
         let written = write!(
             self.out,
             "O3PipeView:fetch:{ft}:{pc:#010x}:0:{sn}:{op:?} t{tid} c{cl}{wp}\n\
@@ -145,9 +137,9 @@ impl<W: Write> PipeviewProbe<W> {
              O3PipeView:issue:{it}\n\
              O3PipeView:complete:{ct}\n\
              O3PipeView:retire:{rt}:store:0\n",
-            ft = inst.fetch * t,
-            pc = inst.pc,
-            op = inst.op,
+            ft = life.fetch * t,
+            pc = life.pc,
+            op = life.op,
             tid = inst.thread,
             cl = e.cluster,
             it = issue_c * t,
@@ -165,20 +157,12 @@ impl<W: Write> Probe for PipeviewProbe<W> {
 
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
+        let Ok(Some(step)) = self.mirror.on(ev) else {
+            return;
+        };
         match *ev {
-            Event::Fetch(e) => self.fetch(e),
-            Event::Issue(e) => {
-                if let Some(i) = self.in_flight(e) {
-                    i.issue = Some(e.cycle);
-                }
-            }
-            Event::Writeback(e) => {
-                if let Some(i) = self.in_flight(e) {
-                    i.writeback = Some(e.cycle);
-                }
-            }
-            Event::Commit(e) => self.retire(e, true),
-            Event::Squash(e) => self.retire(e, false),
+            Event::Commit(e) => self.retire(e, step.inst, true),
+            Event::Squash(e) => self.retire(e, step.inst, false),
             _ => {}
         }
     }
@@ -228,6 +212,7 @@ mod tests {
         {
             let mut p = PipeviewProbe::new(&mut buf);
             p.on(&Event::Fetch(fetch(0, 7, 10)));
+            p.on(&Event::Rename(stage(0, 7, 10)));
             p.on(&Event::Issue(stage(0, 7, 12)));
             p.on(&Event::Writeback(stage(0, 7, 14)));
             p.on(&Event::Commit(stage(0, 7, 15)));
@@ -266,6 +251,7 @@ mod tests {
             let mut p = PipeviewProbe::new(&mut buf);
             for uid in 0..20u64 {
                 p.on(&Event::Fetch(fetch(0, uid, uid)));
+                p.on(&Event::Rename(stage(0, uid, uid)));
                 if uid % 3 != 0 {
                     p.on(&Event::Issue(stage(0, uid, uid + 2)));
                 }
@@ -316,6 +302,7 @@ mod tests {
                 op: OpClass::Load,
                 wrong_path: true,
             }));
+            p.on(&Event::Rename(stage(0, 7, 10)));
             p.on(&Event::Issue(stage(0, 7, 12)));
             p.on(&Event::Writeback(stage(0, 7, 20)));
             // Wrong-path instruction fetched and squashed before issue.
@@ -332,6 +319,7 @@ mod tests {
             p.on(&Event::Commit(stage(0, 7, 21)));
             // A second cluster exercises the sequence-number packing.
             p.on(&Event::Fetch(fetch(3, 2, 30)));
+            p.on(&Event::Rename(stage(3, 2, 30)));
             p.on(&Event::Issue(stage(3, 2, 31)));
             p.on(&Event::Writeback(stage(3, 2, 32)));
             p.on(&Event::Commit(stage(3, 2, 33)));
@@ -371,8 +359,7 @@ O3PipeView:retire:16500:store:0\n";
                 p.on(&Event::Fetch(fetch(0, uid, uid)));
                 p.on(&Event::Commit(stage(0, uid, uid + 3)));
             }
-            assert_eq!(p.records_written(), 2);
-            assert!(p.inflight.iter().all(InflightRing::is_empty));
+            assert!(p.mirror.is_empty());
             p.finish().expect("in-memory trace cannot hit I/O errors");
         }
         assert_eq!(lines(buf).len(), 14);

@@ -35,19 +35,6 @@ pub enum ServiceLevel {
     RemoteL2,
 }
 
-impl ServiceLevel {
-    /// Short lowercase name for trace output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServiceLevel::L1 => "l1",
-            ServiceLevel::L2 => "l2",
-            ServiceLevel::LocalMem => "local_mem",
-            ServiceLevel::RemoteMem => "remote_mem",
-            ServiceLevel::RemoteL2 => "remote_l2",
-        }
-    }
-}
-
 /// An instruction entering the pipeline (fetched, then renamed the same
 /// cycle — the front end is single-cycle, see `ClusterConfig`).
 #[derive(Debug, Clone, Copy)]
@@ -148,28 +135,6 @@ pub struct RenamePoolEvent {
     pub int_held: u32,
     /// FP registers held by valid window entries.
     pub fp_held: u32,
-}
-
-/// End-of-cycle snapshot of one cluster's instruction-window occupancy,
-/// emitted on the [`Wants::OCC`] channel.
-///
-/// `occupied` counts valid window entries (the window doubles as the
-/// reorder buffer, so this is also ROB occupancy); `ready` counts entries
-/// with every operand available that are awaiting an issue slot. Both are
-/// instantaneous values sampled after the cycle's pipeline phases, which
-/// is what the occupancy histograms in `csmt-metrics` consume. Reading
-/// them is cheap, but the event still has its own channel so the golden
-/// digests' event stream does not contain it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowOccEvent {
-    /// Cycle the snapshot was taken (end of this cycle's pipeline phases).
-    pub cycle: u64,
-    /// Machine-global cluster index.
-    pub cluster: u32,
-    /// Valid instruction-window / reorder-buffer entries.
-    pub occupied: u32,
-    /// Entries ready to issue (all operands available, not yet selected).
-    pub ready: u32,
 }
 
 /// What a [`MigrationEvent`] reports about a thread's placement.
@@ -332,16 +297,13 @@ impl Wants {
     /// snapshot scans the window's per-slot destination registers (2 bytes
     /// a slot); only invariant checkers care.
     pub const POOL: Wants = Wants(1 << 3);
-    /// Per-cluster [`Event::WindowOcc`] snapshots each cycle (the
-    /// occupancy histograms of `csmt-metrics`).
-    pub const OCC: Wants = Wants(1 << 4);
     /// [`Event::HostPhase`] wall-clock reports around the simulator's own
     /// pipeline phases. [`HostStopwatch`] costs one clock read per phase
     /// boundary, which only the host self-profiler should pay.
-    pub const HOST_PHASES: Wants = Wants(1 << 5);
+    pub const HOST_PHASES: Wants = Wants(1 << 4);
     /// [`Event::Migration`] thread-placement events (initial attaches plus
     /// scheduler-driven migrations).
-    pub const SCHED: Wants = Wants(1 << 6);
+    pub const SCHED: Wants = Wants(1 << 5);
 
     /// The channels in either mask.
     #[must_use]
@@ -378,8 +340,6 @@ pub enum Event<'a> {
     Sync(SyncEvent),
     /// Per-cluster rename-pool snapshot at the end of a cycle.
     RenamePools(RenamePoolEvent),
-    /// Per-cluster window-occupancy snapshot at the end of a cycle.
-    WindowOcc(WindowOccEvent),
     /// `nanos` of host wall-clock spent in one execution of `phase`. This
     /// is simulator self-profiling — it reports nothing about the
     /// simulated machine and is inherently non-deterministic across runs.
@@ -417,7 +377,6 @@ impl Event<'_> {
             | Event::Sync(_) => Wants::INST,
             Event::Cache(_) => Wants::CACHE,
             Event::RenamePools(_) => Wants::POOL,
-            Event::WindowOcc(_) => Wants::OCC,
             Event::HostPhase { .. } => Wants::HOST_PHASES,
             Event::Migration(_) => Wants::SCHED,
             Event::CycleEnd { .. } => Wants::CYCLE_STATS,
@@ -576,12 +535,11 @@ mod tests {
         }
     }
 
-    const CHANNELS: [Wants; 7] = [
+    const CHANNELS: [Wants; 6] = [
         Wants::INST,
         Wants::CACHE,
         Wants::CYCLE_STATS,
         Wants::POOL,
-        Wants::OCC,
         Wants::HOST_PHASES,
         Wants::SCHED,
     ];
@@ -607,7 +565,7 @@ mod tests {
     }
 
     /// One event of every variant.
-    fn every_event(stats: &CycleStats) -> [Event<'_>; 13] {
+    fn every_event(stats: &CycleStats) -> [Event<'_>; 12] {
         [
             Event::Fetch(fetch()),
             Event::Rename(stage(0)),
@@ -637,12 +595,6 @@ mod tests {
                 int_held: 6,
                 fp_held: 4,
             }),
-            Event::WindowOcc(WindowOccEvent {
-                cycle: 1,
-                cluster: 0,
-                occupied: 12,
-                ready: 3,
-            }),
             Event::HostPhase {
                 phase: HostPhase::Issue,
                 nanos: 250,
@@ -668,7 +620,7 @@ mod tests {
     /// none otherwise.
     fn check_delivery<const MASK: u8>() {
         // The other member of the mixed pair: a fixed two-channel mask.
-        const OTHER: u8 = Wants::INST.union(Wants::OCC).0;
+        const OTHER: u8 = Wants::INST.union(Wants::POOL).0;
         assert_eq!(
             <(Tally<MASK>, Tally<OTHER>)>::WANTS,
             Wants(MASK).union(Wants(OTHER))
@@ -720,10 +672,9 @@ mod tests {
         check_delivery::<{ Wants::CACHE.0 }>();
         check_delivery::<{ Wants::CYCLE_STATS.0 }>();
         check_delivery::<{ Wants::POOL.0 }>();
-        check_delivery::<{ Wants::OCC.0 }>();
         check_delivery::<{ Wants::HOST_PHASES.0 }>();
         check_delivery::<{ Wants::SCHED.0 }>();
-        check_delivery::<0x7f>();
+        check_delivery::<0x3f>();
     }
 
     #[test]

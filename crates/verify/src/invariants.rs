@@ -37,8 +37,8 @@
 
 use csmt_core::{ChipConfig, CHIP_ISSUE_WIDTH};
 use csmt_trace::{
-    CacheEvent, CycleStats, Event, FetchEvent, InflightRing, MigrationEvent, MigrationEventKind,
-    Probe, RenamePoolEvent, StageEvent, Wants,
+    CacheEvent, CycleStats, Event, FetchEvent, InstMirror, MigrationEvent, MigrationEventKind,
+    Misstep, Probe, RenamePoolEvent, StageEvent, Step, Wants,
 };
 use std::fmt;
 
@@ -136,39 +136,16 @@ pub struct VerifySummary {
     pub events: u64,
 }
 
-/// Where an in-flight instruction is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    Fetched,
-    Renamed,
-    Issued,
-    Done,
-}
-
-impl Stage {
-    fn label(self) -> &'static str {
-        match self {
-            Stage::Fetched => "fetched",
-            Stage::Renamed => "renamed",
-            Stage::Issued => "issued",
-            Stage::Done => "written back",
-        }
-    }
-}
-
-/// Mirror of one cluster's architectural occupancy, rebuilt from events.
+/// One cluster's budgets and the state the checker keeps beside the
+/// instruction mirror.
 struct ClusterState {
     window_cap: usize,
     issue_width: usize,
     /// Size of each renaming pool (int and FP are equal, Table 2).
     rename_regs: u64,
     hw_threads: u32,
-    /// uid → (stage, hardware thread).
-    inflight: InflightRing<(Stage, u32)>,
     /// Context → owning software thread, tracked once sched-aware.
     owner: Vec<Option<u32>>,
-    /// Highest uid fetched so far (uids are dense and start at 1).
-    last_fetch_uid: u64,
     /// Last committed uid per hardware thread (0 = none yet).
     last_commit: Vec<u64>,
     /// Cycle the issue counter below belongs to.
@@ -177,15 +154,6 @@ struct ClusterState {
     fetched: u64,
     committed: u64,
     squashed: u64,
-}
-
-impl ClusterState {
-    /// Move an in-flight instruction to its next lifecycle stage.
-    fn advance(&mut self, uid: u64, to: Stage) {
-        if let Some(slot) = self.inflight.get_mut(uid) {
-            slot.0 = to;
-        }
-    }
 }
 
 /// Mirror of one node's store buffer: completed-store drain times.
@@ -199,6 +167,8 @@ struct NodeState {
 /// [`finish`](InvariantProbe::finish).
 pub struct InvariantProbe {
     clusters: Vec<ClusterState>,
+    /// Every in-flight instruction's stage and context.
+    mirror: InstMirror,
     nodes: Vec<NodeState>,
     /// Issue slots the whole machine offers per cycle.
     machine_slots: u64,
@@ -235,9 +205,7 @@ impl InvariantProbe {
                 issue_width: c.issue_width,
                 rename_regs: c.rename_regs() as u64,
                 hw_threads: c.hw_threads as u32,
-                inflight: InflightRing::new(),
                 owner: vec![None; c.hw_threads],
-                last_fetch_uid: 0,
                 last_commit: vec![0; c.hw_threads],
                 issue_cycle: u64::MAX,
                 issued_this_cycle: 0,
@@ -254,6 +222,7 @@ impl InvariantProbe {
             .collect();
         InvariantProbe {
             clusters,
+            mirror: InstMirror::new(),
             nodes,
             machine_slots: (CHIP_ISSUE_WIDTH * n_chips) as u64,
             thread_capacity: (chip.threads_per_chip() * n_chips) as u32,
@@ -296,8 +265,14 @@ impl InvariantProbe {
             });
         }
         for (i, c) in self.clusters.iter().enumerate() {
-            if !c.inflight.is_empty() {
-                let uids: Vec<u64> = c.inflight.iter().map(|(uid, _)| uid).take(4).collect();
+            let leaked = self.mirror.len(i);
+            if leaked > 0 {
+                let uids: Vec<u64> = self
+                    .mirror
+                    .in_flight(i)
+                    .map(|(uid, _)| uid)
+                    .take(4)
+                    .collect();
                 let v = Violation {
                     kind: ViolationKind::LeakedInstruction,
                     cycle: last,
@@ -305,8 +280,7 @@ impl InvariantProbe {
                     thread: None,
                     uid: uids.first().copied(),
                     detail: format!(
-                        "{} instruction(s) still in flight at drain (first uids {uids:?})",
-                        c.inflight.len()
+                        "{leaked} instruction(s) still in flight at drain (first uids {uids:?})"
                     ),
                 };
                 self.violations.push(v);
@@ -366,41 +340,54 @@ impl InvariantProbe {
         }
     }
 
-    /// Look up an in-flight instruction for a stage event, flagging
-    /// orphans: a uid above the cluster's fetch horizon was never fetched
-    /// *here* (the signature of a cross-cluster wakeup); one at or below
-    /// it has already retired.
-    fn stage_state(&mut self, stage: &'static str, e: StageEvent) -> Option<(usize, Stage, u32)> {
+    /// Apply a stage event to the mirror, flagging the events it has no
+    /// instruction for: a uid above the cluster's fetch horizon was never
+    /// fetched *here* (the signature of a cross-cluster wakeup); one at or
+    /// below it has already retired.
+    fn step(
+        &mut self,
+        stage: &'static str,
+        ev: &Event<'_>,
+        e: StageEvent,
+    ) -> Option<(usize, Step<()>)> {
         let ci = self.cluster_checked(e.cycle, e.cluster, Some(e.uid))?;
-        let c = &self.clusters[ci];
-        if let Some(&(stage_now, thread)) = c.inflight.get(e.uid) {
-            return Some((ci, stage_now, thread));
-        }
-        let v = if e.uid > c.last_fetch_uid || e.uid == 0 {
-            Violation {
-                kind: ViolationKind::CrossCluster,
-                cycle: e.cycle,
-                cluster: Some(e.cluster),
-                thread: None,
-                uid: Some(e.uid),
-                detail: format!(
+        let (kind, detail) = match self.mirror.on(ev) {
+            Ok(step) => return step.map(|s| (ci, s)),
+            Err(Misstep::NeverFetched { horizon }) => (
+                ViolationKind::CrossCluster,
+                format!(
                     "{stage} of an instruction this cluster never fetched \
-                     (fetch horizon {}) — wakeup across a cluster boundary?",
-                    c.last_fetch_uid
+                     (fetch horizon {horizon}) — wakeup across a cluster boundary?"
                 ),
-            }
-        } else {
-            Violation {
+            ),
+            Err(Misstep::Retired | Misstep::Refetch { .. }) => (
+                ViolationKind::LifecycleOrder,
+                format!("{stage} of an already-retired instruction"),
+            ),
+        };
+        self.record(Violation {
+            kind,
+            cycle: e.cycle,
+            cluster: Some(e.cluster),
+            thread: None,
+            uid: Some(e.uid),
+            detail,
+        });
+        None
+    }
+
+    /// Flag a stage event the mirror found out of lifecycle order.
+    fn out_of_order(&mut self, e: StageEvent, step: &Step<()>, what: &str) {
+        if !step.in_order {
+            self.record(Violation {
                 kind: ViolationKind::LifecycleOrder,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
-                thread: None,
+                thread: Some(step.inst.thread),
                 uid: Some(e.uid),
-                detail: format!("{stage} of an already-retired instruction"),
-            }
-        };
-        self.record(v);
-        None
+                detail: format!("{what} {}", step.inst.stage.label()),
+            });
+        }
     }
 }
 
@@ -459,8 +446,7 @@ impl InvariantProbe {
                 detail: "fetch on a context no software thread owns".to_string(),
             });
         }
-        let last = self.clusters[ci].last_fetch_uid;
-        if e.uid <= last {
+        if let Err(Misstep::Refetch { last }) = self.mirror.on(&Event::Fetch(e)) {
             self.record(Violation {
                 kind: ViolationKind::LifecycleOrder,
                 cycle: e.cycle,
@@ -471,11 +457,8 @@ impl InvariantProbe {
             });
             return;
         }
-        let c = &mut self.clusters[ci];
-        c.last_fetch_uid = e.uid;
-        c.fetched += 1;
-        c.inflight.insert(e.uid, (Stage::Fetched, e.thread));
-        let (occ, cap) = (c.inflight.len(), c.window_cap);
+        self.clusters[ci].fetched += 1;
+        let (occ, cap) = (self.mirror.len(ci), self.clusters[ci].window_cap);
         if occ > cap {
             self.record(Violation {
                 kind: ViolationKind::WindowOverflow,
@@ -490,26 +473,14 @@ impl InvariantProbe {
 
     fn rename(&mut self, e: StageEvent) {
         self.events += 1;
-        let Some((ci, stage, thread)) = self.stage_state("rename", e) else {
-            return;
-        };
-        if stage == Stage::Fetched {
-            self.clusters[ci].advance(e.uid, Stage::Renamed);
-        } else {
-            self.record(Violation {
-                kind: ViolationKind::LifecycleOrder,
-                cycle: e.cycle,
-                cluster: Some(e.cluster),
-                thread: Some(thread),
-                uid: Some(e.uid),
-                detail: format!("rename of an instruction already {}", stage.label()),
-            });
+        if let Some((_, step)) = self.step("rename", &Event::Rename(e), e) {
+            self.out_of_order(e, &step, "rename of an instruction already");
         }
     }
 
     fn issue(&mut self, e: StageEvent) {
         self.events += 1;
-        let Some((ci, stage, thread)) = self.stage_state("issue", e) else {
+        let Some((ci, step)) = self.step("issue", &Event::Issue(e), e) else {
             return;
         };
         let c = &mut self.clusters[ci];
@@ -524,62 +495,30 @@ impl InvariantProbe {
                 kind: ViolationKind::IssueWidthExceeded,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
-                thread: Some(thread),
+                thread: Some(step.inst.thread),
                 uid: Some(e.uid),
                 detail: format!("{n} issues in one cycle on a {w}-issue cluster"),
             });
         }
-        if stage == Stage::Renamed {
-            self.clusters[ci].advance(e.uid, Stage::Issued);
-        } else {
-            self.record(Violation {
-                kind: ViolationKind::LifecycleOrder,
-                cycle: e.cycle,
-                cluster: Some(e.cluster),
-                thread: Some(thread),
-                uid: Some(e.uid),
-                detail: format!("issue of an instruction already {}", stage.label()),
-            });
-        }
+        self.out_of_order(e, &step, "issue of an instruction already");
     }
 
     fn writeback(&mut self, e: StageEvent) {
         self.events += 1;
-        let Some((ci, stage, thread)) = self.stage_state("writeback", e) else {
-            return;
-        };
-        if stage == Stage::Issued {
-            self.clusters[ci].advance(e.uid, Stage::Done);
-        } else {
-            self.record(Violation {
-                kind: ViolationKind::LifecycleOrder,
-                cycle: e.cycle,
-                cluster: Some(e.cluster),
-                thread: Some(thread),
-                uid: Some(e.uid),
-                detail: format!("writeback of an instruction {}", stage.label()),
-            });
+        if let Some((_, step)) = self.step("writeback", &Event::Writeback(e), e) {
+            self.out_of_order(e, &step, "writeback of an instruction");
         }
     }
 
     fn commit(&mut self, e: StageEvent) {
         self.events += 1;
         self.commit_events += 1;
-        let Some((ci, stage, thread)) = self.stage_state("commit", e) else {
+        let Some((ci, step)) = self.step("commit", &Event::Commit(e), e) else {
             return;
         };
-        if stage != Stage::Done {
-            self.record(Violation {
-                kind: ViolationKind::LifecycleOrder,
-                cycle: e.cycle,
-                cluster: Some(e.cluster),
-                thread: Some(thread),
-                uid: Some(e.uid),
-                detail: format!("commit of an instruction only {}", stage.label()),
-            });
-        }
+        self.out_of_order(e, &step, "commit of an instruction only");
+        let thread = step.inst.thread;
         let c = &mut self.clusters[ci];
-        c.inflight.remove(e.uid);
         c.committed += 1;
         let last = c.last_commit[thread as usize];
         if e.uid <= last {
@@ -592,18 +531,15 @@ impl InvariantProbe {
                 detail: format!("commit after uid {last} of the same thread"),
             });
         } else {
-            self.clusters[ci].last_commit[thread as usize] = e.uid;
+            c.last_commit[thread as usize] = e.uid;
         }
     }
 
     fn squash(&mut self, e: StageEvent) {
         self.events += 1;
-        let Some((ci, _stage, _thread)) = self.stage_state("squash", e) else {
-            return;
-        };
-        let c = &mut self.clusters[ci];
-        c.inflight.remove(e.uid);
-        c.squashed += 1;
+        if let Some((ci, _)) = self.step("squash", &Event::Squash(e), e) {
+            self.clusters[ci].squashed += 1;
+        }
     }
 
     fn migration(&mut self, e: MigrationEvent) {
@@ -663,10 +599,10 @@ impl InvariantProbe {
                         detail: "depart from a context no thread owns".to_string(),
                     }),
                 }
-                let inflight: Vec<u64> = self.clusters[ci]
-                    .inflight
-                    .iter()
-                    .filter(|&(_, &(_, t))| t == e.ctx)
+                let inflight: Vec<u64> = self
+                    .mirror
+                    .in_flight(ci)
+                    .filter(|(_, inst)| inst.thread == e.ctx)
                     .map(|(uid, _)| uid)
                     .take(4)
                     .collect();

@@ -2,7 +2,8 @@
 # The "least code" trajectory as one JSON object on stdout: Rust lines
 # (every line of every *.rs file) per crate and for the top-level trees,
 # plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
-# knobs, run entry points, config fields, determinism-lint exceptions.
+# knobs, run entry points, config fields, determinism-lint exceptions,
+# probe channels, and the per-instruction in-flight mirrors probes keep.
 #
 #   scripts/size.sh                 (run at the parent and at the change;
 #                                    CHANGES.md records both)
@@ -83,6 +84,8 @@ cat <<EOF
     "ChipConfig": $(struct_fields ChipConfig crates/core/src/configs.rs),
     "MemConfig": $(struct_fields MemConfig crates/mem/src/config.rs)
   },
-  "lint_exceptions": $(lint_exceptions)
+  "lint_exceptions": $(lint_exceptions),
+  "probe_channels": $(count '^    pub const [A-Z_]+: Wants = Wants\(1 << ' crates/trace/src/probe.rs),
+  "inflight_mirrors": $(find crates/*/src -name '*.rs' -exec cat {} + | grep -cE '^ +[a-z_]+: (Vec<)?InflightRing<' || true)
 }
 EOF

@@ -31,14 +31,13 @@ cargo bench -p csmt-bench --bench cluster_step -- --test
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 
-echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting; then checked, with every artifact, replayed)"
+echo "==> csmt-report smoke (low-end SMT2 + high-end FA4, top-down accounting; then checked, with every artifact)"
 cargo run -q --release -p csmt-bench --bin csmt-report -- SMT2 mgrid 0.1 1 >/dev/null
 cargo run -q --release -p csmt-bench --bin csmt-report -- FA4 mgrid 0.1 4 --sched hazard_pairing >/dev/null
 cargo run -q --release -p csmt-bench --bin csmt-report -- FA2,SMT2 mgrid 0.05 1 --verify --out "$SWEEP_TMP/report" >/dev/null
-for f in report.json heartbeat_SMT2.jsonl pipeview_SMT2.trace metrics_SMT2_mgrid.json perfetto_FA2_mgrid.json; do
+for f in report.json heartbeat_SMT2.jsonl pipeview_SMT2.trace metrics_SMT2_mgrid.json metrics_FA2_mgrid.json; do
   [ -s "$SWEEP_TMP/report/$f" ]
 done
-cargo run -q --release -p csmt-bench --bin csmt-report -- --from "$SWEEP_TMP/report/heartbeat_SMT2.jsonl" >/dev/null
 
 echo "==> csmt-lint (scheduler policies x Table 2 archs + workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint

@@ -19,7 +19,7 @@
 //! | [`workloads`] | swim, tomcatv, mgrid, vpenta, fmm, ocean |
 //! | [`model`] | the §2 analytic model of thread/instruction parallelism |
 //! | [`trace`] | observability: pipeline probes, heartbeats, O3PipeView |
-//! | [`metrics`] | top-down cycle accounting, histograms, Perfetto export |
+//! | [`metrics`] | top-down cycle accounting, host self-profiling |
 //! | [`verify`] | invariant checker, scheduler-policy lint, stream linter |
 //! | [`sweep`] | design-space sweep engine: job pool + result cache |
 //!
@@ -55,9 +55,7 @@ pub mod prelude {
     pub use csmt_cpu::{ClusterConfig, Hazard, SlotStats};
     pub use csmt_isa::{DynInst, InstStream, OpClass, SyncOp};
     pub use csmt_mem::{MemConfig, MemorySystem};
-    pub use csmt_metrics::{
-        AttributionTree, HostProfiler, LogHistogram, MetricsProbe, MetricsReport, PerfettoTrace,
-    };
+    pub use csmt_metrics::{AttributionTree, HostProfiler, MetricsProbe, MetricsReport};
     pub use csmt_model::{AppPoint, ArchModel, Region};
     pub use csmt_sweep::{ResultCache, SweepEngine};
     pub use csmt_trace::{IntervalSampler, NullProbe, PipeviewProbe, Probe};
