@@ -65,8 +65,8 @@ const LOADS: u64 = 1200;
 ///
 /// `fa4_highend_parked` is the parked-cluster layer: 15 of its 16
 /// clusters have nothing in flight and no context that can run for the
-/// whole run, so it prices the steps a per-cluster skip of such cycles
-/// would remove (DESIGN §11).
+/// whole run, so it prices what a cycle costs inside a stall span
+/// (DESIGN §11).
 ///
 /// The last two are the scheduler-seam cost: the `smt2_lowend` workload
 /// again under a named policy. `smt2_sched_static` must match

@@ -20,7 +20,7 @@ use crate::pipeline::regs::{EState, Regs, ThreadCtx};
 use crate::pipeline::rename::RenamePools;
 use crate::pipeline::window::Window;
 use crate::pipeline::{commit, fetch, regs};
-use crate::stats::{CycleActivity, SlotStats};
+use crate::stats::{CycleActivity, SlotStats, StallShares};
 use csmt_isa::{ArchReg, InstStream, SyncOp};
 use csmt_mem::MemorySystem;
 use csmt_trace::{emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants};
@@ -75,6 +75,23 @@ pub struct Cluster {
     lsq: StoreBuffer,
     fu: FuPool,
     bpred: BranchPredictor,
+    /// Contexts making progress, recounted at the end of every stepped
+    /// cycle and by every mutator (a skipped cycle changes no state).
+    running: usize,
+    span: Option<Span>,
+}
+
+/// A stall span: a step moved nothing (see [`Cluster::step_probed`]), so
+/// every cycle before `until` — the completion wheel's next due cycle —
+/// would move nothing either and charges exactly what that step charged.
+struct Span {
+    until: u64,
+    shares: StallShares,
+    /// What the span froze, re-checked every skipped cycle.
+    #[cfg(any(test, debug_assertions))]
+    weights: [f64; 7],
+    #[cfg(any(test, debug_assertions))]
+    states: Vec<ThreadState>,
 }
 
 impl Cluster {
@@ -94,7 +111,32 @@ impl Cluster {
             fu: FuPool::new(cfg.fu_counts()),
             bpred: BranchPredictor::with_kind(cfg.predictor),
             cfg,
+            running: 0,
+            span: None,
         }
+    }
+
+    /// Called by every mutator: a state change from outside ends the
+    /// stall span and may move the running count.
+    fn touched(&mut self) {
+        self.span = None;
+        self.running = self.count_running();
+    }
+
+    fn count_running(&self) -> usize {
+        self.regs
+            .threads
+            .iter()
+            .filter(|t| {
+                matches!(
+                    t.state,
+                    ThreadState::Running
+                        | ThreadState::WrongPath
+                        | ThreadState::Draining
+                        | ThreadState::Migrating
+                )
+            })
+            .count()
     }
 
     /// Attach a software thread's instruction stream to context `ctx`.
@@ -103,6 +145,7 @@ impl Cluster {
         assert_eq!(t.state, ThreadState::Idle, "context already in use");
         t.stream = Some(stream);
         t.state = ThreadState::Running;
+        self.touched();
     }
 
     /// Resume a thread parked at a sync point (barrier released / lock
@@ -115,6 +158,7 @@ impl Cluster {
             "resume of non-waiting thread"
         );
         t.state = ThreadState::Running;
+        self.touched();
     }
 
     /// Current state of context `ctx`.
@@ -146,7 +190,9 @@ impl Cluster {
             t.state
         );
         t.state = ThreadState::Migrating;
-        t.fifo.is_empty()
+        let drained = t.fifo.is_empty();
+        self.touched();
+        drained
     }
 
     /// Detach the software thread held at context `ctx` (state
@@ -173,11 +219,13 @@ impl Cluster {
         t.state = ThreadState::Idle;
         t.redirect_until = 0;
         t.wp_pc = 0;
-        DetachedThread {
+        let d = DetachedThread {
             stream: t.stream.take(),
             pending: t.pending.take(),
             committed: std::mem::take(&mut t.committed),
-        }
+        };
+        self.touched();
+        d
     }
 
     /// Attach a migrated thread to the idle context `ctx`, restoring its
@@ -200,6 +248,7 @@ impl Cluster {
         t.pending = d.pending;
         t.committed = d.committed;
         t.state = resume_as;
+        self.touched();
     }
 
     /// In-flight *load* count of context `ctx` (loads fetched but not yet
@@ -219,19 +268,7 @@ impl Cluster {
     /// Number of contexts currently making progress (not idle, parked or
     /// done) — used for the paper's Figure 6 thread-parallelism metric.
     pub fn running_threads(&self) -> usize {
-        self.regs
-            .threads
-            .iter()
-            .filter(|t| {
-                matches!(
-                    t.state,
-                    ThreadState::Running
-                        | ThreadState::WrongPath
-                        | ThreadState::Draining
-                        | ThreadState::Migrating
-                )
-            })
-            .count()
+        self.running
     }
 
     /// True while any context still has work (in-flight or un-fetched).
@@ -279,6 +316,19 @@ impl Cluster {
     /// emitted events. Every event goes through `emit`, gated on `P::WANTS`,
     /// so `step_probed::<NullProbe>` monomorphizes to exactly `step`.
     /// Returns the cycle's activity deltas.
+    ///
+    /// **Stall spans.** A step in which nothing moved — no completion,
+    /// commit, issue or fetch-stage change (install, context state,
+    /// round-robin pointer, rename stall), no [`ClusterEvent`], an empty
+    /// ready queue and no completed FIFO head (a store held by a full
+    /// store buffer) — leaves a state the next step maps to itself until
+    /// the completion wheel's next due cycle: nothing can complete before
+    /// it, so nothing wakes, issues, retires or frees a window slot. Every
+    /// cycle until then skips the five phases: it adds the stalled step's
+    /// own §4.1 shares once (`SlotStats::record_stalled`, the same `f64`
+    /// additions in the same order), emits the `Wants::POOL` snapshot and
+    /// reports no activity. Any mutator (attach, resume, hold, detach)
+    /// ends the span.
     pub fn step_probed<P: Probe>(
         &mut self,
         now: u64,
@@ -288,13 +338,25 @@ impl Cluster {
         probe: &mut P,
         cluster_id: u32,
     ) -> CycleActivity {
-        self.regs.rename_stalled = false;
         // Host self-profiling: one lap per phase boundary, only when
         // the probe opted in (otherwise eliminated statically).
         // Memory-hierarchy time is reported separately by `MemorySystem`
         // and nests inside the issue (loads) and commit (stores) phases.
         let mut host = HostStopwatch::start::<P>();
-        self.win.complete_phase(
+        if let Some(span) = &self.span {
+            if now < span.until {
+                #[cfg(any(test, debug_assertions))]
+                self.check_span(span, now);
+                self.regs.stats.record_stalled(&span.shares);
+                host.lap(probe, HostPhase::Account);
+                self.emit_snapshot(now, probe, cluster_id);
+                return CycleActivity::default();
+            }
+            self.span = None;
+        }
+        self.regs.rename_stalled = false;
+        let events_before = events.len();
+        let completed = self.win.complete_phase(
             &mut self.regs,
             &mut self.rename,
             &mut self.bpred,
@@ -328,7 +390,7 @@ impl Cluster {
             cluster_id,
         );
         host.lap(probe, HostPhase::Issue);
-        fetch::run(
+        let fetched = fetch::run(
             &self.cfg,
             &mut self.regs,
             &mut self.win,
@@ -339,13 +401,76 @@ impl Cluster {
             cluster_id,
         );
         host.lap(probe, HostPhase::Fetch);
-        regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
+        let weights = regs::account(&self.cfg, &mut self.regs, &self.win, now, useful, wrong);
+        self.running = self.count_running();
+        let stalled = completed == 0
+            && committed == 0
+            && useful + wrong == 0
+            && !fetched
+            && events.len() == events_before
+            && self.win.ready_is_empty()
+            && !self.a_head_is_done();
+        if stalled {
+            // `record_cycle` just charged `(width, 0, 0, weights)`: the
+            // span replays exactly that, if it has a cycle to replay.
+            let until = self.win.next_due();
+            if until > now + 1 {
+                self.span = Some(Span {
+                    until,
+                    shares: StallShares::new(self.cfg.issue_width, &weights),
+                    #[cfg(any(test, debug_assertions))]
+                    weights,
+                    #[cfg(any(test, debug_assertions))]
+                    states: self.regs.threads.iter().map(|t| t.state).collect(),
+                });
+            }
+        }
         host.lap(probe, HostPhase::Account);
         self.emit_snapshot(now, probe, cluster_id);
         CycleActivity {
             useful: useful as u32,
             committed,
         }
+    }
+
+    /// True if some context's oldest in-flight instruction has completed
+    /// but did not retire: a store behind a full store buffer, which
+    /// retires when a drain finishes, not when the wheel next fires.
+    fn a_head_is_done(&self) -> bool {
+        self.regs.threads.iter().any(|t| {
+            t.fifo
+                .front()
+                .is_some_and(|&h| self.win.entries[h as usize].state == EState::Done)
+        })
+    }
+
+    /// Every skipped cycle re-derives what its span froze: the §4.1
+    /// weights (at this `now`), the empty ready queue, every context's
+    /// state and the wheel's next due cycle.
+    #[cfg(any(test, debug_assertions))]
+    fn check_span(&self, span: &Span, now: u64) {
+        assert_eq!(
+            regs::hazard_weights(false, &self.regs.threads, &self.win, now),
+            span.weights,
+            "stall span's §4.1 weights went stale at cycle {now}"
+        );
+        assert!(
+            self.win.ready_is_empty(),
+            "an entry became ready inside a stall span at cycle {now}"
+        );
+        assert!(
+            self.regs
+                .threads
+                .iter()
+                .map(|t| t.state)
+                .eq(span.states.iter().copied()),
+            "a context changed state inside a stall span at cycle {now}"
+        );
+        assert_eq!(
+            self.win.next_due(),
+            span.until,
+            "the completion wheel moved inside a stall span at cycle {now}"
+        );
     }
 
     /// The end-of-cycle rename-pool snapshot. Register conservation: every

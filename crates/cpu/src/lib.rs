@@ -24,6 +24,11 @@
 //! 5. **account** — wasted issue slots are attributed to hazard classes per
 //!    the paper's §4.1 methodology: what its every-cycle window scan would
 //!    record, read from per-thread class counts kept as instructions move.
+//!
+//! A cycle after one in which nothing moved, and before the next
+//! completion is due, would move nothing either: it skips the phases and
+//! repeats the previous cycle's §4.1 charge bit for bit (a *stall span*,
+//! see [`cluster::Cluster::step_probed`]).
 
 //! ```
 //! use csmt_cpu::{Cluster, ClusterConfig};

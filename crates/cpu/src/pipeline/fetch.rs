@@ -13,7 +13,9 @@ use super::rename::RenamePools;
 use super::window::Window;
 
 /// Run the fetch stage: pick the thread(s) for this cycle per the
-/// configured policy and dispatch into the window.
+/// configured policy and dispatch into the window. Returns whether it
+/// changed anything: the round-robin pointer, or a fetching context (an
+/// install, a state change, a rename stall).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<P: Probe>(
     cfg: &ClusterConfig,
@@ -24,29 +26,30 @@ pub(crate) fn run<P: Probe>(
     now: u64,
     probe: &mut P,
     cluster_id: u32,
-) {
+) -> bool {
     let n = regs.threads.len();
+    let rr = regs.fetch_rr;
+    let mut moved = false;
     let fetchable =
         |t: &ThreadCtx| matches!(t.state, ThreadState::Running | ThreadState::WrongPath);
     match cfg.fetch_policy {
         FetchPolicy::RoundRobin => {
-            for off in 0..n {
-                let tid = (regs.fetch_rr + off) % n;
-                if fetchable(&regs.threads[tid]) {
-                    regs.fetch_rr = (tid + 1) % n;
-                    fetch_from(
-                        tid,
-                        cfg.issue_width,
-                        now,
-                        regs,
-                        win,
-                        rename,
-                        bpred,
-                        probe,
-                        cluster_id,
-                    );
-                    return;
-                }
+            if let Some(tid) = (0..n)
+                .map(|off| (rr + off) % n)
+                .find(|&tid| fetchable(&regs.threads[tid]))
+            {
+                regs.fetch_rr = (tid + 1) % n;
+                moved = fetch_from(
+                    tid,
+                    cfg.issue_width,
+                    now,
+                    regs,
+                    win,
+                    rename,
+                    bpred,
+                    probe,
+                    cluster_id,
+                );
             }
         }
         FetchPolicy::ICount => {
@@ -65,7 +68,7 @@ pub(crate) fn run<P: Probe>(
             }
             if let Some((tid, _)) = best {
                 regs.fetch_rr = (tid + 1) % n;
-                fetch_from(
+                moved = fetch_from(
                     tid,
                     cfg.issue_width,
                     now,
@@ -91,7 +94,7 @@ pub(crate) fn run<P: Probe>(
                 off += 1;
                 if fetchable(&regs.threads[tid]) {
                     regs.fetch_rr = (tid + 1) % n;
-                    fetch_from(
+                    moved |= fetch_from(
                         tid, budget, now, regs, win, rename, bpred, probe, cluster_id,
                     );
                     picked += 1;
@@ -99,9 +102,14 @@ pub(crate) fn run<P: Probe>(
             }
         }
     }
+    moved || regs.fetch_rr != rr
 }
 
 /// Fetch and dispatch up to `budget` instructions from thread `tid`.
+/// Returns whether anything changed: an install, the thread's state
+/// (a sync marker or the end of its stream parks it `Draining`; a
+/// mispredict sends it down the wrong path), or a rename stall (which
+/// also consumes a wrong-path instruction).
 #[allow(clippy::too_many_arguments)]
 fn fetch_from<P: Probe>(
     tid: usize,
@@ -113,7 +121,8 @@ fn fetch_from<P: Probe>(
     bpred: &mut BranchPredictor,
     probe: &mut P,
     cluster_id: u32,
-) {
+) -> bool {
+    let entry_state = regs.threads[tid].state;
     let mut fetched = 0;
     while fetched < budget {
         if !win.has_free() {
@@ -252,4 +261,5 @@ fn fetch_from<P: Probe>(
             break;
         }
     }
+    fetched > 0 || regs.rename_stalled || regs.threads[tid].state != entry_state
 }

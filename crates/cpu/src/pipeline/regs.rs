@@ -185,6 +185,7 @@ impl Regs {
 // ------------------------------------------------------------------
 // account: §4.1 issue-slot attribution.
 // ------------------------------------------------------------------
+/// Record the cycle; returns its hazard weights.
 pub(crate) fn account(
     cfg: &ClusterConfig,
     regs: &mut Regs,
@@ -192,9 +193,10 @@ pub(crate) fn account(
     now: u64,
     useful: usize,
     wrong: usize,
-) {
+) -> [f64; 7] {
     let w = hazard_weights(regs.rename_stalled, &regs.threads, win, now);
     regs.stats.record_cycle(cfg.issue_width, useful, wrong, &w);
+    w
 }
 
 /// The §4.1 per-thread hazard attribution for one cycle.

@@ -118,6 +118,20 @@ impl CompletionWheel {
             .rotate_right(((self.drained + 1) % RING) as u32)
     }
 
+    /// The first cycle after `drained` holding a pending completion —
+    /// live or stale — or `u64::MAX` when nothing is pending: until then
+    /// `drain_due` finds nothing.
+    fn next_due(&self) -> u64 {
+        let ring = if self.occupied == 0 {
+            u64::MAX
+        } else {
+            self.drained + 1 + u64::from(self.upcoming().trailing_zeros())
+        };
+        self.far
+            .peek()
+            .map_or(ring, |&Reverse((at, ..))| ring.min(at))
+    }
+
     /// Move every completion due by `now` into `out` (unordered).
     fn drain_due(&mut self, now: u64, out: &mut Vec<(u32, u64)>) {
         let span = now.saturating_sub(self.drained);
@@ -196,6 +210,17 @@ impl Window {
     /// True if dispatch has a slot to install into.
     pub fn has_free(&self) -> bool {
         !self.free_slots.is_empty()
+    }
+
+    /// True if no entry awaits issue.
+    pub fn ready_is_empty(&self) -> bool {
+        self.ready.is_empty()
+    }
+
+    /// The first cycle `complete` can find anything to do: see
+    /// [`CompletionWheel::next_due`].
+    pub fn next_due(&self) -> u64 {
+        self.wheel.next_due()
     }
 
     /// Per hardware context, its live entries by §4.1 class.
@@ -293,6 +318,7 @@ impl Window {
 
     // ------------------------------------------------------------------
     // complete: retire execution, wake dependents, resolve branches.
+    // Returns the number of instructions that completed.
     // ------------------------------------------------------------------
     pub fn complete_phase<P: Probe>(
         &mut self,
@@ -302,7 +328,7 @@ impl Window {
         now: u64,
         probe: &mut P,
         cluster_id: u32,
-    ) {
+    ) -> usize {
         // Drain every due wheel bucket (normally exactly one) and filter
         // out stale references — squashed since issue, slot possibly
         // reissued under a newer seq.
@@ -379,6 +405,7 @@ impl Window {
                 }
             }
         }
+        self.complete_buf.len()
     }
 
     /// Remove all of `thread`'s instructions younger than `seq` (the
@@ -706,6 +733,25 @@ mod tests {
         w.drain_due(10 + RING + 1, &mut out);
         assert_eq!(out, [(2, 200)]);
         assert_eq!((w.occupied, w.far.len()), (0, 0));
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_pending_cycle() {
+        let mut w = CompletionWheel::new();
+        assert_eq!(w.next_due(), u64::MAX);
+        let mut out = Vec::new();
+        w.drain_due(100, &mut out);
+        w.push(100 + RING + 9, 1, 1); // far
+        assert_eq!(w.next_due(), 100 + RING + 9);
+        w.push(130, 2, 2); // ring, bucket index wraps past `drained`
+        w.push(101, 3, 3);
+        assert_eq!(w.next_due(), 101);
+        w.drain_due(101, &mut out);
+        assert_eq!(w.next_due(), 130);
+        w.drain_due(150, &mut out);
+        assert_eq!(w.next_due(), 100 + RING + 9);
+        w.drain_due(100 + RING + 9, &mut out);
+        assert_eq!((w.next_due(), out.len()), (u64::MAX, 3));
     }
 
     #[test]

@@ -94,6 +94,47 @@ impl Hazard {
     }
 }
 
+/// The §4.1 division of `wasted` slots over one cycle's hazard `weights`:
+/// `wasted * w / total` for each non-zero weight, or all of it to `fetch`
+/// when every weight is zero (an empty window with nothing to blame means
+/// fetch could not keep up). The one copy of the arithmetic: both
+/// [`SlotStats::record_cycle`] and a [`StallShares`] come from here.
+fn split(wasted: f64, weights: &[f64; 7]) -> [f64; 7] {
+    let mut out = [0.0; 7];
+    let total: f64 = weights.iter().sum();
+    if total > 0.0 {
+        // Most cycles blame two or three hazards: a zero weight's share
+        // is `0.0` without the divide.
+        for (o, &w) in out.iter_mut().zip(weights) {
+            if w != 0.0 {
+                *o = wasted * w / total;
+            }
+        }
+    } else {
+        out[Hazard::Fetch.index()] = wasted;
+    }
+    out
+}
+
+/// What one cycle with nothing issued charges at `width` under fixed
+/// hazard `weights`, divided once so a cluster stalled for many cycles
+/// replays it with [`SlotStats::record_stalled`] instead of dividing again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StallShares {
+    width: usize,
+    wasted: [f64; 7],
+}
+
+impl StallShares {
+    /// The shares `record_cycle(width, 0, 0, weights)` adds.
+    pub(crate) fn new(width: usize, weights: &[f64; 7]) -> Self {
+        StallShares {
+            width,
+            wasted: split(width as f64, weights),
+        }
+    }
+}
+
 /// Accumulated slot statistics for one cluster (or one whole machine after
 /// merging). Wasted slots are divided *proportionally* among the hazards
 /// observed in a cycle, so the accumulators are `f64`.
@@ -130,21 +171,27 @@ impl SlotStats {
         self.useful += useful as f64;
         self.wasted[Hazard::Other.index()] += other_issued as f64;
         let wasted = (width - useful - other_issued) as f64;
-        if wasted <= 0.0 {
-            return;
+        if wasted > 0.0 {
+            self.charge(&split(wasted, weights));
         }
-        let total: f64 = weights.iter().sum();
-        if total > 0.0 {
-            // Most cycles blame two or three hazards: a zero weight adds
-            // `+0.0`, which leaves the (never negative) accumulator's bits
-            // alone, so skipping it saves the divide and changes nothing.
-            for (acc, &w) in self.wasted.iter_mut().zip(weights) {
-                if w != 0.0 {
-                    *acc += wasted * w / total;
-                }
-            }
-        } else {
-            self.wasted[Hazard::Fetch.index()] += wasted;
+    }
+
+    /// Record one cycle in which nothing issued: bit for bit what
+    /// `record_cycle(width, 0, 0, weights)` adds for the `shares` built
+    /// from the same `width` and `weights`, without redoing the division.
+    /// (`record_cycle`'s `useful` and `other` terms are `+ 0.0` there,
+    /// which leaves a never-negative accumulator's bits alone.)
+    pub(crate) fn record_stalled(&mut self, shares: &StallShares) {
+        self.cycles += 1;
+        self.slots += shares.width as u64;
+        self.charge(&shares.wasted);
+    }
+
+    fn charge(&mut self, shares: &[f64; 7]) {
+        // A zero share adds `+0.0`, which leaves the (never negative)
+        // accumulator's bits alone: no branch needed.
+        for (acc, s) in self.wasted.iter_mut().zip(shares) {
+            *acc += s;
         }
     }
 
@@ -281,6 +328,53 @@ mod tests {
         assert_eq!(a.cycles, 2); // lockstep: max, not sum
         assert_eq!(a.committed, 15);
         assert_eq!(a.useful, 10.0);
+    }
+
+    /// A stall span replays one division: k `record_stalled` calls must
+    /// leave every accumulator with the bits of k `record_cycle(width, 0,
+    /// 0, w)` calls, from accumulators that already hold fractions, for
+    /// weights blaming nothing (the fetch fallback), one class, or several.
+    #[test]
+    fn record_stalled_is_record_cycle_bit_for_bit() {
+        let mut one = [0.0; 7];
+        one[Hazard::Sync.index()] = 3.0;
+        let mut several = [0.0; 7];
+        several[Hazard::Memory.index()] = 5.0;
+        several[Hazard::Data.index()] = 2.0;
+        several[Hazard::Sync.index()] = 1.0;
+        several[Hazard::Other.index()] = 1.0;
+        let mut start = SlotStats::default();
+        let mut thirds = [0.0; 7];
+        thirds[Hazard::Memory.index()] = 1.0;
+        thirds[Hazard::Data.index()] = 2.0;
+        for _ in 0..7 {
+            start.record_cycle(8, 3, 0, &thirds);
+            start.record_cycle(8, 1, 2, &several);
+        }
+        assert!(start.wasted.iter().any(|w| w.fract() != 0.0));
+        let bits = |s: &SlotStats| {
+            (
+                s.useful.to_bits(),
+                s.wasted.map(f64::to_bits),
+                s.cycles,
+                s.slots,
+            )
+        };
+        for weights in [[0.0; 7], one, several] {
+            for width in [1, 4, 8] {
+                let (mut cycled, mut stalled) = (start.clone(), start.clone());
+                let shares = StallShares::new(width, &weights);
+                for k in 0..1000 {
+                    cycled.record_cycle(width, 0, 0, &weights);
+                    stalled.record_stalled(&shares);
+                    assert_eq!(
+                        bits(&stalled),
+                        bits(&cycled),
+                        "{weights:?} x{width}, cycle {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use csmt_cpu::{
 use csmt_isa::stream::VecStream;
 use csmt_isa::{ArchReg, DynInst, OpClass, SyncOp};
 use csmt_mem::{MemConfig, MemorySystem};
-use csmt_trace::{Event, Probe, Wants};
+use csmt_trace::{Event, HostPhase, Probe, Wants};
 
 fn mem1() -> MemorySystem {
     MemorySystem::new(MemConfig::table3(), 1, 7)
@@ -438,26 +438,44 @@ fn tiny_store_buffer_throttles_store_bursts() {
     // Everything still commits.
 }
 
-/// Every simulated-machine channel (not the host stopwatch's), each event
-/// reduced to a label: the rename-pool snapshot by kind, anything else by
-/// its full rendering.
+/// Every simulated-machine channel, each event reduced to a label: the
+/// rename-pool snapshot by kind, anything else by its full rendering. The
+/// host stopwatch's laps are kept apart, by phase only: they tell a
+/// stepped cycle from one a stall span skipped.
 #[derive(Default)]
-struct Recorder(Vec<String>);
+struct Recorder {
+    labels: Vec<String>,
+    laps: Vec<HostPhase>,
+}
 
 impl Probe for Recorder {
     const WANTS: Wants = Wants::INST
         .union(Wants::CACHE)
         .union(Wants::CYCLE_STATS)
         .union(Wants::POOL)
-        .union(Wants::SCHED);
+        .union(Wants::SCHED)
+        .union(Wants::HOST_PHASES);
 
     fn on(&mut self, ev: &Event<'_>) {
-        self.0.push(match ev {
-            Event::RenamePools(_) => "pool".into(),
-            other => format!("{other:?}"),
-        });
+        match ev {
+            Event::HostPhase { phase, .. } => self.laps.push(*phase),
+            Event::RenamePools(_) => self.labels.push("pool".into()),
+            other => self.labels.push(format!("{other:?}")),
+        }
     }
 }
+
+/// The laps of a cycle that ran the five phases with no memory access.
+const STEPPED: [HostPhase; 5] = [
+    HostPhase::Complete,
+    HostPhase::Commit,
+    HostPhase::Issue,
+    HostPhase::Fetch,
+    HostPhase::Account,
+];
+
+/// The laps of a cycle a stall span skipped.
+const SKIPPED: [HostPhase; 1] = [HostPhase::Account];
 
 /// The bits of every accumulator, so equality is bit for bit.
 fn stat_bits(s: &SlotStats) -> (u64, [u64; 7], u64, u64, u64) {
@@ -477,18 +495,29 @@ fn step_recorded(
     mem: &mut MemorySystem,
     now: u64,
 ) -> (CycleActivity, Vec<ClusterEvent>, Vec<String>) {
+    let (act, events, probe) = step_traced(c, mem, now);
+    (act, events, probe.labels)
+}
+
+/// [`step_recorded`], keeping the host laps too.
+fn step_traced(
+    c: &mut Cluster,
+    mem: &mut MemorySystem,
+    now: u64,
+) -> (CycleActivity, Vec<ClusterEvent>, Recorder) {
     let (mut events, mut probe) = (Vec::new(), Recorder::default());
     let act = c.step_probed(now, mem, 0, &mut events, &mut probe, 0);
-    (act, events, probe.0)
+    (act, events, probe)
 }
 
 /// A two-context cluster whose contexts park — context 0 at a barrier
 /// after some work and a mispredict-prone branch run, context 1 by
 /// exiting — then steps `k` cycles with nothing in flight and nothing
 /// runnable: each must be exactly one sync-only `record_cycle`, report no
-/// activity, and emit only the rename-pool snapshot. This is what any per-cluster
-/// skip of such cycles must reproduce (DESIGN §11). Resumed after more
-/// than the completion ring's span, the context then finishes normally.
+/// activity, and emit only the rename-pool snapshot. The first of them is
+/// stepped and opens a stall span; every later one is skipped (DESIGN
+/// §11). Resumed mid-span, after more than the completion ring's span, the
+/// context steps again that very cycle and finishes normally.
 #[test]
 fn a_parked_cluster_cycle_is_exactly_a_sync_only_record_cycle() {
     let mut c = Cluster::new(ClusterConfig::for_width(4, 2), 1);
@@ -524,18 +553,29 @@ fn a_parked_cluster_cycle_is_exactly_a_sync_only_record_cycle() {
     let mut want = c.stats().clone();
     let mut sync_only = [0.0; 7];
     sync_only[Hazard::Sync.index()] = 2.0;
-    for _ in 0..k {
+    for i in 0..k {
         want.record_cycle(4, 0, 0, &sync_only);
-        let (act, events, labels) = step_recorded(&mut c, &mut mem, now);
+        let (act, events, probe) = step_traced(&mut c, &mut mem, now);
         assert_eq!(act, CycleActivity::default(), "cycle {now}");
         assert!(events.is_empty(), "cycle {now}: {events:?}");
-        assert_eq!(labels, ["pool"], "cycle {now}");
+        assert_eq!(probe.labels, ["pool"], "cycle {now}");
+        let laps: &[HostPhase] = if i == 0 { &STEPPED } else { &SKIPPED };
+        assert_eq!(probe.laps, laps, "cycle {now}");
+        assert_eq!(stat_bits(c.stats()), stat_bits(&want), "cycle {now}");
         now += 1;
     }
-    assert_eq!(stat_bits(c.stats()), stat_bits(&want));
 
     c.resume_thread(0);
     let committed = c.thread_committed(0);
+    let (_, events, probe) = step_traced(&mut c, &mut mem, now);
+    assert!(events.is_empty());
+    assert_eq!(probe.laps, STEPPED, "a resume ends the span at once");
+    assert!(
+        probe.labels[0].starts_with(&format!("Fetch(FetchEvent {{ cycle: {now}, ")),
+        "the resumed context fetches on the cycle it is resumed: {:?}",
+        probe.labels
+    );
+    now += 1;
     loop {
         let (_, events, _) = step_recorded(&mut c, &mut mem, now);
         now += 1;
@@ -615,6 +655,121 @@ fn a_held_context_with_an_empty_window_still_reports_drained() {
         let (_, events, _) = step_recorded(&mut c, &mut mem, now);
         assert_eq!(events, [ClusterEvent::MigrationDrained { thread: 0 }]);
     }
+}
+
+/// A fetch that installs nothing can still change the cluster: a sync
+/// marker or the end of the stream parks the context `Draining`, and the
+/// next commit reports it. So that fetch opens no stall span, even when
+/// it is all that moved — here on the first cycle after a resume ended
+/// the span the parked context sat in, as a lock acquired right after a
+/// barrier does. Missing it, the report waits for the wheel, forever.
+#[test]
+fn a_fetch_that_only_parks_a_context_opens_no_span() {
+    let cases = [
+        (
+            vec![DynInst::sync(4, SyncOp::LockAcquire(3))],
+            ClusterEvent::SyncReached {
+                thread: 0,
+                op: SyncOp::LockAcquire(3),
+            },
+        ),
+        (Vec::new(), ClusterEvent::ThreadDone { thread: 0 }),
+    ];
+    for (tail, report) in cases {
+        let mut c = Cluster::new(ClusterConfig::for_width(4, 1), 1);
+        let mut mem = mem1();
+        let mut stream = vec![DynInst::sync(0, SyncOp::Barrier(1))];
+        stream.extend(tail);
+        c.attach_thread(0, Box::new(VecStream::new(stream)));
+        let mut now = 0;
+        while c.thread_state(0) != ThreadState::WaitingSync {
+            step_traced(&mut c, &mut mem, now);
+            now += 1;
+            assert!(now < 100, "never reached the barrier");
+        }
+        for _ in 0..10 {
+            step_traced(&mut c, &mut mem, now);
+            now += 1;
+        }
+        assert_eq!(step_traced(&mut c, &mut mem, now).2.laps, SKIPPED);
+        now += 1;
+        c.resume_thread(0);
+        let (act, events, probe) = step_traced(&mut c, &mut mem, now);
+        assert_eq!(
+            (act, events.as_slice(), probe.labels.as_slice()),
+            (CycleActivity::default(), &[][..], &["pool".to_string()][..]),
+            "only the fetch stage moved"
+        );
+        assert_eq!(c.thread_state(0), ThreadState::Draining);
+        let (_, events, probe) = step_traced(&mut c, &mut mem, now + 1);
+        assert_eq!(probe.laps, STEPPED);
+        assert_eq!(events, [report]);
+    }
+}
+
+/// A completed store at the head of its context, held there by a full
+/// store buffer, retires when a drain finishes — no completion-wheel
+/// event — so it opens no stall span: every cycle it waits is stepped.
+#[test]
+fn a_store_held_by_a_full_store_buffer_opens_no_span() {
+    let mut c = Cluster::new(ClusterConfig::for_width(4, 1).with_store_buffer(1), 1);
+    let mut mem = mem1();
+    let stores = (0..2)
+        .map(|i| DynInst::store(i * 4, 0x100_000 + i * 4096, [None, None]))
+        .collect();
+    c.attach_thread(0, Box::new(VecStream::new(stores)));
+    let (mut now, mut held) = (0, 0);
+    loop {
+        let waiting = c.thread_committed(0) == 1;
+        let (_, events, probe) = step_traced(&mut c, &mut mem, now);
+        if waiting && c.thread_committed(0) == 1 {
+            held += 1;
+            assert_ne!(
+                probe.laps, SKIPPED,
+                "cycle {now}: skipped over a held store"
+            );
+        }
+        now += 1;
+        if events.contains(&ClusterEvent::ThreadDone { thread: 0 }) {
+            break;
+        }
+        assert!(now < 10_000, "the held store never retired");
+    }
+    assert_eq!(c.thread_committed(0), 2);
+    assert!(
+        held > 20,
+        "the first store's drain must hold the second: {held}"
+    );
+}
+
+/// A ready entry that cannot issue — its unit is busy — keeps the ready
+/// queue non-empty, so it opens no stall span: every cycle the second
+/// divide waits for the one integer unit is stepped, and it issues the
+/// cycle the unit frees. (A span opened over it would also trip the
+/// every-skipped-cycle guard of test and debug builds.)
+#[test]
+fn a_ready_entry_blocked_on_a_unit_opens_no_span() {
+    let mut c = Cluster::new(ClusterConfig::for_width(1, 1), 1);
+    let mut mem = mem1();
+    let div = |pc: u64, dest: u8| {
+        DynInst::alu(pc, OpClass::IntDiv, Some(ArchReg::Int(dest)), [None, None])
+    };
+    c.attach_thread(0, Box::new(VecStream::new(vec![div(0, 1), div(4, 2)])));
+    // Cycle 0 fetches the first divide, 1 issues it (the unit is busy for
+    // its 8-cycle latency) and fetches the second, ready at once.
+    let issue_of =
+        |uid: u64, at: u64| format!("Issue(StageEvent {{ cycle: {at}, cluster: 0, uid: {uid} }})");
+    let mut issued = Vec::new();
+    for now in 0..=9 {
+        let (_, _, probe) = step_traced(&mut c, &mut mem, now);
+        for uid in [1, 2] {
+            if probe.labels.contains(&issue_of(uid, now)) {
+                issued.push((uid, now));
+            }
+        }
+        assert_eq!(probe.laps, STEPPED, "cycle {now}");
+    }
+    assert_eq!(issued, [(1, 1), (2, 9)]);
 }
 
 #[test]

@@ -44,6 +44,11 @@ must_exit_2 '/dev/null/out.jsonl: Not a directory' csmt-bench csmt-study -- fig4
 must_exit_2 'argument 1 "abc" is not a valid f64' csmt-verify csmt-lint -- abc
 must_exit_2 'unexpected argument 3 "7"' csmt-verify csmt-lint -- 0.02 8 7
 
+# Every block runs against one throwaway result cache: a cell two studies
+# share (the Fig 4 grid inside Fig 5's, say) is simulated once. Cold or
+# warm, a study's stdout is byte-identical (crates/bench/tests/studies.rs).
+export CSMT_SWEEP_CACHE="$TMP/cache"
+
 # One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
 check_block() {
   local section="$1" cmd="$2"
