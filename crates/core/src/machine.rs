@@ -244,11 +244,11 @@ impl Machine {
         }
     }
 
-    // Inert shims for the removed two-phase parallel step (DESIGN §15)
-    // and the removed stall fast-forward (DESIGN §11), kept only because
-    // the frozen `benchmark/` crate still calls them
-    // (`benchmark/src/layers.rs`, `benchmark/src/main.rs`). The ROADMAP
-    // item 1 `benchmark` PR deletes all three together with
+    // Inert shims for the removed two-phase parallel step and the removed
+    // machine-wide stall fast-forward (DESIGN §17), kept only because the
+    // frozen `benchmark/` crate still calls them (`benchmark/src/layers.rs`,
+    // `benchmark/src/main.rs`; DESIGN §3). Unfreezing the harness deletes
+    // all three together with
     // `core.cycle_ns.active_parallel` / `core.par_over_serial`,
     // `core.cycle_ns.membound_ff` / `core.ff_over_stepped` (which read
     // ≈ `membound_stepped` / ≈ 1.0 in traced runs until then — per-layer,

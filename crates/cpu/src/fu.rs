@@ -12,8 +12,6 @@ use csmt_isa::OpClass;
 pub struct FuPool {
     /// busy-until cycle per unit instance, grouped per kind.
     busy: [Vec<u64>; 3],
-    issued: [u64; 3],
-    structural_stalls: u64,
 }
 
 impl FuPool {
@@ -22,8 +20,6 @@ impl FuPool {
         assert!(counts.iter().all(|&c| c >= 1), "every kind needs ≥1 unit");
         FuPool {
             busy: [vec![0; counts[0]], vec![0; counts[1]], vec![0; counts[2]]],
-            issued: [0; 3],
-            structural_stalls: 0,
         }
     }
 
@@ -46,19 +42,8 @@ impl FuPool {
                 .find(|b| **b <= now)
                 .expect("can_issue checked");
             *slot = now + op.fu_occupancy() as u64;
-            self.issued[k.index()] += 1;
         }
         now + op.latency() as u64
-    }
-
-    /// Record that an instruction was ready but found no unit this cycle.
-    pub fn note_structural_stall(&mut self) {
-        self.structural_stalls += 1;
-    }
-
-    /// (per-kind issue counts, structural stall events).
-    pub fn stats(&self) -> ([u64; 3], u64) {
-        (self.issued, self.structural_stalls)
     }
 }
 
@@ -120,16 +105,5 @@ mod tests {
         assert_eq!(p.issue(OpClass::IntAlu, 10), 11);
         assert_eq!(p.issue(OpClass::IntMul, 10), 12);
         assert_eq!(p.issue(OpClass::FpDivDouble, 10), 17);
-    }
-
-    #[test]
-    fn stats_track_per_kind_issues() {
-        let mut p = FuPool::new([2, 2, 2]);
-        p.issue(OpClass::IntAlu, 0);
-        p.issue(OpClass::Load, 0);
-        p.issue(OpClass::FpMul, 0);
-        p.issue(OpClass::FpAdd, 1);
-        let (counts, _) = p.stats();
-        assert_eq!(counts, [1, 1, 2]);
     }
 }

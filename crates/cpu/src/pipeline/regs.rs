@@ -45,7 +45,7 @@ pub enum ThreadState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EState {
     Waiting,
-    Exec { done_at: u64 },
+    Exec,
     Done,
 }
 

@@ -238,7 +238,7 @@ impl Window {
                 for src in &e.srcs {
                     if let SrcState::Wait(p) = src {
                         let prod = &self.entries[*p as usize];
-                        if prod.op == OpClass::Load && matches!(prod.state, EState::Exec { .. }) {
+                        if prod.op == OpClass::Load && prod.state == EState::Exec {
                             return HazardClass::Memory;
                         }
                         class = HazardClass::Data;
@@ -250,8 +250,8 @@ impl Window {
             // slice of the machine busy: charge it as a memory hazard, as
             // the paper's window scan does for instructions held up by
             // memory accesses.
-            EState::Exec { .. } if e.op == OpClass::Load => HazardClass::Memory,
-            EState::Exec { .. } | EState::Done => HazardClass::None,
+            EState::Exec if e.op == OpClass::Load => HazardClass::Memory,
+            EState::Exec | EState::Done => HazardClass::None,
         }
     }
 
@@ -337,7 +337,7 @@ impl Window {
         let entries = &self.entries;
         self.complete_buf.retain(|&(slot, seq)| {
             let e = &entries[slot as usize];
-            e.valid && e.seq == seq && matches!(e.state, EState::Exec { .. })
+            e.valid && e.seq == seq && e.state == EState::Exec
         });
         // Mark Done and emit writebacks in slot order — the order the
         // monolith's ascending full-window scan produced.
@@ -483,7 +483,6 @@ impl Window {
                 )
             };
             if !fu.can_issue(op, now) {
-                fu.note_structural_stall();
                 continue;
             }
             let done_at = if op == OpClass::Load {
@@ -507,7 +506,7 @@ impl Window {
             } else {
                 fu.issue(op, now)
             };
-            self.entries[slot as usize].state = EState::Exec { done_at };
+            self.entries[slot as usize].state = EState::Exec;
             // The earliest complete() that can observe the instruction
             // runs next cycle, exactly as the monolith's scan did.
             self.issued_buf.push((seq, slot, done_at.max(now + 1)));
@@ -695,6 +694,12 @@ mod tests {
         r.complete(1);
         assert_eq!(r.win.entries[a as usize].state, EState::Waiting);
         assert_eq!(r.win.entries[b as usize].srcs[0], SrcState::Wait(blocker));
+    }
+
+    /// A window entry fills one 64-byte cache line.
+    #[test]
+    fn an_entry_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 
     /// The `Wants::POOL` scan reads `dest`, not `entries`: 2 bytes a slot

@@ -515,9 +515,9 @@ fn step_traced(
 /// exiting — then steps `k` cycles with nothing in flight and nothing
 /// runnable: each must be exactly one sync-only `record_cycle`, report no
 /// activity, and emit only the rename-pool snapshot. The first of them is
-/// stepped and opens a stall span; every later one is skipped (DESIGN
-/// §11). Resumed mid-span, after more than the completion ring's span, the
-/// context steps again that very cycle and finishes normally.
+/// stepped and opens a stall span; every later one is skipped
+/// (DESIGN §11). Resumed mid-span, after more than the completion ring's
+/// span, the context steps again that very cycle and finishes normally.
 #[test]
 fn a_parked_cluster_cycle_is_exactly_a_sync_only_record_cycle() {
     let mut c = Cluster::new(ClusterConfig::for_width(4, 2), 1);

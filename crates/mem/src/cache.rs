@@ -55,8 +55,6 @@ pub struct Cache {
     assoc: usize,
     banks: usize,
     lru_clock: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -71,8 +69,6 @@ impl Cache {
             assoc,
             banks,
             lru_clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -156,7 +152,6 @@ impl Cache {
                 if way.tag == tag {
                     self.ways[base + w].lru = self.lru_clock;
                     self.ways[base + w].dirty |= write;
-                    self.hits += 1;
                     return LookupResult::Hit;
                 }
                 if way.lru < stamp_best {
@@ -167,7 +162,6 @@ impl Cache {
                 invalid_way = w;
             }
         }
-        self.misses += 1;
         // Victim: first invalid way, else the least recently used. (When
         // no way is invalid every way was valid, so `stamp_way` covered
         // the full set.)
@@ -222,11 +216,6 @@ impl Cache {
         }
         false
     }
-
-    /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +236,6 @@ mod tests {
             LookupResult::Miss { evicted: None }
         ));
         assert_eq!(c.access(5, false), LookupResult::Hit);
-        assert_eq!(c.stats(), (1, 1));
     }
 
     /// First three lines that map to the same set as line 0.

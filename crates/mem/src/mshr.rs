@@ -35,9 +35,6 @@ struct Entry {
 pub struct MshrFile {
     entries: Vec<Entry>,
     capacity: usize,
-    merges: u64,
-    allocations: u64,
-    full_stall_cycles: u64,
 }
 
 impl MshrFile {
@@ -47,9 +44,6 @@ impl MshrFile {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
-            merges: 0,
-            allocations: 0,
-            full_stall_cycles: 0,
         }
     }
 
@@ -66,7 +60,6 @@ impl MshrFile {
     pub fn request(&mut self, line: u64, now: u64) -> MshrOutcome {
         self.expire(now);
         if let Some(e) = self.entries.iter().find(|e| e.line == line) {
-            self.merges += 1;
             return MshrOutcome::Secondary {
                 complete_at: e.complete_at,
             };
@@ -78,7 +71,6 @@ impl MshrFile {
                 .map(|e| e.complete_at)
                 .min()
                 .expect("full file is non-empty");
-            self.full_stall_cycles += earliest - now;
             // That entry will have retired by `earliest`; evict it now so the
             // new entry can be recorded.
             let pos = self
@@ -91,7 +83,6 @@ impl MshrFile {
         } else {
             now
         };
-        self.allocations += 1;
         MshrOutcome::Primary { start }
     }
 
@@ -120,11 +111,6 @@ impl MshrFile {
         self.expire(now);
         self.entries.len()
     }
-
-    /// (primary allocations, secondary merges, cycles stalled on a full file).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.allocations, self.merges, self.full_stall_cycles)
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +129,6 @@ mod tests {
             MshrOutcome::Secondary { complete_at } => assert_eq!(complete_at, 50),
             o => panic!("{o:?}"),
         }
-        assert_eq!(m.stats().1, 1);
     }
 
     #[test]
@@ -171,7 +156,6 @@ mod tests {
             MshrOutcome::Primary { start } => assert_eq!(start, 40),
             o => panic!("{o:?}"),
         }
-        assert_eq!(m.stats().2, 40);
     }
 
     #[test]
@@ -182,7 +166,6 @@ mod tests {
             m.complete(line, 100);
         }
         assert_eq!(m.outstanding(0), 5);
-        assert_eq!(m.stats().0, 5);
     }
 
     #[test]

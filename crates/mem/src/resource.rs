@@ -9,17 +9,12 @@
 //! reservations land in the future (when the line returns), and accesses
 //! arriving in the meantime must be able to use the idle slots in between —
 //! a pure horizon model would charge them phantom queueing.
-//!
-//! A [`MultiResource`] is `k` interchangeable copies (e.g. MSHR slots)
-//! served earliest-free-first.
 
 /// A single resource with an interval-based reservation timeline.
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     /// Sorted, disjoint busy intervals `[start, end)` still in the future.
     intervals: Vec<(u64, u64)>,
-    total_wait: u64,
-    uses: u64,
 }
 
 impl Resource {
@@ -58,77 +53,7 @@ impl Resource {
             self.intervals[insert_at - 1].1 = self.intervals[insert_at].1;
             self.intervals.remove(insert_at);
         }
-        self.total_wait += start - now;
-        self.uses += 1;
         start
-    }
-
-    /// When the resource's last current reservation ends.
-    pub fn free_at(&self) -> u64 {
-        self.intervals.last().map_or(0, |&(_, e)| e)
-    }
-
-    /// Cumulative cycles requests spent queued on this resource.
-    pub fn total_wait(&self) -> u64 {
-        self.total_wait
-    }
-
-    /// Number of reservations made.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-}
-
-/// `k` interchangeable copies of a resource; a reservation takes the copy
-/// that can start earliest.
-#[derive(Debug, Clone)]
-pub struct MultiResource {
-    slots: Vec<u64>,
-    total_wait: u64,
-    uses: u64,
-}
-
-impl MultiResource {
-    /// Create with `k ≥ 1` slots.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "MultiResource needs at least one slot");
-        Self {
-            slots: vec![0; k],
-            total_wait: 0,
-            uses: 0,
-        }
-    }
-
-    /// Reserve any slot at `now` for `occupancy`; returns service start.
-    #[inline]
-    pub fn reserve(&mut self, now: u64, occupancy: u64) -> u64 {
-        // k is small (≤ 32); a linear scan beats a heap here.
-        let (best, _) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("non-empty");
-        let start = now.max(self.slots[best]);
-        self.slots[best] = start + occupancy;
-        self.total_wait += start - now;
-        self.uses += 1;
-        start
-    }
-
-    /// Number of slots free at time `now`.
-    pub fn free_slots(&self, now: u64) -> usize {
-        self.slots.iter().filter(|&&t| t <= now).count()
-    }
-
-    /// Cumulative queueing delay.
-    pub fn total_wait(&self) -> u64 {
-        self.total_wait
-    }
-
-    /// Number of reservations made.
-    pub fn uses(&self) -> u64 {
-        self.uses
     }
 }
 
@@ -140,8 +65,7 @@ mod tests {
     fn idle_resource_serves_immediately() {
         let mut r = Resource::new();
         assert_eq!(r.reserve(10, 3), 10);
-        assert_eq!(r.free_at(), 13);
-        assert_eq!(r.total_wait(), 0);
+        assert_eq!(r.intervals, [(10, 13)]);
     }
 
     #[test]
@@ -150,8 +74,6 @@ mod tests {
         assert_eq!(r.reserve(0, 5), 0);
         assert_eq!(r.reserve(1, 5), 5); // waits 4
         assert_eq!(r.reserve(2, 5), 10); // waits 8
-        assert_eq!(r.total_wait(), 12);
-        assert_eq!(r.uses(), 3);
     }
 
     #[test]
@@ -168,7 +90,6 @@ mod tests {
         assert_eq!(r.reserve(40, 8), 40);
         // ...must not delay a request arriving now.
         assert_eq!(r.reserve(2, 1), 2);
-        assert_eq!(r.total_wait(), 0);
     }
 
     #[test]
@@ -188,7 +109,7 @@ mod tests {
         r.reserve(5, 5);
         r.reserve(10, 5);
         assert_eq!(r.intervals.len(), 1);
-        assert_eq!(r.free_at(), 15);
+        assert_eq!(r.intervals[0].1, 15);
     }
 
     #[test]
@@ -199,30 +120,5 @@ mod tests {
         }
         r.reserve(10_000, 1);
         assert!(r.intervals.len() <= 2, "{}", r.intervals.len());
-    }
-
-    #[test]
-    fn multi_resource_overlaps_up_to_k() {
-        let mut m = MultiResource::new(2);
-        assert_eq!(m.reserve(0, 10), 0);
-        assert_eq!(m.reserve(0, 10), 0); // second slot
-        assert_eq!(m.reserve(0, 10), 10); // queued
-        assert_eq!(m.total_wait(), 10);
-    }
-
-    #[test]
-    fn multi_resource_free_slots() {
-        let mut m = MultiResource::new(3);
-        m.reserve(0, 5);
-        m.reserve(0, 8);
-        assert_eq!(m.free_slots(0), 1);
-        assert_eq!(m.free_slots(5), 2);
-        assert_eq!(m.free_slots(8), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_slot_multi_resource_rejected() {
-        MultiResource::new(0);
     }
 }

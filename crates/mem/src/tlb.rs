@@ -18,8 +18,6 @@ pub struct Tlb {
     slots: Vec<u64>,
     capacity: usize,
     rng: SplitMix64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -33,8 +31,6 @@ impl Tlb {
             slots: Vec::with_capacity(capacity),
             capacity,
             rng: SplitMix64::new(seed),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -42,10 +38,8 @@ impl Tlb {
     /// evicting a uniformly random victim when full.
     pub fn access(&mut self, page: u64) -> bool {
         if self.map.contains_key(&page) {
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.slots.len() < self.capacity {
             self.map.insert(page, self.slots.len());
             self.slots.push(page);
@@ -58,16 +52,6 @@ impl Tlb {
         }
         false
     }
-
-    /// Entries currently resident.
-    pub fn resident(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// (hits, misses).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +63,6 @@ mod tests {
         let mut t = Tlb::new(4, 1);
         assert!(!t.access(100));
         assert!(t.access(100));
-        assert_eq!(t.stats(), (1, 1));
     }
 
     #[test]
@@ -88,7 +71,7 @@ mod tests {
         for p in 0..4 {
             t.access(p);
         }
-        assert_eq!(t.resident(), 4);
+        assert_eq!(t.slots.len(), 4);
         for p in 0..4 {
             assert!(t.access(p), "page {p} should be resident");
         }
@@ -101,7 +84,7 @@ mod tests {
             t.access(p);
         }
         t.access(99); // evicts one of 0..4
-        assert_eq!(t.resident(), 4);
+        assert_eq!(t.slots.len(), 4);
         assert!(t.access(99));
         let survivors = (0..4).filter(|&p| t.map.contains_key(&p)).count();
         assert_eq!(survivors, 3);

@@ -57,7 +57,7 @@ impl ResultCache {
     #[must_use]
     #[expect(
         clippy::disallowed_methods,
-        reason = "the other half of SweepEngine::from_env, which frozen benchmark/ calls; ROADMAP item 1 deletes both functions with their expects"
+        reason = "the other half of SweepEngine::from_env, which frozen benchmark/ calls; both functions and their expects go with the frozen-harness shims (DESIGN.md §3)"
     )]
     pub fn from_env() -> Option<Self> {
         let dir = std::env::var_os("CSMT_SWEEP_CACHE")?;

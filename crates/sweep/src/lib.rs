@@ -1,8 +1,7 @@
 //! # csmt-sweep — design-space sweep engine
 //!
-//! ROADMAP item 1: serve huge (arch × chips × app × seed × knob) sweeps
-//! as cheap, cacheable queries. The engine has three parts (DESIGN.md
-//! §16):
+//! Serve (arch × chips × app × seed × knob) sweeps as cheap, cacheable
+//! queries. The engine has three parts (DESIGN.md §16):
 //!
 //! * [`pool`] — a bounded job pool with in-order result streaming (the
 //!   crate's registered concurrency seam);
@@ -97,9 +96,9 @@ fn key_under(
 
 /// The positional Table-2 × Table-3 × one-application subset of
 /// [`RunSpec`], kept only because the frozen `benchmark/` crate
-/// literal-constructs it; it goes with ROADMAP item 1. Everything it does
-/// is [`spec`](SweepCell::spec) plus the `RunSpec` function of the same
-/// name.
+/// literal-constructs it (a frozen-harness shim, DESIGN.md §3).
+/// Everything it does is [`spec`](SweepCell::spec) plus the `RunSpec`
+/// function of the same name.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Application to run.
@@ -178,7 +177,7 @@ impl SweepEngine {
     #[must_use]
     #[expect(
         clippy::disallowed_methods,
-        reason = "frozen benchmark/ calls SweepEngine::from_env(); ROADMAP item 1 deletes the function and this expect together"
+        reason = "frozen benchmark/ calls SweepEngine::from_env(); the function and this expect go together with the other frozen-harness shims (DESIGN.md §3)"
     )]
     pub fn from_env() -> Self {
         let threads = std::env::var("CSMT_SWEEP_THREADS")

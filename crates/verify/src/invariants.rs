@@ -3,7 +3,7 @@
 //! the machine never leaves the envelope the paper's Table 2 budgets and
 //! §3.1/§4.1 semantics define.
 //!
-//! Checked invariants (see DESIGN.md §10 for the paper citations):
+//! Checked invariants (see DESIGN.md §9 for the paper citations):
 //!
 //! * **Lifecycle order** — every `(cluster, uid)` moves strictly through
 //!   fetch → rename → issue → writeback → commit (or is squashed after

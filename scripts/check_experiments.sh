@@ -1,21 +1,142 @@
 #!/usr/bin/env bash
-# EXPERIMENTS.md drift gate: every
+# Docs drift gate. It fails (exit 1, naming the file and line) when a
+# document no longer says what the code is:
 #
-#   `cargo run --release [-p <pkg>] --bin <bin> [args]`
+#  1. the name of the roadmap file (upper case) appears outside the
+#     planning notes at the root (every *.md there but DESIGN.md, README.md
+#     and EXPERIMENTS.md) and the frozen benchmark/ — its item numbers
+#     change meaning at every re-planning, so code and docs cite DESIGN.md
+#     sections instead;
+#  2. a `DESIGN §N` / `DESIGN.md §N` citation in a .rs, .toml, .md or .sh
+#     file outside those notes names a section DESIGN.md no longer has (a
+#     `## N.` heading);
+#  3. a `path:line` in DESIGN.md or README.md names a missing file or a
+#     line past its end;
+#  4. a `cargo run … --bin` line of README.md fails to run at scale 0.02
+#     (appended for csmt-study, substituted for csmt-report's scale and
+#     csmt-sweep's --scales; /tmp/ paths go to a throwaway directory);
+#  5. a typo'd argument or unreadable path is not an exit-2 diagnosis;
+#  6. EXPERIMENTS.md drifts: every
 #
-# line in EXPERIMENTS.md that is followed (within its section) by a
-# ```text block is run as written (plus -q --offline), and every
-# non-empty line of the block must appear in the binary's stdout, in
-# order and byte-for-byte. A block may quote only part of the output;
-# it may not quote a number the binary no longer prints.
+#       `cargo run --release [-p <pkg>] --bin <bin> [args]`
 #
-# Exit: 0 all blocks reproduce, 1 naming the section and the first
-# missing line.
+#     line there that is followed (within its section) by a ```text block
+#     is run as written (plus -q --offline), and every non-empty line of
+#     the block must appear in the binary's stdout, in order and
+#     byte-for-byte. A block may quote only part of the output; it may not
+#     quote a number the binary no longer prints.
+#
+#   scripts/check_experiments.sh [--design <file>] [--readme <file>] [--also <file>]...
+#
+# --design / --readme check another file in place of DESIGN.md / README.md
+# and --also adds a file to checks 1-2; cargo still runs from the repo, so
+# nothing is rebuilt. Exit: 0 all checks pass, 1 naming the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ROOT="$PWD"
+
+DESIGN=DESIGN.md README=README.md ALSO=()
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --design) DESIGN="$2" ;;
+    --readme) README="$2" ;;
+    --also) ALSO+=("$2") ;;
+    *) echo "check_experiments: unknown argument $1" >&2; exit 2 ;;
+  esac
+  shift 2
+done
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+
+fail() {
+  echo "check_experiments: $*" >&2
+  exit 1
+}
+
+# The files checks 1 and 2 read: everything git tracks or would track but
+# the planning notes and benchmark/, with DESIGN.md / README.md replaced by
+# the files given.
+FILES=()
+while IFS= read -r f; do
+  case "$f" in
+    DESIGN.md) f="$DESIGN" ;;
+    README.md) f="$README" ;;
+    EXPERIMENTS.md | */*) ;;
+    *.md) continue ;;
+  esac
+  case "$f" in benchmark/*) continue ;; esac
+  if [ -f "$f" ]; then FILES+=("$f"); fi
+done < <(git ls-files --cached --others --exclude-standard | sort -u)
+FILES+=("${ALSO[@]}")
+
+echo "==> no roadmap item numbers outside the planning notes"
+word="ROAD""MAP" # in two halves, so that this file passes the check
+if grep -nIHF -- "$word" "${FILES[@]}" >"$TMP/hits"; then
+  fail "$(head -1 "$TMP/hits")
+  cites the roadmap file; cite a DESIGN.md section instead"
+fi
+
+echo "==> every DESIGN section citation names a section $DESIGN has"
+grep -oE '^## [0-9]+\.' "$DESIGN" | tr -dc '0-9\n' >"$TMP/sections"
+for f in "${FILES[@]}"; do
+  case "$f" in *.rs | *.toml | *.md | *.sh) ;; *) continue ;; esac
+  grep -noHE 'DESIGN(\.md)? §[0-9]+' "$f" || true
+done >"$TMP/cites"
+while IFS= read -r cite; do
+  n="${cite##*§}"
+  grep -qx "$n" "$TMP/sections" ||
+    fail "${cite%%:DESIGN*}: cites §$n, which $DESIGN does not have"
+done <"$TMP/cites"
+
+echo "==> every path:line in $DESIGN and $README is in range"
+for doc in "$DESIGN" "$README"; do
+  grep -noE '[A-Za-z0-9_./-]+\.(rs|toml|md|sh|json|yml|lock):[0-9]+(-[0-9]+)?' "$doc" \
+    >"$TMP/refs" || true
+  while IFS= read -r ref; do
+    at="${ref%%:*}" ref="${ref#*:}"
+    path="${ref%:*}" line="${ref##*[:-]}"
+    [ -f "$path" ] || fail "$doc:$at: \`$ref\` names no file"
+    [ "$line" -ge 1 ] && [ "$line" -le "$(wc -l <"$path")" ] ||
+      fail "$doc:$at: \`$ref\` is past the end of $path ($(wc -l <"$path") lines)"
+  done <"$TMP/refs"
+done
+
+# Every run below shares one throwaway result cache: a cell two commands
+# share (the Fig 4 grid inside Fig 5's, say) is simulated once. Cold or
+# warm, a study's stdout is byte-identical (crates/bench/tests/studies.rs).
+export CSMT_SWEEP_CACHE="$TMP/cache"
+
+echo "==> every cargo run --bin line of $README runs at scale 0.02"
+mkdir -p "$TMP/run"
+awk '
+  { line = (cont ? line " " : "") $0; if (!cont) at = NR }
+  /\\$/ { sub(/\\$/, "", line); cont = 1; next }
+  { cont = 0 }
+  line ~ /cargo run .*--bin / { print at "\t" line }
+' "$README" >"$TMP/readme_runs"
+while IFS=$'\t' read -r at line; do
+  read -r -a words <<<"${line%%  #*}"                 # the trailing comment
+  cmd="${words[*]}"
+  cmd="cargo run${cmd#*cargo run}"                    # an env prefix: the cache is exported
+  cmd="${cmd//\/tmp\//$TMP/}"                         # outputs go to the throwaway dir
+  case "$cmd" in
+    *"--bin csmt-study"*) cmd="$cmd 0.02" ;;
+    *"--bin csmt-report"*)
+      cmd="$(sed -E 's/ [0-9]+\.[0-9]+( |$)/ 0.02\1/' <<<"$cmd")" ;;
+    *"--bin csmt-sweep"*)
+      cmd="$(sed -E 's/--scales [^ ]+/--scales 0.02/' <<<"$cmd")" ;;
+  esac
+  echo "    $cmd"
+  status=0
+  # shellcheck disable=SC2086  # the documented command line is split on purpose
+  (cd "$TMP/run" && cargo run -q --offline --manifest-path "$ROOT/Cargo.toml" ${cmd#cargo run }) \
+    >/dev/null 2>"$TMP/run.err" || status=$?
+  if [ "$status" -ne 0 ]; then
+    cat "$TMP/run.err" >&2
+    fail "$README:$at: \`$cmd\` exited $status"
+  fi
+done <"$TMP/readme_runs"
 
 # A typo'd argument or a path the program cannot read is an error, not a
 # different experiment (0.5 was meant) and not a panic: exit 2 with a
@@ -27,9 +148,8 @@ must_exit_2() {
   cargo run -q --release --offline -p "$pkg" --bin "$@" \
     >/dev/null 2>"$TMP/typo.err" || status=$?
   if [ "$status" -ne 2 ] || ! grep -qF -- "$want" "$TMP/typo.err"; then
-    echo "check_experiments: $* exited $status, want 2 and a diagnosis:" >&2
     cat "$TMP/typo.err" >&2
-    exit 1
+    fail "$* exited $status, want 2 and a diagnosis"
   fi
 }
 must_exit_2 'argument 2 "O.1" is not a valid' csmt-bench csmt-study -- fetch_policies O.1
@@ -43,11 +163,6 @@ must_exit_2 '/dev/null/out: Not a directory' csmt-bench csmt-report -- SMT2 mgri
 must_exit_2 '/dev/null/out.jsonl: Not a directory' csmt-bench csmt-study -- fig4 0.02 --out /dev/null/out.jsonl
 must_exit_2 'argument 1 "abc" is not a valid f64' csmt-verify csmt-lint -- abc
 must_exit_2 'unexpected argument 3 "7"' csmt-verify csmt-lint -- 0.02 8 7
-
-# Every block runs against one throwaway result cache: a cell two studies
-# share (the Fig 4 grid inside Fig 5's, say) is simulated once. Cold or
-# warm, a study's stdout is byte-identical (crates/bench/tests/studies.rs).
-export CSMT_SWEEP_CACHE="$TMP/cache"
 
 # One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
 check_block() {
@@ -91,4 +206,4 @@ while IFS= read -r line; do
   fi
 done <EXPERIMENTS.md
 
-echo "check_experiments: $checked blocks reproduce"
+echo "check_experiments: docs in range, $(wc -l <"$TMP/readme_runs") README runs, $checked blocks reproduce"

@@ -3,7 +3,8 @@
 # (every line of every *.rs file) per crate and for the top-level trees,
 # plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
 # knobs, run entry points, config fields, determinism-lint exceptions,
-# probe channels, and the per-instruction in-flight mirrors probes keep.
+# probe channels, the per-instruction in-flight mirrors probes keep, and
+# the line counts of the three documents a reader starts from.
 #
 #   scripts/size.sh                 (run at the parent and at the change;
 #                                    CHANGES.md records both)
@@ -86,6 +87,7 @@ cat <<EOF
   },
   "lint_exceptions": $(lint_exceptions),
   "probe_channels": $(count '^    pub const [A-Z_]+: Wants = Wants\(1 << ' crates/trace/src/probe.rs),
-  "inflight_mirrors": $(find crates/*/src -name '*.rs' -exec cat {} + | grep -cE '^ +[a-z_]+: (Vec<)?InflightRing<' || true)
+  "inflight_mirrors": $(find crates/*/src -name '*.rs' -exec cat {} + | grep -cE '^ +[a-z_]+: (Vec<)?InflightRing<' || true),
+  "doc_lines": {"DESIGN": $(wc -l <DESIGN.md), "README": $(wc -l <README.md), "EXPERIMENTS": $(wc -l <EXPERIMENTS.md)}
 }
 EOF

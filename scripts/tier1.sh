@@ -49,8 +49,33 @@ echo "==> csmt-study CLI smoke (Fig 4 at 0.02, JSONL export; every study cold th
 cargo run -q --release -p csmt-bench --bin csmt-study -- fig4 0.02 --out "$SWEEP_TMP/fig4.jsonl" >/dev/null
 [ "$(wc -l <"$SWEEP_TMP/fig4.jsonl")" -eq 30 ]
 
-echo "==> EXPERIMENTS.md tables reproduce from their binaries"
+echo "==> docs drift gate (citations, path:line, README runs; EXPERIMENTS.md tables reproduce from their binaries)"
 scripts/check_experiments.sh
+
+echo "==> the docs drift gate exits 1 on each seeded fault, naming the file that holds it"
+FAULTS="$SWEEP_TMP/faults"
+mkdir -p "$FAULTS"
+expect_fault() {
+  local file="$1" status=0
+  shift
+  scripts/check_experiments.sh "$@" >"$FAULTS/out" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF "$file" "$FAULTS/out"; then
+    cat "$FAULTS/out"
+    echo "tier1: the docs gate exited $status on the fault in $file, want 1 naming it" >&2
+    exit 1
+  fi
+}
+# The roadmap's name and a retired section number are built at run time:
+# written out here, they would trip the gate on this file.
+printf '// %s item 9\n' "ROAD""MAP" >"$FAULTS/roadmap.rs"
+expect_fault "$FAULTS/roadmap.rs" --also "$FAULTS/roadmap.rs"
+printf '// DESIGN.md §%s\n' 15 >"$FAULTS/retired.rs"
+expect_fault "$FAULTS/retired.rs" --also "$FAULTS/retired.rs"
+cp DESIGN.md "$FAULTS/DESIGN.md"
+echo "See \`README.md:$(($(wc -l <README.md) + 1))\`." >>"$FAULTS/DESIGN.md"
+expect_fault "$FAULTS/DESIGN.md" --design "$FAULTS/DESIGN.md"
+echo 'cargo run --release -p csmt-bench --bin csmt-study nosuchstudy' >"$FAULTS/README.md"
+expect_fault "$FAULTS/README.md" --readme "$FAULTS/README.md"
 
 echo "==> csmt-sweep smoke (tiny grid, cold then warm: cache hits + identical output)"
 SWEEP_ARGS=(--archs FA2,SMT2 --apps vpenta,mgrid --scales 0.02 --cache "$SWEEP_TMP/cache")
