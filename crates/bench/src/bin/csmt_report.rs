@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)
-//!             [--verify] [--profile] [--out <dir>] [--sched <policy>]
+//!             [--verify] [--profile] [--out <dir>]
 //! ```
 //!
 //! `--verify` attaches csmt-verify's `InvariantProbe` (exit 2 on any
@@ -22,7 +22,7 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use csmt_bench::FIGURE_SEED;
-use csmt_core::{ArchKind, RunResult};
+use csmt_core::{ArchKind, Policy, RunResult};
 use csmt_cpu::Hazard;
 use csmt_metrics::{HostProfiler, MetricsProbe};
 use csmt_sweep::{arch_by_name, fail, Cli};
@@ -42,16 +42,14 @@ fn usage() -> String {
          \n\
          usage:\n\
          \x20 csmt-report [arch[,arch…]] [app] [scale] [chips]   (defaults: SMT2 mgrid 0.2 1)\n\
-         \x20             [--verify] [--profile] [--out <dir>] [--sched <policy>]\n\
+         \x20             [--verify] [--profile] [--out <dir>]\n\
          \n\
          \x20 --verify          attach the invariant checker; exit 2 on any violation\n\
          \x20 --profile         print where the simulator's own host time went\n\
          \x20 --out <dir>       write metrics JSON, heartbeat + pipeview traces per\n\
          \x20                   arch, and report.json, into <dir>\n\
-         \x20 --sched <policy>  thread-to-cluster policy (default: static; {})\n\
          \n\
          archs: {}\n",
-        csmt_core::sched::POLICY_NAMES.join(", "),
         ArchKind::ALL.map(ArchKind::name).join(" "),
     )
 }
@@ -92,12 +90,7 @@ fn traces(dir: &Path, arch: ArchKind) -> (IntervalSampler, PipeviewProbe<BufWrit
 
 fn main() {
     let cli = Cli::parse(
-        &[
-            ("--verify", false),
-            ("--profile", false),
-            ("--out", true),
-            ("--sched", true),
-        ],
+        &[("--verify", false), ("--profile", false), ("--out", true)],
         4,
         &usage(),
     );
@@ -123,7 +116,6 @@ fn main() {
             names.join(", ")
         ));
     };
-    let sched = cli.sched();
     let verify = cli.has("--verify");
     let out: Option<PathBuf> = cli.value("--out").map(|dir| {
         let dir = PathBuf::from(dir);
@@ -136,10 +128,7 @@ fn main() {
     let mut summaries = Vec::new();
     let mut written = Vec::new();
     for (i, &arch) in archs.iter().enumerate() {
-        let spec = RunSpec {
-            sched,
-            ..RunSpec::new(&app, arch, chips, scale, FIGURE_SEED)
-        };
+        let spec = RunSpec::new(&app, arch, chips, scale, FIGURE_SEED);
         let mut probe = (
             MetricsProbe::default(),
             (
@@ -215,7 +204,7 @@ fn main() {
             ("scale".to_string(), scale.to_value()),
             ("chips".to_string(), chips.to_value()),
             ("seed".to_string(), FIGURE_SEED.to_value()),
-            ("sched".to_string(), sched.to_value()),
+            ("sched".to_string(), Policy::Static.name().to_value()),
             ("archs".to_string(), Value::Array(summaries)),
         ];
         if let Some(p) = &profiler {

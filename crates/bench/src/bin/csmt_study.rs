@@ -2,7 +2,7 @@
 //! runs one row of the study table (`csmt_bench::studies::STUDIES`).
 //!
 //! ```text
-//! csmt-study <study> [scale] [--sched <policy>] [--out <path>]
+//! csmt-study <study> [scale] [--out <path>]
 //! ```
 //!
 //! The grid runs through the sweep engine (`CSMT_SWEEP_THREADS` workers,
@@ -15,18 +15,11 @@ use std::io::Write as _;
 
 use csmt_bench::render_env_knobs;
 use csmt_bench::studies::{Setting, STUDIES};
-use csmt_core::sched::POLICY_NAMES;
 use csmt_sweep::{fail, jsonl_line, Cli, SweepEngine};
-
-/// The names of the studies `--sched` applies to.
-fn sched_studies() -> String {
-    let names: Vec<&str> = STUDIES.iter().filter(|s| s.sched).map(|s| s.name).collect();
-    names.join(", ")
-}
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage: csmt-study <study> [scale] [--sched <policy>] [--out <path>]\n\
+        "usage: csmt-study <study> [scale] [--out <path>]\n\
          \n\
          studies (default scale, then the seed of every cell):\n",
     );
@@ -40,20 +33,16 @@ fn usage() -> String {
     let _ = write!(
         out,
         "\n\
-         \x20 --sched <policy>  policy of every cell: {} (default: static)\n\
-         \x20                   for {}\n\
          \x20 --out <path>      also write one JSONL line per cell (csmt-sweep's format)\n\
          \n\
          {}",
-        POLICY_NAMES.join(", "),
-        sched_studies(),
         render_env_knobs()
     );
     out
 }
 
 fn main() {
-    let cli = Cli::parse(&[("--sched", true), ("--out", true)], 2, &usage());
+    let cli = Cli::parse(&[("--out", true)], 2, &usage());
     let name: String = cli.arg(0, String::new());
     let Some(study) = STUDIES.iter().find(|s| s.name == name) else {
         let names: Vec<&str> = STUDIES.iter().map(|s| s.name).collect();
@@ -62,16 +51,9 @@ fn main() {
             names.join(", ")
         ));
     };
-    if !study.sched && cli.has("--sched") {
-        fail(&format!(
-            "--sched does not apply to {name} (it applies to {})",
-            sched_studies()
-        ));
-    }
     let setting = Setting {
         scale: cli.arg(1, study.default_scale),
         seed: study.default_seed,
-        sched: cli.sched(),
     };
     let mut out = cli.value("--out").map(|path| {
         let file = std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));

@@ -11,8 +11,7 @@
 
 use std::fmt::Write as _;
 
-use csmt_core::sched::POLICY_NAMES;
-use csmt_core::{ArchKind, RunResult};
+use csmt_core::{ArchKind, Policy, RunResult};
 use csmt_cpu::{FetchPolicy, Hazard, PredictorKind};
 use csmt_mem::MemConfig;
 use csmt_model::{envelope, AppPoint, ArchModel, Region};
@@ -29,25 +28,18 @@ pub type Runner<'r> = dyn FnMut(&[RunSpec<'_>]) -> Vec<RunResult> + 'r;
 
 /// How one study run is set.
 #[derive(Debug, Clone, Copy)]
-pub struct Setting<'a> {
+pub struct Setting {
     /// Work scale (1.0 = full figure quality).
     pub scale: f64,
     /// Seed of every cell.
     pub seed: u64,
-    /// Scheduling policy of every cell whose policy the study does not
-    /// vary itself: `--sched` where [`Study::sched`] allows it, else
-    /// `"static"`.
-    pub sched: &'a str,
 }
 
-impl<'a> Setting<'a> {
-    /// `app` on the Table-2 `arch` × `n_chips` machine under Table 3, at
-    /// this setting.
-    fn spec(self, app: &'a AppSpec, arch: ArchKind, n_chips: usize) -> RunSpec<'a> {
-        RunSpec {
-            sched: self.sched,
-            ..RunSpec::new(app, arch, n_chips, self.scale, self.seed)
-        }
+impl Setting {
+    /// `app` on the Table-2 `arch` × `n_chips` machine under Table 3 and
+    /// the static placement, at this setting.
+    fn spec(self, app: &AppSpec, arch: ArchKind, n_chips: usize) -> RunSpec<'_> {
+        RunSpec::new(app, arch, n_chips, self.scale, self.seed)
     }
 }
 
@@ -59,48 +51,42 @@ pub struct Study {
     pub default_scale: f64,
     /// Seed of every cell (the seed EXPERIMENTS.md quotes).
     pub default_seed: u64,
-    /// Whether `--sched` sets its cells' policy: the paper's figures and
-    /// the §5.2 clock study. The ablations report the paper's static
-    /// assignment, Fig 9 varies the policy itself, and Fig 1 has no cells.
-    pub sched: bool,
     /// Run the study's grid through the runner; returns what it prints.
-    pub run: fn(&mut Runner<'_>, Setting<'_>) -> String,
+    pub run: fn(&mut Runner<'_>, Setting) -> String,
 }
 
-/// Every study, in EXPERIMENTS.md order. The bool is [`Study::sched`].
+/// Every study, in EXPERIMENTS.md order. Every cell runs the paper's
+/// static placement, except Fig 9's, which vary the [`Policy`].
 pub const STUDIES: &[Study] = &[
-    study("fig1", FIGURE_SCALE, FIGURE_SEED, false, fig1),
-    study("fig4", FIGURE_SCALE, FIGURE_SEED, true, fig4),
-    study("fig5", FIGURE_SCALE, FIGURE_SEED, true, fig5),
-    study("fig6", FIGURE_SCALE, FIGURE_SEED, true, fig6),
-    study("fig7", FIGURE_SCALE, FIGURE_SEED, true, fig7),
-    study("fig8", FIGURE_SCALE, FIGURE_SEED, true, fig8),
+    study("fig1", FIGURE_SCALE, FIGURE_SEED, fig1),
+    study("fig4", FIGURE_SCALE, FIGURE_SEED, fig4),
+    study("fig5", FIGURE_SCALE, FIGURE_SEED, fig5),
+    study("fig6", FIGURE_SCALE, FIGURE_SEED, fig6),
+    study("fig7", FIGURE_SCALE, FIGURE_SEED, fig7),
+    study("fig8", FIGURE_SCALE, FIGURE_SEED, fig8),
     study(
         "cycle_time_adjusted",
         FIGURE_SCALE,
         FIGURE_SEED,
-        true,
         cycle_time_adjusted,
     ),
-    study("fetch_policies", 0.5, 7, false, fetch_policies),
-    study("predictor_study", 0.5, 7, false, predictor_study),
-    study("multiprogram_mix", 0.3, 7, false, multiprogram_mix),
-    study("ablation_study", 0.5, 7, false, ablation_study),
-    study("fig9", FIGURE_SCALE, FIGURE_SEED, false, fig9),
+    study("fetch_policies", 0.5, 7, fetch_policies),
+    study("predictor_study", 0.5, 7, predictor_study),
+    study("multiprogram_mix", 0.3, 7, multiprogram_mix),
+    study("ablation_study", 0.5, 7, ablation_study),
+    study("fig9", FIGURE_SCALE, FIGURE_SEED, fig9),
 ];
 
 const fn study(
     name: &'static str,
     default_scale: f64,
     default_seed: u64,
-    sched: bool,
-    run: fn(&mut Runner<'_>, Setting<'_>) -> String,
+    run: fn(&mut Runner<'_>, Setting) -> String,
 ) -> Study {
     Study {
         name,
         default_scale,
         default_seed,
-        sched,
         run,
     }
 }
@@ -120,7 +106,7 @@ fn run_groups(run: &mut Runner<'_>, groups: &[Vec<RunSpec<'_>>]) -> Vec<Vec<RunR
 /// normalized to `archs[0]` (= 100).
 fn figure_rows(
     run: &mut Runner<'_>,
-    s: Setting<'_>,
+    s: Setting,
     archs: &[ArchKind],
     n_chips: usize,
 ) -> Vec<AppRow> {
@@ -151,7 +137,7 @@ fn figure_rows(
 /// envelopes of Figure 1-(b)/(e), delivered performance for an example
 /// application, and the region classification of Figure 1-(d)/(g).
 /// Analytic: no cells.
-fn fig1(_: &mut Runner<'_>, _: Setting<'_>) -> String {
+fn fig1(_: &mut Runner<'_>, _: Setting) -> String {
     let mut out = String::from("== Figure 1 — model of parallelism (8-issue chips) ==\n\n");
     out += "-- (b) Fixed-assignment boxes: threads × ILP/thread --\n";
     for clusters in [8u32, 4, 2, 1] {
@@ -244,7 +230,7 @@ enum Footer {
 /// grows from SMT4 toward SMT1 (Tullsen et al.'s shared-queue bottleneck).
 fn figure(
     run: &mut Runner<'_>,
-    s: Setting<'_>,
+    s: Setting,
     archs: &[ArchKind],
     n_chips: usize,
     title: &str,
@@ -299,7 +285,7 @@ fn figure(
     out
 }
 
-fn fig4(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig4(run: &mut Runner<'_>, s: Setting) -> String {
     let title = "Figure 4 — FA vs clustered SMT, low-end machine (normalized to FA8)";
     figure(
         run,
@@ -311,7 +297,7 @@ fn fig4(run: &mut Runner<'_>, s: Setting<'_>) -> String {
     )
 }
 
-fn fig5(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig5(run: &mut Runner<'_>, s: Setting) -> String {
     let title = "Figure 5 — FA vs clustered SMT, high-end machine (4 chips, normalized to FA8)";
     figure(
         run,
@@ -323,13 +309,13 @@ fn fig5(run: &mut Runner<'_>, s: Setting<'_>) -> String {
     )
 }
 
-fn fig7(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig7(run: &mut Runner<'_>, s: Setting) -> String {
     let title = "Figure 7 — centralized vs clustered SMT, low-end machine (normalized to SMT8)";
     let footer = Footer::Smt2VsSmt1 { fetch: true };
     figure(run, s, &ArchKind::SMT_FIGURES, 1, title, footer)
 }
 
-fn fig8(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig8(run: &mut Runner<'_>, s: Setting) -> String {
     let title =
         "Figure 8 — centralized vs clustered SMT, high-end machine (4 chips, normalized to SMT8)";
     let footer = Footer::Smt2VsSmt1 { fetch: false };
@@ -341,7 +327,7 @@ fn fig8(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// average IPC on FA1 — for the low-end (a) and high-end (b) machines,
 /// with the §2 model's best-FA prediction next to the simulator's (§5.1.1).
 /// The FA cells are Figs 4/5's: a cache those filled serves them.
-fn fig6(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig6(run: &mut Runner<'_>, s: Setting) -> String {
     const FAS: [ArchKind; 4] = [ArchKind::Fa8, ArchKind::Fa4, ArchKind::Fa2, ArchKind::Fa1];
     let mut out = String::new();
     for (n_chips, title) in [
@@ -385,7 +371,7 @@ fn fig6(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// clock; per Palacharla & Jouppi [12] an 8-issue cluster's cycle time is
 /// about 2× a 4-issue cluster's (0.18 µm). Applying those factors turns
 /// the SMT2–SMT1 near-tie into the SMT2 win the paper concludes with.
-fn cycle_time_adjusted(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn cycle_time_adjusted(run: &mut Runner<'_>, s: Setting) -> String {
     let archs = [
         ArchKind::Fa8,
         ArchKind::Fa4,
@@ -434,7 +420,7 @@ fn cycle_time_adjusted(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// susceptible to this problem than the clustered SMTs"): the SMT chips
 /// under round-robin (the paper's), ICOUNT feedback and 2-port
 /// partitioned fetch — Tullsen et al.'s mitigations.
-fn fetch_policies(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fetch_policies(run: &mut Runner<'_>, s: Setting) -> String {
     const ARCHS: [ArchKind; 3] = [ArchKind::Smt4, ArchKind::Smt2, ArchKind::Smt1];
     let policies = [
         ("round-robin", FetchPolicy::RoundRobin),
@@ -489,7 +475,7 @@ fn fetch_policies(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// Branch-predictor ablation: the paper's 2K-entry 2-bit bimodal table
 /// (§3.1) against static-taken (lower bound) and 8-bit gshare — how much
 /// of each architecture rides on prediction quality.
-fn predictor_study(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn predictor_study(run: &mut Runner<'_>, s: Setting) -> String {
     const ARCHS: [ArchKind; 4] = [ArchKind::Fa8, ArchKind::Fa1, ArchKind::Smt2, ArchKind::Smt1];
     let predictors = [
         ("static-taken", PredictorKind::StaticTaken),
@@ -552,7 +538,7 @@ fn predictor_study(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// architecture, batched on chips with fewer contexts (FA2 = 4 batches of
 /// 2) so total work is identical. With no barriers coupling the contexts
 /// this isolates pure resource-sharing adaptivity.
-fn multiprogram_mix(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn multiprogram_mix(run: &mut Runner<'_>, s: Setting) -> String {
     const ARCHS: [ArchKind; 7] = [
         ArchKind::Fa8,
         ArchKind::Fa4,
@@ -577,7 +563,7 @@ fn multiprogram_mix(run: &mut Runner<'_>, s: Setting<'_>) -> String {
         .flat_map(|(_, mix)| {
             ARCHS.map(|arch| {
                 let chip = arch.chip();
-                RunSpec::job_batches(mix, JOBS, chip, 1, s.scale, s.seed, s.sched).collect()
+                RunSpec::job_batches(mix, JOBS, chip, 1, s.scale, s.seed, Policy::Static).collect()
             })
         })
         .collect();
@@ -617,7 +603,7 @@ fn multiprogram_mix(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// Memory-system ablations: how bank count (Table 3's 7 vs 1 vs 16), the
 /// §3.1 MSHR budget (32 vs 4), doubled remote latency and the 8-cycle fill
 /// occupancy affect the headline SMT2-vs-FA2 comparison.
-fn ablation_study(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn ablation_study(run: &mut Runner<'_>, s: Setting) -> String {
     const MACHINES: [(usize, &str); 2] = [(1, "low-end"), (4, "high-end (4-chip)")];
     let table3 = MemConfig::table3;
     let variants = [
@@ -702,7 +688,7 @@ fn ablation_study(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 /// sequential jobs (two capacity-sized batches on FA4, so total work
 /// matches) — runs on SMT2 under every policy and on FA4 under static,
 /// normalized to SMT2/static = 100. The policy is this study's own axis.
-fn fig9(run: &mut Runner<'_>, s: Setting<'_>) -> String {
+fn fig9(run: &mut Runner<'_>, s: Setting) -> String {
     const MIX_JOBS: usize = 8;
     let apps = all_apps();
     let mix = &["swim", "vpenta", "tomcatv", "ocean"].map(|n| by_name(n).expect("a paper app"));
@@ -712,12 +698,11 @@ fn fig9(run: &mut Runner<'_>, s: Setting<'_>) -> String {
 
     // Column order: the SMT2/static baseline, SMT2 under each dynamic
     // policy, then the FA4 reference.
-    let mut variants: Vec<(String, ArchKind, &str)> =
-        vec![("SMT2/static".into(), ArchKind::Smt2, "static")];
-    for p in POLICY_NAMES.into_iter().filter(|p| *p != "static") {
-        variants.push((format!("SMT2/{p}"), ArchKind::Smt2, p));
-    }
-    variants.push(("FA4/static".into(), ArchKind::Fa4, "static"));
+    let mut variants: Vec<(String, ArchKind, Policy)> = Policy::ALL
+        .into_iter()
+        .map(|p| (format!("SMT2/{}", p.name()), ArchKind::Smt2, p))
+        .collect();
+    variants.push(("FA4/static".into(), ArchKind::Fa4, Policy::Static));
 
     // One grid, in print order: workload x variant, each the runs of one
     // figure cell (one for an application, the batches for the mix).
@@ -802,11 +787,10 @@ mod tests {
     use super::*;
     use csmt_sweep::SweepEngine;
 
-    fn setting() -> Setting<'static> {
+    fn setting() -> Setting {
         Setting {
             scale: 0.02,
             seed: FIGURE_SEED,
-            sched: "static",
         }
     }
 

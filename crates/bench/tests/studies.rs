@@ -47,7 +47,6 @@ fn every_study_is_its_parent_grid_and_replays_from_the_cache() {
         let setting = Setting {
             scale: 0.02,
             seed: study.default_seed,
-            sched: "static",
         };
         let mut keys = BTreeSet::new();
         let cold = (study.run)(

@@ -54,6 +54,6 @@ pub use machine::{Machine, Placement};
 pub use result::RunResult;
 pub use runtime::{Action, Runtime, ThreadId};
 pub use sched::{
-    BarrierRebalance, HazardPairing, Migration, SchedConfigError, SchedSnapshot, StaticRoundRobin,
-    ThreadObs, ThreadScheduler, Topology, MIGRATION_COST,
+    BarrierRebalance, HazardPairing, Migration, Policy, SchedConfigError, SchedSnapshot,
+    StaticRoundRobin, ThreadObs, ThreadScheduler, Topology, MIGRATION_COST,
 };

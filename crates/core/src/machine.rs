@@ -15,8 +15,6 @@
 //! is parked, in-flight work retires or is squashed, then the thread
 //! spends [`MIGRATION_COST`] cycles in transit before resuming).
 
-use std::collections::BTreeMap;
-
 use crate::configs::ChipConfig;
 use crate::result::RunResult;
 use crate::runtime::{Action, Runtime, ThreadId};
@@ -105,11 +103,9 @@ pub struct Machine {
     sched_dynamic: bool,
     /// Threads currently between contexts, in departure order (the order
     /// determines arrival processing, so it is determinism-load-bearing).
+    /// At most one per hardware context, and empty under a static policy,
+    /// so lookups scan it (`transit_of`).
     in_transit: Vec<Transit>,
-    /// Index into `in_transit` by thread id: the hot event-processing
-    /// path asks "is this thread in transit?" per resume action, which
-    /// was a linear scan. Maintained by `transit_push`/`transit_remove`.
-    in_transit_idx: BTreeMap<ThreadId, usize>,
     /// Per thread: destination and hold-cycle while its context drains
     /// toward a migration (`None` when not draining).
     migrate_dest: Vec<Option<(Placement, u64)>>,
@@ -170,7 +166,6 @@ impl Machine {
             sched: Box::new(StaticRoundRobin),
             sched_dynamic: false,
             in_transit: Vec::new(),
-            in_transit_idx: BTreeMap::new(),
             migrate_dest: Vec::new(),
             last_epoch: 0,
             prev_barrier_episodes: 0,
@@ -201,8 +196,8 @@ impl Machine {
     }
 
     /// Install a scheduling policy in place of the [`StaticRoundRobin`]
-    /// every new machine starts with ([`crate::sched::for_chip`] resolves
-    /// a policy *name* to one this accepts). Must be called before
+    /// every new machine starts with ([`crate::sched::Policy::for_chip`]
+    /// gives one this accepts). Must be called before
     /// [`attach_threads`](Machine::attach_threads). Rejects configurations
     /// the machine refuses to run (a dynamic policy on a fixed-assignment
     /// architecture, a zero rebalance quantum).
@@ -401,7 +396,7 @@ impl Machine {
                 });
                 for a in 0..self.actions_buf.len() {
                     let Action::Resume(t) = self.actions_buf[a];
-                    if let Some(&ti) = self.in_transit_idx.get(&t) {
+                    if let Some(ti) = self.transit_of(t) {
                         // Released while between contexts: arrive
                         // runnable instead of parked.
                         let tr = &mut self.in_transit[ti];
@@ -474,23 +469,10 @@ impl Machine {
         }
     }
 
-    /// Enter a transit record, keeping the by-tid index in sync.
-    fn transit_push(&mut self, tr: Transit) {
-        self.in_transit_idx.insert(tr.tid, self.in_transit.len());
-        self.in_transit.push(tr);
-    }
-
-    /// Remove the transit record at position `i` (preserving the
-    /// departure order of the rest), keeping the by-tid index in sync.
-    fn transit_remove(&mut self, i: usize) -> Transit {
-        let tr = self.in_transit.remove(i);
-        self.in_transit_idx.remove(&tr.tid);
-        for v in self.in_transit_idx.values_mut() {
-            if *v > i {
-                *v -= 1;
-            }
-        }
-        tr
+    /// Position of thread `tid` in `in_transit`, if it is between
+    /// contexts.
+    fn transit_of(&self, tid: ThreadId) -> Option<usize> {
+        self.in_transit.iter().position(|tr| tr.tid == tid)
     }
 
     /// A held context finished draining: detach its thread and put it in
@@ -535,7 +517,7 @@ impl Machine {
             "reverse map out of sync at depart"
         );
         self.rev_map[slot] = None;
-        self.transit_push(Transit {
+        self.in_transit.push(Transit {
             tid,
             to,
             ready_at: now + MIGRATION_COST,
@@ -567,7 +549,7 @@ impl Machine {
                 i += 1;
                 continue;
             }
-            let tr = self.transit_remove(i);
+            let tr = self.in_transit.remove(i);
             let slot = self.slot(tr.to);
             self.cluster_at_mut(tr.to.chip, tr.to.cluster)
                 .attach_migrated(tr.to.ctx, tr.detached, tr.resume_as);
@@ -634,7 +616,7 @@ impl Machine {
             .map(|tid| {
                 let group = self.runtime.group_of(tid);
                 let done = self.runtime.is_done(tid);
-                if let Some(&ti) = self.in_transit_idx.get(&tid) {
+                if let Some(ti) = self.transit_of(tid) {
                     let tr = &self.in_transit[ti];
                     ThreadObs {
                         tid,
@@ -699,7 +681,7 @@ impl Machine {
             {
                 continue;
             }
-            if self.migrate_dest[m.tid].is_some() || self.in_transit_idx.contains_key(&m.tid) {
+            if self.migrate_dest[m.tid].is_some() || self.transit_of(m.tid).is_some() {
                 continue;
             }
             let from = self.placements[m.tid];
@@ -862,7 +844,7 @@ impl Machine {
 
     /// State of software thread `tid` (`Migrating` while between contexts).
     pub fn thread_state(&self, tid: ThreadId) -> ThreadState {
-        if self.in_transit_idx.contains_key(&tid) {
+        if self.transit_of(tid).is_some() {
             return ThreadState::Migrating;
         }
         let p = self.placements[tid];
@@ -1171,22 +1153,42 @@ mod tests {
 
     #[test]
     fn invalid_scheduler_configs_are_rejected() {
-        let mut m = Machine::new(ArchKind::Fa4.chip(), 1, MemConfig::table3(), 1);
-        assert_eq!(
-            m.set_scheduler(Box::new(crate::sched::BarrierRebalance::default())),
-            Err(crate::sched::SchedConfigError::DynamicOnFixedAssignment)
-        );
-        let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 1);
-        assert_eq!(
-            m.set_scheduler(Box::new(crate::sched::HazardPairing::with_quantum(0))),
-            Err(crate::sched::SchedConfigError::ZeroQuantum)
-        );
-        // A valid dynamic policy on an SMT machine installs fine.
-        assert_eq!(
-            m.set_scheduler(Box::new(crate::sched::BarrierRebalance::default())),
-            Ok(())
-        );
-        assert_eq!(m.scheduler_name(), "barrier");
+        use crate::sched::{HazardPairing, Policy};
+        for kind in ArchKind::ALL {
+            // The chips with one context per cluster (the FA chips and SMT8,
+            // FA8's alias) are fixed-assignment: listed here by name, not
+            // derived from the predicate `set_scheduler` uses.
+            let fixed = matches!(
+                kind,
+                ArchKind::Fa8 | ArchKind::Fa4 | ArchKind::Fa2 | ArchKind::Fa1 | ArchKind::Smt8
+            );
+            for policy in Policy::ALL {
+                // Dynamic policies need migratable contexts: fixed-assignment
+                // archs reject them; everything else installs.
+                let mut m = Machine::new(kind.chip(), 1, MemConfig::table3(), 1);
+                let want = if fixed && policy != Policy::Static {
+                    Err(SchedConfigError::DynamicOnFixedAssignment)
+                } else {
+                    Ok(())
+                };
+                assert_eq!(
+                    m.set_scheduler(policy.scheduler()),
+                    want,
+                    "{kind:?} {policy:?}"
+                );
+                if want.is_ok() {
+                    assert_eq!(m.scheduler_name(), policy.name());
+                }
+            }
+            // A zero rebalance quantum would re-run the policy every cycle
+            // forever: refused on every architecture.
+            let mut m = Machine::new(kind.chip(), 1, MemConfig::table3(), 1);
+            assert_eq!(
+                m.set_scheduler(Box::new(HazardPairing::with_quantum(0))),
+                Err(SchedConfigError::ZeroQuantum),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

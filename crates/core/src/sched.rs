@@ -7,7 +7,7 @@
 //! *epochs* — barrier releases / thread exits, a fixed cycle quantum, or
 //! both — never wall clock, so every policy is bit-for-bit reproducible.
 //!
-//! Three policies ship:
+//! Three policies ship, one [`Policy`] each:
 //!
 //! * [`StaticRoundRobin`] — the paper's behavior (the default): round-robin
 //!   placement at attach, no migrations. Pinned against the golden
@@ -168,7 +168,7 @@ impl std::error::Error for SchedConfigError {}
 /// or wants [`barrier epochs`](ThreadScheduler::wants_barrier_epochs); a
 /// static policy costs the machine loop nothing after attach.
 pub trait ThreadScheduler {
-    /// Short policy name (the `--sched` spelling, accepted by [`by_name`]).
+    /// Short policy name (for a shipped policy, its [`Policy::name`]).
     fn name(&self) -> &'static str;
 
     /// Initial placement of `n_threads` software threads. Must return one
@@ -209,60 +209,73 @@ pub trait ThreadScheduler {
     }
 }
 
-/// Look up a policy by name (the `--sched` spelling).
-pub fn by_name(name: &str) -> Option<Box<dyn ThreadScheduler + Send>> {
-    match name {
-        "static" => Some(Box::new(StaticRoundRobin)),
-        "barrier" => Some(Box::new(BarrierRebalance::default())),
-        "hazard_pairing" => Some(Box::new(HazardPairing::default())),
-        _ => None,
+/// The shipped policies as one typed axis — Fig 9 varies it; every other
+/// experiment runs [`Policy::Static`], the paper's placement. A policy
+/// that is not one of these cannot be named in a run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// [`StaticRoundRobin`].
+    Static,
+    /// [`BarrierRebalance`].
+    Barrier,
+    /// [`HazardPairing`].
+    HazardPairing,
+}
+
+impl Policy {
+    /// Every policy, static first.
+    pub const ALL: [Policy; 3] = [Policy::Static, Policy::Barrier, Policy::HazardPairing];
+
+    /// The policy's name, as its scheduler reports it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::Static => "static",
+            Policy::Barrier => "barrier",
+            Policy::HazardPairing => "hazard_pairing",
+        }
+    }
+
+    /// The policy called `name`, if any.
+    pub fn named(name: &str) -> Option<Policy> {
+        Policy::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// A fresh scheduler of this policy.
+    pub fn scheduler(self) -> Box<dyn ThreadScheduler + Send> {
+        match self {
+            Policy::Static => Box::new(StaticRoundRobin),
+            Policy::Barrier => Box::new(BarrierRebalance::default()),
+            Policy::HazardPairing => Box::new(HazardPairing::default()),
+        }
+    }
+
+    /// This policy's scheduler on a chip of configuration `chip` — the one
+    /// place that decides what a policy means on a machine. A dynamic
+    /// policy on a fixed-assignment chip degrades to [`StaticRoundRobin`]
+    /// (FA machines pin thread assignment by construction), so one policy
+    /// can sweep all seven architectures; the result is always accepted by
+    /// [`Machine::set_scheduler`].
+    pub fn for_chip(self, chip: &ChipConfig) -> Box<dyn ThreadScheduler + Send> {
+        if self != Policy::Static && Machine::fixed_assignment(chip) {
+            return Policy::Static.scheduler();
+        }
+        self.scheduler()
     }
 }
 
-/// Names accepted by [`by_name`], for help/usage text.
-pub const POLICY_NAMES: [&str; 3] = ["static", "barrier", "hazard_pairing"];
-
-/// A policy name [`by_name`] does not recognize.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownPolicy {
-    /// The spelling that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownPolicy {
+/// The quoted name (`"static"`): a run's cache key digests the run's
+/// `Debug` form, and this keeps it the key of caches written while the
+/// policy was a name string.
+impl std::fmt::Debug for Policy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown scheduling policy {:?} (valid policies: {})",
-            self.name,
-            POLICY_NAMES.join(", ")
-        )
+        std::fmt::Debug::fmt(self.name(), f)
     }
 }
 
-impl std::error::Error for UnknownPolicy {}
-
-/// The policy `name` selects on a chip of configuration `chip` — the one
-/// place that decides what a policy name means on a machine. A dynamic
-/// policy requested on a fixed-assignment chip degrades to
-/// [`StaticRoundRobin`] (FA machines pin thread assignment by
-/// construction), so one name can sweep all seven architectures; the
-/// result is always accepted by [`Machine::set_scheduler`].
-///
-/// # Errors
-/// [`UnknownPolicy`] when `name` is outside [`POLICY_NAMES`] — a typo must
-/// never silently change the experiment.
-pub fn for_chip(
-    name: &str,
-    chip: &ChipConfig,
-) -> Result<Box<dyn ThreadScheduler + Send>, UnknownPolicy> {
-    let policy = by_name(name).ok_or_else(|| UnknownPolicy {
-        name: name.to_owned(),
-    })?;
-    if policy.is_dynamic() && Machine::fixed_assignment(chip) {
-        return Ok(Box::new(StaticRoundRobin));
-    }
-    Ok(policy)
+/// A fresh scheduler of the policy called `name` (how the benchmark
+/// harness and `tests/migration_determinism.rs` name a policy).
+pub fn by_name(name: &str) -> Option<Box<dyn ThreadScheduler + Send>> {
+    Policy::named(name).map(Policy::scheduler)
 }
 
 /// The paper's static policy: round-robin placement at attach, no
@@ -574,29 +587,26 @@ mod tests {
 
     #[test]
     fn by_name_knows_all_policies() {
-        for name in POLICY_NAMES {
-            let p = by_name(name).expect("registered policy");
-            assert_eq!(p.name(), name);
+        for p in Policy::ALL {
+            let s = by_name(p.name()).expect("registered policy");
+            assert_eq!(s.name(), p.name());
+            assert_eq!(s.is_dynamic(), p != Policy::Static);
+            assert_eq!(format!("{p:?}"), format!("{:?}", p.name()));
         }
         assert!(by_name("nope").is_none());
-        assert!(!by_name("static").unwrap().is_dynamic());
-        assert!(by_name("barrier").unwrap().is_dynamic());
-        assert!(by_name("hazard_pairing").unwrap().is_dynamic());
     }
 
     #[test]
-    fn for_chip_degrades_on_fixed_assignment_and_rejects_typos() {
+    fn for_chip_degrades_on_fixed_assignment() {
         use crate::configs::ArchKind;
-        for name in POLICY_NAMES {
-            let on_smt = for_chip(name, &ArchKind::Smt2.chip()).expect("registered policy");
-            assert_eq!(on_smt.name(), name);
-            let on_fa = for_chip(name, &ArchKind::Fa4.chip()).expect("registered policy");
-            assert_eq!(on_fa.name(), "static", "{name} on FA4");
+        for p in Policy::ALL {
+            assert_eq!(p.for_chip(&ArchKind::Smt2.chip()).name(), p.name());
+            assert_eq!(
+                p.for_chip(&ArchKind::Fa4.chip()).name(),
+                "static",
+                "{p:?} on FA4"
+            );
         }
-        let err = for_chip("hazard", &ArchKind::Smt2.chip())
-            .err()
-            .expect("typo");
-        assert_eq!(err.name, "hazard");
     }
 
     #[test]
@@ -719,18 +729,6 @@ mod tests {
         };
         s.observe(100, &snap);
         assert!(s.rebalance(100, &snap).is_empty());
-    }
-
-    #[test]
-    fn unknown_policy_message_lists_valid_names() {
-        let msg = UnknownPolicy {
-            name: "typo".into(),
-        }
-        .to_string();
-        assert!(msg.contains("\"typo\""), "{msg}");
-        for n in POLICY_NAMES {
-            assert!(msg.contains(n), "{msg} should list {n}");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The grid is the cross product of `--scales × --seeds × --chips ×
 //! --apps × --archs` (cells enumerate in exactly that nesting order,
-//! innermost last), every cell simulated under one `--sched` policy.
+//! innermost last), every cell under the paper's static placement.
 //! Output is a JSONL line per cell (`--out`), an aggregate summary
 //! (`--summary`), or both — and both are **deterministic**: byte-for-byte
 //! identical across worker counts, cache states, and resumed runs. The
@@ -13,7 +13,7 @@
 //! command, and only the missing cells simulate — the outputs are
 //! rewritten in full, byte-identical to an uninterrupted run.
 
-use csmt_core::{sched::POLICY_NAMES, ArchKind};
+use csmt_core::{ArchKind, Policy};
 use csmt_sweep::{
     arch_by_name, fail, jsonl_line, key, Cli, ResultCache, SweepEngine, CACHE_SCHEMA,
 };
@@ -39,8 +39,6 @@ fn usage() -> String {
          \x20 --chips <list>    machine sizes in chips (default: 1)\n\
          \x20 --seeds <list>    RNG seeds (default: {seed} — the figure seed)\n\
          \x20 --scales <list>   work scales (default: {scale})\n\
-         \x20 --sched <name>    scheduling policy for every cell\n\
-         \x20                   (default: static; {pol})\n\
          \n\
          engine options:\n\
          \x20 --threads <n>     worker count (default: CSMT_SWEEP_THREADS\n\
@@ -58,7 +56,6 @@ fn usage() -> String {
         app = app_names.join(", "),
         seed = DEFAULT_SEED,
         scale = DEFAULT_SCALE,
-        pol = POLICY_NAMES.join(", "),
     )
 }
 
@@ -80,7 +77,6 @@ struct Options {
     chips: Vec<usize>,
     seeds: Vec<u64>,
     scales: Vec<f64>,
-    sched: &'static str,
     threads: Option<usize>,
     cache: Option<String>,
     out: Option<String>,
@@ -96,7 +92,6 @@ fn parse_args() -> Options {
             ("--chips", true),
             ("--seeds", true),
             ("--scales", true),
-            ("--sched", true),
             ("--threads", true),
             ("--cache", true),
             ("--out", true),
@@ -126,7 +121,6 @@ fn parse_args() -> Options {
             || vec![DEFAULT_SCALE],
             |v| parse_list(v, "scale", |s| s.parse().ok()),
         ),
-        sched: cli.sched(),
         threads: cli
             .value("--threads")
             .map(|v| v.parse().unwrap_or_else(|_| fail("bad --threads"))),
@@ -144,10 +138,7 @@ fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
             for &n_chips in &opt.chips {
                 for app in &opt.apps {
                     for &arch in &opt.archs {
-                        cells.push(RunSpec {
-                            sched: opt.sched,
-                            ..RunSpec::new(app, arch, n_chips, scale, seed)
-                        });
+                        cells.push(RunSpec::new(app, arch, n_chips, scale, seed));
                     }
                 }
             }
@@ -171,7 +162,7 @@ fn summary(opt: &Options, cells: &[RunSpec], results: &[csmt_core::RunResult]) -
         ("chips".into(), opt.chips.to_value()),
         ("seeds".into(), opt.seeds.to_value()),
         ("scales".into(), opt.scales.to_value()),
-        ("sched".into(), opt.sched.to_value()),
+        ("sched".into(), Policy::Static.name().to_value()),
         ("total_cycles".into(), total_cycles.to_value()),
         ("total_committed".into(), total_committed.to_value()),
     ])
@@ -190,7 +181,7 @@ fn main() {
                 cell.n_chips,
                 cell.seed,
                 cell.scale,
-                cell.sched,
+                cell.sched.name(),
             );
         }
         return;

@@ -3,7 +3,7 @@
 //! the program through [`fail`]: a diagnosis and exit 2, never a panic or
 //! a silent default.
 
-use csmt_core::{sched::POLICY_NAMES, ArchKind};
+use csmt_core::ArchKind;
 
 /// Print `error: <msg>` and exit 2 — how a front door refuses input from
 /// outside the program (a typo'd argument, an unknown name, an unreadable
@@ -11,24 +11,6 @@ use csmt_core::{sched::POLICY_NAMES, ArchKind};
 pub fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
-}
-
-/// A `--sched <name>` value as its policy name — the one parser of that
-/// flag.
-///
-/// # Errors
-/// The diagnosis to print (then exit 2) when `name` is not in
-/// `POLICY_NAMES`.
-pub fn sched_flag(name: &str) -> Result<&'static str, String> {
-    POLICY_NAMES
-        .into_iter()
-        .find(|p| *p == name)
-        .ok_or_else(|| {
-            format!(
-                "unknown policy {name:?}; valid names: {}",
-                POLICY_NAMES.join(", ")
-            )
-        })
 }
 
 /// The Table-2 architecture called `name` (any case).
@@ -131,15 +113,6 @@ impl Cli {
             .find(|(f, _)| f == flag)
             .and_then(|(_, v)| v.as_deref())
     }
-
-    /// The `--sched <policy>` value (`"static"` when absent), validated by
-    /// [`sched_flag`]; an unknown name [`fail`]s with the valid names.
-    #[must_use]
-    pub fn sched(&self) -> &'static str {
-        self.value("--sched").map_or("static", |name| {
-            sched_flag(name).unwrap_or_else(|e| fail(&e))
-        })
-    }
 }
 
 /// `text` (argument `n`, if given) as a `T`: absent means `default`; a
@@ -221,10 +194,5 @@ mod tests {
         assert_eq!(arch_by_name("smt2"), Some(ArchKind::Smt2));
         assert_eq!(arch_by_name("FA8"), Some(ArchKind::Fa8));
         assert_eq!(arch_by_name("FA3"), None);
-        assert_eq!(sched_flag("barrier"), Ok("barrier"));
-        assert_eq!(
-            sched_flag("hazard").unwrap_err(),
-            "unknown policy \"hazard\"; valid names: static, barrier, hazard_pairing"
-        );
     }
 }

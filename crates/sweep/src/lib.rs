@@ -32,9 +32,9 @@ pub mod cli;
 pub mod pool;
 
 pub use cache::{ResultCache, CACHE_SCHEMA};
-pub use cli::{arch_by_name, fail, sched_flag, Cli};
+pub use cli::{arch_by_name, fail, Cli};
 
-use csmt_core::{ArchKind, RunResult};
+use csmt_core::{ArchKind, Policy, RunResult};
 use csmt_verify::digest::Fnv64;
 use csmt_verify::golden::{EXPECTED, EXPECTED_FA4_4CHIP};
 use csmt_workloads::{AppSpec, RunSpec};
@@ -51,7 +51,7 @@ pub fn jsonl_line(spec: &RunSpec<'_>, result: &RunResult) -> String {
         ("chips".into(), spec.n_chips.to_value()),
         ("seed".into(), spec.seed.to_value()),
         ("scale".into(), spec.scale.to_value()),
-        ("sched".into(), spec.sched.to_value()),
+        ("sched".into(), spec.sched.name().to_value()),
         ("key".into(), format!("{:016x}", key(spec)).to_value()),
         ("result".into(), result.to_value()),
     ])
@@ -66,7 +66,7 @@ pub fn jsonl_line(spec: &RunSpec<'_>, result: &RunResult) -> String {
 /// the full `MemConfig`, the workload (full `AppSpec`s; for a job set
 /// also its order, batch index and batch size), seed, scale (`{:?}` of an
 /// `f64` round-trips, so distinct bits print distinctly) and the
-/// scheduling policy name.
+/// scheduling policy (whose `Debug` form is its quoted name).
 #[must_use]
 pub fn key(spec: &RunSpec<'_>) -> u64 {
     key_under(spec, CACHE_SCHEMA, &EXPECTED, EXPECTED_FA4_4CHIP)
@@ -111,17 +111,19 @@ pub struct SweepCell {
     pub seed: u64,
     /// Work scale (1.0 = full figure quality).
     pub scale: f64,
-    /// Thread-to-cluster scheduling policy name
-    /// (`csmt_core::sched::POLICY_NAMES`).
+    /// Thread-to-cluster scheduling policy: a [`Policy::name`].
     pub sched: String,
 }
 
 impl SweepCell {
-    /// The run this cell describes (borrows `app` and `sched`).
+    /// The run this cell describes (borrows `app`).
+    ///
+    /// # Panics
+    /// When `sched` is not a [`Policy::name`].
     #[must_use]
     pub fn spec(&self) -> RunSpec<'_> {
         RunSpec {
-            sched: &self.sched,
+            sched: Policy::named(&self.sched).expect("SweepCell.sched names a Policy"),
             ..RunSpec::new(&self.app, self.arch, self.n_chips, self.scale, self.seed)
         }
     }
@@ -206,10 +208,6 @@ impl SweepEngine {
     /// by its [`key`] or simulated and stored. The stream and the returned
     /// results are byte-identical whatever the worker count and whichever
     /// cells were cache hits.
-    ///
-    /// # Panics
-    /// On a `sched` name outside `POLICY_NAMES` — a typo is an error, never
-    /// a result cached under the typo's key.
     pub fn run_streaming<S>(&self, specs: &[RunSpec<'_>], mut sink: S) -> SweepOutcome
     where
         S: FnMut(usize, &RunResult) + Send,
@@ -341,7 +339,15 @@ mod tests {
             },
         ];
         let fa2 = ArchKind::Fa2.chip();
-        cells.extend(RunSpec::job_batches(&mix, 4, fa2, 1, 0.02, 7, "static"));
+        cells.extend(RunSpec::job_batches(
+            &mix,
+            4,
+            fa2,
+            1,
+            0.02,
+            7,
+            Policy::Static,
+        ));
         assert_eq!(cells.len(), 4);
         let cache = tmp_cache("warm");
         let cold = SweepEngine::new(1, Some(cache.clone())).run_specs(&cells);
@@ -393,27 +399,34 @@ mod tests {
     fn dynamic_policy_results_cache_under_their_own_key() {
         let app = by_name("ocean").unwrap();
         let stat = spec(&app, ArchKind::Smt2, 5);
-        let with_sched = |sched| RunSpec {
-            sched,
+        let dynamic = RunSpec {
+            sched: Policy::Barrier,
             ..stat.clone()
         };
-        let dynamic = with_sched("barrier");
         assert_ne!(key(&stat), key(&dynamic));
-        // And the sched name reaches the simulation: committed work is
+        // And the policy reaches the simulation: committed work is
         // conserved but the policies are distinguishable in the key.
         assert_eq!(stat.run().slots.committed, dynamic.run().slots.committed);
-        // A typo'd name is an error before anything is simulated or
-        // stored — never the static result cached under the typo's key.
-        let typo = with_sched("hazard");
+    }
+
+    #[test]
+    fn mistyped_cell_policy_fails_before_simulating() {
+        // `SweepCell.sched` is still a name: a typo is an error before
+        // anything is simulated or stored, never a result under any key.
+        let cell = SweepCell {
+            app: by_name("ocean").unwrap(),
+            arch: ArchKind::Smt2,
+            n_chips: 1,
+            seed: 5,
+            scale: 0.02,
+            sched: "hazard".into(),
+        };
         let cache = tmp_cache("typo");
         let engine = SweepEngine::new(1, Some(cache.clone()));
-        let err = std::panic::catch_unwind(|| engine.run_specs(std::slice::from_ref(&typo)))
-            .expect_err("unknown policy must not simulate");
-        assert_eq!(
-            err.downcast_ref::<String>().map(String::as_str),
-            Some("unknown scheduling policy \"hazard\" (valid policies: static, barrier, hazard_pairing)")
-        );
-        assert!(cache.load(key(&typo)).is_none());
+        std::panic::catch_unwind(|| engine.run(std::slice::from_ref(&cell)))
+            .expect_err("an unknown policy must not simulate");
+        let stored = std::fs::read_dir(cache.dir()).unwrap().count();
+        assert_eq!(stored, 0, "nothing cached under any key");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

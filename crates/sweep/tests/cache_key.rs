@@ -6,7 +6,7 @@
 //! Entries must prove their own integrity: corruption, truncation, and
 //! foreign schemas are misses, never trusted data.
 
-use csmt_core::ArchKind;
+use csmt_core::{ArchKind, Policy};
 use csmt_cpu::{FetchPolicy, PredictorKind};
 use csmt_mem::MemConfig;
 use csmt_sweep::{cache::payload_digest, key, ResultCache, SweepEngine, CACHE_SCHEMA};
@@ -36,8 +36,6 @@ fn keys_from_fresh_process() -> String {
             "42",
             "--scales",
             "0.02",
-            "--sched",
-            "static",
             "--print-keys",
         ])
         .env_remove("CSMT_SWEEP_CACHE")
@@ -88,7 +86,7 @@ fn every_knob_changes_the_key() {
         [mgrid.clone()],
     );
     let jobs = |mix, batch| {
-        RunSpec::job_batches(mix, 16, smt2, 1, 0.02, 42, "static")
+        RunSpec::job_batches(mix, 16, smt2, 1, 0.02, 42, Policy::Static)
             .nth(batch)
             .expect("16 jobs are two batches of 8")
     };
@@ -103,7 +101,7 @@ fn every_knob_changes_the_key() {
         (
             "sched",
             RunSpec {
-                sched: "barrier",
+                sched: Policy::Barrier,
                 ..base.clone()
             },
         ),
@@ -173,7 +171,7 @@ fn every_knob_changes_the_key() {
     }
     // What the run does not use is not keyed: batch 0 of an 8-job set is
     // the same simulation as batch 0 of the 16-job set above.
-    let of_8 = RunSpec::job_batches(&mix, 8, smt2, 1, 0.02, 42, "static").next();
+    let of_8 = RunSpec::job_batches(&mix, 8, smt2, 1, 0.02, 42, Policy::Static).next();
     assert_eq!(key(&of_8.unwrap()), key(&jobs(&mix, 0)));
 }
 

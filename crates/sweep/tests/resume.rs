@@ -28,8 +28,6 @@ fn sweep(cache: Option<&Path>, out: &Path, summary: &Path) -> String {
         "11",
         "--scales",
         "0.02",
-        "--sched",
-        "static",
         "--threads",
         "3",
     ])

@@ -1,12 +1,8 @@
-//! csmt-lint — static analysis gate for scheduler policies and workloads.
+//! csmt-lint — static analysis gate for the workload streams.
 //!
-//! Checks the scheduler-policy × architecture matrix over the seven Table 2
-//! chips (plus the SMT8 alias): dynamic policies must be rejected on
-//! fixed-assignment archs, a zero rebalance quantum must be rejected
-//! everywhere. Then materializes and lints every application's instruction
-//! streams (register ranges, dataflow live-ins, branch-target spans, sync
-//! balance). The chips themselves need no check: `ArchKind::chip` derives
-//! every Table 2 budget from the row, and no other constructor exists.
+//! Materializes and lints every application's instruction streams
+//! (register ranges, dataflow live-ins, branch-target spans, sync
+//! balance).
 //!
 //! ```text
 //! cargo run --release --bin csmt-lint [scale] [n_threads]
@@ -18,9 +14,6 @@
 //! argument that does not parse, or a third argument, exits 2 with a
 //! diagnosis.
 
-use csmt_core::sched::{by_name, HazardPairing, POLICY_NAMES};
-use csmt_core::{ArchKind, Machine};
-use csmt_mem::MemConfig;
 use csmt_verify::lint_app;
 use csmt_workloads::all_apps;
 
@@ -61,47 +54,6 @@ fn main() {
 
     let mut errors = 0usize;
     let mut warnings = 0usize;
-
-    println!("== scheduler policies ==");
-    for kind in ArchKind::ALL {
-        let fixed = kind.chip().cluster().hw_threads == 1;
-        for name in POLICY_NAMES {
-            let sched = by_name(name).expect("POLICY_NAMES entries resolve");
-            let dynamic = sched.is_dynamic();
-            let mut m = Machine::new(kind.chip(), 1, MemConfig::table3(), SEED);
-            let accepted = m.set_scheduler(sched).is_ok();
-            // Dynamic policies need migratable contexts: fixed-assignment
-            // archs must reject them; everything else must accept.
-            let want = !(fixed && dynamic);
-            if accepted == want {
-                println!(
-                    "  {:<5} {name:<14} {}",
-                    kind.name(),
-                    if accepted { "ok" } else { "rejected (ok)" }
-                );
-            } else {
-                println!(
-                    "  {:<5} {name:<14} error: {} a {} policy",
-                    kind.name(),
-                    if accepted { "accepted" } else { "rejected" },
-                    if dynamic { "dynamic" } else { "static" },
-                );
-                errors += 1;
-            }
-        }
-        // A rebalance quantum of zero would re-run the policy every cycle
-        // forever; the config layer must reject it on every architecture.
-        let mut m = Machine::new(kind.chip(), 1, MemConfig::table3(), SEED);
-        if m.set_scheduler(Box::new(HazardPairing::with_quantum(0)))
-            .is_ok()
-        {
-            println!(
-                "  {:<5} error: zero rebalance quantum accepted",
-                kind.name()
-            );
-            errors += 1;
-        }
-    }
 
     println!("== workload streams (scale {scale}, {n_threads} threads, seed {SEED:#x}) ==");
     for app in all_apps() {

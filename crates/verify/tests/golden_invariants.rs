@@ -10,8 +10,7 @@
 //! the same checker must count the same events, fetches, commits and
 //! squashes over the same cycles.
 
-use csmt_core::sched::POLICY_NAMES;
-use csmt_core::ArchKind;
+use csmt_core::{ArchKind, Policy};
 use csmt_verify::{InvariantProbe, VerifySummary};
 use csmt_workloads::{by_name, RunSpec};
 
@@ -45,8 +44,8 @@ const PINNED: [(&str, VerifySummary); 8] = [
 ];
 const SMT2_HAZARD_PAIRING: VerifySummary = pin(4891, 22_518, 358, 132_383);
 
-fn pinned(sched: &str, arch: &str) -> VerifySummary {
-    if (sched, arch) == ("hazard_pairing", "SMT2") {
+fn pinned(sched: Policy, arch: &str) -> VerifySummary {
+    if (sched, arch) == (Policy::HazardPairing, "SMT2") {
         return SMT2_HAZARD_PAIRING;
     }
     let (_, summary) = PINNED
@@ -59,9 +58,9 @@ fn pinned(sched: &str, arch: &str) -> VerifySummary {
 #[test]
 fn all_architectures_run_clean_under_invariant_probe() {
     let app = by_name("mgrid").expect("mgrid is a registered app");
-    for sched in POLICY_NAMES {
+    for sched in Policy::ALL {
         for kind in ArchKind::ALL {
-            let what = format!("{} under {sched}", kind.name());
+            let what = format!("{} under {}", kind.name(), sched.name());
             let mut probe = InvariantProbe::new(&kind.chip(), 1);
             let result = RunSpec {
                 sched,

@@ -35,5 +35,5 @@ pub mod program;
 pub mod runner;
 
 pub use apps::{all_apps, build_streams, by_name, AppParams, AppSpec};
-pub use multiprogram::{simulate_job_batches, BatchResult};
+pub use multiprogram::BatchResult;
 pub use runner::{simulate, simulate_probed, RunSpec, Workload};

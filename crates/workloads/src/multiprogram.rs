@@ -6,7 +6,7 @@
 //! extension: each application of a mix runs **sequentially** (its
 //! single-thread version, exactly what FA1 executes in Figure 4) in its own
 //! runtime group, so programs never synchronize with each other. A job
-//! set is a workload of [`RunSpec`] like any other
+//! set is a workload of [`RunSpec`](crate::runner::RunSpec) like any other
 //! ([`Workload::Jobs`](crate::runner::Workload)): one run is one
 //! capacity-sized batch of it.
 //!
@@ -16,8 +16,7 @@
 //! whichever narrow cluster its program happens to stall on.
 
 use crate::apps::{build_streams, AppParams, AppSpec};
-use crate::runner::RunSpec;
-use csmt_core::{ChipConfig, RunResult};
+use csmt_core::RunResult;
 use csmt_isa::InstStream;
 
 /// The grouped streams of jobs `jobs` of a multiprogrammed job set: job
@@ -81,28 +80,26 @@ impl<R: std::borrow::Borrow<RunResult>> FromIterator<R> for BatchResult {
     }
 }
 
-/// Run exactly `n_jobs` sequential jobs (apps cycled round-robin) on the
-/// chip, batching when the job count exceeds the hardware contexts: the
-/// [`RunSpec::job_batches`] runs under the static placement, one after
-/// another, summed.
-pub fn simulate_job_batches(
-    apps: &[AppSpec],
-    n_jobs: usize,
-    chip: ChipConfig,
-    n_chips: usize,
-    scale: f64,
-    seed: u64,
-) -> BatchResult {
-    RunSpec::job_batches(apps, n_jobs, chip, n_chips, scale, seed, "static")
-        .map(|batch| batch.run())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps;
-    use csmt_core::ArchKind;
+    use crate::runner::RunSpec;
+    use csmt_core::{ArchKind, ChipConfig, Policy};
+
+    /// 8 sequential jobs of `mix` on one `chip` under `sched`, batch
+    /// after batch, summed.
+    fn eight_jobs(
+        mix: &[AppSpec],
+        chip: ChipConfig,
+        scale: f64,
+        seed: u64,
+        sched: Policy,
+    ) -> BatchResult {
+        RunSpec::job_batches(mix, 8, chip, 1, scale, seed, sched)
+            .map(|batch| batch.run())
+            .collect()
+    }
 
     #[test]
     fn streams_fill_all_contexts_round_robin() {
@@ -121,7 +118,7 @@ mod tests {
     fn mix_completes_on_smt_and_fa() {
         let mix = [apps::swim(), apps::vpenta(), apps::mgrid(), apps::ocean()];
         for arch in [ArchKind::Smt2, ArchKind::Fa8, ArchKind::Fa2] {
-            let r = simulate_job_batches(&mix, 8, arch.chip(), 1, 0.02, 7);
+            let r = eight_jobs(&mix, arch.chip(), 0.02, 7, Policy::Static);
             assert!(r.total_cycles > 0, "{}", arch.name());
             assert!(r.committed > 0);
         }
@@ -133,7 +130,7 @@ mod tests {
         // chip, scale 0.05, seed 0xC5317, "static": Fig 9's mix row at
         // --smoke scale) before it was folded into `RunSpec::run_probed`.
         let mix = [apps::swim(), apps::vpenta(), apps::tomcatv(), apps::ocean()];
-        let r = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.05, 0xC5_317);
+        let r = eight_jobs(&mix, ArchKind::Smt2.chip(), 0.05, 0xC5_317, Policy::Static);
         let pinned = BatchResult {
             total_cycles: 11229,
             committed: 75360,
@@ -165,11 +162,11 @@ mod tests {
     fn batching_runs_every_job_exactly_once() {
         let mix = [apps::vpenta(), apps::tomcatv()];
         // FA2 has 2 contexts: 8 jobs → 4 batches.
-        let r = simulate_job_batches(&mix, 8, ArchKind::Fa2.chip(), 1, 0.02, 7);
+        let r = eight_jobs(&mix, ArchKind::Fa2.chip(), 0.02, 7, Policy::Static);
         assert_eq!(r.batches, 4);
         assert_eq!(r.jobs, 8);
         // SMT2 has 8 contexts: one batch, same committed work (same seeds).
-        let r2 = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.02, 7);
+        let r2 = eight_jobs(&mix, ArchKind::Smt2.chip(), 0.02, 7, Policy::Static);
         assert_eq!(r2.batches, 1);
         let ratio = r.committed as f64 / r2.committed as f64;
         assert!(
@@ -183,11 +180,8 @@ mod tests {
     #[test]
     fn hazard_pairing_mix_conserves_committed_work() {
         let mix = [apps::swim(), apps::ocean()];
-        let [stat, paired] = ["static", "hazard_pairing"].map(|sched| {
-            RunSpec::job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.02, 7, sched)
-                .map(|batch| batch.run())
-                .collect::<BatchResult>()
-        });
+        let [stat, paired] = [Policy::Static, Policy::HazardPairing]
+            .map(|sched| eight_jobs(&mix, ArchKind::Smt2.chip(), 0.02, 7, sched));
         assert_eq!(stat.committed, paired.committed);
     }
 
@@ -197,8 +191,8 @@ mod tests {
         // the SMT chips outperform the same-width FA chips because idle
         // slots flow between programs.
         let mix = [apps::swim(), apps::vpenta(), apps::tomcatv(), apps::ocean()];
-        let smt2 = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, 0.05, 7);
-        let fa8 = simulate_job_batches(&mix, 8, ArchKind::Fa8.chip(), 1, 0.05, 7);
+        let smt2 = eight_jobs(&mix, ArchKind::Smt2.chip(), 0.05, 7, Policy::Static);
+        let fa8 = eight_jobs(&mix, ArchKind::Fa8.chip(), 0.05, 7, Policy::Static);
         assert_eq!((smt2.batches, fa8.batches), (1, 1));
         assert!(
             smt2.total_cycles < fa8.total_cycles,

@@ -9,7 +9,7 @@
 
 use crate::apps::{build_streams, AppParams, AppSpec};
 use crate::multiprogram::job_streams;
-use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
+use csmt_core::{ArchKind, ChipConfig, Machine, Policy, RunResult};
 use csmt_mem::MemConfig;
 
 /// Ceiling on simulated cycles; hitting it means a deadlock (a bug).
@@ -70,10 +70,9 @@ pub struct RunSpec<'a> {
     pub seed: u64,
     /// Memory hierarchy configuration.
     pub mem: MemConfig,
-    /// Thread-to-cluster scheduling policy name
-    /// (`csmt_core::sched::POLICY_NAMES`), resolved for `chip` by
-    /// [`csmt_core::sched::for_chip`].
-    pub sched: &'a str,
+    /// Thread-to-cluster scheduling policy, resolved for `chip` by
+    /// [`Policy::for_chip`].
+    pub sched: Policy,
 }
 
 impl<'a> RunSpec<'a> {
@@ -87,7 +86,7 @@ impl<'a> RunSpec<'a> {
             scale,
             seed,
             mem: MemConfig::table3(),
-            sched: "static",
+            sched: Policy::Static,
         }
     }
 
@@ -103,7 +102,7 @@ impl<'a> RunSpec<'a> {
         n_chips: usize,
         scale: f64,
         seed: u64,
-        sched: &'a str,
+        sched: Policy,
     ) -> impl Iterator<Item = RunSpec<'a>> {
         assert!(n_jobs >= 1 && !mix.is_empty());
         let contexts = n_chips * chip.threads_per_chip();
@@ -132,15 +131,7 @@ impl<'a> RunSpec<'a> {
     /// `csmt-trace`); with [`csmt_trace::NullProbe`] this is exactly
     /// [`run`](RunSpec::run). Probes with buffered output should have
     /// their `finish()` called after this returns.
-    ///
-    /// # Panics
-    /// On a `sched` name outside `POLICY_NAMES`, with the
-    /// [`UnknownPolicy`](csmt_core::sched::UnknownPolicy) message — a typo
-    /// must never silently change the experiment (binaries validate
-    /// first).
     pub fn run_probed<P: csmt_trace::Probe>(&self, probe: &mut P) -> RunResult {
-        let policy =
-            csmt_core::sched::for_chip(self.sched, &self.chip).unwrap_or_else(|e| panic!("{e}"));
         // Batches of one job set must not share machine-level randomness.
         let machine_seed = match self.workload {
             Workload::App(_) => self.seed,
@@ -148,7 +139,7 @@ impl<'a> RunSpec<'a> {
         };
         let mut machine = Machine::new(self.chip, self.n_chips, self.mem.clone(), machine_seed);
         machine
-            .set_scheduler(policy)
+            .set_scheduler(self.sched.for_chip(&self.chip))
             .expect("for_chip resolves to a policy the chip accepts");
         let contexts = machine.hw_thread_capacity();
         match self.workload {
@@ -265,7 +256,7 @@ mod tests {
         let app = apps::mgrid();
         let stat = simulate(&app, ArchKind::Smt2, 1, SCALE, 42);
         let dynamic = RunSpec {
-            sched: "barrier",
+            sched: Policy::Barrier,
             ..RunSpec::new(&app, ArchKind::Smt2, 1, SCALE, 42)
         }
         .run();

@@ -8,8 +8,6 @@
 //! ```
 
 use clustered_smt::prelude::*;
-use csmt_core::ArchKind;
-use csmt_workloads::simulate_job_batches;
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -37,7 +35,10 @@ fn main() {
         ArchKind::Smt2,
         ArchKind::Smt1,
     ] {
-        let r = simulate_job_batches(&mix, 8, arch.chip(), 1, scale, 42);
+        let r: BatchResult =
+            RunSpec::job_batches(&mix, 8, arch.chip(), 1, scale, 42, Policy::Static)
+                .map(|batch| batch.run())
+                .collect();
         if arch == ArchKind::Fa8 {
             base = r.total_cycles;
         }

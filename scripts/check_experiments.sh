@@ -155,7 +155,7 @@ must_exit_2() {
 must_exit_2 'argument 2 "O.1" is not a valid' csmt-bench csmt-study -- fetch_policies O.1
 must_exit_2 'argument 2 "O.1" is not a valid' csmt-bench csmt-study -- fig9 O.1
 must_exit_2 'unknown study "nosuchstudy" (valid studies: fig1, fig4,' csmt-bench csmt-study -- nosuchstudy
-must_exit_2 '--sched does not apply to fig9 (it applies to fig4,' csmt-bench csmt-study -- fig9 --sched barrier
+must_exit_2 'unknown flag "--sched" (see --help)' csmt-bench csmt-study -- fig9 --sched barrier
 must_exit_2 'unexpected argument 3 "7" (see --help)' csmt-bench csmt-study -- fetch_policies 0.5 7
 must_exit_2 'unknown application "nosuchapp" (valid applications: swim,' csmt-bench csmt-report -- SMT2 nosuchapp
 must_exit_2 'unknown flag "--from" (see --help)' csmt-bench csmt-report -- --from heartbeat.jsonl

@@ -2,9 +2,10 @@
 # The "least code" trajectory as one JSON object on stdout: Rust lines
 # (every line of every *.rs file) per crate and for the top-level trees,
 # plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
-# knobs, run entry points, config fields, determinism-lint exceptions,
-# probe channels, the per-instruction in-flight mirrors probes keep, and
-# the line counts of the three documents a reader starts from.
+# knobs, command-line flags, run entry points, config fields,
+# determinism-lint exceptions, probe channels, the per-instruction
+# in-flight mirrors probes keep, and the line counts of the three
+# documents a reader starts from.
 #
 #   scripts/size.sh                 (run at the parent and at the change;
 #                                    CHANGES.md records both)
@@ -49,6 +50,13 @@ lint_exceptions() {
     END { print n + 0 }'
 }
 
+# The `("--name", takes_value)` flags the binaries declare to `Cli::parse`
+# (grep -o: one line may declare several).
+cli_flags() {
+  find crates/*/src/bin -name '*.rs' -exec cat {} + |
+    grep -oE '\("--[a-z][a-z-]*", (true|false)\)' | wc -l
+}
+
 crates="" bins=""
 total_bins=0 crates_total=0
 for dir in crates/*/; do
@@ -79,6 +87,7 @@ cat <<EOF
   "bins": {"total": $total_bins, $bins},
   "bench_targets": $(find crates/*/benches -name '*.rs' | wc -l),
   "env_knobs": $(count '^        "CSMT_[A-Z_]+=' crates/bench/src/lib.rs),
+  "cli_flags": $(cli_flags),
   "run_entry_points": $(count '^ *pub fn ' crates/workloads/src/runner.rs crates/workloads/src/multiprogram.rs),
   "config_fields": {
     "ClusterConfig": $(struct_fields ClusterConfig crates/cpu/src/config.rs),

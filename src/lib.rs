@@ -51,7 +51,7 @@ pub use csmt_workloads as workloads;
 
 /// The most common imports for driving experiments.
 pub mod prelude {
-    pub use csmt_core::{ArchKind, ChipConfig, Machine, RunResult};
+    pub use csmt_core::{ArchKind, ChipConfig, Machine, Policy, RunResult};
     pub use csmt_cpu::{ClusterConfig, Hazard, SlotStats};
     pub use csmt_isa::{DynInst, InstStream, OpClass, SyncOp};
     pub use csmt_mem::{MemConfig, MemorySystem};
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use csmt_trace::{IntervalSampler, NullProbe, PipeviewProbe, Probe};
     pub use csmt_verify::{InvariantProbe, Violation, ViolationKind};
     pub use csmt_workloads::{
-        all_apps, by_name, simulate, simulate_job_batches, simulate_probed, AppParams, AppSpec,
-        RunSpec, Workload,
+        all_apps, by_name, simulate, simulate_probed, AppParams, AppSpec, BatchResult, RunSpec,
+        Workload,
     };
 }

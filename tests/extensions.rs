@@ -15,7 +15,6 @@
 use clustered_smt::prelude::*;
 use csmt_core::ArchKind;
 use csmt_cpu::{FetchPolicy, PredictorKind};
-use csmt_workloads::simulate_job_batches;
 
 const SCALE: f64 = 0.15;
 
@@ -164,9 +163,11 @@ fn multiprogram_batches_preserve_work_and_order_smt_first() {
         .iter()
         .map(|n| by_name(n).unwrap())
         .collect();
-    let smt2 = simulate_job_batches(&mix, 8, ArchKind::Smt2.chip(), 1, SCALE, 7);
-    let fa2 = simulate_job_batches(&mix, 8, ArchKind::Fa2.chip(), 1, SCALE, 7);
-    let fa8 = simulate_job_batches(&mix, 8, ArchKind::Fa8.chip(), 1, SCALE, 7);
+    let [smt2, fa2, fa8] = [ArchKind::Smt2, ArchKind::Fa2, ArchKind::Fa8].map(|arch| {
+        RunSpec::job_batches(&mix, 8, arch.chip(), 1, SCALE, 7, Policy::Static)
+            .map(|batch| batch.run())
+            .collect::<BatchResult>()
+    });
     // Same committed work everywhere (seeds per job are identical).
     assert_eq!(smt2.committed, fa2.committed);
     assert_eq!(smt2.committed, fa8.committed);

@@ -38,7 +38,7 @@ const ARCHS: [ArchKind; 7] = [
 #[test]
 fn per_architecture_digests_are_bit_for_bit_stable() {
     // One more input the digests must not depend on: the environment.
-    // The scheduling policy is a `RunSpec` field and a `--sched` flag;
+    // The scheduling policy is a `RunSpec` field;
     // nothing `simulate_probed` reaches may read a variable (SMT2 under
     // hazard_pairing takes 4891 cycles instead of 4875). Checked
     // statically by the env-read ban in `crates/clippy.toml`.

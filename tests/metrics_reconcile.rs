@@ -15,7 +15,7 @@
 //!
 //! The report a `MetricsProbe` exports is pinned byte for byte too.
 
-use csmt_core::ArchKind;
+use csmt_core::{ArchKind, Policy};
 use csmt_cpu::Hazard;
 use csmt_metrics::{MetricsProbe, MetricsReport};
 use csmt_trace::{CycleStats, Event, Probe, Wants};
@@ -201,7 +201,7 @@ fn cycle_stats_aggregates_match_the_slotstats_merge_exactly() {
 
 /// `app` on `arch` × `chips` under the `sched` policy at the golden seed,
 /// with a `MetricsProbe` attached.
-fn probed(arch: ArchKind, app: &str, chips: usize, scale: f64, sched: &str) -> MetricsReport {
+fn probed(arch: ArchKind, app: &str, chips: usize, scale: f64, sched: Policy) -> MetricsReport {
     let app = by_name(app).expect("paper app");
     let mut probe = MetricsProbe::default();
     RunSpec {
@@ -221,7 +221,7 @@ fn fnv(text: &str) -> u64 {
 
 /// One exported cell: `(arch, app, chips, scale, sched)`, then the
 /// FNV-64 of its pretty-printed report.
-type ExportPin = (ArchKind, &'static str, usize, f64, &'static str, u64);
+type ExportPin = (ArchKind, &'static str, usize, f64, Policy, u64);
 
 /// Report digests of a 4-chip cell, a cell whose policy
 /// migrates threads (a dynamic policy degrades to static on FA chips, so
@@ -230,17 +230,17 @@ type ExportPin = (ArchKind, &'static str, usize, f64, &'static str, u64);
 /// timeline and a Perfetto trace: deleting those left these bytes alone.
 #[rustfmt::skip]
 const EXPORT_PINS: [ExportPin; 3] = [
-    (ArchKind::Smt2, "swim", 4, 0.1, "static", 0x1bac_3b6a_5e74_5e32),
-    (ArchKind::Smt2, APP, 1, SCALE, "hazard_pairing", 0x32cc_5722_83b0_8a22),
-    (ArchKind::Smt2, APP, 1, SCALE, "static", 0xe8ad_8e90_336b_7b43),
+    (ArchKind::Smt2, "swim", 4, 0.1, Policy::Static, 0x1bac_3b6a_5e74_5e32),
+    (ArchKind::Smt2, APP, 1, SCALE, Policy::HazardPairing, 0x32cc_5722_83b0_8a22),
+    (ArchKind::Smt2, APP, 1, SCALE, Policy::Static, 0xe8ad_8e90_336b_7b43),
 ];
 
 #[test]
 fn exports_are_byte_identical_to_the_pinned_digests() {
     for (arch, app, chips, scale, sched, report_pin) in EXPORT_PINS {
         let report = probed(arch, app, chips, scale, sched);
-        let cell = format!("{}×{chips} {app} {scale} {sched}", arch.name());
-        if sched != "static" {
+        let cell = format!("{}×{chips} {app} {scale} {}", arch.name(), sched.name());
+        if sched != Policy::Static {
             assert!(report.migrations > 0, "{cell}: no migration");
         }
         let mut pretty = String::new();
