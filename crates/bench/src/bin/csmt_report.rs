@@ -22,7 +22,7 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use csmt_bench::FIGURE_SEED;
-use csmt_core::{ArchKind, Policy, RunResult};
+use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
 use csmt_metrics::{HostProfiler, MetricsProbe};
 use csmt_sweep::{arch_by_name, fail, Cli};
@@ -204,7 +204,6 @@ fn main() {
             ("scale".to_string(), scale.to_value()),
             ("chips".to_string(), chips.to_value()),
             ("seed".to_string(), FIGURE_SEED.to_value()),
-            ("sched".to_string(), Policy::Static.name().to_value()),
             ("archs".to_string(), Value::Array(summaries)),
         ];
         if let Some(p) = &profiler {

@@ -21,7 +21,7 @@ use crate::pipeline::rename::RenamePools;
 use crate::pipeline::window::Window;
 use crate::pipeline::{commit, fetch, regs};
 use crate::stats::{CycleActivity, SlotStats, StallShares};
-use csmt_isa::{ArchReg, InstStream, SyncOp};
+use csmt_isa::{InstStream, SyncOp};
 use csmt_mem::MemorySystem;
 use csmt_trace::{emit, Event, HostPhase, HostStopwatch, NullProbe, Probe, RenamePoolEvent, Wants};
 
@@ -476,19 +476,12 @@ impl Cluster {
     /// The end-of-cycle rename-pool snapshot. Register conservation: every
     /// allocated renaming register is held by exactly one window slot
     /// (fetch allocates before install; release returns it on both commit
-    /// and squash). `held` is counted by scanning the window's per-slot
-    /// `dest` array — 2 bytes a slot, written only by install and
-    /// release — so it stays evidence independent of the free counters
-    /// (DESIGN §9).
+    /// and squash). `held` is the popcount of the window's per-slot held
+    /// masks, written only by install and release, so it stays evidence
+    /// independent of the free counters (DESIGN §9).
     fn emit_snapshot<P: Probe>(&self, now: u64, probe: &mut P, cluster_id: u32) {
         emit(probe, Wants::POOL, || {
-            let (mut int_held, mut fp_held) = (0u32, 0u32);
-            // Branch-free: the slot-by-slot pattern of empty / int / fp
-            // is unpredictable, and a branchy count paid for it.
-            for d in &self.win.dest {
-                int_held += u32::from(matches!(d, Some(ArchReg::Int(_))));
-                fp_held += u32::from(matches!(d, Some(ArchReg::Fp(_))));
-            }
+            let (int_held, fp_held) = self.win.held();
             Event::RenamePools(RenamePoolEvent {
                 cycle: now,
                 cluster: cluster_id,
@@ -498,5 +491,90 @@ impl Cluster {
                 fp_held,
             })
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csmt_isa::stream::VecStream;
+    use csmt_isa::{ArchReg, DynInst, OpClass};
+    use csmt_mem::MemConfig;
+    use proptest::prelude::*;
+
+    /// Keeps the latest rename-pool snapshot.
+    #[derive(Default)]
+    struct LastPools(Option<RenamePoolEvent>);
+
+    impl Probe for LastPools {
+        const WANTS: Wants = Wants::POOL;
+        fn on(&mut self, ev: &Event<'_>) {
+            if let Event::RenamePools(e) = *ev {
+                self.0 = Some(e);
+            }
+        }
+    }
+
+    /// One random instruction: `kind` picks an int ALU op (dest `$0`
+    /// renames nothing), an FP op, a load into either file, a store or a
+    /// branch (a misprediction squashes the wrong path behind it).
+    fn inst(i: usize, (kind, a, b, addr): (u8, u8, u8, u16)) -> DynInst {
+        let pc = i as u64 * 4;
+        let (src, addr) = ([Some(ArchReg::Int(b)), None], u64::from(addr) * 8);
+        match kind {
+            0 => DynInst::alu(pc, OpClass::IntAlu, Some(ArchReg::Int(a)), src),
+            1 => DynInst::alu(
+                pc,
+                OpClass::FpAdd,
+                Some(ArchReg::Fp(a)),
+                [Some(ArchReg::Fp(b)), None],
+            ),
+            2 if a % 2 == 0 => DynInst::load(pc, ArchReg::Fp(a), addr, src),
+            2 => DynInst::load(pc, ArchReg::Int(a), addr, src),
+            3 => DynInst::store(pc, addr, src),
+            _ => DynInst::branch(pc, a % 2 == 0, 0, src),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// On every Table 2 window size, 16 to 128 slots, each cycle's
+        /// snapshot counts exactly the registers `dest` finds slot by
+        /// slot, and `free + held == pool` in both register files.
+        #[test]
+        fn pool_snapshot_equals_a_per_slot_enumeration(
+            progs in prop::collection::vec(
+                prop::collection::vec((0u8..5, 0u8..30, 0u8..30, any::<u16>()), 1..200),
+                1..3,
+            ),
+        ) {
+            for width in [1, 2, 4, 8] {
+                let cfg = ClusterConfig::for_width(width, progs.len());
+                let pool = cfg.rename_regs() as u32;
+                let mut c = Cluster::new(cfg, 7);
+                let mut mem = MemorySystem::new(MemConfig::table3(), 1, 7);
+                for (t, p) in progs.iter().enumerate() {
+                    let insts = p.iter().enumerate().map(|(i, &o)| inst(i, o)).collect();
+                    c.attach_thread(t, Box::new(VecStream::new(insts)));
+                }
+                let (mut events, mut probe) = (Vec::new(), LastPools::default());
+                let mut now = 0;
+                while c.busy() {
+                    prop_assert!(now < 100_000, "width {} deadlocked", width);
+                    c.step_probed(now, &mut mem, 0, &mut events, &mut probe, 0);
+                    events.clear();
+                    let e = probe.0.take().expect("a snapshot every cycle");
+                    let dests: Vec<ArchReg> = (0..cfg.window_entries() as u32)
+                        .filter_map(|s| c.win.dest(s))
+                        .collect();
+                    let fp = dests.iter().filter(|d| d.is_fp()).count() as u32;
+                    let int = dests.len() as u32 - fp;
+                    prop_assert_eq!((e.int_held, e.fp_held), (int, fp), "width {} cycle {}", width, now);
+                    prop_assert_eq!((e.int_free + e.int_held, e.fp_free + e.fp_held), (pool, pool));
+                    now += 1;
+                }
+            }
+        }
     }
 }

@@ -55,7 +55,7 @@ pub(crate) fn run<P: Probe>(
                 let out = mem.access_probed(node, addr, AccessKind::Write, now, probe);
                 lsq.push(out.complete_at);
             }
-            if let Some(d) = win.dest[head as usize] {
+            if let Some(d) = win.dest(head) {
                 if regs.threads[tid].map[d.flat_index()] == Some(head) {
                     regs.threads[tid].map[d.flat_index()] = None;
                 }

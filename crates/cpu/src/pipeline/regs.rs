@@ -78,7 +78,7 @@ impl HazardClass {
 }
 
 /// One instruction window / reorder buffer entry. The renaming register
-/// it holds lives beside it, in [`Window::dest`].
+/// it holds lives beside it, in the window's held masks ([`Window::dest`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     pub valid: bool,

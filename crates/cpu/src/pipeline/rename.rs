@@ -5,6 +5,7 @@
 use csmt_isa::ArchReg;
 
 use super::regs::ThreadCtx;
+use super::window::Window;
 
 /// The two renaming-register free pools (Table 2 budgets).
 pub(crate) struct RenamePools {
@@ -43,12 +44,12 @@ impl RenamePools {
 }
 
 /// Rebuild a thread's map table from its surviving in-flight producers
-/// (after wrong-path instructions were squashed); `dest` is the window's
-/// per-slot destination register.
-pub(crate) fn rebuild_map(t: &mut ThreadCtx, dest: &[Option<ArchReg>]) {
+/// (after wrong-path instructions were squashed), reading each one's
+/// register from the window.
+pub(crate) fn rebuild_map(t: &mut ThreadCtx, win: &Window) {
     t.map = [None; ArchReg::COUNT];
     for &s in &t.fifo {
-        if let Some(d) = dest[s as usize] {
+        if let Some(d) = win.dest(s) {
             t.map[d.flat_index()] = Some(s);
         }
     }

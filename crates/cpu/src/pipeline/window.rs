@@ -170,11 +170,14 @@ impl CompletionWheel {
 
 pub(crate) struct Window {
     pub entries: Vec<Entry>,
-    /// Per slot, the renaming register its entry holds: `Some` from
-    /// install to release (commit or squash), the only record of it. Kept
-    /// apart from `entries` so the per-cycle `Wants::POOL` count reads 2
-    /// bytes a slot, not a whole entry.
-    pub dest: Vec<Option<ArchReg>>,
+    /// The renaming registers held, one bit per slot in each register
+    /// file's mask (`[int, fp]`): set by install, cleared by release
+    /// (commit or squash), the only record of them. The per-cycle
+    /// `Wants::POOL` snapshot is two popcounts.
+    held: [u128; 2],
+    /// Per slot, the architectural number of the register it holds;
+    /// meaningful only while one of its `held` bits is set.
+    reg: Vec<u8>,
     pub free_slots: Vec<u32>,
     /// Consumers of each producer slot's result: `(slot, seq)` of the
     /// waiting entry, registered at dispatch, drained at completion.
@@ -194,9 +197,12 @@ pub(crate) struct Window {
 
 impl Window {
     pub fn new(n: usize, hw_threads: usize) -> Self {
+        // Table 2's widest cluster, 8 × 16: one `u128` mask bit a slot.
+        assert!(n <= 128, "a {n}-entry window overflows the held masks");
         Window {
             entries: vec![DEAD; n],
-            dest: vec![None; n],
+            held: [0; 2],
+            reg: vec![0; n],
             free_slots: (0..n as u32).rev().collect(),
             waiters: (0..n).map(|_| Vec::new()).collect(),
             ready: Vec::with_capacity(n),
@@ -221,6 +227,24 @@ impl Window {
     /// [`CompletionWheel::next_due`].
     pub fn next_due(&self) -> u64 {
         self.wheel.next_due()
+    }
+
+    /// The renaming register `slot`'s entry holds, if any.
+    pub fn dest(&self, slot: u32) -> Option<ArchReg> {
+        let bit = 1u128 << slot;
+        let r = self.reg[slot as usize];
+        if self.held[0] & bit != 0 {
+            Some(ArchReg::Int(r))
+        } else if self.held[1] & bit != 0 {
+            Some(ArchReg::Fp(r))
+        } else {
+            None
+        }
+    }
+
+    /// Renaming registers held by window slots: `(int, fp)`.
+    pub fn held(&self) -> (u32, u32) {
+        (self.held[0].count_ones(), self.held[1].count_ones())
     }
 
     /// Per hardware context, its live entries by §4.1 class.
@@ -274,7 +298,11 @@ impl Window {
     /// checked [`has_free`](Window::has_free).
     pub fn install(&mut self, mut e: Entry, dest: Option<ArchReg>) -> u32 {
         let slot = self.free_slots.pop().expect("checked non-empty");
-        self.dest[slot as usize] = dest;
+        if let Some(d) = dest {
+            let (ArchReg::Int(r) | ArchReg::Fp(r)) = d;
+            self.held[usize::from(d.is_fp())] |= 1u128 << slot;
+            self.reg[slot as usize] = r;
+        }
         let mut all_ready = true;
         for s in e.srcs {
             if let SrcState::Wait(p) = s {
@@ -296,8 +324,9 @@ impl Window {
     /// Free `slot` (commit or squash): return its rename register, clear
     /// its indexed state, and put the slot back on the free list.
     pub fn release(&mut self, slot: u32, rename: &mut RenamePools) {
-        if let Some(d) = self.dest[slot as usize].take() {
+        if let Some(d) = self.dest(slot) {
             rename.release(d);
+            self.held[usize::from(d.is_fp())] &= !(1u128 << slot);
         }
         let e = &mut self.entries[slot as usize];
         debug_assert!(e.valid);
@@ -443,7 +472,7 @@ impl Window {
             });
         }
         let t = &mut regs.threads[thread];
-        rename::rebuild_map(t, &self.dest);
+        rename::rebuild_map(t, self);
         if t.state == ThreadState::WrongPath {
             t.state = ThreadState::Running;
         }
@@ -702,24 +731,64 @@ mod tests {
         assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 
-    /// The `Wants::POOL` scan reads `dest`, not `entries`: 2 bytes a slot
-    /// against a whole entry.
+    /// A held register is one mask bit a slot: install sets it, `dest`
+    /// reads back the register install recorded, and release clears the
+    /// bit and returns the register exactly once.
     #[test]
-    fn the_pool_scan_reads_two_bytes_a_slot() {
-        assert_eq!(std::mem::size_of::<Option<ArchReg>>(), 2);
-        // Install records the register, release returns it exactly once.
+    fn install_sets_and_release_clears_a_held_bit() {
         let mut r = Rig::new();
-        let fp_free = r.rename.fp_free;
+        let free = (r.rename.int_free, r.rename.fp_free);
         assert!(r.rename.try_alloc(ArchReg::Fp(3)));
-        let e = Entry {
+        assert!(r.rename.try_alloc(ArchReg::Int(31)));
+        let e = |seq| Entry {
             valid: true,
-            seq: 1,
+            seq,
             ..DEAD
         };
-        let a = r.win.install(e, Some(ArchReg::Fp(3)));
-        assert_eq!(r.win.dest[a as usize], Some(ArchReg::Fp(3)));
+        let a = r.win.install(e(1), Some(ArchReg::Fp(3)));
+        let b = r.win.install(e(2), Some(ArchReg::Int(31)));
+        let c = r.win.install(e(3), None);
+        assert_eq!(r.win.held, [1 << b, 1 << a]);
+        assert_eq!(
+            [a, b, c].map(|s| r.win.dest(s)),
+            [Some(ArchReg::Fp(3)), Some(ArchReg::Int(31)), None]
+        );
+        assert_eq!(r.win.held(), (1, 1));
         r.win.release(a, &mut r.rename);
-        assert_eq!((r.win.dest[a as usize], r.rename.fp_free), (None, fp_free));
+        assert_eq!((r.win.dest(a), r.win.held()), (None, (1, 0)));
+        r.win.release(b, &mut r.rename);
+        r.win.release(c, &mut r.rename);
+        assert_eq!(r.win.held, [0, 0]);
+        assert_eq!((r.rename.int_free, r.rename.fp_free), free);
+    }
+
+    /// The widest Table 2 window fills every mask bit, the top one too.
+    #[test]
+    fn a_full_128_entry_window_holds_128_registers() {
+        let mut win = Window::new(128, 1);
+        for seq in 0..128u64 {
+            let d = if seq % 2 == 0 {
+                ArchReg::Int(seq as u8 % 32)
+            } else {
+                ArchReg::Fp(seq as u8 % 32)
+            };
+            let e = Entry {
+                valid: true,
+                seq: seq + 1,
+                ..DEAD
+            };
+            let slot = win.install(e, Some(d));
+            assert_eq!(win.dest(slot), Some(d));
+        }
+        assert_eq!(win.held(), (64, 64));
+        assert_eq!(win.held[0] | win.held[1], u128::MAX);
+        assert_eq!(win.held[0] & win.held[1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the held masks")]
+    fn a_window_past_128_slots_is_refused() {
+        Window::new(129, 1);
     }
 
     #[test]

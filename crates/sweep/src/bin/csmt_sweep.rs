@@ -13,7 +13,7 @@
 //! command, and only the missing cells simulate — the outputs are
 //! rewritten in full, byte-identical to an uninterrupted run.
 
-use csmt_core::{ArchKind, Policy};
+use csmt_core::ArchKind;
 use csmt_sweep::{
     arch_by_name, fail, jsonl_line, key, Cli, ResultCache, SweepEngine, CACHE_SCHEMA,
 };
@@ -162,7 +162,6 @@ fn summary(opt: &Options, cells: &[RunSpec], results: &[csmt_core::RunResult]) -
         ("chips".into(), opt.chips.to_value()),
         ("seeds".into(), opt.seeds.to_value()),
         ("scales".into(), opt.scales.to_value()),
-        ("sched".into(), Policy::Static.name().to_value()),
         ("total_cycles".into(), total_cycles.to_value()),
         ("total_committed".into(), total_committed.to_value()),
     ])

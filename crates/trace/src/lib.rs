@@ -18,8 +18,9 @@
 //!
 //! Both probes that follow instructions from fetch to retirement — the
 //! pipeview writer here and `csmt-verify`'s invariant checker — keep them
-//! in one [`InstMirror`], whose transition function, [`InstMirror::on`],
-//! also says which events break the lifecycle. It stores each cluster's
+//! in one [`InstMirror`], whose typed transitions ([`InstMirror::fetch`]
+//! … [`InstMirror::squash`], dispatched by [`InstMirror::on`]) also say
+//! which events break the lifecycle. It stores each cluster's
 //! instructions in an [`InflightRing`], indexed by the cluster's dense
 //! instruction uids.
 //!

@@ -105,9 +105,11 @@ struct ClusterMirror<T> {
     horizon: u64,
 }
 
-/// The in-flight instructions of every cluster, kept by one transition
-/// function, [`on`](InstMirror::on). Clusters are added on first fetch,
-/// so the mirror needs no machine description.
+/// The in-flight instructions of every cluster, kept by one typed
+/// transition per instruction event ([`fetch`](InstMirror::fetch) …
+/// [`squash`](InstMirror::squash)), which [`on`](InstMirror::on)
+/// dispatches to. Clusters are added on first fetch, so the mirror needs
+/// no machine description.
 #[derive(Debug)]
 pub struct InstMirror<T = ()> {
     clusters: Vec<ClusterMirror<T>>,
@@ -128,67 +130,34 @@ impl<T: InstRecord> InstMirror<T> {
         Self::default()
     }
 
-    /// Apply one event. Instruction events give the [`Step`] (or the
-    /// [`Misstep`]) they made; every other event is `Ok(None)`.
+    /// Apply one event: the dispatcher over the typed transitions below.
+    /// Instruction events give the [`Step`] (or the [`Misstep`]) they
+    /// made; every other event is `Ok(None)`.
     ///
     /// # Errors
     /// The [`Misstep`] of an event that has no instruction to apply to.
     #[inline]
     pub fn on(&mut self, ev: &Event<'_>) -> Result<Option<Step<T>>, Misstep> {
-        // (the event, the stage it needs, the stage it moves to; `None`
-        // retires)
-        let (e, needs, to) = match *ev {
-            Event::Fetch(e) => return self.fetch(&e).map(Some),
-            Event::Rename(e) => (e, Some(Stage::Fetched), Some(Stage::Renamed)),
-            Event::Issue(e) => (e, Some(Stage::Renamed), Some(Stage::Issued)),
-            Event::Writeback(e) => (e, Some(Stage::Issued), Some(Stage::Done)),
-            Event::Commit(e) => (e, Some(Stage::Done), None),
-            Event::Squash(e) => (e, None, None),
+        match *ev {
+            Event::Fetch(e) => self.fetch(&e),
+            Event::Rename(e) => self.rename(e),
+            Event::Issue(e) => self.issue(e),
+            Event::Writeback(e) => self.writeback(e),
+            Event::Commit(e) => self.commit(e),
+            Event::Squash(e) => self.squash(e),
             _ => return Ok(None),
-        };
-        let c = self.cluster(e)?;
-        let Some(inst) = c.ring.get_mut(e.uid) else {
-            return Err(if e.uid == 0 || e.uid > c.horizon {
-                Misstep::NeverFetched { horizon: c.horizon }
-            } else {
-                Misstep::Retired
-            });
-        };
-        let found = *inst;
-        let in_order = needs.is_none_or(|s| s == found.stage);
-        match to {
-            Some(next) if in_order => {
-                inst.stage = next;
-                inst.record.reached(next, e.cycle);
-            }
-            Some(_) => {}
-            None => {
-                c.ring.remove(e.uid);
-            }
         }
-        Ok(Some(Step {
-            inst: found,
-            in_order,
-        }))
+        .map(Some)
     }
 
-    /// The cluster a stage event names; one the mirror has not seen
-    /// fetch has fetched nothing.
+    /// A fetch enters the instruction at [`Stage::Fetched`], adding its
+    /// cluster on first sight; [`Misstep::Refetch`] when the uid is not
+    /// above the cluster's last.
     #[inline]
-    fn cluster(&mut self, e: StageEvent) -> Result<&mut ClusterMirror<T>, Misstep> {
-        self.clusters
-            .get_mut(e.cluster as usize)
-            .ok_or(Misstep::NeverFetched { horizon: 0 })
-    }
-
-    #[inline]
-    fn fetch(&mut self, e: &FetchEvent) -> Result<Step<T>, Misstep> {
+    pub fn fetch(&mut self, e: &FetchEvent) -> Result<Step<T>, Misstep> {
         let i = e.cluster as usize;
         if self.clusters.len() <= i {
-            self.clusters.resize_with(i + 1, || ClusterMirror {
-                ring: InflightRing::new(),
-                horizon: 0,
-            });
+            self.add_clusters(i + 1);
         }
         let c = &mut self.clusters[i];
         if e.uid <= c.horizon {
@@ -205,6 +174,91 @@ impl<T: InstRecord> InstMirror<T> {
             inst,
             in_order: true,
         })
+    }
+
+    /// Grow to `n` clusters: once per cluster, on its first fetch.
+    #[cold]
+    fn add_clusters(&mut self, n: usize) {
+        self.clusters.resize_with(n, || ClusterMirror {
+            ring: InflightRing::new(),
+            horizon: 0,
+        });
+    }
+
+    // The lifecycle table: each stage event, the stage it needs (`None`:
+    // any) and the stage it moves to (`None`: it retires). Each returns
+    // the `Misstep` of an instruction its cluster does not hold.
+
+    /// Fetched → renamed.
+    #[inline]
+    pub fn rename(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
+        self.advance(e, Some(Stage::Fetched), Some(Stage::Renamed))
+    }
+
+    /// Renamed → issued.
+    #[inline]
+    pub fn issue(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
+        self.advance(e, Some(Stage::Renamed), Some(Stage::Issued))
+    }
+
+    /// Issued → written back.
+    #[inline]
+    pub fn writeback(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
+        self.advance(e, Some(Stage::Issued), Some(Stage::Done))
+    }
+
+    /// Written back → retired.
+    #[inline]
+    pub fn commit(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
+        self.advance(e, Some(Stage::Done), None)
+    }
+
+    /// Any stage → retired.
+    #[inline]
+    pub fn squash(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
+        self.advance(e, None, None)
+    }
+
+    /// Move `e`'s instruction from `needs` to `to`, or report it out of
+    /// order (and leave it where it is, unless `to` retires it). A
+    /// cluster the mirror has not seen fetch has fetched nothing.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        e: StageEvent,
+        needs: Option<Stage>,
+        to: Option<Stage>,
+    ) -> Result<Step<T>, Misstep> {
+        let Some(c) = self.clusters.get_mut(e.cluster as usize) else {
+            return Err(Misstep::NeverFetched { horizon: 0 });
+        };
+        let in_order = |inst: &Inst<T>| needs.is_none_or(|s| s == inst.stage);
+        let step = match to {
+            // Retiring: one lookup takes the instruction out.
+            None => c.ring.remove(e.uid).map(|inst| Step {
+                inst,
+                in_order: in_order(&inst),
+            }),
+            Some(next) => c.ring.get_mut(e.uid).map(|inst| {
+                let step = Step {
+                    inst: *inst,
+                    in_order: in_order(inst),
+                };
+                if step.in_order {
+                    inst.stage = next;
+                    inst.record.reached(next, e.cycle);
+                }
+                step
+            }),
+        };
+        let Some(step) = step else {
+            return Err(if e.uid == 0 || e.uid > c.horizon {
+                Misstep::NeverFetched { horizon: c.horizon }
+            } else {
+                Misstep::Retired
+            });
+        };
+        Ok(step)
     }
 
     /// The instructions `cluster` has in flight, in ascending uid order.

@@ -493,10 +493,16 @@ impl<P: Probe> Probe for Option<P> {
 /// each member the events of the channels that member wants.
 impl<A: Probe, B: Probe> Probe for (A, B) {
     const WANTS: Wants = A::WANTS.union(B::WANTS);
-    #[inline]
+    // Always inlined, so the channel test folds at each emit site.
+    #[inline(always)]
     fn on(&mut self, ev: &Event<'_>) {
-        emit(&mut self.0, ev.channel(), || *ev);
-        emit(&mut self.1, ev.channel(), || *ev);
+        let channel = ev.channel();
+        if A::WANTS.contains(channel) {
+            self.0.on(ev);
+        }
+        if B::WANTS.contains(channel) {
+            self.1.on(ev);
+        }
     }
 }
 

@@ -56,25 +56,35 @@ impl<T> InflightRing<T> {
         self.slots.len()
     }
 
+    #[inline]
     fn index(&self, uid: u64) -> Option<usize> {
         usize::try_from(uid.checked_sub(self.base)?).ok()
     }
 
     /// The value stored for `uid`, if present.
+    #[inline]
     pub fn get(&self, uid: u64) -> Option<&T> {
         self.slots.get(self.index(uid)?)?.as_ref()
     }
 
     /// Mutable access to the value stored for `uid`, if present.
+    #[inline]
     pub fn get_mut(&mut self, uid: u64) -> Option<&mut T> {
         let i = self.index(uid)?;
         self.slots.get_mut(i)?.as_mut()
     }
 
     /// Store `value` for `uid`, returning the value it replaces.
+    #[inline]
     pub fn insert(&mut self, uid: u64, value: T) -> Option<T> {
         if self.slots.is_empty() {
             self.base = uid;
+        }
+        // The common case: the uid after the newest, one append.
+        if uid == self.base + self.slots.len() as u64 {
+            self.slots.push_back(Some(value));
+            self.live += 1;
+            return None;
         }
         while uid < self.base {
             self.slots.push_front(None);
@@ -91,6 +101,7 @@ impl<T> InflightRing<T> {
 
     /// Remove and return the value stored for `uid`, reclaiming every
     /// slot up to the next live uid when `uid` was the oldest.
+    #[inline]
     pub fn remove(&mut self, uid: u64) -> Option<T> {
         let i = self.index(uid)?;
         let value = self.slots.get_mut(i)?.take()?;

@@ -1,7 +1,8 @@
 //! Differential property test of [`InflightRing`] against a
-//! `BTreeMap<u64, T>`: whatever sequence of inserts, updates and removals
-//! a probe performs, the ring must answer like an ordered map — and must
-//! hold no slot behind its oldest live uid.
+//! `BTreeMap<u64, T>`: whatever sequence of inserts (appended at the
+//! ring's next slot or anywhere else), updates and removals a probe
+//! performs, the ring must answer like an ordered map — and must hold no
+//! slot behind its oldest live uid.
 
 use csmt_trace::InflightRing;
 use proptest::prelude::*;
@@ -12,6 +13,9 @@ enum Op {
     /// Insert above every uid inserted so far, skipping `gap` uids — the
     /// way a cluster's fetch stream arrives.
     Push { gap: u64 },
+    /// Insert at the slot one past the newest the ring holds (any uid
+    /// when it is empty): the append path a dense fetch stream takes.
+    Append,
     /// Insert at an arbitrary uid: below the base, inside the span (live
     /// or retired slot), or past the end.
     Insert { uid: u64 },
@@ -27,6 +31,7 @@ enum Op {
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..3).prop_map(|gap| Op::Push { gap }),
+        3 => Just(Op::Append),
         1 => (0u64..96).prop_map(|uid| Op::Insert { uid }),
         2 => (0u64..96).prop_map(|uid| Op::Update { uid }),
         3 => (0u64..96).prop_map(|uid| Op::Remove { uid }),
@@ -49,6 +54,8 @@ proptest! {
         for (value, op) in (0u32..).zip(ops) {
             let inserted = match op {
                 Op::Push { gap } => Some(newest + 1 + gap),
+                Op::Append if model.is_empty() => Some(newest + 1),
+                Op::Append => Some(newest_since_empty + 1),
                 Op::Insert { uid } => Some(uid),
                 Op::Update { uid } => {
                     let (got, want) = (ring.get_mut(uid), model.get_mut(&uid));

@@ -313,9 +313,13 @@ impl InvariantProbe {
         }
     }
 
-    fn record(&mut self, v: Violation) {
+    /// Store a violation (up to the cap). Cold and built here, so a
+    /// handler's check costs its handler only a compare and a branch.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, v: impl FnOnce() -> Violation) {
         if self.violations.len() < MAX_STORED {
-            self.violations.push(v);
+            self.violations.push(v());
         } else {
             self.dropped += 1;
         }
@@ -323,12 +327,13 @@ impl InvariantProbe {
 
     /// Bounds-check a cluster index; records [`ViolationKind::CrossCluster`]
     /// and returns `None` when it points outside the machine.
+    #[inline]
     fn cluster_checked(&mut self, cycle: u64, cluster: u32, uid: Option<u64>) -> Option<usize> {
         if (cluster as usize) < self.clusters.len() {
             Some(cluster as usize)
         } else {
             let n = self.clusters.len();
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::CrossCluster,
                 cycle,
                 cluster: Some(cluster),
@@ -340,32 +345,52 @@ impl InvariantProbe {
         }
     }
 
-    /// Apply a stage event to the mirror, flagging the events it has no
-    /// instruction for: a uid above the cluster's fetch horizon was never
-    /// fetched *here* (the signature of a cross-cluster wakeup); one at or
-    /// below it has already retired.
-    fn step(
+    /// The instruction a stage event's mirror transition found. A `Step`
+    /// names a cluster inside the machine: the mirror holds only clusters
+    /// whose fetches passed [`cluster_checked`](Self::cluster_checked).
+    #[inline]
+    fn found(
         &mut self,
         stage: &'static str,
-        ev: &Event<'_>,
         e: StageEvent,
-    ) -> Option<(usize, Step<()>)> {
-        let ci = self.cluster_checked(e.cycle, e.cluster, Some(e.uid))?;
-        let (kind, detail) = match self.mirror.on(ev) {
-            Ok(step) => return step.map(|s| (ci, s)),
-            Err(Misstep::NeverFetched { horizon }) => (
+        step: Result<Step<()>, Misstep>,
+    ) -> Option<Step<()>> {
+        match step {
+            Ok(step) => Some(step),
+            Err(m) => {
+                self.missing(stage, e, m);
+                None
+            }
+        }
+    }
+
+    /// Flag a stage event the mirror has no instruction for: one naming a
+    /// cluster outside the machine; a uid above the cluster's fetch
+    /// horizon was never fetched *here* (the signature of a cross-cluster
+    /// wakeup); one at or below it has already retired.
+    #[cold]
+    #[inline(never)]
+    fn missing(&mut self, stage: &'static str, e: StageEvent, m: Misstep) {
+        if self
+            .cluster_checked(e.cycle, e.cluster, Some(e.uid))
+            .is_none()
+        {
+            return;
+        }
+        let (kind, detail) = match m {
+            Misstep::NeverFetched { horizon } => (
                 ViolationKind::CrossCluster,
                 format!(
                     "{stage} of an instruction this cluster never fetched \
                      (fetch horizon {horizon}) — wakeup across a cluster boundary?"
                 ),
             ),
-            Err(Misstep::Retired | Misstep::Refetch { .. }) => (
+            Misstep::Retired | Misstep::Refetch { .. } => (
                 ViolationKind::LifecycleOrder,
                 format!("{stage} of an already-retired instruction"),
             ),
         };
-        self.record(Violation {
+        self.record(|| Violation {
             kind,
             cycle: e.cycle,
             cluster: Some(e.cluster),
@@ -373,13 +398,13 @@ impl InvariantProbe {
             uid: Some(e.uid),
             detail,
         });
-        None
     }
 
     /// Flag a stage event the mirror found out of lifecycle order.
+    #[inline]
     fn out_of_order(&mut self, e: StageEvent, step: &Step<()>, what: &str) {
         if !step.in_order {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::LifecycleOrder,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -398,7 +423,10 @@ impl Probe for InvariantProbe {
         .union(Wants::POOL)
         .union(Wants::SCHED);
 
-    #[inline]
+    /// Inlined where the event is built, and so is the handler it picks:
+    /// each emit site runs its own event's checks, without a call or a
+    /// second match.
+    #[inline(always)]
     fn on(&mut self, ev: &Event<'_>) {
         match *ev {
             Event::Fetch(e) => self.fetch(e),
@@ -417,8 +445,11 @@ impl Probe for InvariantProbe {
     }
 }
 
-/// The per-event checks behind [`Probe::on`].
+/// The per-event checks behind [`Probe::on`]. The per-instruction,
+/// per-access and per-cluster-cycle ones are always inlined: each has one
+/// emit site in the simulator.
 impl InvariantProbe {
+    #[inline(always)]
     fn fetch(&mut self, e: FetchEvent) {
         self.events += 1;
         let Some(ci) = self.cluster_checked(e.cycle, e.cluster, Some(e.uid)) else {
@@ -426,7 +457,7 @@ impl InvariantProbe {
         };
         let hw = self.clusters[ci].hw_threads;
         if e.thread >= hw {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::CrossCluster,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -437,7 +468,7 @@ impl InvariantProbe {
             return;
         }
         if self.sched_aware && self.clusters[ci].owner[e.thread as usize].is_none() {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::PlacementConflict,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -446,8 +477,8 @@ impl InvariantProbe {
                 detail: "fetch on a context no software thread owns".to_string(),
             });
         }
-        if let Err(Misstep::Refetch { last }) = self.mirror.on(&Event::Fetch(e)) {
-            self.record(Violation {
+        if let Err(Misstep::Refetch { last }) = self.mirror.fetch(&e) {
+            self.record(|| Violation {
                 kind: ViolationKind::LifecycleOrder,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -460,7 +491,7 @@ impl InvariantProbe {
         self.clusters[ci].fetched += 1;
         let (occ, cap) = (self.mirror.len(ci), self.clusters[ci].window_cap);
         if occ > cap {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::WindowOverflow,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -471,19 +502,23 @@ impl InvariantProbe {
         }
     }
 
+    #[inline(always)]
     fn rename(&mut self, e: StageEvent) {
         self.events += 1;
-        if let Some((_, step)) = self.step("rename", &Event::Rename(e), e) {
+        let step = self.mirror.rename(e);
+        if let Some(step) = self.found("rename", e, step) {
             self.out_of_order(e, &step, "rename of an instruction already");
         }
     }
 
+    #[inline(always)]
     fn issue(&mut self, e: StageEvent) {
         self.events += 1;
-        let Some((ci, step)) = self.step("issue", &Event::Issue(e), e) else {
+        let step = self.mirror.issue(e);
+        let Some(step) = self.found("issue", e, step) else {
             return;
         };
-        let c = &mut self.clusters[ci];
+        let c = &mut self.clusters[e.cluster as usize];
         if e.cycle != c.issue_cycle {
             c.issue_cycle = e.cycle;
             c.issued_this_cycle = 0;
@@ -491,7 +526,7 @@ impl InvariantProbe {
         c.issued_this_cycle += 1;
         let (n, w) = (c.issued_this_cycle, c.issue_width);
         if n > w {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::IssueWidthExceeded,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -503,26 +538,30 @@ impl InvariantProbe {
         self.out_of_order(e, &step, "issue of an instruction already");
     }
 
+    #[inline(always)]
     fn writeback(&mut self, e: StageEvent) {
         self.events += 1;
-        if let Some((_, step)) = self.step("writeback", &Event::Writeback(e), e) {
+        let step = self.mirror.writeback(e);
+        if let Some(step) = self.found("writeback", e, step) {
             self.out_of_order(e, &step, "writeback of an instruction");
         }
     }
 
+    #[inline(always)]
     fn commit(&mut self, e: StageEvent) {
         self.events += 1;
         self.commit_events += 1;
-        let Some((ci, step)) = self.step("commit", &Event::Commit(e), e) else {
+        let step = self.mirror.commit(e);
+        let Some(step) = self.found("commit", e, step) else {
             return;
         };
         self.out_of_order(e, &step, "commit of an instruction only");
         let thread = step.inst.thread;
-        let c = &mut self.clusters[ci];
+        let c = &mut self.clusters[e.cluster as usize];
         c.committed += 1;
         let last = c.last_commit[thread as usize];
         if e.uid <= last {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::OutOfOrderCommit,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -535,10 +574,12 @@ impl InvariantProbe {
         }
     }
 
+    #[inline(always)]
     fn squash(&mut self, e: StageEvent) {
         self.events += 1;
-        if let Some((ci, _)) = self.step("squash", &Event::Squash(e), e) {
-            self.clusters[ci].squashed += 1;
+        let step = self.mirror.squash(e);
+        if self.found("squash", e, step).is_some() {
+            self.clusters[e.cluster as usize].squashed += 1;
         }
     }
 
@@ -551,7 +592,7 @@ impl InvariantProbe {
         let hw = self.clusters[ci].hw_threads;
         if e.ctx >= hw || e.thread >= self.thread_capacity {
             let cap = self.thread_capacity;
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::CrossCluster,
                 cycle: e.cycle,
                 cluster: Some(e.cluster),
@@ -568,7 +609,7 @@ impl InvariantProbe {
         match e.kind {
             MigrationEventKind::Attach => {
                 if let Some(owner) = self.clusters[ci].owner[ctx] {
-                    self.record(Violation {
+                    self.record(|| Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -582,7 +623,7 @@ impl InvariantProbe {
             MigrationEventKind::Depart => {
                 match self.clusters[ci].owner[ctx] {
                     Some(owner) if owner == e.thread => self.clusters[ci].owner[ctx] = None,
-                    Some(owner) => self.record(Violation {
+                    Some(owner) => self.record(|| Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -590,7 +631,7 @@ impl InvariantProbe {
                         uid: None,
                         detail: format!("depart from a context owned by thread {owner}"),
                     }),
-                    None => self.record(Violation {
+                    None => self.record(|| Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -607,7 +648,7 @@ impl InvariantProbe {
                     .take(4)
                     .collect();
                 if !inflight.is_empty() {
-                    self.record(Violation {
+                    self.record(|| Violation {
                         kind: ViolationKind::MigrationWithoutDrain,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -619,7 +660,7 @@ impl InvariantProbe {
                     });
                 }
                 if self.in_transit.contains(&e.thread) {
-                    self.record(Violation {
+                    self.record(|| Violation {
                         kind: ViolationKind::MigrationWithoutDrain,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -635,7 +676,7 @@ impl InvariantProbe {
                 if self.in_transit.contains(&e.thread) {
                     self.in_transit.retain(|&t| t != e.thread);
                 } else {
-                    self.record(Violation {
+                    self.record(|| Violation {
                         kind: ViolationKind::MigrationWithoutDrain,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -645,7 +686,7 @@ impl InvariantProbe {
                     });
                 }
                 if let Some(owner) = self.clusters[ci].owner[ctx] {
-                    self.record(Violation {
+                    self.record(|| Violation {
                         kind: ViolationKind::PlacementConflict,
                         cycle: e.cycle,
                         cluster: Some(e.cluster),
@@ -659,11 +700,12 @@ impl InvariantProbe {
         }
     }
 
+    #[inline(always)]
     fn cache_access(&mut self, e: CacheEvent) {
         self.events += 1;
         if (e.node as usize) >= self.nodes.len() {
             let n = self.nodes.len();
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::CrossCluster,
                 cycle: e.cycle,
                 cluster: None,
@@ -674,7 +716,7 @@ impl InvariantProbe {
             return;
         }
         if e.complete_at < e.cycle {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::LifecycleOrder,
                 cycle: e.cycle,
                 cluster: None,
@@ -696,7 +738,7 @@ impl InvariantProbe {
         node.pending.push(e.complete_at);
         let (occ, cap) = (node.pending.len(), node.cap);
         if occ > cap {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::StoreBufferOverflow,
                 cycle: e.cycle,
                 cluster: None,
@@ -714,7 +756,7 @@ impl InvariantProbe {
         self.events += 1;
         if e.thread >= self.thread_capacity {
             let cap = self.thread_capacity;
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::CrossCluster,
                 cycle: e.cycle,
                 cluster: None,
@@ -725,6 +767,7 @@ impl InvariantProbe {
         }
     }
 
+    #[inline(always)]
     fn rename_pools(&mut self, e: RenamePoolEvent) {
         self.events += 1;
         let Some(ci) = self.cluster_checked(e.cycle, e.cluster, None) else {
@@ -736,7 +779,7 @@ impl InvariantProbe {
             ("fp", e.fp_free, e.fp_held, c.rename_regs),
         ] {
             if u64::from(free) + u64::from(held) != pool {
-                self.record(Violation {
+                self.record(|| Violation {
                     kind: ViolationKind::RenameConservation,
                     cycle: e.cycle,
                     cluster: Some(e.cluster),
@@ -759,7 +802,7 @@ impl InvariantProbe {
         let total = s.useful + wasted;
         let tol = 1e-6 * (s.slots.max(1) as f64);
         if (total - s.slots as f64).abs() > tol {
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::SlotConservation,
                 cycle,
                 cluster: None,
@@ -773,7 +816,7 @@ impl InvariantProbe {
         }
         if s.committed != self.commit_events {
             let seen = self.commit_events;
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::StatsRegression,
                 cycle,
                 cluster: None,
@@ -787,7 +830,7 @@ impl InvariantProbe {
         }
         if s.running_threads > self.thread_capacity {
             let cap = self.thread_capacity;
-            self.record(Violation {
+            self.record(|| Violation {
                 kind: ViolationKind::StatsRegression,
                 cycle,
                 cluster: None,
@@ -822,7 +865,7 @@ impl InvariantProbe {
                 }
             }
             for detail in bad {
-                self.record(Violation {
+                self.record(|| Violation {
                     kind: ViolationKind::StatsRegression,
                     cycle,
                     cluster: None,

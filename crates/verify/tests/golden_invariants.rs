@@ -9,6 +9,9 @@
 //! looking reports, so each run's full [`VerifySummary`] is pinned too:
 //! the same checker must count the same events, fetches, commits and
 //! squashes over the same cycles.
+//!
+//! Every architecture also runs on four chips under the static policy:
+//! 8 to 32 clusters in one checker, and four nodes' store buffers.
 
 use csmt_core::{ArchKind, Policy};
 use csmt_verify::{InvariantProbe, VerifySummary};
@@ -89,5 +92,38 @@ fn all_architectures_run_clean_under_invariant_probe() {
                 }
             }
         }
+    }
+}
+
+/// Every architecture on four chips under the static policy, captured
+/// with the checker that re-matched each event before the typed mirror
+/// transitions.
+const PINNED_4CHIP: [(&str, VerifySummary); 8] = [
+    ("FA8", pin(4232, 22_613, 453, 258_199)),
+    ("FA4", pin(3293, 23_309, 1149, 176_262)),
+    ("FA2", pin(3185, 23_975, 1815, 150_787)),
+    ("FA1", pin(3941, 24_174, 2014, 142_945)),
+    ("SMT8", pin(4232, 22_613, 453, 258_199)),
+    ("SMT4", pin(3125, 22_645, 485, 171_977)),
+    ("SMT2", pin(2689, 22_664, 504, 143_432)),
+    ("SMT1", pin(2715, 22_720, 560, 132_842)),
+];
+
+#[test]
+fn all_architectures_run_clean_on_four_chips() {
+    let app = by_name("mgrid").expect("mgrid is a registered app");
+    for (kind, (name, want)) in ArchKind::ALL.into_iter().zip(PINNED_4CHIP) {
+        assert_eq!(kind.name(), name, "pins follow ArchKind::ALL");
+        let mut probe = InvariantProbe::new(&kind.chip(), 4);
+        let result = RunSpec::new(&app, kind, 4, SCALE, SEED).run_probed(&mut probe);
+        let summary = probe.finish().unwrap_or_else(|v| {
+            panic!(
+                "{name} on 4 chips: {} violation(s), first {}",
+                v.len(),
+                v[0]
+            )
+        });
+        assert_eq!(summary.cycles, result.cycles, "{name} on 4 chips");
+        assert_eq!(summary, want, "{name} on 4 chips");
     }
 }

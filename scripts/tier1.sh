@@ -38,6 +38,12 @@ for f in report.json heartbeat_SMT2.jsonl pipeview_SMT2.trace metrics_SMT2_mgrid
   [ -s "$SWEEP_TMP/report/$f" ]
 done
 
+echo "==> csmt-report 4-chip checked smoke (FA4 and SMT2 on four chips: 16 and 8 clusters, four nodes' store buffers; every artifact)"
+cargo run -q --release -p csmt-bench --bin csmt-report -- FA4,SMT2 swim 0.05 4 --verify --out "$SWEEP_TMP/report4" >/dev/null
+for f in report.json heartbeat_FA4.jsonl heartbeat_SMT2.jsonl pipeview_FA4.trace pipeview_SMT2.trace metrics_FA4_swim.json metrics_SMT2_swim.json; do
+  [ -s "$SWEEP_TMP/report4/$f" ]
+done
+
 echo "==> csmt-lint (workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint
 
