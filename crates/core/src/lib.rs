@@ -10,9 +10,9 @@
 //!   Polaris fork-join semantics the paper's applications use);
 //! * [`machine`] — the low-end (1 chip) and high-end (4-chip DASH-like)
 //!   machines and the cycle loop;
-//! * [`sched`] — the thread-to-cluster scheduling seam: pluggable
-//!   [`ThreadScheduler`] policies (static round-robin, barrier rebalance,
-//!   hazard pairing) with drain-based thread migration;
+//! * [`sched`] — thread-to-cluster scheduling: the [`Policy`] enum
+//!   (static round-robin, barrier rebalance, hazard pairing) and the
+//!   dynamic policies' drain-based thread migration;
 //! * [`result`] — per-run statistics: cycles, §4.1 issue-slot breakdown,
 //!   memory counters, Figure 6 coordinates.
 //!
@@ -53,7 +53,4 @@ pub use configs::{ArchKind, ChipConfig, CHIP_ISSUE_WIDTH};
 pub use machine::{Machine, Placement};
 pub use result::RunResult;
 pub use runtime::{Action, Runtime, ThreadId};
-pub use sched::{
-    BarrierRebalance, HazardPairing, Migration, Policy, SchedConfigError, SchedSnapshot,
-    StaticRoundRobin, ThreadObs, ThreadScheduler, Topology, MIGRATION_COST,
-};
+pub use sched::{Policy, SchedConfigError};

@@ -6,21 +6,21 @@
 //! ("a simple workstation"); the high-end machine is `chips = 4` (the
 //! DASH-like CC-NUMA of Figure 3).
 //!
-//! Software threads are placed by a pluggable [`ThreadScheduler`] (module
-//! [`crate::sched`]). The default, [`StaticRoundRobin`], reproduces the
-//! paper: thread *i* on chip `i / threads_per_chip`, cluster `i % clusters`
-//! of that chip, the way an OS scheduler would spread work — and never
-//! migrates. Dynamic policies may additionally move threads between
-//! contexts at deterministic epochs; migration is drain-based (the context
-//! is parked, in-flight work retires or is squashed, then the thread
-//! spends [`MIGRATION_COST`] cycles in transit before resuming).
+//! Software threads are placed round-robin, as the paper does: thread *i*
+//! on chip `i / threads_per_chip`, cluster `i % clusters` of that chip,
+//! the way an OS scheduler would spread work. The default
+//! [`Policy::Static`] never migrates them; a dynamic [`Policy`] (module
+//! [`crate::sched`]) may additionally move threads between contexts at
+//! deterministic epochs; migration is drain-based (the context is parked,
+//! in-flight work retires or is squashed, then the thread spends
+//! [`MIGRATION_COST`] cycles in transit before resuming).
 
 use crate::configs::ChipConfig;
 use crate::result::RunResult;
 use crate::runtime::{Action, Runtime, ThreadId};
 use crate::sched::{
-    Migration, SchedConfigError, SchedSnapshot, StaticRoundRobin, ThreadObs, ThreadScheduler,
-    Topology, MIGRATION_COST,
+    barrier_moves, pairing_moves, Migration, Policy, SchedConfigError, SchedSnapshot, ThreadObs,
+    Topology, HAZARD_QUANTUM, MIGRATION_COST,
 };
 use csmt_cpu::{Cluster, ClusterEvent, DetachedThread, ThreadState};
 use csmt_isa::InstStream;
@@ -45,8 +45,7 @@ pub struct Placement {
 /// with `clusters` clusters each and `threads_per_chip` contexts per chip:
 /// thread *i* lands on chip `i / threads_per_chip`, cluster
 /// `i % clusters` of that chip — the way an OS scheduler would spread
-/// work. This is the arithmetic behind the default
-/// [`StaticRoundRobin`](crate::sched::StaticRoundRobin) policy.
+/// work. Every [`Policy`] starts from this placement.
 pub fn round_robin_placement(tid: ThreadId, clusters: usize, threads_per_chip: usize) -> Placement {
     let chip = tid / threads_per_chip;
     let within = tid % threads_per_chip;
@@ -56,6 +55,16 @@ pub fn round_robin_placement(tid: ThreadId, clusters: usize, threads_per_chip: u
         ctx: within / clusters,
     }
 }
+
+/// Most consecutive cycles a busy machine may go without committing an
+/// instruction before [`Machine::run`] declares its pipeline wedged.
+/// Table 3's longest round trip is the 75-cycle remote (dirty) L2 access,
+/// and the longest commit-free stretch of any study's grid is a few of
+/// them (180 cycles, under the ablation's doubled remote latencies).
+/// 100 000 cycles is over 1 300 such round trips back to back: far from
+/// any real run, yet a wedge is reported at once instead of at the
+/// `max_cycles` limit.
+const MAX_COMMIT_GAP: u64 = 100_000;
 
 /// A thread between contexts: detached from its source, not yet attached at
 /// its destination.
@@ -97,10 +106,12 @@ pub struct Machine {
     events_buf: Vec<ClusterEvent>,
     actions_buf: Vec<Action>,
     /// The thread-to-cluster allocation policy (see [`crate::sched`]).
-    sched: Box<dyn ThreadScheduler + Send>,
-    /// Cached `sched.is_dynamic()`: when false, the run loop skips all
-    /// epoch/migration machinery and stays on the golden-digest path.
-    sched_dynamic: bool,
+    /// Under [`Policy::Static`] the run loop skips all epoch/migration
+    /// machinery and stays on the golden-digest path.
+    policy: Policy,
+    /// [`Policy::HazardPairing`]'s per-thread EWMA memory-boundedness
+    /// signatures (empty under the other policies).
+    sigs: Vec<Option<f64>>,
     /// Threads currently between contexts, in departure order (the order
     /// determines arrival processing, so it is determinism-load-bearing).
     /// At most one per hardware context, and empty under a static policy,
@@ -110,7 +121,7 @@ pub struct Machine {
     /// toward a migration (`None` when not draining).
     migrate_dest: Vec<Option<(Placement, u64)>>,
     /// Cycle of the last scheduler epoch (quantum epochs fire at
-    /// `last_epoch + quantum`).
+    /// `last_epoch + HAZARD_QUANTUM`).
     last_epoch: u64,
     /// Barrier-episode count at the last epoch (change ⇒ barrier epoch).
     prev_barrier_episodes: u64,
@@ -135,7 +146,7 @@ pub struct Machine {
 impl Machine {
     /// Build a machine of `n_chips` chips of configuration `cfg` with the
     /// given memory hierarchy. `seed` controls all stochastic state. The
-    /// machine starts with the paper's [`StaticRoundRobin`] placement;
+    /// machine starts with the paper's [`Policy::Static`] placement;
     /// nothing here reads the process environment.
     pub fn new(cfg: ChipConfig, n_chips: usize, mem_cfg: MemConfig, seed: u64) -> Self {
         assert!(n_chips >= 1);
@@ -163,8 +174,8 @@ impl Machine {
             running_thread_cycles: 0,
             events_buf: Vec::with_capacity(max_cluster_events),
             actions_buf: Vec::new(),
-            sched: Box::new(StaticRoundRobin),
-            sched_dynamic: false,
+            policy: Policy::Static,
+            sigs: Vec::new(),
             in_transit: Vec::new(),
             migrate_dest: Vec::new(),
             last_epoch: 0,
@@ -195,34 +206,26 @@ impl Machine {
         cfg.cluster().hw_threads == 1
     }
 
-    /// Install a scheduling policy in place of the [`StaticRoundRobin`]
-    /// every new machine starts with ([`crate::sched::Policy::for_chip`]
-    /// gives one this accepts). Must be called before
-    /// [`attach_threads`](Machine::attach_threads). Rejects configurations
-    /// the machine refuses to run (a dynamic policy on a fixed-assignment
-    /// architecture, a zero rebalance quantum).
-    pub fn set_scheduler(
-        &mut self,
-        sched: Box<dyn ThreadScheduler + Send>,
-    ) -> Result<(), SchedConfigError> {
+    /// Install a scheduling policy in place of the [`Policy::Static`]
+    /// every new machine starts with ([`Policy::for_chip`] gives one this
+    /// accepts). Must be called before
+    /// [`attach_threads`](Machine::attach_threads). Rejects a dynamic
+    /// policy on a fixed-assignment architecture.
+    pub fn set_scheduler(&mut self, policy: Policy) -> Result<(), SchedConfigError> {
         assert!(
             self.placements.is_empty(),
             "set_scheduler before attach_threads"
         );
-        if sched.quantum() == Some(0) {
-            return Err(SchedConfigError::ZeroQuantum);
-        }
-        if sched.is_dynamic() && Self::fixed_assignment(&self.cfg) {
+        if policy != Policy::Static && Self::fixed_assignment(&self.cfg) {
             return Err(SchedConfigError::DynamicOnFixedAssignment);
         }
-        self.sched_dynamic = sched.is_dynamic();
-        self.sched = sched;
+        self.policy = policy;
         Ok(())
     }
 
-    /// Name of the active scheduling policy.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
+    /// The active scheduling policy.
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// Completed thread migrations so far.
@@ -231,7 +234,7 @@ impl Machine {
     }
 
     /// Machine shape, as scheduler policies see it.
-    pub fn topology(&self) -> Topology {
+    fn topology(&self) -> Topology {
         Topology {
             chips: self.n_chips,
             clusters_per_chip: self.cfg.clusters(),
@@ -305,26 +308,12 @@ impl Machine {
         self.runtime = Runtime::with_groups(streams.iter().map(|(_, g)| *g).collect());
         self.actions_buf.reserve(streams.len());
         self.migrate_dest = vec![None; streams.len()];
-        let topo = self.topology();
-        let placements = self.sched.initial_placement(streams.len(), &topo);
-        assert_eq!(
-            placements.len(),
-            streams.len(),
-            "scheduler must place every thread"
-        );
         for (tid, (s, _)) in streams.into_iter().enumerate() {
-            let p = placements[tid];
-            assert!(
-                p.chip < self.n_chips
-                    && p.cluster < self.cfg.clusters()
-                    && p.ctx < self.cfg.cluster().hw_threads,
-                "initial placement {p:?} out of range"
-            );
+            let p = round_robin_placement(tid, self.cfg.clusters(), self.cfg.threads_per_chip());
             self.cluster_at_mut(p.chip, p.cluster)
                 .attach_thread(p.ctx, s);
             self.placements.push(p);
             let slot = self.slot(p);
-            assert!(self.rev_map[slot].is_none(), "placement collision at {p:?}");
             self.rev_map[slot] = Some(tid);
         }
     }
@@ -571,27 +560,21 @@ impl Machine {
         }
     }
 
-    /// Fire a scheduler epoch if one is due: quantum epochs at
-    /// `last_epoch + quantum`, barrier/exit epochs when the runtime's
-    /// barrier-episode or exited-thread counts changed since the last
-    /// epoch. All triggers are simulated-time events, so epochs are
+    /// Fire a scheduler epoch if one is due: [`Policy::HazardPairing`]'s
+    /// at `last_epoch + HAZARD_QUANTUM`, [`Policy::Barrier`]'s when the
+    /// runtime's barrier-episode or exited-thread counts changed since the
+    /// last epoch. All triggers are simulated-time events, so epochs are
     /// deterministic for a given (policy, workload, seed).
     fn maybe_epoch<P: Probe>(&mut self, probe: &mut P) {
         let now = self.cycle;
-        let mut fire = false;
-        if let Some(q) = self.sched.quantum() {
-            if now >= self.last_epoch + q {
-                fire = true;
+        let fire = match self.policy {
+            Policy::Static => false,
+            Policy::Barrier => {
+                self.runtime.stats().0 != self.prev_barrier_episodes
+                    || self.runtime.done_count() != self.prev_done_count
             }
-        }
-        if self.sched.wants_barrier_epochs() {
-            let (barriers, _) = self.runtime.stats();
-            if barriers != self.prev_barrier_episodes
-                || self.runtime.done_count() != self.prev_done_count
-            {
-                fire = true;
-            }
-        }
+            Policy::HazardPairing => now >= self.last_epoch + HAZARD_QUANTUM,
+        };
         if !fire {
             return;
         }
@@ -599,33 +582,27 @@ impl Machine {
         self.prev_barrier_episodes = self.runtime.stats().0;
         self.prev_done_count = self.runtime.done_count();
         let snap = self.snapshot();
-        self.sched.observe(now, &snap);
-        let requested = self.sched.rebalance(now, &snap);
+        let requested = match self.policy {
+            Policy::Static => Vec::new(),
+            Policy::Barrier => barrier_moves(&snap),
+            Policy::HazardPairing => pairing_moves(&snap, &mut self.sigs),
+        };
         self.apply_migrations(requested, probe);
     }
 
     /// Deterministic machine snapshot for the scheduler. Built only at
     /// epoch boundaries, keeping its cost off the per-cycle path.
     fn snapshot(&self) -> SchedSnapshot {
-        let topo = self.topology();
-        let mut cluster_running = Vec::with_capacity(topo.n_clusters());
-        for cl in &self.clusters {
-            cluster_running.push(cl.running_threads());
-        }
         let threads = (0..self.placements.len())
             .map(|tid| {
-                let group = self.runtime.group_of(tid);
                 let done = self.runtime.is_done(tid);
-                if let Some(ti) = self.transit_of(tid) {
-                    let tr = &self.in_transit[ti];
+                if self.transit_of(tid).is_some() {
                     ThreadObs {
                         tid,
                         placement: None,
                         state: ThreadState::Migrating,
-                        committed: tr.detached.committed,
                         inflight: 0,
                         inflight_loads: 0,
-                        group,
                         done,
                     }
                 } else {
@@ -635,20 +612,16 @@ impl Machine {
                         tid,
                         placement: Some(p),
                         state: cl.thread_state(p.ctx),
-                        committed: cl.thread_committed(p.ctx),
                         inflight: cl.inflight(p.ctx),
                         inflight_loads: cl.inflight_loads(p.ctx),
-                        group,
                         done,
                     }
                 }
             })
             .collect();
         SchedSnapshot {
-            cycle: self.cycle,
             threads,
-            cluster_running,
-            topo,
+            topo: self.topology(),
         }
     }
 
@@ -788,18 +761,40 @@ impl Machine {
                 });
             }
         }
+        // Cycle by which `agg_committed` last moved, and its value then.
+        let mut progress = (self.cycle, self.agg_committed);
         while self.busy() {
             assert!(
                 self.cycle < max_cycles,
                 "simulation exceeded {max_cycles} cycles (deadlock?)"
             );
-            if self.sched_dynamic {
+            if self.agg_committed != progress.1 {
+                progress = (self.cycle, self.agg_committed);
+            } else if self.cycle - progress.0 >= MAX_COMMIT_GAP {
+                self.wedged(progress.0);
+            }
+            if self.policy != Policy::Static {
                 self.process_arrivals(probe);
                 self.maybe_epoch(probe);
             }
             self.step_probed(probe);
         }
         self.result()
+    }
+
+    /// Abort a run whose busy machine has committed nothing since cycle
+    /// `since` for [`MAX_COMMIT_GAP`] cycles: a wedged pipeline is a bug,
+    /// and every further cycle would only postpone its report.
+    #[cold]
+    fn wedged(&self, since: u64) -> ! {
+        let states: Vec<ThreadState> = (0..self.placements.len())
+            .map(|tid| self.thread_state(tid))
+            .collect();
+        panic!(
+            "no instruction committed from cycle {since} to {} (pipeline wedged?); \
+             thread states: {states:?}",
+            self.cycle
+        );
     }
 
     /// Snapshot the result so far (also valid mid-run).
@@ -1061,13 +1056,12 @@ mod tests {
     fn barrier_rebalance_migrates_and_conserves_work() {
         // Odd threads (all placed round-robin on cluster 1 of SMT2) are
         // short; their exits leave cluster 1 idle while cluster 0 still
-        // holds four live threads — exactly the imbalance BarrierRebalance
+        // holds four live threads — exactly the imbalance Policy::Barrier
         // exists to fix.
         let run = |dynamic: bool| {
             let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 7);
             if dynamic {
-                m.set_scheduler(Box::new(crate::sched::BarrierRebalance::default()))
-                    .unwrap();
+                m.set_scheduler(Policy::Barrier).unwrap();
             }
             m.attach_threads(
                 (0..8)
@@ -1095,11 +1089,11 @@ mod tests {
     fn hazard_pairing_runs_deterministically() {
         let run = || {
             let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 9);
-            m.set_scheduler(Box::new(crate::sched::HazardPairing::with_quantum(512)))
-                .unwrap();
+            m.set_scheduler(Policy::HazardPairing).unwrap();
+            // Long enough (about 3000 cycles) to cross a pairing epoch.
             m.attach_threads(
                 (0..8)
-                    .map(|i| simple_thread(120 + i * 7, false, i << 14))
+                    .map(|i| simple_thread(600 + i * 7, false, i << 14))
                     .collect(),
             );
             m.run(10_000_000)
@@ -1110,6 +1104,7 @@ mod tests {
         assert_eq!(a.slots, b.slots);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.migrations, b.migrations);
+        assert!(a.migrations > 0, "the run must cross a pairing epoch");
     }
 
     /// A serial chain of address-dependent loads striding past the page
@@ -1134,17 +1129,15 @@ mod tests {
     fn migration_conserves_committed_work() {
         // The memory-bound bench workload under hazard pairing:
         // migrations must not create or destroy instructions.
-        let run = |policy: Option<u64>| {
+        let run = |policy| {
             let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 0xC5_317);
-            if let Some(q) = policy {
-                m.set_scheduler(Box::new(crate::sched::HazardPairing::with_quantum(q)))
-                    .unwrap();
-            }
+            m.set_scheduler(policy).unwrap();
             m.attach_threads((0..8).map(|t| serial_chain(t, 120)).collect());
             m.run(10_000_000)
         };
-        let stat = run(None);
-        let dynamic = run(Some(2048));
+        let stat = run(Policy::Static);
+        let dynamic = run(Policy::HazardPairing);
+        assert!(dynamic.migrations > 0, "the pairing epochs must migrate");
         assert_eq!(
             stat.slots.committed, dynamic.slots.committed,
             "migrations must conserve committed work"
@@ -1153,7 +1146,6 @@ mod tests {
 
     #[test]
     fn invalid_scheduler_configs_are_rejected() {
-        use crate::sched::{HazardPairing, Policy};
         for kind in ArchKind::ALL {
             // The chips with one context per cluster (the FA chips and SMT8,
             // FA8's alias) are fixed-assignment: listed here by name, not
@@ -1171,23 +1163,11 @@ mod tests {
                 } else {
                     Ok(())
                 };
-                assert_eq!(
-                    m.set_scheduler(policy.scheduler()),
-                    want,
-                    "{kind:?} {policy:?}"
-                );
+                assert_eq!(m.set_scheduler(policy), want, "{kind:?} {policy:?}");
                 if want.is_ok() {
-                    assert_eq!(m.scheduler_name(), policy.name());
+                    assert_eq!(m.policy(), policy);
                 }
             }
-            // A zero rebalance quantum would re-run the policy every cycle
-            // forever: refused on every architecture.
-            let mut m = Machine::new(kind.chip(), 1, MemConfig::table3(), 1);
-            assert_eq!(
-                m.set_scheduler(Box::new(HazardPairing::with_quantum(0))),
-                Err(SchedConfigError::ZeroQuantum),
-                "{kind:?}"
-            );
         }
     }
 

@@ -172,11 +172,6 @@ impl Runtime {
         (self.barrier_episodes, self.lock_acquisitions)
     }
 
-    /// Program group of thread `tid` (0 for a single parallel application).
-    pub fn group_of(&self, tid: ThreadId) -> usize {
-        self.group_of[tid]
-    }
-
     /// True once thread `tid` has exited.
     pub fn is_done(&self, tid: ThreadId) -> bool {
         self.done[tid]

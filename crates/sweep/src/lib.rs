@@ -34,7 +34,7 @@ pub mod pool;
 pub use cache::{ResultCache, CACHE_SCHEMA};
 pub use cli::{arch_by_name, fail, Cli};
 
-use csmt_core::{ArchKind, Policy, RunResult};
+use csmt_core::{sched, ArchKind, RunResult};
 use csmt_verify::digest::Fnv64;
 use csmt_verify::golden::{EXPECTED, EXPECTED_FA4_4CHIP};
 use csmt_workloads::{AppSpec, RunSpec};
@@ -111,7 +111,7 @@ pub struct SweepCell {
     pub seed: u64,
     /// Work scale (1.0 = full figure quality).
     pub scale: f64,
-    /// Thread-to-cluster scheduling policy: a [`Policy::name`].
+    /// Thread-to-cluster scheduling policy: a [`csmt_core::Policy::name`].
     pub sched: String,
 }
 
@@ -119,11 +119,11 @@ impl SweepCell {
     /// The run this cell describes (borrows `app`).
     ///
     /// # Panics
-    /// When `sched` is not a [`Policy::name`].
+    /// When `sched` is not a [`csmt_core::Policy::name`].
     #[must_use]
     pub fn spec(&self) -> RunSpec<'_> {
         RunSpec {
-            sched: Policy::named(&self.sched).expect("SweepCell.sched names a Policy"),
+            sched: sched::by_name(&self.sched).expect("SweepCell.sched names a Policy"),
             ..RunSpec::new(&self.app, self.arch, self.n_chips, self.scale, self.seed)
         }
     }
@@ -255,6 +255,7 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csmt_core::Policy;
     use csmt_mem::MemConfig;
     use csmt_workloads::by_name;
 

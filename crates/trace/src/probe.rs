@@ -117,10 +117,11 @@ pub struct SyncEvent {
 /// to destinations of valid instruction-window entries. Register
 /// conservation (`free + held == capacity`, per file) holds at every
 /// snapshot — `csmt-verify`'s `InvariantProbe` checks exactly that.
-/// `held` is counted by a scan of the window's per-slot destination
-/// registers (2 bytes a slot), not kept as a counter, so it stays evidence
-/// independent of the free counts; that per-cycle scan is why the
-/// snapshot sits on its own channel.
+/// `held` is two popcounts of the window's held masks (one bit a slot per
+/// register file), which only install and release write, so it stays
+/// evidence independent of the free counts. The count is cheap; the
+/// snapshot keeps its own channel because it is one event per cluster per
+/// cycle, a delivery cost only invariant checkers should pay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamePoolEvent {
     /// Cycle the snapshot was taken (end of this cycle's pipeline phases).
@@ -293,9 +294,9 @@ impl Wants {
     /// [`Event::CycleEnd`] with its [`CycleStats`] snapshot. Building the
     /// snapshot costs a pass over the clusters' stats every cycle.
     pub const CYCLE_STATS: Wants = Wants(1 << 2);
-    /// Per-cluster [`Event::RenamePools`] snapshots each cycle. The
-    /// snapshot scans the window's per-slot destination registers (2 bytes
-    /// a slot); only invariant checkers care.
+    /// Per-cluster [`Event::RenamePools`] snapshots each cycle: two
+    /// popcounts of the window's held masks, but one event per cluster
+    /// per cycle, which only invariant checkers want.
     pub const POOL: Wants = Wants(1 << 3);
     /// [`Event::HostPhase`] wall-clock reports around the simulator's own
     /// pipeline phases. [`HostStopwatch`] costs one clock read per phase

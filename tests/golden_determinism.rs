@@ -118,20 +118,18 @@ fn high_end_four_chip_digest_is_bit_for_bit_stable() {
 }
 
 /// Explicitly installing the default scheduling policy
-/// (`StaticRoundRobin`, what the name `"static"` selects) must reproduce
-/// every golden digest bit for bit: the scheduler seam with the static
-/// policy is pure plumbing, invisible to cycles, statistics, and the
-/// event stream alike.
+/// (`Policy::Static`, what the name `"static"` selects) must reproduce
+/// every golden digest bit for bit: installing the static policy is pure
+/// plumbing, invisible to cycles, statistics, and the event stream alike.
 #[test]
 fn static_round_robin_reproduces_every_golden_digest() {
-    use csmt_core::sched::StaticRoundRobin;
-    use csmt_core::Machine;
+    use csmt_core::{Machine, Policy};
     use csmt_workloads::{build_streams, AppParams};
 
     let app = by_name(APP).expect("paper app");
     for (i, arch) in ARCHS.into_iter().enumerate() {
         let mut m = Machine::new(arch.chip(), 1, csmt_mem::MemConfig::table3(), SEED);
-        m.set_scheduler(Box::new(StaticRoundRobin))
+        m.set_scheduler(Policy::Static)
             .expect("static policy is valid everywhere");
         let n_threads = m.hw_thread_capacity();
         let params = AppParams::new(n_threads, 1, SCALE, SEED);
@@ -150,7 +148,7 @@ fn static_round_robin_reproduces_every_golden_digest() {
         );
         assert_eq!(
             got, EXPECTED[i],
-            "explicit StaticRoundRobin drifted from the golden digest"
+            "explicit Policy::Static drifted from the golden digest"
         );
         assert_eq!(r.migrations, 0, "{}: static policy must not migrate", got.0);
     }
