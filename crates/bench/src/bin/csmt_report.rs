@@ -25,7 +25,7 @@ use csmt_bench::FIGURE_SEED;
 use csmt_core::{ArchKind, RunResult};
 use csmt_cpu::Hazard;
 use csmt_metrics::{HostProfiler, MetricsProbe};
-use csmt_sweep::{arch_by_name, fail, Cli};
+use csmt_sweep::{arch_by_name, check_size, fail, Cli};
 use csmt_trace::{IntervalSampler, PipeviewProbe};
 use csmt_verify::InvariantProbe;
 use csmt_workloads::{all_apps, by_name, RunSpec};
@@ -109,6 +109,7 @@ fn main() {
     let app_name: String = cli.arg(1, "mgrid".into());
     let scale: f64 = cli.arg(2, 0.2);
     let chips: usize = cli.arg(3, 1);
+    check_size(scale, chips).unwrap_or_else(|e| fail(&e));
     let Some(app) = by_name(&app_name) else {
         let names: Vec<&str> = all_apps().iter().map(|a| a.name).collect();
         fail(&format!(

@@ -15,7 +15,7 @@ use std::io::Write as _;
 
 use csmt_bench::render_env_knobs;
 use csmt_bench::studies::{Setting, STUDIES};
-use csmt_sweep::{fail, jsonl_line, Cli, SweepEngine};
+use csmt_sweep::{check_size, fail, jsonl_line, Cli, SweepEngine};
 
 fn usage() -> String {
     let mut out = String::from(
@@ -55,6 +55,8 @@ fn main() {
         scale: cli.arg(1, study.default_scale),
         seed: study.default_seed,
     };
+    // A study picks its own machine sizes: only the scale comes from argv.
+    check_size(setting.scale, 1).unwrap_or_else(|e| fail(&e));
     let mut out = cli.value("--out").map(|path| {
         let file = std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         (path, std::io::BufWriter::new(file))

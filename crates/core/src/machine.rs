@@ -426,10 +426,7 @@ impl Machine {
             }
             let stats = self.build_cycle_stats(wasted, running);
             host.lap(probe, HostPhase::CycleEnd);
-            emit(probe, Wants::CYCLE_STATS, || Event::CycleEnd {
-                cycle: now,
-                stats: Some(&stats),
-            });
+            emit(probe, Wants::CYCLE_STATS, || Event::CycleEnd(&stats));
         }
     }
 

@@ -6,7 +6,7 @@
 use crate::bpred::BranchPredictor;
 use crate::config::{ClusterConfig, FetchPolicy};
 use csmt_isa::{OpClass, SyncOp};
-use csmt_trace::{emit, Event, FetchEvent, Probe, StageEvent, Wants};
+use csmt_trace::{emit, Event, FetchEvent, Probe, Wants};
 
 use super::regs::{EState, Entry, HazardClass, Regs, SrcState, ThreadCtx, ThreadState};
 use super::rename::RenamePools;
@@ -242,13 +242,6 @@ fn fetch_from<P: Probe>(
                 pc,
                 op,
                 wrong_path,
-            })
-        });
-        emit(probe, Wants::INST, || {
-            Event::Rename(StageEvent {
-                cycle: now,
-                cluster: cluster_id,
-                uid: seq,
             })
         });
         if has_branch && mispredicted && !wrong_path {

@@ -34,65 +34,9 @@ pub struct CycleActivity {
     pub committed: u32,
 }
 
-/// Hazard categories of §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Hazard {
-    /// Lack of functional units (or of issue bandwidth itself).
-    Structural,
-    /// Waiting on a memory access.
-    Memory,
-    /// Waiting on a register data dependence.
-    Data,
-    /// Branch mispredictions: redirect bubbles and stalled wrong-path work.
-    Control,
-    /// Spinning on barriers or locks.
-    Sync,
-    /// No instructions for a thread in the instruction window.
-    Fetch,
-    /// Squashed instructions and rename-register stalls.
-    Other,
-}
-
-impl Hazard {
-    /// All hazards, in the paper's legend order (top to bottom of the bars:
-    /// other, structural, memory, data, control, sync, fetch).
-    pub const ALL: [Hazard; 7] = [
-        Hazard::Other,
-        Hazard::Structural,
-        Hazard::Memory,
-        Hazard::Data,
-        Hazard::Control,
-        Hazard::Sync,
-        Hazard::Fetch,
-    ];
-
-    /// Dense index for array-backed accumulators.
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            Hazard::Other => 0,
-            Hazard::Structural => 1,
-            Hazard::Memory => 2,
-            Hazard::Data => 3,
-            Hazard::Control => 4,
-            Hazard::Sync => 5,
-            Hazard::Fetch => 6,
-        }
-    }
-
-    /// Lower-case label as used in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Hazard::Other => "other",
-            Hazard::Structural => "structural",
-            Hazard::Memory => "memory",
-            Hazard::Data => "data",
-            Hazard::Control => "control",
-            Hazard::Sync => "sync",
-            Hazard::Fetch => "fetch",
-        }
-    }
-}
+/// The §4.1 hazard classes, defined once in the probe vocabulary
+/// (`csmt_isa::vocab`) so the observers name the same enum.
+pub use csmt_isa::Hazard;
 
 /// The §4.1 division of `wasted` slots over one cycle's hazard `weights`:
 /// `wasted * w / total` for each non-zero weight, or all of it to `fetch`
@@ -235,28 +179,6 @@ impl SlotStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_and_indices_are_consistent() {
-        let mut seen = [false; 7];
-        for h in Hazard::ALL {
-            assert!(!seen[h.index()]);
-            seen[h.index()] = true;
-            assert!(!h.label().is_empty());
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn legend_order_matches_trace_labels() {
-        // `ALL` is the paper's legend order AND the dense index order, and
-        // the trace crate's label list (used for JSONL heartbeat keys) must
-        // agree with both.
-        for (i, h) in Hazard::ALL.iter().enumerate() {
-            assert_eq!(h.index(), i);
-            assert_eq!(h.label(), csmt_trace::HAZARD_LABELS[i]);
-        }
-    }
 
     #[test]
     fn serializes_all_fields() {

@@ -161,15 +161,13 @@ proptest! {
     }
 }
 
-/// The legend order is the dense index order (0..7), and labels are unique
-/// and agree with the trace crate's heartbeat keys.
+/// The legend order is the dense index order (0..7), and labels are unique.
 #[test]
 fn legend_order_is_dense_and_labels_unique() {
     assert_eq!(Hazard::ALL.len(), 7);
     let mut labels = Vec::new();
     for (i, h) in Hazard::ALL.iter().enumerate() {
         assert_eq!(h.index(), i, "{h:?} out of legend order");
-        assert_eq!(h.label(), csmt_trace::HAZARD_LABELS[i]);
         labels.push(h.label());
     }
     let mut dedup = labels.clone();

@@ -22,7 +22,10 @@
 //! * [`rng`] — a tiny deterministic SplitMix64 PRNG so every simulation is
 //!   bit-for-bit reproducible;
 //! * [`fxhash`] — a fixed-seed FxHash map for address-keyed hot-path
-//!   tables (TLB, directory), replacing SipHash + per-process entropy.
+//!   tables (TLB, directory), replacing SipHash + per-process entropy;
+//! * [`vocab`] — the probe vocabulary the machine and its observers
+//!   share: the §4.1 [`Hazard`] classes and the memory level an access
+//!   was [`ServicedBy`].
 
 //! ```
 //! use csmt_isa::block::{BlockBuilder, ChainSpec, OpMix, RegAlloc};
@@ -51,6 +54,7 @@ pub mod op;
 pub mod reg;
 pub mod rng;
 pub mod stream;
+pub mod vocab;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher64};
 pub use inst::{BranchInfo, DynInst, MemRef, SyncOp};
@@ -58,3 +62,4 @@ pub use op::{FuKind, OpClass};
 pub use reg::ArchReg;
 pub use rng::SplitMix64;
 pub use stream::InstStream;
+pub use vocab::{Hazard, ServicedBy};

@@ -31,33 +31,9 @@ pub enum AccessKind {
     Write,
 }
 
-/// Which level ultimately serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServicedBy {
-    /// L1 hit.
-    L1,
-    /// L2 hit (or merged into an outstanding miss).
-    L2,
-    /// Home memory on this node.
-    LocalMem,
-    /// Home memory on a remote node.
-    RemoteMem,
-    /// Dirty line transferred from a remote L2.
-    RemoteL2,
-}
-
-/// Map the hierarchy's outcome classification onto the trace crate's
-/// dependency-free mirror enum (the trace crate sits below this one in
-/// the dependency graph, so it cannot name [`ServicedBy`] itself).
-fn service_level(s: ServicedBy) -> csmt_trace::ServiceLevel {
-    match s {
-        ServicedBy::L1 => csmt_trace::ServiceLevel::L1,
-        ServicedBy::L2 => csmt_trace::ServiceLevel::L2,
-        ServicedBy::LocalMem => csmt_trace::ServiceLevel::LocalMem,
-        ServicedBy::RemoteMem => csmt_trace::ServiceLevel::RemoteMem,
-        ServicedBy::RemoteL2 => csmt_trace::ServiceLevel::RemoteL2,
-    }
-}
+/// Which level ultimately serviced an access: defined once in the probe
+/// vocabulary (`csmt_isa::vocab`), which the cache events carry too.
+pub use csmt_isa::ServicedBy;
 
 /// Result of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +141,7 @@ impl MemorySystem {
                 node: node as u32,
                 addr,
                 write: kind == AccessKind::Write,
-                level: service_level(out.serviced_by),
+                level: out.serviced_by,
                 tlb_miss: out.tlb_miss,
                 complete_at: out.complete_at,
             })

@@ -55,7 +55,7 @@ impl Probe for MetricsProbe {
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
         match *ev {
-            Event::CycleEnd { stats: Some(s), .. } => self.last = *s,
+            Event::CycleEnd(s) => self.last = *s,
             Event::Migration(e) if e.kind == MigrationEventKind::Arrive => {
                 self.migrations += 1;
                 self.migration_wait += e.wait;
@@ -84,17 +84,11 @@ mod tests {
     #[test]
     fn topdown_tree_mirrors_the_final_cycle_stats() {
         let mut p = MetricsProbe::default();
-        p.on(&Event::CycleEnd {
-            cycle: 9,
-            stats: Some(&snap(10, 20)),
-        });
+        p.on(&Event::CycleEnd(&snap(10, 20)));
         let mut s = snap(50, 120);
         s.wasted[2] = 30.0; // memory
         s.wasted[5] = 10.0; // sync
-        p.on(&Event::CycleEnd {
-            cycle: 49,
-            stats: Some(&s),
-        });
+        p.on(&Event::CycleEnd(&s));
         let r = p.finish();
         assert_eq!(r.topdown.total_slots, 200);
         assert_eq!(r.topdown.committed, 120);

@@ -29,19 +29,8 @@
 //! `SlotStats` (`tests/metrics_reconcile.rs` enforces this for every
 //! Table 2 architecture).
 
+use csmt_isa::Hazard;
 use serde::Value;
-
-/// Indices into the hazard array, mirroring `csmt_cpu::Hazard::index()`
-/// (pinned to [`csmt_trace::HAZARD_LABELS`] by a cross-crate test).
-mod hz {
-    pub const OTHER: usize = 0;
-    pub const STRUCTURAL: usize = 1;
-    pub const MEMORY: usize = 2;
-    pub const DATA: usize = 3;
-    pub const CONTROL: usize = 4;
-    pub const SYNC: usize = 5;
-    pub const FETCH: usize = 6;
-}
 
 /// One node of the attribution tree: a label, a slot count, and children
 /// whose `slots` sum exactly to this node's (for interior nodes).
@@ -91,7 +80,7 @@ pub struct AttributionTree {
 
 impl AttributionTree {
     /// Build the tree from the run's slot accounting: `useful` slots, the
-    /// seven hazard accumulators in [`csmt_trace::HAZARD_LABELS`] order,
+    /// seven hazard accumulators in [`Hazard::ALL`] order,
     /// and the totals. This is exactly the data carried by the final
     /// `CycleStats` snapshot or a `RunResult`'s `SlotStats`.
     pub fn from_slots(
@@ -101,19 +90,20 @@ impl AttributionTree {
         cycles: u64,
         committed: u64,
     ) -> Self {
+        let hz = |h: Hazard| wasted[h.index()];
         let frontend = AttributionNode::interior(
             "frontend_bound",
             vec![
-                AttributionNode::leaf("fetch_starved", wasted[hz::FETCH]),
-                AttributionNode::leaf("bad_speculation", wasted[hz::CONTROL]),
+                AttributionNode::leaf("fetch_starved", hz(Hazard::Fetch)),
+                AttributionNode::leaf("bad_speculation", hz(Hazard::Control)),
             ],
         );
         let backend = AttributionNode::interior(
             "backend_bound",
             vec![
-                AttributionNode::leaf("memory_bound", wasted[hz::MEMORY]),
-                AttributionNode::leaf("data_dependence", wasted[hz::DATA]),
-                AttributionNode::leaf("issue_retire_bound", wasted[hz::STRUCTURAL]),
+                AttributionNode::leaf("memory_bound", hz(Hazard::Memory)),
+                AttributionNode::leaf("data_dependence", hz(Hazard::Data)),
+                AttributionNode::leaf("issue_retire_bound", hz(Hazard::Structural)),
             ],
         );
         let stalled = AttributionNode::interior(
@@ -121,8 +111,8 @@ impl AttributionTree {
             vec![
                 frontend,
                 backend,
-                AttributionNode::leaf("sync_bound", wasted[hz::SYNC]),
-                AttributionNode::leaf("rename_squash", wasted[hz::OTHER]),
+                AttributionNode::leaf("sync_bound", hz(Hazard::Sync)),
+                AttributionNode::leaf("rename_squash", hz(Hazard::Other)),
             ],
         );
         let root = AttributionNode::interior(

@@ -15,7 +15,7 @@
 
 use csmt_core::ArchKind;
 use csmt_sweep::{
-    arch_by_name, fail, jsonl_line, key, Cli, ResultCache, SweepEngine, CACHE_SCHEMA,
+    arch_by_name, check_size, fail, jsonl_line, key, Cli, ResultCache, SweepEngine, CACHE_SCHEMA,
 };
 use csmt_workloads::{all_apps, by_name, AppSpec, RunSpec};
 use serde::{Serialize, Value};
@@ -136,6 +136,7 @@ fn build_cells(opt: &Options) -> Vec<RunSpec<'_>> {
     for &scale in &opt.scales {
         for &seed in &opt.seeds {
             for &n_chips in &opt.chips {
+                check_size(scale, n_chips).unwrap_or_else(|e| fail(&e));
                 for app in &opt.apps {
                     for &arch in &opt.archs {
                         cells.push(RunSpec::new(app, arch, n_chips, scale, seed));

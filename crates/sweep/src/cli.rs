@@ -21,6 +21,23 @@ pub fn arch_by_name(name: &str) -> Option<ArchKind> {
         .find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
+/// Refuse a run size no machine can simulate: the work scale must be
+/// finite and positive (0 or NaN builds no stream, infinity never ends)
+/// and the machine at least one chip. Every front door checks the sizes it
+/// turns into runs here and [`fail`]s with the diagnosis.
+///
+/// # Errors
+/// The diagnosis, naming the bad value.
+pub fn check_size(scale: f64, chips: usize) -> Result<(), String> {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("scale {scale} is not a finite number above 0"));
+    }
+    if chips == 0 {
+        return Err("a machine needs at least 1 chip".to_string());
+    }
+    Ok(())
+}
+
 /// A front door's command line: positional arguments plus the `--flag
 /// [value]` options it declares.
 #[derive(Debug)]
@@ -186,6 +203,20 @@ mod tests {
         assert_eq!(
             parse_arg_or(1, Some("vpenta"), String::new()),
             Ok("vpenta".into())
+        );
+    }
+
+    #[test]
+    fn sizes_no_machine_can_run_are_refused() {
+        assert_eq!(check_size(0.1, 1), Ok(()));
+        assert_eq!(check_size(2.0, 4), Ok(()));
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = check_size(scale, 1).unwrap_err();
+            assert!(err.starts_with(&format!("scale {scale} ")), "{err}");
+        }
+        assert_eq!(
+            check_size(0.1, 0).unwrap_err(),
+            "a machine needs at least 1 chip"
         );
     }
 

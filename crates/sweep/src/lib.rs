@@ -32,7 +32,7 @@ pub mod cli;
 pub mod pool;
 
 pub use cache::{ResultCache, CACHE_SCHEMA};
-pub use cli::{arch_by_name, fail, Cli};
+pub use cli::{arch_by_name, check_size, fail, Cli};
 
 use csmt_core::{sched, ArchKind, RunResult};
 use csmt_verify::digest::Fnv64;

@@ -39,8 +39,8 @@ pub use mirror::{Inst, InstMirror, InstRecord, Misstep, Stage, Step};
 pub use pipeview::PipeviewProbe;
 pub use probe::{
     emit, CacheEvent, CycleStats, Event, FetchEvent, HostPhase, HostStopwatch, MigrationEvent,
-    MigrationEventKind, NullProbe, Probe, RenamePoolEvent, ServiceLevel, StageEvent, SyncEvent,
-    SyncEventKind, Wants, HAZARD_LABELS,
+    MigrationEventKind, NullProbe, Probe, RenamePoolEvent, StageEvent, SyncEvent, SyncEventKind,
+    Wants,
 };
 pub use ring::InflightRing;
 pub use sampler::IntervalSampler;

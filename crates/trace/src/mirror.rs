@@ -1,6 +1,6 @@
 //! The instruction mirror: every in-flight instruction's place in the
-//! fetch → rename → issue → writeback → commit/squash lifecycle, rebuilt
-//! from the `INST` channel.
+//! fetch → issue → writeback → commit/squash lifecycle, rebuilt from the
+//! `INST` channel. Fetch renames too (the front end is single-cycle).
 
 use crate::probe::{Event, FetchEvent, StageEvent};
 use crate::ring::InflightRing;
@@ -8,10 +8,8 @@ use crate::ring::InflightRing;
 /// How far an in-flight instruction has got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Fetched into the window, not yet renamed.
+    /// Fetched (and renamed) into the window, waiting to issue.
     Fetched,
-    /// Renamed, waiting to issue.
-    Renamed,
     /// Issued to a functional unit.
     Issued,
     /// Written back, waiting to commit.
@@ -24,7 +22,6 @@ impl Stage {
     pub fn label(self) -> &'static str {
         match self {
             Stage::Fetched => "fetched",
-            Stage::Renamed => "renamed",
             Stage::Issued => "issued",
             Stage::Done => "written back",
         }
@@ -39,8 +36,8 @@ pub trait InstRecord: Copy {
     /// The record of a just-fetched instruction.
     fn fetched(e: &FetchEvent) -> Self;
 
-    /// The instruction reached `stage` (renamed, issued or written back)
-    /// at `cycle`.
+    /// The instruction reached `stage` (issued or written back) at
+    /// `cycle`.
     #[inline]
     fn reached(&mut self, _stage: Stage, _cycle: u64) {}
 }
@@ -67,8 +64,8 @@ pub struct Step<T> {
     /// The instruction as the event found it: for a commit or squash,
     /// its record at retirement.
     pub inst: Inst<T>,
-    /// Whether the event is the instruction's next stage. Rename, issue
-    /// and writeback out of order are not applied; a commit or squash
+    /// Whether the event is the instruction's next stage. Issue and
+    /// writeback out of order are not applied; a commit or squash
     /// retires the instruction either way (a squash is in order at any
     /// stage).
     pub in_order: bool,
@@ -140,7 +137,6 @@ impl<T: InstRecord> InstMirror<T> {
     pub fn on(&mut self, ev: &Event<'_>) -> Result<Option<Step<T>>, Misstep> {
         match *ev {
             Event::Fetch(e) => self.fetch(&e),
-            Event::Rename(e) => self.rename(e),
             Event::Issue(e) => self.issue(e),
             Event::Writeback(e) => self.writeback(e),
             Event::Commit(e) => self.commit(e),
@@ -189,16 +185,10 @@ impl<T: InstRecord> InstMirror<T> {
     // any) and the stage it moves to (`None`: it retires). Each returns
     // the `Misstep` of an instruction its cluster does not hold.
 
-    /// Fetched → renamed.
-    #[inline]
-    pub fn rename(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
-        self.advance(e, Some(Stage::Fetched), Some(Stage::Renamed))
-    }
-
-    /// Renamed → issued.
+    /// Fetched → issued.
     #[inline]
     pub fn issue(&mut self, e: StageEvent) -> Result<Step<T>, Misstep> {
-        self.advance(e, Some(Stage::Renamed), Some(Stage::Issued))
+        self.advance(e, Some(Stage::Fetched), Some(Stage::Issued))
     }
 
     /// Issued → written back.
@@ -286,6 +276,7 @@ impl<T: InstRecord> InstMirror<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::CycleStats;
     use csmt_isa::OpClass;
 
     /// Every stage an instruction reached, with its cycle.
@@ -300,7 +291,7 @@ mod tests {
             match stage {
                 Stage::Issued => self.0[0] = Some(cycle),
                 Stage::Done => self.0[1] = Some(cycle),
-                Stage::Fetched | Stage::Renamed => {}
+                Stage::Fetched => {}
             }
         }
     }
@@ -334,7 +325,6 @@ mod tests {
         let mut m = InstMirror::<Reached>::new();
         step(&mut m, &fetch(1, 1, 10));
         for ev in [
-            Event::Rename(stage(1, 1, 10)),
             Event::Issue(stage(1, 1, 12)),
             Event::Writeback(stage(1, 1, 15)),
         ] {
@@ -348,11 +338,8 @@ mod tests {
         assert!(m.is_empty());
         // Not an instruction event.
         assert_eq!(
-            m.on(&Event::CycleEnd {
-                cycle: 16,
-                stats: None
-            })
-            .map(|s| s.is_none()),
+            m.on(&Event::CycleEnd(&CycleStats::default()))
+                .map(|s| s.is_none()),
             Ok(true)
         );
     }
@@ -361,7 +348,7 @@ mod tests {
     fn out_of_order_stages_are_not_applied_but_commit_retires() {
         let mut m = InstMirror::<Reached>::new();
         step(&mut m, &fetch(0, 1, 1));
-        let s = step(&mut m, &Event::Issue(stage(0, 1, 2)));
+        let s = step(&mut m, &Event::Writeback(stage(0, 1, 2)));
         assert!(!s.in_order);
         assert_eq!(s.inst.stage, Stage::Fetched);
         let s = step(&mut m, &Event::Commit(stage(0, 1, 3)));
@@ -370,7 +357,6 @@ mod tests {
         assert_eq!(s.inst.record, Reached::default());
         assert!(m.is_empty());
         step(&mut m, &fetch(0, 2, 4));
-        step(&mut m, &Event::Rename(stage(0, 2, 4)));
         assert!(
             step(&mut m, &Event::Squash(stage(0, 2, 5))).in_order,
             "a squash is in order at any stage"
@@ -391,12 +377,12 @@ mod tests {
         step(&mut m, &fetch(0, 2, 1));
         step(&mut m, &Event::Squash(stage(0, 1, 2)));
         assert_eq!(
-            m.on(&Event::Rename(stage(0, 1, 3))).unwrap_err(),
+            m.on(&Event::Issue(stage(0, 1, 3))).unwrap_err(),
             Misstep::Retired
         );
         for uid in [0, 3] {
             assert_eq!(
-                m.on(&Event::Rename(stage(0, uid, 3))).unwrap_err(),
+                m.on(&Event::Issue(stage(0, uid, 3))).unwrap_err(),
                 Misstep::NeverFetched { horizon: 2 }
             );
         }

@@ -45,7 +45,7 @@ impl InstRecord for Lifetime {
         match stage {
             Stage::Issued => (self.issue, self.writeback) = (cycle, cycle),
             Stage::Done => self.writeback = cycle,
-            Stage::Fetched | Stage::Renamed => {}
+            Stage::Fetched => {}
         }
     }
 }
@@ -212,7 +212,6 @@ mod tests {
         {
             let mut p = PipeviewProbe::new(&mut buf);
             p.on(&Event::Fetch(fetch(0, 7, 10)));
-            p.on(&Event::Rename(stage(0, 7, 10)));
             p.on(&Event::Issue(stage(0, 7, 12)));
             p.on(&Event::Writeback(stage(0, 7, 14)));
             p.on(&Event::Commit(stage(0, 7, 15)));
@@ -251,7 +250,6 @@ mod tests {
             let mut p = PipeviewProbe::new(&mut buf);
             for uid in 0..20u64 {
                 p.on(&Event::Fetch(fetch(0, uid, uid)));
-                p.on(&Event::Rename(stage(0, uid, uid)));
                 if uid % 3 != 0 {
                     p.on(&Event::Issue(stage(0, uid, uid + 2)));
                 }
@@ -302,7 +300,6 @@ mod tests {
                 op: OpClass::Load,
                 wrong_path: true,
             }));
-            p.on(&Event::Rename(stage(0, 7, 10)));
             p.on(&Event::Issue(stage(0, 7, 12)));
             p.on(&Event::Writeback(stage(0, 7, 20)));
             // Wrong-path instruction fetched and squashed before issue.
@@ -319,7 +316,6 @@ mod tests {
             p.on(&Event::Commit(stage(0, 7, 21)));
             // A second cluster exercises the sequence-number packing.
             p.on(&Event::Fetch(fetch(3, 2, 30)));
-            p.on(&Event::Rename(stage(3, 2, 30)));
             p.on(&Event::Issue(stage(3, 2, 31)));
             p.on(&Event::Writeback(stage(3, 2, 32)));
             p.on(&Event::Commit(stage(3, 2, 33)));

@@ -1,42 +1,10 @@
 //! The [`Probe`] trait, its event payloads, and structural composition.
 
-use csmt_isa::{OpClass, SyncOp};
+use csmt_isa::{OpClass, ServicedBy, SyncOp};
 use std::time::Instant;
 
-/// Hazard labels in the paper's legend order (§4.1), matching
-/// `csmt_cpu::Hazard::ALL` / `Hazard::index()`. Kept here (rather than
-/// imported) because the dependency arrow points the other way: the CPU
-/// crate depends on this one. `csmt-cpu` has a test pinning the two lists
-/// to each other.
-pub const HAZARD_LABELS: [&str; 7] = [
-    "other",
-    "structural",
-    "memory",
-    "data",
-    "control",
-    "sync",
-    "fetch",
-];
-
-/// Which level of the hierarchy serviced a memory access. Mirrors
-/// `csmt_mem::ServicedBy` (same variants, same meaning); duplicated here
-/// because `csmt-mem` depends on this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceLevel {
-    /// Hit in the node's L1 bank.
-    L1,
-    /// Hit in the shared L2 (or merged into an in-flight MSHR).
-    L2,
-    /// Serviced by the node's local memory.
-    LocalMem,
-    /// Serviced by a remote node's memory across the interconnect.
-    RemoteMem,
-    /// Dirty line forwarded from a remote L2.
-    RemoteL2,
-}
-
-/// An instruction entering the pipeline (fetched, then renamed the same
-/// cycle — the front end is single-cycle, see `ClusterConfig`).
+/// An instruction entering the pipeline: fetched and renamed in one
+/// cycle (the front end is single-cycle, see `ClusterConfig`).
 #[derive(Debug, Clone, Copy)]
 pub struct FetchEvent {
     /// Cycle the instruction was fetched.
@@ -81,7 +49,7 @@ pub struct CacheEvent {
     /// True for stores.
     pub write: bool,
     /// Level that serviced the access.
-    pub level: ServiceLevel,
+    pub level: ServicedBy,
     /// True if the access also missed the TLB.
     pub tlb_miss: bool,
     /// Cycle the data becomes available.
@@ -153,8 +121,8 @@ pub enum MigrationEventKind {
 }
 
 /// A thread-scheduler placement event (attach or migration), emitted on
-/// the [`Wants::SCHED`] channel — which the golden determinism digests do
-/// not want, so their event stream is migration-blind.
+/// the [`Wants::SCHED`] channel, which the golden determinism digests
+/// hash too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationEvent {
     /// Cycle the event was processed by the machine loop.
@@ -255,7 +223,7 @@ impl HostPhase {
 pub struct CycleStats {
     /// Issue slots that did useful (eventually committed) work.
     pub useful: f64,
-    /// Wasted slots by hazard, legend order ([`HAZARD_LABELS`]).
+    /// Wasted slots by hazard, legend order (`csmt_isa::Hazard::ALL`).
     pub wasted: [f64; 7],
     /// Total issue slots offered (`issue_width × cycles`, summed over
     /// clusters).
@@ -323,10 +291,9 @@ impl Wants {
 /// structs above; `'a` is the borrow of the end-of-cycle snapshot.
 #[derive(Debug, Clone, Copy)]
 pub enum Event<'a> {
-    /// Instruction fetched into a cluster's instruction window.
+    /// Instruction fetched (and renamed) into a cluster's instruction
+    /// window.
     Fetch(FetchEvent),
-    /// Instruction renamed (same cycle as fetch in this pipeline).
-    Rename(StageEvent),
     /// Instruction issued to a functional unit.
     Issue(StageEvent),
     /// Instruction finished execution and wrote back.
@@ -352,15 +319,9 @@ pub enum Event<'a> {
     },
     /// Thread attached to or migrated between hardware contexts.
     Migration(MigrationEvent),
-    /// End of a machine cycle. The simulator always sends `Some` (the
-    /// snapshot is what [`Wants::CYCLE_STATS`] asks for); `None` is for
-    /// callers that drive a probe by hand without one.
-    CycleEnd {
-        /// The cycle that just ended.
-        cycle: u64,
-        /// Cumulative machine counters at the end of `cycle`.
-        stats: Option<&'a CycleStats>,
-    },
+    /// End of a machine cycle, with the cumulative machine counters at
+    /// its end. The cycle that ended is `stats.cycles - 1`.
+    CycleEnd(&'a CycleStats),
 }
 
 impl Event<'_> {
@@ -370,7 +331,6 @@ impl Event<'_> {
     pub const fn channel(&self) -> Wants {
         match self {
             Event::Fetch(_)
-            | Event::Rename(_)
             | Event::Issue(_)
             | Event::Writeback(_)
             | Event::Commit(_)
@@ -380,7 +340,7 @@ impl Event<'_> {
             Event::RenamePools(_) => Wants::POOL,
             Event::HostPhase { .. } => Wants::HOST_PHASES,
             Event::Migration(_) => Wants::SCHED,
-            Event::CycleEnd { .. } => Wants::CYCLE_STATS,
+            Event::CycleEnd(_) => Wants::CYCLE_STATS,
         }
     }
 }
@@ -525,7 +485,7 @@ mod tests {
             match ev {
                 Event::Fetch(_) => self.fetches += 1,
                 Event::Commit(_) => self.commits += 1,
-                Event::CycleEnd { .. } => self.cycles += 1,
+                Event::CycleEnd(_) => self.cycles += 1,
                 _ => {}
             }
         }
@@ -572,10 +532,9 @@ mod tests {
     }
 
     /// One event of every variant.
-    fn every_event(stats: &CycleStats) -> [Event<'_>; 12] {
+    fn every_event(stats: &CycleStats) -> [Event<'_>; 11] {
         [
             Event::Fetch(fetch()),
-            Event::Rename(stage(0)),
             Event::Issue(stage(1)),
             Event::Writeback(stage(2)),
             Event::Commit(stage(3)),
@@ -585,7 +544,7 @@ mod tests {
                 node: 0,
                 addr: 0x40,
                 write: false,
-                level: ServiceLevel::L2,
+                level: ServicedBy::L2,
                 tlb_miss: false,
                 complete_at: 9,
             }),
@@ -614,10 +573,7 @@ mod tests {
                 kind: MigrationEventKind::Arrive,
                 wait: 100,
             }),
-            Event::CycleEnd {
-                cycle: 4,
-                stats: Some(stats),
-            },
+            Event::CycleEnd(stats),
         ]
     }
 
@@ -746,10 +702,7 @@ mod tests {
         let mut pair = (Counter::default(), Counter::default());
         pair.on(&Event::Commit(stage(3)));
         pair.on(&Event::Commit(stage(4)));
-        pair.on(&Event::CycleEnd {
-            cycle: 4,
-            stats: None,
-        });
+        pair.on(&Event::CycleEnd(&CycleStats::default()));
         assert_eq!(pair.0.commits, 2);
         assert_eq!(pair.1.commits, 2);
         assert_eq!(pair.0.cycles, 1);
@@ -770,14 +723,5 @@ mod tests {
         <&mut Counter as Probe>::on(&mut &mut c, &Event::Fetch(fetch()));
         assert_eq!(c.fetches, 1);
         assert_eq!(<&mut Counter>::WANTS, Counter::WANTS);
-    }
-
-    #[test]
-    fn hazard_labels_are_unique() {
-        for (i, a) in HAZARD_LABELS.iter().enumerate() {
-            for b in HAZARD_LABELS.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
     }
 }

@@ -6,7 +6,9 @@ use std::path::Path;
 
 use serde::Value;
 
-use crate::probe::{CycleStats, Event, Probe, Wants, HAZARD_LABELS};
+use csmt_isa::Hazard;
+
+use crate::probe::{CycleStats, Event, Probe, Wants};
 
 /// Emits a machine heartbeat as one JSON object per line, every
 /// `interval` cycles, by differencing consecutive [`CycleStats`]
@@ -34,11 +36,9 @@ pub struct IntervalSampler<W: Write = BufWriter<File>> {
     interval: u64,
     /// Snapshot at the last emitted boundary.
     prev: CycleStats,
-    /// Most recent snapshot seen.
+    /// Most recent snapshot seen: its interval is pending while it is
+    /// ahead of `prev`.
     last: CycleStats,
-    last_cycle: u64,
-    /// Snapshots arrived since the last emission.
-    pending: bool,
     error: Option<io::Error>,
 }
 
@@ -65,8 +65,6 @@ impl<W: Write> IntervalSampler<W> {
             interval,
             prev: CycleStats::default(),
             last: CycleStats::default(),
-            last_cycle: 0,
-            pending: false,
             error: None,
         }
     }
@@ -74,21 +72,19 @@ impl<W: Write> IntervalSampler<W> {
     /// Emit the trailing partial interval (if any) and flush. Returns
     /// the first I/O error encountered over the sampler's lifetime.
     pub fn finish(&mut self) -> io::Result<()> {
-        if self.pending && self.last.cycles > self.prev.cycles {
-            self.emit(self.last_cycle);
-        }
-        self.pending = false;
+        self.emit();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
         self.out.flush()
     }
 
-    fn emit(&mut self, cycle: u64) {
-        if self.error.is_some() {
+    /// Write the interval from `prev` to `last`, if it has cycles.
+    fn emit(&mut self) {
+        if self.error.is_some() || self.last.cycles <= self.prev.cycles {
             return;
         }
-        let rec = heartbeat_record(&self.prev, &self.last, cycle);
+        let rec = heartbeat_record(&self.prev, &self.last);
         let mut line = String::new();
         rec.render(&mut line);
         line.push('\n');
@@ -96,7 +92,6 @@ impl<W: Write> IntervalSampler<W> {
             self.error = Some(e);
         }
         self.prev = self.last;
-        self.pending = false;
     }
 }
 
@@ -105,18 +100,12 @@ impl<W: Write> Probe for IntervalSampler<W> {
 
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
-        let Event::CycleEnd {
-            cycle,
-            stats: Some(stats),
-        } = *ev
-        else {
+        let Event::CycleEnd(stats) = *ev else {
             return;
         };
         self.last = *stats;
-        self.last_cycle = cycle;
-        self.pending = true;
-        if (cycle + 1).is_multiple_of(self.interval) {
-            self.emit(cycle);
+        if stats.cycles.is_multiple_of(self.interval) {
+            self.emit();
         }
     }
 }
@@ -137,9 +126,9 @@ impl<W: Write> Drop for IntervalSampler<W> {
     }
 }
 
-/// Build one heartbeat record from two cumulative snapshots.
-/// `cycle` is the last cycle index covered by the interval.
-fn heartbeat_record(prev: &CycleStats, cur: &CycleStats, cycle: u64) -> Value {
+/// Build one heartbeat record from two cumulative snapshots; its `cycle`
+/// is the last cycle the interval covers.
+fn heartbeat_record(prev: &CycleStats, cur: &CycleStats) -> Value {
     let d_cycles = cur.cycles - prev.cycles;
     let d_slots = cur.slots - prev.slots;
     let d_committed = cur.committed - prev.committed;
@@ -156,14 +145,14 @@ fn heartbeat_record(prev: &CycleStats, cur: &CycleStats, cycle: u64) -> Value {
 
     let mut wasted_slots = Vec::with_capacity(7);
     let mut wasted_frac = Vec::with_capacity(7);
-    for (i, label) in HAZARD_LABELS.iter().enumerate() {
-        let d = cur.wasted[i] - prev.wasted[i];
-        wasted_slots.push((label.to_string(), Value::F64(d)));
-        wasted_frac.push((label.to_string(), Value::F64(frac(d))));
+    for h in Hazard::ALL {
+        let d = cur.wasted[h.index()] - prev.wasted[h.index()];
+        wasted_slots.push((h.label().to_string(), Value::F64(d)));
+        wasted_frac.push((h.label().to_string(), Value::F64(frac(d))));
     }
 
     Value::Object(vec![
-        ("cycle".into(), Value::U64(cycle)),
+        ("cycle".into(), Value::U64(cur.cycles - 1)),
         ("cycles".into(), Value::U64(d_cycles)),
         ("committed".into(), Value::U64(d_committed)),
         (
@@ -226,11 +215,7 @@ mod tests {
         {
             let mut s = IntervalSampler::new(&mut buf, interval);
             for c in 0..total_cycles {
-                let st = snap(c + 1);
-                s.on(&Event::CycleEnd {
-                    cycle: c,
-                    stats: Some(&st),
-                });
+                s.on(&Event::CycleEnd(&snap(c + 1)));
             }
             s.finish().expect("in-memory sampler cannot hit I/O errors");
         }
@@ -265,8 +250,8 @@ mod tests {
     fn fractions_sum_to_one_per_interval() {
         for r in run_sampler(64, 200) {
             let mut sum = r["useful_frac"].as_f64().expect("useful_frac is a float");
-            for label in HAZARD_LABELS {
-                sum += r["wasted_frac"][label]
+            for h in Hazard::ALL {
+                sum += r["wasted_frac"][h.label()]
                     .as_f64()
                     .expect("every hazard label has a float fraction");
             }
@@ -306,11 +291,7 @@ mod tests {
     fn finish_reports_write_errors() {
         let mut s = IntervalSampler::new(FailWriter, 10);
         for c in 0..10 {
-            let st = snap(c + 1);
-            s.on(&Event::CycleEnd {
-                cycle: c,
-                stats: Some(&st),
-            });
+            s.on(&Event::CycleEnd(&snap(c + 1)));
         }
         let err = s.finish().expect_err("failed write must surface");
         assert_eq!(err.to_string(), "disk full");
@@ -323,11 +304,7 @@ mod tests {
             let mut s = IntervalSampler::new(FailWriter, 100);
             // One snapshot short of a boundary: the record is pending
             // and only the drop-path flush can emit (and fail) it.
-            let st = snap(1);
-            s.on(&Event::CycleEnd {
-                cycle: 0,
-                stats: Some(&st),
-            });
+            s.on(&Event::CycleEnd(&snap(1)));
         });
         let payload = result.expect_err("drop must panic when the final flush fails");
         let msg = payload

@@ -8,16 +8,16 @@
 //! format, so equal streams hash equal across all of them:
 //!
 //! ```text
-//! "{tag}:{payload:?};"     tags: F R I W C Q M S (+G) and E for cycle_end
+//! "{tag}:{payload:?};"     tags: F I W C Q M S G, and E for cycle_end
 //! ```
 //!
 //! The construction is pinned by the golden digest constants; changing
 //! the absorb format or the tag set is a behavior change that re-captures
-//! every golden value. [`EventDigest`] observes the `INST`, `CACHE` and
-//! `CYCLE_STATS` channels (exactly what the golden digests cover);
-//! [`SchedEventDigest`] also wants `SCHED` and absorbs migration events
-//! with tag `G`, so a non-deterministic placement decision changes the hash
-//! even when the pipeline events happen to agree.
+//! every golden value. [`EventDigest`] observes the `INST`, `CACHE`,
+//! `CYCLE_STATS` and `SCHED` channels: the scheduler's attach and
+//! migration events (tag `G`) are hashed too, so a non-deterministic
+//! placement decision changes the hash even when the pipeline events
+//! happen to agree.
 
 use csmt_trace::{Event, Probe, Wants};
 use std::fmt::Write as _;
@@ -62,8 +62,8 @@ impl std::fmt::Write for Fnv64 {
     }
 }
 
-/// Hashes every probe event on the default channels, in order, via its
-/// `Debug` rendering (all event payloads derive `Debug`, and the
+/// Hashes every probe event on the simulated machine's channels, in
+/// order, via its `Debug` rendering (all event payloads derive `Debug`, and the
 /// rendering covers every field). The end-of-cycle snapshot is hashed
 /// too, covering `SlotStats` accumulation cycle by cycle.
 #[derive(Debug)]
@@ -112,82 +112,24 @@ impl Default for EventDigest {
 }
 
 impl Probe for EventDigest {
-    const WANTS: Wants = Wants::INST.union(Wants::CACHE).union(Wants::CYCLE_STATS);
+    const WANTS: Wants = Wants::INST
+        .union(Wants::CACHE)
+        .union(Wants::CYCLE_STATS)
+        .union(Wants::SCHED);
 
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
         match ev {
             Event::Fetch(e) => self.absorb("F", format_args!("{e:?}")),
-            Event::Rename(e) => self.absorb("R", format_args!("{e:?}")),
             Event::Issue(e) => self.absorb("I", format_args!("{e:?}")),
             Event::Writeback(e) => self.absorb("W", format_args!("{e:?}")),
             Event::Commit(e) => self.absorb("C", format_args!("{e:?}")),
             Event::Squash(e) => self.absorb("Q", format_args!("{e:?}")),
             Event::Cache(e) => self.absorb("M", format_args!("{e:?}")),
             Event::Sync(e) => self.absorb("S", format_args!("{e:?}")),
-            Event::CycleEnd { cycle, stats } => {
-                self.absorb("E", format_args!("{cycle}:{stats:?}"));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// [`EventDigest`] plus the scheduler's migration channel
-/// (`Wants::SCHED`, tag `G`). On a run with no migrations this
-/// hashes identically to [`EventDigest`].
-#[derive(Debug)]
-pub struct SchedEventDigest {
-    inner: EventDigest,
-    migrations: u64,
-}
-
-impl SchedEventDigest {
-    /// An empty digest.
-    #[must_use]
-    pub fn new() -> Self {
-        SchedEventDigest {
-            inner: EventDigest::new(),
-            migrations: 0,
-        }
-    }
-
-    /// The stream digest so far.
-    #[must_use]
-    pub fn hash(&self) -> u64 {
-        self.inner.hash()
-    }
-
-    /// Number of events absorbed (migration events included).
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.inner.events()
-    }
-
-    /// Number of migration events absorbed.
-    #[must_use]
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-}
-
-impl Default for SchedEventDigest {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Probe for SchedEventDigest {
-    const WANTS: Wants = EventDigest::WANTS.union(Wants::SCHED);
-
-    #[inline]
-    fn on(&mut self, ev: &Event<'_>) {
-        match ev {
-            Event::Migration(e) => {
-                self.migrations += 1;
-                self.inner.absorb("G", format_args!("{e:?}"));
-            }
-            _ => self.inner.on(ev),
+            Event::Migration(e) => self.absorb("G", format_args!("{e:?}")),
+            Event::CycleEnd(s) => self.absorb("E", format_args!("{s:?}")),
+            Event::RenamePools(_) | Event::HostPhase { .. } => {}
         }
     }
 }
@@ -211,24 +153,14 @@ mod tests {
     #[test]
     fn digest_absorbs_in_golden_format() {
         // The absorb format is pinned: "{tag}:{payload};" — byte-compare
-        // against a manual FNV of the rendered record.
+        // against a manual FNV of the rendered record. A cycle-end record
+        // is its snapshot alone.
+        let stats = csmt_trace::CycleStats::default();
         let mut d = EventDigest::new();
-        d.absorb("E", format_args!("7:None"));
+        d.on(&Event::CycleEnd(&stats));
         let mut h = Fnv64::new();
-        h.update(b"E:7:None;");
+        h.update(format!("E:{stats:?};").as_bytes());
         assert_eq!(d.hash(), h.finish());
         assert_eq!(d.events(), 1);
-    }
-
-    #[test]
-    fn sched_digest_equals_plain_digest_without_migrations() {
-        let mut a = EventDigest::new();
-        let mut b = SchedEventDigest::new();
-        for cycle in 0..4 {
-            a.on(&Event::CycleEnd { cycle, stats: None });
-            b.on(&Event::CycleEnd { cycle, stats: None });
-        }
-        assert_eq!(a.hash(), b.hash());
-        assert_eq!(b.migrations(), 0);
     }
 }

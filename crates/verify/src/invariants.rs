@@ -6,8 +6,8 @@
 //! Checked invariants (see DESIGN.md §9 for the paper citations):
 //!
 //! * **Lifecycle order** — every `(cluster, uid)` moves strictly through
-//!   fetch → rename → issue → writeback → commit (or is squashed after
-//!   rename), with no stage repeated, skipped, or applied to a retired or
+//!   fetch → issue → writeback → commit (or is squashed at any stage),
+//!   with no stage repeated, skipped, or applied to a retired or
 //!   never-fetched instruction.
 //! * **In-order commit** — per `(cluster, hardware thread)`, committed
 //!   uids are strictly increasing (§3.1: "instructions are committed on a
@@ -57,8 +57,8 @@ pub enum ViolationKind {
     IssueWidthExceeded,
     /// A hardware thread committed a lower uid after a higher one.
     OutOfOrderCommit,
-    /// A stage event out of fetch → rename → issue → writeback →
-    /// commit/squash order (skipped, repeated, or after retirement).
+    /// A stage event out of fetch → issue → writeback → commit/squash
+    /// order (skipped, repeated, or after retirement).
     LifecycleOrder,
     /// An event referencing a cluster/node outside the machine, or an
     /// instruction its cluster never fetched — a wakeup or event that
@@ -176,7 +176,6 @@ pub struct InvariantProbe {
     prev_stats: Option<CycleStats>,
     commit_events: u64,
     cycles: u64,
-    last_cycle: u64,
     events: u64,
     violations: Vec<Violation>,
     /// Violations beyond the cap, counted but not stored.
@@ -229,7 +228,6 @@ impl InvariantProbe {
             prev_stats: None,
             commit_events: 0,
             cycles: 0,
-            last_cycle: 0,
             events: 0,
             violations: Vec::new(),
             dropped: 0,
@@ -252,7 +250,7 @@ impl InvariantProbe {
     /// run totals when every invariant held, `Err` with the collected
     /// violations otherwise.
     pub fn finish(mut self) -> Result<VerifySummary, Vec<Violation>> {
-        let last = self.last_cycle;
+        let last = self.prev_stats.map_or(0, |s| s.cycles.saturating_sub(1));
         if !self.in_transit.is_empty() {
             let threads = std::mem::take(&mut self.in_transit);
             self.violations.push(Violation {
@@ -430,7 +428,6 @@ impl Probe for InvariantProbe {
     fn on(&mut self, ev: &Event<'_>) {
         match *ev {
             Event::Fetch(e) => self.fetch(e),
-            Event::Rename(e) => self.rename(e),
             Event::Issue(e) => self.issue(e),
             Event::Writeback(e) => self.writeback(e),
             Event::Commit(e) => self.commit(e),
@@ -439,7 +436,7 @@ impl Probe for InvariantProbe {
             Event::Sync(e) => self.sync_event(e),
             Event::RenamePools(e) => self.rename_pools(e),
             Event::Migration(e) => self.migration(e),
-            Event::CycleEnd { cycle, stats } => self.cycle_end(cycle, stats),
+            Event::CycleEnd(s) => self.cycle_end(s),
             _ => {}
         }
     }
@@ -499,15 +496,6 @@ impl InvariantProbe {
                 uid: Some(e.uid),
                 detail: format!("window occupancy {occ} exceeds Table 2 budget {cap}"),
             });
-        }
-    }
-
-    #[inline(always)]
-    fn rename(&mut self, e: StageEvent) {
-        self.events += 1;
-        let step = self.mirror.rename(e);
-        if let Some(step) = self.found("rename", e, step) {
-            self.out_of_order(e, &step, "rename of an instruction already");
         }
     }
 
@@ -793,11 +781,10 @@ impl InvariantProbe {
         }
     }
 
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
+    fn cycle_end(&mut self, s: &CycleStats) {
         self.events += 1;
         self.cycles += 1;
-        self.last_cycle = cycle;
-        let Some(s) = stats else { return };
+        let cycle = s.cycles.saturating_sub(1);
         let wasted: f64 = s.wasted.iter().sum();
         let total = s.useful + wasted;
         let tol = 1e-6 * (s.slots.max(1) as f64);
@@ -911,7 +898,6 @@ mod tests {
     /// Push one instruction through its full legal lifecycle.
     fn retire(p: &mut InvariantProbe, cycle: u64, uid: u64) {
         p.fetch(fetch(cycle, 0, 0, uid));
-        p.rename(stage(cycle, 0, uid));
         p.issue(stage(cycle + 1, 0, uid));
         p.writeback(stage(cycle + 2, 0, uid));
         p.commit(stage(cycle + 3, 0, uid));
@@ -931,7 +917,6 @@ mod tests {
     fn squash_resolves_an_instruction() {
         let mut p = probe();
         p.fetch(fetch(1, 0, 0, 1));
-        p.rename(stage(1, 0, 1));
         p.squash(stage(2, 0, 1));
         assert!(p.finish().is_ok());
     }
@@ -941,7 +926,6 @@ mod tests {
         let mut p = probe();
         for uid in [1u64, 2] {
             p.fetch(fetch(1, 0, 0, uid));
-            p.rename(stage(1, 0, uid));
             p.issue(stage(2, 0, uid));
             p.writeback(stage(3, 0, uid));
         }
@@ -967,7 +951,6 @@ mod tests {
         p.fetch(fetch(2, 0, 0, 2));
         p.fetch(fetch(2, 0, 1, 3));
         p.fetch(fetch(2, 0, 0, 4));
-        p.rename(stage(2, 0, 3));
         p.squash(stage(3, 0, 3)); // uid 3 retires between live 2 and 4
         assert!(p.is_clean(), "{:?}", p.violations());
         p.issue(stage(4, 0, 1)); // below the ring's base
@@ -994,7 +977,6 @@ mod tests {
     fn skipped_stage_is_flagged() {
         let mut p = probe();
         p.fetch(fetch(1, 0, 0, 1));
-        p.rename(stage(1, 0, 1));
         p.commit(stage(2, 0, 1)); // no issue/writeback
         assert_eq!(p.violations()[0].kind, ViolationKind::LifecycleOrder);
     }
@@ -1003,7 +985,6 @@ mod tests {
     fn leaked_instruction_caught_at_drain() {
         let mut p = probe();
         p.fetch(fetch(1, 0, 0, 1));
-        p.rename(stage(1, 0, 1));
         let errs = p.finish().unwrap_err();
         assert!(errs
             .iter()

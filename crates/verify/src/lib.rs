@@ -16,8 +16,7 @@
 //!   (dangling sources, out-of-span branch targets, unbalanced sync),
 //!   driven by the `csmt-lint` binary.
 //! * [`digest`] — the canonical FNV-1a event-stream digest behind every
-//!   bit-for-bit claim: [`EventDigest`] (what the golden digests pin)
-//!   and [`SchedEventDigest`] (plus the migration channel);
+//!   bit-for-bit claim: [`EventDigest`], what the golden digests pin;
 //! * [`golden`] — the pinned values of those digests.
 //!
 //! The checker rides the zero-cost probe layer: a `NullProbe` build
@@ -43,7 +42,7 @@ pub mod golden;
 pub mod invariants;
 pub mod lint;
 
-pub use digest::{EventDigest, Fnv64, SchedEventDigest};
+pub use digest::{EventDigest, Fnv64};
 pub use invariants::{InvariantProbe, VerifySummary, Violation, ViolationKind};
 pub use lint::{
     lint_app, lint_stream, lint_threads, materialize, LintIssue, LintKind, LintSeverity,

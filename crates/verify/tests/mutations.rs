@@ -128,7 +128,7 @@ impl Probe for FaultInjector {
             Event::Cache(e) => self.cache_access(e),
             Event::Migration(e) => self.migration(e),
             Event::RenamePools(e) => self.rename_pools(e),
-            Event::CycleEnd { cycle, stats } => self.cycle_end(cycle, stats),
+            Event::CycleEnd(s) => self.cycle_end(s),
             _ => self.inner.on(ev),
         }
     }
@@ -270,35 +270,27 @@ impl FaultInjector {
         self.inner.on(&Event::RenamePools(e));
     }
 
-    fn cycle_end(&mut self, cycle: u64, stats: Option<&CycleStats>) {
+    fn cycle_end(&mut self, s: &CycleStats) {
         if self.armed {
-            if let Some(s) = stats {
-                match self.fault {
-                    Fault::SlotSkim if s.slots > 0 => {
-                        self.armed = false;
-                        let mut skimmed = *s;
-                        skimmed.wasted[0] += 1.0;
-                        self.inner.on(&Event::CycleEnd {
-                            cycle,
-                            stats: Some(&skimmed),
-                        });
-                        return;
-                    }
-                    Fault::StatsRewind if s.committed > 0 => {
-                        self.armed = false;
-                        let mut rewound = *s;
-                        rewound.committed -= 1;
-                        self.inner.on(&Event::CycleEnd {
-                            cycle,
-                            stats: Some(&rewound),
-                        });
-                        return;
-                    }
-                    _ => {}
+            match self.fault {
+                Fault::SlotSkim if s.slots > 0 => {
+                    self.armed = false;
+                    let mut skimmed = *s;
+                    skimmed.wasted[0] += 1.0;
+                    self.inner.on(&Event::CycleEnd(&skimmed));
+                    return;
                 }
+                Fault::StatsRewind if s.committed > 0 => {
+                    self.armed = false;
+                    let mut rewound = *s;
+                    rewound.committed -= 1;
+                    self.inner.on(&Event::CycleEnd(&rewound));
+                    return;
+                }
+                _ => {}
             }
         }
-        self.inner.on(&Event::CycleEnd { cycle, stats });
+        self.inner.on(&Event::CycleEnd(s));
     }
 }
 

@@ -3,9 +3,9 @@
 # (every line of every *.rs file) per crate and for the top-level trees,
 # plus the counts a simplicity PR moves — bins, bench targets, CSMT_*
 # knobs, command-line flags, run entry points, config fields,
-# determinism-lint exceptions, probe channels, the per-instruction
-# in-flight mirrors probes keep, and the line counts of the three
-# documents a reader starts from.
+# determinism-lint exceptions, probe channels, event variants, the
+# per-instruction in-flight mirrors probes keep, and the line counts of
+# the three documents a reader starts from.
 #
 #   scripts/size.sh                 (run at the parent and at the change;
 #                                    CHANGES.md records both)
@@ -30,6 +30,16 @@ struct_fields() {
     inside && /^}/ { inside = 0 }
     inside && /^    (pub(\([a-z]+\))? )?[a-z_0-9]+:/ { n++ }
     END { print n + 0 }' "$2"
+}
+
+# Variants of `pub enum Event<'a> { ... }` in the probe vocabulary: one
+# line each that opens at four spaces with a capital.
+event_variants() {
+  awk '
+    /^pub enum Event</ { inside = 1; next }
+    inside && /^}/ { inside = 0 }
+    inside && /^    [A-Z]/ { n++ }
+    END { print n + 0 }' crates/trace/src/probe.rs
 }
 
 # Lines in the files given that match the extended regex $1.
@@ -96,6 +106,7 @@ cat <<EOF
   },
   "lint_exceptions": $(lint_exceptions),
   "probe_channels": $(count '^    pub const [A-Z_]+: Wants = Wants\(1 << ' crates/trace/src/probe.rs),
+  "event_variants": $(event_variants),
   "inflight_mirrors": $(find crates/*/src -name '*.rs' -exec cat {} + | grep -cE '^ +[a-z_]+: (Vec<)?InflightRing<' || true),
   "doc_lines": {"DESIGN": $(wc -l <DESIGN.md), "README": $(wc -l <README.md), "EXPERIMENTS": $(wc -l <EXPERIMENTS.md)}
 }

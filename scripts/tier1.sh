@@ -44,6 +44,19 @@ for f in report.json heartbeat_FA4.jsonl heartbeat_SMT2.jsonl pipeview_FA4.trace
   [ -s "$SWEEP_TMP/report4/$f" ]
 done
 
+echo "==> the front doors refuse a run size no machine can simulate: exit 2, not a panic or a hang"
+expect_refusal() {
+  local status=0
+  timeout 60 cargo run -q --release "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "tier1: cargo run $* exited $status, want 2" >&2
+    exit 1
+  fi
+}
+expect_refusal -p csmt-bench --bin csmt-report -- SMT2 mgrid 0.05 0
+expect_refusal -p csmt-bench --bin csmt-study -- fig4 nan
+expect_refusal -p csmt-sweep --bin csmt-sweep -- --archs SMT2 --apps mgrid --scales 0
+
 echo "==> csmt-lint (workload streams)"
 cargo run -q --release -p csmt-verify --bin csmt-lint
 

@@ -56,8 +56,7 @@ fn metrics_probe_is_digest_neutral_and_reconciles_exactly() {
             csmt_mem::MemConfig::table3(),
             &mut solo,
         );
-        // Same run with metrics composed in. The MetricsProbe enables an
-        // extra channel (migrations) — which may not leak into the
+        // Same run with metrics composed in, which may not leak into the
         // digest's stream or the run's behavior.
         let mut paired = (EventDigest::new(), MetricsProbe::default());
         let r = simulate_probed(
@@ -135,8 +134,8 @@ impl Probe for LastSnapshot {
     const WANTS: Wants = Wants::CYCLE_STATS;
     #[inline]
     fn on(&mut self, ev: &Event<'_>) {
-        if let Event::CycleEnd { stats, .. } = ev {
-            self.0 = stats.copied();
+        if let Event::CycleEnd(stats) = ev {
+            self.0 = Some(**stats);
         }
     }
 }

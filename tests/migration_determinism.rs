@@ -2,9 +2,8 @@
 //! for random (architecture × chips × application × seed × policy)
 //! points, two runs of the same configuration must produce the
 //! *identical* serialized `RunResult` (including the migration counters)
-//! and the identical full probe-event stream — here extended with the
-//! scheduler's own attach/depart/arrive events, which the golden digests
-//! deliberately ignore.
+//! and the identical full probe-event stream, the scheduler's own
+//! attach/depart/arrive events included.
 //!
 //! Runs under `profile.test` with `debug_assertions` on, so every
 //! simulated cycle of these random multi-chip points also checks the
@@ -18,7 +17,7 @@
 use csmt_core::sched::by_name;
 use csmt_core::{ArchKind, Machine};
 use csmt_mem::MemConfig;
-use csmt_verify::SchedEventDigest;
+use csmt_verify::EventDigest;
 use csmt_workloads::{build_streams, by_name as app_by_name, AppParams};
 use proptest::prelude::*;
 
@@ -41,7 +40,7 @@ fn run_once(
     let n_threads = m.hw_thread_capacity();
     let params = AppParams::new(n_threads, chips, SCALE, seed);
     m.attach_threads(build_streams(&app, &params));
-    let mut probe = SchedEventDigest::new();
+    let mut probe = EventDigest::new();
     let r = m.run_probed(MAX_CYCLES, &mut probe);
     let json = serde_json::to_string(&r).expect("RunResult serializes");
     (json, r.cycles, probe.hash(), probe.events(), r.migrations)

@@ -5,7 +5,6 @@
 //! slot and memory statistics.
 
 use clustered_smt::prelude::*;
-use clustered_smt::trace::HAZARD_LABELS;
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 42;
@@ -90,8 +89,8 @@ fn heartbeats_reconcile_with_final_slot_stats() {
             continue;
         }
         let mut sum = rec["useful_frac"].as_f64().unwrap();
-        for label in HAZARD_LABELS {
-            sum += rec["wasted_frac"][label].as_f64().unwrap();
+        for h in Hazard::ALL {
+            sum += rec["wasted_frac"][h.label()].as_f64().unwrap();
         }
         assert!((sum - 1.0).abs() < 1e-9, "interval fractions sum to {sum}");
     }
@@ -107,15 +106,16 @@ fn heartbeats_reconcile_with_final_slot_stats() {
         .map(|x| x["useful_slots"].as_f64().unwrap())
         .sum();
     assert!((useful - r.slots.useful).abs() < 1e-6);
-    for (i, label) in HAZARD_LABELS.iter().enumerate() {
+    for h in Hazard::ALL {
         let wasted: f64 = recs
             .iter()
-            .map(|x| x["wasted_slots"][*label].as_f64().unwrap())
+            .map(|x| x["wasted_slots"][h.label()].as_f64().unwrap())
             .sum();
         assert!(
-            (wasted - r.slots.wasted[i]).abs() < 1e-6,
-            "{label}: heartbeats {wasted} vs final {}",
-            r.slots.wasted[i]
+            (wasted - r.slots.wasted[h.index()]).abs() < 1e-6,
+            "{}: heartbeats {wasted} vs final {}",
+            h.label(),
+            r.slots.wasted[h.index()]
         );
     }
     assert_eq!(sum_u64("accesses"), r.mem.accesses);
@@ -203,4 +203,54 @@ fn run_result_serializes_with_full_statistics() {
     assert_eq!(v["mem"]["accesses"].as_u64(), Some(r.mem.accesses));
     assert_eq!(v["mem"]["l1_hits"].as_u64(), Some(r.mem.l1_hits));
     assert_eq!(v["mem"]["tlb_misses"].as_u64(), Some(r.mem.tlb_misses));
+}
+
+/// FNV-64 of the bytes a probe writes over one real cell: SMT2 mgrid at
+/// scale 0.1 on one chip.
+fn cell_output_fnv(write: impl FnOnce(&mut Vec<u8>)) -> (u64, usize) {
+    let mut buf = Vec::new();
+    write(&mut buf);
+    let mut fnv = clustered_smt::verify::Fnv64::new();
+    fnv.update(&buf);
+    (fnv.finish(), buf.len())
+}
+
+fn run_mgrid_smt2(probe: &mut impl Probe) {
+    let app = by_name("mgrid").expect("paper app");
+    simulate_probed(
+        &app,
+        ArchKind::Smt2.chip(),
+        1,
+        0.1,
+        SEED,
+        MemConfig::table3(),
+        probe,
+    );
+}
+
+/// The heartbeat JSONL and the O3PipeView trace, byte for byte: a
+/// rewrite of either writer or of the event stream they read must leave
+/// both files as they were.
+#[test]
+fn heartbeat_and_pipeview_bytes_are_pinned() {
+    let heartbeat = cell_output_fnv(|buf| {
+        let mut sampler = IntervalSampler::new(buf, 1000);
+        run_mgrid_smt2(&mut sampler);
+        sampler.finish().unwrap();
+    });
+    let pipeview = cell_output_fnv(|buf| {
+        let mut probe = PipeviewProbe::new(buf);
+        run_mgrid_smt2(&mut probe);
+        probe.finish().unwrap();
+    });
+    assert_eq!(
+        heartbeat,
+        (0xb724_9aaf_696b_3c8b, 1910),
+        "heartbeat JSONL (fnv, bytes)"
+    );
+    assert_eq!(
+        pipeview,
+        (0x426e_20fe_02a6_1db8, 2_508_466),
+        "O3PipeView trace (fnv, bytes)"
+    );
 }
