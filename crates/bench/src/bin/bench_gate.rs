@@ -10,10 +10,10 @@
 //! For every scenario in the baseline's `gate.results` (the smoke-mode
 //! floor recorded for this purpose), `sched_overhead.results` and
 //! `probe_overhead.results`, the fresh throughput must be at least
-//! `(1 - tolerance)` of the recorded figure (default tolerance 0.25 — generous because smoke
-//! mode is noisy and CI machines are slower than the recording machine
-//! — so only real structural regressions trip it, not scheduler
-//! jitter), and `cycles_per_run` must match *exactly*: a drifted cycle
+//! `(1 - tolerance)` of the recorded figure (tolerance in `[0, 1)`,
+//! default 0.25 — generous because smoke mode is noisy and CI machines
+//! are slower than the recording machine — so only real structural
+//! regressions trip it, not scheduler jitter), and `cycles_per_run` must match *exactly*: a drifted cycle
 //! count means simulated behavior changed, which no tolerance excuses.
 //!
 //! Exit status: 0 all gates pass, 1 regression or cycle drift, 2 bad
@@ -50,7 +50,14 @@ fn main() {
         eprintln!("usage: bench_gate <fresh.json> <BENCH_baseline.json> [tolerance]");
         std::process::exit(2);
     };
-    let tolerance: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let tolerance = match args.get(3).map(|text| (text, text.parse::<f64>())) {
+        None => 0.25,
+        Some((_, Ok(t))) if (0.0..1.0).contains(&t) => t,
+        Some((text, _)) => {
+            eprintln!("bench_gate: tolerance {text:?} is not a number in [0, 1)");
+            std::process::exit(2);
+        }
+    };
 
     let fresh = load(fresh_path);
     let base = load(base_path);

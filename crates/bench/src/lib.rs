@@ -89,7 +89,7 @@ impl AppRow {
     }
 }
 
-/// §5.2 clock-frequency adjustment. Palacharla & Jouppi [12]: an 8-issue
+/// §5.2 clock-frequency adjustment. Palacharla & Jouppi \[12\]: an 8-issue
 /// cluster's cycle time is ~2× a 4-issue cluster's at 0.18 µm, while 4-issue
 /// and narrower clusters cycle alike. Returns the relative cycle-time factor
 /// (1.0 = fast clock).

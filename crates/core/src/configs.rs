@@ -1,14 +1,14 @@
 //! Chip-level architecture configurations (paper Table 2).
 //!
-//! | Type | Clusters × IPC | Threads/cluster [chip] |
-//! |------|----------------|------------------------|
-//! | FA8  | 8 × 1          | 1 [8]                  |
-//! | FA4  | 4 × 2          | 1 [4]                  |
-//! | FA2  | 2 × 4          | 1 [2]                  |
-//! | FA1  | 1 × 8          | 1 [1]                  |
-//! | SMT4 | 4 × 2          | 2 [8]                  |
-//! | SMT2 | 2 × 4          | 4 [8]                  |
-//! | SMT1 | 1 × 8          | 8 [8]                  |
+//! | Type | Clusters × IPC | Threads/cluster \[chip\] |
+//! |------|----------------|--------------------------|
+//! | FA8  | 8 × 1          | 1 \[8\]                  |
+//! | FA4  | 4 × 2          | 1 \[4\]                  |
+//! | FA2  | 2 × 4          | 1 \[2\]                  |
+//! | FA1  | 1 × 8          | 1 \[1\]                  |
+//! | SMT4 | 4 × 2          | 2 \[8\]                  |
+//! | SMT2 | 2 × 4          | 4 \[8\]                  |
+//! | SMT1 | 1 × 8          | 8 \[8\]                  |
 //!
 //! `SMT8` is "a special case of the clustered SMT processor in that it is
 //! the same as the FA8 processor" (§5.2) — we expose it as an alias.
@@ -140,7 +140,7 @@ impl ChipConfig {
     }
 
     /// Hardware thread contexts on the whole chip (Table 2's bracketed
-    /// "[chip]" column).
+    /// "\[chip\]" column).
     pub fn threads_per_chip(&self) -> usize {
         self.clusters() * self.cluster.hw_threads
     }

@@ -33,7 +33,7 @@ pub enum FetchPolicy {
 pub struct ClusterConfig {
     /// Maximum instructions issued per cycle (also the per-thread fetch
     /// width: "each cluster has its own fetch unit, with a thread capable of
-    /// fetching up to <issue width> instructions/cycle", §3.3, and the
+    /// fetching up to \<issue width\> instructions/cycle", §3.3, and the
     /// retire width: "fetch and retire up to n instructions each cycle",
     /// §3.1).
     pub issue_width: usize,

@@ -15,7 +15,7 @@ pub struct FuPool {
 }
 
 impl FuPool {
-    /// Pool with `counts[k]` units of each [`FuKind`].
+    /// Pool with `counts[k]` units of each [`FuKind`](csmt_isa::FuKind).
     pub fn new(counts: [usize; 3]) -> Self {
         assert!(counts.iter().all(|&c| c >= 1), "every kind needs ≥1 unit");
         FuPool {

@@ -17,8 +17,6 @@
 //!   memory addresses (like MINT's front-end events);
 //! * [`stream`] — the [`stream::InstStream`] trait a workload implements,
 //!   plus wrong-path generators used after branch mispredictions;
-//! * [`block`] — reusable basic-block templates with explicit register
-//!   dataflow, the building blocks of the synthetic applications;
 //! * [`rng`] — a tiny deterministic SplitMix64 PRNG so every simulation is
 //!   bit-for-bit reproducible;
 //! * [`fxhash`] — a fixed-seed FxHash map for address-keyed hot-path
@@ -28,26 +26,23 @@
 //!   was [`ServicedBy`].
 
 //! ```
-//! use csmt_isa::block::{BlockBuilder, ChainSpec, OpMix, RegAlloc};
-//! use csmt_isa::{ArchReg, InstStream, OpClass};
+//! use csmt_isa::stream::VecStream;
+//! use csmt_isa::{ArchReg, DynInst, InstStream, OpClass};
 //!
-//! // Build one loop iteration: a load feeding two dependence chains.
-//! let mut b = BlockBuilder::new(0x1000);
-//! let mut ra = RegAlloc::new();
-//! b.load(ArchReg::Fp(0), 0x8000, Some(ArchReg::Int(7)));
-//! b.emit_compute(ChainSpec { chains: 2, depth: 3, mix: OpMix::Float }, &[ArchReg::Fp(0)], &mut ra);
-//! b.branch(true, [Some(ArchReg::Int(7)), None]);
-//! let body = b.finish();
-//! assert_eq!(body.len(), 8);
+//! // One loop iteration: a load feeding an FP add, then the back branch.
+//! let body = vec![
+//!     DynInst::load(0x1000, ArchReg::Fp(0), 0x8000, [Some(ArchReg::Int(7)), None]),
+//!     DynInst::alu(0x1004, OpClass::FpAdd, Some(ArchReg::Fp(2)), [Some(ArchReg::Fp(0)), None]),
+//!     DynInst::branch(0x1008, true, 0x1000, [Some(ArchReg::Int(7)), None]),
+//! ];
 //!
-//! // Replay it as a bounded instruction stream.
-//! let mut s = csmt_isa::stream::CycleStream::new(body, 24);
+//! // Replay it as a thread's instruction stream.
+//! let mut s = VecStream::new(body);
 //! let mut n = 0;
 //! while s.next_inst().is_some() { n += 1; }
-//! assert_eq!(n, 24);
+//! assert_eq!(n, 3);
 //! ```
 
-pub mod block;
 pub mod fxhash;
 pub mod inst;
 pub mod op;

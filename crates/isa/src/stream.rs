@@ -16,21 +16,12 @@ pub trait InstStream {
     /// Produce the next instruction on the correct path, or `None` when the
     /// thread has finished (equivalent to yielding [`crate::SyncOp::Exit`]).
     fn next_inst(&mut self) -> Option<DynInst>;
-
-    /// Optional hint: total instructions this stream will produce, if known.
-    /// Used only for progress reporting; must not affect timing.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Blanket impl so `Box<dyn InstStream>` is itself a stream.
 impl InstStream for Box<dyn InstStream + Send> {
     fn next_inst(&mut self) -> Option<DynInst> {
         (**self).next_inst()
-    }
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
     }
 }
 
@@ -47,11 +38,6 @@ impl VecStream {
     pub fn new(insts: Vec<DynInst>) -> Self {
         Self { insts, pos: 0 }
     }
-
-    /// Remaining instruction count.
-    pub fn remaining(&self) -> usize {
-        self.insts.len() - self.pos
-    }
 }
 
 impl InstStream for VecStream {
@@ -61,49 +47,6 @@ impl InstStream for VecStream {
             self.pos += 1;
         }
         i
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.insts.len() as u64)
-    }
-}
-
-/// An infinitely repeating stream over a fixed body. Handy for steady-state
-/// pipeline tests; real workloads bound their own length.
-#[derive(Debug, Clone)]
-pub struct CycleStream {
-    body: Vec<DynInst>,
-    pos: usize,
-    produced: u64,
-    limit: u64,
-}
-
-impl CycleStream {
-    /// Repeat `body` until `limit` total instructions have been produced.
-    pub fn new(body: Vec<DynInst>, limit: u64) -> Self {
-        assert!(!body.is_empty(), "CycleStream body must be non-empty");
-        Self {
-            body,
-            pos: 0,
-            produced: 0,
-            limit,
-        }
-    }
-}
-
-impl InstStream for CycleStream {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        if self.produced >= self.limit {
-            return None;
-        }
-        let i = self.body[self.pos];
-        self.pos = (self.pos + 1) % self.body.len();
-        self.produced += 1;
-        Some(i)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.limit)
     }
 }
 
@@ -158,20 +101,11 @@ mod tests {
     #[test]
     fn vec_stream_yields_in_order_then_none() {
         let mut s = VecStream::new(vec![nopish(0), nopish(4), nopish(8)]);
-        assert_eq!(s.len_hint(), Some(3));
         assert_eq!(s.next_inst().unwrap().pc, 0);
         assert_eq!(s.next_inst().unwrap().pc, 4);
-        assert_eq!(s.remaining(), 1);
         assert_eq!(s.next_inst().unwrap().pc, 8);
         assert!(s.next_inst().is_none());
         assert!(s.next_inst().is_none());
-    }
-
-    #[test]
-    fn cycle_stream_repeats_body_up_to_limit() {
-        let mut s = CycleStream::new(vec![nopish(0), nopish(4)], 5);
-        let pcs: Vec<u64> = std::iter::from_fn(|| s.next_inst()).map(|i| i.pc).collect();
-        assert_eq!(pcs, vec![0, 4, 0, 4, 0]);
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub const INVALIDATION_PENALTY: u64 = 30;
 pub const LINK_OCCUPANCY: u64 = 1;
 /// Per-access occupancy of a memory channel / directory controller.
 pub const MEMORY_OCCUPANCY: u64 = 1;
+/// Page size used for TLB and NUMA interleaving, and by the workloads'
+/// data placement. 4 KB, a conventional value; the paper does not state
+/// one.
+pub const PAGE_SIZE: u64 = 4096;
 
 /// The memory-system parameters an experiment varies; everything else is
 /// a Table 3 constant of this module.
@@ -61,8 +65,8 @@ pub struct MemConfig {
     /// Remote (dirty) L2 round-trip latency, i.e. a cache-to-cache transfer
     /// through home directory (Table 3: 75 cycles).
     pub remote_l2_latency: u64,
-    /// Page size used for TLB and NUMA interleaving. 4 KB, a conventional
-    /// value; the paper does not state one.
+    /// Page size used for TLB and NUMA interleaving ([`PAGE_SIZE`] in
+    /// [`MemConfig::table3`]).
     pub page_size: u64,
 }
 
@@ -75,7 +79,7 @@ impl MemConfig {
             max_outstanding_loads: 32,
             remote_mem_latency: 60,
             remote_l2_latency: 75,
-            page_size: 4096,
+            page_size: PAGE_SIZE,
         }
     }
 

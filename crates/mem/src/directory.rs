@@ -1,4 +1,4 @@
-//! DASH-like full-map directory cache coherence (paper Figure 3, ref [8]).
+//! DASH-like full-map directory cache coherence (paper Figure 3, ref \[8\]).
 //!
 //! The high-end machine is "a scalable shared-memory multiprocessor similar
 //! to DASH": each node holds a slice of global memory plus the directory for

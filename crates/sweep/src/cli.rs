@@ -105,7 +105,7 @@ impl Cli {
     }
 
     /// Positional argument `k` (0-based) as a `T`: absent means `default`;
-    /// text that does not parse [`fail`]s with [`parse_arg_or`]'s
+    /// text that does not parse [`fail`]s with `parse_arg_or`'s
     /// diagnosis, which names its argv index.
     pub fn arg<T: std::str::FromStr>(&self, k: usize, default: T) -> T {
         let (n, text) = self

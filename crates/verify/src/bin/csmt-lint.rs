@@ -11,8 +11,8 @@
 //! `scale` (default 0.02) sets the workload footprint, `n_threads`
 //! (default 8) the thread count streams are built for. Exits non-zero if
 //! any error-severity issue is found; warnings are informational. An
-//! argument that does not parse, or a third argument, exits 2 with a
-//! diagnosis.
+//! argument that does not parse, a scale that is not finite and above 0,
+//! 0 threads, or a third argument, exits 2 with a diagnosis.
 
 use csmt_verify::lint_app;
 use csmt_workloads::all_apps;
@@ -51,6 +51,12 @@ fn main() {
     }
     let scale: f64 = arg(&args, 1, 0.02);
     let n_threads: usize = arg(&args, 2, 8);
+    if !(scale.is_finite() && scale > 0.0) {
+        fail(&format!("scale {scale} is not a finite number above 0"));
+    }
+    if n_threads == 0 {
+        fail("streams need at least 1 thread");
+    }
 
     let mut errors = 0usize;
     let mut warnings = 0usize;

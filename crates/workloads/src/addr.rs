@@ -13,6 +13,7 @@
 //!   exchange (ocean's boundary rows), via [`AddrCursor`].
 
 use csmt_isa::SplitMix64;
+use csmt_mem::config::PAGE_SIZE;
 
 /// Base of the shared global region (pages interleave across nodes).
 pub const SHARED_BASE: u64 = 0x1_0000_0000;
@@ -31,19 +32,12 @@ pub struct Layout {
     pub node: u64,
     /// Total nodes in the machine.
     pub n_nodes: u64,
-    /// Page size (must match `MemConfig::page_size`).
-    pub page: u64,
 }
 
 impl Layout {
     /// Layout for `thread`'s private slice on a machine of `n_nodes` nodes
     /// with `threads_per_node` software threads per node.
-    pub fn private_slice(
-        thread: usize,
-        n_nodes: usize,
-        threads_per_node: usize,
-        page: u64,
-    ) -> Self {
+    pub fn private_slice(thread: usize, n_nodes: usize, threads_per_node: usize) -> Self {
         let node = thread
             .checked_div(threads_per_node)
             .unwrap_or(0)
@@ -55,7 +49,6 @@ impl Layout {
             base: SLICE_BASE + thread as u64 * SLICE_SPAN * n_nodes as u64,
             node: node as u64,
             n_nodes: n_nodes as u64,
-            page,
         }
     }
 
@@ -66,7 +59,6 @@ impl Layout {
             base: SHARED_BASE + offset,
             node: 0,
             n_nodes: 1,
-            page: 4096,
         }
     }
 
@@ -76,9 +68,9 @@ impl Layout {
         if self.n_nodes <= 1 {
             return self.base + logical;
         }
-        let page_idx = logical / self.page;
-        let within = logical % self.page;
-        self.base + page_idx * (self.page * self.n_nodes) + self.node * self.page + within
+        let page_idx = logical / PAGE_SIZE;
+        let within = logical % PAGE_SIZE;
+        self.base + page_idx * (PAGE_SIZE * self.n_nodes) + self.node * PAGE_SIZE + within
     }
 }
 
@@ -195,7 +187,6 @@ mod tests {
             base: 0x1000,
             node: 0,
             n_nodes: 1,
-            page: 4096,
         };
         assert_eq!(l.addr(0), 0x1000);
         assert_eq!(l.addr(12345), 0x1000 + 12345);
@@ -204,17 +195,19 @@ mod tests {
     #[test]
     fn node_local_layout_keeps_pages_on_one_node() {
         // 4 nodes: home(page) = page % 4 under the directory's round-robin.
-        let page = 4096u64;
         for node in 0..4u64 {
             let l = Layout {
                 base: 0,
                 node,
                 n_nodes: 4,
-                page,
             };
             for logical in [0u64, 8, 4095, 4096, 8192, 100_000] {
                 let phys = l.addr(logical);
-                assert_eq!((phys / page) % 4, node, "logical {logical} node {node}");
+                assert_eq!(
+                    (phys / PAGE_SIZE) % 4,
+                    node,
+                    "logical {logical} node {node}"
+                );
             }
         }
     }
@@ -225,7 +218,6 @@ mod tests {
             base: 0,
             node: 2,
             n_nodes: 4,
-            page: 4096,
         };
         let a = l.addr(4000);
         let b = l.addr(4100); // next logical page
@@ -235,9 +227,8 @@ mod tests {
 
     #[test]
     fn private_slices_do_not_overlap() {
-        let page = 4096;
-        let l0 = Layout::private_slice(0, 4, 2, page);
-        let l1 = Layout::private_slice(1, 4, 2, page);
+        let l0 = Layout::private_slice(0, 4, 2);
+        let l1 = Layout::private_slice(1, 4, 2);
         // Node spreading dilates a slice to SLICE_SPAN × n_nodes physical
         // bytes; bases are spaced by exactly that.
         assert!(l0.addr(SLICE_SPAN - 1) < l1.addr(0));
@@ -245,7 +236,7 @@ mod tests {
 
     #[test]
     fn private_slice_assigns_threads_to_nodes_in_blocks() {
-        let l = |t| Layout::private_slice(t, 4, 8, 4096).node;
+        let l = |t| Layout::private_slice(t, 4, 8).node;
         assert_eq!(l(0), 0);
         assert_eq!(l(7), 0);
         assert_eq!(l(8), 1);
@@ -286,8 +277,8 @@ mod tests {
 
     #[test]
     fn neighbor_mix_touches_both_slices() {
-        let own = Layout::private_slice(0, 1, 8, 4096);
-        let neighbor = Layout::private_slice(1, 1, 8, 4096);
+        let own = Layout::private_slice(0, 1, 8);
+        let neighbor = Layout::private_slice(1, 1, 8);
         let mut c = AddrCursor::new(
             AddrMode::NeighborMix {
                 own,

@@ -15,8 +15,7 @@
 //! branch outcomes.
 
 use crate::addr::AddrCursor;
-use csmt_isa::block::{ChainSpec, OpMix, RegAlloc};
-use csmt_isa::{ArchReg, DynInst, OpClass, SplitMix64};
+use csmt_isa::{ArchReg, DynInst, FuKind, OpClass, SplitMix64};
 
 /// Registers reserved for kernel plumbing (outside `RegAlloc`'s temp pools).
 const INDUCTION: ArchReg = ArchReg::Int(7);
@@ -36,6 +35,66 @@ const CARRIES: [ArchReg; 4] = [
     ArchReg::Fp(28),
     ArchReg::Fp(29),
 ];
+
+/// A coarse operation mix for compute chains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpMix {
+    /// Mostly FP adds/multiplies — dense numeric kernels (swim, tomcatv...).
+    Float,
+    /// Alternating FP and integer.
+    Mixed,
+}
+
+impl OpMix {
+    /// Operation class for the `k`-th link of a chain.
+    fn op_for(self, k: u8) -> OpClass {
+        match self {
+            OpMix::Float if k % 3 == 2 => OpClass::FpMul,
+            OpMix::Float => OpClass::FpAdd,
+            OpMix::Mixed if k.is_multiple_of(2) => OpClass::FpAdd,
+            OpMix::Mixed => OpClass::IntAlu,
+        }
+    }
+}
+
+/// Round-robin allocator of temporary registers: integer temporaries
+/// from `$8..$24`, FP temporaries from `$f2..$f26`, wrapping around.
+/// Wrap-around creates realistic architectural register reuse
+/// (anti/output dependences removed by renaming, as in compiled code).
+struct RegAlloc {
+    next_int: u8,
+    next_fp: u8,
+}
+
+const INT_TMP: std::ops::Range<u8> = 8..24;
+const FP_TMP: std::ops::Range<u8> = 2..26;
+
+impl RegAlloc {
+    fn new() -> Self {
+        Self {
+            next_int: INT_TMP.start,
+            next_fp: FP_TMP.start,
+        }
+    }
+
+    /// The next temporary of the register file that executes `op`.
+    fn dest_for(&mut self, op: OpClass) -> ArchReg {
+        fn bump(next: &mut u8, range: std::ops::Range<u8>) -> u8 {
+            let r = *next;
+            *next = if r + 1 == range.end {
+                range.start
+            } else {
+                r + 1
+            };
+            r
+        }
+        if op.fu_kind() == Some(FuKind::Fp) {
+            ArchReg::Fp(bump(&mut self.next_fp, FP_TMP))
+        } else {
+            ArchReg::Int(bump(&mut self.next_int, INT_TMP))
+        }
+    }
+}
 
 /// Static description of one loop body.
 #[derive(Debug, Clone, Copy)]
@@ -148,7 +207,7 @@ impl KernelInstance {
         // Chains: seeds are the loaded values, or the carry registers for
         // loop-carried recurrences.
         let mut ra = RegAlloc::new();
-        let seeds: Vec<ArchReg> = if spec.carried {
+        let mut heads: Vec<ArchReg> = if spec.carried {
             (0..spec.chains as usize)
                 .map(|c| CARRIES[c % CARRIES.len()])
                 .collect()
@@ -161,21 +220,12 @@ impl KernelInstance {
                 .map(|c| SEEDS[c % SEEDS.len()])
                 .collect()
         };
-        let chain_spec = ChainSpec {
-            chains: spec.chains,
-            depth: spec.depth,
-            mix: spec.mix,
-        };
-        // Inline emit (mirrors BlockBuilder::emit_compute but with our PCs).
-        let mut heads = seeds.clone();
+        // Chain links interleave level by level, the way a compiler
+        // schedules unrolled independent operations.
         for k in 0..spec.depth {
-            for head in heads.iter_mut() {
-                let op = chain_spec.mix_op(k);
-                let dest = if op.fu_kind() == Some(csmt_isa::FuKind::Fp) {
-                    ra.fp()
-                } else {
-                    ra.int()
-                };
+            let op = spec.mix.op_for(k);
+            for head in &mut heads {
+                let dest = ra.dest_for(op);
                 template.push(DynInst::alu(next_pc(), op, Some(dest), [Some(*head), None]));
                 *head = dest;
             }
@@ -245,16 +295,6 @@ impl KernelInstance {
         }
     }
 
-    /// Iterations remaining.
-    pub fn remaining(&self) -> u64 {
-        self.iters - self.done
-    }
-
-    /// Total instructions this instance will emit (without lock excursions).
-    pub fn total_insts(&self) -> u64 {
-        self.iters * self.template.len() as u64
-    }
-
     /// Emit the next iteration into `out`. Returns `false` when exhausted.
     /// Lock excursions are emitted by the caller (`ProgramStream`) around
     /// the iteration body using [`Self::roll_lock`].
@@ -300,40 +340,6 @@ impl KernelInstance {
     }
 }
 
-/// Helper giving `ChainSpec` the per-level op used by `KernelInstance`
-/// (kept in `csmt-isa` notation).
-trait MixOp {
-    fn mix_op(&self, k: u8) -> OpClass;
-}
-
-impl MixOp for ChainSpec {
-    fn mix_op(&self, k: u8) -> OpClass {
-        match self.mix {
-            OpMix::Float => {
-                if k % 3 == 2 {
-                    OpClass::FpMul
-                } else {
-                    OpClass::FpAdd
-                }
-            }
-            OpMix::Integer => {
-                if k % 4 == 3 {
-                    OpClass::IntMul
-                } else {
-                    OpClass::IntAlu
-                }
-            }
-            OpMix::Mixed => {
-                if k.is_multiple_of(2) {
-                    OpClass::FpAdd
-                } else {
-                    OpClass::IntAlu
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +380,6 @@ mod tests {
     fn template_length_matches_spec_arithmetic() {
         let k = instance(10);
         assert_eq!(k.template.len() as u64, spec().insts_per_iter());
-        assert_eq!(k.total_insts(), 10 * spec().insts_per_iter());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multiprogrammed workloads.
 //!
-//! The SMT papers the paper builds on (Tullsen et al. [16], Lo et al. [9])
+//! The SMT papers the paper builds on (Tullsen et al. \[16\], Lo et al. \[9\])
 //! evaluate *multiprogrammed* mixes — several independent programs sharing
 //! the chip — alongside parallel ones. This module provides that mode as an
 //! extension: each application of a mix runs **sequentially** (its

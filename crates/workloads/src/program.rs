@@ -26,25 +26,16 @@ pub struct ProgramStream {
     idx: usize,
     buf: Vec<DynInst>,
     pos: usize,
-    len_hint: u64,
 }
 
 impl ProgramStream {
     /// Wrap a phase list.
     pub fn new(phases: Vec<Phase>) -> Self {
-        let len_hint = phases
-            .iter()
-            .map(|p| match p {
-                Phase::Kernel(k) => k.total_insts(),
-                Phase::Sync(_) => 1,
-            })
-            .sum();
         ProgramStream {
             phases,
             idx: 0,
             buf: Vec::with_capacity(64),
             pos: 0,
-            len_hint,
         }
     }
 }
@@ -93,18 +84,13 @@ impl InstStream for ProgramStream {
             }
         }
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.len_hint)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{AddrCursor, AddrMode, Layout};
-    use crate::kernel::{KernelSpec, LockUse};
-    use csmt_isa::block::OpMix;
+    use crate::kernel::{KernelSpec, LockUse, OpMix};
 
     fn kernel(iters: u64, lock: Option<LockUse>) -> KernelInstance {
         let spec = KernelSpec {
@@ -142,17 +128,6 @@ mod tests {
         assert_eq!(insts.len(), 3 * 7 + 1);
         assert_eq!(insts.last().unwrap().sync, Some(SyncOp::Barrier(0)));
         assert!(s.next_inst().is_none());
-    }
-
-    #[test]
-    fn len_hint_counts_kernels_and_syncs() {
-        let phases = vec![
-            Phase::Kernel(kernel(5, None)),
-            Phase::Sync(SyncOp::Barrier(0)),
-            Phase::Sync(SyncOp::Exit),
-        ];
-        let s = ProgramStream::new(phases);
-        assert_eq!(s.len_hint(), Some(5 * 7 + 2));
     }
 
     #[test]

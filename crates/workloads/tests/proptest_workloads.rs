@@ -126,11 +126,11 @@ proptest! {
         // verify the invariant on the private layout machinery itself for
         // every app's thread 0 slice.
         let _ = &all_apps()[app_idx];
-        let page = 4096u64;
+        let page = csmt_mem::config::PAGE_SIZE;
         for n_nodes in [1usize, 2, 4] {
             for t in 0..8usize {
                 let tpn = 8usize.div_ceil(n_nodes);
-                let l = Layout::private_slice(t, n_nodes, tpn, page);
+                let l = Layout::private_slice(t, n_nodes, tpn);
                 for logical in [0u64, 8, 4096, 65536, SLICE_SPAN - 8] {
                     let phys = l.addr(logical);
                     let home = (phys / page) % n_nodes as u64;

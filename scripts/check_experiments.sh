@@ -163,6 +163,8 @@ must_exit_2 '/dev/null/out: Not a directory' csmt-bench csmt-report -- SMT2 mgri
 must_exit_2 '/dev/null/out.jsonl: Not a directory' csmt-bench csmt-study -- fig4 0.02 --out /dev/null/out.jsonl
 must_exit_2 'argument 1 "abc" is not a valid f64' csmt-verify csmt-lint -- abc
 must_exit_2 'unexpected argument 3 "7"' csmt-verify csmt-lint -- 0.02 8 7
+must_exit_2 'scale inf is not a finite number above 0' csmt-verify csmt-lint -- inf
+must_exit_2 'streams need at least 1 thread' csmt-verify csmt-lint -- 0.02 0
 
 # One block: run $cmd, require $TMP/want's non-empty lines in its stdout.
 check_block() {

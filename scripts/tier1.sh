@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (carries the determinism bans: crates/**/clippy.toml, DESIGN.md §14)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (the API docs build warning-free: no broken intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

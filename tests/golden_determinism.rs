@@ -236,3 +236,63 @@ fn probed_and_unprobed_runs_agree() {
         assert!(probe.events() > 0);
     }
 }
+
+/// Every application's instruction streams, bit for bit: FNV-64 over
+/// `{inst:?};` for each `DynInst` of `build_streams`, thread by thread,
+/// plus the instruction count. The simulation goldens above see only
+/// mgrid, and only through timing; these pins cover every generator
+/// path (serial sections, locks, carried chains, both op mixes, NUMA
+/// placement on four chips) at the source. Scale 0.02, seed `0xC5317`.
+#[test]
+fn every_apps_streams_are_bit_for_bit_stable() {
+    use csmt_isa::InstStream as _;
+    use csmt_workloads::{all_apps, build_streams, AppParams};
+    use std::fmt::Write as _;
+
+    const STREAM_PINS: [(&str, usize, usize, u64, u64); 18] = [
+        ("swim", 8, 1, 5_055, 0x8be5_ae5e_259f_cf24),
+        ("swim", 32, 4, 5_415, 0x7c01_8a8a_b3a3_0f65),
+        ("swim", 1, 1, 4_950, 0xe1b2_e3b5_e92b_2658),
+        ("tomcatv", 8, 1, 2_910, 0xead9_8ca4_6f44_1555),
+        ("tomcatv", 32, 4, 3_150, 0x8ba0_3c03_6b96_2e9a),
+        ("tomcatv", 1, 1, 2_840, 0xea4f_c542_79d0_c662),
+        ("mgrid", 8, 1, 2_284, 0xf95d_26b2_fa1d_7084),
+        ("mgrid", 32, 4, 2_668, 0x2899_6ef0_a430_f619),
+        ("mgrid", 1, 1, 2_172, 0x68b6_4e76_e3c3_3f6a),
+        ("vpenta", 8, 1, 3_756, 0x42cd_1d83_30bc_584c),
+        ("vpenta", 32, 4, 4_044, 0x70f1_53a1_5379_f3de),
+        ("vpenta", 1, 1, 3_672, 0x79db_59ac_4d9a_9d93),
+        ("fmm", 8, 1, 2_138, 0x33e0_4f67_90d5_7441),
+        ("fmm", 32, 4, 2_420, 0xba5b_a896_161a_9c36),
+        ("fmm", 1, 1, 2_042, 0xdd60_9956_70c3_2c94),
+        ("ocean", 8, 1, 3_695, 0x60b1_f0f1_e96a_7a91),
+        ("ocean", 32, 4, 4_055, 0x1a9b_9447_9a8f_2024),
+        ("ocean", 1, 1, 3_590, 0x1feb_1a2d_bcd7_ab23),
+    ];
+    let capture = std::env::var_os("GOLDEN_PRINT").is_some();
+    let mut got = Vec::new();
+    for app in all_apps() {
+        for (threads, chips) in [(8, 1), (32, 4), (1, 1)] {
+            let params = AppParams::new(threads, chips, 0.02, SEED);
+            let mut h = Fnv64::new();
+            let mut n = 0u64;
+            for mut s in build_streams(&app, &params) {
+                while let Some(inst) = s.next_inst() {
+                    let _ = write!(h, "{inst:?};");
+                    n += 1;
+                }
+            }
+            got.push((app.name, threads, chips, n, h.finish()));
+        }
+    }
+    if capture {
+        for (app, threads, chips, n, hash) in &got {
+            println!("        ({app:?}, {threads}, {chips}, {n}, 0x{hash:016x}),");
+        }
+        return;
+    }
+    assert_eq!(
+        got, STREAM_PINS,
+        "an application's instruction streams drifted"
+    );
+}
