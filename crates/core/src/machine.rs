@@ -1174,4 +1174,34 @@ mod tests {
         let mut m = Machine::new(ArchKind::Fa1.chip(), 1, MemConfig::table3(), 1);
         m.attach_threads(vec![simple_thread(1, false, 0), simple_thread(1, false, 0)]);
     }
+
+    /// A thread that exits holding a lock leaves its waiter spinning with
+    /// nothing to commit: the watchdog names the wedge after
+    /// `MAX_COMMIT_GAP` cycles, long before the `max_cycles` limit.
+    #[test]
+    #[should_panic(expected = "pipeline wedged")]
+    fn a_lock_never_released_trips_the_watchdog() {
+        let holder = vec![
+            DynInst::sync(0, SyncOp::LockAcquire(0)),
+            DynInst::sync(4, SyncOp::Exit),
+        ];
+        let mut waiter: Vec<DynInst> = (0..50)
+            .map(|i| {
+                DynInst::alu(
+                    8 + i * 4,
+                    OpClass::IntAlu,
+                    Some(ArchReg::Int(1)),
+                    [None, None],
+                )
+            })
+            .collect();
+        waiter.push(DynInst::sync(0, SyncOp::LockAcquire(0)));
+        waiter.push(DynInst::sync(4, SyncOp::Exit));
+        let mut m = Machine::new(ArchKind::Smt2.chip(), 1, MemConfig::table3(), 1);
+        m.attach_threads(vec![
+            Box::new(VecStream::new(holder)),
+            Box::new(VecStream::new(waiter)),
+        ]);
+        m.run(10_000_000);
+    }
 }

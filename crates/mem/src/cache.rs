@@ -106,31 +106,18 @@ impl Cache {
         (line as usize) % self.banks
     }
 
+    /// Index in `ways` of the valid way holding `line`, if any.
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.assoc + way
-    }
-
-    /// Probe without modifying state (used by the directory to ask whether a
-    /// node still caches a line).
-    pub fn probe(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let tag = line;
-        (0..self.assoc).any(|w| {
-            let way = &self.ways[self.slot(set, w)];
-            way.valid && way.tag == tag
-        })
+    fn way_of(&self, line: u64) -> Option<usize> {
+        let base = self.set_of(line) * self.assoc;
+        (base..base + self.assoc).find(|&i| self.ways[i].valid && self.ways[i].tag == line)
     }
 
     /// Probe without modifying state, reporting the line's dirty bit if
     /// present. Used for write-upgrade detection (`Some(false)` means the
     /// node holds a clean copy whose first write needs a directory upgrade).
     pub fn probe_dirty(&self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        (0..self.assoc).find_map(|w| {
-            let way = &self.ways[self.slot(set, w)];
-            (way.valid && way.tag == line).then_some(way.dirty)
-        })
+        self.way_of(line).map(|i| self.ways[i].dirty)
     }
 
     /// Access `line`; on a miss, allocate it (write-allocate), evicting LRU.
@@ -142,7 +129,7 @@ impl Cache {
         // One fused pass over the set: hit check, first-invalid victim
         // candidate and the lowest-stamp (LRU) candidate together, where
         // separate scans would walk the ways up to three times.
-        let base = self.slot(set, 0);
+        let base = set * self.assoc;
         let mut invalid_way = usize::MAX;
         let mut stamp_way = 0;
         let mut stamp_best = u32::MAX;
@@ -191,30 +178,20 @@ impl Cache {
     /// Invalidate `line` if present; returns `Some(dirty)` if it was there.
     /// Used by the directory protocol.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for w in 0..self.assoc {
-            let idx = self.slot(set, w);
-            if self.ways[idx].valid && self.ways[idx].tag == line {
-                let dirty = self.ways[idx].dirty;
-                self.ways[idx] = INVALID;
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.way_of(line)?;
+        let dirty = self.ways[i].dirty;
+        self.ways[i] = INVALID;
+        Some(dirty)
     }
 
     /// Downgrade `line` to clean (after a cache-to-cache transfer the owner
     /// keeps a shared clean copy). Returns true if the line was present.
     pub fn clean(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for w in 0..self.assoc {
-            let idx = self.slot(set, w);
-            if self.ways[idx].valid && self.ways[idx].tag == line {
-                self.ways[idx].dirty = false;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.way_of(line) else {
+            return false;
+        };
+        self.ways[i].dirty = false;
+        true
     }
 }
 
@@ -258,9 +235,9 @@ mod tests {
             LookupResult::Miss { evicted: Some(v) } => assert_eq!(v.line, ls[1]),
             other => panic!("{other:?}"),
         }
-        assert!(c.probe(ls[0]));
-        assert!(!c.probe(ls[1]));
-        assert!(c.probe(ls[2]));
+        assert!(c.probe_dirty(ls[0]).is_some());
+        assert!(c.probe_dirty(ls[1]).is_none());
+        assert!(c.probe_dirty(ls[2]).is_some());
     }
 
     #[test]
@@ -301,7 +278,7 @@ mod tests {
         c.access(9, false);
         assert_eq!(c.invalidate(9), Some(false));
         assert_eq!(c.invalidate(9), None);
-        assert!(!c.probe(9));
+        assert_eq!(c.probe_dirty(9), None);
     }
 
     #[test]

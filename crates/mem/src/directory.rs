@@ -43,7 +43,8 @@ pub enum Service {
     /// Home memory at a remote node.
     RemoteMem,
     /// Dirty line in another node's L2: cache-to-cache transfer. The owner
-    /// field tells the hierarchy whose L2 to downgrade/invalidate.
+    /// field tells the hierarchy whose copies a read downgrades to clean
+    /// (a write invalidates them: the owner is in the invalidated mask).
     RemoteL2 {
         /// Node whose L2 holds the dirty line.
         owner: usize,
@@ -57,22 +58,18 @@ pub enum Service {
 pub struct DirOutcome {
     /// Which resource supplies the data (or `None` for silent upgrades).
     pub service: Service,
-    /// Number of *remote* copies that had to be invalidated (writes only).
-    pub invalidations: u32,
-    /// Bitmask of nodes whose cached copies must be dropped by the caller.
+    /// Bitmask of nodes whose cached copies must be dropped by the caller
+    /// (writes only; never the requester): its population count is the
+    /// number of invalidations sent.
     pub invalidated_mask: NodeMask,
-    /// Previous owner whose L2 must be downgraded (reads) or invalidated
-    /// (writes) by the hierarchy.
-    pub prev_owner: Option<usize>,
 }
 
 impl DirOutcome {
-    fn mem(service: Service) -> Self {
+    /// An outcome that invalidates no copy.
+    fn quiet(service: Service) -> Self {
         DirOutcome {
             service,
-            invalidations: 0,
             invalidated_mask: 0,
-            prev_owner: None,
         }
     }
 }
@@ -87,9 +84,6 @@ pub struct Directory {
     nodes: usize,
     /// Lines per page, for computing homes (pages interleave round-robin).
     lines_per_page: u64,
-    remote_l2_transfers: u64,
-    invalidations_sent: u64,
-    transactions: u64,
 }
 
 impl Directory {
@@ -105,9 +99,6 @@ impl Directory {
             lines,
             nodes,
             lines_per_page,
-            remote_l2_transfers: 0,
-            invalidations_sent: 0,
-            transactions: 0,
         }
     }
 
@@ -115,11 +106,6 @@ impl Directory {
     #[inline]
     pub fn home_of(&self, line: u64) -> usize {
         ((line / self.lines_per_page) % self.nodes as u64) as usize
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     fn state(&self, line: u64) -> DirState {
@@ -137,26 +123,25 @@ impl Directory {
     /// A read miss from `node` for `line`.
     pub fn read(&mut self, line: u64, node: usize) -> DirOutcome {
         debug_assert!(node < self.nodes);
-        self.transactions += 1;
         let bit = 1u32 << node;
         match self.state(line) {
             DirState::Uncached => {
                 self.lines.insert(line, DirState::Exclusive(node as u8));
-                DirOutcome::mem(self.mem_service(line, node))
+                DirOutcome::quiet(self.mem_service(line, node))
             }
             DirState::Shared(m) => {
                 self.lines.insert(line, DirState::Shared(m | bit));
-                DirOutcome::mem(self.mem_service(line, node))
+                DirOutcome::quiet(self.mem_service(line, node))
             }
             DirState::Exclusive(owner) => {
                 if owner as usize == node {
                     // Silent eviction followed by a refetch: still exclusive.
-                    return DirOutcome::mem(self.mem_service(line, node));
+                    return DirOutcome::quiet(self.mem_service(line, node));
                 }
                 // Clean copy elsewhere: home memory supplies; both now share.
                 self.lines
                     .insert(line, DirState::Shared(bit | (1u32 << owner)));
-                DirOutcome::mem(self.mem_service(line, node))
+                DirOutcome::quiet(self.mem_service(line, node))
             }
             DirState::Modified(owner) => {
                 if owner as usize == node {
@@ -164,21 +149,15 @@ impl Directory {
                     // still attributes to us; no writeback is modelled, fall
                     // back to memory and downgrade.
                     self.lines.insert(line, DirState::Exclusive(node as u8));
-                    return DirOutcome::mem(self.mem_service(line, node));
+                    return DirOutcome::quiet(self.mem_service(line, node));
                 }
                 // Dirty elsewhere: cache-to-cache transfer; owner keeps a
                 // clean shared copy.
-                self.remote_l2_transfers += 1;
                 self.lines
                     .insert(line, DirState::Shared(bit | (1u32 << owner)));
-                DirOutcome {
-                    service: Service::RemoteL2 {
-                        owner: owner as usize,
-                    },
-                    invalidations: 0,
-                    invalidated_mask: 0,
-                    prev_owner: Some(owner as usize),
-                }
+                DirOutcome::quiet(Service::RemoteL2 {
+                    owner: owner as usize,
+                })
             }
         }
     }
@@ -187,16 +166,13 @@ impl Directory {
     /// upgrades of a locally cached clean copy.
     pub fn write(&mut self, line: u64, node: usize) -> DirOutcome {
         debug_assert!(node < self.nodes);
-        self.transactions += 1;
         let bit = 1u32 << node;
         match self.state(line) {
             DirState::Uncached => {
                 self.lines.insert(line, DirState::Modified(node as u8));
-                DirOutcome::mem(self.mem_service(line, node))
+                DirOutcome::quiet(self.mem_service(line, node))
             }
             DirState::Shared(m) => {
-                let remote_sharers = (m & !bit).count_ones();
-                self.invalidations_sent += remote_sharers as u64;
                 self.lines.insert(line, DirState::Modified(node as u8));
                 // If we already held a shared copy this is an upgrade: the
                 // directory transaction still happens (home round trip) but
@@ -204,72 +180,42 @@ impl Directory {
                 // the home must be visited.
                 DirOutcome {
                     service: self.mem_service(line, node),
-                    invalidations: remote_sharers,
                     invalidated_mask: m & !bit,
-                    prev_owner: None,
                 }
             }
             DirState::Exclusive(owner) => {
                 if owner as usize == node {
                     // Silent E→M upgrade: free, no transaction on the wire.
-                    self.transactions -= 1;
                     self.lines.insert(line, DirState::Modified(node as u8));
-                    return DirOutcome {
-                        service: Service::None,
-                        invalidations: 0,
-                        invalidated_mask: 0,
-                        prev_owner: None,
-                    };
+                    return DirOutcome::quiet(Service::None);
                 }
                 // Clean copy elsewhere: invalidate it, memory supplies.
-                self.invalidations_sent += 1;
                 self.lines.insert(line, DirState::Modified(node as u8));
                 DirOutcome {
                     service: self.mem_service(line, node),
-                    invalidations: 1,
                     invalidated_mask: 1u32 << owner,
-                    prev_owner: Some(owner as usize),
                 }
             }
             DirState::Modified(owner) => {
                 if owner as usize == node {
                     // Already ours and dirty (directory lost track of a
                     // silent eviction): free.
-                    self.transactions -= 1;
-                    return DirOutcome {
-                        service: Service::None,
-                        invalidations: 0,
-                        invalidated_mask: 0,
-                        prev_owner: None,
-                    };
+                    return DirOutcome::quiet(Service::None);
                 }
-                self.remote_l2_transfers += 1;
-                self.invalidations_sent += 1;
                 self.lines.insert(line, DirState::Modified(node as u8));
                 DirOutcome {
                     service: Service::RemoteL2 {
                         owner: owner as usize,
                     },
-                    invalidations: 1,
                     invalidated_mask: 1u32 << owner,
-                    prev_owner: Some(owner as usize),
                 }
             }
         }
     }
 
-    /// Current state (for tests and the multichip example's inspection).
+    /// Current state of `line` (for tests).
     pub fn inspect(&self, line: u64) -> DirState {
         self.state(line)
-    }
-
-    /// (transactions, remote-L2 transfers, invalidations sent).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.transactions,
-            self.remote_l2_transfers,
-            self.invalidations_sent,
-        )
     }
 }
 
@@ -326,16 +272,9 @@ mod tests {
     fn silent_upgrade_is_free_for_exclusive_owner() {
         let mut d = dir4();
         d.read(5, 1);
-        let before_tx = d.stats().0;
         let o = d.write(5, 1);
-        assert_eq!(o.service, Service::None);
-        assert_eq!(o.invalidations, 0);
+        assert_eq!(o, DirOutcome::quiet(Service::None));
         assert_eq!(d.inspect(5), DirState::Modified(1));
-        assert_eq!(
-            d.stats().0,
-            before_tx,
-            "silent upgrade is not a transaction"
-        );
     }
 
     #[test]
@@ -345,7 +284,7 @@ mod tests {
         d.read(5, 1);
         d.read(5, 2);
         let o = d.write(5, 1);
-        assert_eq!(o.invalidations, 2); // nodes 0 and 2, not the writer
+        assert_eq!(o.invalidated_mask, 0b0101); // nodes 0 and 2, not the writer
         assert_eq!(d.inspect(5), DirState::Modified(1));
     }
 
@@ -355,8 +294,7 @@ mod tests {
         d.read(7, 2);
         d.write(7, 2); // silent upgrade
         let o = d.read(7, 0);
-        assert_eq!(o.service, Service::RemoteL2 { owner: 2 });
-        assert_eq!(o.prev_owner, Some(2));
+        assert_eq!(o, DirOutcome::quiet(Service::RemoteL2 { owner: 2 }));
         // Both the reader and the old owner now share the line.
         assert_eq!(d.inspect(7), DirState::Shared(0b0101));
     }
@@ -367,7 +305,7 @@ mod tests {
         d.write(7, 2);
         let o = d.write(7, 3);
         assert_eq!(o.service, Service::RemoteL2 { owner: 2 });
-        assert_eq!(o.invalidations, 1);
+        assert_eq!(o.invalidated_mask, 0b0100);
         assert_eq!(d.inspect(7), DirState::Modified(3));
     }
 
@@ -376,8 +314,7 @@ mod tests {
         let mut d = dir4();
         d.read(7, 2); // exclusive clean at node 2
         let o = d.write(7, 0);
-        assert_eq!(o.invalidations, 1);
-        assert_eq!(o.prev_owner, Some(2));
+        assert_eq!(o.invalidated_mask, 0b0100);
         // home(7) = 0 and the writer is node 0 ⇒ local memory supplies.
         assert_eq!(o.service, Service::LocalMem);
         assert_eq!(d.inspect(7), DirState::Modified(0));
@@ -388,9 +325,8 @@ mod tests {
         let mut d = dir4();
         d.write(9, 1);
         let o = d.read(9, 1);
-        assert_eq!(o.prev_owner, None);
         assert_eq!(d.inspect(9), DirState::Exclusive(1));
-        assert!(matches!(o.service, Service::LocalMem | Service::RemoteMem));
+        assert_eq!(o, DirOutcome::quiet(Service::RemoteMem)); // home(9) = 0
     }
 
     #[test]
@@ -400,22 +336,8 @@ mod tests {
             let r = d.read(line, 0);
             assert_eq!(r.service, Service::LocalMem);
             let w = d.write(line, 0);
-            assert_eq!(w.invalidations, 0);
+            assert_eq!(w.invalidated_mask, 0);
+            assert!(matches!(w.service, Service::LocalMem | Service::None));
         }
-        let (_, c2c, inv) = d.stats();
-        assert_eq!(c2c, 0);
-        assert_eq!(inv, 0);
-    }
-
-    #[test]
-    fn stats_count_transactions() {
-        let mut d = dir4();
-        d.read(1, 0); // tx 1: E@0
-        d.write(1, 1); // tx 2: invalidate node 0's clean copy
-        d.read(1, 2); // tx 3: c2c from node 1
-        let (tx, c2c, inv) = d.stats();
-        assert_eq!(tx, 3);
-        assert_eq!(c2c, 1);
-        assert_eq!(inv, 1);
     }
 }

@@ -13,10 +13,10 @@
 use crate::cache::{Cache, LookupResult};
 use crate::config::{
     MemConfig, BANK_OCCUPANCY, INVALIDATION_PENALTY, L1_LATENCY, L2_LATENCY, LINE_SIZE,
-    LINK_OCCUPANCY, LOCAL_MEM_LATENCY, MEMORY_OCCUPANCY, TLB_ENTRIES, TLB_MISS_PENALTY,
+    LINK_OCCUPANCY, LOCAL_MEM_LATENCY, MEMORY_OCCUPANCY, PAGE_SIZE, TLB_ENTRIES, TLB_MISS_PENALTY,
 };
 use crate::directory::{Directory, Service};
-use crate::mshr::{MshrFile, MshrOutcome};
+use crate::mshr::MshrFile;
 use crate::resource::Resource;
 use crate::stats::MemStats;
 use crate::tlb::Tlb;
@@ -91,8 +91,18 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Build a system with `nodes` chips. For the low-end machine pass 1;
     /// the paper's high-end machine uses 4.
+    ///
+    /// Panics unless `cfg.page_size` is [`PAGE_SIZE`]: the directory homes
+    /// pages by `cfg.page_size`, but the workloads place their data by
+    /// [`PAGE_SIZE`], so any other size would silently turn a thread's
+    /// private pages remote.
     pub fn new(cfg: MemConfig, nodes: usize, seed: u64) -> Self {
         assert!(nodes >= 1);
+        assert_eq!(
+            cfg.page_size, PAGE_SIZE,
+            "MemConfig::page_size is {} B, but the workloads place data by PAGE_SIZE = {} B",
+            cfg.page_size, PAGE_SIZE
+        );
         let lines_per_page = cfg.page_size / LINE_SIZE as u64;
         let mut rng = csmt_isa::SplitMix64::new(seed);
         MemorySystem {
@@ -199,58 +209,42 @@ impl MemorySystem {
         // 3. Write-upgrade check: a store hitting a *clean* L1 line on a
         // multi-node machine needs directory permission before it can be
         // considered an L1 hit.
-        let needs_upgrade = is_write
-            && self.nodes.len() > 1
-            && self.nodes[node].l1.probe_dirty(line) == Some(false);
+        let coherent_write = is_write && self.nodes.len() > 1;
+        let needs_upgrade = coherent_write && self.nodes[node].l1.probe_dirty(line) == Some(false);
 
         // 4. L1 lookup (reserves the addressed bank).
         let l1_result = {
             let n = &mut self.nodes[node];
             let bank = n.l1.bank_of(line);
-            let start = n.l1_banks[bank].reserve(t, BANK_OCCUPANCY);
-            n.stats.contention_wait += start - t;
-            t = start;
+            n.stats.contention_wait += n.l1_banks[bank].queue(&mut t, BANK_OCCUPANCY);
             n.l1.access(line, is_write)
         };
 
         if let LookupResult::Hit = l1_result {
-            if !needs_upgrade {
+            // Upgrade path: the data is local, but the directory at the home
+            // node must grant ownership and invalidate other sharers.
+            let upgrade = if needs_upgrade {
+                self.upgrade(node, line, &mut t)
+            } else {
+                None
+            };
+            let Some(lat) = upgrade else {
                 self.nodes[node].stats.l1_hits += 1;
                 return AccessOutcome {
                     complete_at: t + L1_LATENCY,
                     serviced_by: ServicedBy::L1,
                     tlb_miss,
                 };
-            }
-            // Upgrade path: the data is local, but the directory at the home
-            // node must grant ownership and invalidate other sharers.
-            let out = self.dir.write(line, node);
-            self.apply_remote_side_effects(line, out.invalidated_mask, out.prev_owner, is_write, t);
-            let lat = match out.service {
-                Service::None => 0, // silent E→M: free
-                _ => {
-                    self.nodes[node].stats.upgrades += 1;
-                    self.nodes[node].stats.invalidations += out.invalidations as u64;
-                    self.coherence_latency(node, line, out.service, out.invalidations, &mut t)
-                }
             };
-            let serviced = if lat == 0 {
-                ServicedBy::L1
-            } else {
-                ServicedBy::LocalMem
-            };
-            if lat == 0 {
-                self.nodes[node].stats.l1_hits += 1;
-            }
             return AccessOutcome {
                 complete_at: t + L1_LATENCY + lat,
-                serviced_by: serviced,
+                serviced_by: ServicedBy::LocalMem,
                 tlb_miss,
             };
         }
 
-        // 5. L1 miss: handle the victim writeback into L2, then consult the
-        // MSHR file.
+        // 5. L1 miss: handle the victim writeback into L2, then take an
+        // MSHR (step 2 merged any miss on a line already in flight).
         if let LookupResult::Miss { evicted: Some(v) } = l1_result {
             if v.dirty {
                 let n = &mut self.nodes[node];
@@ -262,67 +256,36 @@ impl MemorySystem {
             }
         }
 
-        let mshr_out = self.nodes[node].mshr.request(line, t);
-        match mshr_out {
-            MshrOutcome::Secondary { complete_at } => {
-                self.nodes[node].stats.mshr_merges += 1;
-                self.nodes[node].stats.l2_hits += 1; // serviced by in-flight fill
-                return AccessOutcome {
-                    complete_at: complete_at.max(t + L1_LATENCY),
-                    serviced_by: ServicedBy::L2,
-                    tlb_miss,
-                };
-            }
-            MshrOutcome::Primary { start } => {
-                self.nodes[node].stats.contention_wait += start - t;
-                t = start;
-            }
-        }
+        let start = self.nodes[node].mshr.request(line, t);
+        self.nodes[node].stats.contention_wait += start - t;
+        t = start;
 
         // 6. L2 lookup.
         let l2_result = {
             let n = &mut self.nodes[node];
             let bank = n.l2.bank_of(line);
-            let start = n.l2_banks[bank].reserve(t, BANK_OCCUPANCY);
-            n.stats.contention_wait += start - t;
-            t = start;
+            n.stats.contention_wait += n.l2_banks[bank].queue(&mut t, BANK_OCCUPANCY);
             n.l2.access(line, is_write)
         };
 
         let (complete_at, serviced_by) = match l2_result {
             LookupResult::Hit => {
-                // A write hitting a clean L2 line on a multi-node machine
-                // still needs the upgrade transaction; `needs_upgrade` only
-                // covered the L1-resident case, so redo the check here using
-                // the directory's own view.
-                let mut extra = 0;
-                let mut svc = ServicedBy::L2;
-                if is_write && self.nodes.len() > 1 {
-                    let out = self.dir.write(line, node);
-                    self.apply_remote_side_effects(
-                        line,
-                        out.invalidated_mask,
-                        out.prev_owner,
-                        is_write,
-                        t,
-                    );
-                    if out.service != Service::None {
-                        self.nodes[node].stats.upgrades += 1;
-                        self.nodes[node].stats.invalidations += out.invalidations as u64;
-                        extra = self.coherence_latency(
-                            node,
-                            line,
-                            out.service,
-                            out.invalidations,
-                            &mut t,
-                        );
-                        svc = ServicedBy::LocalMem;
+                // A write hitting an L2 line on a multi-node machine still
+                // needs the directory's permission: `needs_upgrade` only
+                // covered the L1-resident case, so the directory's own view
+                // decides here.
+                let upgrade = if coherent_write {
+                    self.upgrade(node, line, &mut t)
+                } else {
+                    None
+                };
+                match upgrade {
+                    Some(lat) => (t + L2_LATENCY + lat, ServicedBy::LocalMem),
+                    None => {
+                        self.nodes[node].stats.l2_hits += 1;
+                        (t + L2_LATENCY, ServicedBy::L2)
                     }
                 }
-                if svc == ServicedBy::L2 {
-                    self.nodes[node].stats.l2_hits += 1;
-                }
-                (t + L2_LATENCY + extra, svc)
             }
             LookupResult::Miss { evicted } => {
                 // L2 victim: the L2 is inclusive, so the victim must leave
@@ -337,33 +300,22 @@ impl MemorySystem {
                         self.nodes[home].mem_channel.reserve(t, MEMORY_OCCUPANCY);
                     }
                 }
-                // Directory transaction at the home node.
-                let out = if is_write {
-                    self.dir.write(line, node)
-                } else {
-                    self.dir.read(line, node)
+                let (service, lat) = self.transaction(node, line, is_write, &mut t);
+                let stats = &mut self.nodes[node].stats;
+                let svc = match service {
+                    Service::LocalMem | Service::None => {
+                        stats.local_mem += 1;
+                        ServicedBy::LocalMem
+                    }
+                    Service::RemoteMem => {
+                        stats.remote_mem += 1;
+                        ServicedBy::RemoteMem
+                    }
+                    Service::RemoteL2 { .. } => {
+                        stats.remote_l2 += 1;
+                        ServicedBy::RemoteL2
+                    }
                 };
-                self.apply_remote_side_effects(
-                    line,
-                    out.invalidated_mask,
-                    out.prev_owner,
-                    is_write,
-                    t,
-                );
-                self.nodes[node].stats.invalidations += out.invalidations as u64;
-                let lat =
-                    self.coherence_latency(node, line, out.service, out.invalidations, &mut t);
-                let svc = match out.service {
-                    Service::LocalMem | Service::None => ServicedBy::LocalMem,
-                    Service::RemoteMem => ServicedBy::RemoteMem,
-                    Service::RemoteL2 { .. } => ServicedBy::RemoteL2,
-                };
-                match svc {
-                    ServicedBy::LocalMem => self.nodes[node].stats.local_mem += 1,
-                    ServicedBy::RemoteMem => self.nodes[node].stats.remote_mem += 1,
-                    ServicedBy::RemoteL2 => self.nodes[node].stats.remote_l2 += 1,
-                    _ => {}
-                }
                 (t + lat, svc)
             }
         };
@@ -389,80 +341,80 @@ impl MemorySystem {
         }
     }
 
-    /// Latency of the coherence service, reserving the resources involved:
-    /// requester link (if off-chip), home memory channel, owner link for
-    /// cache-to-cache transfers, plus the invalidation penalty when remote
-    /// copies had to be shot down.
-    fn coherence_latency(
+    /// The one directory transaction, for a miss and for an upgrade alike:
+    /// the home node's verdict on `line`, the remote copies it invalidates
+    /// or downgrades, the invalidations counted, and the queueing on the
+    /// resources the service crosses (advancing `t`). Returns the service
+    /// and its latency: the Table 3 round trip of the servicing level,
+    /// plus the invalidation penalty when remote copies were shot down
+    /// (0 for a silent upgrade).
+    fn transaction(
         &mut self,
         node: usize,
         line: u64,
-        service: Service,
-        invalidations: u32,
+        is_write: bool,
         t: &mut u64,
-    ) -> u64 {
-        let home = self.dir.home_of(line);
-        let base = match service {
-            Service::None => return 0,
+    ) -> (Service, u64) {
+        let out = if is_write {
+            self.dir.write(line, node)
+        } else {
+            self.dir.read(line, node)
+        };
+        // Invalidated copies leave the victims' L1 and L2 (one message on
+        // each victim's link); a read of a line dirty elsewhere (a read
+        // invalidates nothing) leaves the owner clean copies.
+        for victim in 0..self.nodes.len() {
+            if out.invalidated_mask & (1u32 << victim) != 0 {
+                let n = &mut self.nodes[victim];
+                n.l1.invalidate(line);
+                n.l2.invalidate(line);
+                n.link.reserve(*t, LINK_OCCUPANCY);
+            }
+        }
+        if let (false, Service::RemoteL2 { owner }) = (is_write, out.service) {
+            let n = &mut self.nodes[owner];
+            n.l1.clean(line);
+            n.l2.clean(line);
+        }
+        let invalidations = out.invalidated_mask.count_ones();
+        self.nodes[node].stats.invalidations += u64::from(invalidations);
+        let base = match out.service {
+            Service::None => return (out.service, 0),
             Service::LocalMem => LOCAL_MEM_LATENCY,
             Service::RemoteMem => self.cfg.remote_mem_latency,
             Service::RemoteL2 { .. } => self.cfg.remote_l2_latency,
         };
+        let home = self.dir.home_of(line);
+        let mut wait = 0;
         // Off-chip messages traverse the requester's network interface.
-        if home != node || matches!(service, Service::RemoteL2 { .. }) {
-            let start = self.nodes[node].link.reserve(*t, LINK_OCCUPANCY);
-            self.nodes[node].stats.contention_wait += start - *t;
-            *t = start;
+        if home != node || matches!(out.service, Service::RemoteL2 { .. }) {
+            wait += self.nodes[node].link.queue(t, LINK_OCCUPANCY);
         }
         // Home memory channel / directory controller.
-        {
-            let start = self.nodes[home].mem_channel.reserve(*t, MEMORY_OCCUPANCY);
-            self.nodes[node].stats.contention_wait += start - *t;
-            *t = start;
-        }
+        wait += self.nodes[home].mem_channel.queue(t, MEMORY_OCCUPANCY);
         // Owner's link for cache-to-cache transfers.
-        if let Service::RemoteL2 { owner } = service {
-            let start = self.nodes[owner].link.reserve(*t, LINK_OCCUPANCY);
-            self.nodes[node].stats.contention_wait += start - *t;
-            *t = start;
+        if let Service::RemoteL2 { owner } = out.service {
+            wait += self.nodes[owner].link.queue(t, LINK_OCCUPANCY);
         }
+        self.nodes[node].stats.contention_wait += wait;
         let inval = if invalidations > 0 {
             INVALIDATION_PENALTY
         } else {
             0
         };
-        base + inval
+        (out.service, base + inval)
     }
 
-    /// Drop / downgrade copies at other nodes as instructed by the
-    /// directory. Invalidations remove the line from the victim's L1 and L2;
-    /// a read of a dirty remote line downgrades the owner's copies to clean.
-    fn apply_remote_side_effects(
-        &mut self,
-        line: u64,
-        invalidated_mask: u32,
-        prev_owner: Option<usize>,
-        is_write: bool,
-        now: u64,
-    ) {
-        if invalidated_mask != 0 {
-            for victim in 0..self.nodes.len() {
-                if invalidated_mask & (1u32 << victim) != 0 {
-                    let n = &mut self.nodes[victim];
-                    n.l1.invalidate(line);
-                    n.l2.invalidate(line);
-                    n.link.reserve(now, LINK_OCCUPANCY);
-                }
-            }
+    /// A write to a line this node already caches: a directory write
+    /// transaction. `Some(latency)` is an upgrade the home services
+    /// (counted in `upgrades`); `None` a silent E→M upgrade, free.
+    fn upgrade(&mut self, node: usize, line: u64, t: &mut u64) -> Option<u64> {
+        let (service, lat) = self.transaction(node, line, true, t);
+        if service == Service::None {
+            return None;
         }
-        if let Some(owner) = prev_owner {
-            if !is_write && invalidated_mask & (1u32 << owner) == 0 {
-                // Read of a modified line: owner keeps clean copies.
-                let n = &mut self.nodes[owner];
-                n.l1.clean(line);
-                n.l2.clean(line);
-            }
-        }
+        self.nodes[node].stats.upgrades += 1;
+        Some(lat)
     }
 
     /// Statistics for one node.
@@ -470,7 +422,7 @@ impl MemorySystem {
         &self.nodes[node].stats
     }
 
-    /// Aggregated statistics across nodes, including directory counters.
+    /// Aggregated statistics across nodes.
     pub fn stats(&self) -> MemStats {
         let mut total = MemStats::default();
         for n in &self.nodes {
@@ -493,12 +445,6 @@ impl MemorySystem {
             tlb += n.stats.tlb_misses;
         }
         (acc, l1, l2, tlb)
-    }
-
-    /// Directory-level counters: (transactions, remote-L2 transfers,
-    /// invalidations sent).
-    pub fn directory_stats(&self) -> (u64, u64, u64) {
-        self.dir.stats()
     }
 }
 
@@ -604,6 +550,17 @@ mod tests {
         let o = m.access(0, addr, AccessKind::Read, now);
         assert_eq!(o.serviced_by, ServicedBy::RemoteL2);
         assert_eq!(o.complete_at, now + 75);
+        assert_eq!(m.stats().remote_l2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "PAGE_SIZE = 4096 B")]
+    fn a_page_size_the_workloads_do_not_use_is_refused() {
+        let cfg = MemConfig {
+            page_size: 2 * PAGE_SIZE,
+            ..MemConfig::table3()
+        };
+        MemorySystem::new(cfg, 4, 42);
     }
 
     #[test]

@@ -6,24 +6,6 @@
 //! does not consume a new entry or issue new traffic — it completes when the
 //! primary miss returns.
 
-/// Outcome of presenting a miss to the MSHR file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
-    /// New entry allocated; the caller must perform the downstream access.
-    /// Carries the time at which the entry became available (≥ request time
-    /// if the file was full and the request had to queue for a slot).
-    Primary {
-        /// Time the entry became available.
-        start: u64,
-    },
-    /// Merged with an in-flight miss to the same line; completes at the
-    /// primary's completion time.
-    Secondary {
-        /// Completion time inherited from the primary miss.
-        complete_at: u64,
-    },
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     line: u64,
@@ -52,38 +34,35 @@ impl MshrFile {
         self.entries.retain(|e| e.complete_at > now);
     }
 
-    /// Present a miss on `line` at time `now`.
-    ///
-    /// If an entry for `line` is in flight, merge. Otherwise allocate; if
-    /// the file is full, the request waits until the earliest entry retires
-    /// (returned via `Primary::start`).
-    pub fn request(&mut self, line: u64, now: u64) -> MshrOutcome {
+    /// Allocate an entry for a primary miss on `line` at time `now`,
+    /// returning the cycle the entry is available: `now`, or, if the file
+    /// is full, the cycle its earliest entry retires. A miss on a line
+    /// already in flight merges before it gets here
+    /// ([`outstanding_complete`](MshrFile::outstanding_complete)).
+    pub fn request(&mut self, line: u64, now: u64) -> u64 {
         self.expire(now);
-        if let Some(e) = self.entries.iter().find(|e| e.line == line) {
-            return MshrOutcome::Secondary {
-                complete_at: e.complete_at,
-            };
+        debug_assert!(
+            self.entries.iter().all(|e| e.line != line),
+            "line {line} is already in flight: merge it instead"
+        );
+        if self.entries.len() < self.capacity {
+            return now;
         }
-        let start = if self.entries.len() >= self.capacity {
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.complete_at)
-                .min()
-                .expect("full file is non-empty");
-            // That entry will have retired by `earliest`; evict it now so the
-            // new entry can be recorded.
-            let pos = self
-                .entries
-                .iter()
-                .position(|e| e.complete_at == earliest)
-                .expect("present");
-            self.entries.swap_remove(pos);
-            earliest
-        } else {
-            now
-        };
-        MshrOutcome::Primary { start }
+        let earliest = self
+            .entries
+            .iter()
+            .map(|e| e.complete_at)
+            .min()
+            .expect("full file is non-empty");
+        // That entry will have retired by `earliest`; evict it now so the
+        // new entry can be recorded.
+        let pos = self
+            .entries
+            .iter()
+            .position(|e| e.complete_at == earliest)
+            .expect("present");
+        self.entries.swap_remove(pos);
+        earliest
     }
 
     /// Record the completion time of a primary miss (call after the
@@ -120,15 +99,20 @@ mod tests {
     #[test]
     fn primary_then_secondary_merge() {
         let mut m = MshrFile::new(4);
-        match m.request(10, 0) {
-            MshrOutcome::Primary { start } => assert_eq!(start, 0),
-            o => panic!("{o:?}"),
-        }
+        assert_eq!(m.request(10, 0), 0);
         m.complete(10, 50);
-        match m.request(10, 5) {
-            MshrOutcome::Secondary { complete_at } => assert_eq!(complete_at, 50),
-            o => panic!("{o:?}"),
-        }
+        assert_eq!(m.outstanding_complete(10, 5), Some(50));
+        assert_eq!(m.outstanding_complete(11, 5), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already in flight")]
+    fn a_request_on_an_in_flight_line_is_refused() {
+        let mut m = MshrFile::new(4);
+        m.request(10, 0);
+        m.complete(10, 50);
+        m.request(10, 5);
     }
 
     #[test]
@@ -137,10 +121,8 @@ mod tests {
         m.request(10, 0);
         m.complete(10, 50);
         // At t=60 the fill is done: a new access to line 10 is a fresh primary.
-        match m.request(10, 60) {
-            MshrOutcome::Primary { start } => assert_eq!(start, 60),
-            o => panic!("{o:?}"),
-        }
+        assert_eq!(m.outstanding_complete(10, 60), None);
+        assert_eq!(m.request(10, 60), 60);
         assert_eq!(m.outstanding(60), 0);
     }
 
@@ -152,17 +134,14 @@ mod tests {
         m.request(2, 0);
         m.complete(2, 40);
         // File full; third distinct miss waits for the earliest (t=40).
-        match m.request(3, 0) {
-            MshrOutcome::Primary { start } => assert_eq!(start, 40),
-            o => panic!("{o:?}"),
-        }
+        assert_eq!(m.request(3, 0), 40);
     }
 
     #[test]
     fn distinct_lines_use_distinct_entries() {
         let mut m = MshrFile::new(8);
         for line in 0..5 {
-            assert!(matches!(m.request(line, 0), MshrOutcome::Primary { .. }));
+            assert_eq!(m.request(line, 0), 0);
             m.complete(line, 100);
         }
         assert_eq!(m.outstanding(0), 5);

@@ -55,6 +55,16 @@ impl Resource {
         }
         start
     }
+
+    /// Queue at `*t` for `occupancy` cycles: reserve the resource, advance
+    /// `*t` to the start of service and return the wait.
+    #[inline]
+    pub(crate) fn queue(&mut self, t: &mut u64, occupancy: u64) -> u64 {
+        let start = self.reserve(*t, occupancy);
+        let wait = start - *t;
+        *t = start;
+        wait
+    }
 }
 
 #[cfg(test)]

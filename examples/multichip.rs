@@ -52,13 +52,21 @@ fn main() {
         );
     }
 
-    let (tx, c2c, inv) = machine.memory().directory_stats();
-    println!("\nDirectory (DASH-like, full-map MESI):");
-    println!("  transactions        : {tx}");
-    println!("  cache-to-cache      : {c2c}   (remote-L2 services, 75-cycle round trips)");
-    println!("  invalidations sent  : {inv}   (boundary-row write sharing)");
-
     let total = machine.memory().stats();
+    println!("\nCoherence (DASH-like, full-map MESI directory):");
+    println!(
+        "  cache-to-cache      : {}   (remote-L2 services, 75-cycle round trips)",
+        total.remote_l2
+    );
+    println!(
+        "  invalidations sent  : {}   (boundary-row write sharing)",
+        total.invalidations
+    );
+    println!(
+        "  upgrades            : {}   (writes to clean copies that needed the home)",
+        total.upgrades
+    );
+
     println!(
         "\nCommunication intensity: {:.2}% of accesses serviced off-chip",
         total.remote_fraction() * 100.0

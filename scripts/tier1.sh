@@ -19,6 +19,13 @@ cargo build --release --workspace
 echo "==> frozen benchmark/ crate still builds against this API"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> every example runs once at a tiny size (cargo test only compiles them)"
+cargo run -q --release --example quickstart -- ocean smt2 1 0.02 >/dev/null
+cargo run -q --release --example design_space -- mgrid 0.02 >/dev/null
+cargo run -q --release --example multichip -- 0.02 >/dev/null
+cargo run -q --release --example multiprogram -- 0.02 >/dev/null
+cargo run -q --release --example parallelism_model -- 6 5 >/dev/null
+
 echo "==> cargo test (root package: tier-1)"
 cargo test -q
 

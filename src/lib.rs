@@ -20,7 +20,7 @@
 //! | [`model`] | the §2 analytic model of thread/instruction parallelism |
 //! | [`trace`] | observability: pipeline probes, heartbeats, O3PipeView |
 //! | [`metrics`] | top-down cycle accounting, host self-profiling |
-//! | [`verify`] | invariant checker, scheduler-policy lint, stream linter |
+//! | [`verify`] | invariant checker, digests and goldens, stream linter |
 //! | [`sweep`] | design-space sweep engine: job pool + result cache |
 //!
 //! ## Quickstart

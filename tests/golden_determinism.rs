@@ -83,8 +83,9 @@ fn per_architecture_digests_are_bit_for_bit_stable() {
 }
 
 /// Pins the high-end (4-chip, CC-NUMA) machine, complementing the
-/// single-chip sweep above: remote L2/memory latencies, directory
-/// invalidations and inter-chip sharing are all exercised only here.
+/// single-chip sweep above: remote-memory latencies and inter-chip
+/// placement. Its run moves no line cache to cache and invalidates
+/// nothing; the ocean cells below pin those paths.
 #[test]
 fn high_end_four_chip_digest_is_bit_for_bit_stable() {
     let app = by_name(APP).expect("paper app");
@@ -115,6 +116,70 @@ fn high_end_four_chip_digest_is_bit_for_bit_stable() {
         "behavioral drift on the 4-chip high-end machine ({} events)",
         probe.events()
     );
+}
+
+/// Pins the coherence paths the mgrid goldens never take: ocean's
+/// boundary-row sharing on four chips moves lines cache to cache,
+/// invalidates sharers and upgrades clean copies, all of which read 0 on
+/// mgrid. `(arch, cycles, committed, result digest, event digest)` at
+/// scale 0.2, seed `0xC5317`.
+#[test]
+fn four_chip_coherence_digests_are_bit_for_bit_stable() {
+    const OCEAN_4CHIP: [(&str, u64, u64, u64, u64); 2] = [
+        (
+            "FA4",
+            4_415,
+            36_200,
+            0xe5ee_e194_b8a0_dcbe,
+            0x1c14_75a5_e509_5776,
+        ),
+        (
+            "SMT2",
+            3_379,
+            36_200,
+            0x0434_ec08_7c22_68f3,
+            0x5b4f_8da6_0fd0_690b,
+        ),
+    ];
+    let app = by_name("ocean").expect("paper app");
+    let capture = std::env::var_os("GOLDEN_PRINT").is_some();
+    for (arch, want) in [ArchKind::Fa4, ArchKind::Smt2].into_iter().zip(OCEAN_4CHIP) {
+        let mut probe = EventDigest::new();
+        let mem = csmt_mem::MemConfig::table3();
+        let r = simulate_probed(&app, arch.chip(), 4, SCALE, SEED, mem, &mut probe);
+        let json = serde_json::to_string(&r).expect("RunResult serializes");
+        let mut rd = Fnv64::new();
+        rd.update(json.as_bytes());
+        let got = (
+            arch.name(),
+            r.cycles,
+            r.slots.committed,
+            rd.finish(),
+            probe.hash(),
+        );
+        let m = &r.mem;
+        if capture {
+            println!(
+                "        (\"{}\", {}, {}, 0x{:016x}, 0x{:016x}), // remote_l2 {} invalidations {} upgrades {} mshr_merges {}",
+                got.0, got.1, got.2, got.3, got.4, m.remote_l2, m.invalidations, m.upgrades, m.mshr_merges
+            );
+            continue;
+        }
+        for (name, n) in [
+            ("remote_l2", m.remote_l2),
+            ("invalidations", m.invalidations),
+            ("upgrades", m.upgrades),
+            ("mshr_merges", m.mshr_merges),
+        ] {
+            assert!(n > 0, "ocean on {} x4 never exercised {name}", got.0);
+        }
+        assert_eq!(
+            got,
+            want,
+            "behavioral drift on ocean x4 ({} events)",
+            probe.events()
+        );
+    }
 }
 
 /// Explicitly installing the default scheduling policy
